@@ -1,6 +1,6 @@
-"""Vectorized-kernel and zero-copy-transport benchmark (perf artifact).
+"""Vectorized-kernel benchmark (perf artifact).
 
-Three measurements back the shared-memory + numpy-kernel claims:
+Two measurements back the numpy-kernel claims:
 
 1. **Kernel speedup** — time the pure-Python explicit-stack enumeration
    against the numpy level-synchronous kernel on workloads whose frontiers
@@ -10,20 +10,13 @@ Three measurements back the shared-memory + numpy-kernel claims:
    counts.  Full-mode gate: the heavy workload clears
    :data:`SPEEDUP_GATE`x.
 
-2. **Index transport A/B** — the same force-shipped batch once over the
-   pickle transport (``use_shm=False``) and once over the shared-memory
-   transport, with explicit :class:`~repro.batch.planner.CostModel`\\ s so
-   the planner's decision — not a heuristic — picks the arm.  Results must
-   match byte-for-byte; shipped payload sizes and wall times are recorded.
-
-3. **Parallel vs sequential via shm** — the heavy batch at
-   ``num_workers=2`` (zero-copy graph + index transport) against the
-   single-process run.  The speedup gate only binds when the machine
-   actually has ≥ 2 CPUs; on smaller containers the record is still
-   written, with a printed skip note.
+2. **Parallel vs sequential** — the heavy batch at ``num_workers=2``
+   against the single-process run.  The speedup gate only binds when the
+   machine actually has ≥ 2 CPUs; on smaller containers the record is
+   still written, with a printed skip note.
 
 numpy is optional: without it the kernel section is skipped (recorded as
-``"skipped"``) and the transport sections still run on the pure-Python
+``"skipped"``) and the parallel section still runs on the pure-Python
 substrate.  Writes ``BENCH_kernels.json`` next to the repo root.
 Standalone::
 
@@ -33,7 +26,6 @@ Standalone::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
@@ -41,7 +33,6 @@ import time
 from pathlib import Path
 
 from repro.batch.engine import BatchQueryEngine
-from repro.batch.planner import CostModel, QueryPlanner
 from repro.bfs.distance_index import build_index
 from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.enumeration.path_enum import PathEnum
@@ -59,23 +50,11 @@ QUICK_KERNEL_SWEEP = ((1000, 30_000, 4),)
 SPEEDUP_GATE = 3.0
 KERNEL_ROUNDS = 3
 
-#: Batch workload for the transport A/B and the parallel-vs-sequential arm.
+#: Batch workload for the parallel-vs-sequential arm.
 BATCH_GRAPH = (600, 6000)
 BATCH_QUERIES = 12
 PARALLEL_WORKERS = 2
 ALGORITHM = "batch+"
-
-#: Economics handed to the planner per transport arm.  Both arms make
-#: rebuilding inside workers ruinous (the index must ship); the pickle arm
-#: disables shm, the shm arm makes the segment effectively free so the
-#: planner's crossover lands on ``"shm"`` even for modest payloads.
-PICKLE_MODEL = dataclasses.replace(CostModel(), seconds_per_index_entry=1.0)
-SHM_MODEL = dataclasses.replace(
-    CostModel(),
-    seconds_per_index_entry=1.0,
-    shm_segment_overhead_seconds=0.0,
-    seconds_per_shm_byte=1e-12,
-)
 
 
 def _best_of(fn, rounds=KERNEL_ROUNDS):
@@ -135,7 +114,7 @@ def bench_kernel_speedup(sweep, rounds=KERNEL_ROUNDS, seed=3):
     return records
 
 
-def _batch_workload(seed=4):
+def _batch_workload(seed):
     graph = random_directed_gnm(*BATCH_GRAPH, seed=seed)
     queries = generate_random_queries(
         graph, BATCH_QUERIES, min_k=3, max_k=5, seed=seed
@@ -143,58 +122,9 @@ def _batch_workload(seed=4):
     return graph, queries
 
 
-def bench_transport_ab():
-    """Force-shipped batch over pickle vs shared-memory index transport."""
-    graph, queries = _batch_workload()
-    reference = BatchQueryEngine(
-        graph, algorithm=ALGORITHM, kernel="python", num_workers=1
-    ).run(queries)
-    records = {}
-    for arm, (use_shm, model) in {
-        "pickle": (False, PICKLE_MODEL),
-        "shm": (True, SHM_MODEL),
-    }.items():
-        plan = QueryPlanner(
-            graph,
-            algorithm=ALGORITHM,
-            cost_model=model,
-            use_shm=use_shm,
-        ).plan(queries, num_workers=PARALLEL_WORKERS)
-        assert plan.ship_index, f"{arm} arm did not ship its index"
-        assert plan.index_transport == arm, (
-            f"planner chose {plan.index_transport!r} on the {arm} arm"
-        )
-        engine = BatchQueryEngine(
-            graph,
-            algorithm=ALGORITHM,
-            kernel="python",
-            num_workers=PARALLEL_WORKERS,
-            cost_model=model,
-            use_shm=use_shm,
-        )
-        start = time.perf_counter()
-        result = engine.run(queries)
-        wall_s = time.perf_counter() - start
-        assert result.paths_by_position == reference.paths_by_position, (
-            f"{arm} transport diverged from the sequential reference"
-        )
-        records[arm] = {
-            "use_shm": use_shm,
-            "index_payload_bytes": plan.index_payload_bytes,
-            "index_transport": plan.index_transport,
-            "wall_s": wall_s,
-            "byte_identical": True,
-        }
-        print(
-            f"  transport {arm:6s} | payload "
-            f"{plan.index_payload_bytes:8d} B | wall {wall_s:6.3f}s"
-        )
-    return records
-
-
 def bench_parallel_vs_sequential():
-    """Two shm-fed workers against the single process on the heavy batch."""
-    graph, queries = _batch_workload(seed=5)
+    """Two workers against the single process on the heavy batch."""
+    graph, queries = _batch_workload(5)
     sequential = BatchQueryEngine(
         graph, algorithm=ALGORITHM, kernel="python", num_workers=1
     )
@@ -207,14 +137,12 @@ def bench_parallel_vs_sequential():
         algorithm=ALGORITHM,
         kernel="python",
         num_workers=PARALLEL_WORKERS,
-        cost_model=SHM_MODEL,
-        use_shm=True,
     )
     start = time.perf_counter()
     result = parallel.run(queries)
     parallel_s = time.perf_counter() - start
     assert result.paths_by_position == reference.paths_by_position, (
-        "parallel shm run diverged from the sequential reference"
+        "parallel run diverged from the sequential reference"
     )
     return {
         "num_workers": PARALLEL_WORKERS,
@@ -234,10 +162,9 @@ def run(quick: bool = False) -> dict:
         kernel_records = "skipped"
         print("  kernel sweep skipped: numpy not importable")
 
-    transport = bench_transport_ab()
     parallel = bench_parallel_vs_sequential()
     print(
-        f"  parallel x{parallel['num_workers']} via shm: "
+        f"  parallel x{parallel['num_workers']}: "
         f"seq {parallel['sequential_s']:6.3f}s | "
         f"par {parallel['parallel_s']:6.3f}s | "
         f"speedup {parallel['speedup']:4.2f}x "
@@ -245,7 +172,7 @@ def run(quick: bool = False) -> dict:
     )
 
     artifact = {
-        "benchmark": "kernels_and_transport",
+        "benchmark": "kernels",
         "algorithm": ALGORITHM,
         "quick": quick,
         "numpy_available": NUMPY_AVAILABLE,
@@ -253,7 +180,6 @@ def run(quick: bool = False) -> dict:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "kernel_speedup": kernel_records,
-        "index_transport_ab": transport,
         "parallel_vs_sequential": parallel,
     }
     ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
@@ -281,7 +207,7 @@ def main() -> None:
     if not args.quick and cpu_count >= 2:
         parallel = artifact["parallel_vs_sequential"]
         assert parallel["speedup"] > 1.0, (
-            "two shm-fed workers failed to beat the sequential run"
+            "two workers failed to beat the sequential run"
         )
     elif cpu_count < 2:
         print(

@@ -1,16 +1,10 @@
-"""Planner harness: ship-vs-rebuild index economics and auto worker count.
+"""Planner harness: the auto worker count.
 
-Two claims of the plan/execute split are measured on the skewed
+One claim of the plan/execute split is measured on the skewed
 multi-cluster workload (shared with ``bench_streaming.py``):
-
-1. **Index shipping beats per-worker rebuild** — serializing the
-   parent-built array-backed :class:`CSRDistanceIndex` once
-   (``to_bytes``/``from_bytes``, the exact payload the pool initializer
-   ships) costs less than re-running the per-cluster multi-source BFS that
-   every worker used to perform.
-2. **``num_workers="auto"`` is never materially slower than the best fixed
-   setting** — the cost model may not always pick the absolute winner, but
-   it must stay within 10% of the best of {1, os.cpu_count()}.
+**``num_workers="auto"`` is never materially slower than the best fixed
+setting** — the cost model may not always pick the absolute winner, but
+it must stay within 10% of the best of {1, os.cpu_count()}.
 
 Writes a ``BENCH_planner.json`` artifact next to the repo root so
 successive PRs can track the trajectory.  Standalone by design::
@@ -30,54 +24,9 @@ from pathlib import Path
 from bench_streaming import COMMUNITIES, build_workload
 
 from repro.batch.engine import BatchQueryEngine
-from repro.bfs.distance_index import CSRDistanceIndex, build_index
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 ALGORITHM = "batch+"
-
-
-def measure_index_economics(graph, queries, plan) -> dict:
-    """Time the parent build, the ship round-trip and the per-worker
-    rebuilds the pre-planner executor used to perform."""
-    sources = sorted({q.s for q in queries})
-    targets = sorted({q.t for q in queries})
-    max_hops = max(q.k for q in queries)
-
-    start = time.perf_counter()
-    index = build_index(graph, sources, targets, max_hops)
-    parent_build_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    payload = index.to_bytes()
-    clone = CSRDistanceIndex.from_bytes(payload)
-    ship_round_trip_s = time.perf_counter() - start
-    assert clone.size_in_entries == index.size_in_entries
-
-    # What the old executor did: one BFS per cluster, inside the workers.
-    rebuild_s = 0.0
-    for shard in plan.shards:
-        shard_queries = [queries[p] for p in shard.positions]
-        start = time.perf_counter()
-        build_index(
-            graph,
-            sorted({q.s for q in shard_queries}),
-            sorted({q.t for q in shard_queries}),
-            max(q.k for q in shard_queries),
-        )
-        rebuild_s += time.perf_counter() - start
-
-    return {
-        "parent_build_s": round(parent_build_s, 6),
-        "ship_round_trip_s": round(ship_round_trip_s, 6),
-        "per_worker_rebuild_s": round(rebuild_s, 6),
-        "payload_bytes": len(payload),
-        "index_entries": index.size_in_entries,
-        "num_shards": plan.num_shards,
-        "ship_beats_rebuild": ship_round_trip_s < rebuild_s,
-        "planner_chose_ship": plan.ship_index
-        or plan.estimated_index_ship_seconds
-        < plan.estimated_index_rebuild_seconds,
-    }
 
 
 def measure_worker_settings(graph, queries, repeats: int = 5) -> list:
@@ -140,16 +89,6 @@ def run(quick: bool = False) -> dict:
     graph, queries = build_workload(communities)
     print(f"workload: {graph}, {len(queries)} queries, {len(communities)} communities")
 
-    plan = BatchQueryEngine(graph, algorithm=ALGORITHM, num_workers=2).explain(
-        queries
-    )
-    index_economics = measure_index_economics(graph, queries, plan)
-    print(
-        f"  index: parent build {index_economics['parent_build_s']:.4f}s | "
-        f"ship {index_economics['ship_round_trip_s']:.4f}s | "
-        f"rebuild {index_economics['per_worker_rebuild_s']:.4f}s | "
-        f"{index_economics['payload_bytes']} bytes"
-    )
     worker_records = measure_worker_settings(graph, queries)
 
     auto_wall = next(
@@ -165,7 +104,6 @@ def run(quick: bool = False) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "index_economics": index_economics,
         "worker_settings": worker_records,
         "auto_wall_seconds": auto_wall,
         "best_fixed_wall_seconds": best_fixed,
@@ -184,9 +122,6 @@ def main() -> None:
     # Gate only the full sweep (CI runs --quick; a noisy shared runner's
     # timer jitter on a sub-100ms workload should not fail the build).
     if not args.quick:
-        assert artifact["index_economics"]["ship_beats_rebuild"], (
-            "shipping the index was not faster than per-worker rebuild"
-        )
         assert artifact["auto_within_10pct_of_best_fixed"], (
             "num_workers='auto' was more than 10% slower than the best "
             "fixed setting"

@@ -42,8 +42,8 @@ LockId = Tuple[str, str]
 #: ``(module path, function qualname)`` — stable function key.
 FunctionKey = Tuple[str, str]
 
-#: Class names that are unpicklable by fiat (no ``__reduce__`` marker in
-#: the source, but known to hold process-local state).
+#: Class names that are unpicklable by fiat (known to hold process-local
+#: state).
 KNOWN_UNPICKLABLE_CLASSES = frozenset({"Tracer"})
 
 
@@ -72,17 +72,11 @@ class ProjectIndex:
                     module,
                     function,
                 )
-        #: Class names provably unpicklable: raising ``__reduce__`` in the
-        #: scanned source, or the known-unpicklable allowlist.
-        self.unpicklable_classes: Dict[str, str] = {}
-        for name in KNOWN_UNPICKLABLE_CLASSES:
-            self.unpicklable_classes[name] = "holds process-local state"
-        for module in summaries:
-            for classdef in module.classes:
-                if classdef.reduce_raises:
-                    self.unpicklable_classes[classdef.name] = (
-                        "its __reduce__ raises"
-                    )
+        #: Class name → why its instances cannot cross a pool boundary.
+        self.unpicklable_classes: Dict[str, str] = {
+            name: "holds process-local state"
+            for name in KNOWN_UNPICKLABLE_CLASSES
+        }
 
         self.lock_reentrant: Dict[LockId, bool] = {}
         self.resolved_calls: Dict[

@@ -1,11 +1,8 @@
 """RA008 — resource lifecycle: every acquire must reach a release.
 
-The resources this repo hand-refcounts are exactly the ones whose leaks
-have hurt before: snapshot pins (``store.pin()``/``release()``),
-shared-memory exports and segments (``export_shm``/``release_shm``,
-``SharedCSR.create``/``unlink`` — the ``/dev/shm`` hygiene fixture
-exists because segments outlived tests), attachments
-(``attach()``/``close()``) and worker pools (constructor/``shutdown``).
+The resources this repo hand-manages are exactly the ones whose leaks
+have hurt before: snapshot pins (``store.pin()``/``release()``) and
+worker pools (constructor or ``create_pool()``/``shutdown``).
 
 The per-file pass (``summaries._FunctionWalker``) runs a conservative
 abstract interpretation over each function and records candidate
@@ -25,7 +22,7 @@ the :class:`~repro.analysis.project.ProjectIndex` and reports:
     but can still fail afterwards, before any caller could possibly call
     the release method.  A guard that calls a helper absolves the issue
     iff some resolved helper *transitively* releases the resource's kind
-    (e.g. ``self._release_shared_graph()``); unresolvable helpers are
+    (e.g. ``self._release_pin()``); unresolvable helpers are
     given the benefit of the doubt.
 
 Escapes are silent by design: a resource that is returned, yielded,
@@ -45,8 +42,8 @@ from repro.analysis.project import ProjectIndex
 class ResourceLifecycleRule(ProjectRule):
     rule_id = "RA008"
     title = (
-        "acquired resources (pins, shm segments/exports, attachments, "
-        "pools) must be released on every path"
+        "acquired resources (snapshot pins, worker pools) must be released "
+        "on every path"
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Finding]:

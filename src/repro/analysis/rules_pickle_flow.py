@@ -12,12 +12,10 @@ assignment chains and classified.  Values that provably cannot pickle:
 * freshly created ``threading`` primitives (locks, conditions,
   semaphores) and ``self``-attributes the class summary identifies as
   lock attributes;
-* instances of classes whose ``__reduce__`` raises (``AttachedCSR``)
-  or that are known process-local (``Tracer``) — whether constructed
-  inline, bound to a local, or stored on ``self`` with a resolvable
-  attribute type;
-* ``.attach()`` results (process-local shared-memory mappings) and
-  ``open(...)`` handles.
+* instances of classes that are known process-local (``Tracer``) —
+  whether constructed inline, bound to a local, or stored on ``self``
+  with a resolvable attribute type;
+* ``open(...)`` handles.
 
 Everything else — parameters, attributes of unknown type, results of
 non-generator calls — is silent: the rule only speaks when the payload

@@ -27,10 +27,10 @@ Additionally, for *any* call carrying pool-style keywords:
 * ``initializer=`` must resolve to a module-level/imported callable;
 * ``initargs=`` must not contain lambdas, nested functions, nested
   classes or instances of nested classes.  Initargs are *data*, so —
-  unlike the callable positions above — attribute reads are fine: a
-  ``SharedCSRHandle`` pulled off ``shared.handle`` pickles because the
-  handle class is module-level (that is precisely what this distinction
-  protects; a handle class defined inside a function would not).
+  unlike the callable positions above — attribute reads are fine: the
+  ``CSRGraph`` read off ``self.snapshot`` pickles because its class is
+  module-level (that is precisely what this distinction protects; a
+  class defined inside a function would not).
 
 The receiver-name heuristic keeps the rule honest about what static
 analysis can know: ``service.submit(query)`` (a queue, not a pool) is

@@ -16,8 +16,7 @@ What a summary records, per module:
   (``self._lock = threading.RLock()`` → reentrant), attribute types
   inferred from ``self.x = ClassName(...)`` / annotations, ``@property``
   aliases that return a ``self.<attr>`` (so ``store.lock`` resolves to
-  ``SnapshotStore._lock``), and whether ``__reduce__`` raises (the class
-  is then provably unpicklable, e.g. ``AttachedCSR``);
+  ``SnapshotStore._lock``);
 * per-function summaries: lock acquisitions with the set of locks already
   held, call sites with held-lock sets (the edges RA007 propagates
   over), local variable types, the resource-lifecycle verdicts RA008
@@ -27,8 +26,8 @@ The resource-lifecycle walker is a small abstract interpreter over the
 statement list.  A tracked variable moves through states:
 
 ``open``
-    bound to a fresh acquire (``pin()``, ``export_shm()``, ``attach()``,
-    ``SharedCSR.create()``, a pool constructor, …) with no protection yet;
+    bound to a fresh acquire (``pin()``, ``create_pool()``, a pool
+    constructor) with no protection yet;
 ``protected``
     a ``try`` whose ``finally`` releases it has been entered (or it was
     acquired inside one) — if call-carrying statements ran between the
@@ -46,8 +45,7 @@ statement list.  A tracked variable moves through states:
     its release method, so call-carrying statements after the hand-off
     must sit under a ``try`` whose handler/finally releases the resource
     (a *ctor-window* issue otherwise — guard calls like
-    ``self._release_shared_graph()`` are resolved interprocedurally by
-    RA008).
+    ``self._release_pin()`` are resolved interprocedurally by RA008).
 
 Everything unresolvable stays silent: the vocabulary above is explicit,
 and a name the walker cannot bind participates in nothing.
@@ -82,13 +80,8 @@ LOCK_FACTORIES = {
 #: Method name → resource kind, for acquires that bind a result variable.
 ACQUIRE_METHODS = {
     "pin": "pin",
-    "export_shm": "shm-export",
-    "attach": "attachment",
     "create_pool": "pool",
 }
-
-#: ``<Name>.create(...)`` receivers that allocate a shared-memory segment.
-SHM_CREATORS = frozenset({"SharedCSR", "SharedIndexPayload"})
 
 #: Constructors that spawn a worker pool.
 POOL_CTORS = frozenset(
@@ -98,15 +91,7 @@ POOL_CTORS = frozenset(
 #: Release method → resource kinds it retires (on the resource variable).
 RELEASE_METHODS = {
     "release": frozenset({"pin", "lock"}),
-    "unlink": frozenset({"shm-segment", "shm-export"}),
-    "close": frozenset({"attachment"}),
     "shutdown": frozenset({"pool"}),
-}
-
-#: Release method on an *owner* (any receiver) → kinds it retires for
-#: every open resource of that kind (refcounted store releases).
-RECEIVER_RELEASES = {
-    "release_shm": frozenset({"shm-export"}),
 }
 
 #: Receiver classes whose ``.submit(...)`` is a process-pool boundary
@@ -135,7 +120,7 @@ class LockAcquire:
 class CallSite:
     """One resolvable call, with the locks held at the call."""
 
-    parts: Tuple[str, ...]  # ("self", "seal") / ("store", "export_shm") / ("helper",)
+    parts: Tuple[str, ...]  # ("self", "seal") / ("store", "pin") / ("helper",)
     lineno: int
     held: Tuple[str, ...]
 
@@ -195,7 +180,6 @@ class ClassSummary:
     attr_types: Tuple[Tuple[str, str], ...]  # attr → class spelling
     property_aliases: Tuple[Tuple[str, str], ...]  # property → attr
     method_names: Tuple[str, ...]
-    reduce_raises: bool
 
 
 @dataclass(frozen=True)
@@ -323,25 +307,11 @@ def _acquire_kind(
 ) -> Optional[Tuple[str, str]]:
     """``(kind, receiver spelling)`` if ``call`` acquires a resource."""
     func = call.func
-    if isinstance(func, ast.Attribute):
-        if func.attr in ACQUIRE_METHODS:
-            return ACQUIRE_METHODS[func.attr], expr_text(func.value)
-        if func.attr == "create":
-            receiver = expr_text(func.value)
-            if receiver.split(".")[-1] in SHM_CREATORS:
-                return "shm-segment", receiver
+    if isinstance(func, ast.Attribute) and func.attr in ACQUIRE_METHODS:
+        return ACQUIRE_METHODS[func.attr], expr_text(func.value)
     parts = _call_parts(func)
-    if parts is not None:
-        terminal = parts[-1]
-        if terminal in POOL_CTORS:
-            return "pool", ".".join(parts)
-        if terminal == "SharedMemory" and any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in call.keywords
-        ):
-            return "shm-segment", ".".join(parts)
+    if parts is not None and parts[-1] in POOL_CTORS:
+        return "pool", ".".join(parts)
     return None
 
 
@@ -389,7 +359,6 @@ def _summarize_class(
     attr_types: Dict[str, Optional[str]] = {}
     property_aliases: Dict[str, str] = {}
     method_names: List[str] = []
-    reduce_raises = False
 
     def note_attr_type(attr: str, spelling: Optional[str]) -> None:
         if spelling is None:
@@ -403,10 +372,6 @@ def _summarize_class(
         if not isinstance(method, FUNCTION_NODES):
             continue
         method_names.append(method.name)
-        if method.name == "__reduce__" and any(
-            isinstance(stmt, ast.Raise) for stmt in method.body
-        ):
-            reduce_raises = True
         decorated_property = any(
             isinstance(dec, ast.Name) and dec.id == "property"
             for dec in method.decorator_list
@@ -464,7 +429,6 @@ def _summarize_class(
         ),
         property_aliases=tuple(sorted(property_aliases.items())),
         method_names=tuple(method_names),
-        reduce_raises=reduce_raises,
     )
 
 
@@ -506,30 +470,23 @@ class _VarState:
 class _Guard:
     """Releases promised by an enclosing ``try`` (finally + handlers)."""
 
-    __slots__ = ("final_vars", "final_kinds", "handler_vars", "handler_kinds", "guard_calls")
+    __slots__ = ("final_vars", "handler_vars", "guard_calls")
 
     def __init__(self) -> None:
         self.final_vars: Set[str] = set()
-        self.final_kinds: Set[str] = set()
         self.handler_vars: Set[str] = set()
-        self.handler_kinds: Set[str] = set()
         self.guard_calls: Set[Tuple[str, ...]] = set()
 
-    def protects(self, var: str, kinds: Set[str]) -> bool:
-        return var in self.final_vars or bool(kinds & self.final_kinds)
+    def protects(self, var: str) -> bool:
+        return var in self.final_vars
 
-    def guards_ctor(self, var: str, kinds: Set[str]) -> bool:
-        return (
-            var in self.final_vars
-            or var in self.handler_vars
-            or bool(kinds & (self.final_kinds | self.handler_kinds))
-        )
+    def guards_ctor(self, var: str) -> bool:
+        return var in self.final_vars or var in self.handler_vars
 
 
-def _releases_in(stmts: Sequence[ast.stmt]) -> Tuple[Set[str], Set[str], Set[Tuple[str, ...]]]:
-    """``(released vars, receiver-released kinds, calls)`` in a suite."""
+def _releases_in(stmts: Sequence[ast.stmt]) -> Tuple[Set[str], Set[Tuple[str, ...]]]:
+    """``(released vars, calls)`` in a suite."""
     released_vars: Set[str] = set()
-    released_kinds: Set[str] = set()
     calls: Set[Tuple[str, ...]] = set()
     for stmt in stmts:
         for node in _walk_expr(stmt):
@@ -541,12 +498,10 @@ def _releases_in(stmts: Sequence[ast.stmt]) -> Tuple[Set[str], Set[str], Set[Tup
                     func.value, ast.Name
                 ):
                     released_vars.add(func.value.id)
-                if func.attr in RECEIVER_RELEASES:
-                    released_kinds |= RECEIVER_RELEASES[func.attr]
             parts = _call_parts(func)
             if parts is not None:
                 calls.add(parts)
-    return released_vars, released_kinds, calls
+    return released_vars, calls
 
 
 class _FunctionWalker:
@@ -746,16 +701,14 @@ class _FunctionWalker:
 
     def _visit_try(self, stmt: ast.Try) -> None:
         guard = _Guard()
-        final_vars, final_kinds, final_calls = _releases_in(stmt.finalbody)
-        guard.final_vars, guard.final_kinds = final_vars, final_kinds
+        guard.final_vars, final_calls = _releases_in(stmt.finalbody)
         guard.guard_calls |= final_calls
         for handler in stmt.handlers:
-            h_vars, h_kinds, h_calls = _releases_in(handler.body)
+            h_vars, h_calls = _releases_in(handler.body)
             guard.handler_vars |= h_vars
-            guard.handler_kinds |= h_kinds
             guard.guard_calls |= h_calls
         for var, state in sorted(self.env.items()):
-            if state.status == "open" and guard.protects(var, state.kinds):
+            if state.status == "open" and guard.protects(var):
                 if state.risky > 0:
                     self.issues.append(
                         LifecycleIssue(
@@ -846,14 +799,6 @@ class _FunctionWalker:
                     state = self.env.get(func.value.id)
                     if state is not None and state.kinds & RELEASE_METHODS[func.attr]:
                         state.status = "closed"
-            if func.attr in RECEIVER_RELEASES:
-                self.release_kinds |= RECEIVER_RELEASES[func.attr]
-                for state in self.env.values():
-                    if (
-                        state.status in ("open", "owned")
-                        and state.kinds & RECEIVER_RELEASES[func.attr]
-                    ):
-                        state.status = "closed"
 
         # 2. lock bookkeeping for explicit acquire()/release() statements
         for call in statement_calls:
@@ -877,8 +822,8 @@ class _FunctionWalker:
                     self.held.remove(spelling)
 
         # 3. escapes and ownership hand-off.  A *reference to* a release
-        # method (``atexit.register(blob.close)``, storing ``pool.shutdown``
-        # in a callback list) transfers release responsibility — the var
+        # method (``atexit.register(pool.shutdown)``, storing it in a
+        # callback list) transfers release responsibility — the var
         # escapes rather than staying open.
         called_funcs = {id(call.func) for call in statement_calls}
         for node, _parent in pairs:
@@ -940,7 +885,7 @@ class _FunctionWalker:
                     state.risky += 1
                 elif state.status == "owned":
                     covered = any(
-                        g.guards_ctor(var, state.kinds) for g in self.guards
+                        g.guards_ctor(var) for g in self.guards
                     )
                     if covered:
                         pass
@@ -967,7 +912,7 @@ class _FunctionWalker:
         if acquire_target is not None and acquired is not None:
             kind, receiver = acquired
             state = _VarState({kind}, lineno, receiver)
-            if any(g.protects(acquire_target, state.kinds) for g in self.guards):
+            if any(g.protects(acquire_target) for g in self.guards):
                 state.status = "protected"
             previous = self.env.get(acquire_target)
             if previous is not None and previous.status in ("open", "owned"):
@@ -1038,11 +983,6 @@ class _PayloadClassifier:
                 return None
             if parts == ("open",):
                 return "definite:an open file handle"
-            if parts[-1] == "attach":
-                return (
-                    "definite:an attached shared-memory mapping "
-                    "(.attach() result)"
-                )
             if len(parts) == 1 and (
                 parts[0] in self.bindings or parts[0] in self.nested_defs
             ):
@@ -1052,7 +992,7 @@ class _PayloadClassifier:
             return "gencall:" + ".".join(parts)
         if isinstance(expr, ast.Name):
             # Chase the binding first: a definite verdict on the bound
-            # expression (e.g. ``graph = handle.attach()``) beats the
+            # expression (e.g. ``lock = threading.Lock()``) beats the
             # spelling-level type recorded in ``local_types``.
             for value in self.bindings.get(expr.id, []):
                 verdict = self.classify(value, role, depth - 1)

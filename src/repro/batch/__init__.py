@@ -14,12 +14,12 @@
   execution plan without running it.
 * :mod:`repro.batch.planner` — the plan phase of the plan→execute split:
   :class:`QueryPlanner` emits an :class:`ExecutionPlan` (shard
-  assignments, cost-model-resolved worker count, index ship-vs-rebuild
-  decision) that both the sequential and the parallel paths consume.
+  assignments, cost-model-resolved worker count, index strategy, kernel
+  per shard) that both the sequential and the parallel paths consume.
 * :mod:`repro.batch.executor` — plan-driven sharded parallel execution:
-  shards are distributed across a process pool (the parent-built index
-  optionally shipped once via the pool initializer, or per micro-batch
-  through a persistent :class:`WorkerPool`), shard futures are drained as
+  shards are distributed across a :class:`WorkerPool` (the sealed graph
+  pickled once through its initializer, each shard task carrying its own
+  endpoints' rows of the parent-built index), shard futures are drained as
   they complete, and result fragments are keyed by batch position (plus
   the shared reorder-buffer flushing core used by both the sequential and
   the parallel streaming paths).

@@ -22,15 +22,16 @@ Every non-trivial run goes through two explicit phases:
 
 1. **Plan** — a :class:`~repro.batch.planner.QueryPlanner` runs the cheap
    global stages once (multi-source BFS index, clustering), estimates
-   per-shard enumeration costs, resolves the worker count and decides
-   whether the parent-built array-backed index should be *shipped* to the
-   worker pool (serialized once into the pool initializer) or rebuilt per
-   worker.  The resulting :class:`~repro.batch.planner.ExecutionPlan` is a
-   plain inspectable object — :meth:`BatchQueryEngine.explain` returns it
-   without executing anything.
+   per-shard enumeration costs and resolves the worker count and the
+   kernel per shard.  The resulting
+   :class:`~repro.batch.planner.ExecutionPlan` is a plain inspectable
+   object — :meth:`BatchQueryEngine.explain` returns it without executing
+   anything.
 2. **Execute** — the sequential fragment generators (``num_workers`` 1) or
    the plan-driven parallel executor (:mod:`repro.batch.executor`) consume
-   the plan's prebuilt artefacts; planning work is never repeated.
+   the plan's prebuilt artefacts; planning work is never repeated.  A
+   parallel run pickles the sealed graph once per worker and ships each
+   shard the index rows of its own endpoints — workers never run BFS.
 
 ``num_workers`` accepts a positive integer or ``"auto"`` (the default):
 ``auto`` lets the plan's cost model — calibrated against
@@ -174,11 +175,6 @@ class BatchQueryEngine:
         forces the vectorized kernel (raises here when numpy is absent).
         Every kernel produces byte-identical results — the differential
         suite pins this.
-    use_shm:
-        Zero-copy transport policy for worker pools: ``"auto"`` (default)
-        ships the sealed CSR (and large index payloads) through POSIX
-        shared memory when the platform supports it; ``False`` pins the
-        pickle transport.
     metrics / tracer:
         Telemetry opt-in (see :mod:`repro.obs`): a
         :class:`~repro.obs.metrics.MetricsRegistry` /
@@ -197,7 +193,6 @@ class BatchQueryEngine:
         cost_model: Optional[CostModel] = None,
         max_workers: Optional[int] = None,
         kernel: str = "auto",
-        use_shm="auto",
         metrics=None,
         tracer=None,
     ) -> None:
@@ -214,7 +209,6 @@ class BatchQueryEngine:
         self.cost_model = cost_model
         self.max_workers = max_workers
         self.kernel = kernel
-        self.use_shm = use_shm
         self.metrics = resolve_registry(metrics)
         self.tracer = resolve_tracer(tracer)
         if metrics is not None:
@@ -232,8 +226,8 @@ class BatchQueryEngine:
 
         Returns the :class:`~repro.batch.planner.ExecutionPlan` that
         ``run``/``stream`` would follow: shard assignments, the resolved
-        worker count, the index ship-vs-rebuild decision and the cost
-        estimates behind each choice.  ``plan.describe()`` renders it
+        worker count, the index strategy and the cost estimates behind
+        each choice.  ``plan.describe()`` renders it
         human-readably.
         """
         return self._plan(list(queries))
@@ -248,7 +242,6 @@ class BatchQueryEngine:
             cost_model=self.cost_model,
             max_workers=self.max_workers,
             kernel=self.kernel,
-            use_shm=self.use_shm,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -304,7 +297,7 @@ class BatchQueryEngine:
 
         ``pool`` is an optional persistent
         :class:`~repro.batch.executor.WorkerPool` (see :meth:`create_pool`)
-        that parallel plans reuse instead of spawning a fresh process pool —
+        that parallel plans reuse instead of opening one for the call —
         the ingestion service drives every micro-batch through one pool.
 
         When the plan resolves to multiple workers and no ``pool`` is
@@ -364,15 +357,16 @@ class BatchQueryEngine:
         done."""
         from repro.batch.executor import WorkerPool
 
-        return WorkerPool(
+        pool = WorkerPool(
             self.graph,
             self.algorithm,
             self.gamma,
             max_workers=max_workers,
             snapshot=snapshot,
-            use_shm=self.use_shm,
-            metrics=self.metrics,
         )
+        self.metrics.counter("repro_executor_pool_spawns_total").inc()
+        self.metrics.gauge("repro_executor_pool_workers").set(max_workers)
+        return pool
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -413,7 +407,6 @@ class BatchQueryEngine:
                     gamma=self.gamma,
                     plan=plan,
                     pool=pool,
-                    use_shm=self.use_shm,
                     metrics=self.metrics,
                     tracer=self.tracer,
                 )

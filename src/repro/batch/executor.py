@@ -10,27 +10,23 @@ algorithms (``pathenum``, ``basic``, ``basic+``, ``dksp``, ``onepass``)
 have no cross-query state at all, so their shards are contiguous batch
 slices.
 
-Since the plan/execute split, the *decisions* — shard assignments, worker
-count, whether to ship the parent-built distance index — are made by
-:class:`~repro.batch.planner.QueryPlanner` and arrive here as an
+The *decisions* — shard assignments, worker count, kernel per shard — are
+made by :class:`~repro.batch.planner.QueryPlanner` and arrive here as an
 :class:`~repro.batch.planner.ExecutionPlan`.  The executor's job is purely
-mechanical:
+mechanical, and there is one way to hand a worker what it needs:
 
 1. The parent's cheap global stages (workload validation, the similarity
    matrix, ``ClusterQuery``, BuildIndex) already ran during planning; their
    timings live in the plan's stage timer.
-2. Every :class:`~repro.batch.planner.ShardPlan` becomes one task submitted
-   to a :class:`concurrent.futures.ProcessPoolExecutor`.  The data graph —
-   and, when the plan says so, the parent's serialized
-   :class:`~repro.bfs.distance_index.CSRDistanceIndex` — is shipped to each
-   worker **once** via the pool initializer (not once per task); a task
-   carries only its shard's positions/queries.
-3. A worker either deserializes the shipped flat-array index (no BFS at
-   all) or, under a rebuild plan, builds a shard-local index.  Either index
-   yields bit-identical paths: Lemma 3.1 pruning only consults the rows of
-   a query's own endpoints, and a row is the same whether its BFS was
-   truncated at the shard's or the batch's hop bound (entries beyond the
-   query's own ``k`` can never pass the admissibility check).
+2. The sealed :class:`~repro.graph.csr.CSRGraph` is pickled **once** per
+   worker process through the :class:`WorkerPool` initializer.
+3. Every :class:`~repro.batch.planner.ShardPlan` becomes one task carrying
+   its positions/queries and — for the indexed algorithms — the
+   ``to_bytes()`` blob of the parent-built
+   :class:`~repro.bfs.distance_index.CSRDistanceIndex` *restricted to the
+   shard's own endpoints*.  Lemma 3.1 pruning only consults the rows of a
+   query's own endpoints, so the shard-local index prunes exactly like the
+   whole one and no worker ever runs BFS.
 4. The parent merges fragments **by batch position**, so results,
    ``SharingStats`` and stage timings are deterministic regardless of
    worker scheduling.  ``num_workers=1`` never reaches this module — the
@@ -39,11 +35,9 @@ mechanical:
 Stage-timing semantics in parallel runs: the parent's ``Enumeration``
 stage is the **wall-clock** time of the whole fan-out (submit → last merge);
 the workers' own ``Enumeration`` totals are discarded to avoid counting that
-span twice.  The remaining worker stages (``BuildIndex``,
-``IdentifySubquery``) are accumulated across workers, so with N workers
-those entries reflect summed CPU effort and can exceed wall-clock time.
-Under a ship plan the workers' ``BuildIndex`` is near zero — that saving is
-exactly what ``BENCH_planner.json`` tracks.
+span twice.  The remaining worker stages (``IdentifySubquery``) are
+accumulated across workers, so with N workers those entries reflect summed
+CPU effort and can exceed wall-clock time.
 
 Streaming
 ---------
@@ -63,16 +57,25 @@ buffer, with two flush policies:
   time-to-first-result on skewed batches.
 
 A shard that raises inside a worker surfaces its exception from the drain
-loop (pending shards are cancelled, the pool is shut down); fragments that
-were already flushed have already reached the consumer and are not lost.
+loop (pending shards are cancelled, a pool opened for the call is shut
+down); fragments that were already flushed have already reached the
+consumer and are not lost.
 """
 
 from __future__ import annotations
 
-import atexit
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.batch.batch_enum import DEFAULT_MAX_DETECTION_DEPTH, BatchEnum
 from repro.batch.planner import CLUSTERED_ALGORITHMS
@@ -83,24 +86,15 @@ from repro.batch.results import (
     SharingStats,
     drain,
 )
-from repro.bfs.distance_index import CSRDistanceIndex, build_index
+from repro.bfs.distance_index import CSRDistanceIndex
 from repro.enumeration.paths import Path
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.shm import (
-    SharedCSR,
-    SharedCSRHandle,
-    SharedIndexHandle,
-    SharedIndexPayload,
-    shm_available,
-)
 from repro.obs.feedback import (
     COST_ACTUAL_SECONDS_TOTAL,
     COST_PREDICTED_UNITS_TOTAL,
     SHIP_BYTES_TOTAL,
     SHIP_SECONDS_TOTAL,
-    SHM_BYTES_TOTAL,
-    SHM_SECONDS_TOTAL,
 )
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import RemoteSpanRecorder, SpanContext, resolve_tracer
@@ -117,126 +111,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the live, mutable ``DiGraph``.
 _WORKER_GRAPH: Optional[CSRGraph] = None
 _WORKER_CONFIG: Optional[dict] = None
-_WORKER_INDEX: Optional[CSRDistanceIndex] = None
-
-#: Seconds this worker spent attaching shared-memory segments during
-#: initialisation; the first task it runs reports (and resets) the value so
-#: the parent can fold it into the shm-transport seconds counter.
-_WORKER_INIT_ATTACH_SECONDS: float = 0.0
-
-#: One-slot cache of the most recent *per-task* shipped index (persistent
-#: pools serve many micro-batches, each with its own index, so the payload
-#: travels with the task instead of the pool initializer):
-#: ``(key, index, shm_attachment)``.  The attachment slot keeps the shared
-#: mapping alive exactly as long as its index is cached.
-_WORKER_TASK_INDEX: Tuple[Optional[object], Optional[CSRDistanceIndex], object] = (
-    None,
-    None,
-    None,
-)
-
-#: What an index payload looks like on the wire: the raw ``to_bytes`` blob
-#: (pickle transport) or the address of a shared-memory segment holding it.
-IndexPayload = Union[bytes, SharedIndexHandle, None]
 
 
-def _init_worker(graph: Union[CSRGraph, SharedCSRHandle], config: dict) -> None:
-    """Pool initializer: stash the sealed graph snapshot, config and
-    (optionally) the parent's shipped distance index per process.
-
-    ``graph`` is either the pickled snapshot itself or — under the
-    zero-copy transport — a :class:`SharedCSRHandle` that is attached here
-    (the mapping is closed via ``atexit`` when the worker retires).  The
-    index payload likewise arrives as bytes or a shared-memory handle and
-    is materialised exactly once per worker — every cluster/slice task the
-    worker subsequently runs reads the same flat arrays instead of
-    re-running multi-source BFS.
-    """
-    global _WORKER_GRAPH, _WORKER_CONFIG, _WORKER_INDEX
-    global _WORKER_INIT_ATTACH_SECONDS
-    attach_seconds = 0.0
-    if isinstance(graph, SharedCSRHandle):
-        start = time.perf_counter()
-        attached = graph.attach()
-        attach_seconds += time.perf_counter() - start
-        atexit.register(attached.close)
-        graph = attached
+def _init_worker(graph: CSRGraph, config: dict) -> None:
+    """Pool initializer: stash the sealed graph snapshot and the static
+    algorithm config once per worker process."""
+    global _WORKER_GRAPH, _WORKER_CONFIG
     _WORKER_GRAPH = graph
     _WORKER_CONFIG = config
-    payload = config.get("index_payload")
-    if isinstance(payload, SharedIndexHandle):
-        start = time.perf_counter()
-        blob = payload.attach()
-        _WORKER_INDEX = CSRDistanceIndex.from_bytes(blob.view, copy=False)
-        attach_seconds += time.perf_counter() - start
-        atexit.register(blob.close)
-    elif payload:
-        _WORKER_INDEX = CSRDistanceIndex.from_bytes(payload)
-    else:
-        _WORKER_INDEX = None
-    _WORKER_INIT_ATTACH_SECONDS = attach_seconds
 
-
-def _consume_init_attach_seconds() -> float:
-    """Report the worker's init-time shm attach seconds exactly once."""
-    global _WORKER_INIT_ATTACH_SECONDS
-    seconds = _WORKER_INIT_ATTACH_SECONDS
-    _WORKER_INIT_ATTACH_SECONDS = 0.0
-    return seconds
 
 #: A result fragment sent back by a worker: paths keyed by original batch
 #: position, the shard's sharing stats, its stage-time totals, and a
-#: telemetry meta dict — ``{"spans": [...], "index_source":
-#: "initializer"|"cache-hit"|"deserialized"|"shm-attached"|"rebuilt"|"none",
-#: "deserialize_seconds": float, "init_attach_seconds": float}``.
-#: The spans are worker-side records
-#: parented to the submitting batch's span context; the parent re-homes
-#: them via ``Tracer.adopt`` on merge.
+#: telemetry meta dict — ``{"spans": [...], "deserialize_seconds": float}``.
+#: The spans are worker-side records parented to the submitting batch's span
+#: context; the parent re-homes them via ``Tracer.adopt`` on merge.
 Fragment = Tuple[Dict[int, list], SharingStats, Dict[str, float], dict]
 
 
-def _resolve_task_index(
-    index_key: Optional[object], index_payload: IndexPayload
-) -> Tuple[Optional[CSRDistanceIndex], str, float]:
-    """The index a task should read: the initializer-shipped one (one-shot
-    pools) or the task-shipped payload (persistent pools), materialised once
-    per worker per micro-batch — shards of the same batch share
-    ``index_key`` so later shards hit the one-slot cache.
-
-    Returns ``(index, source, deserialize_seconds)`` where ``source`` is
-    how the index was obtained (``"initializer"``, ``"cache-hit"``,
-    ``"deserialized"``, ``"shm-attached"``, or ``"none"`` when the worker
-    must rebuild) — the submit side turns this into the deserialize-cache
-    hit/miss counters and the :class:`WorkerPool` stats.  Evicting a cached
-    shm-backed index closes its mapping once the new slot is installed.
-    """
-    global _WORKER_TASK_INDEX
-    if index_payload is None:
-        if _WORKER_INDEX is None:
-            return None, "none", 0.0
-        return _WORKER_INDEX, "initializer", 0.0
-    cached_key, cached_index, cached_attachment = _WORKER_TASK_INDEX
-    if cached_key == index_key and cached_index is not None:
-        return cached_index, "cache-hit", 0.0
+def _load_index(blob: bytes) -> Tuple[CSRDistanceIndex, float]:
+    """Deserialize a task's shard-local index; returns it with the seconds
+    spent (the worker-side half of the ship-cost feedback pair)."""
     start = time.perf_counter()
-    if isinstance(index_payload, SharedIndexHandle):
-        attachment = index_payload.attach()
-        index = CSRDistanceIndex.from_bytes(attachment.view, copy=False)
-        source = "shm-attached"
-    else:
-        attachment = None
-        index = CSRDistanceIndex.from_bytes(index_payload)
-        source = "deserialized"
-    _WORKER_TASK_INDEX = (index_key, index, attachment)
-    if cached_attachment is not None:
-        cached_attachment.close()
-    return index, source, time.perf_counter() - start
+    index = CSRDistanceIndex.from_bytes(blob)
+    return index, time.perf_counter() - start
 
 
 def _run_cluster_task(
     queries_by_position: Dict[int, HCSTQuery],
-    index_key: Optional[object] = None,
-    index_payload: IndexPayload = None,
+    index_blob: bytes,
     span_context: Optional[SpanContext] = None,
     kernel: str = "python",
 ) -> Fragment:
@@ -251,47 +154,25 @@ def _run_cluster_task(
         kernel=kernel,
     )
     stage_timer = StageTimer()
-    index, index_source, deserialize_seconds = _resolve_task_index(
-        index_key, index_payload
-    )
-    if index is None:
-        # Rebuild plan: shard-local BFS over this cluster's endpoints.
-        index_source = "rebuilt"
-        with stage_timer.stage("BuildIndex"):
-            index = build_index(
-                graph,
-                sorted({query.s for query in queries_by_position.values()}),
-                sorted({query.t for query in queries_by_position.values()}),
-                max(query.k for query in queries_by_position.values()),
-            )
+    index, deserialize_seconds = _load_index(index_blob)
     sharing = SharingStats(num_clusters=1)
     scratch = BatchResult(queries=[])
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
         "enumerate",
-        tags={
-            "kind": "cluster",
-            "positions": len(queries_by_position),
-            "index": index_source,
-        },
+        tags={"kind": "cluster", "positions": len(queries_by_position)},
     ):
         enumerator._process_cluster(
             queries_by_position, index, stage_timer, scratch, sharing
         )
-    meta = {
-        "spans": spans.records,
-        "index_source": index_source,
-        "deserialize_seconds": deserialize_seconds,
-        "init_attach_seconds": _consume_init_attach_seconds(),
-    }
+    meta = {"spans": spans.records, "deserialize_seconds": deserialize_seconds}
     return scratch.paths_by_position, sharing, stage_timer.totals, meta
 
 
 def _run_slice_task(
     positions: Sequence[int],
     queries: Sequence[HCSTQuery],
-    index_key: Optional[object] = None,
-    index_payload: IndexPayload = None,
+    index_blob: Optional[bytes],
     span_context: Optional[SpanContext] = None,
     kernel: str = "python",
 ) -> Fragment:
@@ -303,18 +184,15 @@ def _run_slice_task(
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
     algorithm = config["algorithm"]
-    index, index_source, deserialize_seconds = _resolve_task_index(
-        index_key, index_payload
-    )
+    deserialize_seconds = 0.0
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
-        "enumerate",
-        tags={"kind": "slice", "positions": len(positions), "index": index_source},
+        "enumerate", tags={"kind": "slice", "positions": len(positions)}
     ):
-        if index is not None and algorithm in ("basic", "basic+"):
-            # Shipped-index plan: run BasicEnum directly on the parent's
-            # global index (a covering superset of the slice's own — prunes
-            # identically) instead of re-running BFS for the slice.
+        if index_blob is not None:
+            # ``basic``/``basic+``: run BasicEnum directly on the slice's
+            # rows of the parent's index instead of re-running BFS.
+            index, deserialize_seconds = _load_index(index_blob)
             enumerator = BasicEnum(
                 graph,
                 optimize_search_order=algorithm.endswith("+"),
@@ -335,12 +213,7 @@ def _run_slice_task(
         position: sub_result.paths_by_position.get(local, [])
         for local, position in enumerate(positions)
     }
-    meta = {
-        "spans": spans.records,
-        "index_source": index_source,
-        "deserialize_seconds": deserialize_seconds,
-        "init_attach_seconds": _consume_init_attach_seconds(),
-    }
+    meta = {"spans": spans.records, "deserialize_seconds": deserialize_seconds}
     return (
         paths_by_position,
         sub_result.sharing,
@@ -350,22 +223,16 @@ def _run_slice_task(
 
 
 class WorkerPool:
-    """A long-lived worker-process pool reused across micro-batches.
+    """The worker processes of one graph version and engine configuration.
 
-    :func:`stream_parallel` normally spawns (and joins) a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` per call, paying the
-    pool-spawn overhead — the dominant cost of a small batch — every time.
-    A continuous-ingestion service dispatches many small micro-batches
-    against one graph/algorithm configuration, so it opens one
-    ``WorkerPool`` up front (the graph and the static config ship through
-    the initializer exactly once) and passes it to every
-    ``stream_parallel``/``engine.stream`` call.
-
-    Because the initializer runs once per worker *process* but each
-    micro-batch has its own distance index, a pooled batch ships its index
-    payload with its tasks instead: all shards of one batch share an
-    ``index_key``, and each worker deserializes a given batch's payload at
-    most once (see :func:`_resolve_task_index`).
+    The sealed graph snapshot and the static algorithm config ship through
+    the process-pool initializer exactly once per worker; everything a
+    batch adds (its queries, each shard's rows of the distance index)
+    travels with the shard tasks.  :func:`stream_parallel` opens one for
+    the duration of a call; a continuous-ingestion service opens one up
+    front (:meth:`BatchQueryEngine.create_pool`) and passes it to every
+    ``stream_parallel``/``engine.stream`` call, paying the spawn — the
+    dominant cost of a small batch — once instead of per micro-batch.
 
     The pool is not thread-safe for concurrent batches; the intended owner
     is a single scheduler thread.  ``shutdown()`` (or use as a context
@@ -380,142 +247,42 @@ class WorkerPool:
         max_workers: int,
         max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
         snapshot: Optional[CSRGraph] = None,
-        use_shm="auto",
-        metrics=None,
     ) -> None:
         require(max_workers >= 1, f"max_workers must be >= 1, got {max_workers}")
-        registry = resolve_registry(metrics)
-        registry.counter("repro_executor_pool_spawns_total").inc()
-        registry.gauge("repro_executor_pool_workers").set(max_workers)
         self.graph = graph
         self.algorithm = algorithm
         self.gamma = gamma
         self.max_workers = max_workers
         self.max_detection_depth = max_detection_depth
         #: The sealed snapshot the workers were initialised with.  Workers
-        #: hold their own copy (pickled, or a read-only shared mapping of
-        #: the same flat arrays), so an in-place mutation of ``graph`` does
-        #: NOT reach them — executors refuse a pool whose snapshot version
-        #: differs from the plan's (see :func:`stream_parallel`), and the
-        #: ingestion service recycles the pool on version drift.
+        #: hold their own pickled copy, so an in-place mutation of ``graph``
+        #: does NOT reach them — executors refuse a pool whose snapshot
+        #: version differs from the plan's (see :func:`stream_parallel`),
+        #: and the ingestion service recycles the pool on version drift.
         self.snapshot = snapshot if snapshot is not None else graph.csr_snapshot()
         self.graph_version = self.snapshot.version
-        self.uses_shm = (
-            shm_available() if use_shm == "auto" else bool(use_shm) and shm_available()
+        config = {
+            "algorithm": algorithm,
+            "gamma": gamma,
+            "optimize_search_order": algorithm.endswith("+"),
+            "max_detection_depth": max_detection_depth,
+        }
+        self._executor = ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_init_worker,
+            initargs=(self.snapshot, config),
         )
-        #: (SharedCSR, owned) — the zero-copy graph export the initializer
-        #: handle points at.  When the snapshot store sealed this exact CSR
-        #: the export is refcounted there (``owned=False``, released in
-        #: :meth:`shutdown`); otherwise the pool creates and unlinks its
-        #: own segment.
-        self._shared_graph: Optional[SharedCSR] = None
-        self._owns_shared_graph = False
-        init_graph: Union[CSRGraph, SharedCSRHandle] = self.snapshot
-        if self.uses_shm:
-            start = time.perf_counter()
-            store = getattr(graph, "snapshots", None)
-            shared = (
-                store.export_shm(self.snapshot) if store is not None else None
-            )
-            if shared is None:
-                shared = SharedCSR.create(self.snapshot)
-                self._owns_shared_graph = True
-            self._shared_graph = shared
-        # From here the instance owns the export but nobody can call
-        # shutdown() until __init__ returns: release it ourselves if the
-        # constructor tail fails (RA008 ctor-window).
-        try:
-            if self._shared_graph is not None:
-                init_graph = self._shared_graph.handle
-                registry.counter(SHM_BYTES_TOTAL).inc(
-                    self._shared_graph.nbytes
-                )
-                registry.counter(SHM_SECONDS_TOTAL).inc(
-                    time.perf_counter() - start
-                )
-            config = {
-                "algorithm": algorithm,
-                "gamma": gamma,
-                "optimize_search_order": algorithm.endswith("+"),
-                "max_detection_depth": max_detection_depth,
-                "index_payload": None,
-            }
-            self._executor = ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_init_worker,
-                initargs=(init_graph, config),
-            )
-        except BaseException:
-            self._release_shared_graph()
-            raise
-        self._batch_counter = 0
         self._closed = False
-        self._index_sources = {
-            "cache-hit": 0,
-            "deserialized": 0,
-            "shm-attached": 0,
-        }
-
-    def next_batch_key(self) -> int:
-        """A fresh key identifying one micro-batch's shipped index."""
-        self._batch_counter += 1
-        return self._batch_counter
-
-    def _note_index_source(self, source: Optional[str]) -> None:
-        """Fold one task's index-source outcome into :meth:`stats`."""
-        if source in self._index_sources:
-            self._index_sources[source] += 1
-
-    def stats(self) -> Dict[str, object]:
-        """Observable pool counters, including the deserialize-cache ratio.
-
-        ``deserialize_cache_hits`` / ``deserialize_cache_misses`` count the
-        worker-side one-slot index cache (a miss is a ``deserialized`` or
-        ``shm-attached`` materialisation); ``hit_ratio`` is hits over all
-        cache lookups, ``None`` before the first shipped-index task.  An
-        alternating-batch dispatch pattern across a >1-worker pool shows up
-        here as a collapsed hit ratio — the regression the accounting was
-        added to expose.
-        """
-        hits = self._index_sources["cache-hit"]
-        misses = (
-            self._index_sources["deserialized"]
-            + self._index_sources["shm-attached"]
-        )
-        lookups = hits + misses
-        return {
-            "batches": self._batch_counter,
-            "deserialize_cache_hits": hits,
-            "deserialize_cache_misses": misses,
-            "shm_attaches": self._index_sources["shm-attached"],
-            "hit_ratio": (hits / lookups) if lookups else None,
-            "uses_shm": self.uses_shm,
-        }
 
     def submit(self, fn, *args):
         require(not self._closed, "WorkerPool is shut down", RuntimeError)
         return self._executor.submit(fn, *args)
 
-    def _release_shared_graph(self) -> None:
-        """Retire the shared-memory graph export exactly once (idempotent):
-        unlink an owned segment, drop the store refcount otherwise."""
-        shared, owned = self._shared_graph, self._owns_shared_graph
-        self._shared_graph = None
-        if shared is not None:
-            if owned:
-                shared.unlink()
-            else:
-                self.graph.snapshots.release_shm(self.graph_version)
-
     def shutdown(self, wait: bool = True) -> None:
-        """Join the worker processes and retire the shared-memory graph
-        segment (idempotent)."""
-        if self._closed:
-            self._executor.shutdown(wait=wait, cancel_futures=True)
-            return
+        """Cancel unstarted tasks and join the worker processes
+        (idempotent)."""
         self._closed = True
         self._executor.shutdown(wait=wait, cancel_futures=True)
-        self._release_shared_graph()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -527,7 +294,7 @@ class WorkerPool:
         state = "closed" if self._closed else "open"
         return (
             f"WorkerPool({self.algorithm!r}, max_workers={self.max_workers}, "
-            f"batches={self._batch_counter}, {state})"
+            f"version={self.graph_version}, {state})"
         )
 
 
@@ -557,6 +324,34 @@ def run_parallel(
     )
 
 
+def _shard_tasks(
+    plan: "ExecutionPlan", queries: Sequence[HCSTQuery], algorithm: str
+) -> Iterator[Tuple[Callable[..., Fragment], tuple, Optional[bytes]]]:
+    """One ``(worker function, leading arguments, index blob)`` per plan
+    shard, in shard order.
+
+    The blob is the plan's distance index restricted to the shard's own
+    sources/targets, or ``None`` for the algorithms that read no shared
+    index.  Lazy, so a shard is submitted (and can start) while the next
+    one's rows are still being serialized.
+    """
+    index = plan.workload.index if plan.workload is not None else None
+    clustered = algorithm in CLUSTERED_ALGORITHMS
+    for shard in plan.shards:
+        shard_queries = [queries[position] for position in shard.positions]
+        blob = None
+        if index is not None:
+            blob = index.restrict(
+                {query.s for query in shard_queries},
+                {query.t for query in shard_queries},
+            ).to_bytes()
+        if clustered:
+            by_position = dict(zip(shard.positions, shard_queries))
+            yield _run_cluster_task, (by_position,), blob
+        else:
+            yield _run_slice_task, (shard.positions, shard_queries), blob
+
+
 def stream_parallel(
     graph: DiGraph,
     queries: Sequence[HCSTQuery],
@@ -566,7 +361,6 @@ def stream_parallel(
     max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
     plan: "ExecutionPlan | None" = None,
     pool: Optional[WorkerPool] = None,
-    use_shm="auto",
     metrics=None,
     tracer=None,
 ) -> FragmentStream:
@@ -575,23 +369,22 @@ def stream_parallel(
     Execution follows an :class:`~repro.batch.planner.ExecutionPlan`: the
     engine passes the plan it already built; direct callers may instead
     pass ``num_workers`` and a plan is derived here.  Shards are submitted
-    to a process pool and drained with ``as_completed``: every shard's
-    ``{position: paths}`` fragment is recorded into the
+    to a :class:`WorkerPool` and drained with ``as_completed``: every
+    shard's ``{position: paths}`` fragment is recorded into the
     :class:`BatchResult` and yielded the moment its future lands.  If a
     shard raises, the exception propagates out of the generator after the
-    pending futures are cancelled and the pool is shut down — the drain
-    loop never hangs on a poisoned shard.
+    pending futures are cancelled — the drain loop never hangs on a
+    poisoned shard.
 
-    With a persistent ``pool`` (see :class:`WorkerPool`) the fan-out reuses
-    its already-spawned workers instead of paying a pool spawn: the plan's
-    index payload ships with this batch's tasks (deserialized once per
-    worker, shards share the batch key) and on exit only this batch's
-    pending futures are cancelled — the pool itself stays open for the next
-    micro-batch.  One trade-off of sharing: a process pool cannot kill a
-    *running* task, so shards of a failed or abandoned pooled batch that
+    Without a ``pool`` one is opened for the duration of this call and
+    joined before the generator returns (also when the consumer abandons
+    it), so no worker outlives the stream.  With a caller-owned ``pool``
+    the fan-out reuses its already-spawned workers and on exit only this
+    batch's pending futures are cancelled — the pool stays open for the
+    next micro-batch.  One trade-off of sharing: a process pool cannot kill
+    a *running* task, so shards of a failed or abandoned pooled batch that
     had already started keep their worker slots until they finish (their
-    results are discarded); the one-shot path's "pool joined before the
-    generator returns" guarantee applies only when no ``pool`` is passed.
+    results are discarded).
     """
     if plan is None:
         from repro.batch.planner import QueryPlanner
@@ -634,123 +427,45 @@ def stream_parallel(
     )
     sharing = SharingStats()
 
-    if algorithm in CLUSTERED_ALGORITHMS:
-        tasks = [
-            {position: queries[position] for position in shard.positions}
-            for shard in plan.shards
-        ]
-        worker_fn, make_args = _run_cluster_task, lambda task: (task,)
-    else:
-        tasks = [
-            (shard.positions, [queries[position] for position in shard.positions])
-            for shard in plan.shards
-        ]
-        worker_fn, make_args = _run_slice_task, lambda task: task
-
     registry = resolve_registry(metrics)
     span_tracer = resolve_tracer(tracer)
-    m_shards = registry.counter("repro_executor_shards_total")
     m_predicted = registry.counter(COST_PREDICTED_UNITS_TOTAL)
     m_actual = registry.counter(COST_ACTUAL_SECONDS_TOTAL)
     m_shard_seconds = registry.histogram("repro_shard_seconds")
     m_ship_bytes = registry.counter(SHIP_BYTES_TOTAL)
     m_ship_seconds = registry.counter(SHIP_SECONDS_TOTAL)
-    m_shm_bytes = registry.counter(SHM_BYTES_TOTAL)
-    m_shm_seconds = registry.counter(SHM_SECONDS_TOTAL)
-    m_cache_hits = registry.counter("repro_executor_deserialize_cache_hits_total")
-    m_cache_misses = registry.counter(
-        "repro_executor_deserialize_cache_misses_total"
-    )
 
-    use_shm = (
-        shm_available() if use_shm == "auto" else bool(use_shm) and shm_available()
-    )
-    shipped_bytes = plan.index_bytes if plan.ship_index else None
     # The worker-side span context: ``None`` (no tracing) costs nothing in
     # the payload and workers skip recording entirely.
     span_context = span_tracer.current_context()
-    # Index transport: under the planner's "shm" decision the blob is copied
-    # into one shared segment here and workers receive only its handle; the
-    # segment is unlinked in the outer finally below once every shard has
-    # landed (mapped workers keep reading safely regardless).  Every
-    # acquisition — index segment, graph export, worker pool — happens
-    # inside the try so a failure anywhere between acquire and release
-    # cannot leak a segment or orphan workers (RA008).
-    shm_index: Optional[SharedIndexPayload] = None
-    index_payload: IndexPayload = shipped_bytes
-    shm_graph: Optional[SharedCSR] = None
-    owns_shm_graph = False
-    shm_graph_version: Optional[int] = None
-    executor: "ProcessPoolExecutor | WorkerPool | None" = None
+    owned_pool: Optional[WorkerPool] = None
     futures: List = []
     try:
-        if (
-            shipped_bytes is not None
-            and plan.index_transport == "shm"
-            and use_shm
-        ):
-            shm_start = time.perf_counter()
-            shm_index = SharedIndexPayload.create(shipped_bytes)
-            m_shm_seconds.inc(time.perf_counter() - shm_start)
-            m_shm_bytes.inc(len(shipped_bytes))
-            index_payload = shm_index.handle
         if pool is None:
-            config = {
-                "algorithm": algorithm,
-                "gamma": gamma,
-                "optimize_search_order": algorithm.endswith("+"),
-                "max_detection_depth": max_detection_depth,
-                "index_payload": index_payload,
-            }
-            snapshot = (
-                plan.snapshot if plan.snapshot is not None else graph.csr_snapshot()
-            )
-            init_graph: "CSRGraph | SharedCSRHandle" = snapshot
-            if use_shm:
-                shm_start = time.perf_counter()
-                store = getattr(graph, "snapshots", None)
-                shm_graph = store.export_shm(snapshot) if store is not None else None
-                if shm_graph is None:
-                    shm_graph = SharedCSR.create(snapshot)
-                    owns_shm_graph = True
-                else:
-                    shm_graph_version = snapshot.version
-                init_graph = shm_graph.handle
-                m_shm_seconds.inc(time.perf_counter() - shm_start)
-                m_shm_bytes.inc(shm_graph.nbytes)
-            executor = ProcessPoolExecutor(
+            pool = owned_pool = WorkerPool(
+                graph,
+                algorithm,
+                gamma,
                 max_workers=plan.num_workers,
-                initializer=_init_worker,
-                initargs=(init_graph, config),
+                max_detection_depth=max_detection_depth,
+                snapshot=plan.snapshot,
             )
-            extra_args: Tuple = (None, None, span_context)
-        else:
-            # Persistent pool: the initializer already shipped the graph and
-            # static config; this batch's index (if any) rides on each task
-            # under a shared batch key.
-            executor = pool
-            extra_args = (
-                (pool.next_batch_key(), index_payload)
-                if index_payload
-                else (None, None)
-            ) + (span_context,)
         with stage_timer.stage("Enumeration"):
             shard_by_future: Dict = {}
             ship_start = time.perf_counter()
-            with span_tracer.span(
-                "ship",
-                tags={
-                    "shards": len(tasks),
-                    "payload_bytes": len(shipped_bytes) if shipped_bytes else 0,
-                },
-            ):
-                for task, shard in zip(tasks, plan.shards):
-                    future = executor.submit(
-                        worker_fn, *make_args(task), *extra_args, shard.kernel
+            ship_tags = {"shards": len(plan.shards), "payload_bytes": 0}
+            with span_tracer.span("ship", tags=ship_tags):
+                for (worker_fn, args, blob), shard in zip(
+                    _shard_tasks(plan, queries, algorithm), plan.shards
+                ):
+                    future = pool.submit(
+                        worker_fn, *args, blob, span_context, shard.kernel
                     )
                     futures.append(future)
                     shard_by_future[future] = shard
-            m_shards.inc(len(futures))
+                    ship_tags["payload_bytes"] += len(blob or b"")
+            m_ship_bytes.inc(ship_tags["payload_bytes"])
+            registry.counter("repro_executor_shards_total").inc(len(futures))
             registry.histogram("repro_executor_ship_submit_seconds").observe(
                 time.perf_counter() - ship_start
             )
@@ -776,47 +491,21 @@ def stream_parallel(
                 m_predicted.inc(shard.estimated_cost)
                 m_actual.inc(actual_seconds)
                 m_shard_seconds.observe(actual_seconds)
-                index_source = meta.get("index_source")
-                if index_source == "cache-hit":
-                    m_cache_hits.inc()
-                elif index_source == "deserialized":
-                    m_cache_misses.inc()
-                    m_ship_seconds.inc(meta.get("deserialize_seconds", 0.0))
-                    if shipped_bytes is not None:
-                        m_ship_bytes.inc(len(shipped_bytes))
-                elif index_source == "shm-attached":
-                    m_cache_misses.inc()
-                    m_shm_seconds.inc(meta.get("deserialize_seconds", 0.0))
-                m_shm_seconds.inc(meta.get("init_attach_seconds", 0.0))
-                if pool is not None:
-                    pool._note_index_source(index_source)
-                span_tracer.adopt(meta.get("spans") or ())
+                m_ship_seconds.inc(meta["deserialize_seconds"])
+                span_tracer.adopt(meta["spans"])
                 yield {
                     position: result.paths_by_position[position]
                     for position in sorted(paths_by_position)
                 }
     finally:
-        if pool is None:
-            # On an error (or an abandoned consumer) cancel whatever has
-            # not started; running shards finish or fail on their own,
-            # and the wait guarantees no orphaned worker processes.
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-            if shm_graph is not None:
-                if owns_shm_graph:
-                    shm_graph.unlink()
-                else:
-                    graph.snapshots.release_shm(shm_graph_version)
-        else:
-            # Only this batch's unstarted shards are cancelled; the pool
-            # stays open for the next micro-batch.
-            for future in futures:
-                future.cancel()
-        if shm_index is not None:
-            # The batch's shard tasks have all landed (or been
-            # cancelled); retiring the name now keeps /dev/shm clean
-            # while any still-running stragglers read their mapping.
-            shm_index.unlink()
+        # On an error (or an abandoned consumer) cancel whatever has not
+        # started; running shards finish or fail on their own.  A pool
+        # opened for this call is joined here, so it leaves no orphaned
+        # worker; a caller's pool stays open for the next micro-batch.
+        for future in futures:
+            future.cancel()
+        if owned_pool is not None:
+            owned_pool.shutdown()
 
     if algorithm not in CLUSTERED_ALGORITHMS:
         # Per-query algorithms report one "cluster" per query, like their

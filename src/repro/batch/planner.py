@@ -1,11 +1,7 @@
 """Plan/execute split: the cost-model query planner.
 
-The engine used to make its scheduling decisions implicitly and locally —
-the caller guessed ``num_workers``, every worker re-ran BFS to rebuild its
-shard's distance index, and the shard boundaries were derived ad hoc inside
-the executor.  This module makes those decisions explicit: a
-:class:`QueryPlanner` inspects the workload and the graph snapshot, runs the
-cheap global stages once (BuildIndex, ClusterQuery), and emits an
+A :class:`QueryPlanner` inspects the workload and the graph snapshot, runs
+the cheap global stages once (BuildIndex, ClusterQuery), and emits an
 :class:`ExecutionPlan` that the executor consumes verbatim:
 
 * **shard assignments** — one shard per cluster for the sharing-aware
@@ -14,17 +10,18 @@ cheap global stages once (BuildIndex, ClusterQuery), and emits an
 * **worker count** — ``num_workers="auto"`` resolves against a
   :class:`CostModel` calibrated from ``BENCH_workers.json``: sharding is
   only chosen when the estimated enumeration makespan saving clears the
-  measured process-pool spawn overhead by a safety margin;
-* **index ship-vs-rebuild** — whether the parent's array-backed
-  :class:`~repro.bfs.distance_index.CSRDistanceIndex` should be serialized
-  once into the pool initializer (workers deserialize flat arrays) or each
-  worker should re-run its own shard-local BFS (cheaper only when the dense
-  payload dwarfs the reachable entry count).
+  measured process-pool spawn overhead (plus the cost of shipping the
+  index rows) by a safety margin;
+* **index strategy** — whether this batch's array-backed
+  :class:`~repro.bfs.distance_index.CSRDistanceIndex` is built fresh,
+  reused from the planner's previous batch, or delta-repaired from it.
+  Workers never build one: the executor ships every shard the rows of its
+  own endpoints.
 
 ``BatchQueryEngine.explain(queries)`` returns the plan without executing
 it; ``run``/``stream`` build the same plan and hand its prebuilt artefacts
-(workload, clusters, serialized index) to whichever path executes, so
-planning work is never repeated.
+(workload with its index, clusters) to whichever path executes, so planning
+work is never repeated.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.enumeration.kernels import resolve_kernel, validate_kernel
 from repro.enumeration.search_order import estimate_side_cost
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.shm import shm_available
 from repro.graph.snapshots import PinnedSnapshot
 from repro.obs.feedback import (
     INDEX_BUILD_ENTRIES_TOTAL,
@@ -65,8 +61,8 @@ from repro.utils.validation import require
 #: The executor imports this from here so planner and executor cannot drift.
 CLUSTERED_ALGORITHMS = ("batch", "batch+")
 
-#: Algorithms that read the shared multi-source BFS index and can therefore
-#: receive a shipped parent-built index instead of rebuilding one.
+#: Algorithms that read the shared multi-source BFS index; a parallel plan
+#: ships each of their shards its endpoints' rows of the parent-built index.
 INDEXED_ALGORITHMS = ("basic", "basic+", "batch", "batch+")
 
 #: Algorithms whose hot loop has a vectorized twin in
@@ -157,25 +153,16 @@ class CostModel:
         Wall seconds per estimated enumeration cost unit
         (:func:`estimate_query_cost`).
     seconds_per_index_entry:
-        Per reachable (vertex, distance) entry cost of re-running the
-        multi-source BFS inside a worker.
+        Per reachable (vertex, distance) entry cost of running the
+        multi-source BFS that builds the index.
     seconds_per_shipped_byte:
         Per-byte cost of serializing + piping + deserializing the
-        array-backed index into a worker.
-    seconds_per_shm_byte:
-        Per-byte cost of the shared-memory index transport (parent copies
-        the payload into a segment once; workers map it) — orders of
-        magnitude below the pickle rate, which is the whole point.
-    shm_segment_overhead_seconds:
-        Fixed cost of creating + unlinking one shared-memory segment
-        (``shm_open``/``mmap``/``unlink`` syscalls), charged per batch.
-        Keeps tiny payloads on the pickle path where they are cheaper.
+        array-backed index rows into the workers.
     seconds_per_delta_edge:
         Per (changed edge × index row) cost of incremental
         :meth:`~repro.bfs.distance_index.CSRDistanceIndex.apply_delta`
-        repair — the third index option ("ship-delta") next to build and
-        ship: repair the previous batch's index instead of re-running the
-        multi-source BFS from scratch.
+        repair: fix up the previous batch's index instead of re-running
+        the multi-source BFS from scratch.
     parallel_benefit_margin:
         ``auto`` only shards when the predicted parallel wall time is below
         this fraction of the predicted sequential wall time — a hedge
@@ -188,8 +175,6 @@ class CostModel:
     seconds_per_cost_unit: float = 5e-6
     seconds_per_index_entry: float = 4e-7
     seconds_per_shipped_byte: float = 2e-9
-    seconds_per_shm_byte: float = 5e-11
-    shm_segment_overhead_seconds: float = 3e-4
     seconds_per_delta_edge: float = 2e-5
     parallel_benefit_margin: float = 0.75
 
@@ -325,8 +310,8 @@ class ShardPlan:
 class ExecutionPlan:
     """Everything the executor needs to run a batch, decided up front.
 
-    The serialized index payload and the prebuilt workload/clusters are
-    runtime handles (excluded from ``repr``); the remaining fields are the
+    The sealed snapshot and the prebuilt workload/clusters are runtime
+    handles (excluded from ``repr``); the remaining fields are the
     inspectable planning outcome that :meth:`describe` renders and the
     tests assert on.
     """
@@ -336,13 +321,14 @@ class ExecutionPlan:
     requested_workers: NumWorkers
     num_workers: int
     shards: List[ShardPlan]
-    ship_index: bool
+    #: Row bytes of the batch's distance index — what a parallel plan ships
+    #: in total when its shards share no endpoint (0 for unindexed
+    #: algorithms).
     index_payload_bytes: int
     estimated_sequential_seconds: float
     estimated_parallel_seconds: float
     estimated_spawn_seconds: float
     estimated_index_ship_seconds: float
-    estimated_index_rebuild_seconds: float
     #: ``graph.version`` the plan's sealed snapshot (and index) belong to.
     #: Execution resolves this exact snapshot, so a graph that mutates
     #: between planning and execution never changes what the batch reads.
@@ -350,13 +336,8 @@ class ExecutionPlan:
     #: How the plan obtained its distance index: freshly ``"built"``,
     #: reused ``"cached"`` from the planner's previous batch (same
     #: endpoints, same version), or ``"delta"``-repaired from the cached
-    #: one via ``CSRDistanceIndex.apply_delta`` (ship-delta).
+    #: one via ``CSRDistanceIndex.apply_delta``.
     index_strategy: str = "built"
-    #: How the shipped index payload travels to workers: ``"pickle"``
-    #: (inside the task/initializer payload), ``"shm"`` (posted once into a
-    #: shared-memory segment that workers map read-only), or ``"none"``
-    #: when nothing ships (sequential, rebuild-per-worker, unindexed).
-    index_transport: str = "none"
     #: Enumeration kernel for the plan as a whole (what the sequential
     #: fallback runs); per-shard choices live on :attr:`ShardPlan.kernel`.
     kernel: str = "python"
@@ -364,7 +345,6 @@ class ExecutionPlan:
     snapshot: Optional[CSRGraph] = field(default=None, repr=False)
     workload: Optional[QueryWorkload] = field(default=None, repr=False)
     clusters: Optional[List[List[int]]] = field(default=None, repr=False)
-    index_bytes: Optional[bytes] = field(default=None, repr=False)
 
     @property
     def num_shards(self) -> int:
@@ -381,30 +361,27 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """Human-readable rendering (what ``engine.explain`` prints)."""
+        if self.workload is None:
+            index = "none"
+        elif self.num_workers <= 1:
+            index = f"shared in-process (sequential) [{self.index_strategy}]"
+        else:
+            index = (
+                f"ship {self.index_payload_bytes} bytes, each shard its own "
+                f"endpoints' rows [{self.index_strategy}]"
+            )
         lines = [
             f"ExecutionPlan[{self.algorithm}]",
             f"  workers:      {self.num_workers} "
             f"(requested {self.requested_workers!r})",
             f"  shards:       {self.num_shards} "
             f"({', '.join(sorted({s.kind for s in self.shards})) or 'none'})",
-            f"  index:        "
-            + (
-                f"ship {self.index_payload_bytes} bytes via "
-                f"{self.index_transport}"
-                if self.ship_index
-                else (
-                    "shared in-process (sequential)"
-                    if self.num_workers <= 1
-                    else "rebuild per worker"
-                )
-            )
-            + f" [{self.index_strategy}]",
+            f"  index:        {index}",
             f"  kernel:       {self.kernel}",
             f"  est seq:      {self.estimated_sequential_seconds:.4f}s",
             f"  est parallel: {self.estimated_parallel_seconds:.4f}s "
             f"(spawn {self.estimated_spawn_seconds:.4f}s)",
-            f"  est index:    ship {self.estimated_index_ship_seconds:.4f}s"
-            f" vs rebuild {self.estimated_index_rebuild_seconds:.4f}s",
+            f"  est index:    ship {self.estimated_index_ship_seconds:.4f}s",
         ]
         for shard in self.shards:
             lines.append(
@@ -490,11 +467,6 @@ class QueryPlanner:
         vectorized numpy kernel when numpy is importable, ``"python"``
         pins the pure-Python loops, ``"numpy"`` forces vectorized
         (raising at construction when numpy is absent).
-    use_shm:
-        Shared-memory index transport policy: ``"auto"`` (default) enables
-        it when :func:`~repro.graph.shm.shm_available` says the platform
-        supports POSIX shared memory; ``False`` pins the pickle transport.
-        Passing ``True`` on an unsupported platform degrades to pickle.
     metrics / tracer:
         Telemetry sinks (see :mod:`repro.obs`); default to the no-op
         singletons.  With a live registry every ``plan()`` records the
@@ -510,7 +482,6 @@ class QueryPlanner:
         cost_model: Optional[CostModel] = None,
         max_workers: Optional[int] = None,
         kernel: str = "auto",
-        use_shm="auto",
         metrics=None,
         tracer=None,
     ) -> None:
@@ -520,9 +491,6 @@ class QueryPlanner:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         validate_kernel(kernel)
         self.kernel = kernel
-        self.use_shm = (
-            shm_available() if use_shm == "auto" else bool(use_shm) and shm_available()
-        )
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         require(max_workers >= 1, f"max_workers must be >= 1, got {max_workers}")
@@ -536,7 +504,7 @@ class QueryPlanner:
         self._neighborhood_cache: Dict[Tuple, frozenset] = {}
         self._neighborhood_cache_version = self.graph.version
         #: ``(endpoint key, graph version, index)`` of the previous batch's
-        #: distance index — the substrate of the cached / ship-delta
+        #: distance index — the substrate of the cached / delta
         #: strategies in :meth:`_resolve_index`.
         self._index_cache: Optional[Tuple[Tuple, int, CSRDistanceIndex]] = None
 
@@ -599,13 +567,11 @@ class QueryPlanner:
                 requested_workers=num_workers,
                 num_workers=1,
                 shards=[],
-                ship_index=False,
                 index_payload_bytes=0,
                 estimated_sequential_seconds=0.0,
                 estimated_parallel_seconds=0.0,
                 estimated_spawn_seconds=0.0,
                 estimated_index_ship_seconds=0.0,
-                estimated_index_rebuild_seconds=0.0,
                 graph_version=pinned_version,
                 snapshot=csr,
             )
@@ -662,53 +628,14 @@ class QueryPlanner:
             for query in queries
         ]
 
-        # Index economics: ship the parent-built flat arrays once per
-        # worker (over the cheaper of pickle and shared memory), or let
-        # each worker re-run BFS over its shard?
-        index_bytes: Optional[bytes] = None
-        payload_size = 0
-        ship_seconds = 0.0
-        rebuild_seconds = 0.0
-        ship_index = False
-        index_transport = "none"
-        if index is not None:
-            payload_size = index.nbytes
-            pickle_seconds = payload_size * model.seconds_per_shipped_byte
-            if self.use_shm:
-                shm_seconds = (
-                    model.shm_segment_overhead_seconds
-                    + payload_size * model.seconds_per_shm_byte
-                )
-            else:
-                shm_seconds = float("inf")
-            if shm_seconds < pickle_seconds:
-                ship_seconds, index_transport = shm_seconds, "shm"
-            else:
-                ship_seconds, index_transport = pickle_seconds, "pickle"
-            rebuild_seconds = (
-                index.size_in_entries * model.seconds_per_index_entry
-            )
-            ship_index = ship_seconds < rebuild_seconds
+        # What a parallel plan pays to ship the index rows to its workers.
+        payload_size = index.nbytes if index is not None else 0
+        ship_seconds = payload_size * model.seconds_per_shipped_byte
 
         resolved = self._resolve_workers(
-            num_workers,
-            query_costs,
-            clusters,
-            ship_seconds,
-            rebuild_seconds,
-            pool_ready=pool_ready,
+            num_workers, query_costs, clusters, ship_seconds, pool_ready=pool_ready
         )
         shards = self._build_shards(query_costs, clusters, resolved)
-        ship_index = ship_index and resolved > 1
-        if not ship_index:
-            index_transport = "none"
-        if ship_index and index is not None:
-            index_bytes = index.to_bytes()
-            payload_size = len(index_bytes)
-            if index_transport == "shm":
-                self._metrics.counter(
-                    PLAN_INDEX_STRATEGY_TOTAL, labels={"strategy": "shm"}
-                ).inc()
 
         total_cost = sum(query_costs)
         plan_kernel = "python"
@@ -719,32 +646,27 @@ class QueryPlanner:
                 self._metrics.counter(
                     "repro_plan_kernel_total", labels={"kernel": shard.kernel}
                 ).inc()
-        per_worker_index = ship_seconds if ship_index else rebuild_seconds
         return ExecutionPlan(
             algorithm=self.algorithm,
             gamma=self.gamma,
             requested_workers=num_workers,
             num_workers=resolved,
             shards=shards,
-            ship_index=ship_index,
             index_payload_bytes=payload_size,
             estimated_sequential_seconds=total_cost * model.seconds_per_cost_unit,
             estimated_parallel_seconds=self._parallel_seconds(
-                resolved, shards, per_worker_index, pool_ready=pool_ready
+                resolved, shards, ship_seconds, pool_ready=pool_ready
             ),
             estimated_spawn_seconds=(
                 0.0 if pool_ready else model.spawn_seconds(resolved)
             ),
             estimated_index_ship_seconds=ship_seconds,
-            estimated_index_rebuild_seconds=rebuild_seconds,
             graph_version=pinned_version,
             index_strategy=index_strategy,
-            index_transport=index_transport,
             kernel=plan_kernel,
             snapshot=csr,
             workload=workload,
             clusters=clusters,
-            index_bytes=index_bytes,
         )
 
     def _resolve_index(
@@ -756,8 +678,8 @@ class QueryPlanner:
         endpoints and snapshot version both match (``"cached"``);
         delta-repair a copy of it when only the version moved, the snapshot
         store can net the edge changes, and the cost model says repair
-        beats a fresh multi-source BFS (``"delta"`` — the ship-delta
-        option); otherwise fall through to a fresh build (``"built"``,
+        beats a fresh multi-source BFS (``"delta"``); otherwise fall
+        through to a fresh build (``"built"``,
         returned as ``None`` so the workload builds lazily).
         """
         cached = self._index_cache
@@ -914,7 +836,7 @@ class QueryPlanner:
         self,
         num_workers: int,
         shards: List[ShardPlan],
-        per_worker_index_seconds: float,
+        ship_seconds: float,
         pool_ready: bool = False,
     ) -> float:
         model = self.cost_model
@@ -923,7 +845,7 @@ class QueryPlanner:
             return sum(costs) * model.seconds_per_cost_unit
         return (
             (0.0 if pool_ready else model.spawn_seconds(num_workers))
-            + per_worker_index_seconds
+            + ship_seconds
             + _lpt_makespan(costs, num_workers) * model.seconds_per_cost_unit
         )
 
@@ -933,7 +855,6 @@ class QueryPlanner:
         query_costs: List[float],
         clusters: Optional[List[List[int]]],
         ship_seconds: float,
-        rebuild_seconds: float,
         pool_ready: bool = False,
     ) -> int:
         if requested != "auto":
@@ -942,14 +863,13 @@ class QueryPlanner:
         sequential_seconds = sum(query_costs) * model.seconds_per_cost_unit
         max_useful = len(clusters) if clusters is not None else len(query_costs)
         limit = min(self.max_workers, max_useful)
-        per_worker_index = min(ship_seconds, rebuild_seconds)
 
         best_workers = 1
         best_seconds = sequential_seconds
         for candidate in range(2, limit + 1):
             estimate = (
                 (0.0 if pool_ready else model.spawn_seconds(candidate))
-                + per_worker_index
+                + ship_seconds
                 + self._makespan(query_costs, clusters, candidate)
                 * model.seconds_per_cost_unit
             )

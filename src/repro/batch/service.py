@@ -32,9 +32,10 @@ Error and lifecycle semantics
 * A failure inside a micro-batch resolves every still-unresolved ticket of
   that batch with the exception (tickets whose results had already flushed
   keep them); the scheduler itself survives and keeps serving later
-  batches.  Shards of the failed batch that were already running on the
-  shared pool finish in the background (a process pool cannot kill a
-  running task) — their slots free up as they complete.
+  batches.  The worker pool is recycled with the failed batch — a worker
+  that died (``BrokenProcessPool``) poisons its pool object for good — so
+  exactly that batch's tickets carry the error and the next parallel
+  micro-batch respawns.
 * ``max_pending`` applies backpressure: ``submit`` blocks (or raises
   :class:`ServiceOverloadedError` with ``block=False``) while the queue is
   full.
@@ -295,7 +296,6 @@ class IngestionService:
         cost_model: Optional[CostModel] = None,
         max_workers: Optional[int] = None,
         kernel: str = "auto",
-        use_shm="auto",
         start: bool = True,
         metrics=None,
         tracer=None,
@@ -311,7 +311,6 @@ class IngestionService:
             cost_model=cost_model,
             max_workers=max_workers,
             kernel=kernel,
-            use_shm=use_shm,
             metrics=metrics,
             tracer=tracer,
         )
@@ -324,7 +323,6 @@ class IngestionService:
             cost_model=cost_model,
             max_workers=max_workers,
             kernel=kernel,
-            use_shm=use_shm,
             metrics=metrics,
             tracer=tracer,
         )
@@ -710,7 +708,9 @@ class IngestionService:
             self._m_failed.inc(failed)
             self._m_batches.inc()
             # The scheduler itself survives a poisoned batch and keeps
-            # serving subsequent micro-batches.
+            # serving subsequent micro-batches — on a fresh pool: one whose
+            # worker died fails every later submit with BrokenProcessPool.
+            self._shutdown_pool()
         finally:
             if pin is not None:
                 # Refcount discipline: the sealed version is released when

@@ -17,9 +17,9 @@ Two representations live here:
   large finite sentinel (:data:`UNREACHABLE`) for vertices the BFS never
   reached.  Rows support O(1) direct indexing in the enumeration hot loops
   and the whole index serialises to a compact ``bytes`` blob
-  (:meth:`CSRDistanceIndex.to_bytes`) so the parallel executor can ship a
-  parent-built index to worker processes once, through the pool
-  initializer, instead of re-running BFS per worker.  Lookups with a vertex
+  (:meth:`CSRDistanceIndex.to_bytes`) so the parallel executor can ship
+  each shard the rows of its own endpoints (:meth:`CSRDistanceIndex.restrict`)
+  instead of re-running BFS per worker.  Lookups with a vertex
   id outside the snapshot's range raise (mirroring the CSR packing assert)
   rather than silently reporting "unreachable".
 * :class:`DistanceIndex` — the original dict-of-dicts structure, retained
@@ -64,18 +64,10 @@ _HEADER = struct.Struct("<8sqqqqqq")
 _MAGIC = b"CSRDIDX1"
 
 
-def _reachable_entries(row) -> int:
-    """Number of reachable entries in one dense row.
-
-    ``array.count`` runs at C speed; rows attached zero-copy from a shared
-    memory segment are ``memoryview`` casts, which lack ``count`` and fall
-    back to a generator scan (workers never take this path in the hot loop
-    — they index rows, they don't size them).
-    """
-    try:
-        return len(row) - row.count(UNREACHABLE)
-    except AttributeError:
-        return sum(1 for distance in row if distance != UNREACHABLE)
+def _reachable_entries(row: array) -> int:
+    """Number of reachable entries in one dense row (``array.count`` runs
+    at C speed)."""
+    return len(row) - row.count(UNREACHABLE)
 
 
 class _DistanceRow(MappingABC):
@@ -221,6 +213,25 @@ class CSRDistanceIndex:
             self.max_hops,
             {s: array(TYPECODE, row) for s, row in self._from_rows.items()},
             {t: array(TYPECODE, row) for t, row in self._to_rows.items()},
+        )
+
+    def restrict(
+        self, sources: Iterable[int], targets: Iterable[int]
+    ) -> "CSRDistanceIndex":
+        """The sub-index holding only the rows of ``sources``/``targets``.
+
+        The row arrays are shared with ``self``, not copied.  Lemma 3.1
+        pruning reads only the rows of a query's own endpoints, so a shard
+        enumerating against the restriction to its endpoints prunes exactly
+        as it would against the whole index — this is what the parallel
+        executor serializes per shard task.  Raises ``KeyError`` for an
+        endpoint that is not indexed.
+        """
+        return CSRDistanceIndex(
+            self.num_vertices,
+            self.max_hops,
+            {source: self._from_rows[source] for source in sources},
+            {target: self._to_rows[target] for target in targets},
         )
 
     # ------------------------------------------------------------------ #
@@ -438,18 +449,8 @@ class CSRDistanceIndex:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, blob, copy: bool = True) -> "CSRDistanceIndex":
-        """Reconstruct an index serialized by :meth:`to_bytes`.
-
-        ``blob`` may be ``bytes`` or any buffer (e.g. a ``memoryview`` over
-        a shared-memory segment).  With ``copy=False`` the distance rows
-        become zero-copy ``memoryview`` casts straight into ``blob`` — the
-        read path (``dense_from``/``dense_to``/``dist_*`` and the dict
-        views) is identical, but the rows are only valid while the backing
-        buffer stays mapped, and such an index must not be delta-repaired
-        (``apply_delta`` would write through to the shared pages).  Workers
-        attaching a batch-shipped index use this to skip the per-row copy.
-        """
+    def from_bytes(cls, blob: bytes) -> "CSRDistanceIndex":
+        """Reconstruct an index serialized by :meth:`to_bytes`."""
         magic, itemsize, num_vertices, max_hops, n_from, n_to, _ = (
             _HEADER.unpack_from(blob, 0)
         )
@@ -470,19 +471,10 @@ class CSRDistanceIndex:
             cursor += nbytes
             return out
 
-        def read_row(count: int):
-            if copy:
-                return read_array(count)
-            nonlocal cursor
-            nbytes = count * itemsize
-            row = view[cursor:cursor + nbytes].cast(TYPECODE)
-            cursor += nbytes
-            return row
-
         from_ids = list(read_array(n_from))
         to_ids = list(read_array(n_to))
-        from_rows = {endpoint: read_row(num_vertices) for endpoint in from_ids}
-        to_rows = {endpoint: read_row(num_vertices) for endpoint in to_ids}
+        from_rows = {endpoint: read_array(num_vertices) for endpoint in from_ids}
+        to_rows = {endpoint: read_array(num_vertices) for endpoint in to_ids}
         return cls(num_vertices, max_hops, from_rows, to_rows)
 
     def __repr__(self) -> str:

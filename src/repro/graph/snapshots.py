@@ -48,7 +48,6 @@ from repro.utils.validation import require
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.csr import CSRGraph
     from repro.graph.digraph import DiGraph
-    from repro.graph.shm import SharedCSR
 
 Edge = Tuple[int, int]
 
@@ -124,13 +123,6 @@ class SnapshotStore:
         self._gauge_live = None
         self._gauge_pins = None
         self._gauge_log = None
-        self._gauge_shm = None
-        # version -> [SharedCSR, refcount].  A shared-memory export of a
-        # sealed version, refcounted independently of pins: worker pools
-        # that ship the snapshot zero-copy acquire/release it around their
-        # lifetime, and retiring the sealed version unlinks the segment as
-        # soon as the last pool lets go.
-        self._shm_exports: Dict[int, List] = {}
 
     def instrument(self, metrics) -> None:
         """Attach gauges from a :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -147,7 +139,6 @@ class SnapshotStore:
             self._gauge_live = metrics.gauge("repro_snapshot_live_versions")
             self._gauge_pins = metrics.gauge("repro_snapshot_pinned_refcount_total")
             self._gauge_log = metrics.gauge("repro_snapshot_mutation_log_entries")
-            self._gauge_shm = metrics.gauge("repro_snapshot_shm_segments")
             self._instrumented = True
             self._refresh_gauges()
 
@@ -156,7 +147,6 @@ class SnapshotStore:
         self._gauge_live.set(len(self._sealed))
         self._gauge_pins.set(sum(self._pins.values()))
         self._gauge_log.set(len(self._log))
-        self._gauge_shm.set(len(self._shm_exports))
 
     # ------------------------------------------------------------------ #
     # Sealing and pinning
@@ -212,7 +202,6 @@ class SnapshotStore:
                 del self._pins[version]
                 if version != self._graph.version:
                     self._sealed.pop(version, None)
-                    self._retire_shm(version)
             if self._instrumented:
                 self._refresh_gauges()
 
@@ -280,66 +269,6 @@ class SnapshotStore:
         ]
         for version in stale:
             del self._sealed[version]
-            self._retire_shm(version)
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory exports
-    # ------------------------------------------------------------------ #
-    def export_shm(self, csr: "CSRGraph") -> Optional["SharedCSR"]:
-        """Get-or-create the shared-memory export of a store-sealed ``csr``.
-
-        Returns ``None`` when ``csr`` is not the CSR this store currently
-        holds sealed for its version (a foreign or already-retired
-        snapshot) — the caller then owns its own segment lifecycle.  Each
-        successful call acquires one reference; pair it with
-        :meth:`release_shm`.
-        """
-        from repro.graph.shm import SharedCSR
-
-        with self._lock:
-            if self._sealed.get(csr.version) is not csr:
-                return None
-            entry = self._shm_exports.get(csr.version)
-            if entry is None:
-                entry = [SharedCSR.create(csr), 0]
-                self._shm_exports[csr.version] = entry
-            entry[1] += 1
-            if self._instrumented:
-                self._refresh_gauges()
-            return entry[0]
-
-    def release_shm(self, version: int) -> None:
-        """Drop one reference on ``version``'s shm export.
-
-        The segment is unlinked the moment the refcount reaches zero —
-        concurrently-open pools share one export via the refcount, but no
-        segment outlives its last consumer (``/dev/shm`` hygiene beats
-        cross-pool reuse).  Unknown versions are a no-op, mirroring
-        :meth:`release`.
-        """
-        with self._lock:
-            entry = self._shm_exports.get(version)
-            if entry is None:
-                return
-            entry[1] = max(0, entry[1] - 1)
-            if entry[1] <= 0:
-                del self._shm_exports[version]
-                entry[0].unlink()
-            if self._instrumented:
-                self._refresh_gauges()
-
-    def _retire_shm(self, version: int) -> None:
-        """Unlink ``version``'s shm export unless a pool still holds it
-        (caller holds lock; the last ``release_shm`` then unlinks)."""
-        entry = self._shm_exports.get(version)
-        if entry is not None and entry[1] <= 0:
-            del self._shm_exports[version]
-            entry[0].unlink()
-
-    def shm_export_count(self) -> int:
-        """Number of live shared-memory exports (for tests/telemetry)."""
-        with self._lock:
-            return len(self._shm_exports)
 
     # ------------------------------------------------------------------ #
     # Deltas

@@ -35,24 +35,14 @@ INDEX_BUILD_SECONDS_TOTAL = "repro_index_build_seconds_total"
 INDEX_DELTA_EDGE_ROWS_TOTAL = "repro_index_delta_edge_rows_total"
 INDEX_DELTA_SECONDS_TOTAL = "repro_index_delta_seconds_total"
 
-# Index shipping: serialized payload bytes and worker-side deserialize
-# seconds (the per-batch task-payload path; initializer shipping happens
-# once per pool and is excluded).
+# Index shipping: bytes of the per-shard index blobs submitted with the
+# tasks and the worker-side seconds spent deserializing them (the graph
+# ships once per pool through the initializer and is excluded).
 SHIP_BYTES_TOTAL = "repro_executor_ship_bytes_total"
 SHIP_SECONDS_TOTAL = "repro_executor_ship_seconds_total"
 
-# Shared-memory index transport: payload bytes placed in the segment and
-# the wall seconds spent on the shm path (parent-side segment create+copy
-# plus worker-side attach) — the near-zero counterpart of the pickle pair
-# above; SHIP_BYTES_TOTAL stays ~0 while batches ship via shm.
-SHM_BYTES_TOTAL = "repro_executor_shm_bytes_total"
-SHM_SECONDS_TOTAL = "repro_executor_shm_seconds_total"
-
 # Which index strategy the planner resolved, labelled
-# {strategy="built"|"cached"|"delta"|"none"}.  The additional
-# {strategy="shm"} series marks plans whose index payload travels through
-# a shared-memory segment instead of the task pickle (a transport decision
-# recorded next to, not instead of, the resolution series).
+# {strategy="built"|"cached"|"delta"|"none"}.
 PLAN_INDEX_STRATEGY_TOTAL = "repro_plan_index_strategy_total"
 
 #: counter-pair -> CostModel field recalibrated as actual / predicted.
@@ -61,7 +51,6 @@ _FEEDBACK_RATES = (
     ("seconds_per_index_entry", INDEX_BUILD_SECONDS_TOTAL, INDEX_BUILD_ENTRIES_TOTAL),
     ("seconds_per_delta_edge", INDEX_DELTA_SECONDS_TOTAL, INDEX_DELTA_EDGE_ROWS_TOTAL),
     ("seconds_per_shipped_byte", SHIP_SECONDS_TOTAL, SHIP_BYTES_TOTAL),
-    ("seconds_per_shm_byte", SHM_SECONDS_TOTAL, SHM_BYTES_TOTAL),
 )
 
 

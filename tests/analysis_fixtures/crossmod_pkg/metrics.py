@@ -23,8 +23,8 @@ def iter_samples():
     yield 1
 
 
-def release_export(graph):
-    graph.snapshots.release_shm(1)
+def release_pin(holder):
+    holder._pinned.release()
 
 
 def log_failure(note):

@@ -1,8 +1,8 @@
-"""Storage half: locks ordered against metrics, shm holders, a shipper."""
+"""Storage half: locks ordered against metrics, pin holders, a shipper."""
 
 import threading
 
-from .metrics import Registry, iter_samples, log_failure, release_export
+from .metrics import Registry, iter_samples, log_failure, release_pin
 
 
 class Store:
@@ -20,23 +20,22 @@ def consume(item):
 
 
 class SafeHolder:
-    def __init__(self, store, graph, registry):
-        shared = store.export_shm()
-        self._shared = shared
-        self._graph = graph
+    def __init__(self, store, registry):
+        pinned = store.pin()
+        self._pinned = pinned
         try:
-            registry.observe(shared.nbytes)
+            registry.observe(pinned.version)
         except BaseException:
-            release_export(graph)  # helper (other module) releases: fine
+            release_pin(self)  # helper (other module) releases: fine
             raise
 
 
 class LeakyHolder:
     def __init__(self, store, registry):
-        shared = store.export_shm()  # expect: RA008
-        self._shared = shared
+        pinned = store.pin()  # expect: RA008
+        self._pinned = pinned
         try:
-            registry.observe(shared.nbytes)
+            registry.observe(pinned.version)
         except BaseException:
             log_failure("boom")  # resolves, but releases nothing
             raise

@@ -3,15 +3,6 @@
 from concurrent.futures import ProcessPoolExecutor
 
 
-class SharedCSR:
-    @classmethod
-    def create(cls, snapshot):
-        return cls()
-
-    def unlink(self):
-        pass
-
-
 def noop(item):
     return item
 
@@ -22,12 +13,12 @@ def forget_pin(store):
 
 
 def leak_window(store, registry):
-    segment = store.export_shm()  # expect: RA008
-    registry.observe(segment.nbytes)
+    pinned = store.pin()  # expect: RA008
+    registry.observe(pinned.version)
     try:
-        return segment.handle
+        return pinned.csr
     finally:
-        store.release_shm(1)
+        pinned.release()
 
 
 def forget_pool(tasks):
@@ -37,12 +28,12 @@ def forget_pool(tasks):
 
 class Holder:
     def __init__(self, snapshot, registry):
-        segment = SharedCSR.create(snapshot)  # expect: RA008
-        self._segment = segment
+        executor = ProcessPoolExecutor(max_workers=2)  # expect: RA008
+        self._executor = executor
         registry.observe(snapshot)
 
     def close(self):
-        segment = self._segment
-        self._segment = None
-        if segment is not None:
-            segment.unlink()
+        executor = self._executor
+        self._executor = None
+        if executor is not None:
+            executor.shutdown()

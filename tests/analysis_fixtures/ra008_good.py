@@ -26,18 +26,18 @@ def handed_off(store):
     return pinned  # ownership moves to the caller
 
 
-def deferred_close(payload):
-    blob = payload.attach()
-    atexit.register(blob.close)  # release responsibility handed to atexit
-    return blob.view
+def deferred_shutdown(engine):
+    pool = engine.create_pool(max_workers=2)
+    atexit.register(pool.shutdown)  # release responsibility handed to atexit
+    return pool.max_workers
 
 
-def refcounted_export(store, graph):
-    shared = store.export_shm()
+def created_pool_with_finally(engine, queries):
+    pool = engine.create_pool(max_workers=2)
     try:
-        return shared.handle
+        return list(engine.stream(queries, pool=pool))
     finally:
-        graph.snapshots.release_shm(1)
+        pool.shutdown()
 
 
 def pool_context(tasks):

@@ -9,11 +9,6 @@ class Tracer:
         self.spans = []
 
 
-class AttachedThing:
-    def __reduce__(self):
-        raise TypeError("process-local mapping")
-
-
 def consume(item):
     return item
 
@@ -44,12 +39,12 @@ def ship_tracer(pool):
     return pool.submit(consume, tracer)  # expect: RA009
 
 
-def ship_attached_inline(pool):
-    return pool.submit(consume, AttachedThing())  # expect: RA009
+def ship_tracer_inline(pool):
+    return pool.submit(consume, Tracer())  # expect: RA009
 
 
-def ship_attachment(pool, handle):
-    return pool.submit(consume, handle.attach())  # expect: RA009
+def ship_open_file(pool, path):
+    return pool.submit(consume, open(path))  # expect: RA009
 
 
 def ship_initargs_lock():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.graph.digraph import DiGraph
@@ -42,3 +44,12 @@ def random_graph() -> DiGraph:
 def hub_graph() -> DiGraph:
     """A small heavy-tailed graph (hubs) used by enumeration tests."""
     return powerlaw_directed(50, 3, seed=5)
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process (a pool worker) alive."""
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = set(multiprocessing.active_children()) - before
+    assert not leaked, f"child processes left behind: {sorted(map(repr, leaked))}"

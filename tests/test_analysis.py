@@ -261,28 +261,27 @@ def test_ra007_catches_pool_registry_deadlock_mutation():
     assert analyze_source(repaired, path="m.py") == []
 
 
-_ATTACH_SRC = (
-    "class AttachedCSR:\n"
-    "    def __reduce__(self):\n"
-    "        raise TypeError('attach inside the worker instead')\n"
-    "def enumerate_batch(graph, spans):\n"
-    "    return spans\n"
-    "def stream(pool, handle, spans):\n"
-    "    graph = handle.attach()\n"
-    "    return pool.submit(enumerate_batch, graph, spans)\n"
+_TRACER_SRC = (
+    "class Tracer:\n"
+    "    def current_context(self):\n"
+    "        return ('trace', 'span')\n"
+    "def enumerate_batch(queries, spans):\n"
+    "    return queries\n"
+    "def stream(pool, queries):\n"
+    "    tracer = Tracer()\n"
+    "    return pool.submit(enumerate_batch, queries, tracer)\n"
 )
 
 
-def test_ra009_catches_attached_mapping_submitted_to_pool():
-    findings = analyze_source(_ATTACH_SRC, path="m.py")
+def test_ra009_catches_tracer_submitted_to_pool():
+    findings = analyze_source(_TRACER_SRC, path="m.py")
     assert [finding.rule_id for finding in findings] == ["RA009"]
-    # repaired: ship the picklable handle, attach in the worker
-    repaired = _ATTACH_SRC.replace(
-        "    graph = handle.attach()\n"
-        "    return pool.submit(enumerate_batch, graph, spans)\n",
-        "    return pool.submit(enumerate_batch, handle, spans)\n",
+    # repaired: ship the picklable span context, record in the worker
+    repaired = _TRACER_SRC.replace(
+        "enumerate_batch, queries, tracer)",
+        "enumerate_batch, queries, tracer.current_context())",
     )
-    assert repaired != _ATTACH_SRC
+    assert repaired != _TRACER_SRC
     assert analyze_source(repaired, path="m.py") == []
 
 

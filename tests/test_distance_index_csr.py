@@ -191,3 +191,16 @@ def test_ship_payload_survives_larger_graph():
             )
     assert clone.size_in_entries == index.size_in_entries
     assert index.nbytes == 5 * graph.num_vertices * index.dense_from(0).itemsize
+
+
+def test_restrict_shares_the_rows_of_the_named_endpoints_only():
+    graph = random_directed_gnm(60, 240, seed=4)
+    index = build_index(graph, sources=[0, 5, 7], targets=[10, 11], max_hops=4)
+    part = index.restrict([5, 5, 0], [11])
+    assert set(part.from_source) == {0, 5} and set(part.to_target) == {11}
+    assert part.dense_from(5) is index.dense_from(5)  # shared, not copied
+    assert (part.num_vertices, part.max_hops) == (index.num_vertices, index.max_hops)
+    assert part.nbytes == 3 * graph.num_vertices * index.dense_from(0).itemsize
+    assert not part.has_source(7)
+    with pytest.raises(KeyError):
+        index.restrict([1], [10])  # 1 was never indexed

@@ -1,10 +1,11 @@
-"""Tests for the plan/execute split: QueryPlanner, ExecutionPlan, CostModel,
-eager ``num_workers`` validation and the ship-vs-rebuild differential.
+"""Tests for the plan/execute split: QueryPlanner, ExecutionPlan, CostModel
+and eager ``num_workers`` validation.
 
 The load-bearing contract: whatever the planner decides — worker count,
-shard assignments, shipping the parent-built index versus rebuilding per
-worker — the paths delivered per batch position are bit-identical to the
-sequential ``num_workers=1`` run (which itself bypasses planning entirely).
+shard assignments — the paths delivered per batch position are
+bit-identical to the sequential ``num_workers=1`` run (which itself
+bypasses planning entirely).  The all-algorithms parallel differential
+lives in ``test_parallel_executor.py``.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from repro.batch.planner import (
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 
-#: A cost model that makes parallelism look free (forces sharding) …
+#: A cost model that makes parallelism look free (forces sharding).
 EAGER_MODEL = CostModel(
     spawn_overhead_base=0.0,
     spawn_overhead_per_worker=0.0,
     seconds_per_cost_unit=1.0,
     parallel_benefit_margin=1.0,
 )
-#: … and one that makes shipping look terrible (forces per-worker rebuild).
-REBUILD_MODEL = CostModel(seconds_per_shipped_byte=1e6)
 
 
 def _workload(seed, num_queries=8):
@@ -105,7 +104,7 @@ def test_explain_empty_batch_is_trivial():
     graph, _ = _workload(2)
     plan = BatchQueryEngine(graph).explain([])
     assert plan.num_workers == 1
-    assert plan.shards == [] and not plan.ship_index
+    assert plan.shards == [] and plan.index_payload_bytes == 0
 
 
 def test_explain_does_not_execute():
@@ -145,44 +144,18 @@ def test_fixed_worker_request_is_honoured():
     assert plan.num_workers == 3
 
 
-def test_ship_decision_serializes_index_for_clustered_parallel_plans():
+def test_parallel_plan_accounts_for_shipping_the_index_rows():
     graph, queries = _workload(7)
-    plan = BatchQueryEngine(graph, algorithm="batch+", num_workers=2).explain(
-        queries
+    engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=2)
+    plan = engine.explain(queries)
+    assert plan.index_payload_bytes == plan.workload.index.nbytes > 0
+    assert plan.estimated_index_ship_seconds == pytest.approx(
+        plan.index_payload_bytes * CostModel().seconds_per_shipped_byte
     )
-    assert plan.ship_index
-    assert plan.index_bytes is not None
-    assert plan.index_payload_bytes == len(plan.index_bytes)
-    assert plan.estimated_index_ship_seconds < plan.estimated_index_rebuild_seconds
-
-
-def test_rebuild_decision_when_shipping_is_expensive():
-    graph, queries = _workload(7)
-    plan = BatchQueryEngine(
-        graph, algorithm="batch+", num_workers=2, cost_model=REBUILD_MODEL
-    ).explain(queries)
-    assert not plan.ship_index
-    assert plan.index_bytes is None
-
-
-# --------------------------------------------------------------------- #
-# Ship-vs-rebuild differential: all 7 algorithms, both plans, same paths
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_ship_and_rebuild_plans_match_sequential(algorithm):
-    graph, queries = _workload(8)
-    sequential = BatchQueryEngine(
-        graph, algorithm=algorithm, num_workers=1
-    ).run(queries)
-    shipped = BatchQueryEngine(graph, algorithm=algorithm, num_workers=2).run(
-        queries
-    )
-    rebuilt = BatchQueryEngine(
-        graph, algorithm=algorithm, num_workers=2, cost_model=REBUILD_MODEL
-    ).run(queries)
-    for position in range(len(queries)):
-        assert shipped.paths_at(position) == sequential.paths_at(position)
-        assert rebuilt.paths_at(position) == sequential.paths_at(position)
+    assert "ship" in plan.describe()
+    # Unindexed algorithms have nothing to ship.
+    bare = BatchQueryEngine(graph, algorithm="dksp", num_workers=2).explain(queries)
+    assert bare.index_payload_bytes == 0 and bare.workload is None
 
 
 def test_auto_engine_matches_sequential_results():

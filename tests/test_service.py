@@ -8,7 +8,10 @@ and worker setting; plus ticket-error propagation, backpressure and
 ``close()`` semantics.
 """
 
+import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -337,6 +340,56 @@ def test_batch_peers_of_a_poisoned_query_share_its_error():
                 ticket.result(timeout=TIMEOUT)
     finally:
         service.close()
+
+
+def test_killed_worker_fails_one_batch_then_the_pool_respawns(no_child_left):
+    """A dead worker breaks its ProcessPoolExecutor for good; the service
+    must fail exactly the batch that hit it and serve the next one on a
+    fresh pool (it used to keep the broken pool and fail forever)."""
+    graph = random_directed_gnm(30, 110, seed=5)
+    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=5)
+    oracle = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(queries)
+    service = IngestionService(
+        graph,
+        algorithm="batch+",
+        num_workers=2,
+        # One micro-batch per round: dispatch when all six have arrived.
+        policy=AdmissionPolicy(
+            max_batch_size=len(queries), max_delay_s=30.0, join_pending=False
+        ),
+    )
+    try:
+        for ticket in service.submit_many(queries):
+            ticket.result(timeout=TIMEOUT)
+        broken_pool = service._pool
+        assert broken_pool is not None
+        os.kill(next(iter(broken_pool._executor._processes)), signal.SIGKILL)
+
+        for ticket in service.submit_many(queries):
+            with pytest.raises(BrokenProcessPool):
+                ticket.result(timeout=TIMEOUT)
+
+        for position, ticket in enumerate(service.submit_many(queries)):
+            assert ticket.result(timeout=TIMEOUT) == oracle.paths_at(position)
+        assert service._pool is not broken_pool
+        stats = service.stats()
+        assert stats.failed == len(queries)
+        assert stats.completed == 2 * len(queries)
+    finally:
+        service.close()
+
+
+def test_close_drain_joins_the_worker_pool(no_child_left):
+    graph = random_directed_gnm(40, 160, seed=10)
+    queries = generate_random_queries(graph, 8, min_k=2, max_k=4, seed=10)
+    reference = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(
+        queries
+    )
+    service = IngestionService(graph, algorithm="batch+", num_workers=2)
+    tickets = service.submit_many(queries)
+    service.close(drain=True)
+    for position, ticket in enumerate(tickets):
+        assert ticket.result(timeout=TIMEOUT) == reference.paths_at(position)
 
 
 def test_close_drain_resolves_all_pending_tickets():

@@ -198,9 +198,10 @@ def test_mutation_during_planning_pins_admitted_version(monkeypatch):
     assert plan.snapshot.version == admitted_version
 
 
-def test_abandoned_stream_shuts_down_cleanly():
+def test_abandoned_stream_shuts_down_cleanly(no_child_left):
     """Closing a parallel stream mid-drain must not leak worker processes
-    or raise: the generator's cleanup cancels pending shards."""
+    or raise: the generator's cleanup cancels pending shards and joins the
+    pool it opened."""
     engine = BatchQueryEngine(_GRAPH, algorithm="basic", num_workers=2)
     stream = engine.stream(_QUERIES, ordered=False)
     first = next(stream)
