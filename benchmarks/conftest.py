@@ -26,7 +26,7 @@ from repro.queries.query import HCSTQuery
 BENCH_DATASETS = ("EP", "BK", "UK", "LJ")
 
 #: Default benchmark workload parameters (kept small: the datasets are
-#: already scaled-down stand-ins, see DESIGN.md).
+#: already scaled-down stand-ins).
 BENCH_QUERIES = 20
 BENCH_MIN_K = 3
 BENCH_MAX_K = 4

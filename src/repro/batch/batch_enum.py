@@ -33,7 +33,7 @@ from repro.bfs.distance_index import (
     UNREACHABLE,
     densify_distances,
 )
-from repro.enumeration.join import PathJoinPolicy, join_path_sets
+from repro.enumeration.join import JunctionIndex, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split
@@ -85,7 +85,7 @@ class BatchEnum:
         # root vertices; None reproduces Algorithm 3 exactly (full depth),
         # the default of 1 keeps the detection overhead negligible on the
         # pure-Python substrate while catching the near-root sharing that
-        # dominates in practice (see DESIGN.md).
+        # dominates in practice.
         self.max_detection_depth = max_detection_depth
 
     @property
@@ -224,7 +224,6 @@ class BatchEnum:
             self._materialize(backward_outcome, cache)
             self._join_cluster(
                 cluster,
-                queries_by_position,
                 forward_outcome,
                 backward_outcome,
                 cache,
@@ -423,7 +422,6 @@ class BatchEnum:
     def _join_cluster(
         self,
         cluster: List[int],
-        queries_by_position: Dict[int, HCSTQuery],
         forward_outcome: DetectionOutcome,
         backward_outcome: DetectionOutcome,
         cache: ResultCache,
@@ -432,21 +430,19 @@ class BatchEnum:
         """Produce every query's HC-s-t paths by joining its two root
         HC-s path results, then release the roots.
 
-        Queries that are identical up to their batch position (same
-        endpoints, same budgets — common in bursty real workloads) share
-        one join: the joined path list is memoised per
-        (forward root, backward root, budgets, target).
+        The two roots fix the budgets and the target, so a join is memoised
+        per (forward root, backward root): queries identical up to their
+        batch position (common in bursty real workloads) share one.  A
+        forward root is indexed by junction before its first join and
+        probed by each one; the index is dropped with the root's last
+        release.
         """
-        join_memo: Dict[Tuple, List[Path]] = {}
+        join_memo: Dict[Tuple[HCsPathQuery, HCsPathQuery], List[Path]] = {}
+        junction_indexes: Dict[HCsPathQuery, JunctionIndex] = {}
         for position in cluster:
-            query = queries_by_position[position]
             forward_root = forward_outcome.root_by_position[position]
             backward_root = backward_outcome.root_by_position[position]
-            forward_budget = forward_outcome.budget_by_position[position]
-            backward_budget = backward_outcome.budget_by_position[position]
-            memo_key = (
-                forward_root, backward_root, forward_budget, backward_budget, query.t
-            )
+            memo_key = (forward_root, backward_root)
             paths = join_memo.get(memo_key)
             if paths is None:
                 forward_paths = cache.peek(forward_root)
@@ -456,11 +452,21 @@ class BatchEnum:
                     "root HC-s path results were evicted before the final join; "
                     "this indicates a consumer accounting bug",
                 )
+                if forward_root not in junction_indexes:
+                    junction_indexes[forward_root] = JunctionIndex(forward_paths)
                 policy = PathJoinPolicy(
-                    forward_budget=forward_budget, backward_budget=backward_budget
+                    forward_budget=forward_root.budget,
+                    backward_budget=backward_root.budget,
                 )
-                paths = join_path_sets(forward_paths, backward_paths, query.t, policy)
+                paths = join_path_sets(
+                    junction_indexes[forward_root],
+                    backward_paths,
+                    backward_root.vertex,
+                    policy,
+                )
                 join_memo[memo_key] = paths
             result.record(position, paths)
             cache.release(forward_root)
             cache.release(backward_root)
+            if forward_root not in cache:
+                junction_indexes.pop(forward_root, None)
