@@ -408,9 +408,9 @@ def estimate_query_cost(
     falls back to an average-branching model capped by the graph size.
 
     ``side_cost_cache`` memoises the per-(endpoint, budget) side costs —
-    computing one requires a full distance-row scan, and real batches
-    repeat endpoints heavily, so the planner shares one cache across the
-    whole workload.
+    each is a read of the row's BFS level sizes plus the frontier model,
+    and real batches repeat endpoints heavily, so the planner shares one
+    cache across the whole workload.
     """
     forward_budget = query.forward_budget
     backward_budget = query.backward_budget

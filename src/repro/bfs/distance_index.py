@@ -15,13 +15,17 @@ Two representations live here:
 * :class:`CSRDistanceIndex` — the production structure: one flat
   ``array('l')`` row per indexed endpoint, keyed by CSR vertex id, with a
   large finite sentinel (:data:`UNREACHABLE`) for vertices the BFS never
-  reached.  Rows support O(1) direct indexing in the enumeration hot loops
-  and the whole index serialises to a compact ``bytes`` blob
-  (:meth:`CSRDistanceIndex.to_bytes`) so the parallel executor can ship
-  each shard the rows of its own endpoints (:meth:`CSRDistanceIndex.restrict`)
-  instead of re-running BFS per worker.  Lookups with a vertex
-  id outside the snapshot's range raise (mirroring the CSR packing assert)
-  rather than silently reporting "unreachable".
+  reached, and beside it the row's *BFS levels* — the reached vertices
+  grouped by exact distance.  Rows support O(1) direct indexing in the
+  enumeration hot loops; the levels answer everything else (level sizes,
+  neighbourhoods, µ masks, entry counts) at a cost that follows the k-hop
+  neighbourhood, not ``|V|``.  The rows serialise to a compact ``bytes``
+  blob (:meth:`CSRDistanceIndex.to_bytes`) so the parallel executor can
+  ship each shard the rows of its own endpoints
+  (:meth:`CSRDistanceIndex.restrict`) instead of re-running BFS per
+  worker.  Lookups with a vertex id outside the snapshot's range raise
+  (mirroring the CSR packing assert) rather than silently reporting
+  "unreachable".
 * :class:`DistanceIndex` — the original dict-of-dicts structure, retained
   as the reference implementation for the differential test suite and for
   callers that build tiny throwaway indexes.
@@ -39,8 +43,19 @@ import struct
 from array import array
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bfs.multi_source import multi_source_bfs
 from repro.graph.digraph import DiGraph
@@ -64,27 +79,62 @@ _HEADER = struct.Struct("<8sqqqqqq")
 _MAGIC = b"CSRDIDX1"
 
 
-def _reachable_entries(row: array) -> int:
-    """Number of reachable entries in one dense row (``array.count`` runs
-    at C speed)."""
-    return len(row) - row.count(UNREACHABLE)
+#: The BFS levels of one row: ``levels[d]`` holds, in ascending order, the
+#: vertices at exact distance ``d``; the tuple ends at the deepest level the
+#: BFS filled.  Levels are shared between indexes and never mutated.
+Levels = Tuple[array, ...]
+
+
+def _scan_levels(row: array) -> Levels:
+    """Derive the levels of a dense row that arrived without them.
+
+    The one pass under ``src/`` that walks a whole row outside the
+    enumeration loops; it runs at most once per row (first use).
+    """
+    buckets: List[array] = []
+    for vertex, distance in enumerate(row):
+        if distance != UNREACHABLE:
+            while len(buckets) <= distance:
+                buckets.append(array(TYPECODE))
+            buckets[distance].append(vertex)
+    return tuple(buckets)
+
+
+def _level_sizes(levels: Levels, hops: int) -> List[int]:
+    """``[|level 0|, ..., |level hops|]``, zero past the deepest level."""
+    sizes = [len(level) for level in levels[: hops + 1]]
+    sizes.extend([0] * (hops + 1 - len(sizes)))
+    return sizes
+
+
+def _levels_of(
+    rows: Dict[int, array], levels: Dict[int, Levels], endpoint: int
+) -> Levels:
+    """The levels of ``rows[endpoint]``, derived on first use when the row
+    arrived without them (``from_bytes``, a hand-built index, or a row
+    :meth:`CSRDistanceIndex.apply_delta` changed)."""
+    found = levels.get(endpoint)
+    if found is None:
+        found = levels[endpoint] = _scan_levels(rows[endpoint])
+    return found
 
 
 class _DistanceRow(MappingABC):
-    """Read-only mapping view over one flat distance row.
+    """Read-only mapping view over one distance row.
 
     Behaves like the legacy per-endpoint dict: iteration, ``len`` and
-    ``items()`` cover only *reachable* vertices, ``get`` returns the default
-    for in-range unreachable vertices, and — unlike a dict — any vertex id
+    ``items()`` cover only *reachable* vertices (read off the row's levels,
+    so in ``(distance, vertex)`` order), ``get`` returns the default for
+    in-range unreachable vertices, and — unlike a dict — any vertex id
     outside the CSR snapshot's range raises ``ValueError`` instead of being
     conflated with "unreachable".
     """
 
-    __slots__ = ("_row", "_reachable")
+    __slots__ = ("_row", "_levels")
 
-    def __init__(self, row: array) -> None:
+    def __init__(self, row: array, levels: Callable[[], Levels]) -> None:
         self._row = row
-        self._reachable: int | None = None  # lazy count
+        self._levels = levels  # called only by the whole-row readers
 
     def _check(self, vertex: int) -> None:
         if not 0 <= vertex < len(self._row):
@@ -111,24 +161,25 @@ class _DistanceRow(MappingABC):
         return self._row[vertex] != UNREACHABLE
 
     def __iter__(self) -> Iterator[int]:
-        for vertex, distance in enumerate(self._row):
-            if distance != UNREACHABLE:
-                yield vertex
+        for level in self._levels():
+            yield from level
 
     def items(self):
         return [
             (vertex, distance)
-            for vertex, distance in enumerate(self._row)
-            if distance != UNREACHABLE
+            for distance, level in enumerate(self._levels())
+            for vertex in level
         ]
 
     def values(self):
-        return [d for d in self._row if d != UNREACHABLE]
+        return [
+            distance
+            for distance, level in enumerate(self._levels())
+            for _ in level
+        ]
 
     def __len__(self) -> int:
-        if self._reachable is None:
-            self._reachable = _reachable_entries(self._row)
-        return self._reachable
+        return sum(map(len, self._levels()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_DistanceRow(|V|={len(self._row)}, reachable={len(self)})"
@@ -137,13 +188,17 @@ class _DistanceRow(MappingABC):
 class _DirectionView(MappingABC):
     """Dict-like ``{endpoint: distance row}`` view of one index direction."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_levels")
 
-    def __init__(self, rows: Dict[int, array]) -> None:
+    def __init__(self, rows: Dict[int, array], levels: Dict[int, Levels]) -> None:
         self._rows = rows
+        self._levels = levels
 
     def __getitem__(self, endpoint: int) -> _DistanceRow:
-        return _DistanceRow(self._rows[endpoint])
+        return _DistanceRow(
+            self._rows[endpoint],
+            partial(_levels_of, self._rows, self._levels, endpoint),
+        )
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._rows)
@@ -158,15 +213,35 @@ class _DirectionView(MappingABC):
 class CSRDistanceIndex:
     """Array-backed distance index keyed by CSR vertex ids.
 
-    Each indexed endpoint owns one flat ``array('l')`` of length
-    ``num_vertices`` holding hop distances (:data:`UNREACHABLE` where the
-    truncated BFS never arrived).  ``from_source``/``to_target`` present the
-    legacy mapping API as thin views; the enumeration hot loops bypass the
-    views entirely via :meth:`dense_from`/:meth:`dense_to` and index the raw
-    arrays directly.
+    Each indexed endpoint owns a row in two halves:
+
+    * the *dense distances* — one flat ``array('l')`` of length
+      ``num_vertices`` holding hop distances (:data:`UNREACHABLE` where the
+      truncated BFS never arrived).  Only the enumeration hot loops and the
+      point lookups read it, through :meth:`dense_from`/:meth:`dense_to`
+      and ``dist_from``/``dist_to``, by direct indexing;
+    * the *BFS levels* — the reached vertices grouped by exact distance
+      (:data:`Levels`).  Everything that asks about the row as a whole —
+      level sizes for the budget split and the plan estimates,
+      neighbourhoods and µ masks for clustering, entry counts for metrics,
+      iteration over the ``from_source``/``to_target`` views — reads the
+      levels and costs O(reached), never a ``|V|``-long scan.
+
+    :func:`build_index` records the levels as the BFS hands them over;
+    :meth:`copy` and :meth:`restrict` share them; :meth:`apply_delta` keeps
+    them for every row it left unchanged.  A row that arrives without
+    levels (``from_bytes`` in a worker, a hand-built index, a row a delta
+    changed) derives them once, on first use, with one pass over the row.
     """
 
-    __slots__ = ("num_vertices", "max_hops", "_from_rows", "_to_rows")
+    __slots__ = (
+        "num_vertices",
+        "max_hops",
+        "_from_rows",
+        "_to_rows",
+        "_from_levels",
+        "_to_levels",
+    )
 
     def __init__(
         self,
@@ -179,6 +254,8 @@ class CSRDistanceIndex:
         self.max_hops = max_hops
         self._from_rows = from_rows
         self._to_rows = to_rows
+        self._from_levels: Dict[int, Levels] = {}
+        self._to_levels: Dict[int, Levels] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -191,48 +268,67 @@ class CSRDistanceIndex:
         from_source: Dict[int, Dict[int, int]],
         to_target: Dict[int, Dict[int, int]],
     ) -> "CSRDistanceIndex":
-        """Pack sparse BFS result dicts into dense rows."""
-
-        def pack(maps: Dict[int, Dict[int, int]]) -> Dict[int, array]:
-            rows: Dict[int, array] = {}
-            template = array(TYPECODE, [UNREACHABLE]) * num_vertices
+        """Pack sparse BFS result dicts (distances truncated at ``max_hops``)
+        into dense rows plus their levels."""
+        index = cls(num_vertices, max_hops, {}, {})
+        template = array(TYPECODE, [UNREACHABLE]) * num_vertices
+        for maps, rows, levels in (
+            (from_source, index._from_rows, index._from_levels),
+            (to_target, index._to_rows, index._to_levels),
+        ):
             for endpoint, distances in maps.items():
                 row = array(TYPECODE, template)
+                buckets: List[List[int]] = [[] for _ in range(max_hops + 1)]
                 for vertex, distance in distances.items():
                     row[vertex] = distance
+                    buckets[distance].append(vertex)
+                while buckets and not buckets[-1]:
+                    buckets.pop()
                 rows[endpoint] = row
-            return rows
-
-        return cls(num_vertices, max_hops, pack(from_source), pack(to_target))
+                levels[endpoint] = tuple(
+                    array(TYPECODE, sorted(bucket)) for bucket in buckets
+                )
+        return index
 
     def copy(self) -> "CSRDistanceIndex":
-        """Deep copy (fresh row arrays) — the starting point for
-        :meth:`apply_delta` when the original must stay frozen."""
-        return CSRDistanceIndex(
+        """Deep copy of the dense rows (the levels are shared) — the
+        starting point for :meth:`apply_delta` when the original must stay
+        frozen."""
+        clone = CSRDistanceIndex(
             self.num_vertices,
             self.max_hops,
             {s: array(TYPECODE, row) for s, row in self._from_rows.items()},
             {t: array(TYPECODE, row) for t, row in self._to_rows.items()},
         )
+        clone._from_levels = dict(self._from_levels)
+        clone._to_levels = dict(self._to_levels)
+        return clone
 
     def restrict(
         self, sources: Iterable[int], targets: Iterable[int]
     ) -> "CSRDistanceIndex":
         """The sub-index holding only the rows of ``sources``/``targets``.
 
-        The row arrays are shared with ``self``, not copied.  Lemma 3.1
-        pruning reads only the rows of a query's own endpoints, so a shard
-        enumerating against the restriction to its endpoints prunes exactly
-        as it would against the whole index — this is what the parallel
-        executor serializes per shard task.  Raises ``KeyError`` for an
-        endpoint that is not indexed.
+        The row arrays and their levels are shared with ``self``, not
+        copied.  Lemma 3.1 pruning reads only the rows of a query's own
+        endpoints, so a shard enumerating against the restriction to its
+        endpoints prunes exactly as it would against the whole index —
+        this is what the parallel executor serializes per shard task.
+        Raises ``KeyError`` for an endpoint that is not indexed.
         """
-        return CSRDistanceIndex(
+        part = CSRDistanceIndex(
             self.num_vertices,
             self.max_hops,
             {source: self._from_rows[source] for source in sources},
             {target: self._to_rows[target] for target in targets},
         )
+        part._from_levels = {
+            s: self._from_levels[s] for s in part._from_rows if s in self._from_levels
+        }
+        part._to_levels = {
+            t: self._to_levels[t] for t in part._to_rows if t in self._to_levels
+        }
+        return part
 
     # ------------------------------------------------------------------ #
     # Incremental repair
@@ -256,6 +352,11 @@ class CSRDistanceIndex:
         **byte-identical** to a fresh rebuild against the new graph — a
         property the differential suite enforces.  Cost scales with the
         region whose distances actually changed, not with ``|V| + |E|``.
+        A row the repair left unchanged keeps its levels; a changed row
+        drops them and derives the new ones on first use.  Rows are
+        repaired in place, so repair a :meth:`copy` when a
+        :meth:`restrict`-ion still shares them — it would read the new
+        distances under its old levels.
 
         Returns ``self`` for chaining.  Vertex-count changes cannot be
         expressed as an edge delta; rebuild instead.
@@ -277,17 +378,19 @@ class CSRDistanceIndex:
         csr = graph.csr_snapshot()
         fwd = csr.adjacency_lists(forward=True)
         bwd = csr.adjacency_lists(forward=False)
-        for row in self._from_rows.values():
-            _repair_row(row, fwd, bwd, added, removed, self.max_hops)
+        for source, row in self._from_rows.items():
+            if _repair_row(row, fwd, bwd, added, removed, self.max_hops):
+                self._from_levels.pop(source, None)
         if self._to_rows:
             # Backward rows are BFS distances on Gr, where edge (u, v)
             # appears as (v, u) and successor/predecessor roles swap.
             swapped_added = {(v, u) for (u, v) in added}
             swapped_removed = {(v, u) for (u, v) in removed}
-            for row in self._to_rows.values():
-                _repair_row(
+            for target, row in self._to_rows.items():
+                if _repair_row(
                     row, bwd, fwd, swapped_added, swapped_removed, self.max_hops
-                )
+                ):
+                    self._to_levels.pop(target, None)
         return self
 
     # ------------------------------------------------------------------ #
@@ -296,12 +399,12 @@ class CSRDistanceIndex:
     @property
     def from_source(self) -> _DirectionView:
         """``{s: {v: dist_G(s, v)}}`` view (reachable entries only)."""
-        return _DirectionView(self._from_rows)
+        return _DirectionView(self._from_rows, self._from_levels)
 
     @property
     def to_target(self) -> _DirectionView:
         """``{t: {v: dist_G(v, t)}}`` view (reachable entries only)."""
-        return _DirectionView(self._to_rows)
+        return _DirectionView(self._to_rows, self._to_levels)
 
     # ------------------------------------------------------------------ #
     # Dense rows (hot-loop API)
@@ -357,41 +460,56 @@ class CSRDistanceIndex:
         return target in self._to_rows
 
     # ------------------------------------------------------------------ #
-    # Hop-constrained neighbourhoods (Definition 4.4)
+    # BFS levels (everything that reads a row as a whole)
     # ------------------------------------------------------------------ #
-    def forward_neighborhood(self, source: int, hops: int) -> FrozenSet[int]:
-        """Γ — vertices reachable from ``source`` within ``hops`` hops."""
-        row = self._from_rows.get(source)
-        if row is None:
+    def forward_levels(self, source: int) -> Levels:
+        """The reached vertices of ``source``'s row by exact distance."""
+        if source not in self._from_rows:
             raise KeyError(f"source {source} is not indexed")
-        return frozenset(v for v, d in enumerate(row) if d <= hops)
+        return _levels_of(self._from_rows, self._from_levels, source)
+
+    def backward_levels(self, target: int) -> Levels:
+        """The reached vertices of ``target``'s row by exact distance."""
+        if target not in self._to_rows:
+            raise KeyError(f"target {target} is not indexed")
+        return _levels_of(self._to_rows, self._to_levels, target)
+
+    def forward_neighborhood(self, source: int, hops: int) -> FrozenSet[int]:
+        """Γ — vertices reachable from ``source`` within ``hops`` hops
+        (Definition 4.4)."""
+        return frozenset().union(*self.forward_levels(source)[: hops + 1])
 
     def backward_neighborhood(self, target: int, hops: int) -> FrozenSet[int]:
         """Γr — vertices that can reach ``target`` within ``hops`` hops."""
-        row = self._to_rows.get(target)
-        if row is None:
-            raise KeyError(f"target {target} is not indexed")
-        return frozenset(v for v, d in enumerate(row) if d <= hops)
+        return frozenset().union(*self.backward_levels(target)[: hops + 1])
 
     def forward_level_sizes(self, source: int, hops: int) -> List[int]:
-        """Number of vertices at each exact distance 0..hops from ``source``."""
-        sizes = [0] * (hops + 1)
-        row = self._from_rows.get(source)
-        if row is not None:
-            for distance in row:
-                if distance <= hops:
-                    sizes[distance] += 1
-        return sizes
+        """Number of vertices at each exact distance 0..hops from ``source``
+        (zeros for the levels beyond ``max_hops`` the BFS never filled)."""
+        return _level_sizes(self.forward_levels(source), hops)
 
     def backward_level_sizes(self, target: int, hops: int) -> List[int]:
         """Number of vertices at each exact distance 0..hops to ``target``."""
-        sizes = [0] * (hops + 1)
-        row = self._to_rows.get(target)
-        if row is not None:
-            for distance in row:
-                if distance <= hops:
-                    sizes[distance] += 1
-        return sizes
+        return _level_sizes(self.backward_levels(target), hops)
+
+    def forward_mask(self, source: int, hops: int) -> Tuple[int, int]:
+        """``(bitmask of Γ, |Γ|)`` for ``source`` within ``hops`` hops — bit
+        ``v`` is set iff ``v`` is in the neighbourhood (what the pairwise µ
+        matrix intersects)."""
+        return self._mask(self.forward_levels(source), hops)
+
+    def backward_mask(self, target: int, hops: int) -> Tuple[int, int]:
+        """``(bitmask of Γr, |Γr|)`` for ``target`` within ``hops`` hops."""
+        return self._mask(self.backward_levels(target), hops)
+
+    def _mask(self, levels: Levels, hops: int) -> Tuple[int, int]:
+        bits = bytearray((self.num_vertices + 7) >> 3)
+        size = 0
+        for level in levels[: hops + 1]:
+            size += len(level)
+            for vertex in level:
+                bits[vertex >> 3] |= 1 << (vertex & 7)
+        return int.from_bytes(bits, "little"), size
 
     @property
     def num_rows(self) -> int:
@@ -402,9 +520,10 @@ class CSRDistanceIndex:
     def size_in_entries(self) -> int:
         """Total number of *reachable* (vertex, distance) entries stored."""
         total = 0
-        for rows in (self._from_rows, self._to_rows):
-            for row in rows.values():
-                total += _reachable_entries(row)
+        for source in self._from_rows:
+            total += sum(map(len, self.forward_levels(source)))
+        for target in self._to_rows:
+            total += sum(map(len, self.backward_levels(target)))
         return total
 
     @property
@@ -492,8 +611,9 @@ def _repair_row(
     added: Set[Tuple[int, int]],
     removed: Set[Tuple[int, int]],
     max_hops: int,
-) -> None:
-    """Repair one truncated single-source BFS row in place.
+) -> bool:
+    """Repair one truncated single-source BFS row in place; return whether
+    any distance in it ended up different.
 
     ``succ``/``pred`` are the **post-mutation** adjacency lists in the row's
     search direction; edges in ``added`` are filtered out of phase 1 so the
@@ -507,8 +627,10 @@ def _repair_row(
     exact truncated ``G_mid`` distances with a unit-weight Dijkstra seeded
     from the unaffected boundary.  Phase 2 is decrease-only relaxation from
     the added edges, which restores exact ``G_new`` distances because any
-    improved shortest path must cross an added edge.
+    improved shortest path must cross an added edge.  ``before`` keeps the
+    old distance of every vertex written, so the verdict costs O(written).
     """
+    before: Dict[int, int] = {}
     # -- Phase 1a: find vertices whose old distance lost all support ----- #
     heap = []
     for u, v in removed:
@@ -547,6 +669,7 @@ def _repair_row(
     # -- Phase 1b: recompute the affected region against G_mid ----------- #
     if affected:
         for x in affected:
+            before[x] = row[x]
             row[x] = UNREACHABLE
         heap = []
         for x in affected:
@@ -578,6 +701,7 @@ def _repair_row(
             continue
         candidate = old_u + 1
         if candidate <= max_hops and candidate < row[v]:
+            before.setdefault(v, row[v])
             row[v] = candidate
             heappush(heap, (candidate, v))
     while heap:
@@ -589,8 +713,10 @@ def _repair_row(
             continue
         for y in succ[x]:
             if candidate < row[y]:
+                before.setdefault(y, row[y])
                 row[y] = candidate
                 heappush(heap, (candidate, y))
+    return any(row[x] != old for x, old in before.items())
 
 
 @dataclass
@@ -663,19 +789,25 @@ class DistanceIndex:
         Used by the search-order optimiser to estimate the cost of giving
         the forward search a larger share of the hop budget.
         """
-        sizes = [0] * (hops + 1)
-        for distance in self.from_source.get(source, {}).values():
-            if distance <= hops:
-                sizes[distance] += 1
-        return sizes
+        distances = self.from_source.get(source)
+        if distances is None:
+            raise KeyError(f"source {source} is not indexed")
+        return _sizes_by_distance(distances, hops)
 
     def backward_level_sizes(self, target: int, hops: int) -> list[int]:
         """Number of vertices at each exact distance 0..hops to ``target``."""
-        sizes = [0] * (hops + 1)
-        for distance in self.to_target.get(target, {}).values():
-            if distance <= hops:
-                sizes[distance] += 1
-        return sizes
+        distances = self.to_target.get(target)
+        if distances is None:
+            raise KeyError(f"target {target} is not indexed")
+        return _sizes_by_distance(distances, hops)
+
+    def forward_mask(self, source: int, hops: int) -> Tuple[int, int]:
+        """``(bitmask of Γ, |Γ|)`` for ``source`` within ``hops`` hops."""
+        return _bitmask(self.forward_neighborhood(source, hops))
+
+    def backward_mask(self, target: int, hops: int) -> Tuple[int, int]:
+        """``(bitmask of Γr, |Γr|)`` for ``target`` within ``hops`` hops."""
+        return _bitmask(self.backward_neighborhood(target, hops))
 
     @property
     def size_in_entries(self) -> int:
@@ -683,6 +815,23 @@ class DistanceIndex:
         total = sum(len(d) for d in self.from_source.values())
         total += sum(len(d) for d in self.to_target.values())
         return total
+
+
+def _sizes_by_distance(distances: Dict[int, int], hops: int) -> List[int]:
+    """Level sizes 0..hops of one sparse ``{vertex: distance}`` map."""
+    sizes = [0] * (hops + 1)
+    for distance in distances.values():
+        if distance <= hops:
+            sizes[distance] += 1
+    return sizes
+
+
+def _bitmask(vertices: FrozenSet[int]) -> Tuple[int, int]:
+    """``(one bit per member, member count)`` of a vertex set."""
+    mask = 0
+    for vertex in vertices:
+        mask |= 1 << vertex
+    return mask, len(vertices)
 
 
 def densify_distances(distances: MappingABC, num_vertices: int) -> List[int]:

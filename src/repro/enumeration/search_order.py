@@ -34,8 +34,7 @@ def estimate_side_cost(level_sizes: Iterable[int]) -> float:
     cost = 0.0
     partial_paths = 1.0
     for depth in range(1, len(sizes)):
-        previous = max(sizes[depth - 1], 1)
-        branching = sizes[depth] / previous if previous else 0.0
+        branching = sizes[depth] / max(sizes[depth - 1], 1)
         partial_paths *= max(branching, 1.0)
         cost += partial_paths + sizes[depth]
     return cost
@@ -59,16 +58,16 @@ def choose_budget_split(
             min(k - 1, default_forward + 1) if k > 1 else default_forward,
         }
     )
+    # One read per side, down to the deepest level any candidate needs;
+    # each candidate prices a prefix of it.
+    forward_sizes = index.forward_level_sizes(query.s, candidates[-1])
+    backward_sizes = index.backward_level_sizes(query.t, k - candidates[0])
     best_split = (default_forward, k - default_forward)
     best_cost = float("inf")
     for forward_budget in candidates:
         backward_budget = k - forward_budget
-        forward_cost = estimate_side_cost(
-            index.forward_level_sizes(query.s, forward_budget)
-        )
-        backward_cost = estimate_side_cost(
-            index.backward_level_sizes(query.t, backward_budget)
-        )
+        forward_cost = estimate_side_cost(forward_sizes[: forward_budget + 1])
+        backward_cost = estimate_side_cost(backward_sizes[: backward_budget + 1])
         total = forward_cost + backward_cost
         if total < best_cost - 1e-12:
             best_cost = total

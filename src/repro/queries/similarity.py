@@ -70,14 +70,6 @@ def similarity_from_neighborhoods(
     return 2.0 / (1.0 / forward_ratio + 1.0 / backward_ratio)
 
 
-def _bitmask(vertices: FrozenSet[int]) -> int:
-    """Encode a vertex set as an integer bitmask."""
-    mask = 0
-    for vertex in vertices:
-        mask |= 1 << vertex
-    return mask
-
-
 def _similarity_from_masks(
     fwd_mask_a: int, fwd_size_a: int, fwd_mask_b: int, fwd_size_b: int,
     bwd_mask_a: int, bwd_size_a: int, bwd_mask_b: int, bwd_size_b: int,
@@ -153,32 +145,21 @@ class QuerySimilarityMatrix:
         The Γ/Γr sets are encoded as integer bitmasks (one bit per vertex)
         so the |Q|²/2 intersections run as C-level ``&``/``bit_count``
         operations; queries sharing an endpoint and hop constraint reuse
-        the same mask.  This keeps the ClusterQuery stage small relative to
-        enumeration, as the paper reports (Exp-3).
+        the same mask.  The index encodes each mask from the row's BFS
+        levels, so the cost follows the neighbourhood sizes.  This keeps
+        the ClusterQuery stage small relative to enumeration, as the paper
+        reports (Exp-3).
         """
         count = len(queries)
         mask_cache: Dict[Tuple[str, int, int], Tuple[int, int]] = {}
-
-        def mask_from_distances(distances: Dict[int, int], hops: int) -> Tuple[int, int]:
-            mask = 0
-            size = 0
-            for vertex, distance in distances.items():
-                if distance <= hops:
-                    mask |= 1 << vertex
-                    size += 1
-            return mask, size
 
         def masks_for(query: HCSTQuery) -> Tuple[Tuple[int, int], Tuple[int, int]]:
             forward_key = ("f", query.s, query.k)
             backward_key = ("b", query.t, query.k)
             if forward_key not in mask_cache:
-                mask_cache[forward_key] = mask_from_distances(
-                    index.from_source[query.s], query.k
-                )
+                mask_cache[forward_key] = index.forward_mask(query.s, query.k)
             if backward_key not in mask_cache:
-                mask_cache[backward_key] = mask_from_distances(
-                    index.to_target[query.t], query.k
-                )
+                mask_cache[backward_key] = index.backward_mask(query.t, query.k)
             return mask_cache[forward_key], mask_cache[backward_key]
 
         encoded = [masks_for(query) for query in queries]

@@ -4,14 +4,17 @@ The array-backed index replaced the dict-of-dicts structure in every
 production path, so this suite pins the two representations to each other
 on random graphs and workloads — lookups, neighbourhoods, level sizes and
 the mapping-view protocol — plus the serialization round-trip the parallel
-executor relies on when shipping a parent-built index to workers, and the
+executor relies on when shipping a parent-built index to workers, the
 range checking that distinguishes "unreachable" from "not a vertex of this
-snapshot".
+snapshot", and the BFS levels every whole-row reader answers from: however
+an index came to be (built, copied, restricted, shipped, delta-repaired)
+the levels of each row equal a brute scan of its dense distances.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import hypothesis.strategies as st
 import pytest
@@ -19,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
+    DistanceIndex,
+    TYPECODE,
     UNREACHABLE,
     build_dict_index,
     build_index,
@@ -119,6 +124,146 @@ def test_to_bytes_round_trip(case):
     assert clone.to_bytes() == index.to_bytes()
 
 
+def scanned_levels(row):
+    """Reference: group a dense row's reached vertices by exact distance."""
+    by_distance = {}
+    for vertex, distance in enumerate(row):
+        if distance != UNREACHABLE:
+            by_distance.setdefault(distance, []).append(vertex)
+    return tuple(
+        array(TYPECODE, by_distance.get(distance, []))
+        for distance in range(max(by_distance, default=-1) + 1)
+    )
+
+
+def assert_levels_equal_a_scan_of_every_row(index):
+    for source in index.from_source:
+        assert index.forward_levels(source) == scanned_levels(
+            index.dense_from(source)
+        )
+    for target in index.to_target:
+        assert index.backward_levels(target) == scanned_levels(
+            index.dense_to(target)
+        )
+
+
+def assert_whole_row_readers_agree(csr, legacy):
+    """Everything answered from the levels ≡ the dict reference, also one
+    hop past ``max_hops`` (levels the truncated BFS never filled)."""
+    assert csr.size_in_entries == legacy.size_in_entries
+    for hops in range(csr.max_hops + 2):
+        for source in legacy.from_source:
+            assert csr.forward_level_sizes(source, hops) == (
+                legacy.forward_level_sizes(source, hops)
+            )
+            neighborhood = legacy.forward_neighborhood(source, hops)
+            assert csr.forward_neighborhood(source, hops) == neighborhood
+            assert csr.forward_mask(source, hops) == (
+                sum(1 << v for v in neighborhood),
+                len(neighborhood),
+            ) == legacy.forward_mask(source, hops)
+        for target in legacy.to_target:
+            assert csr.backward_level_sizes(target, hops) == (
+                legacy.backward_level_sizes(target, hops)
+            )
+            neighborhood = legacy.backward_neighborhood(target, hops)
+            assert csr.backward_neighborhood(target, hops) == neighborhood
+            assert csr.backward_mask(target, hops) == (
+                sum(1 << v for v in neighborhood),
+                len(neighborhood),
+            ) == legacy.backward_mask(target, hops)
+
+
+@st.composite
+def graph_endpoints_and_edge_script(draw):
+    graph, sources, targets, max_hops = draw(graph_and_endpoints())
+    vertex = st.integers(min_value=0, max_value=graph.num_vertices - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    script = draw(st.lists(st.tuples(st.booleans(), edge), max_size=8))
+    return graph, sources, targets, max_hops, script
+
+
+@given(case=graph_endpoints_and_edge_script())
+@SETTINGS
+def test_levels_equal_a_row_scan_however_the_index_came_to_be(case):
+    graph, sources, targets, max_hops, script = case
+    index = build_index(graph, sources, targets, max_hops)
+    assert_levels_equal_a_scan_of_every_row(index)
+    assert_whole_row_readers_agree(
+        index, build_dict_index(graph, sources, targets, max_hops)
+    )
+
+    part = index.restrict(sources[:1], targets[:1])
+    assert_levels_equal_a_scan_of_every_row(part)
+    # restrict() shares the levels along with the rows.
+    assert part.forward_levels(sources[0]) is index.forward_levels(sources[0])
+    assert part.backward_levels(targets[0]) is index.backward_levels(targets[0])
+
+    # A shipped index arrives without levels and derives them on first use.
+    shipped = CSRDistanceIndex.from_bytes(index.to_bytes())
+    assert_levels_equal_a_scan_of_every_row(shipped)
+
+    before = set(graph.edges())
+    for add, (u, v) in script:
+        if add and not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+        elif not add and graph.has_edge(u, v):
+            graph.remove_edge(u, v)
+    after = set(graph.edges())
+
+    clone = index.copy()
+    assert_levels_equal_a_scan_of_every_row(clone)
+    repaired = clone.apply_delta(graph, after - before, before - after)
+    assert_levels_equal_a_scan_of_every_row(repaired)
+    fresh = build_index(graph, sources, targets, max_hops)
+    assert repaired.to_bytes() == fresh.to_bytes()
+    assert_whole_row_readers_agree(
+        repaired, build_dict_index(graph, sources, targets, max_hops)
+    )
+    # The repair keeps the level object of exactly the rows it left alone
+    # and never touches the frozen original's.
+    for source in index.from_source:
+        assert repaired.forward_levels(source) == fresh.forward_levels(source)
+        unchanged = repaired.dense_from(source) == index.dense_from(source)
+        shared = repaired.forward_levels(source) is index.forward_levels(source)
+        assert shared == unchanged
+    for target in index.to_target:
+        assert repaired.backward_levels(target) == fresh.backward_levels(target)
+        unchanged = repaired.dense_to(target) == index.dense_to(target)
+        shared = repaired.backward_levels(target) is index.backward_levels(target)
+        assert shared == unchanged
+    assert_levels_equal_a_scan_of_every_row(index)
+
+
+def test_whole_row_readers_raise_for_an_endpoint_that_is_not_indexed():
+    """An unindexed endpoint is a caller bug for every reader alike — the
+    level sizes used to answer it with zeros, silently pricing the side at
+    nothing; ``hops`` past ``max_hops`` stays a legitimate question."""
+    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+    for index in (
+        build_index(graph, sources=[0], targets=[3], max_hops=2),
+        build_dict_index(graph, sources=[0], targets=[3], max_hops=2),
+        DistanceIndex(),
+    ):
+        for reader in (
+            index.forward_level_sizes,
+            index.forward_neighborhood,
+            index.forward_mask,
+            index.backward_level_sizes,
+            index.backward_neighborhood,
+            index.backward_mask,
+        ):
+            with pytest.raises(KeyError):
+                reader(1, 2)
+    index = build_index(graph, sources=[0], targets=[3], max_hops=2)
+    with pytest.raises(KeyError):
+        index.forward_levels(1)
+    with pytest.raises(KeyError):
+        index.backward_levels(1)
+    assert index.forward_level_sizes(0, 4) == [1, 1, 1, 0, 0]
+    assert index.backward_level_sizes(3, 4) == [1, 1, 1, 0, 0]
+
+
 def test_from_bytes_rejects_garbage():
     with pytest.raises(ValueError):
         CSRDistanceIndex.from_bytes(b"not an index payload" + b"\x00" * 64)
@@ -166,8 +311,10 @@ def test_row_view_mapping_protocol():
     row = index.from_source[0]
     assert row[0] == 0 and row[1] == 1 and row[2] == 2
     assert 3 not in row  # beyond max_hops truncation
-    assert sorted(row) == [0, 1, 2]
-    assert sorted(row.values()) == [0, 1, 2]
+    # Whole-row readers walk the levels: (distance, vertex) order.
+    assert list(row) == [0, 1, 2]
+    assert row.items() == [(0, 0), (1, 1), (2, 2)]
+    assert row.values() == [0, 1, 2]
     assert len(row) == 3
     with pytest.raises(KeyError):
         row[3]  # in range, unreachable

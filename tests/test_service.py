@@ -363,7 +363,11 @@ def test_killed_worker_fails_one_batch_then_the_pool_respawns(no_child_left):
             ticket.result(timeout=TIMEOUT)
         broken_pool = service._pool
         assert broken_pool is not None
-        os.kill(next(iter(broken_pool._executor._processes)), signal.SIGKILL)
+        victim = next(iter(broken_pool._executor._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        # The kill must have landed before the next batch is submitted, or
+        # the surviving worker can finish that batch before the pool breaks.
+        victim.join(TIMEOUT)
 
         for ticket in service.submit_many(queries):
             with pytest.raises(BrokenProcessPool):
