@@ -11,7 +11,7 @@ instrumentation saw:
   ``merge``, and (for sharded plans) worker-side ``enumerate`` spans
   recorded in another process and reparented on merge;
 * the cost model recalibrated from the observed predicted-vs-actual
-  counters (:meth:`~repro.batch.planner.CostModel.from_observed`);
+  counters (:meth:`~repro.batch.config.CostModel.from_observed`);
 * the full registry in Prometheus text exposition format — exactly what
   a ``/metrics`` endpoint would serve.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 
 from repro import DiGraph, HCSTQuery, serve
-from repro.batch.planner import CostModel
+from repro.batch.config import CostModel
 from repro.graph.generators import random_directed_gnm
 from repro.obs import MetricsRegistry, Tracer
 from repro.queries.generation import generate_random_queries

@@ -7,6 +7,10 @@
   query sharing graph Ψ.
 * :mod:`repro.batch.batch_enum` — Algorithm 4 (``BatchEnum``/``BatchEnum+``):
   shared enumeration with materialised HC-s path queries.
+* :mod:`repro.batch.config` — the execution options, declared and
+  validated once as the frozen :class:`ExecutionConfig`, and the one
+  per-algorithm table (display name, sharding, pricing, fragment
+  generator) that engine, planner, executor and service all read.
 * :mod:`repro.batch.engine` — the :class:`BatchQueryEngine` facade, with a
   blocking ``run``, a streaming ``stream``/:func:`stream_enumerate`
   front-end that flushes ``(batch_position, paths)`` tuples as shards,
@@ -15,7 +19,8 @@
 * :mod:`repro.batch.planner` — the plan phase of the plan→execute split:
   :class:`QueryPlanner` emits an :class:`ExecutionPlan` (shard
   assignments, cost-model-resolved worker count, index strategy, kernel
-  per shard) that both the sequential and the parallel paths consume.
+  per shard) that both the in-process and the parallel paths consume — a
+  shard runs on the kernel its plan chose whoever executes it.
 * :mod:`repro.batch.executor` — plan-driven sharded parallel execution:
   shards are distributed across a :class:`WorkerPool` (the sealed graph
   pickled once through its initializer, each shard task carrying its own
@@ -37,24 +42,15 @@ from repro.batch.clustering import cluster_queries
 from repro.batch.detection import detect_common_queries, DetectionOutcome
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
-from repro.batch.engine import (
+from repro.batch.config import (
     ALGORITHMS,
-    BatchQueryEngine,
-    stream_enumerate,
+    CostModel,
+    ExecutionConfig,
     validate_num_workers,
 )
-from repro.batch.planner import (
-    CostModel,
-    ExecutionPlan,
-    QueryPlanner,
-    ShardPlan,
-)
-from repro.batch.executor import (
-    WorkerPool,
-    flush_fragments,
-    run_parallel,
-    stream_parallel,
-)
+from repro.batch.engine import BatchQueryEngine, stream_enumerate
+from repro.batch.planner import ExecutionPlan, QueryPlanner, ShardPlan
+from repro.batch.executor import WorkerPool, flush_fragments, stream_parallel
 from repro.batch.service import (
     AdmissionPolicy,
     IngestionService,
@@ -66,7 +62,6 @@ from repro.batch.service import (
 )
 
 __all__ = [
-    "run_parallel",
     "stream_parallel",
     "stream_enumerate",
     "flush_fragments",
@@ -80,6 +75,7 @@ __all__ = [
     "serve",
     "validate_num_workers",
     "CostModel",
+    "ExecutionConfig",
     "ExecutionPlan",
     "QueryPlanner",
     "ShardPlan",

@@ -27,12 +27,7 @@ from repro.batch.cache import ResultCache
 from repro.batch.clustering import cluster_queries
 from repro.batch.detection import DetectionOutcome, detect_common_queries
 from repro.batch.results import BatchResult, FragmentStream, SharingStats, drain
-from repro.bfs.distance_index import (
-    CSRDistanceIndex,
-    DistanceIndex,
-    UNREACHABLE,
-    densify_distances,
-)
+from repro.bfs.distance_index import CSRDistanceIndex, UNREACHABLE
 from repro.enumeration.join import JunctionIndex, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.paths import Path
@@ -44,8 +39,9 @@ from repro.utils.timer import StageTimer
 from repro.utils.validation import require
 
 #: Default frontier-expansion depth of DetectCommonQuery (see the
-#: ``max_detection_depth`` parameter below).  The parallel executor uses the
-#: same constant so sequential and sharded runs share identically.
+#: ``max_detection_depth`` parameter below).  Every engine route — in-process
+#: or in a worker — builds its enumerator without overriding it, so
+#: sequential and sharded runs share identically.
 DEFAULT_MAX_DETECTION_DEPTH: Optional[int] = 1
 
 
@@ -65,7 +61,8 @@ class BatchEnum:
         ``"numpy"`` runs the byte-identical vectorized kernel of
         :mod:`repro.enumeration.kernels` (raises when numpy is absent).
         ``"auto"`` resolves to ``"python"`` here — cost-aware selection is
-        the planner's job.
+        the planner's job, and a plan's per-cluster choices arrive through
+        ``iter_run(kernels=...)``.
     """
 
     def __init__(
@@ -104,6 +101,7 @@ class BatchEnum:
         queries: Sequence[HCSTQuery],
         workload: Optional[QueryWorkload] = None,
         clusters: Optional[List[List[int]]] = None,
+        kernels: Optional[Sequence[str]] = None,
     ) -> FragmentStream:
         """Fragment generator: one ``{position: paths}`` yield per cluster.
 
@@ -116,6 +114,9 @@ class BatchEnum:
         ``workload``/``clusters`` let a caller that already built the shared
         artefacts (the query planner) hand them over instead of rebuilding;
         the computation is identical either way, only performed once.
+        ``kernels[i]`` is the concrete kernel the plan chose for
+        ``clusters[i]`` — the same one a worker would run that shard on;
+        without it every cluster runs on the enumerator's own kernel.
         """
         if workload is None:
             workload = QueryWorkload(self.graph, queries, stage_timer=StageTimer())
@@ -133,12 +134,14 @@ class BatchEnum:
                 clusters = cluster_queries(workload, self.gamma)
 
         sharing = SharingStats(num_clusters=len(clusters))
-        for cluster in clusters:
+        if kernels is None:
+            kernels = [self.kernel] * len(clusters)
+        for cluster, kernel in zip(clusters, kernels):
             queries_by_position = {
                 position: workload.queries[position] for position in cluster
             }
             self._process_cluster(
-                queries_by_position, index, stage_timer, result, sharing
+                queries_by_position, index, stage_timer, result, sharing, kernel
             )
             yield {
                 position: result.paths_by_position[position]
@@ -153,12 +156,14 @@ class BatchEnum:
     def _process_cluster(
         self,
         queries_by_position: Dict[int, HCSTQuery],
-        index: DistanceIndex,
+        index: CSRDistanceIndex,
         stage_timer: StageTimer,
         result: BatchResult,
         sharing: SharingStats,
+        kernel: str,
     ) -> None:
-        """Process one cluster of queries against ``index``.
+        """Process one cluster of queries against ``index`` on ``kernel``
+        (``"python"`` or ``"numpy"``).
 
         Clusters are independent of one another by construction, which makes
         this the shard boundary of :mod:`repro.batch.executor`: the parallel
@@ -220,8 +225,8 @@ class BatchEnum:
 
         cache = ResultCache()
         with stage_timer.stage("Enumeration"):
-            self._materialize(forward_outcome, cache)
-            self._materialize(backward_outcome, cache)
+            self._materialize(forward_outcome, cache, kernel)
+            self._materialize(backward_outcome, cache, kernel)
             self._join_cluster(
                 cluster,
                 forward_outcome,
@@ -234,14 +239,16 @@ class BatchEnum:
         )
         sharing.cache_reuse_count += cache.reuse_count
 
-    def _materialize(self, outcome: DetectionOutcome, cache: ResultCache) -> None:
+    def _materialize(
+        self, outcome: DetectionOutcome, cache: ResultCache, kernel: str
+    ) -> None:
         """Enumerate every HC-s path query node of one sharing graph in
         topological order, reusing cached provider results."""
         psi = outcome.sharing_graph
         for node in psi.topological_order():
             if not isinstance(node, HCsPathQuery):
                 continue
-            paths = self._enumerate_node(node, outcome, cache)
+            paths = self._enumerate_node(node, outcome, cache, kernel)
             consumers = psi.consumers_of(node)
             cache.put(node, paths, consumers=len(consumers))
             # This node has finished reading its providers.
@@ -254,6 +261,7 @@ class BatchEnum:
         node: HCsPathQuery,
         outcome: DetectionOutcome,
         cache: ResultCache,
+        kernel: str,
     ) -> List[Path]:
         """Enumerate all hop-constrained paths of one HC-s path query.
 
@@ -285,26 +293,11 @@ class BatchEnum:
         # That condition is ``need(v) <= r`` with ``need`` independent of the
         # current prefix, so it is memoised per vertex; duplicate queries
         # collapse to a single (endpoint, slack) constant.  Distances are
-        # read from dense rows indexed directly by vertex id; a legacy dict
-        # index is densified once per node so both representations share
-        # this loop.
-        slack_constants = outcome.slack_constants(node)
-        if isinstance(index, CSRDistanceIndex):
-            distance_rows = [
-                (index.dense_to(e) if forward else index.dense_from(e), constant)
-                for e, constant in slack_constants
-            ]
-        else:
-            distance_rows = [
-                (
-                    densify_distances(
-                        (index.to_target if forward else index.from_source)[e],
-                        self.graph.num_vertices,
-                    ),
-                    constant,
-                )
-                for e, constant in slack_constants
-            ]
+        # read from dense rows indexed directly by vertex id.
+        distance_rows = [
+            (index.dense_to(e) if forward else index.dense_from(e), constant)
+            for e, constant in outcome.slack_constants(node)
+        ]
         infinity = float("inf")
         need_cache: Dict[int, float] = {}
 
@@ -342,7 +335,7 @@ class BatchEnum:
                 return length == budget or path_last in served_endpoints
             return True
 
-        if self.kernel == "numpy":
+        if kernel == "numpy":
             # Providers are handed over as (budget, fetch) pairs; fetch is
             # a live cache.get closure so the reuse statistics count one
             # access per splice, exactly like the loop below.

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.batch.sharing_graph import QueryNode, QuerySharingGraph
-from repro.bfs.distance_index import DistanceIndex
+from repro.bfs.distance_index import CSRDistanceIndex, UNREACHABLE
 from repro.graph.digraph import DiGraph
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 from repro.utils.validation import require
@@ -72,7 +72,7 @@ class DetectionOutcome:
 
     # The index is attached after construction (kept out of the dataclass
     # fields to avoid repr noise); the need cache memoises admissibility.
-    index: DistanceIndex = field(default=None, repr=False)  # type: ignore[assignment]
+    index: CSRDistanceIndex = field(default=None, repr=False)  # type: ignore[assignment]
     _need_cache: Dict[HCsPathQuery, Dict[int, float]] = field(
         default_factory=dict, repr=False
     )
@@ -117,15 +117,15 @@ class DetectionOutcome:
             self._need_cache[node] = per_node
         value = per_node.get(vertex)
         if value is None:
-            distances = (
-                self.index.to_target
+            dense = (
+                self.index.dense_to
                 if self.direction is Direction.FORWARD
-                else self.index.from_source
+                else self.index.dense_from
             )
             value = float("inf")
             for endpoint, constant in self.slack_constants(node):
-                distance = distances[endpoint].get(vertex)
-                if distance is not None and distance + constant < value:
+                distance = dense(endpoint)[vertex]
+                if distance != UNREACHABLE and distance + constant < value:
                     value = distance + constant
             per_node[vertex] = value
         return value
@@ -148,30 +148,22 @@ class DetectionOutcome:
         return self.need(node, neighbor) <= remaining_budget
 
 
-#: Adjacency backends :func:`detect_common_queries` can walk.  ``csr`` (the
-#: default) reads the shared, immutable CSR snapshot — the same flat arrays
-#: the enumeration hot loops scan — so detection no longer touches the
-#: mutable ``DiGraph`` lists; ``digraph`` is the original implementation,
-#: kept so the differential tests can pin the two backends to each other.
-DETECTION_BACKENDS = ("csr", "digraph")
-
-
 def detect_common_queries(
     graph: DiGraph,
     queries_by_position: Dict[int, HCSTQuery],
     direction: Direction,
-    index: DistanceIndex,
+    index: CSRDistanceIndex,
     budget_by_position: Dict[int, int],
     max_depth: Optional[int] = None,
-    backend: str = "csr",
 ) -> DetectionOutcome:
     """Run Algorithm 3 for one cluster in one direction.
 
     Parameters
     ----------
     graph:
-        The data graph ``G`` (the reverse direction is handled by walking
-        in-neighbours, so ``Gr`` is never materialised).
+        The data graph ``G``, read through its sealed CSR snapshot — the
+        same flat arrays the enumeration hot loops scan (the reverse
+        direction walks in-neighbours, so ``Gr`` is never materialised).
     queries_by_position:
         The cluster's queries keyed by their position in the batch.
     direction:
@@ -191,19 +183,8 @@ def detect_common_queries(
         the first hops (queries with identical or adjacent endpoints), so
         the engine defaults to a depth of 2.  ``None`` means unbounded,
         exactly as in Algorithm 3.
-    backend:
-        Which adjacency the joint frontier expansion walks: ``"csr"`` (the
-        default) scans the graph's cached CSR snapshot, ``"digraph"`` the
-        mutable adjacency lists.  Both store neighbours sorted ascending,
-        so the resulting Ψ is identical either way (pinned by the
-        differential tests).
     """
     require(bool(queries_by_position), "cluster must contain at least one query")
-    require(
-        backend in DETECTION_BACKENDS,
-        f"unknown detection backend {backend!r}; expected one of "
-        f"{DETECTION_BACKENDS}",
-    )
     forward = direction is Direction.FORWARD
     psi = QuerySharingGraph(direction)
     served: Dict[HCsPathQuery, Set[int]] = defaultdict(set)
@@ -234,11 +215,7 @@ def detect_common_queries(
         root_by_position[position] = root
         frontier[start].append((root, budget))
 
-    if backend == "csr":
-        adjacency = graph.csr_snapshot().adjacency_lists(forward)
-        neighbors = adjacency.__getitem__
-    else:
-        neighbors = graph.out_neighbors if forward else graph.in_neighbors
+    neighbors = graph.csr_snapshot().adjacency_lists(forward).__getitem__
     max_budget = max(budget_by_position.values(), default=0)
     min_budget_considered = 0 if max_depth is None else max(0, max_budget - max_depth)
 

@@ -33,12 +33,17 @@ Every non-trivial run goes through two explicit phases:
    parallel run pickles the sealed graph once per worker and ships each
    shard the index rows of its own endpoints — workers never run BFS.
 
+Whichever side executes a shard — a worker process or this process — runs
+it on the kernel the plan chose for that shard.
+
 ``num_workers`` accepts a positive integer or ``"auto"`` (the default):
-``auto`` lets the plan's cost model — calibrated against
-``BENCH_workers.json`` — decide whether sharding across processes clears
-the pool-spawn overhead, falling back to the (always safe) sequential path
-otherwise.  Validation is eager: a bad value raises in ``__init__``, not
-deep inside the executor.
+``auto`` lets the plan's cost model — fixed default constants that
+``CostModel.from_observed`` recalibrates from live traffic — decide whether
+sharding across processes clears the pool-spawn overhead, falling back to
+the (always safe) sequential path otherwise.  Validation is eager: the
+constructor builds one :class:`~repro.batch.config.ExecutionConfig`, which
+rejects any bad option before a query is seen, and everything downstream
+receives that object untouched.
 
 >>> from repro.graph.generators import paper_example_graph
 >>> from repro.queries.query import HCSTQuery
@@ -74,33 +79,21 @@ streams for free.  Two flush policies:
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.batch.basic_enum import BasicEnum, iter_pathenum_baseline
-from repro.batch.batch_enum import BatchEnum
-from repro.batch.planner import (
+from repro.batch.config import (
+    ALGORITHM_TABLE,
+    ALGORITHMS,
     CostModel,
-    ExecutionPlan,
+    ExecutionConfig,
     NumWorkers,
-    QueryPlanner,
-    validate_num_workers,
 )
-from repro.batch.results import (
-    BatchResult,
-    FragmentStream,
-    ResultStream,
-    drain,
-)
-from repro.enumeration.kernels import resolve_kernel, validate_kernel
+from repro.batch.executor import WorkerPool, flush_fragments, stream_parallel
+from repro.batch.planner import ExecutionPlan, QueryPlanner
+from repro.batch.results import BatchResult, FragmentStream, ResultStream, drain
+from repro.enumeration.kernels import resolve_kernel
 from repro.enumeration.paths import Path
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.obs.feedback import (
     COST_ACTUAL_SECONDS_TOTAL,
@@ -109,35 +102,14 @@ from repro.obs.feedback import (
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
-from repro.utils.validation import require
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.batch.executor import WorkerPool
-    from repro.graph.csr import CSRGraph
+__all__ = [
+    "ALGORITHMS",
+    "BatchQueryEngine",
+    "batch_enumerate",
+    "stream_enumerate",
+]
 
-#: Canonical algorithm names accepted by :class:`BatchQueryEngine`.
-ALGORITHMS = (
-    "pathenum",
-    "basic",
-    "basic+",
-    "batch",
-    "batch+",
-    "dksp",
-    "onepass",
-)
-
-#: Display label each runner reports in ``BatchResult.algorithm``, keyed by
-#: engine name — the single mapping shared by the empty-batch fast path and
-#: the parallel executor so every run of one engine carries one label.
-DISPLAY_NAMES = {
-    "pathenum": "PathEnum",
-    "basic": "BasicEnum",
-    "basic+": "BasicEnum+",
-    "batch": "BatchEnum",
-    "batch+": "BatchEnum+",
-    "dksp": "DkSP",
-    "onepass": "OnePass",
-}
 
 class BatchQueryEngine:
     """One-call batch HC-s-t path query processing.
@@ -155,26 +127,13 @@ class BatchQueryEngine:
     ----------
     graph:
         The data graph.
-    algorithm:
-        One of :data:`ALGORITHMS`.
-    gamma:
-        Clustering threshold for the sharing-aware algorithms.
-    num_workers:
-        Positive integer, or ``"auto"`` (default) to let the query
-        planner's cost model decide per batch.
-    cost_model:
-        Optional :class:`~repro.batch.planner.CostModel` override for the
-        planner (tests and benchmarks use this to force decisions).
-    max_workers:
-        Cap for ``"auto"`` resolution (defaults to ``os.cpu_count()``).
-    kernel:
-        Enumeration substrate: ``"auto"`` (default) lets the planner route
-        heavy shards to the vectorized numpy kernel when numpy is
-        available (unplanned sequential runs stay pure-Python),
-        ``"python"`` pins the pure-Python loops everywhere, ``"numpy"``
-        forces the vectorized kernel (raises here when numpy is absent).
-        Every kernel produces byte-identical results — the differential
-        suite pins this.
+    algorithm / gamma / num_workers / cost_model / max_workers / kernel:
+        The execution options, forwarded verbatim into one
+        :class:`~repro.batch.config.ExecutionConfig` (:attr:`config`) —
+        see there for their meaning; a bad value raises ``ValueError``
+        here.  ``algorithm`` is one of :data:`ALGORITHMS`; every kernel
+        produces byte-identical results (the differential suite pins
+        this).
     metrics / tracer:
         Telemetry opt-in (see :mod:`repro.obs`): a
         :class:`~repro.obs.metrics.MetricsRegistry` /
@@ -196,27 +155,31 @@ class BatchQueryEngine:
         metrics=None,
         tracer=None,
     ) -> None:
-        require(
-            algorithm in ALGORITHMS,
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}",
-        )
-        require(0.0 <= gamma <= 1.0, "gamma must be within [0, 1]")
-        validate_kernel(kernel)
         self.graph = graph
-        self.algorithm = algorithm
-        self.gamma = gamma
-        self.num_workers = validate_num_workers(num_workers)
-        self.cost_model = cost_model
-        self.max_workers = max_workers
-        self.kernel = kernel
+        self.config = ExecutionConfig(
+            algorithm=algorithm,
+            gamma=gamma,
+            num_workers=num_workers,
+            max_workers=max_workers,
+            kernel=kernel,
+            cost_model=cost_model,
+        )
         self.metrics = resolve_registry(metrics)
         self.tracer = resolve_tracer(tracer)
         if metrics is not None:
-            # Workers re-instantiate engines on CSRGraph snapshots, which
-            # carry no snapshot store — only instrument the live DiGraph.
+            # A sealed CSRGraph carries no snapshot store — only
+            # instrument the live DiGraph.
             store = getattr(graph, "snapshots", None)
             if store is not None:
                 store.instrument(metrics)
+
+    @property
+    def algorithm(self) -> str:
+        return self.config.algorithm
+
+    @property
+    def num_workers(self) -> NumWorkers:
+        return self.config.num_workers
 
     # ------------------------------------------------------------------ #
     # Planning API
@@ -236,18 +199,9 @@ class BatchQueryEngine:
         self, queries: List[HCSTQuery], pool_ready: bool = False
     ) -> ExecutionPlan:
         planner = QueryPlanner(
-            self.graph,
-            algorithm=self.algorithm,
-            gamma=self.gamma,
-            cost_model=self.cost_model,
-            max_workers=self.max_workers,
-            kernel=self.kernel,
-            metrics=self.metrics,
-            tracer=self.tracer,
+            self.graph, self.config, metrics=self.metrics, tracer=self.tracer
         )
-        return planner.plan(
-            queries, num_workers=self.num_workers, pool_ready=pool_ready
-        )
+        return planner.plan(queries, pool_ready=pool_ready)
 
     # ------------------------------------------------------------------ #
     # Execution API
@@ -274,7 +228,7 @@ class BatchQueryEngine:
         self,
         queries: Sequence[HCSTQuery],
         ordered: bool = True,
-        pool: "WorkerPool | None" = None,
+        pool: Optional[WorkerPool] = None,
     ) -> Iterator[Tuple[int, List[Path]]]:
         """Yield ``(batch_position, paths)`` as completions land.
 
@@ -326,7 +280,7 @@ class BatchQueryEngine:
         queries: Sequence[HCSTQuery],
         plan: ExecutionPlan,
         ordered: bool = False,
-        pool: "WorkerPool | None" = None,
+        pool: Optional[WorkerPool] = None,
     ) -> ResultStream:
         """Execute a prebuilt :class:`ExecutionPlan`, streaming results.
 
@@ -346,23 +300,17 @@ class BatchQueryEngine:
         return result
 
     def create_pool(
-        self, max_workers: int, snapshot: "CSRGraph | None" = None
-    ) -> "WorkerPool":
+        self, max_workers: int, snapshot: Optional[CSRGraph] = None
+    ) -> WorkerPool:
         """Open a persistent :class:`~repro.batch.executor.WorkerPool` bound
-        to this engine's graph/algorithm/gamma, for reuse across many
+        to this engine's graph and config, for reuse across many
         ``stream``/``run`` calls (micro-batch serving).  ``snapshot``
         optionally pins the sealed CSR the workers are initialised with
         (defaults to the graph's current head).  The caller owns the pool:
         pass it via ``stream(..., pool=...)`` and ``shutdown()`` it when
         done."""
-        from repro.batch.executor import WorkerPool
-
         pool = WorkerPool(
-            self.graph,
-            self.algorithm,
-            self.gamma,
-            max_workers=max_workers,
-            snapshot=snapshot,
+            self.graph, self.config, max_workers=max_workers, snapshot=snapshot
         )
         self.metrics.counter("repro_executor_pool_spawns_total").inc()
         self.metrics.gauge("repro_executor_pool_workers").set(max_workers)
@@ -375,7 +323,7 @@ class BatchQueryEngine:
         self,
         queries: List[HCSTQuery],
         ordered: bool,
-        pool: "WorkerPool | None" = None,
+        pool: Optional[WorkerPool] = None,
         plan: Optional[ExecutionPlan] = None,
     ) -> ResultStream:
         """The shared fragment pipeline behind :meth:`run`, :meth:`stream`
@@ -384,28 +332,29 @@ class BatchQueryEngine:
         executor) and push it through the flushing core.  Every fragment is
         computed against the plan's sealed snapshot — concurrent graph
         mutation is copy-on-write and cannot reach an in-flight stream."""
-        from repro.batch.executor import flush_fragments, stream_parallel
-
+        spec = ALGORITHM_TABLE[self.algorithm]
         if not queries:
-            return BatchResult(
-                queries=[], algorithm=DISPLAY_NAMES[self.algorithm]
-            )
+            return BatchResult(queries=[], algorithm=spec.display_name)
         if plan is None and self.num_workers == 1 and pool is None:
-            # Explicit sequential request: no planning, byte-identical to
-            # the pre-planner engine (the differential suites pin this).
-            fragments = self._fragment_runner(self.graph.csr_snapshot())(queries)
+            # Explicit sequential request: no planning, and the kernel is
+            # resolved cost-blind, so "auto" stays pure-Python (the numpy
+            # kernel's result lists would raise this route's peak memory).
+            fragments = spec.runner(
+                self.graph.csr_snapshot(),
+                self.config,
+                resolve_kernel(self.config.kernel),
+            )(queries)
         else:
             if plan is None:
                 plan = self._plan(queries, pool_ready=pool is not None)
             if plan.num_workers <= 1:
-                fragments = self._sequential_fragments(queries, plan)
+                fragments = self._planned_fragments(queries, plan)
             else:
                 fragments = stream_parallel(
                     self.graph,
                     queries,
-                    algorithm=self.algorithm,
-                    gamma=self.gamma,
-                    plan=plan,
+                    self.config,
+                    plan,
                     pool=pool,
                     metrics=self.metrics,
                     tracer=self.tracer,
@@ -423,73 +372,28 @@ class BatchQueryEngine:
             self.metrics.histogram("repro_shard_seconds").observe(actual_seconds)
         return result
 
-    def _sequential_fragments(
+    def _planned_fragments(
         self, queries: List[HCSTQuery], plan: ExecutionPlan
     ) -> FragmentStream:
-        """Sequential execution that reuses the plan's prebuilt artefacts
-        (snapshot, workload index, clusters) instead of recomputing them."""
-        snapshot = (
-            plan.snapshot
-            if plan.snapshot is not None
-            else self.graph.csr_snapshot()
+        """In-process execution of a plan: its prebuilt artefacts (snapshot,
+        workload index, clusters) are reused, and shard ``i`` runs on
+        ``plan.shards[i].kernel`` — exactly what a worker would be told."""
+        kernels = [shard.kernel for shard in plan.shards]
+        # An in-process slice plan has one shard; a cluster plan overrides
+        # the enumerator's own kernel per cluster below.
+        run = ALGORITHM_TABLE[self.algorithm].runner(
+            plan.snapshot, self.config, kernels[0]
         )
-        if self.algorithm in ("batch", "batch+"):
-            return BatchEnum(
-                snapshot,
-                gamma=self.gamma,
-                optimize_search_order=self.algorithm.endswith("+"),
-                kernel=plan.kernel,
-            ).iter_run(queries, workload=plan.workload, clusters=plan.clusters)
-        if self.algorithm in ("basic", "basic+"):
-            return BasicEnum(
-                snapshot,
-                optimize_search_order=self.algorithm.endswith("+"),
-                kernel=plan.kernel,
-            ).iter_run(queries, workload=plan.workload)
-        return self._fragment_runner(snapshot, kernel=plan.kernel)(queries)
-
-    def _fragment_runner(
-        self, snapshot: "CSRGraph", kernel: Optional[str] = None
-    ) -> Callable[[Sequence[HCSTQuery]], FragmentStream]:
-        """The sequential fragment generator of the configured algorithm,
-        bound to one sealed snapshot (live mutations cannot reach it).
-
-        ``kernel`` is the concrete substrate a plan resolved; the unplanned
-        path resolves the engine's policy cost-blind (``"auto"`` therefore
-        stays pure-Python — byte-identical to the pre-kernel engine)."""
-        if kernel is None:
-            kernel = resolve_kernel(self.kernel)
-        if self.algorithm == "pathenum":
-            return lambda queries: iter_pathenum_baseline(
-                snapshot, queries, kernel=kernel
+        if plan.clusters is not None:
+            return run(
+                queries,
+                workload=plan.workload,
+                clusters=plan.clusters,
+                kernels=kernels,
             )
-        if self.algorithm == "basic":
-            return BasicEnum(
-                snapshot, optimize_search_order=False, kernel=kernel
-            ).iter_run
-        if self.algorithm == "basic+":
-            return BasicEnum(
-                snapshot, optimize_search_order=True, kernel=kernel
-            ).iter_run
-        if self.algorithm == "batch":
-            return BatchEnum(
-                snapshot, gamma=self.gamma, optimize_search_order=False,
-                kernel=kernel,
-            ).iter_run
-        if self.algorithm == "batch+":
-            return BatchEnum(
-                snapshot, gamma=self.gamma, optimize_search_order=True,
-                kernel=kernel,
-            ).iter_run
-        if self.algorithm == "dksp":
-            from repro.baselines.dksp import iter_dksp_baseline
-
-            return lambda queries: iter_dksp_baseline(snapshot, queries)
-        if self.algorithm == "onepass":
-            from repro.baselines.onepass import iter_onepass_baseline
-
-            return lambda queries: iter_onepass_baseline(snapshot, queries)
-        raise ValueError(f"unhandled algorithm {self.algorithm!r}")
+        if plan.workload is not None:
+            return run(queries, workload=plan.workload)
+        return run(queries)
 
 
 def batch_enumerate(

@@ -18,8 +18,10 @@ mechanical, and there is one way to hand a worker what it needs:
 1. The parent's cheap global stages (workload validation, the similarity
    matrix, ``ClusterQuery``, BuildIndex) already ran during planning; their
    timings live in the plan's stage timer.
-2. The sealed :class:`~repro.graph.csr.CSRGraph` is pickled **once** per
-   worker process through the :class:`WorkerPool` initializer.
+2. The sealed :class:`~repro.graph.csr.CSRGraph` and the
+   :class:`~repro.batch.config.ExecutionConfig` are pickled **once** per
+   worker process through the :class:`WorkerPool` initializer; a worker
+   builds its enumerator from the same algorithm table the engine uses.
 3. Every :class:`~repro.batch.planner.ShardPlan` becomes one task carrying
    its positions/queries and — for the indexed algorithms — the
    ``to_bytes()`` blob of the parent-built
@@ -30,7 +32,8 @@ mechanical, and there is one way to hand a worker what it needs:
 4. The parent merges fragments **by batch position**, so results,
    ``SharingStats`` and stage timings are deterministic regardless of
    worker scheduling.  ``num_workers=1`` never reaches this module — the
-   engine runs the sequential fragment generators, byte-for-byte as before.
+   engine runs the sequential fragment generators in-process, each cluster
+   on the kernel its shard was planned with, exactly as a worker would.
 
 Stage-timing semantics in parallel runs: the parent's ``Enumeration``
 stage is the **wall-clock** time of the whole fan-out (submit → last merge);
@@ -45,8 +48,7 @@ Streaming
 drains the shard futures with :func:`concurrent.futures.as_completed` and
 yields each shard's ``{position: paths}`` fragment the moment it lands, so
 the first finished cluster never waits on the slowest one.
-:func:`run_parallel` is simply ``drain(stream_parallel(...))``.  The
-engine's ``stream``/``run`` front-end pushes both the parallel and the
+The engine's ``stream``/``run`` front-end pushes both the parallel and the
 sequential fragment generators through one :func:`flush_fragments` reorder
 buffer, with two flush policies:
 
@@ -66,19 +68,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.batch.batch_enum import DEFAULT_MAX_DETECTION_DEPTH, BatchEnum
-from repro.batch.planner import CLUSTERED_ALGORITHMS
+from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, make_enumerator
+from repro.batch.planner import ExecutionPlan
 from repro.batch.results import (
     BatchResult,
     FragmentStream,
@@ -103,19 +96,16 @@ from repro.queries.workload import QueryWorkload
 from repro.utils.timer import StageTimer
 from repro.utils.validation import require
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.batch.planner import ExecutionPlan
-
 #: Worker-process state installed by :func:`_init_worker`.  The graph is a
 #: sealed :class:`~repro.graph.csr.CSRGraph` snapshot — workers never see
 #: the live, mutable ``DiGraph``.
 _WORKER_GRAPH: Optional[CSRGraph] = None
-_WORKER_CONFIG: Optional[dict] = None
+_WORKER_CONFIG: Optional[ExecutionConfig] = None
 
 
-def _init_worker(graph: CSRGraph, config: dict) -> None:
-    """Pool initializer: stash the sealed graph snapshot and the static
-    algorithm config once per worker process."""
+def _init_worker(graph: CSRGraph, config: ExecutionConfig) -> None:
+    """Pool initializer: stash the sealed graph snapshot and the execution
+    config once per worker process."""
     global _WORKER_GRAPH, _WORKER_CONFIG
     _WORKER_GRAPH = graph
     _WORKER_CONFIG = config
@@ -146,13 +136,7 @@ def _run_cluster_task(
     """Process one cluster inside a worker (``batch``/``batch+``)."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    enumerator = BatchEnum(
-        graph,
-        gamma=config["gamma"],
-        optimize_search_order=config["optimize_search_order"],
-        max_detection_depth=config["max_detection_depth"],
-        kernel=kernel,
-    )
+    enumerator = make_enumerator(graph, config, kernel)
     stage_timer = StageTimer()
     index, deserialize_seconds = _load_index(index_blob)
     sharing = SharingStats(num_clusters=1)
@@ -163,7 +147,7 @@ def _run_cluster_task(
         tags={"kind": "cluster", "positions": len(queries_by_position)},
     ):
         enumerator._process_cluster(
-            queries_by_position, index, stage_timer, scratch, sharing
+            queries_by_position, index, stage_timer, scratch, sharing, kernel
         )
     meta = {"spans": spans.records, "deserialize_seconds": deserialize_seconds}
     return scratch.paths_by_position, sharing, stage_timer.totals, meta
@@ -177,38 +161,23 @@ def _run_slice_task(
     kernel: str = "python",
 ) -> Fragment:
     """Process one contiguous query slice inside a worker (per-query
-    algorithms: the sequential runner is reused verbatim)."""
-    from repro.batch.basic_enum import BasicEnum
-    from repro.batch.engine import BatchQueryEngine
-
+    algorithms: the table's sequential runner is reused verbatim)."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    algorithm = config["algorithm"]
+    run = ALGORITHM_TABLE[config.algorithm].runner(graph, config, kernel)
     deserialize_seconds = 0.0
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
         "enumerate", tags={"kind": "slice", "positions": len(positions)}
     ):
         if index_blob is not None:
-            # ``basic``/``basic+``: run BasicEnum directly on the slice's
-            # rows of the parent's index instead of re-running BFS.
+            # ``basic``/``basic+``: enumerate on the slice's rows of the
+            # parent's index instead of re-running BFS.
             index, deserialize_seconds = _load_index(index_blob)
-            enumerator = BasicEnum(
-                graph,
-                optimize_search_order=algorithm.endswith("+"),
-                kernel=kernel,
-            )
             workload = QueryWorkload(graph, list(queries), index=index)
-            sub_result = drain(enumerator.iter_run(queries, workload=workload))
+            sub_result = drain(run(queries, workload=workload))
         else:
-            engine = BatchQueryEngine(
-                graph,
-                algorithm=algorithm,
-                gamma=config["gamma"],
-                num_workers=1,
-                kernel=kernel,
-            )
-            sub_result = engine.run(queries)
+            sub_result = drain(run(queries))
     paths_by_position = {
         position: sub_result.paths_by_position.get(local, [])
         for local, position in enumerate(positions)
@@ -223,9 +192,9 @@ def _run_slice_task(
 
 
 class WorkerPool:
-    """The worker processes of one graph version and engine configuration.
+    """The worker processes of one graph version and execution config.
 
-    The sealed graph snapshot and the static algorithm config ship through
+    The sealed graph snapshot and the :class:`ExecutionConfig` ship through
     the process-pool initializer exactly once per worker; everything a
     batch adds (its queries, each shard's rows of the distance index)
     travels with the shard tasks.  :func:`stream_parallel` opens one for
@@ -242,18 +211,14 @@ class WorkerPool:
     def __init__(
         self,
         graph: DiGraph,
-        algorithm: str,
-        gamma: float,
+        config: ExecutionConfig,
         max_workers: int,
-        max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
         snapshot: Optional[CSRGraph] = None,
     ) -> None:
         require(max_workers >= 1, f"max_workers must be >= 1, got {max_workers}")
         self.graph = graph
-        self.algorithm = algorithm
-        self.gamma = gamma
+        self.config = config
         self.max_workers = max_workers
-        self.max_detection_depth = max_detection_depth
         #: The sealed snapshot the workers were initialised with.  Workers
         #: hold their own pickled copy, so an in-place mutation of ``graph``
         #: does NOT reach them — executors refuse a pool whose snapshot
@@ -261,12 +226,6 @@ class WorkerPool:
         #: and the ingestion service recycles the pool on version drift.
         self.snapshot = snapshot if snapshot is not None else graph.csr_snapshot()
         self.graph_version = self.snapshot.version
-        config = {
-            "algorithm": algorithm,
-            "gamma": gamma,
-            "optimize_search_order": algorithm.endswith("+"),
-            "max_detection_depth": max_detection_depth,
-        }
         self._executor = ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
@@ -293,39 +252,13 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"WorkerPool({self.algorithm!r}, max_workers={self.max_workers}, "
+            f"WorkerPool({self.config.algorithm!r}, max_workers={self.max_workers}, "
             f"version={self.graph_version}, {state})"
         )
 
 
-def run_parallel(
-    graph: DiGraph,
-    queries: Sequence[HCSTQuery],
-    algorithm: str,
-    gamma: float,
-    num_workers: int,
-    max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
-) -> BatchResult:
-    """Process ``queries`` with ``num_workers`` worker processes.
-
-    Results are keyed by batch position, so the final :class:`BatchResult`
-    is identical (same paths, same order, per position) to a sequential run
-    regardless of worker scheduling.
-    """
-    return drain(
-        stream_parallel(
-            graph,
-            queries,
-            algorithm=algorithm,
-            gamma=gamma,
-            num_workers=num_workers,
-            max_detection_depth=max_detection_depth,
-        )
-    )
-
-
 def _shard_tasks(
-    plan: "ExecutionPlan", queries: Sequence[HCSTQuery], algorithm: str
+    plan: ExecutionPlan, queries: Sequence[HCSTQuery]
 ) -> Iterator[Tuple[Callable[..., Fragment], tuple, Optional[bytes]]]:
     """One ``(worker function, leading arguments, index blob)`` per plan
     shard, in shard order.
@@ -336,7 +269,6 @@ def _shard_tasks(
     one's rows are still being serialized.
     """
     index = plan.workload.index if plan.workload is not None else None
-    clustered = algorithm in CLUSTERED_ALGORITHMS
     for shard in plan.shards:
         shard_queries = [queries[position] for position in shard.positions]
         blob = None
@@ -345,7 +277,7 @@ def _shard_tasks(
                 {query.s for query in shard_queries},
                 {query.t for query in shard_queries},
             ).to_bytes()
-        if clustered:
+        if shard.kind == "cluster":
             by_position = dict(zip(shard.positions, shard_queries))
             yield _run_cluster_task, (by_position,), blob
         else:
@@ -355,22 +287,18 @@ def _shard_tasks(
 def stream_parallel(
     graph: DiGraph,
     queries: Sequence[HCSTQuery],
-    algorithm: str,
-    gamma: float,
-    num_workers: Optional[int] = None,
-    max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
-    plan: "ExecutionPlan | None" = None,
+    config: ExecutionConfig,
+    plan: ExecutionPlan,
     pool: Optional[WorkerPool] = None,
     metrics=None,
     tracer=None,
 ) -> FragmentStream:
     """Fragment generator over shard completions (``num_workers >= 2``).
 
-    Execution follows an :class:`~repro.batch.planner.ExecutionPlan`: the
-    engine passes the plan it already built; direct callers may instead
-    pass ``num_workers`` and a plan is derived here.  Shards are submitted
-    to a :class:`WorkerPool` and drained with ``as_completed``: every
-    shard's ``{position: paths}`` fragment is recorded into the
+    Execution follows ``plan``, the :class:`~repro.batch.planner.ExecutionPlan`
+    a :class:`~repro.batch.planner.QueryPlanner` built for these ``queries``
+    under this ``config``.  Shards are submitted to a :class:`WorkerPool`
+    and drained with ``as_completed``: every shard's ``{position: paths}`` fragment is recorded into the
     :class:`BatchResult` and yielded the moment its future lands.  If a
     shard raises, the exception propagates out of the generator after the
     pending futures are cancelled — the drain loop never hangs on a
@@ -386,26 +314,13 @@ def stream_parallel(
     had already started keep their worker slots until they finish (their
     results are discarded).
     """
-    if plan is None:
-        from repro.batch.planner import QueryPlanner
-
-        require(
-            num_workers is not None and num_workers >= 2,
-            "stream_parallel requires num_workers >= 2 (or an explicit plan)",
-        )
-        plan = QueryPlanner(graph, algorithm=algorithm, gamma=gamma).plan(
-            queries, num_workers=num_workers
-        )
     require(
         plan.num_workers >= 2,
         "stream_parallel requires a plan resolved to num_workers >= 2",
     )
     if pool is not None:
         require(
-            pool.graph is graph
-            and pool.algorithm == algorithm
-            and pool.gamma == gamma
-            and pool.max_detection_depth == max_detection_depth,
+            pool.graph is graph and pool.config == config,
             "WorkerPool was opened for a different configuration "
             f"({pool!r}); open one pool per engine configuration",
         )
@@ -417,13 +332,12 @@ def stream_parallel(
             "spawned — open a fresh pool",
             exception=RuntimeError,
         )
-    from repro.batch.engine import DISPLAY_NAMES
-
+    spec = ALGORITHM_TABLE[config.algorithm]
     stage_timer = plan.stage_timer or StageTimer()
     result = BatchResult(
         queries=list(queries),
         stage_timer=stage_timer,
-        algorithm=DISPLAY_NAMES.get(algorithm, algorithm),
+        algorithm=spec.display_name,
     )
     sharing = SharingStats()
 
@@ -444,10 +358,8 @@ def stream_parallel(
         if pool is None:
             pool = owned_pool = WorkerPool(
                 graph,
-                algorithm,
-                gamma,
+                config,
                 max_workers=plan.num_workers,
-                max_detection_depth=max_detection_depth,
                 snapshot=plan.snapshot,
             )
         with stage_timer.stage("Enumeration"):
@@ -456,7 +368,7 @@ def stream_parallel(
             ship_tags = {"shards": len(plan.shards), "payload_bytes": 0}
             with span_tracer.span("ship", tags=ship_tags):
                 for (worker_fn, args, blob), shard in zip(
-                    _shard_tasks(plan, queries, algorithm), plan.shards
+                    _shard_tasks(plan, queries), plan.shards
                 ):
                     future = pool.submit(
                         worker_fn, *args, blob, span_context, shard.kernel
@@ -507,7 +419,7 @@ def stream_parallel(
         if owned_pool is not None:
             owned_pool.shutdown()
 
-    if algorithm not in CLUSTERED_ALGORITHMS:
+    if not spec.clustered:
         # Per-query algorithms report one "cluster" per query, like their
         # sequential counterparts do.
         sharing.num_clusters = len(queries)

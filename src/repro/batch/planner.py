@@ -7,11 +7,12 @@ the cheap global stages once (BuildIndex, ClusterQuery), and emits an
 * **shard assignments** — one shard per cluster for the sharing-aware
   algorithms (``batch``/``batch+``), contiguous batch slices for the
   per-query algorithms, each with an estimated enumeration cost;
-* **worker count** — ``num_workers="auto"`` resolves against a
-  :class:`CostModel` calibrated from ``BENCH_workers.json``: sharding is
+* **worker count** — ``num_workers="auto"`` resolves against the config's
+  :class:`~repro.batch.config.CostModel` (fixed default constants that
+  ``CostModel.from_observed`` recalibrates from live traffic): sharding is
   only chosen when the estimated enumeration makespan saving clears the
-  measured process-pool spawn overhead (plus the cost of shipping the
-  index rows) by a safety margin;
+  process-pool spawn overhead (plus the cost of shipping the index rows)
+  by a safety margin;
 * **index strategy** — whether this batch's array-backed
   :class:`~repro.bfs.distance_index.CSRDistanceIndex` is built fresh,
   reused from the planner's previous batch, or delta-repaired from it.
@@ -21,22 +22,23 @@ the cheap global stages once (BuildIndex, ClusterQuery), and emits an
 ``BatchQueryEngine.explain(queries)`` returns the plan without executing
 it; ``run``/``stream`` build the same plan and hand its prebuilt artefacts
 (workload with its index, clusters) to whichever path executes, so planning
-work is never repeated.
+work is never repeated.  The options a plan follows (algorithm, γ, worker
+request and ceiling, kernel policy, cost model) arrive as one validated
+:class:`~repro.batch.config.ExecutionConfig`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.clustering import cluster_queries
+from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, NumWorkers
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.bfs.single_source import bfs_distances
-from repro.enumeration.kernels import resolve_kernel, validate_kernel
+from repro.enumeration.kernels import resolve_kernel
 from repro.enumeration.search_order import estimate_side_cost
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -47,7 +49,6 @@ from repro.obs.feedback import (
     INDEX_DELTA_EDGE_ROWS_TOTAL,
     INDEX_DELTA_SECONDS_TOTAL,
     PLAN_INDEX_STRATEGY_TOTAL,
-    cost_model_fields_from_snapshot,
 )
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
@@ -57,37 +58,6 @@ from repro.queries.workload import QueryWorkload
 from repro.utils.timer import StageTimer
 from repro.utils.validation import require
 
-#: Algorithms whose batch work is sharded per cluster (sharing-aware).
-#: The executor imports this from here so planner and executor cannot drift.
-CLUSTERED_ALGORITHMS = ("batch", "batch+")
-
-#: Algorithms that read the shared multi-source BFS index; a parallel plan
-#: ships each of their shards its endpoints' rows of the parent-built index.
-INDEXED_ALGORITHMS = ("basic", "basic+", "batch", "batch+")
-
-#: Algorithms whose hot loop has a vectorized twin in
-#: :mod:`repro.enumeration.kernels`; the adapted baselines (dksp/onepass)
-#: keep their own search structure and always run the Python substrate.
-KERNELIZED_ALGORITHMS = ("pathenum", "basic", "basic+", "batch", "batch+")
-
-#: Relative cost multipliers for the per-query algorithms, applied on top of
-#: the per-query structural estimate.  They only influence the worker-count
-#: decision (absolute accuracy does not matter, ordering does): ``dksp``
-#: re-runs a constrained shortest-path search per deviation prefix,
-#: ``onepass`` a pruned DFS per query, ``pathenum`` builds a per-query
-#: index before enumerating.
-ALGORITHM_COST_FACTORS: Dict[str, float] = {
-    "pathenum": 2.0,
-    "basic": 1.0,
-    "basic+": 1.0,
-    "batch": 1.0,
-    "batch+": 1.0,
-    "dksp": 40.0,
-    "onepass": 15.0,
-}
-
-NumWorkers = Union[int, str]
-
 #: Entry cap on the planner's admission-score neighbourhood memo.  A
 #: long-running ingestion service holds one planner forever; without a
 #: bound, diverse traffic accretes one O(|V|) frozenset per (direction,
@@ -95,28 +65,6 @@ NumWorkers = Union[int, str]
 #: recency-perfect LRU is not worth the bookkeeping for a cache whose
 #: misses cost one k-hop BFS.
 NEIGHBORHOOD_CACHE_LIMIT = 4096
-
-
-def validate_num_workers(value: NumWorkers) -> NumWorkers:
-    """Eagerly validate a ``num_workers`` setting.
-
-    Accepts a positive integer or the string ``"auto"``; anything else
-    (zero, negatives, bools, floats, other strings) raises ``ValueError``
-    immediately so misconfiguration surfaces at construction/planning time,
-    not deep inside the executor mid-batch.
-    """
-    if isinstance(value, str):
-        require(
-            value == "auto",
-            f"num_workers must be a positive integer or 'auto', got {value!r}",
-        )
-        return value
-    require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"num_workers must be a positive integer or 'auto', got {value!r}",
-    )
-    require(value >= 1, f"num_workers must be >= 1, got {value}")
-    return value
 
 
 def _lpt_makespan(costs: List[float], num_workers: int) -> float:
@@ -132,162 +80,6 @@ def _lpt_makespan(costs: List[float], num_workers: int) -> float:
     for cost in sorted(costs, reverse=True):
         bins[bins.index(min(bins))] += cost
     return max(bins)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Calibration constants translating plan statistics into seconds.
-
-    The defaults are fitted to the repository's ``BENCH_workers.json``
-    (pure-Python substrate, fork-server process pool); use
-    :meth:`from_benchmark` to re-derive them from a refreshed artifact.
-
-    Attributes
-    ----------
-    spawn_overhead_base:
-        Fixed cost of standing up the process pool at all (pool creation,
-        initializer pickling of the graph).
-    spawn_overhead_per_worker:
-        Additional cost per worker process.
-    seconds_per_cost_unit:
-        Wall seconds per estimated enumeration cost unit
-        (:func:`estimate_query_cost`).
-    seconds_per_index_entry:
-        Per reachable (vertex, distance) entry cost of running the
-        multi-source BFS that builds the index.
-    seconds_per_shipped_byte:
-        Per-byte cost of serializing + piping + deserializing the
-        array-backed index rows into the workers.
-    seconds_per_delta_edge:
-        Per (changed edge × index row) cost of incremental
-        :meth:`~repro.bfs.distance_index.CSRDistanceIndex.apply_delta`
-        repair: fix up the previous batch's index instead of re-running
-        the multi-source BFS from scratch.
-    parallel_benefit_margin:
-        ``auto`` only shards when the predicted parallel wall time is below
-        this fraction of the predicted sequential wall time — a hedge
-        against estimation error, biased toward the (always correct)
-        sequential plan.
-    """
-
-    spawn_overhead_base: float = 0.04
-    spawn_overhead_per_worker: float = 0.03
-    seconds_per_cost_unit: float = 5e-6
-    seconds_per_index_entry: float = 4e-7
-    seconds_per_shipped_byte: float = 2e-9
-    seconds_per_delta_edge: float = 2e-5
-    parallel_benefit_margin: float = 0.75
-
-    def delta_repair_seconds(
-        self, num_changed_edges: int, index: CSRDistanceIndex
-    ) -> float:
-        """Estimated cost of repairing ``index`` for a netted edge delta.
-
-        Repair touches each indexed row once per changed edge in the worst
-        case (affected-region detection is per row), hence the
-        ``edges × rows`` product.
-        """
-        return num_changed_edges * index.num_rows * self.seconds_per_delta_edge
-
-    def delta_repair_wins(
-        self, num_changed_edges: int, index: CSRDistanceIndex
-    ) -> bool:
-        """Whether repairing beats rebuilding the multi-source BFS."""
-        rebuild = index.size_in_entries * self.seconds_per_index_entry
-        return self.delta_repair_seconds(num_changed_edges, index) < rebuild
-
-    def spawn_seconds(self, num_workers: int) -> float:
-        """Estimated pool spawn overhead for ``num_workers`` processes."""
-        if num_workers <= 1:
-            return 0.0
-        return (
-            self.spawn_overhead_base
-            + self.spawn_overhead_per_worker * num_workers
-        )
-
-    @classmethod
-    def from_benchmark(
-        cls, path: Union[str, Path], **overrides: float
-    ) -> "CostModel":
-        """Calibrate spawn overhead (and, when the records carry
-        ``estimated_cost_units``, the seconds-per-cost-unit rate) from a
-        ``BENCH_workers.json`` artifact.
-
-        For every (dataset, fraction, algorithm) group the extra wall time
-        of each multi-worker run over the single-worker run is attributed
-        to pool spawn; a least-squares line through those
-        ``(num_workers, extra_seconds)`` points yields the base and
-        per-worker constants.  Groups without a ``num_workers=1`` record
-        are skipped.  Missing or malformed files fall back to the defaults
-        (planning must never fail because a benchmark artifact is absent).
-        """
-        try:
-            payload = json.loads(Path(path).read_text())
-            records = payload["records"]
-            groups: Dict[Tuple, Dict[int, dict]] = {}
-            for record in records:
-                key = (
-                    record.get("dataset"),
-                    record.get("fraction"),
-                    record.get("algorithm"),
-                )
-                groups.setdefault(key, {})[record["num_workers"]] = record
-
-            points: List[Tuple[int, float]] = []
-            unit_rates: List[float] = []
-            for by_workers in groups.values():
-                base_record = by_workers.get(1)
-                if base_record is None:
-                    continue
-                cost_units = base_record.get("estimated_cost_units", 0.0)
-                if cost_units:
-                    unit_rates.append(base_record["wall_seconds"] / cost_units)
-                for workers, record in by_workers.items():
-                    if workers > 1:
-                        extra = (
-                            record["wall_seconds"] - base_record["wall_seconds"]
-                        )
-                        points.append((workers, max(0.0, extra)))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return cls(**overrides)
-
-        fields: Dict[str, float] = {}
-        if len(points) >= 2:
-            n = len(points)
-            mean_w = sum(w for w, _ in points) / n
-            mean_e = sum(e for _, e in points) / n
-            var_w = sum((w - mean_w) ** 2 for w, _ in points)
-            if var_w > 0:
-                slope = (
-                    sum((w - mean_w) * (e - mean_e) for w, e in points) / var_w
-                )
-                slope = max(0.0, slope)
-                fields["spawn_overhead_per_worker"] = slope
-                fields["spawn_overhead_base"] = max(0.0, mean_e - slope * mean_w)
-        if unit_rates:
-            fields["seconds_per_cost_unit"] = sum(unit_rates) / len(unit_rates)
-        fields.update(overrides)
-        return cls(**fields)
-
-    @classmethod
-    def from_observed(cls, registry, **overrides: float) -> "CostModel":
-        """Recalibrate from live traffic recorded in a metrics registry.
-
-        ``registry`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or
-        any object with a ``snapshot()`` method, or an already-taken
-        snapshot dict).  The instrumented planner/executor record
-        predicted-cost-units vs. actual-enumeration-seconds, index-build
-        entries vs. seconds, delta-repair edge-rows vs. seconds, and
-        shipped bytes vs. deserialize seconds; each pair with signal
-        recalibrates the corresponding rate constant.  Fields without
-        observed signal keep their defaults, and explicit ``overrides``
-        win over both — so recalibration degrades gracefully on sparse
-        traffic instead of zeroing constants.
-        """
-        snapshot = registry.snapshot() if hasattr(registry, "snapshot") else registry
-        fields = cost_model_fields_from_snapshot(snapshot)
-        fields.update(overrides)
-        return cls(**fields)
 
 
 @dataclass
@@ -338,9 +130,6 @@ class ExecutionPlan:
     #: endpoints, same version), or ``"delta"``-repaired from the cached
     #: one via ``CSRDistanceIndex.apply_delta``.
     index_strategy: str = "built"
-    #: Enumeration kernel for the plan as a whole (what the sequential
-    #: fallback runs); per-shard choices live on :attr:`ShardPlan.kernel`.
-    kernel: str = "python"
     #: The sealed CSR snapshot every execution artefact was derived from.
     snapshot: Optional[CSRGraph] = field(default=None, repr=False)
     workload: Optional[QueryWorkload] = field(default=None, repr=False)
@@ -370,6 +159,7 @@ class ExecutionPlan:
                 f"ship {self.index_payload_bytes} bytes, each shard its own "
                 f"endpoints' rows [{self.index_strategy}]"
             )
+        kernels = Counter(shard.kernel for shard in self.shards)
         lines = [
             f"ExecutionPlan[{self.algorithm}]",
             f"  workers:      {self.num_workers} "
@@ -377,7 +167,10 @@ class ExecutionPlan:
             f"  shards:       {self.num_shards} "
             f"({', '.join(sorted({s.kind for s in self.shards})) or 'none'})",
             f"  index:        {index}",
-            f"  kernel:       {self.kernel}",
+            "  kernel:       " + (
+                ", ".join(f"{n} {kernel}" for kernel, n in sorted(kernels.items()))
+                or "none"
+            ),
             f"  est seq:      {self.estimated_sequential_seconds:.4f}s",
             f"  est parallel: {self.estimated_parallel_seconds:.4f}s "
             f"(spawn {self.estimated_spawn_seconds:.4f}s)",
@@ -386,7 +179,7 @@ class ExecutionPlan:
         for shard in self.shards:
             lines.append(
                 f"    {shard.kind:<7} positions={shard.positions} "
-                f"cost={shard.estimated_cost:.1f}"
+                f"cost={shard.estimated_cost:.1f} kernel={shard.kernel}"
             )
         return "\n".join(lines)
 
@@ -439,62 +232,36 @@ def estimate_query_cost(
             + branching ** min(backward_budget, 8),
             cap,
         )
-    return structural * ALGORITHM_COST_FACTORS.get(algorithm, 1.0)
+    return structural * ALGORITHM_TABLE[algorithm].cost_factor
 
 
 class QueryPlanner:
-    """Builds :class:`ExecutionPlan` objects for a graph + algorithm pair.
+    """Builds :class:`ExecutionPlan` objects for a graph + config pair.
 
     Parameters
     ----------
     graph:
         The data graph (its CSR snapshot anchors the index vertex range).
-    algorithm:
-        Engine algorithm name (see ``repro.batch.engine.ALGORITHMS``).
-    gamma:
-        Clustering threshold for the sharing-aware algorithms.
-    cost_model:
-        Calibration constants; defaults to :class:`CostModel` fitted to the
-        repository benchmark data.
-    max_workers:
-        Upper bound for ``num_workers="auto"`` (defaults to
-        ``os.cpu_count()``); explicit integer worker requests are honoured
-        beyond it.
-    kernel:
-        Enumeration substrate policy: ``"auto"`` (default) routes shards
-        whose estimated cost clears
-        :data:`~repro.enumeration.kernels.AUTO_MIN_COST_UNITS` to the
-        vectorized numpy kernel when numpy is importable, ``"python"``
-        pins the pure-Python loops, ``"numpy"`` forces vectorized
-        (raising at construction when numpy is absent).
+    config:
+        The validated execution options (see
+        :class:`~repro.batch.config.ExecutionConfig`); the planner reads
+        them and re-checks nothing.
     metrics / tracer:
         Telemetry sinks (see :mod:`repro.obs`); default to the no-op
         singletons.  With a live registry every ``plan()`` records the
         index strategy it resolved and the build/delta work it performed —
-        the feedback half of :meth:`CostModel.from_observed`.
+        the feedback half of ``CostModel.from_observed``.
     """
 
     def __init__(
         self,
         graph: DiGraph,
-        algorithm: str = "batch+",
-        gamma: float = 0.5,
-        cost_model: Optional[CostModel] = None,
-        max_workers: Optional[int] = None,
-        kernel: str = "auto",
+        config: ExecutionConfig = ExecutionConfig(),
         metrics=None,
         tracer=None,
     ) -> None:
         self.graph = graph
-        self.algorithm = algorithm
-        self.gamma = gamma
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        validate_kernel(kernel)
-        self.kernel = kernel
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        require(max_workers >= 1, f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
+        self.config = config
         self._metrics = resolve_registry(metrics)
         self._tracer = resolve_tracer(tracer)
         self._m_plans = self._metrics.counter("repro_plans_total")
@@ -514,15 +281,14 @@ class QueryPlanner:
     def plan(
         self,
         queries: Sequence[HCSTQuery],
-        num_workers: NumWorkers = "auto",
         pool_ready: bool = False,
         snapshot: Optional[Union[CSRGraph, PinnedSnapshot]] = None,
     ) -> ExecutionPlan:
         """Emit the execution plan for ``queries``.
 
-        ``num_workers`` is either a positive integer (honoured as given) or
-        ``"auto"`` (resolved by the cost model).  ``pool_ready`` declares
-        that the caller already holds a spawned, reusable
+        The config's ``num_workers`` is either a positive integer (honoured
+        as given) or ``"auto"`` (resolved by the cost model).  ``pool_ready``
+        declares that the caller already holds a spawned, reusable
         :class:`~repro.batch.executor.WorkerPool`, so parallel estimates
         carry no pool-spawn overhead — without it, a continuous-ingestion
         micro-batch would be charged a full pool spawn it never pays and
@@ -540,31 +306,32 @@ class QueryPlanner:
         self._m_plans.inc()
         start = time.perf_counter()
         with self._tracer.span(
-            "plan", tags={"queries": len(queries), "algorithm": self.algorithm}
+            "plan",
+            tags={"queries": len(queries), "algorithm": self.config.algorithm},
         ):
-            plan = self._plan_impl(queries, num_workers, pool_ready, snapshot)
+            plan = self._plan_impl(queries, pool_ready, snapshot)
         self._m_plan_seconds.observe(time.perf_counter() - start)
         return plan
 
     def _plan_impl(
         self,
         queries: Sequence[HCSTQuery],
-        num_workers: NumWorkers,
         pool_ready: bool,
         snapshot: Optional[Union[CSRGraph, PinnedSnapshot]],
     ) -> ExecutionPlan:
-        num_workers = validate_num_workers(num_workers)
+        config = self.config
+        spec = ALGORITHM_TABLE[config.algorithm]
+        model = config.cost_model
         queries = list(queries)
-        model = self.cost_model
         if isinstance(snapshot, PinnedSnapshot):
             snapshot = snapshot.csr
         csr = snapshot if snapshot is not None else self.graph.csr_snapshot()
         pinned_version = csr.version
         if not queries:
             return ExecutionPlan(
-                algorithm=self.algorithm,
-                gamma=self.gamma,
-                requested_workers=num_workers,
+                algorithm=config.algorithm,
+                gamma=config.gamma,
+                requested_workers=config.num_workers,
                 num_workers=1,
                 shards=[],
                 index_payload_bytes=0,
@@ -576,14 +343,11 @@ class QueryPlanner:
                 snapshot=csr,
             )
 
-        clustered = self.algorithm in CLUSTERED_ALGORITHMS
-        indexed = self.algorithm in INDEXED_ALGORITHMS
-
         workload: Optional[QueryWorkload] = None
         clusters: Optional[List[List[int]]] = None
         index: Optional[CSRDistanceIndex] = None
         index_strategy = "built"
-        if indexed:
+        if spec.indexed:
             stage_timer = StageTimer()
             endpoint_key = (
                 tuple(sorted({q.s for q in queries})),
@@ -616,15 +380,15 @@ class QueryPlanner:
             self._metrics.counter(
                 PLAN_INDEX_STRATEGY_TOTAL, labels={"strategy": "none"}
             ).inc()
-        if clustered:
+        if spec.clustered:
             assert workload is not None
             with self._tracer.span("shard", tags={"queries": len(queries)}):
                 with workload.stage_timer.stage("ClusterQuery"):
-                    clusters = cluster_queries(workload, self.gamma)
+                    clusters = cluster_queries(workload, config.gamma)
 
         side_cost_cache: Dict[Tuple, float] = {}
         query_costs = [
-            estimate_query_cost(query, index, csr, self.algorithm, side_cost_cache)
+            estimate_query_cost(query, index, csr, config.algorithm, side_cost_cache)
             for query in queries
         ]
 
@@ -633,23 +397,21 @@ class QueryPlanner:
         ship_seconds = payload_size * model.seconds_per_shipped_byte
 
         resolved = self._resolve_workers(
-            num_workers, query_costs, clusters, ship_seconds, pool_ready=pool_ready
+            query_costs, clusters, ship_seconds, pool_ready=pool_ready
         )
         shards = self._build_shards(query_costs, clusters, resolved)
 
         total_cost = sum(query_costs)
-        plan_kernel = "python"
-        if self.algorithm in KERNELIZED_ALGORITHMS:
-            plan_kernel = resolve_kernel(self.kernel, total_cost)
+        if spec.kernelized:
             for shard in shards:
-                shard.kernel = resolve_kernel(self.kernel, shard.estimated_cost)
+                shard.kernel = resolve_kernel(config.kernel, shard.estimated_cost)
                 self._metrics.counter(
                     "repro_plan_kernel_total", labels={"kernel": shard.kernel}
                 ).inc()
         return ExecutionPlan(
-            algorithm=self.algorithm,
-            gamma=self.gamma,
-            requested_workers=num_workers,
+            algorithm=config.algorithm,
+            gamma=config.gamma,
+            requested_workers=config.num_workers,
             num_workers=resolved,
             shards=shards,
             index_payload_bytes=payload_size,
@@ -663,7 +425,6 @@ class QueryPlanner:
             estimated_index_ship_seconds=ship_seconds,
             graph_version=pinned_version,
             index_strategy=index_strategy,
-            kernel=plan_kernel,
             snapshot=csr,
             workload=workload,
             clusters=clusters,
@@ -700,7 +461,7 @@ class QueryPlanner:
         if delta is None:
             return None, "built"
         added, removed = delta
-        if not self.cost_model.delta_repair_wins(
+        if not self.config.cost_model.delta_repair_wins(
             len(added) + len(removed), cached_index
         ):
             return None, "built"
@@ -839,7 +600,7 @@ class QueryPlanner:
         ship_seconds: float,
         pool_ready: bool = False,
     ) -> float:
-        model = self.cost_model
+        model = self.config.cost_model
         costs = [shard.estimated_cost for shard in shards]
         if num_workers <= 1 or not shards:
             return sum(costs) * model.seconds_per_cost_unit
@@ -851,18 +612,17 @@ class QueryPlanner:
 
     def _resolve_workers(
         self,
-        requested: NumWorkers,
         query_costs: List[float],
         clusters: Optional[List[List[int]]],
         ship_seconds: float,
         pool_ready: bool = False,
     ) -> int:
-        if requested != "auto":
-            return int(requested)
-        model = self.cost_model
+        if self.config.num_workers != "auto":
+            return self.config.num_workers
+        model = self.config.cost_model
         sequential_seconds = sum(query_costs) * model.seconds_per_cost_unit
         max_useful = len(clusters) if clusters is not None else len(query_costs)
-        limit = min(self.max_workers, max_useful)
+        limit = min(self.config.max_workers, max_useful)
 
         best_workers = 1
         best_seconds = sequential_seconds

@@ -69,10 +69,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
+from repro.batch.config import CostModel, NumWorkers
 from repro.batch.engine import BatchQueryEngine
-from repro.batch.planner import CostModel, NumWorkers, QueryPlanner
+from repro.batch.executor import WorkerPool
+from repro.batch.planner import QueryPlanner
 from repro.batch.results import SharingStats
 from repro.enumeration.paths import Path
 from repro.graph.digraph import DiGraph
@@ -80,9 +82,6 @@ from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
 from repro.utils.validation import require
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.batch.executor import WorkerPool
 
 
 class ServiceClosedError(RuntimeError):
@@ -256,11 +255,12 @@ class IngestionService:
     """Micro-batch scheduler serving a continuous query stream.
 
     Parameters mirror :class:`BatchQueryEngine` (``graph``, ``algorithm``,
-    ``gamma``, ``num_workers``, ``cost_model``, ``max_workers``) plus the
-    :class:`AdmissionPolicy`.  The scheduler thread starts immediately
-    unless ``start=False`` (tests use a stopped service to exercise
-    backpressure deterministically).  Use as a context manager for a
-    drain-then-join shutdown.
+    ``gamma``, ``num_workers``, ``cost_model``, ``max_workers``, ``kernel``
+    — forwarded to it verbatim, so a bad value raises ``ValueError`` here)
+    plus the :class:`AdmissionPolicy`.  The scheduler thread starts
+    immediately unless ``start=False`` (tests use a stopped service to
+    exercise backpressure deterministically).  Use as a context manager
+    for a drain-then-join shutdown.
     """
 
     # Shared mutable state, touched by API callers and the scheduler
@@ -317,22 +317,14 @@ class IngestionService:
         # One planner serves both admission scoring (its neighbourhood memo
         # pays off under repeated endpoints) and per-batch planning.
         self._planner = QueryPlanner(
-            graph,
-            algorithm=algorithm,
-            gamma=gamma,
-            cost_model=cost_model,
-            max_workers=max_workers,
-            kernel=kernel,
-            metrics=metrics,
-            tracer=tracer,
+            graph, self._engine.config, metrics=metrics, tracer=tracer
         )
-        self._num_workers = self._engine.num_workers
         self._lock = threading.Condition()
         self._pending: Deque[QueryTicket] = deque()
         self._closing = False
         self._drain_on_close = True
         self._thread: Optional[threading.Thread] = None
-        self._pool: "WorkerPool | None" = None
+        self._pool: Optional[WorkerPool] = None
         # Counters (declared in _GUARDED_BY_LOCK; RA001-enforced).
         self._admitted = 0
         self._completed = 0
@@ -644,22 +636,17 @@ class IngestionService:
             # to each plan would keep "auto" sequential forever (the pool
             # only exists once a plan goes parallel — a chicken-and-egg
             # the one-shot engine path does not have).
-            plan = self._planner.plan(
-                queries,
-                num_workers=self._num_workers,
-                pool_ready=True,
-                snapshot=pin,
-            )
+            plan = self._planner.plan(queries, pool_ready=True, snapshot=pin)
             if plan.num_workers > 1 and self._pool is None:
                 # First parallel plan: open the persistent pool every later
                 # micro-batch will reuse (spawn is paid exactly once).
-                # Sized at the planner's max_workers — the ceiling every
+                # Sized at the config's max_workers — the ceiling every
                 # "auto" resolution obeys (an explicit larger num_workers
                 # is honoured too) — so a later, larger batch's plan can
                 # never assume more parallelism than the pool has.
                 self._pool = self._engine.create_pool(
                     max_workers=max(
-                        2, self._planner.max_workers, plan.num_workers
+                        2, self._engine.config.max_workers, plan.num_workers
                     ),
                     snapshot=pin.csr,
                 )

@@ -4,9 +4,7 @@ from repro.bfs.single_source import bfs_distances, bfs_levels
 from repro.bfs.multi_source import multi_source_bfs
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
-    DistanceIndex,
     UNREACHABLE,
-    build_dict_index,
     build_index,
 )
 
@@ -15,8 +13,6 @@ __all__ = [
     "bfs_levels",
     "multi_source_bfs",
     "CSRDistanceIndex",
-    "DistanceIndex",
     "UNREACHABLE",
-    "build_dict_index",
     "build_index",
 ]

@@ -10,30 +10,18 @@ the paper justifies pruning any vertex ``v`` from an enumeration whenever
 The index is exactly the structure built in lines 1-2 of Algorithm 1 and
 Algorithm 4 with multi-source BFS.
 
-Two representations live here:
-
-* :class:`CSRDistanceIndex` — the production structure: one flat
-  ``array('l')`` row per indexed endpoint, keyed by CSR vertex id, with a
-  large finite sentinel (:data:`UNREACHABLE`) for vertices the BFS never
-  reached, and beside it the row's *BFS levels* — the reached vertices
-  grouped by exact distance.  Rows support O(1) direct indexing in the
-  enumeration hot loops; the levels answer everything else (level sizes,
-  neighbourhoods, µ masks, entry counts) at a cost that follows the k-hop
-  neighbourhood, not ``|V|``.  The rows serialise to a compact ``bytes``
-  blob (:meth:`CSRDistanceIndex.to_bytes`) so the parallel executor can
-  ship each shard the rows of its own endpoints
-  (:meth:`CSRDistanceIndex.restrict`) instead of re-running BFS per
-  worker.  Lookups with a vertex id outside the snapshot's range raise
-  (mirroring the CSR packing assert) rather than silently reporting
-  "unreachable".
-* :class:`DistanceIndex` — the original dict-of-dicts structure, retained
-  as the reference implementation for the differential test suite and for
-  callers that build tiny throwaway indexes.
-
-Both expose the same query API (``dist_from``/``dist_to``, neighbourhoods,
-level sizes) and the same mapping attributes (``from_source``/``to_target``
-— real dicts on the legacy class, zero-copy views over the flat arrays on
-the CSR class), so every Lemma 3.1 pruning call sites works with either.
+The structure is :class:`CSRDistanceIndex`: one flat ``array('l')`` row
+per indexed endpoint, keyed by CSR vertex id, with a large finite sentinel
+(:data:`UNREACHABLE`) for vertices the BFS never reached, and beside it the
+row's *BFS levels* — the reached vertices grouped by exact distance.  Rows
+support O(1) direct indexing in the enumeration hot loops; the levels
+answer everything else (level sizes, neighbourhoods, µ masks, entry counts)
+at a cost that follows the k-hop neighbourhood, not ``|V|``.  The rows
+serialise to a compact ``bytes`` blob (:meth:`CSRDistanceIndex.to_bytes`)
+so the parallel executor can ship each shard the rows of its own endpoints
+(:meth:`CSRDistanceIndex.restrict`) instead of re-running BFS per worker.
+Lookups with a vertex id outside the snapshot's range raise (mirroring the
+CSR packing assert) rather than silently reporting "unreachable".
 """
 
 from __future__ import annotations
@@ -41,21 +29,8 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappop, heappush
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.bfs.multi_source import multi_source_bfs
 from repro.graph.digraph import DiGraph
@@ -119,97 +94,6 @@ def _levels_of(
     return found
 
 
-class _DistanceRow(MappingABC):
-    """Read-only mapping view over one distance row.
-
-    Behaves like the legacy per-endpoint dict: iteration, ``len`` and
-    ``items()`` cover only *reachable* vertices (read off the row's levels,
-    so in ``(distance, vertex)`` order), ``get`` returns the default for
-    in-range unreachable vertices, and — unlike a dict — any vertex id
-    outside the CSR snapshot's range raises ``ValueError`` instead of being
-    conflated with "unreachable".
-    """
-
-    __slots__ = ("_row", "_levels")
-
-    def __init__(self, row: array, levels: Callable[[], Levels]) -> None:
-        self._row = row
-        self._levels = levels  # called only by the whole-row readers
-
-    def _check(self, vertex: int) -> None:
-        if not 0 <= vertex < len(self._row):
-            raise ValueError(
-                f"vertex id {vertex} is outside the indexed snapshot's "
-                f"range [0, {len(self._row)})"
-            )
-
-    def __getitem__(self, vertex: int) -> int:
-        self._check(vertex)
-        distance = self._row[vertex]
-        if distance == UNREACHABLE:
-            raise KeyError(vertex)
-        return distance
-
-    def get(self, vertex: int, default=None):
-        self._check(vertex)
-        distance = self._row[vertex]
-        return default if distance == UNREACHABLE else distance
-
-    def __contains__(self, vertex: object) -> bool:
-        if not isinstance(vertex, int) or not 0 <= vertex < len(self._row):
-            return False
-        return self._row[vertex] != UNREACHABLE
-
-    def __iter__(self) -> Iterator[int]:
-        for level in self._levels():
-            yield from level
-
-    def items(self):
-        return [
-            (vertex, distance)
-            for distance, level in enumerate(self._levels())
-            for vertex in level
-        ]
-
-    def values(self):
-        return [
-            distance
-            for distance, level in enumerate(self._levels())
-            for _ in level
-        ]
-
-    def __len__(self) -> int:
-        return sum(map(len, self._levels()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_DistanceRow(|V|={len(self._row)}, reachable={len(self)})"
-
-
-class _DirectionView(MappingABC):
-    """Dict-like ``{endpoint: distance row}`` view of one index direction."""
-
-    __slots__ = ("_rows", "_levels")
-
-    def __init__(self, rows: Dict[int, array], levels: Dict[int, Levels]) -> None:
-        self._rows = rows
-        self._levels = levels
-
-    def __getitem__(self, endpoint: int) -> _DistanceRow:
-        return _DistanceRow(
-            self._rows[endpoint],
-            partial(_levels_of, self._rows, self._levels, endpoint),
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, endpoint: object) -> bool:
-        return endpoint in self._rows
-
-
 class CSRDistanceIndex:
     """Array-backed distance index keyed by CSR vertex ids.
 
@@ -223,9 +107,8 @@ class CSRDistanceIndex:
     * the *BFS levels* — the reached vertices grouped by exact distance
       (:data:`Levels`).  Everything that asks about the row as a whole —
       level sizes for the budget split and the plan estimates,
-      neighbourhoods and µ masks for clustering, entry counts for metrics,
-      iteration over the ``from_source``/``to_target`` views — reads the
-      levels and costs O(reached), never a ``|V|``-long scan.
+      neighbourhoods and µ masks for clustering, entry counts for metrics —
+      reads the levels and costs O(reached), never a ``|V|``-long scan.
 
     :func:`build_index` records the levels as the BFS hands them over;
     :meth:`copy` and :meth:`restrict` share them; :meth:`apply_delta` keeps
@@ -394,17 +277,17 @@ class CSRDistanceIndex:
         return self
 
     # ------------------------------------------------------------------ #
-    # Mapping-compatible attribute API
+    # Indexed endpoints
     # ------------------------------------------------------------------ #
     @property
-    def from_source(self) -> _DirectionView:
-        """``{s: {v: dist_G(s, v)}}`` view (reachable entries only)."""
-        return _DirectionView(self._from_rows, self._from_levels)
+    def sources(self) -> List[int]:
+        """The indexed sources, ascending."""
+        return sorted(self._from_rows)
 
     @property
-    def to_target(self) -> _DirectionView:
-        """``{t: {v: dist_G(v, t)}}`` view (reachable entries only)."""
-        return _DirectionView(self._to_rows, self._to_levels)
+    def targets(self) -> List[int]:
+        """The indexed targets, ascending."""
+        return sorted(self._to_rows)
 
     # ------------------------------------------------------------------ #
     # Dense rows (hot-loop API)
@@ -428,7 +311,7 @@ class CSRDistanceIndex:
         return row
 
     # ------------------------------------------------------------------ #
-    # Lookups (same semantics as the legacy class, plus range checking)
+    # Lookups (range-checked)
     # ------------------------------------------------------------------ #
     def _checked(self, row: array, vertex: int) -> float:
         if not 0 <= vertex < self.num_vertices:
@@ -545,8 +428,8 @@ class CSRDistanceIndex:
         width — the blob travels between processes on one machine, not
         across architectures.
         """
-        from_ids = sorted(self._from_rows)
-        to_ids = sorted(self._to_rows)
+        from_ids = self.sources
+        to_ids = self.targets
         itemsize = array(TYPECODE).itemsize
         parts = [
             _HEADER.pack(
@@ -719,134 +602,6 @@ def _repair_row(
     return any(row[x] != old for x, old in before.items())
 
 
-@dataclass
-class DistanceIndex:
-    """Legacy dict-of-dicts index (reference implementation).
-
-    Attributes
-    ----------
-    from_source:
-        ``{s: {v: dist_G(s, v)}}`` for every indexed source ``s``.
-    to_target:
-        ``{t: {v: dist_G(v, t)}}`` for every indexed target ``t`` (built on
-        ``Gr``).
-    max_hops:
-        The hop bound the BFS traversals were truncated at.
-
-    Production code receives :class:`CSRDistanceIndex` from
-    :func:`build_index`; this class remains as the differential-testing
-    reference (built via :func:`build_dict_index`) and for hand-constructed
-    fixtures.
-    """
-
-    from_source: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    to_target: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    max_hops: int = 0
-
-    # ------------------------------------------------------------------ #
-    # Lookups (missing entries are treated as infinity per the paper)
-    # ------------------------------------------------------------------ #
-    def dist_from(self, source: int, vertex: int) -> float:
-        """``dist_G(source, vertex)`` or ``inf`` when unknown/unreachable."""
-        distances = self.from_source.get(source)
-        if distances is None:
-            raise KeyError(f"source {source} is not indexed")
-        return distances.get(vertex, INFINITY)
-
-    def dist_to(self, target: int, vertex: int) -> float:
-        """``dist_G(vertex, target)`` or ``inf`` when unknown/unreachable."""
-        distances = self.to_target.get(target)
-        if distances is None:
-            raise KeyError(f"target {target} is not indexed")
-        return distances.get(vertex, INFINITY)
-
-    def has_source(self, source: int) -> bool:
-        return source in self.from_source
-
-    def has_target(self, target: int) -> bool:
-        return target in self.to_target
-
-    # ------------------------------------------------------------------ #
-    # Hop-constrained neighbourhoods (Definition 4.4)
-    # ------------------------------------------------------------------ #
-    def forward_neighborhood(self, source: int, hops: int) -> FrozenSet[int]:
-        """Γ — vertices reachable from ``source`` within ``hops`` hops."""
-        distances = self.from_source.get(source)
-        if distances is None:
-            raise KeyError(f"source {source} is not indexed")
-        return frozenset(v for v, d in distances.items() if d <= hops)
-
-    def backward_neighborhood(self, target: int, hops: int) -> FrozenSet[int]:
-        """Γr — vertices that can reach ``target`` within ``hops`` hops."""
-        distances = self.to_target.get(target)
-        if distances is None:
-            raise KeyError(f"target {target} is not indexed")
-        return frozenset(v for v, d in distances.items() if d <= hops)
-
-    def forward_level_sizes(self, source: int, hops: int) -> list[int]:
-        """Number of vertices at each exact distance 0..hops from ``source``.
-
-        Used by the search-order optimiser to estimate the cost of giving
-        the forward search a larger share of the hop budget.
-        """
-        distances = self.from_source.get(source)
-        if distances is None:
-            raise KeyError(f"source {source} is not indexed")
-        return _sizes_by_distance(distances, hops)
-
-    def backward_level_sizes(self, target: int, hops: int) -> list[int]:
-        """Number of vertices at each exact distance 0..hops to ``target``."""
-        distances = self.to_target.get(target)
-        if distances is None:
-            raise KeyError(f"target {target} is not indexed")
-        return _sizes_by_distance(distances, hops)
-
-    def forward_mask(self, source: int, hops: int) -> Tuple[int, int]:
-        """``(bitmask of Γ, |Γ|)`` for ``source`` within ``hops`` hops."""
-        return _bitmask(self.forward_neighborhood(source, hops))
-
-    def backward_mask(self, target: int, hops: int) -> Tuple[int, int]:
-        """``(bitmask of Γr, |Γr|)`` for ``target`` within ``hops`` hops."""
-        return _bitmask(self.backward_neighborhood(target, hops))
-
-    @property
-    def size_in_entries(self) -> int:
-        """Total number of (vertex, distance) entries stored."""
-        total = sum(len(d) for d in self.from_source.values())
-        total += sum(len(d) for d in self.to_target.values())
-        return total
-
-
-def _sizes_by_distance(distances: Dict[int, int], hops: int) -> List[int]:
-    """Level sizes 0..hops of one sparse ``{vertex: distance}`` map."""
-    sizes = [0] * (hops + 1)
-    for distance in distances.values():
-        if distance <= hops:
-            sizes[distance] += 1
-    return sizes
-
-
-def _bitmask(vertices: FrozenSet[int]) -> Tuple[int, int]:
-    """``(one bit per member, member count)`` of a vertex set."""
-    mask = 0
-    for vertex in vertices:
-        mask |= 1 << vertex
-    return mask, len(vertices)
-
-
-def densify_distances(distances: MappingABC, num_vertices: int) -> List[int]:
-    """Spread a sparse ``{vertex: distance}`` map over a dense list.
-
-    Holes take :data:`UNREACHABLE`, the same sentinel convention the CSR
-    rows use, so the enumeration hot loops can run one direct-indexing code
-    path whether the index is array-backed or a legacy dict fixture.
-    """
-    row = [UNREACHABLE] * num_vertices
-    for vertex, distance in distances.items():
-        row[vertex] = distance
-    return row
-
-
 def build_index(
     graph: DiGraph,
     sources: Iterable[int],
@@ -869,30 +624,6 @@ def build_index(
     to_target = multi_source_bfs(graph, target_list, max_hops=max_hops, forward=False)
     return CSRDistanceIndex.from_distance_maps(
         graph.num_vertices, max_hops, from_source, to_target
-    )
-
-
-def build_dict_index(
-    graph: DiGraph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    max_hops: int,
-) -> DistanceIndex:
-    """Build the legacy dict-of-dicts :class:`DistanceIndex`.
-
-    Same BFS traversals as :func:`build_index`; retained as the reference
-    representation the differential test suite pins the array-backed index
-    against.
-    """
-    require_positive(max_hops, "max_hops")
-    source_list = sorted(set(sources))
-    target_list = sorted(set(targets))
-    require(bool(source_list), "at least one source is required")
-    require(bool(target_list), "at least one target is required")
-    from_source = multi_source_bfs(graph, source_list, max_hops=max_hops, forward=True)
-    to_target = multi_source_bfs(graph, target_list, max_hops=max_hops, forward=False)
-    return DistanceIndex(
-        from_source=from_source, to_target=to_target, max_hops=max_hops
     )
 
 

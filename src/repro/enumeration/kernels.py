@@ -99,9 +99,7 @@ def resolve_kernel(kernel: str, estimated_cost_units: float | None = None) -> st
 def _as_int64(buffer) -> "_np.ndarray":
     """View/convert a flat CSR or distance buffer as an int64 ndarray.
 
-    ``array('l')`` and shared-memory ``memoryview`` rows expose the buffer
-    protocol, so this is zero-copy for both; densified legacy rows arrive
-    as plain lists and are converted once per search.
+    ``array('l')`` rows expose the buffer protocol, so this is zero-copy.
     """
     return _np.asarray(buffer, dtype=_np.int64)
 

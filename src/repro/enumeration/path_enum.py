@@ -14,7 +14,7 @@ SIGMOD'21] as described in Section III of the batch paper:
    the simple concatenations.
 
 The class can operate standalone (it builds its own per-query index) or on
-top of a shared :class:`~repro.bfs.distance_index.DistanceIndex`, which is
+top of a shared :class:`~repro.bfs.distance_index.CSRDistanceIndex`, which is
 how :class:`~repro.batch.basic_enum.BasicEnum` uses it.
 """
 
@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.bfs.distance_index import (
-    CSRDistanceIndex,
-    DistanceIndex,
-    build_index,
-    densify_distances,
-)
+from repro.bfs.distance_index import CSRDistanceIndex, build_index
 from repro.enumeration.join import PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import resolve_kernel, search_paths
 from repro.enumeration.paths import Path
@@ -63,7 +58,7 @@ class PathEnum:
     def __init__(
         self,
         graph: DiGraph,
-        index: Optional[DistanceIndex] = None,
+        index: Optional[CSRDistanceIndex] = None,
         optimize_search_order: bool = False,
         kernel: str = "python",
     ) -> None:
@@ -109,7 +104,7 @@ class PathEnum:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _index_for(self, query: HCSTQuery) -> DistanceIndex:
+    def _index_for(self, query: HCSTQuery) -> CSRDistanceIndex:
         """Return an index covering the query, building one if necessary."""
         index = self.index
         if (
@@ -124,7 +119,7 @@ class PathEnum:
     def _search(
         self,
         query: HCSTQuery,
-        index: DistanceIndex,
+        index: CSRDistanceIndex,
         forward: bool,
         budget: int,
     ) -> List[Path]:
@@ -144,21 +139,14 @@ class PathEnum:
         dispatch.  Lemma 3.1 distances come from a dense row indexed
         directly by vertex id (``UNREACHABLE`` holes are astronomically
         larger than any hop budget, so the admissibility check needs no
-        branch); a legacy dict index is densified once per search so both
-        representations share this loop.
+        branch).
         """
         k = query.k
         if forward:
             start, other_end = query.s, query.t
         else:
             start, other_end = query.t, query.s
-        if isinstance(index, CSRDistanceIndex):
-            row = index.dense_to(query.t) if forward else index.dense_from(query.s)
-        else:
-            row = densify_distances(
-                index.to_target[query.t] if forward else index.from_source[query.s],
-                self.graph.num_vertices,
-            )
+        row = index.dense_to(query.t) if forward else index.dense_from(query.s)
 
         if self.kernel == "numpy":
             offsets, targets = self.graph.csr_snapshot().flat(forward)

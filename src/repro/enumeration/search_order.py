@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from repro.bfs.distance_index import DistanceIndex
+from repro.bfs.distance_index import CSRDistanceIndex
 from repro.queries.query import HCSTQuery
 
 
@@ -41,7 +41,7 @@ def estimate_side_cost(level_sizes: Iterable[int]) -> float:
 
 
 def choose_budget_split(
-    query: HCSTQuery, index: DistanceIndex
+    query: HCSTQuery, index: CSRDistanceIndex
 ) -> Tuple[int, int]:
     """Choose ``(forward_budget, backward_budget)`` for ``query``.
 

@@ -6,7 +6,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.batch.engine import ALGORITHMS, BatchQueryEngine
+from repro.batch.config import ALGORITHM_TABLE, ALGORITHMS
+from repro.batch.engine import BatchQueryEngine
 from repro.batch.results import BatchResult
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
@@ -14,17 +15,6 @@ from repro.utils.validation import require
 
 #: The algorithms compared throughout the paper's figures 7, 8 and 11.
 DEFAULT_ALGORITHMS: Sequence[str] = ("pathenum", "basic", "basic+", "batch", "batch+")
-
-#: Display names used by the paper (keyed by engine algorithm name).
-DISPLAY_NAMES: Dict[str, str] = {
-    "pathenum": "PathEnum",
-    "basic": "BasicEnum",
-    "basic+": "BasicEnum+",
-    "batch": "BatchEnum",
-    "batch+": "BatchEnum+",
-    "dksp": "DkSP",
-    "onepass": "OnePass",
-}
 
 
 @dataclass
@@ -41,7 +31,8 @@ class AlgorithmRun:
 
     @property
     def display_name(self) -> str:
-        return DISPLAY_NAMES.get(self.algorithm, self.algorithm)
+        """The paper's name for the algorithm."""
+        return ALGORITHM_TABLE[self.algorithm].display_name
 
 
 def run_algorithm(

@@ -5,11 +5,11 @@ The contract is intentionally narrow: the instrumented pipeline records
 four predicted-resource / actual-seconds counter pairs, and
 :func:`cost_model_fields_from_snapshot` turns any registry snapshot
 (local, merged-across-processes, or loaded from JSON) into constructor
-overrides for :class:`~repro.batch.planner.CostModel`.  A field is only
+overrides for :class:`~repro.batch.config.CostModel`.  A field is only
 recalibrated when both sides of its pair carry signal (> 0), so a
 snapshot from a sequential-only deployment recalibrates
 ``seconds_per_cost_unit`` and leaves the ship/delta constants at their
-benchmark-fitted defaults.
+fixed defaults.
 
 The constants live here (not at the call sites) because they are shared
 by the writers in ``repro.batch`` and this reader — every other metric

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.bfs.distance_index import DistanceIndex
+from repro.bfs.distance_index import CSRDistanceIndex
 from repro.queries.query import HCSTQuery
 
 
 def neighborhoods(
-    query: HCSTQuery, index: DistanceIndex
+    query: HCSTQuery, index: CSRDistanceIndex
 ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """Return ``(Γ(q), Γr(q))`` for ``query`` using the batch index.
 
@@ -46,7 +46,7 @@ def neighborhoods(
 def query_similarity(
     query_a: HCSTQuery,
     query_b: HCSTQuery,
-    index: DistanceIndex,
+    index: CSRDistanceIndex,
 ) -> float:
     """µ(qA, qB) — Definition 4.5."""
     forward_a, backward_a = neighborhoods(query_a, index)
@@ -114,7 +114,7 @@ def group_similarity(
 
 
 def workload_similarity(
-    queries: Sequence[HCSTQuery], index: DistanceIndex
+    queries: Sequence[HCSTQuery], index: CSRDistanceIndex
 ) -> float:
     """µ_Q — the average pairwise similarity used by Exp-1 to characterise a
     query set (Section V, Exp-1)."""
@@ -138,7 +138,7 @@ class QuerySimilarityMatrix:
 
     @classmethod
     def from_queries(
-        cls, queries: Sequence[HCSTQuery], index: DistanceIndex
+        cls, queries: Sequence[HCSTQuery], index: CSRDistanceIndex
     ) -> "QuerySimilarityMatrix":
         """Build the pairwise µ matrix.
 

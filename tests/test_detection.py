@@ -9,7 +9,7 @@ from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 
 
-def _detect(graph, queries_by_position, direction, max_depth=None, backend="csr"):
+def _detect(graph, queries_by_position, direction, max_depth=None):
     triples = [(q.s, q.t, q.k) for q in queries_by_position.values()]
     index = build_index_for_queries(graph, triples)
     if direction is Direction.FORWARD:
@@ -23,7 +23,6 @@ def _detect(graph, queries_by_position, direction, max_depth=None, backend="csr"
         index,
         budgets,
         max_depth=max_depth,
-        backend=backend,
     )
 
 
@@ -181,8 +180,8 @@ def _psi_signature(outcome):
 @pytest.mark.parametrize("max_depth", [None, 1, 2])
 @pytest.mark.parametrize("seed", range(4))
 def test_detection_backends_produce_identical_psi(seed, max_depth, direction):
-    """Differential: the CSR-snapshot backend and the original DiGraph
-    adjacency walk yield byte-identical sharing graphs Ψ."""
+    """Differential: Ψ detected on a ``DiGraph`` equals Ψ detected on its
+    sealed ``CSRGraph`` — the form a worker process receives."""
     graph = random_directed_gnm(40, 220, seed=seed)
     cluster = {
         0: HCSTQuery(0, 10, 4),
@@ -190,11 +189,11 @@ def test_detection_backends_produce_identical_psi(seed, max_depth, direction):
         2: HCSTQuery(0, 11, 5),
         3: HCSTQuery(2, 12, 3),
     }
-    csr = _detect(graph, cluster, direction, max_depth=max_depth, backend="csr")
-    via_digraph = _detect(
-        graph, cluster, direction, max_depth=max_depth, backend="digraph"
+    via_digraph = _detect(graph, cluster, direction, max_depth=max_depth)
+    via_csr = _detect(
+        graph.csr_snapshot(), cluster, direction, max_depth=max_depth
     )
-    assert _psi_signature(csr) == _psi_signature(via_digraph)
+    assert _psi_signature(via_csr) == _psi_signature(via_digraph)
 
 
 def test_detection_backends_identical_on_paper_example():
@@ -205,16 +204,9 @@ def test_detection_backends_identical_on_paper_example():
         2: HCSTQuery(5, 12, 5),
     }
     for direction in (Direction.FORWARD, Direction.BACKWARD):
-        csr = _detect(graph, cluster, direction, backend="csr")
-        via_digraph = _detect(graph, cluster, direction, backend="digraph")
-        assert _psi_signature(csr) == _psi_signature(via_digraph)
-
-
-def test_detection_rejects_unknown_backend(paper_graph):
-    with pytest.raises(ValueError):
-        _detect(
-            paper_graph, {0: HCSTQuery(0, 11, 5)}, Direction.FORWARD, backend="numpy"
-        )
+        via_digraph = _detect(graph, cluster, direction)
+        via_csr = _detect(graph.csr_snapshot(), cluster, direction)
+        assert _psi_signature(via_csr) == _psi_signature(via_digraph)
 
 
 def test_need_is_monotone_in_distance(paper_graph):

@@ -1,11 +1,11 @@
-"""Differential suite: array-backed CSRDistanceIndex ≡ legacy dict index.
+"""Differential suite: array-backed CSRDistanceIndex ≡ the BFS dicts.
 
-The array-backed index replaced the dict-of-dicts structure in every
-production path, so this suite pins the two representations to each other
-on random graphs and workloads — lookups, neighbourhoods, level sizes and
-the mapping-view protocol — plus the serialization round-trip the parallel
-executor relies on when shipping a parent-built index to workers, the
-range checking that distinguishes "unreachable" from "not a vertex of this
+The reference is the sparse ``multi_source_bfs`` output read through
+``DictIndexOracle`` (``tests/dict_index_oracle.py``); this suite pins the
+index to it on random graphs and workloads — lookups, neighbourhoods,
+level sizes, masks, entry counts — plus the serialization round-trip the
+parallel executor relies on when shipping a parent-built index to workers,
+the range checking that distinguishes "unreachable" from "not a vertex of this
 snapshot", and the BFS levels every whole-row reader answers from: however
 an index came to be (built, copied, restricted, shipped, delta-repaired)
 the levels of each row equal a brute scan of its dense distances.
@@ -20,14 +20,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from dict_index_oracle import DictIndexOracle
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
-    DistanceIndex,
     TYPECODE,
     UNREACHABLE,
-    build_dict_index,
     build_index,
-    densify_distances,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
@@ -63,23 +61,33 @@ def graph_and_endpoints(draw):
     return graph, sources, targets, max_hops
 
 
+def sparse(row):
+    """``{vertex: distance}`` of a dense row's reached vertices."""
+    return {v: d for v, d in enumerate(row) if d != UNREACHABLE}
+
+
+def sparse_levels(levels):
+    """``{vertex: distance}`` read off a row's BFS levels."""
+    return {v: d for d, level in enumerate(levels) for v in level}
+
+
 @given(case=graph_and_endpoints())
 @SETTINGS
 def test_csr_index_equivalent_to_dict_index(case):
     graph, sources, targets, max_hops = case
     csr = build_index(graph, sources, targets, max_hops)
-    legacy = build_dict_index(graph, sources, targets, max_hops)
+    legacy = DictIndexOracle(graph, sources, targets, max_hops)
 
     assert csr.max_hops == legacy.max_hops
     assert csr.size_in_entries == legacy.size_in_entries
-    assert set(csr.from_source) == set(legacy.from_source)
-    assert set(csr.to_target) == set(legacy.to_target)
+    assert csr.sources == sorted(legacy.from_source)
+    assert csr.targets == sorted(legacy.to_target)
 
     for source in set(sources):
-        assert csr.has_source(source) and legacy.has_source(source)
-        # Mapping-view protocol: identical sparse contents.
-        assert dict(csr.from_source[source].items()) == legacy.from_source[source]
-        assert len(csr.from_source[source]) == len(legacy.from_source[source])
+        assert csr.has_source(source)
+        # The dense row and the levels hold exactly the sparse contents.
+        assert sparse(csr.dense_from(source)) == legacy.from_source[source]
+        assert sparse_levels(csr.forward_levels(source)) == legacy.from_source[source]
         for vertex in range(graph.num_vertices):
             assert csr.dist_from(source, vertex) == legacy.dist_from(
                 source, vertex
@@ -92,8 +100,9 @@ def test_csr_index_equivalent_to_dict_index(case):
                 legacy.forward_level_sizes(source, hops)
             )
     for target in set(targets):
-        assert csr.has_target(target) and legacy.has_target(target)
-        assert dict(csr.to_target[target].items()) == legacy.to_target[target]
+        assert csr.has_target(target)
+        assert sparse(csr.dense_to(target)) == legacy.to_target[target]
+        assert sparse_levels(csr.backward_levels(target)) == legacy.to_target[target]
         for vertex in range(graph.num_vertices):
             assert csr.dist_to(target, vertex) == legacy.dist_to(target, vertex)
         for hops in range(max_hops + 1):
@@ -114,11 +123,11 @@ def test_to_bytes_round_trip(case):
 
     assert clone.num_vertices == index.num_vertices
     assert clone.max_hops == index.max_hops
-    assert set(clone.from_source) == set(index.from_source)
-    assert set(clone.to_target) == set(index.to_target)
-    for source in index.from_source:
+    assert clone.sources == index.sources
+    assert clone.targets == index.targets
+    for source in index.sources:
         assert clone.dense_from(source) == index.dense_from(source)
-    for target in index.to_target:
+    for target in index.targets:
         assert clone.dense_to(target) == index.dense_to(target)
     # Serialization is deterministic.
     assert clone.to_bytes() == index.to_bytes()
@@ -137,11 +146,11 @@ def scanned_levels(row):
 
 
 def assert_levels_equal_a_scan_of_every_row(index):
-    for source in index.from_source:
+    for source in index.sources:
         assert index.forward_levels(source) == scanned_levels(
             index.dense_from(source)
         )
-    for target in index.to_target:
+    for target in index.targets:
         assert index.backward_levels(target) == scanned_levels(
             index.dense_to(target)
         )
@@ -190,7 +199,7 @@ def test_levels_equal_a_row_scan_however_the_index_came_to_be(case):
     index = build_index(graph, sources, targets, max_hops)
     assert_levels_equal_a_scan_of_every_row(index)
     assert_whole_row_readers_agree(
-        index, build_dict_index(graph, sources, targets, max_hops)
+        index, DictIndexOracle(graph, sources, targets, max_hops)
     )
 
     part = index.restrict(sources[:1], targets[:1])
@@ -218,16 +227,16 @@ def test_levels_equal_a_row_scan_however_the_index_came_to_be(case):
     fresh = build_index(graph, sources, targets, max_hops)
     assert repaired.to_bytes() == fresh.to_bytes()
     assert_whole_row_readers_agree(
-        repaired, build_dict_index(graph, sources, targets, max_hops)
+        repaired, DictIndexOracle(graph, sources, targets, max_hops)
     )
     # The repair keeps the level object of exactly the rows it left alone
     # and never touches the frozen original's.
-    for source in index.from_source:
+    for source in index.sources:
         assert repaired.forward_levels(source) == fresh.forward_levels(source)
         unchanged = repaired.dense_from(source) == index.dense_from(source)
         shared = repaired.forward_levels(source) is index.forward_levels(source)
         assert shared == unchanged
-    for target in index.to_target:
+    for target in index.targets:
         assert repaired.backward_levels(target) == fresh.backward_levels(target)
         unchanged = repaired.dense_to(target) == index.dense_to(target)
         shared = repaired.backward_levels(target) is index.backward_levels(target)
@@ -242,8 +251,7 @@ def test_whole_row_readers_raise_for_an_endpoint_that_is_not_indexed():
     graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
     for index in (
         build_index(graph, sources=[0], targets=[3], max_hops=2),
-        build_dict_index(graph, sources=[0], targets=[3], max_hops=2),
-        DistanceIndex(),
+        DictIndexOracle(graph, sources=[0], targets=[3], max_hops=2),
     ):
         for reader in (
             index.forward_level_sizes,
@@ -291,40 +299,13 @@ def test_out_of_range_vertex_ids_raise():
         index.dist_from(0, -1)
     with pytest.raises(ValueError):
         index.dist_to(2, 99)
-    row = index.from_source[0]
-    with pytest.raises(ValueError):
-        row.get(3)
-    with pytest.raises(ValueError):
-        row[3]
-    # Unindexed endpoints keep raising KeyError, like the legacy dicts.
+    # Unindexed endpoints raise KeyError, like the BFS dicts.
     with pytest.raises(KeyError):
         index.dist_from(1, 0)
     with pytest.raises(KeyError):
         index.dense_from(1)
     with pytest.raises(KeyError):
-        index.to_target[0]
-
-
-def test_row_view_mapping_protocol():
-    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
-    index = build_index(graph, sources=[0], targets=[3], max_hops=2)
-    row = index.from_source[0]
-    assert row[0] == 0 and row[1] == 1 and row[2] == 2
-    assert 3 not in row  # beyond max_hops truncation
-    # Whole-row readers walk the levels: (distance, vertex) order.
-    assert list(row) == [0, 1, 2]
-    assert row.items() == [(0, 0), (1, 1), (2, 2)]
-    assert row.values() == [0, 1, 2]
-    assert len(row) == 3
-    with pytest.raises(KeyError):
-        row[3]  # in range, unreachable
-    assert row.get(3) is None
-    assert row.get(3, "fallback") == "fallback"
-
-
-def test_densify_distances_matches_sparse_map():
-    dense = densify_distances({0: 0, 2: 5}, 4)
-    assert dense == [0, UNREACHABLE, 5, UNREACHABLE]
+        index.dense_to(0)
 
 
 def test_ship_payload_survives_larger_graph():
@@ -344,7 +325,7 @@ def test_restrict_shares_the_rows_of_the_named_endpoints_only():
     graph = random_directed_gnm(60, 240, seed=4)
     index = build_index(graph, sources=[0, 5, 7], targets=[10, 11], max_hops=4)
     part = index.restrict([5, 5, 0], [11])
-    assert set(part.from_source) == {0, 5} and set(part.to_target) == {11}
+    assert part.sources == [0, 5] and part.targets == [11]
     assert part.dense_from(5) is index.dense_from(5)  # shared, not copied
     assert (part.num_vertices, part.max_hops) == (index.num_vertices, index.max_hops)
     assert part.nbytes == 3 * graph.num_vertices * index.dense_from(0).itemsize

@@ -18,6 +18,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.batch import batch_enum
+from repro.batch.config import ExecutionConfig
 from repro.batch.engine import BatchQueryEngine
 from repro.batch.planner import QueryPlanner
 from repro.enumeration import kernels
@@ -79,7 +81,7 @@ def test_resolve_kernel_policy():
 @needs_numpy
 def test_planner_resolves_kernel_per_shard():
     graph, queries = _workload(3, num_vertices=60, num_edges=300, count=10)
-    planner = QueryPlanner(graph, algorithm="batch+", kernel="auto")
+    planner = QueryPlanner(graph, ExecutionConfig(kernel="auto"))
     plan = planner.plan(queries)
     for shard in plan.shards:
         expected = "numpy" if shard.estimated_cost >= AUTO_MIN_COST_UNITS else "python"
@@ -89,9 +91,72 @@ def test_planner_resolves_kernel_per_shard():
 
 def test_planner_kernel_python_pins_all_shards():
     graph, queries = _workload(3)
-    plan = QueryPlanner(graph, algorithm="batch+", kernel="python").plan(queries)
+    plan = QueryPlanner(graph, ExecutionConfig(kernel="python")).plan(queries)
     assert all(shard.kernel == "python" for shard in plan.shards)
-    assert plan.kernel == "python"
+    assert "kernel:" in plan.describe()
+
+
+def _blocks_workload(heavy):
+    """Disjoint blocks, so clusters cannot merge: 28 sparse blocks with one
+    tiny query each (every shard far below ``AUTO_MIN_COST_UNITS``, the
+    batch as a whole above it) and, with ``heavy``, one dense block whose
+    four similar queries form a single cluster above the threshold."""
+    edges, queries, offset = [], [], 0
+    if heavy:
+        edges += list(random_directed_gnm(40, 240, seed=3).edges())
+        queries += [HCSTQuery(s, t, 6) for s in (0, 1) for t in (20, 21)]
+        offset = 40
+    for block in range(28):
+        sparse = random_directed_gnm(12, 30, seed=100 + block)
+        edges += [(u + offset, v + offset) for u, v in sparse.edges()]
+        queries.append(HCSTQuery(offset, offset + 6, 4))
+        offset += 12
+    return DiGraph.from_edges(edges, num_vertices=offset), queries
+
+
+@pytest.mark.parametrize("heavy", [True, False])
+def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypatch):
+    """One plan, one kernel per shard: the in-process route reaches the
+    numpy kernel from exactly the clusters whose ``ShardPlan.kernel`` says
+    so — never because the batch's *total* cost cleared the threshold —
+    and the worker route returns the same lists."""
+    pytest.importorskip("numpy")
+    graph, queries = _blocks_workload(heavy)
+    engine = BatchQueryEngine(graph, kernel="auto", max_workers=1)
+    plan = engine.explain(queries)
+    assert plan.num_workers == 1
+    assert plan.total_estimated_cost >= AUTO_MIN_COST_UNITS
+    wanted = {
+        tuple(shard.positions) for shard in plan.shards if shard.kernel == "numpy"
+    }
+    assert len(wanted) == (1 if heavy else 0) and plan.num_shards >= 28
+
+    in_flight, callers = [], set()
+    process_cluster = batch_enum.BatchEnum._process_cluster
+    node_kernel = batch_enum.enumerate_node_paths
+
+    def watched_cluster(self, queries_by_position, *args):
+        in_flight.append(tuple(sorted(queries_by_position)))
+        try:
+            return process_cluster(self, queries_by_position, *args)
+        finally:
+            in_flight.pop()
+
+    def watched_kernel(*args):
+        callers.add(in_flight[-1])
+        return node_kernel(*args)
+
+    monkeypatch.setattr(batch_enum.BatchEnum, "_process_cluster", watched_cluster)
+    monkeypatch.setattr(batch_enum, "enumerate_node_paths", watched_kernel)
+    in_process = engine.run(queries)
+    assert callers == wanted
+
+    sharded = BatchQueryEngine(graph, kernel="auto", num_workers=2).run(queries)
+    assert sharded.paths_by_position == in_process.paths_by_position
+    for position, query in enumerate(queries[:6]):
+        assert sort_paths(in_process.paths_at(position)) == sort_paths(
+            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
+        )
 
 
 # --------------------------------------------------------------------- #

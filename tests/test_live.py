@@ -110,7 +110,7 @@ def test_planner_index_strategies_built_cached_delta():
     # ~rows x V x seconds_per_index_entry, crossing over near V ~ 50.
     graph = random_directed_gnm(120, 480, seed=21)
     queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=21)
-    planner = QueryPlanner(graph, algorithm="batch+")
+    planner = QueryPlanner(graph)
     first = planner.plan(queries)
     assert first.index_strategy == "built"
     second = planner.plan(queries)
@@ -136,7 +136,7 @@ def test_planner_index_strategies_built_cached_delta():
 def test_planner_rebuilds_after_barrier_or_changed_endpoints():
     graph = random_directed_gnm(40, 160, seed=22)
     queries = generate_random_queries(graph, 5, min_k=2, max_k=4, seed=22)
-    planner = QueryPlanner(graph, algorithm="batch+")
+    planner = QueryPlanner(graph)
     planner.plan(queries)
     graph.add_vertex()  # barrier: no coverable delta window
     assert planner.plan(queries).index_strategy == "built"

@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro.batch.engine import BatchQueryEngine
-from repro.batch.planner import CostModel
+from repro.batch.config import CostModel
 from repro.batch.service import AdmissionPolicy, IngestionService
 from repro.graph.generators import random_directed_gnm
 from repro.obs import MetricsRegistry, Tracer

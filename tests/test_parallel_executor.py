@@ -15,9 +15,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
 from repro.batch.executor import _shard_tasks
-from repro.batch.planner import INDEXED_ALGORITHMS, QueryPlanner, _contiguous_slices
+from repro.batch.planner import QueryPlanner, _contiguous_slices
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.paths import sort_paths
@@ -155,12 +156,11 @@ def test_each_task_ships_exactly_its_shards_rows(algorithm):
     # Pairwise distinct endpoints, so no two shards share a row.
     queries = [HCSTQuery(s, 20 + s, 3) for s in range(8)]
     # gamma=1 keeps dissimilar queries in separate clusters (several shards).
-    plan = QueryPlanner(graph, algorithm=algorithm, gamma=1.0).plan(
-        queries, num_workers=2
-    )
-    blobs = [blob for _fn, _args, blob in _shard_tasks(plan, queries, algorithm)]
+    config = ExecutionConfig(algorithm=algorithm, gamma=1.0, num_workers=2)
+    plan = QueryPlanner(graph, config).plan(queries)
+    blobs = [blob for _fn, _args, blob in _shard_tasks(plan, queries)]
     assert len(blobs) == plan.num_shards >= 2
-    if algorithm not in INDEXED_ALGORITHMS:
+    if not ALGORITHM_TABLE[algorithm].indexed:
         assert blobs == [None] * plan.num_shards
         return
     index = plan.workload.index
@@ -168,8 +168,8 @@ def test_each_task_ships_exactly_its_shards_rows(algorithm):
     for blob, shard in zip(blobs, plan.shards):
         shipped = CSRDistanceIndex.from_bytes(blob)
         shard_queries = [queries[position] for position in shard.positions]
-        assert set(shipped.from_source) == {query.s for query in shard_queries}
-        assert set(shipped.to_target) == {query.t for query in shard_queries}
+        assert shipped.sources == sorted({query.s for query in shard_queries})
+        assert shipped.targets == sorted({query.t for query in shard_queries})
         for query in shard_queries:
             assert shipped.dense_from(query.s) == index.dense_from(query.s)
             assert shipped.dense_to(query.t) == index.dense_to(query.t)

@@ -1,5 +1,5 @@
 """Tests for the plan/execute split: QueryPlanner, ExecutionPlan, CostModel
-and eager ``num_workers`` validation.
+and the one eagerly-validated ``ExecutionConfig`` the options live on.
 
 The load-bearing contract: whatever the planner decides — worker count,
 shard assignments — the paths delivered per batch position are
@@ -10,23 +10,26 @@ lives in ``test_parallel_executor.py``.
 
 from __future__ import annotations
 
-import json
+import inspect
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.batch.engine import (
+from repro.batch.config import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
-    BatchQueryEngine,
-    batch_enumerate,
+    CostModel,
+    ExecutionConfig,
     validate_num_workers,
 )
-from repro.batch.planner import (
-    CLUSTERED_ALGORITHMS,
-    CostModel,
-    ExecutionPlan,
-    QueryPlanner,
-    estimate_query_cost,
-)
+from repro.batch.engine import BatchQueryEngine, batch_enumerate
+from repro.batch.executor import WorkerPool, stream_parallel
+from repro.batch.planner import ExecutionPlan, QueryPlanner, estimate_query_cost
+from repro.batch.service import IngestionService
+from repro.enumeration import kernels
+from repro.enumeration.brute_force import enumerate_paths_brute_force
+from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 
@@ -46,13 +49,45 @@ def _workload(seed, num_queries=8):
 
 
 # --------------------------------------------------------------------- #
-# Eager num_workers validation (engine __init__, not executor depths)
+# Eager validation: every execution option is checked once, by the
+# ExecutionConfig both public constructors build before any query is seen
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("bad", [0, -1, -7, 2.5, "turbo", "", True, False, None])
 def test_engine_rejects_bad_num_workers_eagerly(bad):
     graph, _ = _workload(0)
     with pytest.raises((ValueError, TypeError)):
         BatchQueryEngine(graph, num_workers=bad)
+
+
+@pytest.mark.parametrize("num_workers", [1, "auto"])
+@pytest.mark.parametrize(
+    "option, bad",
+    [
+        ("max_workers", 0),
+        ("max_workers", -1),
+        ("max_workers", True),
+        ("algorithm", "batch++"),
+        ("gamma", 1.5),
+        ("num_workers", 0),
+        ("num_workers", "AUTO"),
+        ("kernel", "cuda"),
+        ("kernel", "numpy"),  # with numpy made unavailable below
+        ("cost_model", {"seconds_per_cost_unit": 1.0}),
+    ],
+)
+def test_bad_execution_options_raise_at_construction(
+    option, bad, num_workers, monkeypatch
+):
+    """``ValueError`` from ``BatchQueryEngine(...)`` and from
+    ``IngestionService(..., start=False)``, ``num_workers=1`` included —
+    the route that plans nothing used to check ``max_workers`` never."""
+    monkeypatch.setattr(kernels, "NUMPY_AVAILABLE", False)
+    graph, _ = _workload(0)
+    options = {"num_workers": num_workers, option: bad}
+    with pytest.raises(ValueError):
+        BatchQueryEngine(graph, **options)
+    with pytest.raises(ValueError):
+        IngestionService(graph, start=False, **options)
 
 
 @pytest.mark.parametrize("good", [1, 2, 16, "auto"])
@@ -73,14 +108,37 @@ def test_validate_num_workers_is_exported_and_strict():
 
 def test_planner_validates_num_workers_and_max_workers_itself():
     """The invariant holds at the planner layer too, not just the engine
-    facade — QueryPlanner is public API."""
+    facade — QueryPlanner is public API, and the only way to hand it these
+    options is an ``ExecutionConfig``, which cannot hold a bad value."""
     graph, queries = _workload(0)
-    planner = QueryPlanner(graph)
+    assert QueryPlanner(graph).plan(queries).requested_workers == "auto"
     for bad in (0, -3, True, "turbo"):
         with pytest.raises(ValueError):
-            planner.plan(queries, num_workers=bad)
+            QueryPlanner(graph, ExecutionConfig(num_workers=bad))
     with pytest.raises(ValueError):
-        QueryPlanner(graph, max_workers=0)
+        QueryPlanner(graph, ExecutionConfig(max_workers=0))
+
+
+def test_execution_options_are_declared_once():
+    """The planner, the pool and the executor take the config object; none
+    re-declares one of its fields (or the detection-depth constant)."""
+    fields = {"algorithm", "gamma", "kernel", "cost_model", "max_detection_depth"}
+    for callable_ in (QueryPlanner.__init__, WorkerPool.__init__, stream_parallel):
+        parameters = inspect.signature(callable_).parameters
+        assert "config" in parameters
+        assert not fields & set(parameters), callable_
+    assert "num_workers" not in inspect.signature(QueryPlanner.plan).parameters
+
+
+def test_execution_config_is_frozen_hashable_and_picklable():
+    config = ExecutionConfig(algorithm="basic+", gamma=0.25, num_workers=3)
+    with pytest.raises(FrozenInstanceError):
+        config.gamma = 0.5
+    assert hash(config) == hash(ExecutionConfig("basic+", 0.25, 3))
+    # It travels to the workers through the pool initializer.
+    assert pickle.loads(pickle.dumps(config)) == config
+    # None resolves on construction: readers never see an unset option.
+    assert config.max_workers >= 1 and config.cost_model == CostModel()
 
 
 # --------------------------------------------------------------------- #
@@ -89,15 +147,27 @@ def test_planner_validates_num_workers_and_max_workers_itself():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_explain_shards_cover_every_position_exactly_once(algorithm):
     graph, queries = _workload(1)
-    plan = BatchQueryEngine(graph, algorithm=algorithm).explain(queries)
+    engine = BatchQueryEngine(graph, algorithm)
+    plan = engine.explain(queries)
     assert isinstance(plan, ExecutionPlan)
     covered = sorted(p for shard in plan.shards for p in shard.positions)
     assert covered == list(range(len(queries)))
-    expected_kind = "cluster" if algorithm in CLUSTERED_ALGORITHMS else "slice"
+    # Every engine name has exactly one table row, and the row is all the
+    # planner and the engine consult.
+    assert list(ALGORITHM_TABLE).count(algorithm) == 1
+    assert len(ALGORITHM_TABLE) == len(ALGORITHMS) == 7
+    spec = ALGORITHM_TABLE[algorithm]
+    expected_kind = "cluster" if spec.clustered else "slice"
     assert {shard.kind for shard in plan.shards} == {expected_kind}
     assert plan.num_workers >= 1
     assert plan.total_estimated_cost > 0
     assert "ExecutionPlan" in plan.describe()
+    result = engine.run(queries)
+    assert result.algorithm == spec.display_name
+    for position, query in enumerate(queries):
+        assert result.sorted_paths_at(position) == sort_paths(
+            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
+        )
 
 
 def test_explain_empty_batch_is_trivial():
@@ -190,55 +260,11 @@ def test_batch_enumerate_accepts_auto():
 
 
 # --------------------------------------------------------------------- #
-# Cost model calibration
+# Cost estimates
 # --------------------------------------------------------------------- #
-def test_cost_model_from_benchmark(tmp_path):
-    payload = {
-        "benchmark": "bench_workers",
-        "records": [
-            {
-                "dataset": "TW", "fraction": 1.0, "algorithm": "batch+",
-                "num_workers": 1, "wall_seconds": 0.10,
-                "estimated_cost_units": 20000.0,
-            },
-            {
-                "dataset": "TW", "fraction": 1.0, "algorithm": "batch+",
-                "num_workers": 2, "wall_seconds": 0.20,
-            },
-            {
-                "dataset": "TW", "fraction": 1.0, "algorithm": "batch+",
-                "num_workers": 4, "wall_seconds": 0.30,
-            },
-        ],
-    }
-    path = tmp_path / "BENCH_workers.json"
-    path.write_text(json.dumps(payload))
-    model = CostModel.from_benchmark(path)
-    # extra(2)=0.10, extra(4)=0.20 -> slope 0.05/worker, base 0.0
-    assert model.spawn_overhead_per_worker == pytest.approx(0.05)
-    assert model.spawn_overhead_base == pytest.approx(0.0, abs=1e-12)
-    assert model.seconds_per_cost_unit == pytest.approx(0.10 / 20000.0)
-    # Overhead must make tiny workloads resolve sequential.
-    assert model.spawn_seconds(1) == 0.0
-    assert model.spawn_seconds(2) > 0.0
-
-
-def test_cost_model_from_missing_benchmark_falls_back_to_defaults():
-    model = CostModel.from_benchmark("/nonexistent/BENCH_workers.json")
-    assert model == CostModel()
-
-
-def test_cost_model_from_malformed_benchmark_falls_back_to_defaults(tmp_path):
-    path = tmp_path / "BENCH_workers.json"
-    path.write_text(json.dumps({"records": [{"dataset": "TW"}]}))  # no num_workers
-    assert CostModel.from_benchmark(path) == CostModel()
-    path.write_text(json.dumps({"records": "not-a-list"}))
-    assert CostModel.from_benchmark(path) == CostModel()
-
-
 def test_estimate_query_cost_positive_with_and_without_index():
     graph, queries = _workload(12)
-    planner = QueryPlanner(graph, algorithm="batch+")
+    planner = QueryPlanner(graph, ExecutionConfig(algorithm="batch+"))
     plan = planner.plan(queries)
     index = plan.workload.index
     for query in queries:

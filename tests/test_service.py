@@ -485,7 +485,7 @@ def test_admission_neighborhood_cache_is_bounded(monkeypatch):
     from repro.batch import planner as planner_module
 
     monkeypatch.setattr(planner_module, "NEIGHBORHOOD_CACHE_LIMIT", 4)
-    planner = planner_module.QueryPlanner(_GRAPH, algorithm="batch+")
+    planner = planner_module.QueryPlanner(_GRAPH)
     for query in generate_random_queries(_GRAPH, 10, min_k=2, max_k=4, seed=21):
         planner.admission_score(query, [_QUERIES[0]])
     assert len(planner._neighborhood_cache) <= 4
