@@ -27,7 +27,8 @@ from repro.batch.cache import ResultCache
 from repro.batch.clustering import cluster_queries
 from repro.batch.detection import DetectionOutcome, detect_common_queries
 from repro.batch.results import BatchResult, FragmentStream, SharingStats, drain
-from repro.bfs.distance_index import CSRDistanceIndex, UNREACHABLE
+from repro.bfs.distance_index import CSRDistanceIndex
+from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import JunctionIndex, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.paths import Path
@@ -57,7 +58,8 @@ class BatchEnum:
     optimize_search_order:
         Enable the "+" variant's adaptive budget split.
     kernel:
-        ``"python"`` (default) runs the explicit-stack node enumeration;
+        ``"python"`` (default) runs the explicit-stack search of
+        :mod:`repro.enumeration.hc_s_search`, the loop ``basic+`` runs;
         ``"numpy"`` runs the byte-identical vectorized kernel of
         :mod:`repro.enumeration.kernels` (raises when numpy is absent).
         ``"auto"`` resolves to ``"python"`` here — cost-aware selection is
@@ -136,6 +138,10 @@ class BatchEnum:
         sharing = SharingStats(num_clusters=len(clusters))
         if kernels is None:
             kernels = [self.kernel] * len(clusters)
+        require(
+            len(kernels) == len(clusters),
+            f"kernels names {len(kernels)} clusters, the batch has {len(clusters)}",
+        )
         for cluster, kernel in zip(clusters, kernels):
             queries_by_position = {
                 position: workload.queries[position] for position in cluster
@@ -263,60 +269,34 @@ class BatchEnum:
         cache: ResultCache,
         kernel: str,
     ) -> List[Path]:
-        """Enumerate all hop-constrained paths of one HC-s path query.
-
-        The search explores flat CSR adjacency in the node's direction with
-        an explicit iterator stack (deep hop budgets never touch Python's
-        recursion limit).  When it is about to step onto a vertex where one
-        of the node's providers is rooted — and the provider's hop budget
-        covers the remaining need — the provider's cached paths are spliced
-        in instead of re-exploring the subtree (Algorithm 4, Search lines
-        22-23).
+        """Enumerate all hop-constrained paths of one HC-s path query:
+        assemble the arguments of Algorithm 4's Search once and run it on
+        ``kernel`` — the one explicit-stack search or its numpy twin.
+        Where either would step onto the root of one of the node's cached
+        providers with a budget the provider covers, it splices the
+        provider's paths in instead of re-exploring (Search lines 22-23).
         """
         psi = outcome.sharing_graph
         forward = node.direction is Direction.FORWARD
-        index = outcome.index
         queries_by_position = outcome.queries_by_position
-        budget_by_position = outcome.budget_by_position
-        served_positions = sorted(outcome.served_queries.get(node, ()))
 
-        providers_at: Dict[int, HCsPathQuery] = {}
+        # The deepest provider rooted at each vertex, handed over as
+        # (budget, fetch) when its result is cached: fetch is a live
+        # cache.get so the reuse statistics count one access per splice.
+        deepest_at: Dict[int, HCsPathQuery] = {}
         for provider in psi.providers_of(node):
             if isinstance(provider, HCsPathQuery):
-                best = providers_at.get(provider.vertex)
+                best = deepest_at.get(provider.vertex)
                 if best is None or provider.budget > best.budget:
-                    providers_at[provider.vertex] = provider
+                    deepest_at[provider.vertex] = provider
+        providers = {
+            vertex: (provider.budget, (lambda p=provider: cache.get(p)))
+            for vertex, provider in deepest_at.items()
+            if provider != node and provider in cache
+        }
 
-        # Admissibility (Lemma 3.1 for shared enumerations): stepping onto a
-        # vertex ``v`` with ``r`` hops of this node's budget left is useful
-        # iff some served query can still complete a path through ``v``.
-        # That condition is ``need(v) <= r`` with ``need`` independent of the
-        # current prefix, so it is memoised per vertex; duplicate queries
-        # collapse to a single (endpoint, slack) constant.  Distances are
-        # read from dense rows indexed directly by vertex id.
-        distance_rows = [
-            (index.dense_to(e) if forward else index.dense_from(e), constant)
-            for e, constant in outcome.slack_constants(node)
-        ]
-        infinity = float("inf")
-        need_cache: Dict[int, float] = {}
-
-        def need(vertex: int) -> float:
-            cached_need = need_cache.get(vertex)
-            if cached_need is None:
-                cached_need = infinity
-                for row, constant in distance_rows:
-                    distance = row[vertex]
-                    if distance != UNREACHABLE and distance + constant < cached_need:
-                        cached_need = distance + constant
-                need_cache[vertex] = cached_need
-            return cached_need
-
-        # A node whose results are only consumed by the final ⊕ join (no
-        # HC-s path query consumers) does not need every intermediate
-        # prefix: the join only reads forward paths that end at a served
-        # target or have length exactly equal to the budget, and backward
-        # paths of any positive length.
+        # A node consumed only by the final ⊕ join (no HC-s path query
+        # consumer) keeps just what the join reads, see search_hc_s_paths.
         keep_all = any(
             isinstance(consumer, HCsPathQuery)
             for consumer in psi.consumers_of(node)
@@ -324,93 +304,21 @@ class BatchEnum:
         served_endpoints = {
             queries_by_position[position].t if forward
             else queries_by_position[position].s
-            for position in served_positions
+            for position in outcome.served_queries.get(node, ())
         }
-        budget = node.budget
-
-        def should_record(path_last: int, length: int) -> bool:
-            if keep_all:
-                return True
-            if forward:
-                return length == budget or path_last in served_endpoints
-            return True
-
+        arguments = (
+            node.vertex,
+            node.budget,
+            outcome.distance_rows(node),
+            served_endpoints,
+            keep_all,
+            forward,
+            providers,
+        )
+        snapshot = self.graph.csr_snapshot()
         if kernel == "numpy":
-            # Providers are handed over as (budget, fetch) pairs; fetch is
-            # a live cache.get closure so the reuse statistics count one
-            # access per splice, exactly like the loop below.
-            eligible_providers = {
-                vertex: (provider.budget, (lambda p=provider: cache.get(p)))
-                for vertex, provider in providers_at.items()
-                if provider != node and provider in cache
-            }
-            offsets, targets = self.graph.csr_snapshot().flat(forward)
-            return enumerate_node_paths(
-                offsets,
-                targets,
-                node.vertex,
-                budget,
-                distance_rows,
-                served_endpoints,
-                keep_all,
-                forward,
-                eligible_providers,
-            )
-        adjacency = self.graph.csr_snapshot().adjacency_lists(forward)
-
-        results: List[Path] = []
-        if should_record(node.vertex, 0):
-            results.append((node.vertex,))
-        if budget == 0:
-            return results
-
-        prefix: List[int] = [node.vertex]
-        on_path = {node.vertex}
-        # Explicit DFS: iter_stack[d] iterates the pending neighbours of
-        # prefix[d]; frames are pushed only while budget remains.
-        iter_stack = [iter(adjacency[node.vertex])]
-
-        while iter_stack:
-            used = len(prefix) - 1
-            remaining = budget - used
-            frame = iter_stack[-1]
-            for neighbor in frame:
-                if neighbor in on_path:
-                    continue
-                if need(neighbor) > remaining:
-                    continue
-                provider = providers_at.get(neighbor)
-                if (
-                    provider is not None
-                    and provider != node
-                    and provider in cache
-                    and provider.budget >= remaining - 1
-                ):
-                    current_prefix = tuple(prefix)
-                    for cached in cache.get(provider):
-                        extra = len(cached) - 1
-                        if extra > remaining - 1:
-                            continue
-                        if not should_record(cached[-1], used + 1 + extra):
-                            continue
-                        if any(v in on_path for v in cached):
-                            continue
-                        results.append(current_prefix + cached)
-                    continue
-                prefix.append(neighbor)
-                on_path.add(neighbor)
-                if should_record(neighbor, used + 1):
-                    results.append(tuple(prefix))
-                if used + 1 < budget:
-                    iter_stack.append(iter(adjacency[neighbor]))
-                else:
-                    prefix.pop()
-                    on_path.remove(neighbor)
-                break
-            else:
-                iter_stack.pop()
-                on_path.remove(prefix.pop())
-        return results
+            return enumerate_node_paths(*snapshot.flat(forward), *arguments)
+        return search_hc_s_paths(snapshot.adjacency_lists(forward), *arguments)
 
     def _join_cluster(
         self,

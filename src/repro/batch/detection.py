@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.batch.sharing_graph import QueryNode, QuerySharingGraph
-from repro.bfs.distance_index import CSRDistanceIndex, UNREACHABLE
+from repro.bfs.distance_index import CSRDistanceIndex
+from repro.enumeration.hc_s_search import DistanceRow, admissibility
 from repro.graph.digraph import DiGraph
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 from repro.utils.validation import require
@@ -49,6 +50,10 @@ class DetectionOutcome:
     budget_by_position: Dict[int, int]
     served_queries: Dict[HCsPathQuery, Set[int]]
     queries_by_position: Dict[int, HCSTQuery]
+    index: CSRDistanceIndex = field(repr=False)
+    _admissibility: Dict[HCsPathQuery, tuple] = field(
+        default_factory=dict, repr=False, init=False
+    )
 
     @property
     def num_shared_nodes(self) -> int:
@@ -59,93 +64,32 @@ class DetectionOutcome:
                 count += 1
         return count
 
-    def endpoint_distance(self, position: int, vertex: int) -> float:
-        """Distance from ``vertex`` to the query's *other* endpoint.
+    def distance_rows(self, node: HCsPathQuery) -> List[DistanceRow]:
+        """The ``(dense row toward the other endpoint, root budget + 1 - k)``
+        pair of every query ``node`` serves — what its enumeration prunes
+        with (:mod:`repro.enumeration.hc_s_search` derives the rule).
+        Duplicates (same endpoint, same slack) collapse to one entry so
+        batches with repeated queries pay for one check."""
+        forward = self.direction is Direction.FORWARD
+        unique = set()
+        for position in self.served_queries.get(node, ()):
+            query = self.queries_by_position[position]
+            endpoint = query.t if forward else query.s
+            unique.add((endpoint, self.budget_by_position[position] + 1 - query.k))
+        dense = self.index.dense_to if forward else self.index.dense_from
+        return [(dense(endpoint), slack) for endpoint, slack in sorted(unique)]
 
-        Forward detection prunes with the distance to the target; backward
-        detection with the distance from the source.
-        """
-        query = self.queries_by_position[position]
-        if self.direction is Direction.FORWARD:
-            return self.index.dist_to(query.t, vertex)
-        return self.index.dist_from(query.s, vertex)
-
-    # The index is attached after construction (kept out of the dataclass
-    # fields to avoid repr noise); the need cache memoises admissibility.
-    index: CSRDistanceIndex = field(default=None, repr=False)  # type: ignore[assignment]
-    _need_cache: Dict[HCsPathQuery, Dict[int, float]] = field(
-        default_factory=dict, repr=False
-    )
-    _constants_cache: Dict[HCsPathQuery, list] = field(
-        default_factory=dict, repr=False
-    )
-
-    def slack_constants(self, node: HCsPathQuery) -> list:
-        """Unique ``(other endpoint, budget + 1 - k)`` pairs of the queries
-        served by ``node`` — duplicates (same endpoint, same slack) collapse
-        to one entry so batches with repeated queries pay for one check."""
-        constants = self._constants_cache.get(node)
-        if constants is None:
-            forward = self.direction is Direction.FORWARD
-            unique = set()
-            for position in self.served_queries.get(node, ()):
-                query = self.queries_by_position[position]
-                endpoint = query.t if forward else query.s
-                unique.add(
-                    (endpoint, self.budget_by_position[position] + 1 - query.k)
-                )
-            constants = sorted(unique)
-            self._constants_cache[node] = constants
-        return constants
-
-    def need(self, node: HCsPathQuery, vertex: int) -> float:
-        """Minimum remaining hop budget ``node`` must still have for an
-        extension onto ``vertex`` to be useful to any query it serves.
-
-        For a served query ``q`` whose root HC-s path budget is ``B`` the
-        extension onto ``vertex`` with ``r`` hops left consumes ``B - r``
-        hops of the half-budget plus one more hop, and the remainder of the
-        hop constraint must cover the distance from ``vertex`` to the
-        query's other endpoint; rearranging gives the per-query need
-        ``dist + B + 1 - q.k`` and the node's need is the minimum over its
-        served queries.  Memoised per (node, vertex); the detection
-        invalidates a node's entries whenever its served set grows.
-        """
-        per_node = self._need_cache.get(node)
-        if per_node is None:
-            per_node = {}
-            self._need_cache[node] = per_node
-        value = per_node.get(vertex)
-        if value is None:
-            dense = (
-                self.index.dense_to
-                if self.direction is Direction.FORWARD
-                else self.index.dense_from
-            )
-            value = float("inf")
-            for endpoint, constant in self.slack_constants(node):
-                distance = dense(endpoint)[vertex]
-                if distance != UNREACHABLE and distance + constant < value:
-                    value = distance + constant
-            per_node[vertex] = value
-        return value
+    def admissibility(self, node: HCsPathQuery) -> tuple:
+        """``node``'s ``(need, shift)`` — see
+        :func:`repro.enumeration.hc_s_search.admissibility` — kept until
+        :meth:`invalidate_need` drops it."""
+        if node not in self._admissibility:
+            self._admissibility[node] = admissibility(self.distance_rows(node))
+        return self._admissibility[node]
 
     def invalidate_need(self, node: HCsPathQuery) -> None:
         """Drop the memoised needs of ``node`` (its served set changed)."""
-        self._need_cache.pop(node, None)
-        self._constants_cache.pop(node, None)
-
-    def admissible(
-        self, neighbor: int, remaining_budget: int, node: HCsPathQuery
-    ) -> bool:
-        """Lemma 3.1 style pruning for shared enumerations.
-
-        ``node`` is about to extend to ``neighbor`` while ``remaining_budget``
-        hops of its own budget are left.  The extension is admissible iff at
-        least one query served by ``node`` could still complete a result
-        path through ``neighbor``.
-        """
-        return self.need(node, neighbor) <= remaining_budget
+        self._admissibility.pop(node, None)
 
 
 def detect_common_queries(
@@ -181,8 +125,9 @@ def detect_common_queries(
         the expansion itself costs a noticeable fraction of the enumeration
         it is trying to save, and almost all of the sharing value sits in
         the first hops (queries with identical or adjacent endpoints), so
-        the engine defaults to a depth of 2.  ``None`` means unbounded,
-        exactly as in Algorithm 3.
+        the engine defaults to a depth of 1
+        (``batch_enum.DEFAULT_MAX_DETECTION_DEPTH``).  ``None`` means
+        unbounded, exactly as in Algorithm 3.
     """
     require(bool(queries_by_position), "cluster must contain at least one query")
     forward = direction is Direction.FORWARD
@@ -197,8 +142,8 @@ def detect_common_queries(
         budget_by_position=dict(budget_by_position),
         served_queries=served,
         queries_by_position=dict(queries_by_position),
+        index=index,
     )
-    outcome.index = index
 
     # ME: frontier entries per vertex -> list of (node, remaining budget).
     frontier: Dict[int, List[Tuple[HCsPathQuery, int]]] = defaultdict(list)
@@ -254,8 +199,14 @@ def detect_common_queries(
         hops of budget left (Algorithm 3 lines 20-24)."""
         if remaining <= 0:
             return
+        # Read once per call: the try_reuse below can only grow the served
+        # sets of ``existing`` and of what it transitively consumes from,
+        # and would_create_cycle rejects an ``existing`` that consumes from
+        # ``node`` — so ``node``'s own served set cannot change in this loop.
+        need, shift = outcome.admissibility(node)
+        limit = remaining - shift
         for neighbor in neighbors(vertex):
-            if not outcome.admissible(neighbor, remaining, node):
+            if need[neighbor] > limit:
                 continue
             existing = rooted_query.get(neighbor)
             if existing is not None and try_reuse(existing, node, remaining - 1):
@@ -342,14 +293,12 @@ def detect_common_queries(
                 newly_created = True
                 rooted_query[vertex] = provider
 
-            attached_all = True
             for node in nodes_here:
                 if node is provider:
                     continue
                 if not try_reuse(provider, node, budget):
                     # Extremely rare (cycle guard): fall back to extending
                     # this query on its own.
-                    attached_all = False
                     extend(node, vertex, budget)
             propagate_served(provider, all_positions)
 
@@ -357,6 +306,5 @@ def detect_common_queries(
                 extend(provider, vertex, budget)
             # When the provider pre-existed, its own (earlier, larger
             # budget) extension already covered the deeper levels.
-            del attached_all  # kept for readability of the fallback above
 
     return outcome

@@ -4,6 +4,11 @@
   tests and by the Fig. 3(c) materialisation experiment.
 * :mod:`repro.enumeration.path_enum` — PathEnum [Sun et al., SIGMOD'21], the
   state-of-the-art single-query algorithm the batch approach builds on.
+* :mod:`repro.enumeration.hc_s_search` — the one explicit-stack HC-s path
+  search (Algorithm 4's Search: PathEnum's search plus the provider splice)
+  and the one Lemma 3.1 admissibility rule; PathEnum, BatchEnum and
+  DetectCommonQuery all read it.
+* :mod:`repro.enumeration.kernels` — its two numpy twins (optional).
 * :mod:`repro.enumeration.dfs_baseline` — a pruning-based DFS in the style
   of the earlier literature [11], [12], [14].
 """

@@ -1,0 +1,140 @@
+"""The one HC-s path search (Algorithm 4, procedure Search) and its one
+Lemma 3.1 admissibility rule.
+
+A HC-s path query ``q_{root, budget}`` enumerates the simple paths leaving
+``root`` within ``budget`` hops in one direction, on behalf of one or more
+HC-s-t queries.  Each of those is a pair ``(row, slack)``: the dense
+distance row toward its *other* endpoint and ``B + 1 - k`` for its root
+budget ``B`` in this direction.  Stepping onto ``v`` with ``r`` hops left
+spends ``B - r`` hops plus one more and the rest of ``k`` must cover
+``row[v]``, so it helps that query iff ``row[v] + slack <= r``; a step is
+admissible iff it helps some served query.
+
+:func:`admissibility` is that rule for every reader — PathEnum, BatchEnum
+(both through :func:`search_hc_s_paths`) and DetectCommonQuery's frontier
+expansion.  The search is PathEnum's [Sun et al., SIGMOD'21] plus one step,
+the provider splice: with one served query and no provider it executes
+what the single-query baseline executes.  Its numpy twins live in
+:mod:`repro.enumeration.kernels`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Collection, List, Mapping, Optional, Sequence, Tuple
+
+from repro.bfs.distance_index import UNREACHABLE
+from repro.enumeration.paths import Path
+
+#: ``(dense row toward a served query's other endpoint, root budget + 1 - k)``.
+DistanceRow = Tuple[Sequence[int], int]
+#: Root vertex of a cached provider -> ``(its budget, fetch its paths)``.
+Providers = Mapping[int, Tuple[int, Callable[[], Sequence[Path]]]]
+
+
+class _MinNeed(dict):
+    """``need[v]`` = the least ``row[v] + slack`` over several pairs, computed
+    on first access and stored — a plain ``dict`` hit from then on."""
+
+    def __init__(self, rows: Sequence[DistanceRow]) -> None:
+        super().__init__()
+        self._rows = rows
+
+    def __missing__(self, vertex: int) -> int:
+        best = UNREACHABLE
+        for row, slack in self._rows:
+            distance = row[vertex]
+            if distance != UNREACHABLE and distance + slack < best:
+                best = distance + slack
+        self[vertex] = best
+        return best
+
+
+def admissibility(distance_rows: Sequence[DistanceRow]) -> Tuple[Sequence[int], int]:
+    """``(need, shift)``: stepping onto ``v`` with ``r`` hops left is pruned
+    iff ``need[v] > r - shift``.
+
+    One pair is its own answer — ``need`` is the index row itself, ``shift``
+    its slack.  Several pairs give the lazily memoised minimum and no shift.
+    :data:`UNREACHABLE` dwarfs every hop budget, so a hole prunes whatever
+    the budget in both forms, and so does a node that serves nothing.
+    """
+    if len(distance_rows) == 1:
+        return distance_rows[0]
+    return _MinNeed(distance_rows), 0
+
+
+def search_hc_s_paths(
+    adjacency: Sequence[Sequence[int]],
+    root: int,
+    budget: int,
+    distance_rows: Sequence[DistanceRow],
+    served_endpoints: Collection[int],
+    keep_all: bool,
+    forward: bool,
+    providers: Optional[Providers] = None,
+    record_root: bool = True,
+    stop_at: Optional[int] = None,
+) -> List[Path]:
+    """All admissible simple paths from ``root`` within ``budget`` hops, in
+    DFS preorder — lexicographic, since ``adjacency`` rows ascend.
+
+    A path is recorded when ``keep_all`` (some HC-s path query splices this
+    result) or when the final ⊕ join can use it: any backward path, and a
+    forward path that is ``budget`` long or ends on one of
+    ``served_endpoints``.  Stepping onto a ``providers`` vertex whose budget
+    covers the hops left splices ``fetch()`` — called once per splice —
+    instead of exploring.  The single-query search differs in two rules:
+    the trivial path is no join candidate (``record_root=False``) and a
+    simple s-t path never passes through the other endpoint (``stop_at``:
+    recorded, never extended).  The stack is explicit, so deep budgets
+    never meet the recursion limit.
+    """
+    need, shift = admissibility(distance_rows)
+    record_all = keep_all or not forward
+    results: List[Path] = []
+    if record_root and (record_all or budget == 0 or root in served_endpoints):
+        results.append((root,))
+    if budget <= 0:
+        return results
+
+    prefix = [root]
+    on_path = {root}
+    # stack[d] iterates the neighbours of prefix[d] not yet visited.
+    stack = [iter(adjacency[root])]
+    while stack:
+        remaining = budget - len(stack) + 1
+        limit = remaining - shift
+        last_hop = remaining == 1
+        if last_hop:
+            head = tuple(prefix)
+        for neighbor in stack[-1]:
+            if neighbor in on_path or need[neighbor] > limit:
+                continue
+            if providers and neighbor in providers:
+                provider_budget, fetch = providers[neighbor]
+                if provider_budget >= remaining - 1:
+                    room, head = remaining - 1, tuple(prefix)
+                    for cached in fetch():
+                        extra = len(cached) - 1
+                        if extra > room or not on_path.isdisjoint(cached):
+                            continue
+                        if record_all or extra == room or cached[-1] in served_endpoints:
+                            results.append(head + cached)
+                    continue
+            if last_hop:
+                # Recorded at full length whatever the rule; nothing to push.
+                results.append(head + (neighbor,))
+                continue
+            prefix.append(neighbor)
+            if record_all or neighbor in served_endpoints:
+                results.append(tuple(prefix))
+            if neighbor == stop_at:
+                prefix.pop()
+                continue
+            on_path.add(neighbor)
+            stack.append(iter(adjacency[neighbor]))
+            break
+        else:
+            stack.pop()
+            on_path.remove(prefix.pop())
+    return results

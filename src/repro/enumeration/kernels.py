@@ -1,16 +1,19 @@
-"""Vectorized frontier-expansion kernels for the two enumeration hot loops.
+"""Vectorized frontier-expansion kernels: the numpy twins of the HC-s path search.
 
-The explicit-stack searches in :meth:`repro.enumeration.path_enum.PathEnum._search`
-and :meth:`repro.batch.batch_enum.BatchEnum._enumerate_node` spend their time
-in Python bytecode dispatch, one vertex at a time.  This module re-expresses
-both as *level-synchronous* numpy frontier expansions over the flat CSR
-arrays: every partial path of the same length is extended in one shot —
-neighbour gather, simple-path check, Lemma 3.1 pruning and record selection
-are all array operations.
+The explicit-stack search of :mod:`repro.enumeration.hc_s_search` — the one
+Python loop behind ``PathEnum._search`` and ``BatchEnum._enumerate_node`` —
+spends its time in Python bytecode dispatch, one vertex at a time.  This
+module re-expresses it as *level-synchronous* numpy frontier expansions over
+the flat CSR arrays: every partial path of the same length is extended in
+one shot — neighbour gather, simple-path check, Lemma 3.1 pruning and record
+selection are all array operations.  :func:`enumerate_node_paths` is the
+search itself, provider splice included; :func:`search_paths` is the search
+under PathEnum's two single-query rules (no trivial path, never past the
+other endpoint).
 
 Byte-identity
 -------------
-Both kernels return *exactly* the list the explicit-stack implementation
+Both kernels return *exactly* the list the explicit-stack search
 produces, pinned by the differential suite in ``tests/test_kernels.py``.
 The argument: the DFS iterates each adjacency row in strictly ascending
 vertex order (a ``CSRGraph`` packing invariant), so its preorder emission
@@ -24,13 +27,13 @@ order, and every spliced path shares the prefix that triggered the splice).
 
 numpy is an optional dependency (the ``[kernels]`` extra): when it is not
 importable every request for the ``"numpy"`` kernel raises at construction
-time and ``"auto"`` resolves to ``"python"`` — the pure-Python loops remain
+time and ``"auto"`` resolves to ``"python"`` — the pure-Python search remains
 the default substrate and the only one exercised without the extra.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from repro.bfs.distance_index import UNREACHABLE
 from repro.enumeration.paths import Path
@@ -155,7 +158,9 @@ def search_paths(
     budget: int,
     forward: bool,
 ) -> List[Path]:
-    """numpy twin of :meth:`PathEnum._search` over flat CSR arrays.
+    """numpy twin of :func:`~repro.enumeration.hc_s_search.search_hc_s_paths`
+    as ``PathEnum._search`` calls it (one query, no provider, no trivial
+    path, ``other_end`` never passed through), over flat CSR arrays.
 
     ``row`` is the dense Lemma 3.1 distance row toward the *other*
     endpoint (``dist(v, t)`` forward / ``dist(s, v)`` backward);
@@ -214,12 +219,13 @@ def enumerate_node_paths(
     forward: bool,
     providers: Mapping[int, Tuple[int, Callable[[], Sequence[Path]]]],
 ) -> List[Path]:
-    """numpy twin of :meth:`BatchEnum._enumerate_node`.
+    """numpy twin of :func:`~repro.enumeration.hc_s_search.search_hc_s_paths`
+    (same arguments after the graph, same list out).
 
     ``providers`` maps a provider root vertex to ``(provider_budget,
     fetch)`` where ``fetch()`` returns the provider's cached paths —
     a callable (not a prefetched list) so the result cache observes one
-    ``get`` per splice, exactly like the explicit-stack loop, keeping the
+    ``get`` per splice, exactly like the explicit-stack search, keeping the
     sharing statistics identical too.
     """
     offs = _as_int64(offsets)

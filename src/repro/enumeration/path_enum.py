@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.bfs.distance_index import CSRDistanceIndex, build_index
+from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import resolve_kernel, search_paths
 from repro.enumeration.paths import Path
@@ -47,8 +48,9 @@ class PathEnum:
         Enable the "+" search-order optimisation (adaptive forward/backward
         budget split).
     kernel:
-        ``"python"`` (default) runs the explicit-stack loop; ``"numpy"``
-        runs the byte-identical vectorized frontier expansion of
+        ``"python"`` (default) runs the explicit-stack search of
+        :mod:`repro.enumeration.hc_s_search`; ``"numpy"`` runs the
+        byte-identical vectorized frontier expansion of
         :mod:`repro.enumeration.kernels` (raises here when numpy is
         absent).  ``"auto"`` resolves to ``"python"`` at this level — the
         cost-aware auto selection lives in the query planner, which
@@ -133,67 +135,33 @@ class PathEnum:
         hops already used plus its distance to the *other* endpoint still
         fit within ``k``.
 
-        The search walks flat CSR adjacency with an explicit iterator
-        stack, so arbitrarily large hop budgets never touch Python's
-        recursion limit and the hot loop avoids per-step ``DiGraph`` method
-        dispatch.  Lemma 3.1 distances come from a dense row indexed
-        directly by vertex id (``UNREACHABLE`` holes are astronomically
-        larger than any hop budget, so the admissibility check needs no
-        branch).
+        This is the shared HC-s path search run for one query with no
+        provider, under the two single-query rules: the trivial path is
+        not collected and the other endpoint is never passed through.
         """
-        k = query.k
         if forward:
             start, other_end = query.s, query.t
+            row = index.dense_to(query.t)
         else:
             start, other_end = query.t, query.s
-        row = index.dense_to(query.t) if forward else index.dense_from(query.s)
+            row = index.dense_from(query.s)
+        snapshot = self.graph.csr_snapshot()
 
         if self.kernel == "numpy":
-            offsets, targets = self.graph.csr_snapshot().flat(forward)
             return search_paths(
-                offsets, targets, row, start, other_end, k, budget, forward
+                *snapshot.flat(forward), row, start, other_end, query.k, budget, forward
             )
-        adjacency = self.graph.csr_snapshot().adjacency_lists(forward)
-
-        collected: List[Path] = []
-        if forward and start == other_end:  # guarded by HCSTQuery, defensive
-            return collected
-
-        prefix: List[int] = [start]
-        on_path = {start}
-        # iter_stack[d] iterates the unexplored neighbours of prefix[d]; a
-        # frame is only pushed when the prefix may still be extended
-        # (budget left and not sitting on the other endpoint).
-        iter_stack = [iter(adjacency[start])] if budget > 0 else []
-
-        while iter_stack:
-            used = len(prefix) - 1
-            frame = iter_stack[-1]
-            for neighbor in frame:
-                if neighbor in on_path:
-                    continue
-                if used + 1 + row[neighbor] > k:
-                    continue
-                prefix.append(neighbor)
-                on_path.add(neighbor)
-                length = used + 1
-                if forward:
-                    if neighbor == other_end or length == budget:
-                        collected.append(tuple(prefix))
-                else:
-                    collected.append(tuple(prefix))
-                if length < budget and neighbor != other_end:
-                    iter_stack.append(iter(adjacency[neighbor]))
-                else:
-                    # Leaf: either out of budget or a simple s-t path never
-                    # revisits the other endpoint, so backtrack in place.
-                    prefix.pop()
-                    on_path.remove(neighbor)
-                break
-            else:
-                iter_stack.pop()
-                on_path.remove(prefix.pop())
-        return collected
+        return search_hc_s_paths(
+            snapshot.adjacency_lists(forward),
+            start,
+            budget,
+            [(row, budget + 1 - query.k)],
+            (other_end,),
+            False,
+            forward,
+            record_root=False,
+            stop_at=other_end,
+        )
 
 
 def enumerate_paths(

@@ -4,12 +4,16 @@ import pytest
 
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
+from repro.batch.cache import ResultCache
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
+from repro.bfs.distance_index import UNREACHABLE, build_index
 from repro.enumeration.brute_force import enumerate_paths_brute_force
+from repro.enumeration.hc_s_search import admissibility
+from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import sort_paths, validate_path
-from repro.graph.generators import paper_example_graph
+from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.generation import generate_random_queries, generate_similar_workload
-from repro.queries.query import HCSTQuery
+from repro.queries.query import Direction, HCSTQuery
 
 
 def _expected(graph, queries):
@@ -125,6 +129,88 @@ def test_batch_enum_sharing_stats_populated():
     assert result.sharing.num_hc_s_nodes >= 3
     assert result.sharing.num_shared_nodes >= 1
     assert result.total_time > 0.0
+
+
+def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch):
+    """The degenerate case is structural: when a cluster's detection finds
+    nothing to share, every root serves one query and has no provider, and
+    its enumeration is ``PathEnum._search``'s list for the voted budget —
+    in the same order — beside the trivial root path and the paths that
+    pass *through* the query's other endpoint (which the join discards)."""
+    outcomes = []
+    materialize = BatchEnum._materialize
+
+    def recording_materialize(self, outcome, cache, kernel):
+        outcomes.append(outcome)
+        return materialize(self, outcome, cache, kernel)
+
+    monkeypatch.setattr(BatchEnum, "_materialize", recording_materialize)
+    compared = 0
+    for seed in range(40):
+        graph = random_directed_gnm(40, 200, seed=seed)
+        queries = generate_random_queries(graph, 8, min_k=2, max_k=5, seed=seed)
+        enum = BatchEnum(graph, optimize_search_order=True)
+        outcomes.clear()
+        enum.run(queries)
+        # _process_cluster materialises a cluster's forward Ψ, then its Ψr.
+        for forward_outcome, backward_outcome in zip(outcomes[::2], outcomes[1::2]):
+            if forward_outcome.num_shared_nodes + backward_outcome.num_shared_nodes:
+                continue
+            for outcome in (forward_outcome, backward_outcome):
+                forward = outcome.direction is Direction.FORWARD
+                psi = outcome.sharing_graph
+                for position, root in outcome.root_by_position.items():
+                    query = outcome.queries_by_position[position]
+                    assert outcome.served_queries[root] == {position}
+                    assert psi.providers_of(root) == []
+                    other_end = query.t if forward else query.s
+                    node_paths = enum._enumerate_node(
+                        root, outcome, ResultCache(), "python"
+                    )
+                    assert [
+                        path
+                        for path in node_paths
+                        if len(path) > 1 and other_end not in path[:-1]
+                    ] == PathEnum(graph)._search(
+                        query, outcome.index, forward=forward, budget=root.budget
+                    )
+                    compared += 1
+    assert compared >= 100
+
+
+def test_admissibility_of_one_pair_is_the_index_row_itself():
+    graph = paper_example_graph()
+    row = build_index(graph, [0], [11], 5).dense_to(11)
+    need, shift = admissibility([(row, -2)])
+    assert need is row and shift == -2
+
+
+class _CountingRow:
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __getitem__(self, vertex):
+        self.reads += 1
+        return self.values[vertex]
+
+
+def test_admissibility_of_several_pairs_is_the_minimum_computed_once():
+    near = _CountingRow([0, 1, 2, UNREACHABLE])
+    far = _CountingRow([3, 2, UNREACHABLE, UNREACHABLE])
+    need, shift = admissibility([(near, 1), (far, -2)])
+    assert shift == 0
+    assert [need[v] for v in (0, 1, 2)] == [1, 0, 3]
+    assert [need[v] for v in (0, 1, 2)] == [1, 0, 3]
+    assert near.reads == far.reads == 3
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_admissibility_unreachable_prunes_at_every_budget(rows):
+    hole = [UNREACHABLE, 1]
+    need, shift = admissibility([(hole, -5000 - i) for i in range(rows)])
+    for budget in (0, 1, 7, 5000, 10**6):
+        assert need[0] > budget - shift
+    assert not need[1] > 1 - shift
 
 
 def test_batch_enum_invalid_gamma():

@@ -214,6 +214,7 @@ def test_need_is_monotone_in_distance(paper_graph):
     outcome = _detect(paper_graph, cluster, Direction.FORWARD)
     root = outcome.root_by_position[0]
     # v12 is one hop from the target v11; v1 is four hops away.
-    assert outcome.need(root, 12) <= outcome.need(root, 1)
+    need, shift = outcome.admissibility(root)
+    assert need[12] <= need[1]
     # Admissibility uses the same quantity.
-    assert outcome.admissible(12, root.budget, root)
+    assert not need[12] > root.budget - shift

@@ -19,9 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.batch import batch_enum
+from repro.batch.cache import ResultCache
 from repro.batch.config import ExecutionConfig
+from repro.batch.detection import detect_common_queries
 from repro.batch.engine import BatchQueryEngine
 from repro.batch.planner import QueryPlanner
+from repro.batch.results import drain
+from repro.bfs.distance_index import build_index
 from repro.enumeration import kernels
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import (
@@ -33,9 +37,13 @@ from repro.enumeration.kernels import (
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import sort_paths
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import random_directed_gnm
+from repro.graph.generators import (
+    PAPER_EXAMPLE_QUERIES,
+    paper_example_graph,
+    random_directed_gnm,
+)
 from repro.queries.generation import generate_random_queries
-from repro.queries.query import HCSTQuery
+from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 
 needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 
@@ -159,6 +167,18 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
         )
 
 
+def test_iter_run_rejects_a_kernel_list_that_does_not_match_the_clusters():
+    """``zip`` would silently drop the clusters past the shorter list."""
+    queries = [HCSTQuery(*triple) for triple in PAPER_EXAMPLE_QUERIES]
+    enum = batch_enum.BatchEnum(paper_example_graph(), gamma=1.0)
+    assert drain(enum.iter_run(queries)).sharing.num_clusters == len(queries)
+    for kernels in (["python"], ["python"] * (len(queries) + 1)):
+        with pytest.raises(ValueError, match="kernels"):
+            next(enum.iter_run(queries, kernels=kernels))
+    full = drain(enum.iter_run(queries, kernels=["python"] * len(queries)))
+    assert all(full.counts())
+
+
 # --------------------------------------------------------------------- #
 # Differential: hypothesis-randomized graphs, sequential
 # --------------------------------------------------------------------- #
@@ -210,6 +230,123 @@ def test_engine_numpy_kernel_byte_identical(data, algorithm):
         graph, algorithm=algorithm, kernel="numpy", num_workers=1
     ).run(queries)
     assert numpy_result.paths_by_position == python_result.paths_by_position
+    assert numpy_result.sharing == python_result.sharing
+
+
+# --------------------------------------------------------------------- #
+# Differential: every node of a sharing graph, python search vs numpy twin
+# --------------------------------------------------------------------- #
+@st.composite
+def graph_and_cluster(draw):
+    """A small dense digraph and 2-5 queries drawn from few endpoints, so
+    the cluster's Ψ has shared roots, created providers and splices."""
+    num_vertices = draw(st.integers(min_value=6, max_value=10))
+    possible = [
+        (u, v) for u in range(num_vertices) for v in range(num_vertices) if u != v
+    ]
+    edges = draw(
+        st.lists(
+            st.sampled_from(possible),
+            min_size=2 * num_vertices,
+            max_size=4 * num_vertices,
+        )
+    )
+    graph = DiGraph.from_edges(set(edges), num_vertices=num_vertices)
+    sources = st.integers(min_value=0, max_value=2)
+    targets = st.integers(min_value=num_vertices - 3, max_value=num_vertices - 1)
+    queries = draw(
+        st.lists(
+            st.builds(HCSTQuery, sources, targets, st.integers(2, 5)),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    max_depth = draw(st.sampled_from([None, 1, 2]))
+    return graph, dict(enumerate(queries)), max_depth
+
+
+def _simple_paths_from(adjacency, root, budget):
+    """Every simple path leaving ``root`` with at most ``budget`` hops."""
+    found, pending = [], [(root,)]
+    while pending:
+        path = pending.pop()
+        found.append(path)
+        if len(path) <= budget:
+            pending += [path + (v,) for v in adjacency[path[-1]] if v not in path]
+    return found
+
+
+def _allowed_paths(graph, outcome, node):
+    """Brute-force filter of ``node``'s simple paths by what its served
+    queries can use.  Returns ``(must, may)``: ``may`` passes the record
+    rule; ``must`` also takes only steps some served query can still finish
+    from (Lemma 3.1, scalar form on the index's ``dist_*`` accessors).
+    Without a provider the node returns exactly ``must``; a spliced
+    provider serves a superset of queries, so it may add paths of ``may``.
+    """
+    forward = node.direction is Direction.FORWARD
+    index, psi = outcome.index, outcome.sharing_graph
+    served = [
+        (outcome.queries_by_position[p], outcome.budget_by_position[p])
+        for p in outcome.served_queries[node]
+    ]
+    endpoints = {query.t if forward else query.s for query, _ in served}
+    keep_all = any(isinstance(c, HCsPathQuery) for c in psi.consumers_of(node))
+
+    def useful(vertex, remaining):
+        return any(
+            (index.dist_to(q.t, vertex) if forward else index.dist_from(q.s, vertex))
+            + root_budget + 1 - q.k <= remaining
+            for q, root_budget in served
+        )
+
+    must, may = set(), set()
+    adjacency = graph.csr_snapshot().adjacency_lists(forward)
+    for path in _simple_paths_from(adjacency, node.vertex, node.budget):
+        hops = len(path) - 1
+        if keep_all or not forward or hops == node.budget or path[-1] in endpoints:
+            may.add(path)
+            if all(
+                useful(path[i], node.budget - i + 1) for i in range(1, len(path))
+            ):
+                must.add(path)
+    return must, may
+
+
+@SETTINGS
+@given(graph_and_cluster())
+def test_every_psi_node_python_search_equals_numpy_twin(data):
+    pytest.importorskip("numpy")
+    graph, cluster, max_depth = data
+    enum = batch_enum.BatchEnum(graph)
+    index = build_index(
+        graph,
+        [q.s for q in cluster.values()],
+        [q.t for q in cluster.values()],
+        max(q.k for q in cluster.values()),
+    )
+    for direction in (Direction.FORWARD, Direction.BACKWARD):
+        forward = direction is Direction.FORWARD
+        budgets = {
+            position: query.forward_budget if forward else query.backward_budget
+            for position, query in cluster.items()
+        }
+        outcome = detect_common_queries(
+            graph, cluster, direction, index, budgets, max_depth=max_depth
+        )
+        psi, cache = outcome.sharing_graph, ResultCache()
+        for node in psi.topological_order():
+            if not isinstance(node, HCsPathQuery):
+                continue
+            paths = enum._enumerate_node(node, outcome, cache, "python")
+            assert enum._enumerate_node(node, outcome, cache, "numpy") == paths
+            assert paths == sorted(set(paths))
+            must, may = _allowed_paths(graph, outcome, node)
+            assert must <= set(paths) <= may
+            if not any(isinstance(p, HCsPathQuery) for p in psi.providers_of(node)):
+                assert set(paths) == must
+            # Never released: every later node finds its providers cached.
+            cache.put(node, paths, consumers=len(psi.consumers_of(node)))
 
 
 # --------------------------------------------------------------------- #
@@ -226,6 +363,7 @@ def test_all_algorithms_numpy_equals_python_sequential(algorithm):
         graph, algorithm=algorithm, kernel="numpy", num_workers=1
     ).run(queries)
     assert numpy_result.paths_by_position == python_result.paths_by_position
+    assert numpy_result.sharing == python_result.sharing
     if algorithm in COMPLETE_ALGORITHMS:
         for position, query in enumerate(queries):
             assert sort_paths(python_result.paths_at(position)) == sort_paths(
