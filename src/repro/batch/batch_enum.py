@@ -10,9 +10,12 @@ Processing pipeline for a batch ``Q``:
    direction, the dominating HC-s path queries and builds the query sharing
    graphs Ψ (forward) and Ψr (backward).
 4. **Enumeration** — HC-s path query nodes are materialised in topological
-   order of Ψ/Ψr; a node's enumeration splices in the cached results of its
-   providers instead of re-exploring, and the final HC-s-t paths of every
-   query are produced by the ⊕ join of its two root HC-s path results.
+   order of Ψr, then of Ψ; a node's enumeration splices in the cached
+   results of its providers instead of re-exploring.  The final HC-s-t
+   paths come from the ⊕ join of each query's two root HC-s path results,
+   made while the forward root is searched: the cached backward roots of
+   all its queries form one probe table, so a shared forward root is
+   searched and joined once and only a node that is spliced is ever cached.
    Cached results are evicted as soon as their last consumer is done.
 
 ``BatchEnum+`` uses the search-order optimiser to pick each query's
@@ -21,15 +24,19 @@ forward/backward budget split before detection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from repro.batch.cache import ResultCache
 from repro.batch.clustering import cluster_queries
 from repro.batch.detection import DetectionOutcome, detect_common_queries
 from repro.batch.results import BatchResult, FragmentStream, SharingStats, drain
+from repro.batch.sharing_graph import QueryNode
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.enumeration.hc_s_search import search_hc_s_paths
-from repro.enumeration.join import JunctionIndex, PathJoinPolicy, join_path_sets
+from repro.enumeration.join import (
+    ForwardSide, JoinProbe, PathJoinPolicy, join_path_sets,
+)
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split
@@ -62,9 +69,8 @@ class BatchEnum:
         :mod:`repro.enumeration.hc_s_search`, the loop ``basic+`` runs;
         ``"numpy"`` runs the byte-identical vectorized kernel of
         :mod:`repro.enumeration.kernels` (raises when numpy is absent).
-        ``"auto"`` resolves to ``"python"`` here — cost-aware selection is
-        the planner's job, and a plan's per-cluster choices arrive through
-        ``iter_run(kernels=...)``.
+        ``"auto"`` resolves to ``"python"``; a plan's per-cluster choices
+        arrive through ``iter_run(kernels=...)``.
     """
 
     def __init__(
@@ -176,8 +182,6 @@ class BatchEnum:
         mode calls this method from worker processes with a per-cluster
         index and merges the per-position results afterwards.
         """
-        cluster = sorted(queries_by_position)
-
         forward_budgets: Dict[int, int] = {}
         backward_budgets: Dict[int, int] = {}
         if self.optimize_search_order:
@@ -231,36 +235,82 @@ class BatchEnum:
 
         cache = ResultCache()
         with stage_timer.stage("Enumeration"):
-            self._materialize(forward_outcome, cache, kernel)
+            # Ψr first: a forward root is joined while it is searched, and
+            # its probe table is built from the cached backward roots.
             self._materialize(backward_outcome, cache, kernel)
-            self._join_cluster(
-                cluster,
-                forward_outcome,
-                backward_outcome,
-                cache,
-                result,
-            )
+            self._materialize(forward_outcome, cache, kernel, backward_outcome, result)
         sharing.cache_peak_entries = max(
             sharing.cache_peak_entries, cache.peak_entries
         )
         sharing.cache_reuse_count += cache.reuse_count
 
     def _materialize(
-        self, outcome: DetectionOutcome, cache: ResultCache, kernel: str
+        self,
+        outcome: DetectionOutcome,
+        cache: ResultCache,
+        kernel: str,
+        backward_outcome: Optional[DetectionOutcome] = None,
+        result: Optional[BatchResult] = None,
     ) -> None:
         """Enumerate every HC-s path query node of one sharing graph in
-        topological order, reusing cached provider results."""
+        topological order, reusing cached provider results.  In the forward
+        graph (the one given ``backward_outcome`` and ``result``) a root is
+        joined for its queries, which read no cache entry: a node is cached
+        only for the HC-s path queries that splice it, and the search of a
+        root nobody splices is left to the join."""
         psi = outcome.sharing_graph
         for node in psi.topological_order():
             if not isinstance(node, HCsPathQuery):
                 continue
-            paths = self._enumerate_node(node, outcome, cache, kernel)
             consumers = psi.consumers_of(node)
-            cache.put(node, paths, consumers=len(consumers))
+            positions = [
+                consumer.position
+                for consumer in consumers
+                if result is not None and isinstance(consumer, QueryNode)
+            ]
+            # The node's paths or, for a root nobody splices, its search.
+            paths = partial(self._enumerate_node, node, outcome, cache, kernel)
+            if not positions or len(consumers) > len(positions):
+                paths = paths()
+                cache.put(node, paths, consumers=len(consumers) - len(positions))
+            if positions:
+                self._join_root(node, positions, paths, backward_outcome, cache, result)
             # This node has finished reading its providers.
             for provider in psi.providers_of(node):
                 if isinstance(provider, HCsPathQuery):
                     cache.release(provider)
+
+    @staticmethod
+    def _join_root(
+        root: HCsPathQuery,
+        positions: List[int],
+        forward: ForwardSide,
+        backward_outcome: DetectionOutcome,
+        cache: ResultCache,
+        result: BatchResult,
+    ) -> None:
+        """⊕-join one forward root — ``forward`` is its search, or its
+        paths — with the backward root of every query at ``positions``,
+        then release those.  The two roots fix budgets and target, so
+        queries identical up to their batch position (common in bursty
+        real workloads) share one side and one list."""
+        shared: Dict[HCsPathQuery, List[int]] = {}
+        backward_root_of = backward_outcome.root_by_position
+        for position in positions:
+            shared.setdefault(backward_root_of[position], []).append(position)
+        sides = []
+        for backward_root in shared:
+            backward_paths = cache.peek(backward_root)
+            require(
+                backward_paths is not None,
+                "a backward root was evicted before its join: consumer accounting bug",
+            )
+            policy = PathJoinPolicy(root.budget, backward_root.budget)
+            sides.append((backward_paths, backward_root.vertex, policy))
+        for backward_root, paths in zip(shared, join_path_sets(forward, sides)):
+            for position in shared[backward_root]:
+                result.record(position, paths)
+                cache.release(backward_root)
 
     def _enumerate_node(
         self,
@@ -268,6 +318,7 @@ class BatchEnum:
         outcome: DetectionOutcome,
         cache: ResultCache,
         kernel: str,
+        probe: Optional[JoinProbe] = None,
     ) -> List[Path]:
         """Enumerate all hop-constrained paths of one HC-s path query:
         assemble the arguments of Algorithm 4's Search once and run it on
@@ -275,6 +326,8 @@ class BatchEnum:
         Where either would step onto the root of one of the node's cached
         providers with a budget the provider covers, it splices the
         provider's paths in instead of re-exploring (Search lines 22-23).
+        With ``probe`` the Python search of a node nobody splices joins
+        its paths as it finds them and returns none.
         """
         psi = outcome.sharing_graph
         forward = node.direction is Direction.FORWARD
@@ -318,56 +371,6 @@ class BatchEnum:
         snapshot = self.graph.csr_snapshot()
         if kernel == "numpy":
             return enumerate_node_paths(*snapshot.flat(forward), *arguments)
-        return search_hc_s_paths(snapshot.adjacency_lists(forward), *arguments)
-
-    def _join_cluster(
-        self,
-        cluster: List[int],
-        forward_outcome: DetectionOutcome,
-        backward_outcome: DetectionOutcome,
-        cache: ResultCache,
-        result: BatchResult,
-    ) -> None:
-        """Produce every query's HC-s-t paths by joining its two root
-        HC-s path results, then release the roots.
-
-        The two roots fix the budgets and the target, so a join is memoised
-        per (forward root, backward root): queries identical up to their
-        batch position (common in bursty real workloads) share one.  A
-        forward root is indexed by junction before its first join and
-        probed by each one; the index is dropped with the root's last
-        release.
-        """
-        join_memo: Dict[Tuple[HCsPathQuery, HCsPathQuery], List[Path]] = {}
-        junction_indexes: Dict[HCsPathQuery, JunctionIndex] = {}
-        for position in cluster:
-            forward_root = forward_outcome.root_by_position[position]
-            backward_root = backward_outcome.root_by_position[position]
-            memo_key = (forward_root, backward_root)
-            paths = join_memo.get(memo_key)
-            if paths is None:
-                forward_paths = cache.peek(forward_root)
-                backward_paths = cache.peek(backward_root)
-                require(
-                    forward_paths is not None and backward_paths is not None,
-                    "root HC-s path results were evicted before the final join; "
-                    "this indicates a consumer accounting bug",
-                )
-                if forward_root not in junction_indexes:
-                    junction_indexes[forward_root] = JunctionIndex(forward_paths)
-                policy = PathJoinPolicy(
-                    forward_budget=forward_root.budget,
-                    backward_budget=backward_root.budget,
-                )
-                paths = join_path_sets(
-                    junction_indexes[forward_root],
-                    backward_paths,
-                    backward_root.vertex,
-                    policy,
-                )
-                join_memo[memo_key] = paths
-            result.record(position, paths)
-            cache.release(forward_root)
-            cache.release(backward_root)
-            if forward_root not in cache:
-                junction_indexes.pop(forward_root, None)
+        return search_hc_s_paths(
+            snapshot.adjacency_lists(forward), *arguments, probe=probe
+        )

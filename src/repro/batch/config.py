@@ -283,12 +283,9 @@ class ExecutionConfig:
         ``os.cpu_count()`` here.  Explicit integer ``num_workers``
         requests are honoured beyond it.
     kernel:
-        ``"auto"`` routes shards whose estimated cost clears
-        :data:`~repro.enumeration.kernels.AUTO_MIN_COST_UNITS` to the
-        vectorized numpy kernel when numpy is importable (unplanned
-        sequential runs stay pure-Python), ``"python"`` pins the
-        pure-Python loops, ``"numpy"`` forces the vectorized kernel and is
-        refused here when numpy is absent.
+        ``"auto"`` and ``"python"`` run the pure-Python search on every
+        route; ``"numpy"`` forces the vectorized kernel and is refused
+        here when numpy is absent.
     cost_model:
         The planner's calibration constants; ``None`` resolves to the
         default :class:`CostModel` here.

@@ -336,9 +336,7 @@ class BatchQueryEngine:
         if not queries:
             return BatchResult(queries=[], algorithm=spec.display_name)
         if plan is None and self.num_workers == 1 and pool is None:
-            # Explicit sequential request: no planning, and the kernel is
-            # resolved cost-blind, so "auto" stays pure-Python (the numpy
-            # kernel's result lists would raise this route's peak memory).
+            # Explicit sequential request: no planning.
             fragments = spec.runner(
                 self.graph.csr_snapshot(),
                 self.config,

@@ -90,8 +90,7 @@ class ShardPlan:
     positions: List[int]
     estimated_cost: float  # enumeration cost units
     #: Concrete enumeration kernel the executor runs this shard on
-    #: ("python" | "numpy"); resolved per shard so ``auto`` can route only
-    #: the heavy shards to the vectorized substrate.
+    #: ("python" | "numpy").
     kernel: str = "python"
 
     def __post_init__(self) -> None:
@@ -404,7 +403,7 @@ class QueryPlanner:
         total_cost = sum(query_costs)
         if spec.kernelized:
             for shard in shards:
-                shard.kernel = resolve_kernel(config.kernel, shard.estimated_cost)
+                shard.kernel = resolve_kernel(config.kernel)
                 self._metrics.counter(
                     "repro_plan_kernel_total", labels={"kernel": shard.kernel}
                 ).inc()

@@ -39,6 +39,10 @@ Error and lifecycle semantics
 * ``max_pending`` applies backpressure: ``submit`` blocks (or raises
   :class:`ServiceOverloadedError` with ``block=False``) while the queue is
   full.
+* Whatever kills the scheduler thread itself closes the service: the
+  tickets it had popped and the queue fail with a
+  :class:`ServiceClosedError` chaining the cause, and the next ``submit``
+  raises one naming it — never a ticket nobody will resolve.
 * ``close(drain=True)`` stops admission, lets the scheduler work off the
   queue, then joins the thread and the worker pool — no orphaned workers.
   ``close(drain=False)`` fails queued-but-undispatched tickets with
@@ -85,7 +89,8 @@ from repro.utils.validation import require
 
 
 class ServiceClosedError(RuntimeError):
-    """The service no longer accepts queries (``close`` was called)."""
+    """The service no longer accepts queries (``close`` was called, or its
+    scheduler thread died — then the cause is chained)."""
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -272,6 +277,7 @@ class IngestionService:
         {
             "_pending",
             "_closing",
+            "_died",
             "_drain_on_close",
             "_thread",
             "_admitted",
@@ -322,6 +328,8 @@ class IngestionService:
         self._lock = threading.Condition()
         self._pending: Deque[QueryTicket] = deque()
         self._closing = False
+        #: What killed the scheduler thread, if anything did.
+        self._died: Optional[BaseException] = None
         self._drain_on_close = True
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[WorkerPool] = None
@@ -425,9 +433,10 @@ class IngestionService:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
-                require(
-                    not self._closing, "service is closed", ServiceClosedError
-                )
+                if self._closing:
+                    died = self._died
+                    why = "" if died is None else f": its scheduler died of {died!r}"
+                    raise ServiceClosedError("service is closed" + why) from died
                 if len(self._pending) < self.policy.max_pending:
                     break
                 require(
@@ -486,19 +495,28 @@ class IngestionService:
     # Scheduler internals (single background thread)
     # ------------------------------------------------------------------ #
     def _scheduler_loop(self) -> None:
+        closed = ServiceClosedError("service closed without drain")
         try:
             while True:
                 batch = self._collect_batch()
                 if batch is None:
                     break
                 self._dispatch(batch)
+        except BaseException as error:
+            # Nobody will serve the queue again: close the service, so the
+            # next submit() is refused with the cause instead of waiting
+            # forever, and fail what is queued with the same cause.
+            closed = ServiceClosedError(f"scheduler died of {error!r}")
+            closed.__cause__ = error
+            with self._lock:
+                self._closing = True
+                self._died = error
+            raise
         finally:
-            # Runs on normal shutdown AND if the loop ever dies
-            # unexpectedly: queued tickets must never hang forever and the
-            # worker pool must never be orphaned.
-            self._fail_pending(
-                ServiceClosedError("service closed without drain")
-            )
+            # Runs on normal shutdown AND if the loop dies: queued tickets
+            # must never hang forever and the worker pool must never be
+            # orphaned.
+            self._fail_pending(closed)
             self._shutdown_pool()
 
     def _collect_batch(self) -> Optional[List[QueryTicket]]:
@@ -547,7 +565,14 @@ class IngestionService:
                 else []
             )
             self._lock.notify_all()  # space freed: wake blocked submitters
-        joined = self._join_pending_cluster(batch, candidates)
+        try:
+            joined = self._join_pending_cluster(batch, candidates)
+        except BaseException:
+            # The popped tickets are in neither the queue nor a dispatch:
+            # requeue them, so that the scheduler's exit fails them too.
+            with self._lock:
+                self._pending.extendleft(reversed(batch))
+            raise
         if joined:
             with self._lock:
                 for ticket in joined:

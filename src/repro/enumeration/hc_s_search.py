@@ -14,7 +14,9 @@ admissible iff it helps some served query.
 (both through :func:`search_hc_s_paths`) and DetectCommonQuery's frontier
 expansion.  The search is PathEnum's [Sun et al., SIGMOD'21] plus one step,
 the provider splice: with one served query and no provider it executes
-what the single-query baseline executes.  Its numpy twins live in
+what the single-query baseline executes.  Handed the
+:class:`~repro.enumeration.join.JoinProbe` of a forward root it is also the
+forward side of the ⊕ join and stores no path.  Its numpy twins live in
 :mod:`repro.enumeration.kernels`.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Collection, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bfs.distance_index import UNREACHABLE
+from repro.enumeration.join import JoinProbe
 from repro.enumeration.paths import Path
 
 #: ``(dense row toward a served query's other endpoint, root budget + 1 - k)``.
@@ -74,6 +77,7 @@ def search_hc_s_paths(
     providers: Optional[Providers] = None,
     record_root: bool = True,
     stop_at: Optional[int] = None,
+    probe: Optional[JoinProbe] = None,
 ) -> List[Path]:
     """All admissible simple paths from ``root`` within ``budget`` hops, in
     DFS preorder — lexicographic, since ``adjacency`` rows ascend.
@@ -88,12 +92,26 @@ def search_hc_s_paths(
     simple s-t path never passes through the other endpoint (``stop_at``:
     recorded, never extended).  The stack is explicit, so deep budgets
     never meet the recursion limit.
+
+    With a ``probe`` (a forward root nobody splices; ``budget`` is its
+    forward budget) the search joins instead of recording and returns
+    nothing: a last-hop neighbour reads its entries of the table and appends
+    ``head + tail`` for every tail disjoint from the prefix, any other join
+    candidate is offered whole.  No forward path is hashed to prove it new
+    and simple: the search vouches for the prefix, once per leaf parent —
+    simple, sorted after the previous one, the neighbours joined under it
+    ascending — and raises ``ValueError`` on a feed that breaks this (an
+    adjacency row that repeats a vertex).
     """
     need, shift = admissibility(distance_rows)
     record_all = keep_all or not forward
     results: List[Path] = []
+    record = results.append
+    if probe is not None:
+        by_junction, served_endpoints = probe.by_junction, probe.by_target
+        record = probe.offer
     if record_root and (record_all or budget == 0 or root in served_endpoints):
-        results.append((root,))
+        record((root,))
     if budget <= 0:
         return results
 
@@ -101,12 +119,17 @@ def search_hc_s_paths(
     on_path = {root}
     # stack[d] iterates the neighbours of prefix[d] not yet visited.
     stack = [iter(adjacency[root])]
+    previous_head: Path = ()
     while stack:
         remaining = budget - len(stack) + 1
         limit = remaining - shift
         last_hop = remaining == 1
         if last_hop:
             head = tuple(prefix)
+            if probe is not None:
+                if len(on_path) != len(head) or head <= previous_head:
+                    raise ValueError(f"forward prefix {head} is repeated or not simple")
+                previous_head, joined_under = head, -1
         for neighbor in stack[-1]:
             if neighbor in on_path or need[neighbor] > limit:
                 continue
@@ -119,15 +142,23 @@ def search_hc_s_paths(
                         if extra > room or not on_path.isdisjoint(cached):
                             continue
                         if record_all or extra == room or cached[-1] in served_endpoints:
-                            results.append(head + cached)
+                            record(head + cached)
                     continue
             if last_hop:
-                # Recorded at full length whatever the rule; nothing to push.
-                results.append(head + (neighbor,))
+                # Full length: recorded whatever the rule, or joined; no push.
+                if probe is None:
+                    record(head + (neighbor,))
+                elif neighbor in by_junction:
+                    if neighbor <= joined_under:
+                        raise ValueError(f"neighbour {neighbor} of {head} is repeated")
+                    joined_under = neighbor
+                    for joined, tail, tail_vertices in by_junction[neighbor]:
+                        if tail_vertices.isdisjoint(on_path):
+                            joined.append(head + tail)
                 continue
             prefix.append(neighbor)
             if record_all or neighbor in served_endpoints:
-                results.append(tuple(prefix))
+                record(tuple(prefix))
             if neighbor == stop_at:
                 prefix.pop()
                 continue

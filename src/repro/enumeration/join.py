@@ -1,4 +1,5 @@
-"""Path concatenation ``⊕`` (Definition 3.1) with duplicate-free splitting.
+"""Path concatenation ``⊕`` (Definition 3.1) as a hash join built on the
+small side, with duplicate-free splitting.
 
 The bidirectional algorithms obtain every HC-s-t path by concatenating a
 *forward* path (from ``s`` on ``G``) with a *backward* path (from ``t`` on
@@ -16,23 +17,26 @@ a deterministic split rule:
 Under this rule each HC-s-t simple path is emitted exactly once, which the
 property tests verify against the brute-force enumerator.
 
-Either case selects a forward path only by the vertex it ends on.  The
-forward result is therefore grouped by that vertex (:class:`JunctionIndex`),
-and a join touches just the groups filed under its backward paths' junctions
-and under the target.  The grouping depends on neither target nor budgets:
-a root HC-s path result shared by many queries is grouped once, and the cost
-of each of its joins follows the paths it emits, not the size of the root.
+Either case selects a forward path only by the vertex it ends on, and the
+backward side is the small one (PathEnum sizes its join the same way).  So
+the backward paths of *every* query one forward root serves are hashed by
+junction into one :class:`JoinProbe`, and the forward side is never stored:
+the root's HC-s path search reads the table as it reaches a join candidate
+(:func:`~repro.enumeration.hc_s_search.search_hc_s_paths`), every other
+producer hands whole paths to :meth:`JoinProbe.offer`.  A root shared by
+eleven targets is searched and joined in one pass, and each query's list
+fills in the order of the forward paths and, under one forward path, of its
+backward paths.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Sequence,
     Set,
@@ -41,6 +45,7 @@ from typing import (
 )
 
 from repro.enumeration.paths import Path, is_simple
+from repro.utils.validation import require
 
 
 @dataclass(frozen=True)
@@ -65,94 +70,101 @@ class PathJoinPolicy:
         return self.forward_budget + self.backward_budget
 
 
-class JunctionIndex:
-    """The distinct simple paths of a forward path result, grouped by the
-    vertex each ends on.
+#: One backward side of a join: ``(backward paths, target, policy)``.
+BackwardSide = Tuple[Iterable[Path], int, PathJoinPolicy]
+#: What a last vertex maps to: ``(result list, tail, vertices of the tail)``
+#: for every tail that completes a forward path ending there.
+Entries = List[Tuple[List[Path], Path, FrozenSet[int]]]
 
-    Independent of target and budgets, so one index serves every join its
-    forward result takes part in.  ``paths`` is kept by reference and read
-    again only for the paths a join asks for.
+
+class JoinProbe:
+    """The backward sides of one forward root, hashed by junction.
+
+    ``by_junction[v]`` completes a forward path of exactly
+    ``forward_budget`` hops that ends on ``v``; ``by_target[t]`` takes a
+    shorter one that already reaches the target ``t`` (its only tail is the
+    trivial ``(t,)``).  A tail starts at the junction, so a forward path
+    ``head + (v,)`` joins as ``head + tail`` whenever the two are disjoint.
+    ``joined[i]`` receives the HC-s-t paths of side ``i``.
+
+    A side's backward paths start at its target on ``Gr``, so their *last*
+    vertex is the junction when re-oriented onto ``G``; one that is over
+    budget, starts elsewhere, repeats an earlier one or is not simple is
+    dropped.
     """
 
-    def __init__(self, paths: Sequence[Path]) -> None:
-        ordinals_by_last: Dict[int, List[int]] = defaultdict(list)
-        seen: Set[Path] = set()
-        for ordinal, path in enumerate(paths):
-            if path in seen:
-                continue
-            seen.add(path)
-            if is_simple(path):
-                ordinals_by_last[path[-1]].append(ordinal)
-        self.paths = paths
-        self.ordinals_by_last = ordinals_by_last
+    def __init__(self, backward_sides: Sequence[BackwardSide]) -> None:
+        budgets = {policy.forward_budget for _, _, policy in backward_sides}
+        require(len(budgets) == 1, f"one forward side, one forward budget: {budgets}")
+        self.forward_budget = budgets.pop()
+        self.by_junction: Dict[int, Entries] = {}
+        self.by_target: Dict[int, Entries] = {}
+        self.joined: List[List[Path]] = [[] for _ in backward_sides]
+        self._offered: Set[Path] = set()
+        for joined, (paths, target, policy) in zip(self.joined, backward_sides):
+            if self.forward_budget >= 1:
+                reached = (joined, (target,), frozenset((target,)))
+                self.by_target.setdefault(target, []).append(reached)
+                self.by_junction.setdefault(target, []).append(reached)
+            seen: Set[Path] = set()
+            for backward in paths:
+                length = len(backward) - 1
+                if (
+                    length < 1
+                    or length > policy.backward_budget
+                    or backward[0] != target
+                    or backward in seen
+                ):
+                    continue
+                seen.add(backward)
+                if is_simple(backward):
+                    tail = backward[::-1]
+                    self.by_junction.setdefault(tail[0], []).append(
+                        (joined, tail, frozenset(tail))
+                    )
 
-    def ending_on(self, vertices: Iterable[int]) -> Iterator[Path]:
-        """The paths ending on one of the distinct ``vertices``, in the
-        order of the indexed result."""
-        ordinals: List[int] = []
-        for vertex in vertices:
-            ordinals.extend(self.ordinals_by_last.get(vertex, ()))
-        ordinals.sort()
-        return map(self.paths.__getitem__, ordinals)
+    def offer(self, path: Path) -> None:
+        """Join one whole forward path, whoever produced it: a repeated or
+        non-simple one is dropped, as is one no side can use."""
+        hops = len(path) - 1
+        if hops == self.forward_budget:
+            entries = self.by_junction.get(path[-1])
+        elif 0 < hops < self.forward_budget:
+            entries = self.by_target.get(path[-1])
+        else:
+            return
+        if entries is None or path in self._offered:
+            return
+        self._offered.add(path)
+        if not is_simple(path):
+            return
+        head = path[:-1]
+        for joined, tail, tail_vertices in entries:
+            if tail_vertices.isdisjoint(head):
+                joined.append(head + tail)
+
+
+#: The forward side of a join: forward paths to offer, or a forward search —
+#: called with the probe, it joins what it can itself and returns the rest.
+ForwardSide = Union[Callable[[JoinProbe], Iterable[Path]], Iterable[Path]]
 
 
 def join_path_sets(
-    forward_paths: Union[JunctionIndex, Sequence[Path]],
-    backward_paths: Iterable[Path],
-    target: int,
-    policy: PathJoinPolicy,
-) -> List[Path]:
-    """Join forward and backward path sets into complete simple paths.
-
-    ``forward_paths`` start at the query source on ``G``; a caller that
-    joins one forward result several times indexes it once and passes the
-    :class:`JunctionIndex`, otherwise it is indexed here.
-    ``backward_paths`` start at the query ``target`` on ``Gr`` (so their
-    *last* vertex is the junction when re-oriented onto ``G``).  Every path
-    is a tuple.  Only simple concatenations are returned, each once, in the
-    order of the forward paths and, under one forward path, of the backward
+    forward: ForwardSide, backward_sides: Sequence[BackwardSide]
+) -> List[List[Path]]:
+    """Join one forward side with several backward sides at once: the
+    complete simple paths of each side, each once, in the order of the
+    forward paths and, under one forward path, of that side's backward
     paths.
+
+    A forward search that reads the probe inline vouches for its own paths
+    and returns none; the paths it does return (the numpy twins and a
+    spliced root return them all), like those of a plain iterable, are each
+    offered under the per-path duplicate and simplicity tests.  Forward
+    paths start at the query source on ``G``; all sides share one forward
+    budget.  Every path is a tuple.
     """
-    forward_budget = policy.forward_budget
-    backward_budget = policy.backward_budget
-
-    # Bucket the backward paths by junction (their last vertex on Gr),
-    # re-oriented onto G and cut after the junction: (t, x1, ..., junction)
-    # becomes the tail (..., x1, t).  A usable tail starts at the target and
-    # is simple; it is kept with its vertex set for the disjointness test.
-    tails_by_junction: Dict[int, List[Tuple[Path, FrozenSet[int]]]] = {}
-    seen_backward: Set[Path] = set()
-    for backward in backward_paths:
-        length = len(backward) - 1
-        if length < 1 or length > backward_budget or backward[0] != target:
-            continue
-        if backward in seen_backward:
-            continue
-        seen_backward.add(backward)
-        if not is_simple(backward):
-            continue
-        tail = backward[-2::-1]
-        tails_by_junction.setdefault(backward[-1], []).append(
-            (tail, frozenset(tail))
-        )
-
-    # Only a forward path ending on the target or on a junction can emit
-    # (the target is no junction: a simple path from it cannot end on it).
-    if not isinstance(forward_paths, JunctionIndex):
-        forward_paths = JunctionIndex(forward_paths)
-    candidates = forward_paths.ending_on((target, *tails_by_junction))
-
-    results: List[Path] = []
-    for forward in candidates:
-        length = len(forward) - 1
-        last = forward[-1]
-        if last == target:
-            # Case 1: the forward path already reaches t.
-            if 1 <= length <= forward_budget:
-                results.append(forward)
-        elif length == forward_budget:
-            # Case 2: forward prefix of length exactly forward_budget.
-            for tail, tail_vertices in tails_by_junction[last]:
-                if tail_vertices.isdisjoint(forward):
-                    results.append(forward + tail)
-    return results
+    probe = JoinProbe(backward_sides)
+    for path in forward(probe) if callable(forward) else forward:
+        probe.offer(path)
+    return probe.joined

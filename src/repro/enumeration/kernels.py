@@ -9,12 +9,15 @@ one shot — neighbour gather, simple-path check, Lemma 3.1 pruning and record
 selection are all array operations.  :func:`enumerate_node_paths` is the
 search itself, provider splice included; :func:`search_paths` is the search
 under PathEnum's two single-query rules (no trivial path, never past the
-other endpoint).
+other endpoint).  A twin returns a whole list and cannot read the ⊕ join's
+probe table as it goes: a forward root's list is offered to the table path
+by path afterwards, which is why no route picks a twin unasked
+(:func:`resolve_kernel`).
 
 Byte-identity
 -------------
-Both kernels return *exactly* the list the explicit-stack search
-produces, pinned by the differential suite in ``tests/test_kernels.py``.
+Both kernels return *exactly* the list the explicit-stack search records
+without a probe, pinned by the differential suite in ``tests/test_kernels.py``.
 The argument: the DFS iterates each adjacency row in strictly ascending
 vertex order (a ``CSRGraph`` packing invariant), so its preorder emission
 sequence *is* the lexicographic order of the emitted vertex tuples — a
@@ -27,8 +30,8 @@ order, and every spliced path shares the prefix that triggered the splice).
 
 numpy is an optional dependency (the ``[kernels]`` extra): when it is not
 importable every request for the ``"numpy"`` kernel raises at construction
-time and ``"auto"`` resolves to ``"python"`` — the pure-Python search remains
-the default substrate and the only one exercised without the extra.
+time — the pure-Python search is the default substrate and the only one
+exercised without the extra.
 """
 
 from __future__ import annotations
@@ -48,13 +51,6 @@ NUMPY_AVAILABLE = _np is not None
 
 #: Kernel names accepted by the engine/planner surface.
 KERNELS = ("auto", "python", "numpy")
-
-#: ``"auto"`` only routes a shard to the numpy kernel when its estimated
-#: enumeration cost clears this many cost units: below it the per-level
-#: array bookkeeping costs more than the bytecode it replaces (tiny
-#: frontiers), and the pure-Python loop is also the battle-tested default
-#: the rest of the suite runs on.
-AUTO_MIN_COST_UNITS = 512.0
 
 #: Admissibility sentinel for vertices no served query can reach — must
 #: dominate every ``budget`` while staying far from int64 overflow when a
@@ -78,25 +74,16 @@ def validate_kernel(kernel: str) -> str:
     return kernel
 
 
-def resolve_kernel(kernel: str, estimated_cost_units: float | None = None) -> str:
+def resolve_kernel(kernel: str) -> str:
     """Resolve a kernel request to the concrete ``"python"``/``"numpy"``.
 
-    ``"auto"`` picks numpy only when it is importable *and* the caller
-    supplies an estimated enumeration cost above :data:`AUTO_MIN_COST_UNITS`
-    — unplanned (cost-blind) paths deliberately stay on the pure-Python
-    loop, so ``auto`` never changes behaviour unless a plan predicted the
-    shard is heavy enough to win.
+    ``"auto"`` is ``"python"`` on every route: turning a twin's arrays into
+    tuples and offering them to the ⊕ join costs more than the bytecode it
+    saves on every workload of ``benchmarks/perf``.  ``"numpy"`` runs only
+    when asked for by name.
     """
     validate_kernel(kernel)
-    if kernel != "auto":
-        return kernel
-    if (
-        NUMPY_AVAILABLE
-        and estimated_cost_units is not None
-        and estimated_cost_units >= AUTO_MIN_COST_UNITS
-    ):
-        return "numpy"
-    return "python"
+    return "python" if kernel == "auto" else kernel
 
 
 def _as_int64(buffer) -> "_np.ndarray":

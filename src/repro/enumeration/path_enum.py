@@ -6,12 +6,14 @@ SIGMOD'21] as described in Section III of the batch paper:
 1. Build a light-weight index holding ``dist_G(s, v)`` and ``dist_G(v, t)``
    for every vertex within the hop constraint (two hop-bounded BFS
    traversals, or a shared batch index when processing a batch).
-2. Run a *forward* search from ``s`` on ``G`` with hop budget ``⌈k/2⌉`` and
-   a *backward* search from ``t`` on ``Gr`` with hop budget ``⌊k/2⌋``.
+2. Run a *backward* search from ``t`` on ``Gr`` with hop budget ``⌊k/2⌋``
+   and a *forward* search from ``s`` on ``G`` with hop budget ``⌈k/2⌉``.
    Lemma 3.1 prunes every neighbour that cannot reach the other endpoint
    within the remaining budget.
 3. Concatenate the two partial-path sets with the ``⊕`` hash join and keep
-   the simple concatenations.
+   the simple concatenations: the backward paths, the small side, are
+   hashed by junction and the forward search probes them as it runs, so
+   the forward paths are never stored.
 
 The class can operate standalone (it builds its own per-query index) or on
 top of a shared :class:`~repro.bfs.distance_index.CSRDistanceIndex`, which is
@@ -20,11 +22,12 @@ how :class:`~repro.batch.basic_enum.BasicEnum` uses it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.bfs.distance_index import CSRDistanceIndex, build_index
 from repro.enumeration.hc_s_search import search_hc_s_paths
-from repro.enumeration.join import PathJoinPolicy, join_path_sets
+from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import resolve_kernel, search_paths
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split
@@ -52,9 +55,7 @@ class PathEnum:
         :mod:`repro.enumeration.hc_s_search`; ``"numpy"`` runs the
         byte-identical vectorized frontier expansion of
         :mod:`repro.enumeration.kernels` (raises here when numpy is
-        absent).  ``"auto"`` resolves to ``"python"`` at this level — the
-        cost-aware auto selection lives in the query planner, which
-        constructs enumerators with the concrete kernel it picked.
+        absent).  ``"auto"`` resolves to ``"python"``.
     """
 
     def __init__(
@@ -91,13 +92,11 @@ class PathEnum:
             forward_budget=forward_budget, backward_budget=backward_budget
         )
 
-        forward_paths = self._search(
-            query, index, forward=True, budget=forward_budget
-        )
         backward_paths = self._search(
             query, index, forward=False, budget=backward_budget
         )
-        return join_path_sets(forward_paths, backward_paths, query.t, policy)
+        forward = partial(self._search, query, index, True, forward_budget)
+        return join_path_sets(forward, [(backward_paths, query.t, policy)])[0]
 
     def count(self, query: HCSTQuery) -> int:
         """Number of HC-s-t simple paths of ``query``."""
@@ -124,8 +123,10 @@ class PathEnum:
         index: CSRDistanceIndex,
         forward: bool,
         budget: int,
+        probe: Optional[JoinProbe] = None,
     ) -> List[Path]:
-        """Collect the partial paths of one direction.
+        """Collect the partial paths of one direction; with ``probe`` the
+        Python forward search joins them as it finds them and returns none.
 
         Forward direction: paths from ``s`` on ``G``; a path is collected
         when it either reaches ``t`` (complete result candidate) or has
@@ -161,6 +162,7 @@ class PathEnum:
             forward,
             record_root=False,
             stop_at=other_end,
+            probe=probe,
         )
 
 

@@ -140,9 +140,9 @@ def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch)
     outcomes = []
     materialize = BatchEnum._materialize
 
-    def recording_materialize(self, outcome, cache, kernel):
+    def recording_materialize(self, outcome, *args):
         outcomes.append(outcome)
-        return materialize(self, outcome, cache, kernel)
+        return materialize(self, outcome, *args)
 
     monkeypatch.setattr(BatchEnum, "_materialize", recording_materialize)
     compared = 0
@@ -152,8 +152,8 @@ def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch)
         enum = BatchEnum(graph, optimize_search_order=True)
         outcomes.clear()
         enum.run(queries)
-        # _process_cluster materialises a cluster's forward Ψ, then its Ψr.
-        for forward_outcome, backward_outcome in zip(outcomes[::2], outcomes[1::2]):
+        # _process_cluster materialises a cluster's Ψr, then its forward Ψ.
+        for backward_outcome, forward_outcome in zip(outcomes[::2], outcomes[1::2]):
             if forward_outcome.num_shared_nodes + backward_outcome.num_shared_nodes:
                 continue
             for outcome in (forward_outcome, backward_outcome):

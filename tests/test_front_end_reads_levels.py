@@ -110,7 +110,10 @@ def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
         algorithm="batch+",
         num_workers=1,
         max_batch_size=len(queries),
-        max_delay_s=0.005,
+        # A full batch goes out at once; the window only has to outlast a
+        # stall between two submits, which would split the round and leave
+        # the second batch nothing to delta-repair.
+        max_delay_s=2.0,
         metrics=registry,
     ) as service:
         for mutate in (False, True):

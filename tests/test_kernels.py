@@ -4,9 +4,10 @@ The contract: for every algorithm, every worker count and every graph, the
 ``"numpy"`` kernel returns **byte-identical** results to the ``"python"``
 kernel — same paths, same order, per batch position — and both match the
 brute-force ground truth.  The suite also pins the selection policy
-(``"auto"`` stays pure-Python below the cost threshold and on unplanned
-paths) and the no-numpy degradation (``"auto"``/``"python"`` keep working
-with the import blocked; ``"numpy"`` fails eagerly at construction).
+(``"auto"`` is pure-Python on every route; the numpy kernel runs only when
+asked for by name) and the no-numpy degradation (``"auto"``/``"python"``
+keep working with the import blocked; ``"numpy"`` fails eagerly at
+construction).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.bfs.distance_index import build_index
 from repro.enumeration import kernels
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import (
-    AUTO_MIN_COST_UNITS,
     NUMPY_AVAILABLE,
     resolve_kernel,
     validate_kernel,
@@ -75,26 +75,27 @@ def test_validate_kernel_rejects_unknown():
 
 def test_resolve_kernel_policy():
     assert resolve_kernel("python") == "python"
-    assert resolve_kernel("python", 1e9) == "python"
-    # Cost-blind "auto" (unplanned paths) always stays pure-Python.
+    # "auto" is the pure-Python search on every route, numpy present or not.
     assert resolve_kernel("auto") == "python"
-    assert resolve_kernel("auto", None) == "python"
-    # Below the threshold "auto" stays python even with numpy available.
-    assert resolve_kernel("auto", AUTO_MIN_COST_UNITS - 1) == "python"
-    expected = "numpy" if NUMPY_AVAILABLE else "python"
-    assert resolve_kernel("auto", AUTO_MIN_COST_UNITS) == expected
-    assert resolve_kernel("auto", AUTO_MIN_COST_UNITS * 10) == expected
+    if NUMPY_AVAILABLE:
+        assert resolve_kernel("numpy") == "numpy"
+    else:
+        with pytest.raises(ValueError, match="numpy"):
+            resolve_kernel("numpy")
+    with pytest.raises(ValueError, match="unknown kernel"):
+        resolve_kernel("cuda")
 
 
 @needs_numpy
 def test_planner_resolves_kernel_per_shard():
+    """Every shard carries the concrete kernel its plan resolved: "python"
+    under "auto" however heavy the shard, "numpy" only by name."""
     graph, queries = _workload(3, num_vertices=60, num_edges=300, count=10)
-    planner = QueryPlanner(graph, ExecutionConfig(kernel="auto"))
-    plan = planner.plan(queries)
-    for shard in plan.shards:
-        expected = "numpy" if shard.estimated_cost >= AUTO_MIN_COST_UNITS else "python"
-        assert shard.kernel == expected
-    assert "kernel:" in plan.describe()
+    for requested, resolved in (("auto", "python"), ("numpy", "numpy")):
+        plan = QueryPlanner(graph, ExecutionConfig(kernel=requested)).plan(queries)
+        assert max(shard.estimated_cost for shard in plan.shards) >= 512.0
+        assert {shard.kernel for shard in plan.shards} == {resolved}
+        assert f"{plan.num_shards} {resolved}" in plan.describe()
 
 
 def test_planner_kernel_python_pins_all_shards():
@@ -106,9 +107,8 @@ def test_planner_kernel_python_pins_all_shards():
 
 def _blocks_workload(heavy):
     """Disjoint blocks, so clusters cannot merge: 28 sparse blocks with one
-    tiny query each (every shard far below ``AUTO_MIN_COST_UNITS``, the
-    batch as a whole above it) and, with ``heavy``, one dense block whose
-    four similar queries form a single cluster above the threshold."""
+    tiny query each and, with ``heavy``, one dense block whose four similar
+    queries form a single cluster that prices far above all the others."""
     edges, queries, offset = [], [], 0
     if heavy:
         edges += list(random_directed_gnm(40, 240, seed=3).edges())
@@ -126,18 +126,11 @@ def _blocks_workload(heavy):
 def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypatch):
     """One plan, one kernel per shard: the in-process route reaches the
     numpy kernel from exactly the clusters whose ``ShardPlan.kernel`` says
-    so — never because the batch's *total* cost cleared the threshold —
-    and the worker route returns the same lists."""
+    so — none under "auto", however heavy the shard or the batch, all of
+    them when asked for by name — and the worker route returns the same
+    lists."""
     pytest.importorskip("numpy")
     graph, queries = _blocks_workload(heavy)
-    engine = BatchQueryEngine(graph, kernel="auto", max_workers=1)
-    plan = engine.explain(queries)
-    assert plan.num_workers == 1
-    assert plan.total_estimated_cost >= AUTO_MIN_COST_UNITS
-    wanted = {
-        tuple(shard.positions) for shard in plan.shards if shard.kernel == "numpy"
-    }
-    assert len(wanted) == (1 if heavy else 0) and plan.num_shards >= 28
 
     in_flight, callers = [], set()
     process_cluster = batch_enum.BatchEnum._process_cluster
@@ -156,8 +149,22 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
 
     monkeypatch.setattr(batch_enum.BatchEnum, "_process_cluster", watched_cluster)
     monkeypatch.setattr(batch_enum, "enumerate_node_paths", watched_kernel)
-    in_process = engine.run(queries)
-    assert callers == wanted
+    results = {}
+    for kernel in ("auto", "numpy"):
+        engine = BatchQueryEngine(graph, kernel=kernel, max_workers=1)
+        plan = engine.explain(queries)
+        assert plan.num_workers == 1 and plan.num_shards >= 28
+        if heavy:
+            assert max(shard.estimated_cost for shard in plan.shards) >= 512.0
+        wanted = {
+            tuple(shard.positions) for shard in plan.shards if shard.kernel == "numpy"
+        }
+        assert len(wanted) == (plan.num_shards if kernel == "numpy" else 0)
+        callers.clear()
+        results[kernel] = engine.run(queries)
+        assert callers == wanted
+    in_process = results["auto"]
+    assert results["numpy"].paths_by_position == in_process.paths_by_position
 
     sharded = BatchQueryEngine(graph, kernel="auto", num_workers=2).run(queries)
     assert sharded.paths_by_position == in_process.paths_by_position
@@ -392,7 +399,7 @@ def test_numpy_kernel_rejected_when_unavailable(monkeypatch):
     monkeypatch.setattr(kernels, "NUMPY_AVAILABLE", False)
     with pytest.raises(ValueError):
         validate_kernel("numpy")
-    assert resolve_kernel("auto", 1e9) == "python"
+    assert resolve_kernel("auto") == "python"
 
 
 def test_fallback_with_numpy_import_blocked():

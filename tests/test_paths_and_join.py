@@ -1,13 +1,19 @@
 """Unit tests for path primitives and the ⊕ join."""
 
-from collections.abc import Sequence
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
-from repro.enumeration.join import JunctionIndex, PathJoinPolicy, join_path_sets
+from repro.batch.cache import ResultCache
+from repro.batch.detection import detect_common_queries
+from repro.bfs.distance_index import build_index
+from repro.enumeration import join
+from repro.enumeration.brute_force import enumerate_paths_brute_force
+from repro.enumeration.hc_s_search import search_hc_s_paths
+from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
+from repro.enumeration.kernels import NUMPY_AVAILABLE
+from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import (
     concatenate,
     is_simple,
@@ -17,7 +23,7 @@ from repro.enumeration.paths import (
     validate_path,
 )
 from repro.graph.digraph import DiGraph
-from repro.queries.query import HCSTQuery
+from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 
 
 def test_path_length_and_simplicity():
@@ -54,12 +60,18 @@ def test_sort_paths_is_canonical():
     assert sort_paths(paths) == [(0, 1), (0, 1, 3), (0, 2, 3)]
 
 
+def join_one(forward, backward, target, policy):
+    """``join_path_sets`` against a single backward side."""
+    (joined,) = join_path_sets(forward, [(backward, target, policy)])
+    return joined
+
+
 def test_join_short_path_uses_forward_complete_case():
     # Path 0 -> 3 of length 1 must come from the forward side only.
     forward = [(0,), (0, 3), (0, 1)]
     backward = [(3,), (3, 1)]
     policy = PathJoinPolicy(forward_budget=2, backward_budget=1)
-    joined = join_path_sets(forward, backward, target=3, policy=policy)
+    joined = join_one(forward, backward, target=3, policy=policy)
     assert (0, 3) in joined
 
 
@@ -70,7 +82,7 @@ def test_join_produces_no_duplicates_for_multi_split_paths():
     forward = [(0,), (0, 1), (0, 1, 3)]
     backward = [(3,), (3, 1)]
     policy = PathJoinPolicy(forward_budget=2, backward_budget=1)
-    joined = join_path_sets(forward, backward, target=3, policy=policy)
+    joined = join_one(forward, backward, target=3, policy=policy)
     assert joined.count((0, 1, 3)) == 1
 
 
@@ -79,7 +91,7 @@ def test_join_connects_forward_and_backward_halves():
     forward = [(0, 1, 2)]
     backward = [(4, 3, 2)]
     policy = PathJoinPolicy(forward_budget=2, backward_budget=2)
-    joined = join_path_sets(forward, backward, target=4, policy=policy)
+    joined = join_one(forward, backward, target=4, policy=policy)
     assert joined == [(0, 1, 2, 3, 4)]
 
 
@@ -87,7 +99,7 @@ def test_join_rejects_non_simple_combinations():
     forward = [(0, 1, 2)]
     backward = [(4, 1, 2)]  # re-orients to 2 -> 1 -> 4, repeating vertex 1
     policy = PathJoinPolicy(forward_budget=2, backward_budget=2)
-    assert join_path_sets(forward, backward, target=4, policy=policy) == []
+    assert join_one(forward, backward, target=4, policy=policy) == []
 
 
 def test_join_respects_budgets():
@@ -95,15 +107,21 @@ def test_join_respects_budgets():
     forward = [(0, 1, 2, 3)]
     backward = [(5, 4, 3)]
     policy = PathJoinPolicy(forward_budget=2, backward_budget=2)
-    assert join_path_sets(forward, backward, target=5, policy=policy) == []
+    assert join_one(forward, backward, target=5, policy=policy) == []
 
 
 def test_join_policy_hop_constraint():
     assert PathJoinPolicy(3, 2).hop_constraint == 5
 
 
+def test_join_sides_share_one_forward_budget():
+    sides = [([], 3, PathJoinPolicy(2, 1)), ([], 4, PathJoinPolicy(1, 2))]
+    with pytest.raises(ValueError, match="forward budget"):
+        join_path_sets([], sides)
+
+
 # ---------------------------------------------------------------------- #
-# The junction-indexed join against the nested loop it replaced
+# The probe-table join against the nested loop it replaced
 # ---------------------------------------------------------------------- #
 def reference_join(forward_paths, backward_paths, target, policy):
     """The scan-everything ⊕ join that ``join_path_sets`` used to be: every
@@ -164,13 +182,26 @@ def join_inputs(draw):
     return forward, backward, target, PathJoinPolicy(forward_budget, k - forward_budget)
 
 
-@given(join_inputs())
+@given(join_inputs(), join_inputs())
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_join_equals_the_nested_loop_on_arbitrary_inputs(inputs):
+def test_join_equals_the_nested_loop_on_arbitrary_inputs(inputs, other):
     forward, backward, target, policy = inputs
     expected = reference_join(forward, backward, target, policy)
-    assert join_path_sets(forward, backward, target, policy) == expected
-    assert join_path_sets(JunctionIndex(forward), backward, target, policy) == expected
+    assert join_one(forward, backward, target, policy) == expected
+    assert join_one(iter(forward), iter(backward), target, policy) == expected
+    # Several sides against one forward side: each is joined on its own.
+    _, other_backward, other_target, other_policy = other
+    other_policy = PathJoinPolicy(policy.forward_budget, other_policy.backward_budget)
+    sides = [
+        (backward, target, policy),
+        (other_backward, other_target, other_policy),
+        (backward, target, policy),
+    ]
+    assert join_path_sets(forward, sides) == [
+        expected,
+        reference_join(forward, other_backward, other_target, other_policy),
+        expected,
+    ]
 
 
 def _fan_out(source, k=5):
@@ -178,79 +209,279 @@ def _fan_out(source, k=5):
     return [HCSTQuery(source, t, k) for t in range(16) if t != source]
 
 
+def _every_simple_path(adjacency, root, budget):
+    """The plain search with no step pruned and every path kept: all simple
+    paths leaving ``root`` within ``budget`` hops, in lexicographic order —
+    a superset of any pruned search from ``root``, in the same order."""
+    every_step_admissible = [([0] * len(adjacency), -len(adjacency))]
+    return search_hc_s_paths(
+        adjacency, root, budget, every_step_admissible, (), True, True
+    )
+
+
 def test_shared_root_joins_equal_the_nested_loop(paper_graph, monkeypatch):
     """γ = 0 puts the fan-out in one cluster, where all fifteen targets are
-    served by the single forward root q[0, 3, G]."""
+    served by the single forward root q[0, 3, G]: one search feeds the
+    probe of all fifteen, and each list equals the nested loop over every
+    simple path leaving the source (what the search prunes joins nothing)."""
     joins = []
+    adjacency = paper_graph.csr_snapshot().adjacency_lists(True)
 
-    def checked_join(forward, backward, target, policy):
-        joined = join_path_sets(forward, backward, target, policy)
-        assert isinstance(forward, JunctionIndex)
-        assert joined == reference_join(forward.paths, backward, target, policy)
-        joins.append((id(forward), target, len(joined)))
-        return joined
+    def checked_join(forward, sides):
+        assert callable(forward)
+        lists = join_path_sets(forward, sides)
+        for (backward, target, policy), joined in zip(sides, lists):
+            everything = _every_simple_path(adjacency, 0, policy.forward_budget)
+            assert joined == reference_join(everything, backward, target, policy)
+            joins.append((target, len(joined)))
+        return lists
 
     monkeypatch.setattr(batch_enum, "join_path_sets", checked_join)
     result = BatchEnum(paper_graph, gamma=0.0).run(_fan_out(0))
-    assert len({root for root, _, _ in joins}) == 1
-    assert len({target for _, target, _ in joins}) == 15
-    assert sum(1 for _, _, emitted in joins if emitted) >= 3
-    assert sum(emitted for _, _, emitted in joins) == result.total_paths() == 21
+    assert len({target for target, _ in joins}) == len(joins) == 15
+    assert sum(1 for _, emitted in joins if emitted) >= 3
+    assert sum(emitted for _, emitted in joins) == result.total_paths() == 21
 
 
-class CountingIndex(JunctionIndex):
+class CountingProbe(JoinProbe):
     built = 0
 
-    def __init__(self, paths):
+    def __init__(self, backward_sides):
         type(self).built += 1
-        super().__init__(paths)
+        super().__init__(backward_sides)
 
 
 def test_shared_root_is_indexed_once_and_joined_once_per_target(
     paper_graph, monkeypatch
 ):
+    """One probe table and one ``join_path_sets`` call for the shared root,
+    with one backward side per distinct target."""
     joins = []
 
-    def counted_join(*args):
-        joins.append(args)
-        return join_path_sets(*args)
+    def counted_join(forward, sides):
+        joins.append(sides)
+        return join_path_sets(forward, sides)
 
-    monkeypatch.setattr(CountingIndex, "built", 0)
-    monkeypatch.setattr(batch_enum, "JunctionIndex", CountingIndex)
+    monkeypatch.setattr(CountingProbe, "built", 0)
+    monkeypatch.setattr(join, "JoinProbe", CountingProbe)
     monkeypatch.setattr(batch_enum, "join_path_sets", counted_join)
     queries = _fan_out(0)
-    # A repeated query shares its first occurrence's join.
-    BatchEnum(paper_graph, gamma=0.0).run(queries + queries[:4])
-    assert CountingIndex.built == 1
-    assert len(joins) == len(queries) == 15
+    # A repeated query shares its first occurrence's side and result list.
+    result = BatchEnum(paper_graph, gamma=0.0).run(queries + queries[:4])
+    assert CountingProbe.built == len(joins) == 1
+    assert sorted(target for _, target, _ in joins[0]) == [q.t for q in queries]
+    for repeat in range(4):
+        assert result.paths_by_position[15 + repeat] == result.paths_by_position[repeat]
 
 
-class CountingPaths(Sequence):
-    """A path result that counts how often a path is read."""
+class CountingPath(tuple):
+    """A path that counts how often it is hashed."""
 
-    def __init__(self, paths):
-        self._paths = list(paths)
-        self.reads = 0
+    hashed = 0
 
-    def __len__(self):
-        return len(self._paths)
-
-    def __getitem__(self, ordinal):
-        self.reads += 1
-        return self._paths[ordinal]
+    def __hash__(self):
+        type(self).hashed += 1
+        return super().__hash__()
 
 
-def test_probe_reads_only_the_paths_filed_under_its_junctions():
-    forward = CountingPaths([(0, 1, 2), (0, 1, 3), (0, 4, 2), (0, 4, 5)])
-    index = JunctionIndex(forward)
+def test_probe_reads_only_the_paths_filed_under_its_junctions(monkeypatch):
+    monkeypatch.setattr(CountingPath, "hashed", 0)
+    forward = [CountingPath(p) for p in [(0, 1, 2), (0, 1, 3), (0, 4, 2), (0, 4, 5)]]
     policy = PathJoinPolicy(forward_budget=2, backward_budget=2)
-    forward.reads = 0
 
-    # Junctions 6 and 7 end no forward path, and none reaches the target.
-    assert join_path_sets(index, [(9,), (9, 6), (9, 8, 7)], 9, policy) == []
-    assert forward.reads == 0
+    # Junctions 6 and 7 end no forward path, and none reaches the target:
+    # a table whose junctions match nothing appends nothing, unread.
+    assert join_one(forward, [(9,), (9, 6), (9, 8, 7)], 9, policy) == []
+    assert CountingPath.hashed == 0
 
     # Junction 2 ends two of the four; the other two stay unread.
-    joined = join_path_sets(index, [(9, 2), (9, 8, 2)], 9, policy)
+    joined = join_one(forward, [(9, 2), (9, 8, 2)], 9, policy)
     assert joined == [(0, 1, 2, 9), (0, 1, 2, 8, 9), (0, 4, 2, 9), (0, 4, 2, 8, 9)]
-    assert forward.reads == 2
+    assert CountingPath.hashed == 2 * 2  # looked up, then filed as offered
+
+
+# ---------------------------------------------------------------------- #
+# The search feeding the probe: differential, Ψ shapes, corrupted feeds
+# ---------------------------------------------------------------------- #
+@st.composite
+def small_graph_and_batch(draw):
+    """A dense digraph on at most 8 vertices and 2-6 queries from few
+    endpoints: exact duplicates, one (s, forward budget) under several k,
+    and k = 1 and k = 2 all occur."""
+    num_vertices = draw(st.integers(min_value=4, max_value=8))
+    possible = [
+        (u, v) for u in range(num_vertices) for v in range(num_vertices) if u != v
+    ]
+    edges = draw(
+        st.lists(
+            st.sampled_from(possible),
+            min_size=2 * num_vertices,
+            max_size=4 * num_vertices,
+        )
+    )
+    graph = DiGraph.from_edges(set(edges), num_vertices=num_vertices)
+    query = st.builds(
+        HCSTQuery,
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=num_vertices - 2, max_value=num_vertices - 1),
+        st.integers(min_value=1, max_value=6),
+    )
+    queries = draw(st.lists(query, min_size=2, max_size=5))
+    queries.append(draw(st.sampled_from(queries)))  # an exact duplicate
+    gamma = draw(st.sampled_from([0.0, 0.5]))
+    return graph, queries, gamma
+
+
+def _plain_roots(enum, graph, cluster):
+    """Per position, the ``(forward, backward)`` root results of the plain
+    search — no probe, every node cached and never released."""
+    index = build_index(
+        graph,
+        [q.s for q in cluster.values()],
+        [q.t for q in cluster.values()],
+        max(q.k for q in cluster.values()),
+    )
+    roots = {}
+    for direction in (Direction.FORWARD, Direction.BACKWARD):
+        forward = direction is Direction.FORWARD
+        budgets = {
+            position: query.forward_budget if forward else query.backward_budget
+            for position, query in cluster.items()
+        }
+        outcome = detect_common_queries(
+            graph, cluster, direction, index, budgets,
+            max_depth=enum.max_detection_depth,
+        )
+        psi, cache = outcome.sharing_graph, ResultCache()
+        for node in psi.topological_order():
+            if isinstance(node, HCsPathQuery):
+                paths = enum._enumerate_node(node, outcome, cache, "python")
+                cache.put(node, paths, consumers=len(psi.consumers_of(node)))
+        for position, root in outcome.root_by_position.items():
+            roots.setdefault(position, []).append(cache.peek(root))
+    return roots
+
+
+@given(small_graph_and_batch())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_probe_fed_by_the_search_equals_the_nested_loop(data):
+    """Per position and in order: the Python search reading the probe
+    inline == the numpy twin offered path by path == the nested loop over
+    the plain search output; all equal brute force as a set."""
+    graph, queries, gamma = data
+    python_result = BatchEnum(graph, gamma=gamma, kernel="python").run(queries)
+    if NUMPY_AVAILABLE:
+        numpy_result = BatchEnum(graph, gamma=gamma, kernel="numpy").run(queries)
+        assert numpy_result.paths_by_position == python_result.paths_by_position
+        assert numpy_result.sharing == python_result.sharing
+
+    enum = BatchEnum(graph, gamma=0.0)
+    roots = _plain_roots(enum, graph, dict(enumerate(queries)))
+    one_cluster = enum.run(queries)
+    for position, query in enumerate(queries):
+        forward, backward = roots[position]
+        policy = PathJoinPolicy(query.forward_budget, query.backward_budget)
+        expected = reference_join(forward, backward, query.t, policy)
+        assert one_cluster.paths_by_position[position] == expected
+        if gamma == 0.0:
+            assert python_result.paths_by_position[position] == expected
+        single = PathEnum(graph)
+        assert single.enumerate(query) == reference_join(
+            single._search(query, single._index_for(query), True, policy.forward_budget),
+            single._search(query, single._index_for(query), False, policy.backward_budget),
+            query.t,
+            policy,
+        )
+        brute = sort_paths(enumerate_paths_brute_force(graph, query.s, query.t, query.k))
+        assert sort_paths(expected) == brute
+        assert sort_paths(python_result.paths_by_position[position]) == brute
+
+
+def _layered_graph():
+    """Sources 1 -> 0, both fanning into a middle layer that reaches the
+    targets 8 and 9: q[0, 3, G] is a forward root *and* the provider that
+    the forward root q[1, 3, G] splices when it steps onto vertex 0."""
+    edges = [(1, 0), (1, 2)]
+    edges += [(0, v) for v in (2, 3, 4)]
+    edges += [(u, v) for u in (2, 3, 4) for v in (5, 6, 7)]
+    edges += [(u, v) for u in (5, 6, 7) for v in (8, 9)]
+    edges += [(3, 8), (8, 9), (6, 2)]
+    return DiGraph.from_edges(edges)
+
+
+def test_forward_root_that_is_a_provider_and_one_that_splices_it(monkeypatch):
+    graph = _layered_graph()
+    queries = [HCSTQuery(0, 8, 5), HCSTQuery(0, 9, 5), HCSTQuery(1, 9, 6), HCSTQuery(1, 8, 6)]
+    provider = HCsPathQuery(0, 3, Direction.FORWARD)
+    splicer = HCsPathQuery(1, 3, Direction.FORWARD)
+
+    puts, outcomes = {}, []
+    put, materialize = ResultCache.put, BatchEnum._materialize
+
+    def recording_put(self, node, paths, consumers):
+        puts[node] = (list(paths), consumers)
+        return put(self, node, paths, consumers)
+
+    def recording_materialize(self, outcome, *args):
+        outcomes.append(outcome)
+        return materialize(self, outcome, *args)
+
+    monkeypatch.setattr(ResultCache, "put", recording_put)
+    monkeypatch.setattr(BatchEnum, "_materialize", recording_materialize)
+    enum = BatchEnum(graph, gamma=0.0)
+    result = enum.run(queries)
+    monkeypatch.undo()
+
+    # The shape: one root feeds the other, which really splices it.
+    psi = next(o for o in outcomes if o.direction is Direction.FORWARD).sharing_graph
+    assert splicer in psi.consumers_of(provider)
+    assert result.sharing.cache_reuse_count >= 1
+
+    # The provider root is cached for its one splicer with the list the
+    # plain search returns (every path, not just join candidates); the
+    # join-only root is searched, joined and never stored.
+    roots = _plain_roots(enum, graph, dict(enumerate(queries)))
+    assert puts[provider] == (list(roots[0][0]), 1)
+    assert splicer not in puts
+    assert len(puts[provider][0]) > sum(len(p) == 4 for p in puts[provider][0]) > 0
+
+    spliced = 0
+    for position, query in enumerate(queries):
+        forward, backward = roots[position]
+        policy = PathJoinPolicy(query.forward_budget, query.backward_budget)
+        expected = reference_join(forward, backward, query.t, policy)
+        assert result.paths_by_position[position] == expected
+        assert sort_paths(expected) == sort_paths(
+            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
+        )
+        spliced += sum(path[:2] == (1, 0) for path in expected)
+    assert spliced > 0  # full-length paths through the splice were joined
+
+
+def _search_into_probe(adjacency, budget, backward, target):
+    """Run the forward search from vertex 0 over raw ``adjacency`` rows
+    with every step admissible, joined against one backward side."""
+    every_step_admissible = [([0] * len(adjacency), -len(adjacency))]
+
+    def search(probe):
+        return search_hc_s_paths(
+            adjacency, 0, budget, every_step_admissible, (), False, True, probe=probe
+        )
+
+    return join_one(search, backward, target, PathJoinPolicy(budget, 1))
+
+
+def test_corrupted_feed_raises_instead_of_emitting_a_wrong_path():
+    backward = [(4,), (4, 3)]
+    clean = [[1, 2], [3, 4], [3], [], []]
+    assert _search_into_probe(clean, 2, backward, 4) == [(0, 1, 3, 4), (0, 1, 4), (0, 2, 3, 4)]
+
+    # A last-hop row that repeats a neighbour would emit (0, 1, 3, 4) twice.
+    with pytest.raises(ValueError, match="repeated"):
+        _search_into_probe([[1, 2], [3, 3, 4], [3], [], []], 2, backward, 4)
+    # An inner row that repeats a neighbour hands the prefix (0, 1) in twice.
+    with pytest.raises(ValueError, match="repeated or not simple"):
+        _search_into_probe([[1, 1, 2], [3, 4], [3], [], []], 2, backward, 4)
+    # So does a row that does not ascend: prefixes must sort strictly.
+    with pytest.raises(ValueError, match="repeated or not simple"):
+        _search_into_probe([[2, 1], [3, 4], [3], [], []], 2, backward, 4)

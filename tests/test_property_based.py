@@ -127,7 +127,7 @@ def test_join_never_emits_duplicates_or_invalid_paths(graph, s, t, k):
     forward = _all_paths_from(graph, s, forward_budget, forward=True)
     backward = _all_paths_from(graph, t, backward_budget, forward=False)
     policy = PathJoinPolicy(forward_budget, backward_budget)
-    joined = join_path_sets(forward, backward, target=t, policy=policy)
+    (joined,) = join_path_sets(forward, [(backward, t, policy)])
     assert len(joined) == len(set(joined))
     expected = sort_paths(enumerate_paths_brute_force(graph, s, t, k))
     assert sort_paths(joined) == expected

@@ -319,6 +319,43 @@ def test_ticket_error_propagation_and_scheduler_survival():
         assert stats.completed == len(good)
 
 
+def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(monkeypatch):
+    """Whatever kills the scheduler thread — here the admission join,
+    after the batch was popped — must not strand a caller: the popped
+    tickets and the queue fail with the cause chained, the service reads
+    closed, and the next ``submit`` is refused naming the cause."""
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+
+    def broken_join(self, batch, candidates):
+        raise KeyError("admission join broke")
+
+    monkeypatch.setattr(IngestionService, "_join_pending_cluster", broken_join)
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        policy=AdmissionPolicy(max_batch_size=2, max_delay_s=0.01),
+        start=False,
+    )
+    tickets = service.submit_many(_QUERIES[:3])  # two popped, one queued
+    service.start()
+    try:
+        for ticket in tickets:
+            with pytest.raises(ServiceClosedError, match="admission join broke") as caught:
+                ticket.result(timeout=TIMEOUT)
+            assert isinstance(caught.value.__cause__, KeyError)
+        with service._lock:
+            thread = service._thread
+        thread.join(TIMEOUT)
+        assert not thread.is_alive()
+        with pytest.raises(ServiceClosedError, match="admission join broke") as refused:
+            service.submit(_QUERIES[0])
+        assert isinstance(refused.value.__cause__, KeyError)
+        stats = service.stats()
+        assert (stats.pending, stats.failed, stats.completed) == (0, 3, 0)
+    finally:
+        service.close()
+
+
 def test_batch_peers_of_a_poisoned_query_share_its_error():
     """With the poisoned query inside a shared micro-batch, unresolved
     batch peers receive the same exception instead of hanging."""
