@@ -1,6 +1,6 @@
 """Live-graph serving benchmark: delta repair vs. rebuild, stream continuity.
 
-Three measurements back the PR 7 multi-version serving claims:
+Two measurements back the PR 7 multi-version serving claims:
 
 1. **Index repair latency** — for a sweep of graph sizes, apply single-edge
    mutations and time ``CSRDistanceIndex.apply_delta`` (bounded-frontier
@@ -16,12 +16,6 @@ Three measurements back the PR 7 multi-version serving claims:
    mutation raised ``RuntimeError``; now the run must complete with zero
    errors and match the closed-batch oracle of the admitted version.
 
-3. **Seal pack throughput** — the copy-on-write serving loop seals a CSR
-   snapshot on every version bump, so ``CSRGraph._pack`` is hot.  Time the
-   shipped ``array.extend``-based pack against an element-wise ``append``
-   reference over the same adjacency (outputs verified identical).  The
-   acceptance gate: the extend-based pack is no slower than the reference.
-
 Writes ``BENCH_live.json`` next to the repo root.  Standalone::
 
     PYTHONPATH=src python benchmarks/bench_live.py [--quick]
@@ -36,11 +30,8 @@ import random
 import time
 from pathlib import Path
 
-from array import array
-
 from repro.batch.engine import BatchQueryEngine
 from repro.bfs.distance_index import build_index
-from repro.graph.csr import CSRGraph, TYPECODE
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 
@@ -57,12 +48,6 @@ STREAM_GRAPH = (60, 240)
 STREAM_QUERIES = 8
 STREAM_MUTATIONS = 25
 ALGORITHM = "batch+"
-
-#: Seal micro-benchmark workload (vertices, edges) and timing rounds.
-#: The rounds interleave both variants and score best-of, which is what
-#: makes the extend-vs-append gate stable on noisy shared machines.
-SEAL_GRAPH = (2000, 16000)
-SEAL_ROUNDS = 25
 
 
 def _random_single_edge_mutation(graph, rng):
@@ -149,59 +134,6 @@ def bench_stream_continuity(num_mutations, seed=1):
     }
 
 
-def _pack_reference(adjacency):
-    """Element-wise ``append`` pack — the loop ``_pack`` replaced.
-
-    Byte-for-byte the shipped ``CSRGraph._pack`` (size validation pre-pass,
-    debug-build sortedness assert) except the inner ``targets.extend`` is an
-    element-wise ``append`` loop, so the comparison isolates exactly the
-    change under test.
-    """
-    num_edges = sum(len(neighbors) for neighbors in adjacency)
-    assert num_edges >= 0  # stands in for _pack's typecode-range require
-    offsets = array(TYPECODE, [0] * (len(adjacency) + 1))
-    targets = array(TYPECODE)
-    cursor = 0
-    for v, neighbors in enumerate(adjacency):
-        assert all(
-            neighbors[i] < neighbors[i + 1] for i in range(len(neighbors) - 1)
-        ), f"adjacency of vertex {v} is not strictly sorted"
-        for neighbor in neighbors:
-            targets.append(neighbor)
-        cursor += len(neighbors)
-        offsets[v + 1] = cursor
-    return offsets, targets
-
-
-def bench_seal_pack(rounds=SEAL_ROUNDS, seed=2):
-    """Best-of-``rounds`` timing: extend-based ``_pack`` vs append loop."""
-    graph = random_directed_gnm(*SEAL_GRAPH, seed=seed)
-    adjacency = [list(graph.out_neighbors(v)) for v in graph.vertices()]
-    extend_s, append_s = [], []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        packed = CSRGraph._pack(adjacency)
-        extend_s.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        reference = _pack_reference(adjacency)
-        append_s.append(time.perf_counter() - start)
-
-        assert packed == reference, "_pack diverged from the append reference"
-    best_extend, best_append = min(extend_s), min(append_s)
-    return {
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "rounds": rounds,
-        "extend_pack_s": best_extend,
-        "append_pack_s": best_append,
-        "speedup": best_append / best_extend if best_extend > 0 else float("inf"),
-        # 5% tolerance: the shared debug assert dominates both variants, so
-        # the true extend advantage sits close to the timer's noise floor.
-        "extend_not_slower": best_extend <= best_append * 1.05,
-    }
-
-
 def run(quick: bool = False) -> dict:
     sizes = REPAIR_SIZES[:1] if quick else REPAIR_SIZES
     mutations = 6 if quick else MUTATIONS_PER_SIZE
@@ -225,13 +157,6 @@ def run(quick: bool = False) -> dict:
         f"oracle match={continuity['matches_pinned_oracle']}"
     )
 
-    seal = bench_seal_pack(rounds=3 if quick else SEAL_ROUNDS)
-    print(
-        f"  seal pack: extend {seal['extend_pack_s'] * 1e3:7.3f}ms | "
-        f"append {seal['append_pack_s'] * 1e3:7.3f}ms | "
-        f"speedup {seal['speedup']:4.2f}x"
-    )
-
     artifact = {
         "benchmark": "live_graph_serving",
         "algorithm": ALGORITHM,
@@ -240,7 +165,6 @@ def run(quick: bool = False) -> dict:
         "platform": platform.platform(),
         "delta_repair": repair_records,
         "stream_continuity": continuity,
-        "seal_pack": seal,
     }
     ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"wrote {ARTIFACT}")
@@ -268,10 +192,6 @@ def main() -> None:
             record["repair_beats_rebuild"]
             for record in artifact["delta_repair"]
         ), "apply_delta failed to beat a full rebuild on single-edge updates"
-        assert artifact["seal_pack"]["extend_not_slower"], (
-            "extend-based _pack regressed behind the element-wise append "
-            "reference"
-        )
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ intra-class plumbing may share references deliberately.
 Fix by returning a copy (``list(self._x)``, ``dict(self._x)``) or a
 read-only view.  When sharing really is the contract — a hot-path cache
 whose callers promise not to mutate — suppress with
-``# repro: ignore[RA004]`` and say why (see
-``CSRGraph.adjacency_lists``).
+``# repro: ignore[RA004]`` and say why.
 """
 
 from __future__ import annotations

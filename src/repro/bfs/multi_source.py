@@ -42,7 +42,9 @@ def multi_source_bfs(
     if not unique_sources:
         return {}
 
-    neighbors = graph.out_neighbors if forward else graph.in_neighbors
+    # Sources are validated above and every other vertex comes out of a
+    # row, so the loop reads the sealed rows without a per-vertex check.
+    neighbors = graph.csr_snapshot().adjacency_lists(forward).__getitem__
     source_bit = {source: 1 << i for i, source in enumerate(unique_sources)}
     results: Dict[int, Dict[int, int]] = {
         source: {source: 0} for source in unique_sources

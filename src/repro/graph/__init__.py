@@ -3,10 +3,10 @@
 The algorithms in this library operate on unweighted directed graphs with
 integer vertex ids in ``[0, n)``.  :class:`~repro.graph.digraph.DiGraph` is
 the primary container; :class:`~repro.graph.csr.CSRGraph` is an immutable
-compressed snapshot used by the hot enumeration loops.  The graph is live:
-its :class:`~repro.graph.snapshots.SnapshotStore` (``graph.snapshots``)
-seals copy-on-write, refcounted CSR snapshots per version so mutation
-never disturbs in-flight consumers.
+snapshot used by the hot enumeration loops.  The graph is live: its
+:class:`~repro.graph.snapshots.SnapshotStore` (``graph.snapshots``) seals
+refcounted snapshots per version, sharing every adjacency row a mutation
+did not replace, so mutation never disturbs in-flight consumers.
 """
 
 from repro.graph.digraph import DiGraph

@@ -1,24 +1,27 @@
-"""Immutable compressed sparse row (CSR) snapshot of a :class:`DiGraph`.
+"""Immutable snapshot of a :class:`DiGraph`: its adjacency rows, shared.
 
 The enumeration hot loops only need fast, read-only access to out-neighbour
-lists of ``G`` and ``Gr``.  ``CSRGraph`` packs both directions into flat
-arrays (``array('l')`` — the signed-long typecode, wide enough for any
-realistic vertex id; see :data:`TYPECODE`) which are considerably cheaper
-to scan in CPython than nested Python lists, and guarantees that the graph
-cannot change while an index built from it is alive.
+rows of ``G`` and ``Gr``.  A ``CSRGraph`` holds, per direction, a tuple of
+the graph's own row tuples as they stood at one version — sealing copies
+``|V|`` pointers, two snapshots of neighbouring versions share every row
+the mutations between them did not touch, and nothing a caller is handed
+can be mutated, so the graph cannot change while an index built from it is
+alive.  The compressed-sparse-row form proper — flat ``(offsets, targets)``
+arrays (``array('l')``; see :data:`TYPECODE`) — is derived from the rows on
+the first :meth:`CSRGraph.flat` call, which only the numpy kernels make.
 
-Neighbour runs are stored **sorted ascending**, the same deterministic
-order :class:`DiGraph` maintains, so iterative searches over either view
-enumerate paths in identical order.
+Rows are **sorted ascending**, the deterministic order :class:`DiGraph`
+maintains, so iterative searches over either view enumerate paths in
+identical order.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence, Tuple
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, Row, strictly_ascending
 from repro.utils.validation import require
 
 #: Array typecode used for both the offset and target arrays.  ``'l'`` is a
@@ -40,36 +43,23 @@ class CSRGraph:
     search* on ``Gr`` with the same code.
     """
 
-    __slots__ = (
-        "num_vertices",
-        "num_edges",
-        "version",
-        "_fwd_offsets",
-        "_fwd_targets",
-        "_bwd_offsets",
-        "_bwd_targets",
-        "_fwd_lists",
-        "_bwd_lists",
-    )
+    __slots__ = ("num_vertices", "num_edges", "version", "_fwd", "_bwd", "_flat")
 
     def __init__(self, graph: DiGraph) -> None:
         self.num_vertices = graph.num_vertices
         self.num_edges = graph.num_edges
-        # The DiGraph revision this snapshot was packed at; consumers use
+        # The DiGraph revision this snapshot was sealed at; consumers use
         # it to resolve deltas and to match artefacts to snapshots.
         self.version = graph.version
-        self._fwd_offsets, self._fwd_targets = self._pack(
-            [graph.out_neighbors(v) for v in graph.vertices()]
-        )
-        self._bwd_offsets, self._bwd_targets = self._pack(
-            [graph.in_neighbors(v) for v in graph.vertices()]
-        )
-        # Materialised list-of-lists adjacency, built lazily per direction.
-        self._fwd_lists: List[List[int]] | None = None
-        self._bwd_lists: List[List[int]] | None = None
+        # The graph replaces rows, never edits them, so a pointer copy of
+        # its two spines is a frozen view.
+        self._fwd: Tuple[Row, ...] = tuple(graph._out)
+        self._bwd: Tuple[Row, ...] = tuple(graph._in)
+        # Packed arrays per direction, derived on the first flat() call.
+        self._flat: Dict[bool, Tuple[array, array]] = {}
 
     @staticmethod
-    def _pack(adjacency: List[Sequence[int]]) -> tuple[array, array]:
+    def _pack(adjacency: Sequence[Sequence[int]]) -> tuple[array, array]:
         num_edges = sum(len(neighbors) for neighbors in adjacency)
         require(
             len(adjacency) - 1 <= _TYPECODE_MAX and num_edges <= _TYPECODE_MAX,
@@ -80,70 +70,57 @@ class CSRGraph:
         targets = array(TYPECODE)
         cursor = 0
         for v, neighbors in enumerate(adjacency):
-            # DiGraph maintains adjacency sorted ascending at all times, so
-            # re-sorting here is pure waste — and snapshots are taken far
-            # more often under copy-on-write serving.  Keep the invariant
-            # checked in debug builds only.
-            assert all(
-                neighbors[i] < neighbors[i + 1] for i in range(len(neighbors) - 1)
-            ), f"adjacency of vertex {v} is not strictly sorted"
+            # DiGraph keeps every row sorted, so re-sorting here is pure
+            # waste; the invariant is checked in debug builds only.
+            assert strictly_ascending(neighbors), (
+                f"adjacency of vertex {v} is not strictly sorted"
+            )
             targets.extend(neighbors)
             cursor += len(neighbors)
             offsets[v + 1] = cursor
         return offsets, targets
 
-    def neighbors(self, v: int, forward: bool = True) -> Sequence[int]:
-        """Out-neighbours of ``v`` in ``G`` (forward) or ``Gr`` (backward)."""
-        if forward:
-            offsets, targets = self._fwd_offsets, self._fwd_targets
-        else:
-            offsets, targets = self._bwd_offsets, self._bwd_targets
-        return targets[offsets[v]:offsets[v + 1]]
+    def neighbors(self, v: int, forward: bool = True) -> Row:
+        """Out-neighbours of ``v`` in ``G`` (forward) or ``Gr`` (backward).
 
-    def out_neighbors(self, v: int) -> Sequence[int]:
+        Raises ``IndexError`` for any id outside ``[0, num_vertices)`` — a
+        negative one would otherwise alias a vertex counted from the end.
+        """
+        self._require_vertex(v)
+        return (self._fwd if forward else self._bwd)[v]
+
+    def _require_vertex(self, v: int) -> None:
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(f"vertex {v} is outside [0, {self.num_vertices})")
+
+    def out_neighbors(self, v: int) -> Row:
         return self.neighbors(v, forward=True)
 
-    def in_neighbors(self, v: int) -> Sequence[int]:
+    def in_neighbors(self, v: int) -> Row:
         return self.neighbors(v, forward=False)
 
     def out_degree(self, v: int) -> int:
-        return self._fwd_offsets[v + 1] - self._fwd_offsets[v]
+        return len(self.neighbors(v, forward=True))
 
     def in_degree(self, v: int) -> int:
-        return self._bwd_offsets[v + 1] - self._bwd_offsets[v]
+        return len(self.neighbors(v, forward=False))
 
     def flat(self, forward: bool = True) -> tuple[array, array]:
-        """The raw ``(offsets, targets)`` arrays of one direction."""
-        if forward:
-            return self._fwd_offsets, self._fwd_targets
-        return self._bwd_offsets, self._bwd_targets
+        """The packed ``(offsets, targets)`` arrays of one direction."""
+        packed = self._flat.get(forward)
+        if packed is None:
+            packed = self._flat[forward] = self._pack(self.adjacency_lists(forward))
+        return packed
 
-    def adjacency_lists(self, forward: bool = True) -> List[List[int]]:
-        """Materialise plain Python adjacency lists for one direction.
+    def adjacency_lists(self, forward: bool = True) -> Tuple[Row, ...]:
+        """The rows of one direction, indexed by vertex id.
 
         The iterative enumeration code indexes adjacency by vertex id in a
-        tight loop; plain lists of lists are the fastest structure for that
-        in CPython.  The lists are built once per direction and cached, so
-        every search over the same snapshot shares them — callers must not
-        mutate the returned structure.
+        tight loop (unchecked: a negative id counts from the end); these
+        are the sealed rows themselves, shared with the live graph and
+        with neighbouring versions.
         """
-        if forward:
-            if self._fwd_lists is None:
-                offsets, targets = self._fwd_offsets, self._fwd_targets
-                self._fwd_lists = [
-                    list(targets[offsets[v]:offsets[v + 1]])
-                    for v in range(self.num_vertices)
-                ]
-            # Shared read-only hot-path cache; copying ~|V| lists per
-            # search would dominate small-graph enumeration time.
-            return self._fwd_lists  # repro: ignore[RA004] -- shared read-only cache
-        if self._bwd_lists is None:
-            offsets, targets = self._bwd_offsets, self._bwd_targets
-            self._bwd_lists = [
-                list(targets[offsets[v]:offsets[v + 1]])
-                for v in range(self.num_vertices)
-            ]
-        return self._bwd_lists  # repro: ignore[RA004] -- shared read-only cache
+        return self._fwd if forward else self._bwd
 
     # ------------------------------------------------------------------ #
     # DiGraph read-surface compatibility
@@ -159,6 +136,7 @@ class CSRGraph:
         return range(self.num_vertices)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._require_vertex(v)
         row = self.neighbors(u, forward=True)
         position = bisect_left(row, v)
         return position < len(row) and row[position] == v
@@ -167,20 +145,14 @@ class CSRGraph:
         """A CSR view of this graph — already one; returns ``self``."""
         return self
 
-    def __getstate__(self) -> Dict[str, object]:
-        # The lazy list-of-lists caches are derived data; shipping them to
-        # worker processes would double the payload for no benefit.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in ("_fwd_lists", "_bwd_lists")
-        }
+    def __getstate__(self) -> tuple:
+        # Rows only: the packed arrays are derived again on demand.
+        return self.num_edges, self.version, self._fwd, self._bwd
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._fwd_lists = None
-        self._bwd_lists = None
+    def __setstate__(self, state: tuple) -> None:
+        self.num_edges, self.version, self._fwd, self._bwd = state
+        self.num_vertices = len(self._fwd)
+        self._flat = {}
 
     def __repr__(self) -> str:
         return (

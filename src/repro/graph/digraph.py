@@ -1,21 +1,27 @@
 """Mutable unweighted directed graph with integer vertex ids.
 
-The graph stores out- and in-adjacency lists so that forward searches on
-``G`` and backward searches on the reverse graph ``Gr`` (Section II of the
-paper) are both a single list lookup.  Vertex ids are dense integers in
-``[0, num_vertices)``; parallel edges and self loops are rejected because
-the paper's simple-path semantics never uses them.
+The graph stores one out- and one in-adjacency row per vertex so that
+forward searches on ``G`` and backward searches on the reverse graph ``Gr``
+(Section II of the paper) are both a single lookup.  Vertex ids are dense
+integers in ``[0, num_vertices)``; parallel edges and self loops are
+rejected because the paper's simple-path semantics never uses them.
 
-Adjacency lists are kept **sorted ascending** at all times, matching the
-order :class:`~repro.graph.csr.CSRGraph` packs its flat arrays in, so every
-enumeration algorithm visits neighbours — and therefore produces paths — in
-the same order regardless of which adjacency view it reads and of the order
-edges were inserted in.
+A row is a **sorted ascending tuple** and is replaced, never edited: a
+mutation builds the two rows it touches anew (O(degree), what an in-place
+insert costs) and leaves every other row — and every sealed
+:class:`~repro.graph.csr.CSRGraph` sharing them — alone.  Sorted rows make
+every enumeration algorithm visit neighbours, and so produce paths, in one
+order whichever view it reads and whatever order edges arrived in.
+
+Row entries are *interned*: every occurrence of vertex ``v`` is the one
+``int`` object ``_ids[v]``.  That is a speed property only (set and dict
+probes in the searches hit the identity short-cut, and the int working set
+is ``|V|`` objects instead of ``2|E|``); nothing may rely on it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.graph.snapshots import SnapshotStore
@@ -25,6 +31,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graph.csr import CSRGraph
 
 Edge = Tuple[int, int]
+Row = Tuple[int, ...]
+
+
+def strictly_ascending(row: Sequence[int]) -> bool:
+    """The row invariant every adjacency reader relies on."""
+    return all(row[i] < row[i + 1] for i in range(len(row) - 1))
+
+
+def _with_entry(row: Row, entry: int) -> Row:
+    """``row`` with ``entry`` inserted at its sorted position."""
+    at = bisect_left(row, entry)
+    row = row[:at] + (entry,) + row[at:]
+    assert strictly_ascending(row), f"adjacency row {row} is not strictly sorted"
+    return row
+
+
+def _without_entry(row: Row, entry: int) -> Row:
+    """``row`` with ``entry`` (which it holds) taken out."""
+    at = bisect_left(row, entry)
+    row = row[:at] + row[at + 1:]
+    assert strictly_ascending(row), f"adjacency row {row} is not strictly sorted"
+    return row
 
 
 class DiGraph:
@@ -38,8 +66,9 @@ class DiGraph:
 
     def __init__(self, num_vertices: int = 0) -> None:
         require_non_negative(num_vertices, "num_vertices")
-        self._out: List[List[int]] = [[] for _ in range(num_vertices)]
-        self._in: List[List[int]] = [[] for _ in range(num_vertices)]
+        self._ids: List[int] = list(range(num_vertices))
+        self._out: List[Row] = [()] * num_vertices
+        self._in: List[Row] = [()] * num_vertices
         self._edge_set: set[Edge] = set()
         self._version = 0
         self._snapshots = SnapshotStore(self)
@@ -62,23 +91,23 @@ class DiGraph:
             for u, v in edge_list:
                 num_vertices = max(num_vertices, u + 1, v + 1)
         graph = cls(num_vertices)
-        # Bulk path: append everything, then sort each list once.  Going
-        # through add_edge's insort would cost O(degree) per edge —
-        # quadratic on high-degree hubs.
-        out, inn, edge_set = graph._out, graph._in, graph._edge_set
+        # Bulk path: append everything, then sort each row once.  Going
+        # through add_edge would cost O(degree) per edge — quadratic on
+        # high-degree hubs.
+        ids, edge_set = graph._ids, graph._edge_set
+        out: List[List[int]] = [[] for _ in range(num_vertices)]
+        inn: List[List[int]] = [[] for _ in range(num_vertices)]
         for u, v in edge_list:
             if (u, v) in edge_set:
                 continue
             require_vertex(u, num_vertices, "u")
             require_vertex(v, num_vertices, "v")
             require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
-            out[u].append(v)
-            inn[v].append(u)
+            out[u].append(ids[v])
+            inn[v].append(ids[u])
             edge_set.add((u, v))
-        for neighbors in out:
-            neighbors.sort()
-        for neighbors in inn:
-            neighbors.sort()
+        graph._out = [tuple(sorted(neighbors)) for neighbors in out]
+        graph._in = [tuple(sorted(neighbors)) for neighbors in inn]
         with graph._snapshots.lock:
             graph._version += 1
             graph._snapshots.note_barrier()
@@ -92,8 +121,9 @@ class DiGraph:
         edge delta spans it (indexes must be rebuilt, not repaired).
         """
         with self._snapshots.lock:
-            self._out.append([])
-            self._in.append([])
+            self._ids.append(len(self._ids))
+            self._out.append(())
+            self._in.append(())
             self._version += 1
             self._snapshots.note_barrier()
             return len(self._out) - 1
@@ -102,17 +132,19 @@ class DiGraph:
         """Add the directed edge ``(u, v)``.
 
         Raises ``ValueError`` on self loops, duplicate edges or out-of-range
-        endpoints.  The adjacency lists stay sorted ascending.  Sealed
-        snapshots are unaffected (copy-on-write); the mutation is recorded
-        in the snapshot store's delta log.
+        endpoints.  The two rows it touches are replaced by sorted
+        successors; sealed snapshots keep the rows they hold.  The mutation
+        is recorded in the snapshot store's delta log.
         """
-        require_vertex(u, self.num_vertices, "u")
-        require_vertex(v, self.num_vertices, "v")
-        require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
-        require((u, v) not in self._edge_set, f"duplicate edge ({u}, {v})")
+        # Validated under the lock: a racing mutator must not slip between
+        # the duplicate check and the write.
         with self._snapshots.lock:
-            insort(self._out[u], v)
-            insort(self._in[v], u)
+            require_vertex(u, self.num_vertices, "u")
+            require_vertex(v, self.num_vertices, "v")
+            require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
+            require((u, v) not in self._edge_set, f"duplicate edge ({u}, {v})")
+            self._out[u] = _with_entry(self._out[u], self._ids[v])
+            self._in[v] = _with_entry(self._in[v], self._ids[u])
             self._edge_set.add((u, v))
             self._version += 1
             self._snapshots.note_edge("+", u, v)
@@ -124,10 +156,10 @@ class DiGraph:
         :meth:`add_edge`, this never disturbs sealed snapshots — in-flight
         consumers keep seeing the edge until they move to a newer version.
         """
-        require((u, v) in self._edge_set, f"no such edge ({u}, {v})")
         with self._snapshots.lock:
-            self._out[u].remove(v)
-            self._in[v].remove(u)
+            require((u, v) in self._edge_set, f"no such edge ({u}, {v})")
+            self._out[u] = _without_entry(self._out[u], v)
+            self._in[v] = _without_entry(self._in[v], u)
             self._edge_set.discard((u, v))
             self._version += 1
             self._snapshots.note_edge("-", u, v)
@@ -198,15 +230,16 @@ class DiGraph:
     def reverse(self) -> "DiGraph":
         """Return ``Gr``: the graph with every edge direction flipped.
 
-        Bulk O(V + E): the in/out adjacency lists of the reverse graph are
-        exactly this graph's out/in lists (already sorted), so they are
-        copied wholesale.  Routing each edge through ``add_edge``'s insort
-        would cost O(degree) per edge — quadratic on high-degree hubs.
+        The out/in rows of the reverse graph are exactly this graph's
+        in/out rows, so it *shares* them (and the interned ids): O(V)
+        pointers plus the flipped edge set, no per-edge ``add_edge``.
         """
-        reversed_graph = DiGraph(self.num_vertices)
-        reversed_graph._out = [list(neighbors) for neighbors in self._in]
-        reversed_graph._in = [list(neighbors) for neighbors in self._out]
-        reversed_graph._edge_set = {(v, u) for (u, v) in self._edge_set}
+        reversed_graph = DiGraph()
+        with self._snapshots.lock:
+            reversed_graph._ids = list(self._ids)
+            reversed_graph._out = list(self._in)
+            reversed_graph._in = list(self._out)
+            reversed_graph._edge_set = {(v, u) for (u, v) in self._edge_set}
         with reversed_graph._snapshots.lock:
             reversed_graph._version += 1
             reversed_graph._snapshots.note_barrier()
@@ -228,7 +261,7 @@ class DiGraph:
         snapshot — the next call simply seals a fresh one while pinned
         consumers keep reading theirs.  This is what lets a whole batch —
         and every worker processing shards of it — read adjacency from one
-        flat, immutable structure while the live graph keeps moving.
+        immutable structure while the live graph keeps moving.
         """
         return self._snapshots.seal()
 

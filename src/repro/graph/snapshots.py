@@ -1,4 +1,4 @@
-"""Multi-version copy-on-write CSR snapshots for a live :class:`DiGraph`.
+"""Multi-version row-sharing CSR snapshots for a live :class:`DiGraph`.
 
 The batch algorithms assume a frozen graph, but continuous serving runs
 against a mutating one: edges arrive (and are retracted) while micro-batches
@@ -10,11 +10,13 @@ flush after a mutation — correct, but it turned every legitimate
 :class:`SnapshotStore` replaces the pin-and-raise discipline with
 multi-version concurrency control:
 
-* ``seal()`` packs the graph's **head** revision into an immutable
-  :class:`~repro.graph.csr.CSRGraph` exactly once per version
-  (copy-on-write: a mutation does not invalidate the sealed CSR, it simply
-  means the *next* ``seal()`` packs a fresh one).  Every sealed CSR carries
-  the ``version`` it was packed at.
+* ``seal()`` freezes the graph's **head** revision into an immutable
+  :class:`~repro.graph.csr.CSRGraph` once per version.  The graph replaces
+  the adjacency rows a mutation touches instead of editing them, so a seal
+  is a copy of the two ``|V|``-long row spines — no row is copied, packed
+  or re-listed — and consecutive versions share every untouched row: a
+  pinned old version costs its spine plus the rows replaced since.  Every
+  sealed CSR carries the ``version`` it was sealed at.
 * ``pin()`` seals the head and returns a refcounted
   :class:`PinnedSnapshot` handle.  An in-flight micro-batch pins the
   version it was admitted under and keeps reading that CSR for its whole
@@ -32,8 +34,8 @@ multi-version concurrency control:
 
 Thread-safety: the store's reentrant ``lock`` is shared with the owning
 ``DiGraph`` — mutators hold it across the structural change *and* the
-version bump, and ``seal``/``pin`` take it while packing, so a pin is
-atomic with respect to concurrent mutation (no torn CSR packings, no
+version bump, and ``seal``/``pin`` take it while copying the spines, so a
+pin is atomic with respect to concurrent mutation (no torn snapshots, no
 check-then-act races on the version counter).
 """
 

@@ -1,5 +1,7 @@
 """Unit tests for the CSR snapshot."""
 
+import pytest
+
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
@@ -36,9 +38,16 @@ def test_adjacency_lists_roundtrip():
     csr = CSRGraph(graph)
     forward = csr.adjacency_lists(forward=True)
     backward = csr.adjacency_lists(forward=False)
+    assert len(forward) == len(backward) == graph.num_vertices
     for v in graph.vertices():
-        assert forward[v] == sorted(graph.out_neighbors(v))
-        assert backward[v] == sorted(graph.in_neighbors(v))
+        assert list(forward[v]) == sorted(graph.out_neighbors(v))
+        assert list(backward[v]) == sorted(graph.in_neighbors(v))
+        # The snapshot hands out the graph's own rows, not a second copy,
+        # and neither spine nor row can be edited through it.
+        assert forward[v] is graph.out_neighbors(v) is csr.out_neighbors(v)
+        assert backward[v] is graph.in_neighbors(v) is csr.in_neighbors(v)
+    assert isinstance(forward, tuple) and isinstance(forward[0], tuple)
+    assert csr.adjacency_lists(forward=True) is forward
 
 
 def test_flat_arrays_consistent_with_neighbors():
@@ -89,26 +98,53 @@ def test_csr_pickle_roundtrip_drops_lazy_caches():
 
     graph = random_directed_gnm(20, 70, seed=6)
     csr = graph.csr_snapshot()
-    csr.adjacency_lists(forward=True)  # populate a lazy cache
+    csr.flat(forward=True)  # populate the lazy cache
     clone = pickle.loads(pickle.dumps(csr))
     assert clone.version == csr.version
     assert clone.num_vertices == csr.num_vertices
     assert clone.num_edges == csr.num_edges
-    for v in csr.vertices():
-        assert list(clone.out_neighbors(v)) == list(csr.out_neighbors(v))
-        assert list(clone.in_neighbors(v)) == list(csr.in_neighbors(v))
+    assert clone._flat == {}  # the rows ship, the arrays packed from them do not
+    for forward in (True, False):
+        assert clone.adjacency_lists(forward) == csr.adjacency_lists(forward)
+        assert clone.flat(forward) == csr.flat(forward)  # re-derived on demand
 
 
 def test_pack_asserts_on_unsorted_adjacency():
-    # _pack trusts DiGraph's sorted-adjacency invariant (no O(E log E)
-    # re-sort per snapshot); under __debug__ a violation must trip the
-    # guard instead of silently packing garbage.
-    class UnsortedGraph(DiGraph):
-        def out_neighbors(self, v):
-            return list(super().out_neighbors(v))[::-1]
+    # _pack trusts DiGraph's sorted-row invariant (no O(E log E) re-sort
+    # per snapshot); under __debug__ a violation must trip the guard
+    # instead of silently packing garbage.  Sealing shares the rows
+    # unread, so the guard sits where they are first walked: at flat().
+    graph = DiGraph.from_edges([(0, 1), (0, 2), (1, 2)], num_vertices=4)
+    # Corrupts a row on purpose, behind the API.
+    graph._out[0] = graph.out_neighbors(0)[::-1]  # repro: ignore[RA002]
+    csr = CSRGraph(graph)
+    assert csr.flat(forward=False)  # the other direction is intact
+    with pytest.raises(AssertionError, match="vertex 0 is not strictly sorted"):
+        csr.flat(forward=True)
+    # The mutators check the one row they write, so a later seal cannot
+    # publish a row that went unsorted behind the graph's back.
+    with pytest.raises(AssertionError, match="not strictly sorted"):
+        graph.add_edge(0, 3)
 
-    graph = UnsortedGraph.from_edges([(0, 1), (0, 2), (1, 2)])
-    import pytest
 
-    with pytest.raises(AssertionError):
-        CSRGraph(graph)
+def test_out_of_range_ids_raise_on_the_snapshot_read_surface():
+    csr = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)]).csr_snapshot()
+    # A negative id must not alias a vertex counted from the end.
+    for bad in (-1, -3, 3, 99):
+        for read in (
+            csr.neighbors,
+            csr.out_neighbors,
+            csr.in_neighbors,
+            csr.out_degree,
+            csr.in_degree,
+        ):
+            with pytest.raises(IndexError, match="outside"):
+                read(bad)
+        with pytest.raises(IndexError):
+            csr.neighbors(bad, forward=False)
+        with pytest.raises(IndexError):
+            csr.has_edge(bad, 0)
+        with pytest.raises(IndexError):
+            csr.has_edge(0, bad)
+    assert [csr.out_degree(v) for v in csr.vertices()] == [1, 1, 1]
+    assert csr.has_edge(2, 0) and not csr.has_edge(0, 2)

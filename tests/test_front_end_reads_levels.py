@@ -8,6 +8,10 @@ estimates and entry counts must all complete against such rows with the
 oracle's paths.  The one permitted walk is the derive-on-first-use pass,
 and only for a row that arrived without levels (here: the rows a worker
 process unpacks with ``from_bytes``, which are plain arrays again).
+
+The same kind of count holds one layer down, for the graph itself: a served
+round after a mutation gets a snapshot that shares every adjacency row the
+mutation did not write — nothing is packed, nothing is re-listed.
 """
 
 from array import array
@@ -23,8 +27,10 @@ from repro.bfs.distance_index import (
     build_index,
 )
 from repro.enumeration.brute_force import enumerate_paths_brute_force
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
+from repro.graph.snapshots import SnapshotStore
 from repro.obs import MetricsRegistry
 from repro.obs.feedback import PLAN_INDEX_STRATEGY_TOTAL
 from repro.queries.generation import generate_random_queries
@@ -127,3 +133,53 @@ def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
         PLAN_INDEX_STRATEGY_TOTAL, labels={"strategy": "delta"}
     )
     assert repaired.value >= 1
+
+
+def test_a_served_round_after_a_mutation_copies_only_the_rows_it_wrote(
+    monkeypatch,
+):
+    graph = graph_with_a_far_corner()
+    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=21)
+    expected = oracle(graph, queries)
+    packs, sealed = [], {}
+    pack, seal = CSRGraph._pack, SnapshotStore.seal
+
+    def counting_pack(adjacency):
+        packs.append(len(adjacency))
+        return pack(adjacency)
+
+    def recording_seal(store):
+        csr = seal(store)
+        sealed[csr.version] = csr
+        return csr
+
+    monkeypatch.setattr(CSRGraph, "_pack", staticmethod(counting_pack))
+    monkeypatch.setattr(SnapshotStore, "seal", recording_seal)
+    with serve(
+        graph,
+        algorithm="batch+",
+        num_workers=1,
+        max_batch_size=len(queries),
+        max_delay_s=2.0,
+    ) as service:
+        for corner in range(120, 125):
+            graph.add_edge(corner, corner + 1)  # far from every endpoint
+            tickets = service.submit_many(queries)
+            served = [sorted(ticket.result(timeout=30.0)) for ticket in tickets]
+            assert served == expected
+        assert service.stats().failed == 0
+    assert packs == []  # the default kernel never asks for the flat arrays
+    versions = sorted(sealed)
+    assert len(versions) >= 5
+    for older, newer in zip(versions, versions[1:]):
+        replaced = sum(
+            old is not new
+            for forward in (True, False)
+            for old, new in zip(
+                sealed[older].adjacency_lists(forward),
+                sealed[newer].adjacency_lists(forward),
+            )
+        )
+        # One out-row and one in-row per single-edge mutation; the other
+        # 2|V| - 2 rows of the served version are the previous version's.
+        assert replaced == 2 * (newer - older)

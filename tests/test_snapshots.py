@@ -3,16 +3,25 @@
 Covers the copy-on-write seal/pin/release lifecycle, the bounded mutation
 log behind ``delta()`` (netting, barriers, trim floor), the new
 ``DiGraph.remove_edge`` mutator, the bulk ``reverse()`` path and
-pickling (the store holds an RLock, so it must be rebuilt on unpickle).
+pickling (the store holds an RLock, so it must be rebuilt on unpickle);
+and, as one rule-based state machine, that versions share their untouched
+adjacency rows while no sealed snapshot ever changes.
 """
 
 import pickle
 import threading
-from bisect import insort as real_insort
+import time
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.graph import digraph as digraph_module
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
 from repro.graph.snapshots import DEFAULT_MAX_LOG, SnapshotStore
@@ -104,6 +113,44 @@ def test_pin_is_atomic_under_concurrent_mutation():
         thread.join(timeout=5.0)
 
 
+def test_racing_mutators_validate_under_the_lock_they_mutate_under():
+    # Two threads race the same add (then the same remove).  The test holds
+    # the store lock while the loser starts, so the loser reaches the
+    # mutator before the winner's write lands: a check made outside the
+    # lock passes, and the loser then writes a duplicate entry (or slices a
+    # wrong one out).  Validated under the lock, it must raise instead.
+    graph = DiGraph(2)
+
+    def race(mutate, message):
+        errors = []
+        started = threading.Event()
+
+        def loser():
+            started.set()
+            try:
+                mutate(0, 1)
+            except ValueError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=loser, daemon=True)
+        with graph.snapshots.lock:
+            thread.start()
+            assert started.wait(timeout=5.0)
+            time.sleep(0.05)  # let the loser run up to the lock
+            mutate(0, 1)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and message in str(errors[0])
+
+    race(graph.add_edge, "duplicate edge")
+    assert graph.out_neighbors(0) == (1,) and graph.in_neighbors(1) == (0,)
+    assert graph.num_edges == 1 and graph.version == 1
+    assert list(graph.csr_snapshot().out_neighbors(0)) == [1]
+    race(graph.remove_edge, "no such edge")
+    assert graph.out_neighbors(0) == () and graph.in_neighbors(1) == ()
+    assert graph.num_edges == 0 and graph.version == 2
+
+
 def test_store_rejects_negative_log_bound():
     graph = DiGraph.from_edges([(0, 1)])
     with pytest.raises(ValueError):
@@ -187,24 +234,35 @@ def test_remove_edge_validates_edge_exists():
 # Bulk reverse(): the hub-graph quadratic regression
 # --------------------------------------------------------------------- #
 def test_reverse_bulk_path_never_calls_insort(monkeypatch):
-    # A hub: 199 edges all pointing at vertex 0.  The old implementation
-    # routed each reversed edge through add_edge's insort — O(deg) per
-    # edge, O(E * deg) total, quadratic on hubs.  The bulk path copies
-    # the already-sorted adjacency wholesale: zero insort calls, an
-    # edge-count-independent invariant (no wall-clock flakiness).
+    # A hub: 199 edges all pointing at vertex 0.  The first implementation
+    # routed each reversed edge through add_edge's sorted insert — O(deg)
+    # per edge, O(E * deg) total, quadratic on hubs.  Rows are immutable
+    # and already sorted, so the reverse graph shares them: zero add_edge
+    # calls and every row the same object, an edge-count-independent
+    # invariant (no wall-clock flakiness).
     graph = DiGraph.from_edges([(i, 0) for i in range(1, 200)])
     calls = []
+    real_add_edge = DiGraph.add_edge
 
-    def counting_insort(seq, item):
-        calls.append(item)
-        real_insort(seq, item)
+    def counting_add_edge(self, u, v):
+        calls.append((u, v))
+        real_add_edge(self, u, v)
 
-    monkeypatch.setattr(digraph_module, "insort", counting_insort)
+    monkeypatch.setattr(DiGraph, "add_edge", counting_add_edge)
     reversed_graph = graph.reverse()
     assert calls == []
+    for v in graph.vertices():
+        assert reversed_graph.out_neighbors(v) is graph.in_neighbors(v)
+        assert reversed_graph.in_neighbors(v) is graph.out_neighbors(v)
     assert reversed_graph.num_edges == graph.num_edges
     assert all(reversed_graph.has_edge(0, i) for i in range(1, 200))
     assert reversed_graph.reverse() == graph
+    # Shared, not aliased: a mutation replaces the row in one graph only.
+    reversed_graph.remove_edge(0, 7)
+    reversed_graph.add_vertex()
+    assert calls == []
+    assert graph.has_edge(7, 0) and 7 in graph.in_neighbors(0)
+    assert graph.num_vertices == 200 and graph.add_vertex() == 200
 
 
 def test_reverse_is_a_snapshot_barrier_on_the_new_graph():
@@ -252,3 +310,205 @@ def test_digraph_pickle_roundtrip_rebuilds_store():
         assert clone.snapshots.resolve(start) is pin.csr
     delta = clone.snapshots.delta(start, clone.version)
     assert delta is not None and len(delta[0]) == 1
+
+
+# --------------------------------------------------------------------- #
+# Row sharing between versions, isolation of every sealed version
+# --------------------------------------------------------------------- #
+def test_every_row_entry_is_its_vertex_one_interned_int():
+    # A speed property (identity short-cut in set/dict probes, |V| ints
+    # alive instead of 2|E|), so checked above CPython's own small-int
+    # cache, with every edge endpoint arriving as a freshly computed int.
+    base = 1000
+    graph = DiGraph.from_edges(
+        [(base + i, base + (i + step) % 50) for i in range(50) for step in (1, 7)]
+    )
+    graph.add_edge(base + 4, base + 40)
+    graph.remove_edge(base + 4, base + 40)
+    graph.add_edge(graph.add_vertex(), base + 9)
+    graph.add_edge(base + 9, base + 50)
+    reversed_graph = graph.reverse()
+    reversed_graph.add_edge(base + 2, base + 30)
+    one_object = {}
+    for built in (graph, reversed_graph):
+        csr = built.csr_snapshot()
+        for forward in (True, False):
+            for row in csr.adjacency_lists(forward):
+                for entry in row:
+                    assert one_object.setdefault(entry, entry) is entry
+    assert sorted(one_object) == list(range(base, base + 51))
+
+
+def _reference_rows(num_vertices, edges, forward):
+    rows = [[] for _ in range(num_vertices)]
+    for u, v in edges:
+        if forward:
+            rows[u].append(v)
+        else:
+            rows[v].append(u)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def _assert_snapshot_is(csr, version, num_vertices, edges):
+    """``csr`` equals the reference built from a frozen edge set."""
+    assert (csr.version, csr.num_vertices, csr.num_edges) == (
+        version,
+        num_vertices,
+        len(edges),
+    )
+    clone = pickle.loads(pickle.dumps(csr))
+    assert (clone.version, clone.num_vertices, clone.num_edges) == (
+        version,
+        num_vertices,
+        len(edges),
+    )
+    for forward in (True, False):
+        reference = _reference_rows(num_vertices, edges, forward)
+        assert csr.adjacency_lists(forward) == reference
+        assert clone.adjacency_lists(forward) == reference
+        assert csr.flat(forward) == CSRGraph._pack(reference)
+        for v in range(num_vertices):
+            assert csr.neighbors(v, forward) == reference[v]
+            degree = csr.out_degree(v) if forward else csr.in_degree(v)
+            assert degree == len(reference[v])
+    for u in range(num_vertices):
+        for v in range(num_vertices):
+            assert csr.has_edge(u, v) == ((u, v) in edges)
+
+
+class SnapshotSharing(RuleBasedStateMachine):
+    """Mutators, pins, seals and ``reverse()`` against a model edge set.
+
+    * every live pin always equals the reference of the edge set frozen
+      when it was taken (so no later mutation was ever observed in it);
+    * two consecutive seals share, by identity, every row no mutation in
+      between wrote, and hold different objects for every row
+      ``snapshots.delta()`` reports changed (a row written and written
+      back — netted out of the delta — is equal, by either object).
+    """
+
+    MAX_VERTICES = 12
+    vertex = st.integers(min_value=0, max_value=MAX_VERTICES - 1)
+
+    def __init__(self):
+        super().__init__()
+        self.graph = DiGraph(8)
+        self.edges = set()
+        self.pins = []  # (PinnedSnapshot, num_vertices, frozen edge set)
+        self.last_seal = None
+        self.written = set()  # (forward, vertex) rows written since last_seal
+
+    def _mutated(self, u, v):
+        self.written.update({(True, u), (False, v)})
+
+    @rule(u=vertex, v=vertex)
+    def add_edge(self, u, v):
+        n = self.graph.num_vertices
+        if u >= n or v >= n or u == v or (u, v) in self.edges:
+            with pytest.raises(ValueError):
+                self.graph.add_edge(u, v)
+            return
+        self.graph.add_edge(u, v)
+        self.edges.add((u, v))
+        self._mutated(u, v)
+
+    @precondition(lambda self: self.edges)
+    @rule(data=st.data())
+    def remove_edge(self, data):
+        u, v = data.draw(st.sampled_from(sorted(self.edges)))
+        self.graph.remove_edge(u, v)
+        self.edges.discard((u, v))
+        self._mutated(u, v)
+        with pytest.raises(ValueError):
+            self.graph.remove_edge(u, v)
+
+    @precondition(lambda self: self.graph.num_vertices < self.MAX_VERTICES)
+    @rule()
+    def add_vertex(self):
+        assert self.graph.add_vertex() == self.graph.num_vertices - 1
+
+    @precondition(lambda self: len(self.pins) < 4)
+    @rule()
+    def pin(self):
+        pin = self.graph.snapshots.pin()
+        assert pin.version == self.graph.version
+        self.pins.append((pin, self.graph.num_vertices, frozenset(self.edges)))
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def release(self, data):
+        pin, _, _ = self.pins.pop(data.draw(st.integers(0, len(self.pins) - 1)))
+        pin.release()
+
+    @rule()
+    def csr_snapshot(self):
+        csr = self.graph.csr_snapshot()
+        assert self.graph.csr_snapshot() is csr
+        _assert_snapshot_is(
+            csr, self.graph.version, self.graph.num_vertices, self.edges
+        )
+        before, delta = self.last_seal, None
+        if before is not None:
+            delta = self.graph.snapshots.delta(before.version, csr.version)
+        if delta is not None:  # no barrier in between: edge writes only
+            changed = {(True, u) for edges in delta for u, _ in edges}
+            changed |= {(False, v) for edges in delta for _, v in edges}
+            assert changed <= self.written
+            for forward in (True, False):
+                old, new = before.adjacency_lists(forward), csr.adjacency_lists(forward)
+                for v in range(csr.num_vertices):
+                    if (forward, v) in changed:
+                        assert old[v] is not new[v] and old[v] != new[v]
+                    elif (forward, v) in self.written:
+                        assert old[v] == new[v]
+                    else:
+                        assert old[v] is new[v]
+        self.last_seal = csr
+        self.written = set()
+
+    @rule(data=st.data())
+    def reverse(self, data):
+        reversed_graph = self.graph.reverse()
+        flipped = {(v, u) for u, v in self.edges}
+        for v in self.graph.vertices():
+            assert reversed_graph.out_neighbors(v) is self.graph.in_neighbors(v)
+            assert reversed_graph.in_neighbors(v) is self.graph.out_neighbors(v)
+        # Mutating the reverse graph replaces its rows, not the shared ones.
+        if flipped:
+            edge = data.draw(st.sampled_from(sorted(flipped)))
+            reversed_graph.remove_edge(*edge)
+            flipped.discard(edge)
+        reversed_graph.add_vertex()
+        _assert_snapshot_is(
+            reversed_graph.csr_snapshot(),
+            reversed_graph.version,
+            self.graph.num_vertices + 1,
+            flipped,
+        )
+
+    @invariant()
+    def live_graph_matches_the_model(self):
+        for forward in (True, False):
+            reference = _reference_rows(
+                self.graph.num_vertices, self.edges, forward
+            )
+            read = self.graph.out_neighbors if forward else self.graph.in_neighbors
+            assert tuple(read(v) for v in self.graph.vertices()) == reference
+        assert self.graph.num_edges == len(self.edges)
+
+    @invariant()
+    def every_live_pin_is_frozen(self):
+        store = self.graph.snapshots
+        for pin, num_vertices, edges in self.pins:
+            assert store.resolve(pin.version) is pin.csr
+            _assert_snapshot_is(pin.csr, pin.version, num_vertices, edges)
+
+    def teardown(self):
+        for pin, _, _ in self.pins:
+            pin.release()
+
+
+TestSnapshotSharing = SnapshotSharing.TestCase
+TestSnapshotSharing.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
