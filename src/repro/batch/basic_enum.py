@@ -1,7 +1,7 @@
 """Algorithm 1 — ``BasicEnum`` / ``BasicEnum+`` and the PathEnum baseline.
 
 ``BasicEnum`` is the straightforward batch baseline: build the distance
-index for all sources and targets at once with multi-source BFS, then run
+index for all sources and targets at once (a truncated BFS each), then run
 the bidirectional PathEnum enumeration for each query independently on top
 of the shared index.  ``BasicEnum+`` additionally enables PathEnum's
 search-order optimisation (adaptive forward/backward budget split).
@@ -66,7 +66,7 @@ class BasicEnum:
     ) -> FragmentStream:
         """Fragment generator: one ``{position: paths}`` yield per query.
 
-        The shared artefacts (multi-source BFS index, CSR snapshot) are
+        The shared artefacts (distance index, CSR snapshot) are
         still built once for the whole batch before the first fragment is
         produced; only the per-query enumerations are interleaved with the
         consumer.  A caller that already owns a covering workload (the
@@ -82,7 +82,7 @@ class BasicEnum:
             sharing=SharingStats(num_clusters=len(queries)),
             algorithm=self.name,
         )
-        index = workload.index  # "BuildIndex" stage (multi-source BFS)
+        index = workload.index  # "BuildIndex" stage
         # Pack the shared CSR snapshot up front so the per-query loop below
         # (and every other algorithm run on this graph) reads adjacency from
         # the same flat arrays; attribute the packing to BuildIndex.

@@ -2,8 +2,8 @@
 
 Processing pipeline for a batch ``Q``:
 
-1. **BuildIndex** — multi-source BFS distance index over all query sources
-   and targets (shared with Algorithm 1).
+1. **BuildIndex** — distance index over all query sources and targets,
+   one truncated BFS each (shared with Algorithm 1).
 2. **ClusterQuery** — Algorithm 2 groups queries by hop-constrained
    neighbourhood similarity.
 3. **IdentifySubquery** — Algorithm 3 detects, per cluster and per
@@ -38,6 +38,7 @@ from repro.enumeration.join import (
     ForwardSide, JoinProbe, PathJoinPolicy, join_path_sets,
 )
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
+from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split
 from repro.graph.digraph import DiGraph
@@ -181,7 +182,26 @@ class BatchEnum:
         this the shard boundary of :mod:`repro.batch.executor`: the parallel
         mode calls this method from worker processes with a per-cluster
         index and merges the per-position results afterwards.
+
+        A cluster of one *is* a single query: it runs the search ``basic``
+        runs (:meth:`PathEnum.enumerate` on the shared index) and its two
+        roots are counted, with no detection, Ψ or cache built around it.
         """
+        if len(queries_by_position) == 1:
+            ((position, query),) = queries_by_position.items()
+            enumerator = PathEnum(
+                self.graph,
+                index=index,
+                optimize_search_order=self.optimize_search_order,
+                kernel=kernel,
+            )
+            with stage_timer.stage("Enumeration"):
+                result.record(position, enumerator.enumerate(query))
+            sharing.num_hc_s_nodes += 2
+            # The backward root, held for the join.
+            sharing.cache_peak_entries = max(sharing.cache_peak_entries, 1)
+            return
+
         forward_budgets: Dict[int, int] = {}
         backward_budgets: Dict[int, int] = {}
         if self.optimize_search_order:

@@ -6,11 +6,21 @@ for common HC-s path queries *within* a group.  The procedure is standard
 agglomerative (hierarchical) clustering with group-average linkage over the
 pairwise query similarity µ of Definition 4.5, stopping when no two groups
 have similarity above the threshold γ.
+
+Each merge joins the most similar pair of groups; among equally similar
+pairs the first in scan order — lowest first group, then lowest second —
+wins.  Every group caches its best *later* partner, so a merge re-scans
+only the rows that pointed at one of the merged groups (Müllner 2011's
+row-best form of the greedy procedure): O(|Q|²) similarity evaluations for
+the whole clustering while merges leave the other rows' choices alone,
+O(|Q|³) — what re-scanning every pair after every merge always costs — only
+if every row keeps pointing at the pair being merged.  The merge sequence
+is that of the full re-scan.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
 from repro.queries.similarity import QuerySimilarityMatrix
 from repro.queries.workload import QueryWorkload
@@ -42,28 +52,28 @@ def cluster_by_similarity(
     # Group similarity δ(CA, CB) is the mean pairwise µ, which can be kept
     # as a running sum: sum(CA, CB) / (|CA| * |CB|).  Merging two clusters
     # only requires adding their sums against every other cluster.
-    pair_sums: List[List[float]] = [[0.0] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if i != j:
-                pair_sums[i][j] = matrix.get(i, j)
+    pair_sums: List[List[float]] = [list(row) for row in matrix.values]
 
-    active = list(range(count))
+    def best_later(a: int, later: Sequence[int]) -> Tuple[float, Optional[int]]:
+        """The first of ``later`` most similar to ``a`` (above zero)."""
+        best_similarity, best = 0.0, None
+        sums, size = pair_sums[a], len(clusters[a])
+        for b in later:
+            similarity = sums[b] / (size * len(clusters[b]))
+            if similarity > best_similarity:
+                best_similarity, best = similarity, b
+        return best_similarity, best
+
+    active = list(range(count))  # ascending throughout
+    best = [best_later(a, active[a + 1:]) for a in active]
     while len(active) > 1:
-        best_pair = None
-        best_similarity = 0.0
-        for index_a in range(len(active)):
-            a = active[index_a]
-            for index_b in range(index_a + 1, len(active)):
-                b = active[index_b]
-                denominator = len(clusters[a]) * len(clusters[b])
-                similarity = pair_sums[a][b] / denominator
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_pair = (a, b)
-        if best_pair is None or best_similarity <= gamma:
+        best_similarity, a = 0.0, None
+        for x in active:
+            if best[x][0] > best_similarity:
+                best_similarity, a = best[x][0], x
+        if a is None or best_similarity <= gamma:
             break
-        a, b = best_pair
+        b = best[a][1]
         clusters[a].extend(clusters[b])
         clusters[b] = []
         for other in active:
@@ -72,5 +82,19 @@ def cluster_by_similarity(
             pair_sums[a][other] += pair_sums[b][other]
             pair_sums[other][a] += pair_sums[other][b]
         active.remove(b)
+        # Rows past b never looked at a or b; a row before a that pointed
+        # elsewhere only has to weigh the merged group against its choice.
+        for i, x in enumerate(active):
+            if x > b:
+                break
+            similarity, partner = best[x]
+            if x == a or partner == a or partner == b:
+                best[x] = best_later(x, active[i + 1:])
+            elif x < a:
+                merged = pair_sums[x][a] / (len(clusters[x]) * len(clusters[a]))
+                if merged > similarity or (
+                    merged == similarity and partner is not None and a < partner
+                ):
+                    best[x] = merged, a
 
     return [sorted(cluster) for cluster in clusters if cluster]

@@ -75,7 +75,7 @@ class CostModel:
         (:func:`~repro.batch.planner.estimate_query_cost`).
     seconds_per_index_entry:
         Per reachable (vertex, distance) entry cost of running the
-        multi-source BFS that builds the index.
+        per-endpoint BFS that builds the index.
     seconds_per_shipped_byte:
         Per-byte cost of serializing + piping + deserializing the
         array-backed index rows into the workers.
@@ -83,7 +83,7 @@ class CostModel:
         Per (changed edge × index row) cost of incremental
         :meth:`~repro.bfs.distance_index.CSRDistanceIndex.apply_delta`
         repair: fix up the previous batch's index instead of re-running
-        the multi-source BFS from scratch.
+        every BFS from scratch.
     parallel_benefit_margin:
         ``auto`` only shards when the predicted parallel wall time is below
         this fraction of the predicted sequential wall time — a hedge
@@ -113,7 +113,7 @@ class CostModel:
     def delta_repair_wins(
         self, num_changed_edges: int, index: CSRDistanceIndex
     ) -> bool:
-        """Whether repairing beats rebuilding the multi-source BFS."""
+        """Whether repairing beats rebuilding the index."""
         rebuild = index.size_in_entries * self.seconds_per_index_entry
         return self.delta_repair_seconds(num_changed_edges, index) < rebuild
 
@@ -168,7 +168,7 @@ class AlgorithmSpec:
         Sharing-aware: a batch is sharded per cluster, otherwise into
         contiguous batch slices.
     indexed:
-        Reads the shared multi-source BFS index; a parallel plan ships each
+        Reads the shared distance index; a parallel plan ships each
         shard its endpoints' rows of the parent-built index.
     kernelized:
         The hot loop has a vectorized twin in

@@ -21,7 +21,7 @@ Plan → execute pipeline
 Every non-trivial run goes through two explicit phases:
 
 1. **Plan** — a :class:`~repro.batch.planner.QueryPlanner` runs the cheap
-   global stages once (multi-source BFS index, clustering), estimates
+   global stages once (distance index, clustering), estimates
    per-shard enumeration costs and resolves the worker count and the
    kernel per shard.  The resulting
    :class:`~repro.batch.planner.ExecutionPlan` is a plain inspectable

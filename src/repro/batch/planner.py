@@ -438,7 +438,7 @@ class QueryPlanner:
         endpoints and snapshot version both match (``"cached"``);
         delta-repair a copy of it when only the version moved, the snapshot
         store can net the edge changes, and the cost model says repair
-        beats a fresh multi-source BFS (``"delta"``); otherwise fall
+        beats a fresh build (``"delta"``); otherwise fall
         through to a fresh build (``"built"``,
         returned as ``None`` so the workload builds lazily).
         """

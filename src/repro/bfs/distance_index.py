@@ -8,7 +8,7 @@ the paper justifies pruning any vertex ``v`` from an enumeration whenever
 ``dist(s, v)`` or ``dist(v, t)`` exceeds the remaining hop budget.
 
 The index is exactly the structure built in lines 1-2 of Algorithm 1 and
-Algorithm 4 with multi-source BFS.
+Algorithm 4, here with one truncated BFS per endpoint.
 
 The structure is :class:`CSRDistanceIndex`: one flat ``array('l')`` row
 per indexed endpoint, keyed by CSR vertex id, with a large finite sentinel
@@ -32,9 +32,9 @@ from array import array
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.bfs.multi_source import multi_source_bfs
+from repro.bfs.multi_source import truncated_bfs_levels
 from repro.graph.digraph import DiGraph
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require, require_positive, require_vertex
 
 INFINITY = math.inf
 
@@ -110,7 +110,7 @@ class CSRDistanceIndex:
       neighbourhoods and µ masks for clustering, entry counts for metrics —
       reads the levels and costs O(reached), never a ``|V|``-long scan.
 
-    :func:`build_index` records the levels as the BFS hands them over;
+    :func:`build_index` records the levels as each BFS hands them over;
     :meth:`copy` and :meth:`restrict` share them; :meth:`apply_delta` keeps
     them for every row it left unchanged.  A row that arrives without
     levels (``from_bytes`` in a worker, a hand-built index, a row a delta
@@ -143,36 +143,6 @@ class CSRDistanceIndex:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_distance_maps(
-        cls,
-        num_vertices: int,
-        max_hops: int,
-        from_source: Dict[int, Dict[int, int]],
-        to_target: Dict[int, Dict[int, int]],
-    ) -> "CSRDistanceIndex":
-        """Pack sparse BFS result dicts (distances truncated at ``max_hops``)
-        into dense rows plus their levels."""
-        index = cls(num_vertices, max_hops, {}, {})
-        template = array(TYPECODE, [UNREACHABLE]) * num_vertices
-        for maps, rows, levels in (
-            (from_source, index._from_rows, index._from_levels),
-            (to_target, index._to_rows, index._to_levels),
-        ):
-            for endpoint, distances in maps.items():
-                row = array(TYPECODE, template)
-                buckets: List[List[int]] = [[] for _ in range(max_hops + 1)]
-                for vertex, distance in distances.items():
-                    row[vertex] = distance
-                    buckets[distance].append(vertex)
-                while buckets and not buckets[-1]:
-                    buckets.pop()
-                rows[endpoint] = row
-                levels[endpoint] = tuple(
-                    array(TYPECODE, sorted(bucket)) for bucket in buckets
-                )
-        return index
-
     def copy(self) -> "CSRDistanceIndex":
         """Deep copy of the dense rows (the levels are shared) — the
         starting point for :meth:`apply_delta` when the original must stay
@@ -608,23 +578,42 @@ def build_index(
     targets: Iterable[int],
     max_hops: int,
 ) -> CSRDistanceIndex:
-    """Build the batch distance index with two multi-source BFS traversals.
+    """Build the batch distance index: one truncated BFS per endpoint.
 
     ``sources`` are expanded forward on ``G``; ``targets`` backward on
     ``Gr``.  Distances are truncated at ``max_hops`` — Lemma 3.1 never needs
     larger values because any vertex further away cannot appear on a result
-    path.  Returns the array-backed :class:`CSRDistanceIndex`.
+    path.  Each traversal fills its own dense row (a copy of the all-
+    :data:`UNREACHABLE` template) and leaves the row's :data:`Levels`
+    behind, so building costs what the endpoints reach.  Returns the
+    array-backed :class:`CSRDistanceIndex`.
     """
     require_positive(max_hops, "max_hops")
-    source_list = sorted(set(sources))
-    target_list = sorted(set(targets))
+    source_list, target_list = list(sources), list(targets)
     require(bool(source_list), "at least one source is required")
     require(bool(target_list), "at least one target is required")
-    from_source = multi_source_bfs(graph, source_list, max_hops=max_hops, forward=True)
-    to_target = multi_source_bfs(graph, target_list, max_hops=max_hops, forward=False)
-    return CSRDistanceIndex.from_distance_maps(
-        graph.num_vertices, max_hops, from_source, to_target
-    )
+    for name, endpoints in (("source", source_list), ("target", target_list)):
+        for endpoint in endpoints:
+            require_vertex(endpoint, graph.num_vertices, name)
+    index = CSRDistanceIndex(graph.num_vertices, max_hops, {}, {})
+    template = array(TYPECODE, [UNREACHABLE]) * graph.num_vertices
+    csr = graph.csr_snapshot()
+    for endpoints, forward, rows, all_levels in (
+        (source_list, True, index._from_rows, index._from_levels),
+        (target_list, False, index._to_rows, index._to_levels),
+    ):
+        adjacency = csr.adjacency_lists(forward)
+        for endpoint in sorted(set(endpoints)):
+            row = rows[endpoint] = template[:]
+            levels = []
+            for depth, level in enumerate(
+                truncated_bfs_levels(adjacency, endpoint, max_hops)
+            ):
+                for vertex in level:
+                    row[vertex] = depth
+                levels.append(array(TYPECODE, level))
+            all_levels[endpoint] = tuple(levels)
+    return index
 
 
 def build_index_for_queries(

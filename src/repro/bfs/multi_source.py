@@ -1,21 +1,53 @@
-"""Bitset multi-source BFS (Then et al., "The More the Merrier", VLDB'14).
+"""Truncated level-synchronous BFS, one traversal per source.
 
 The batch index of Algorithm 1 / Algorithm 4 needs hop distances from every
-query source on ``G`` and every query target on ``Gr``.  Running one BFS
-per source repeats the same frontier expansion work; the multi-source BFS
-runs all of them simultaneously by keeping, per vertex, a bitset of the
-sources that have already reached it ("seen") and a bitset of the sources
-reaching it in the current round ("frontier").  Python integers act as
-arbitrarily wide bitsets, so a single ``|``/``&``/``~`` per vertex advances
-all sources at once.
+query source on ``G`` and every query target on ``Gr``.  The paper builds
+it with a bit-parallel multi-source BFS (Then et al., "The More the
+Merrier", VLDB'14): one machine word per vertex holds the sources that have
+reached it, so one ``|``/``&`` advances all of them.  On a CPython substrate
+that does not pay.  A vertex's "word" is a heap-allocated int behind a dict,
+and every *(source, vertex)* result must still be written out by one dict
+or array store of its own, so the shared expansion saves nothing and the
+bit-peeling that recovers the sources from a word is pure overhead.
+
+What this module is instead: :func:`truncated_bfs_levels`, the one BFS
+kernel behind :func:`repro.bfs.distance_index.build_index`, which expands a
+whole frontier with one C-level ``set().union`` over its sealed adjacency
+rows and hands each level over sorted; and :func:`multi_source_bfs`, the
+same kernel looped over the sources into ``{source: {vertex: distance}}``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.graph.digraph import DiGraph
 from repro.utils.validation import require_non_negative, require_vertex
+
+
+def truncated_bfs_levels(
+    adjacency: Sequence[Sequence[int]], source: int, max_hops: int | None
+) -> Iterator[List[int]]:
+    """Yield the BFS levels of ``source`` over ``adjacency``: the ``d``-th
+    list holds, ascending, the vertices at exact distance ``d``, up to
+    ``max_hops`` (``None`` = unbounded) or the last non-empty level.
+
+    ``source`` must be a valid row of ``adjacency``; every other vertex
+    comes out of a row, so the loop runs without a per-vertex check.
+    """
+    neighbors = adjacency.__getitem__
+    seen: set[int] = set()
+    frontier = [source]
+    depth = 0
+    while frontier:
+        yield frontier
+        if depth == max_hops:
+            return
+        depth += 1
+        seen.update(frontier)
+        reached = set().union(*map(neighbors, frontier))
+        reached -= seen
+        frontier = sorted(reached)
 
 
 def multi_source_bfs(
@@ -32,50 +64,16 @@ def multi_source_bfs(
     """
     if max_hops is not None:
         require_non_negative(max_hops, "max_hops")
-    unique_sources: List[int] = []
-    seen_sources: set[int] = set()
     for source in sources:
         require_vertex(source, graph.num_vertices, "source")
-        if source not in seen_sources:
-            seen_sources.add(source)
-            unique_sources.append(source)
-    if not unique_sources:
-        return {}
-
-    # Sources are validated above and every other vertex comes out of a
-    # row, so the loop reads the sealed rows without a per-vertex check.
-    neighbors = graph.csr_snapshot().adjacency_lists(forward).__getitem__
-    source_bit = {source: 1 << i for i, source in enumerate(unique_sources)}
-    results: Dict[int, Dict[int, int]] = {
-        source: {source: 0} for source in unique_sources
+    adjacency = graph.csr_snapshot().adjacency_lists(forward)
+    return {
+        source: {
+            vertex: depth
+            for depth, level in enumerate(
+                truncated_bfs_levels(adjacency, source, max_hops)
+            )
+            for vertex in level
+        }
+        for source in dict.fromkeys(sources)
     }
-
-    # seen[v] / frontier[v]: bitsets over source indices.
-    seen: Dict[int, int] = {}
-    frontier: Dict[int, int] = {}
-    for source in unique_sources:
-        bit = source_bit[source]
-        seen[source] = seen.get(source, 0) | bit
-        frontier[source] = frontier.get(source, 0) | bit
-
-    depth = 0
-    while frontier:
-        depth += 1
-        if max_hops is not None and depth > max_hops:
-            break
-        next_frontier: Dict[int, int] = {}
-        for u, bits in frontier.items():
-            for v in neighbors(u):
-                new_bits = bits & ~seen.get(v, 0)
-                if new_bits:
-                    seen[v] = seen.get(v, 0) | new_bits
-                    next_frontier[v] = next_frontier.get(v, 0) | new_bits
-        for v, bits in next_frontier.items():
-            remaining = bits
-            while remaining:
-                lowest = remaining & -remaining
-                results[unique_sources[lowest.bit_length() - 1]][v] = depth
-                remaining ^= lowest
-        frontier = next_frontier
-
-    return results

@@ -2,8 +2,8 @@
 
 Both the PathEnum index (Section III) and the hop-constrained neighbour
 sets Γ(q) / Γr(q) (Definition 4.4) are hop-bounded BFS frontiers; this
-module provides the plain single-source primitive that the multi-source
-variant and the tests compare against.
+module provides the plain single-source primitive that the tests compare
+the index's own traversal (``multi_source.py``) against.
 """
 
 from __future__ import annotations

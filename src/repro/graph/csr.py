@@ -125,7 +125,7 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # DiGraph read-surface compatibility
     #
-    # The enumeration stack (PathEnum/BasicEnum/BatchEnum, multi_source_bfs,
+    # The enumeration stack (PathEnum/BasicEnum/BatchEnum, build_index,
     # detection) only ever *reads* the graph it is handed: neighbour lists,
     # vertex/edge counts, ``vertices()``, ``has_edge`` and ``csr_snapshot``.
     # Implementing that surface here lets a sealed snapshot stand in for the

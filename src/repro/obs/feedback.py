@@ -26,7 +26,7 @@ from typing import Dict, Mapping
 COST_PREDICTED_UNITS_TOTAL = "repro_cost_predicted_units_total"
 COST_ACTUAL_SECONDS_TOTAL = "repro_cost_actual_seconds_total"
 
-# Full index builds: multi-source BFS entries produced and wall seconds.
+# Full index builds: BFS entries produced and wall seconds.
 INDEX_BUILD_ENTRIES_TOTAL = "repro_index_build_entries_total"
 INDEX_BUILD_SECONDS_TOTAL = "repro_index_build_seconds_total"
 

@@ -24,7 +24,7 @@ the other's, and equals 0 when the neighbourhoods are disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.queries.query import HCSTQuery
@@ -67,23 +67,6 @@ def similarity_from_neighborhoods(
     backward_ratio = _overlap_ratio(backward_a, backward_b)
     if forward_ratio == 0.0 or backward_ratio == 0.0:
         return 0.0
-    return 2.0 / (1.0 / forward_ratio + 1.0 / backward_ratio)
-
-
-def _similarity_from_masks(
-    fwd_mask_a: int, fwd_size_a: int, fwd_mask_b: int, fwd_size_b: int,
-    bwd_mask_a: int, bwd_size_a: int, bwd_mask_b: int, bwd_size_b: int,
-) -> float:
-    """µ from bitmask-encoded neighbourhoods (same semantics as
-    :func:`similarity_from_neighborhoods`)."""
-    if min(fwd_size_a, fwd_size_b) == 0 or min(bwd_size_a, bwd_size_b) == 0:
-        return 0.0
-    forward_intersection = (fwd_mask_a & fwd_mask_b).bit_count()
-    backward_intersection = (bwd_mask_a & bwd_mask_b).bit_count()
-    if forward_intersection == 0 or backward_intersection == 0:
-        return 0.0
-    forward_ratio = forward_intersection / min(fwd_size_a, fwd_size_b)
-    backward_ratio = backward_intersection / min(bwd_size_a, bwd_size_b)
     return 2.0 / (1.0 / forward_ratio + 1.0 / backward_ratio)
 
 
@@ -151,30 +134,38 @@ class QuerySimilarityMatrix:
         reports (Exp-3).
         """
         count = len(queries)
-        mask_cache: Dict[Tuple[str, int, int], Tuple[int, int]] = {}
-
-        def masks_for(query: HCSTQuery) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-            forward_key = ("f", query.s, query.k)
-            backward_key = ("b", query.t, query.k)
-            if forward_key not in mask_cache:
-                mask_cache[forward_key] = index.forward_mask(query.s, query.k)
-            if backward_key not in mask_cache:
-                mask_cache[backward_key] = index.backward_mask(query.t, query.k)
-            return mask_cache[forward_key], mask_cache[backward_key]
-
-        encoded = [masks_for(query) for query in queries]
+        forward_masks = {
+            key: index.forward_mask(*key) for key in {(q.s, q.k) for q in queries}
+        }
+        backward_masks = {
+            key: index.backward_mask(*key) for key in {(q.t, q.k) for q in queries}
+        }
+        encoded = [
+            forward_masks[q.s, q.k] + backward_masks[q.t, q.k] for q in queries
+        ]
         values = [[0.0] * count for _ in range(count)]
-        for i in range(count):
-            values[i][i] = 1.0
-            (fwd_mask_i, fwd_size_i), (bwd_mask_i, bwd_size_i) = encoded[i]
+        for i, row in enumerate(values):
+            row[i] = 1.0
+            fwd_mask_i, fwd_size_i, bwd_mask_i, bwd_size_i = encoded[i]
             for j in range(i + 1, count):
-                (fwd_mask_j, fwd_size_j), (bwd_mask_j, bwd_size_j) = encoded[j]
-                mu = _similarity_from_masks(
-                    fwd_mask_i, fwd_size_i, fwd_mask_j, fwd_size_j,
-                    bwd_mask_i, bwd_size_i, bwd_mask_j, bwd_size_j,
+                fwd_mask_j, fwd_size_j, bwd_mask_j, bwd_size_j = encoded[j]
+                # µ as similarity_from_neighborhoods computes it (a shared
+                # vertex means neither neighbourhood is empty).
+                forward = (fwd_mask_i & fwd_mask_j).bit_count()
+                if not forward:
+                    continue
+                backward = (bwd_mask_i & bwd_mask_j).bit_count()
+                if not backward:
+                    continue
+                forward_ratio = forward / (
+                    fwd_size_i if fwd_size_i < fwd_size_j else fwd_size_j
                 )
-                values[i][j] = mu
-                values[j][i] = mu
+                backward_ratio = backward / (
+                    bwd_size_i if bwd_size_i < bwd_size_j else bwd_size_j
+                )
+                row[j] = values[j][i] = 2.0 / (
+                    1.0 / forward_ratio + 1.0 / backward_ratio
+                )
         return cls(values=values)
 
     def get(self, i: int, j: int) -> float:

@@ -1,25 +1,31 @@
-"""Reference for the distance-index tests: the sparse ``multi_source_bfs``
-dicts themselves, answered the slow obvious way (a comprehension per
-question).  Same reader names as ``CSRDistanceIndex`` so a test can put one
-question to both; an unindexed endpoint is a plain ``KeyError``."""
+"""Reference for the distance-index tests: one sparse ``bfs_distances`` dict
+per endpoint (the deque BFS of ``single_source.py``, which shares no code
+with the traversal ``build_index`` runs), answered the slow obvious way (a
+comprehension per question).  Same reader names as ``CSRDistanceIndex`` so
+a test can put one question to both; an unindexed endpoint is a plain
+``KeyError``."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import partialmethod
 
-from repro.bfs.multi_source import multi_source_bfs
+from repro.bfs.single_source import bfs_distances
 
 
 class DictIndexOracle:
     def __init__(self, graph, sources, targets, max_hops):
+        self.num_vertices = graph.num_vertices
         self.max_hops = max_hops
-        self.from_source = multi_source_bfs(
-            graph, sorted(set(sources)), max_hops=max_hops, forward=True
-        )
-        self.to_target = multi_source_bfs(
-            graph, sorted(set(targets)), max_hops=max_hops, forward=False
-        )
+        self.from_source = {
+            source: bfs_distances(graph, source, max_hops=max_hops, forward=True)
+            for source in sorted(set(sources))
+        }
+        self.to_target = {
+            target: bfs_distances(graph, target, max_hops=max_hops, forward=False)
+            for target in sorted(set(targets))
+        }
 
     def _row(self, forward, endpoint):
         return (self.from_source if forward else self.to_target)[endpoint]
@@ -39,6 +45,19 @@ class DictIndexOracle:
         members = self._neighborhood(forward, endpoint, hops)
         return sum(1 << v for v in members), len(members)
 
+    def _dense(self, forward, endpoint):
+        """The row as ``build_index`` lays it out: one signed long per
+        vertex, ``2**31 - 1`` where the BFS never arrived."""
+        row = self._row(forward, endpoint)
+        return array("l", [row.get(v, 2**31 - 1) for v in range(self.num_vertices)])
+
+    def _levels(self, forward, endpoint):
+        row = self._row(forward, endpoint)
+        return tuple(
+            array("l", sorted(v for v in row if row[v] == distance))
+            for distance in range(max(row.values()) + 1)
+        )
+
     dist_from = partialmethod(_dist, True)
     dist_to = partialmethod(_dist, False)
     forward_neighborhood = partialmethod(_neighborhood, True)
@@ -47,6 +66,10 @@ class DictIndexOracle:
     backward_level_sizes = partialmethod(_level_sizes, False)
     forward_mask = partialmethod(_mask, True)
     backward_mask = partialmethod(_mask, False)
+    dense_from = partialmethod(_dense, True)
+    dense_to = partialmethod(_dense, False)
+    forward_levels = partialmethod(_levels, True)
+    backward_levels = partialmethod(_levels, False)
 
     @property
     def size_in_entries(self):

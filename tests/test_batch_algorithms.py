@@ -3,14 +3,18 @@
 import pytest
 
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
+from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.cache import ResultCache
+from repro.batch.detection import detect_common_queries
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
+from repro.batch.results import SharingStats
 from repro.bfs.distance_index import UNREACHABLE, build_index
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.hc_s_search import admissibility
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import sort_paths, validate_path
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.generation import generate_random_queries, generate_similar_workload
 from repro.queries.query import Direction, HCSTQuery
@@ -176,6 +180,59 @@ def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch)
                     )
                     compared += 1
     assert compared >= 100
+
+
+def _strangers(with_family):
+    """36 disjoint sparse blocks with one query each — pairwise µ = 0, so
+    every query is its own cluster — and, ``with_family``, one dense block
+    whose three queries share both endpoints' neighbourhoods."""
+    edges, queries, offset = [], [], 0
+    if with_family:
+        edges += list(random_directed_gnm(30, 200, seed=7).edges())
+        queries += [HCSTQuery(0, 20, 5), HCSTQuery(0, 21, 5), HCSTQuery(1, 20, 5)]
+        offset = 30
+    for block in range(36):
+        sparse = random_directed_gnm(14, 40, seed=300 + block)
+        edges += [(u + offset, v + offset) for u, v in sparse.edges()]
+        queries.append(HCSTQuery(offset + block % 14, offset + (block + 5) % 14, 4))
+        offset += 14
+    return DiGraph.from_edges(edges, num_vertices=offset), queries
+
+
+@pytest.mark.parametrize("plus", ["", "+"])
+@pytest.mark.parametrize("with_family", [False, True])
+def test_a_cluster_of_one_runs_the_single_query_search(plus, with_family, monkeypatch):
+    """Strangers pay for no sharing machinery: each is answered by the
+    search ``basic`` runs — same lists, same order — with its two roots
+    counted and ``detect_common_queries`` never called; a family in the
+    same batch is still detected on, once per direction."""
+    detected = []
+
+    def counting_detect(graph, queries_by_position, *args, **kwargs):
+        detected.append(sorted(queries_by_position))
+        return detect_common_queries(graph, queries_by_position, *args, **kwargs)
+
+    monkeypatch.setattr(batch_enum, "detect_common_queries", counting_detect)
+    graph, queries = _strangers(with_family)
+    batch = BatchQueryEngine(graph, "batch" + plus, num_workers=1).run(queries)
+    basic = BatchQueryEngine(graph, "basic" + plus, num_workers=1).run(queries)
+    assert batch.paths_by_position == basic.paths_by_position
+    assert sum(batch.counts()) >= 36
+    _assert_matches(batch, graph, queries)
+    sharing = batch.sharing
+    if with_family:
+        assert detected == [[0, 1, 2], [0, 1, 2]]
+        assert sharing.num_clusters == 37
+        assert sharing.num_hc_s_nodes >= 2 * 36 + 2
+    else:
+        assert detected == []
+        assert sharing == SharingStats(
+            num_clusters=36,
+            num_hc_s_nodes=72,
+            num_shared_nodes=0,
+            cache_peak_entries=1,
+            cache_reuse_count=0,
+        )
 
 
 def test_admissibility_of_one_pair_is_the_index_row_itself():

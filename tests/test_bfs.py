@@ -54,6 +54,7 @@ def test_multi_source_matches_single_source():
     graph = random_directed_gnm(80, 320, seed=9)
     sources = [0, 3, 7, 7, 15]
     combined = multi_source_bfs(graph, sources, max_hops=4)
+    assert list(combined) == [0, 3, 7, 15]  # the duplicate shares one dict
     for source in set(sources):
         assert combined[source] == bfs_distances(graph, source, max_hops=4)
 

@@ -1,7 +1,10 @@
 """Unit tests for Algorithm 2 (ClusterQuery)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from full_rescan_clustering import cluster_by_full_rescan
 from repro.batch.clustering import cluster_by_similarity, cluster_queries
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.generation import generate_random_queries
@@ -97,3 +100,75 @@ def test_invalid_gamma_rejected():
 def test_single_query_single_cluster():
     matrix = _matrix([[1.0]])
     assert cluster_by_similarity(matrix, gamma=0.5) == [[0]]
+
+
+class _CountedFloat(float):
+    """A µ value that counts the group similarities evaluated from it:
+    both loops divide a running pair sum by the product of the group sizes."""
+
+    divisions = 0
+
+    def __truediv__(self, other):
+        _CountedFloat.divisions += 1
+        return float(self) / other
+
+    def __add__(self, other):
+        return _CountedFloat(float(self) + other)
+
+
+@st.composite
+def similarity_matrices(draw):
+    """Symmetric µ matrices on a coarse grid, so exact ties — and running
+    sums that round to either side of one — occur."""
+    count = draw(st.integers(min_value=2, max_value=9))
+    grid = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    values = [[1.0] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            values[i][j] = values[j][i] = draw(grid)
+    return values
+
+
+@given(
+    values=similarity_matrices(),
+    gamma=st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_best_partner_clustering_merges_what_the_full_rescan_merges(values, gamma):
+    assert cluster_by_similarity(_matrix(values), gamma) == (
+        cluster_by_full_rescan(_matrix(values), gamma)
+    )
+
+
+def test_a_merged_group_can_round_past_the_partner_a_row_had_cached():
+    """(0.1 + 0.1 + 0.1) / 3 > 0.1 in floats: query 0 ties with 1 and with
+    each of 2, 3, 4, but once those three are one group their mean rounds
+    above the tie — and above γ — so the rescan merges 0 into them.  A row
+    that pointed elsewhere must still weigh the merged group."""
+    values = [
+        [1.0, 0.1, 0.1, 0.1, 0.1],
+        [0.1, 1.0, 0.0, 0.0, 0.0],
+        [0.1, 0.0, 1.0, 0.9, 0.8],
+        [0.1, 0.0, 0.9, 1.0, 0.8],
+        [0.1, 0.0, 0.8, 0.8, 1.0],
+    ]
+    assert cluster_by_full_rescan(_matrix(values), 0.1) == [[0, 2, 3, 4], [1]]
+    assert cluster_by_similarity(_matrix(values), 0.1) == [[0, 2, 3, 4], [1]]
+
+
+def test_a_chain_of_merges_evaluates_quadratically_many_similarities():
+    """64 queries that merge one at a time into a single group: each merge
+    re-scans the merged row (no other row pointed at the pair), not every
+    pair, so the whole clustering evaluates O(|Q|²) group similarities."""
+    count = 64
+    values = [[_CountedFloat(1.0)] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, count):
+            values[i][j] = values[j][i] = _CountedFloat(1.0 - (i + j) / (4.0 * count))
+    evaluated = {}
+    for cluster in (cluster_by_similarity, cluster_by_full_rescan):
+        _CountedFloat.divisions = 0
+        assert cluster(_matrix(values), gamma=0.0) == [list(range(count))]
+        evaluated[cluster] = _CountedFloat.divisions
+    assert evaluated[cluster_by_similarity] <= count * count
+    assert evaluated[cluster_by_full_rescan] >= count ** 3 // 8

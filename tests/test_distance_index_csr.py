@@ -1,6 +1,6 @@
 """Differential suite: array-backed CSRDistanceIndex ≡ the BFS dicts.
 
-The reference is the sparse ``multi_source_bfs`` output read through
+The reference is one sparse ``bfs_distances`` dict per endpoint read through
 ``DictIndexOracle`` (``tests/dict_index_oracle.py``); this suite pins the
 index to it on random graphs and workloads — lookups, neighbourhoods,
 level sizes, masks, entry counts — plus the serialization round-trip the
@@ -18,9 +18,10 @@ from array import array
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from dict_index_oracle import DictIndexOracle
+from repro.bfs import distance_index
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
     TYPECODE,
@@ -71,12 +72,36 @@ def sparse_levels(levels):
     return {v: d for d, level in enumerate(levels) for v in level}
 
 
+#: Duplicates in both lists, vertex 1 in both, 4 isolated, 3 reaches
+#: nothing and 0 cannot reach it back.
+PLANTED = (
+    DiGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], num_vertices=5),
+    [0, 1, 0, 4],
+    [3, 1, 4, 3],
+)
+
+
 @given(case=graph_and_endpoints())
+@example(case=(*PLANTED, 1))
+@example(case=(*PLANTED, 6))
 @SETTINGS
 def test_csr_index_equivalent_to_dict_index(case):
     graph, sources, targets, max_hops = case
     csr = build_index(graph, sources, targets, max_hops)
     legacy = DictIndexOracle(graph, sources, targets, max_hops)
+    # What build_index writes as it traverses — the rows, hence the shipped
+    # bytes, and the levels — is what a deque BFS per endpoint finds.
+    from_oracle = CSRDistanceIndex(
+        graph.num_vertices,
+        max_hops,
+        {source: legacy.dense_from(source) for source in legacy.from_source},
+        {target: legacy.dense_to(target) for target in legacy.to_target},
+    )
+    assert csr.to_bytes() == from_oracle.to_bytes()
+    for source in legacy.from_source:
+        assert csr.forward_levels(source) == legacy.forward_levels(source)
+    for target in legacy.to_target:
+        assert csr.backward_levels(target) == legacy.backward_levels(target)
 
     assert csr.max_hops == legacy.max_hops
     assert csr.size_in_entries == legacy.size_in_entries
@@ -112,6 +137,32 @@ def test_csr_index_equivalent_to_dict_index(case):
             assert csr.backward_level_sizes(target, hops) == (
                 legacy.backward_level_sizes(target, hops)
             )
+
+
+@pytest.mark.parametrize(
+    "sources, targets, message",
+    [
+        ([7], [2], "source=7 is out of range"),
+        ([0], [7], "target=7 is out of range"),
+        ([True], [2], "source must be an int, got bool"),
+        ([0], [True], "target must be an int, got bool"),
+    ],
+)
+def test_a_bad_endpoint_is_reported_under_its_own_name(
+    sources, targets, message, monkeypatch
+):
+    """Both lists are checked before the first traversal, so a bad target
+    is a bad *target* and nothing was built for the sources before it."""
+    traversals = []
+    monkeypatch.setattr(
+        distance_index,
+        "truncated_bfs_levels",
+        lambda *args: traversals.append(args) or iter(()),
+    )
+    graph = DiGraph.from_edges([(0, 1), (1, 2)], num_vertices=3)
+    with pytest.raises(ValueError, match=message):
+        build_index(graph, sources, targets, 2)
+    assert traversals == []
 
 
 @given(case=graph_and_endpoints())

@@ -27,7 +27,7 @@ from repro.batch.engine import BatchQueryEngine
 from repro.batch.planner import QueryPlanner
 from repro.batch.results import drain
 from repro.bfs.distance_index import build_index
-from repro.enumeration import kernels
+from repro.enumeration import kernels, path_enum
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import (
     NUMPY_AVAILABLE,
@@ -107,8 +107,9 @@ def test_planner_kernel_python_pins_all_shards():
 
 def _blocks_workload(heavy):
     """Disjoint blocks, so clusters cannot merge: 28 sparse blocks with one
-    tiny query each and, with ``heavy``, one dense block whose four similar
-    queries form a single cluster that prices far above all the others."""
+    tiny query each (its target in reach, so its search runs) and, with
+    ``heavy``, one dense block whose four similar queries form a single
+    cluster that prices far above all the others."""
     edges, queries, offset = [], [], 0
     if heavy:
         edges += list(random_directed_gnm(40, 240, seed=3).edges())
@@ -117,7 +118,8 @@ def _blocks_workload(heavy):
     for block in range(28):
         sparse = random_directed_gnm(12, 30, seed=100 + block)
         edges += [(u + offset, v + offset) for u, v in sparse.edges()]
-        queries.append(HCSTQuery(offset, offset + 6, 4))
+        source, target = min(sparse.edges())
+        queries.append(HCSTQuery(offset + source, offset + target, 4))
         offset += 12
     return DiGraph.from_edges(edges, num_vertices=offset), queries
 
@@ -134,7 +136,6 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
 
     in_flight, callers = [], set()
     process_cluster = batch_enum.BatchEnum._process_cluster
-    node_kernel = batch_enum.enumerate_node_paths
 
     def watched_cluster(self, queries_by_position, *args):
         in_flight.append(tuple(sorted(queries_by_position)))
@@ -143,12 +144,20 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
         finally:
             in_flight.pop()
 
-    def watched_kernel(*args):
-        callers.add(in_flight[-1])
-        return node_kernel(*args)
+    def watched(kernel):
+        def watched_kernel(*args):
+            callers.add(in_flight[-1])
+            return kernel(*args)
+
+        return watched_kernel
 
     monkeypatch.setattr(batch_enum.BatchEnum, "_process_cluster", watched_cluster)
-    monkeypatch.setattr(batch_enum, "enumerate_node_paths", watched_kernel)
+    # A cluster reaches the numpy twin as enumerate_node_paths, a cluster
+    # of one as search_paths (through PathEnum).
+    monkeypatch.setattr(
+        batch_enum, "enumerate_node_paths", watched(batch_enum.enumerate_node_paths)
+    )
+    monkeypatch.setattr(path_enum, "search_paths", watched(path_enum.search_paths))
     results = {}
     for kernel in ("auto", "numpy"):
         engine = BatchQueryEngine(graph, kernel=kernel, max_workers=1)
