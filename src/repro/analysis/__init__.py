@@ -8,7 +8,6 @@ from repro.analysis.core import (
     DEFAULT_EXCLUDED_DIRS,
     PARSE_ERROR_RULE_ID,
     Finding,
-    ProjectRule,
     Rule,
     SourceModule,
     all_rules,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_EXCLUDED_DIRS",
     "PARSE_ERROR_RULE_ID",
     "Finding",
-    "ProjectRule",
     "Rule",
     "SourceModule",
     "all_rules",

@@ -60,27 +60,13 @@ FORMATS = {
 }
 
 
-def _parse_jobs(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs expects an integer or 'auto', got {value!r}"
-        )
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("--jobs must be >= 1")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Run the repo's AST invariant rules (per-file RA001-RA006 and "
-            "project-wide RA007-RA009) over Python sources and report "
-            "violations as file:line: RA###: message."
+            "Run the repo's AST invariant rules (RA001-RA006, one file at "
+            "a time) over Python sources and report violations as "
+            "file:line: RA###: message."
         ),
     )
     parser.add_argument(
@@ -104,16 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also scan directories excluded by default "
             f"({', '.join(sorted(DEFAULT_EXCLUDED_DIRS))})"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        type=_parse_jobs,
-        default=1,
-        help=(
-            "scan files across N worker processes ('auto' = cpu count); "
-            "findings are byte-identical to a sequential scan"
         ),
     )
     parser.add_argument(
@@ -147,9 +123,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        print(
+            f"error: no such file or directory: {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        return 2
+
     select: Optional[List[str]] = None
-    if args.select:
+    if args.select is not None:
         select = [part for part in args.select.split(",") if part.strip()]
+        if not select:
+            print("error: --select names no rule", file=sys.stderr)
+            return 2
     try:
         rules = all_rules(select)
     except KeyError as error:
@@ -157,9 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     excluded = frozenset() if args.no_default_excludes else DEFAULT_EXCLUDED_DIRS
-    findings = analyze_paths(
-        args.paths, rules=rules, excluded_dirs=excluded, jobs=args.jobs
-    )
+    findings = analyze_paths(args.paths, rules=rules, excluded_dirs=excluded)
     rendered = FORMATS[args.format](findings)
     if rendered:
         print(rendered)

@@ -9,25 +9,14 @@ on every push by this package instead of being guarded by comments alone.
 
 Architecture
 ------------
-The engine runs two passes:
-
-* **Per-file pass.**  A :class:`Rule` inspects one parsed module
-  (:class:`SourceModule`) and yields :class:`Finding` objects.  Rules are
-  registered with the :func:`register` decorator and identified by a
-  stable ``RA###`` id.
-* **Project pass.**  A :class:`ProjectRule` inspects the whole scanned
-  tree at once through a :class:`~repro.analysis.project.ProjectIndex`
-  (per-module symbol tables, import graph, call graph, per-function
-  lock/resource summaries) and yields findings that may span modules —
-  lock-order cycles, resource acquires whose release lives in another
-  function, unpicklable values flowing into a pool submit.
-
-:func:`analyze_source` runs both passes over one source blob (the project
-pass then sees a single-module index).  :func:`analyze_paths` maps the
-per-file pass over files/directories — optionally across a process pool
-(``jobs``) since files are independent — then builds the
-:class:`ProjectIndex` once in-parent and runs every ``ProjectRule`` over
-it.  Directories are walked recursively with a default exclusion list
+One pass, one file at a time.  A :class:`Rule` inspects one parsed module
+(:class:`SourceModule`) and yields :class:`Finding` objects; rules are
+registered with the :func:`register` decorator and identified by a stable
+``RA###`` id.  :func:`analyze_source` runs the rules over one source
+blob; :func:`analyze_paths` reads each file under the given files and
+directories and hands it to :func:`analyze_source`.  No rule sees more
+than the file in front of it, so nothing is carried between files.
+Directories are walked recursively with a default exclusion list
 (``__pycache__``, hidden directories and the intentionally-dirty
 ``analysis_fixtures`` corpus) so a repo-wide scan stays clean while
 explicitly named files are always scanned.
@@ -54,7 +43,6 @@ import ast
 import io
 import re
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -215,39 +203,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for one project-wide (interprocedural) check.
-
-    Registered exactly like a per-file :class:`Rule`, but the engine
-    calls :meth:`check_project` once per scan with the
-    :class:`~repro.analysis.project.ProjectIndex` built over every
-    successfully parsed module, instead of :meth:`check` per file.
-    Findings must anchor ``file`` to one of the indexed module paths so
-    that file's suppression comments apply.
-    """
-
-    def check(self, module: SourceModule) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, index) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self,
-        path: str,
-        line: int,
-        message: str,
-        span: Optional[Tuple[int, int]] = None,
-    ) -> Finding:
-        return Finding(
-            file=path,
-            line=line,
-            rule_id=self.rule_id,
-            message=message,
-            span=span,
-        )
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -284,10 +239,7 @@ def _load_builtin_rules() -> None:
     from repro.analysis import (
         rules_generators,
         rules_internals,
-        rules_lifecycle,
         rules_lock,
-        rules_lockorder,
-        rules_pickle_flow,
         rules_pool,
         rules_snapshot,
         rules_telemetry,
@@ -298,50 +250,22 @@ def _load_builtin_rules() -> None:
     _ = (
         rules_generators,
         rules_internals,
-        rules_lifecycle,
         rules_lock,
-        rules_lockorder,
-        rules_pickle_flow,
         rules_pool,
         rules_snapshot,
         rules_telemetry,
     )
 
 
-def _split_rules(
-    rules: Sequence[Rule],
-) -> Tuple[List[Rule], List[ProjectRule]]:
-    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    return file_rules, project_rules
-
-
-def _check_module(module: SourceModule, rules: Sequence[Rule]) -> List[Finding]:
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(module):
-            if not suppresses(module.suppressions, finding):
-                findings.append(finding)
-    return findings
-
-
-def _project_findings(
-    summaries: Sequence[object],
-    project_rules: Sequence["ProjectRule"],
-    suppressions_by_path: Dict[str, SuppressionMap],
-) -> List[Finding]:
-    if not project_rules or not summaries:
-        return []
-    from repro.analysis.project import ProjectIndex
-
-    index = ProjectIndex.build(summaries)
-    findings: List[Finding] = []
-    for rule in project_rules:
-        for finding in rule.check_project(index):
-            table = suppressions_by_path.get(finding.file, {})
-            if not suppresses(table, finding):
-                findings.append(finding)
-    return findings
+def _unanalyzable(path: str, line: int, reason: str) -> List[Finding]:
+    return [
+        Finding(
+            file=path,
+            line=line,
+            rule_id=PARSE_ERROR_RULE_ID,
+            message=reason,
+        )
+    ]
 
 
 def analyze_source(
@@ -351,40 +275,26 @@ def analyze_source(
 ) -> List[Finding]:
     """Run ``rules`` (default: all registered) over one source blob.
 
-    Both passes run; the project pass sees a single-module index, so
-    project rules behave exactly as in a full scan restricted to this
-    file.  Findings carrying a ``# repro: ignore[...]`` suppression are
-    dropped; the remainder is returned sorted by (file, line, rule).  A
-    file that fails to parse yields a single :data:`PARSE_ERROR_RULE_ID`
-    finding instead of raising — a broken file must fail CI, not crash
-    the analyzer.
+    Findings carrying a ``# repro: ignore[...]`` suppression are dropped;
+    the remainder is returned sorted by (file, line, rule).  A file that
+    fails to parse yields a single :data:`PARSE_ERROR_RULE_ID` finding
+    instead of raising — a broken file must fail CI, not crash the
+    analyzer.
     """
     if rules is None:
         rules = all_rules()
-    file_rules, project_rules = _split_rules(rules)
     try:
         module = SourceModule(path, source)
     except SyntaxError as error:
-        return [
-            Finding(
-                file=path,
-                line=error.lineno or 1,
-                rule_id=PARSE_ERROR_RULE_ID,
-                message=f"could not parse file: {error.msg}",
-            )
-        ]
-    findings = _check_module(module, file_rules)
-    if project_rules:
-        from repro.analysis.summaries import summarize_module
-
-        findings.extend(
-            _project_findings(
-                [summarize_module(module)],
-                project_rules,
-                {module.path: module.suppressions},
-            )
+        return _unanalyzable(
+            path, error.lineno or 1, f"could not parse file: {error.msg}"
         )
-    return sorted(findings)
+    return sorted(
+        finding
+        for rule in rules
+        for finding in rule.check(module)
+        if not suppresses(module.suppressions, finding)
+    )
 
 
 def iter_python_files(
@@ -413,104 +323,27 @@ def iter_python_files(
             yield path
 
 
-@dataclass(frozen=True)
-class _FileScan:
-    """One file's per-file pass output (picklable, for ``jobs`` workers)."""
-
-    path: str
-    findings: Tuple[Finding, ...]
-    summary: Optional[object]  # ModuleSummary; None on parse error
-    suppressions: Tuple[Tuple[int, Optional[FrozenSet[str]]], ...]
-
-
-def _scan_one(
-    path: str, file_rules: Sequence[Rule], want_summary: bool = True
-) -> _FileScan:
-    source = Path(path).read_text(encoding="utf-8")
-    try:
-        module = SourceModule(path, source)
-    except SyntaxError as error:
-        finding = Finding(
-            file=path,
-            line=error.lineno or 1,
-            rule_id=PARSE_ERROR_RULE_ID,
-            message=f"could not parse file: {error.msg}",
-        )
-        return _FileScan(path, (finding,), None, ())
-    summary: Optional[object] = None
-    if want_summary:
-        from repro.analysis.summaries import summarize_module
-
-        summary = summarize_module(module)
-    return _FileScan(
-        path,
-        tuple(sorted(_check_module(module, file_rules))),
-        summary,
-        tuple(sorted(module.suppressions.items())),
-    )
-
-
-def _scan_one_task(args: Tuple[str, Tuple[str, ...]]) -> _FileScan:
-    """Worker entry point: rebuild the selected rules from the registry
-    (rule instances are not shipped across the pool) and scan one file."""
-    path, select = args
-    file_rules, project_rules = _split_rules(all_rules(select))
-    return _scan_one(path, file_rules, want_summary=bool(project_rules))
-
-
 def analyze_paths(
     paths: Iterable[Union[str, Path]],
     rules: Optional[Sequence[Rule]] = None,
     excluded_dirs: FrozenSet[str] = DEFAULT_EXCLUDED_DIRS,
-    jobs: Optional[int] = None,
 ) -> List[Finding]:
     """Analyze every Python file under ``paths`` (files or directories).
 
-    Pass 1 (per-file rules + summary extraction) runs per file — across a
-    process pool when ``jobs`` > 1, since files are independent; pass 2
-    builds the :class:`~repro.analysis.project.ProjectIndex` from the
-    collected summaries in-parent and runs every :class:`ProjectRule`.
-    Findings are byte-identical regardless of ``jobs`` (asserted in the
-    test suite): both paths run the same scan function and the result is
-    fully sorted.
+    Each file goes through :func:`analyze_source` on its own.  A file that
+    cannot be read or is not UTF-8 becomes one :data:`PARSE_ERROR_RULE_ID`
+    finding at line 1, like a file that does not parse, and the remaining
+    files are still scanned.
     """
     if rules is None:
         rules = all_rules()
-    file_rules, project_rules = _split_rules(rules)
-    files = [str(path) for path in iter_python_files(paths, excluded_dirs)]
-
-    parallel = (
-        jobs is not None
-        and jobs > 1
-        and len(files) > 1
-        # Worker processes rebuild rules from the registry by id; custom
-        # unregistered rule instances force the sequential path.
-        and all(_REGISTRY.get(rule.rule_id) is type(rule) for rule in rules)
-    )
-    if parallel:
-        select = tuple(rule.rule_id for rule in rules)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scans = list(
-                pool.map(
-                    _scan_one_task,
-                    [(path, select) for path in files],
-                    chunksize=max(1, len(files) // (jobs * 4)),
-                )
-            )
-    else:
-        scans = [
-            _scan_one(path, file_rules, want_summary=bool(project_rules))
-            for path in files
-        ]
-
-    findings: List[Finding] = [
-        finding for scan in scans for finding in scan.findings
-    ]
-    findings.extend(
-        _project_findings(
-            [scan.summary for scan in scans if scan.summary is not None],
-            project_rules,
-            {scan.path: dict(scan.suppressions) for scan in scans},
-        )
-    )
+    findings: List[Finding] = []
+    for file in iter_python_files(paths, excluded_dirs):
+        path = str(file)
+        try:
+            source = file.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            findings += _unanalyzable(path, 1, f"could not read file: {error}")
+        else:
+            findings += analyze_source(source, path, rules)
     return sorted(findings)

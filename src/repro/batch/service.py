@@ -57,7 +57,13 @@ declaration is machine-readable: rule RA001 of ``python -m repro.analysis``
 enforces it in CI, so adding a method that reads a counter without the
 lock fails the build instead of waiting for an unlucky interleaving.  When
 adding shared state, add its name to the set; thread-confined state (like
-the scheduler-owned ``_pool``) stays out.
+the scheduler-owned ``_pool``) stays out.  Lock order, which nothing
+checks by machine: the service's condition (``self._lock``) or the graph
+store's ``RLock`` first, then a metric's own lock (a gauge set or counter
+bump under either is fine; a metric calls nothing while it holds its
+lock) — never the reverse, and never the service and store locks nested
+in either order: the scheduler pins, plans and releases outside
+``self._lock``.
 
 >>> from repro.graph.generators import paper_example_graph
 >>> from repro.queries.query import HCSTQuery

@@ -48,8 +48,38 @@ def hub_graph() -> DiGraph:
 
 @pytest.fixture
 def no_child_left():
-    """Fail a test that leaves a child process (a pool worker) alive."""
+    """Fail a test that leaves a child process (a pool worker) alive.
+
+    Yields the check itself, for a test that must look while it still
+    holds whatever would otherwise keep the workers' owner from being
+    garbage-collected (a caught exception's traceback)."""
     before = set(multiprocessing.active_children())
-    yield
-    leaked = set(multiprocessing.active_children()) - before
-    assert not leaked, f"child processes left behind: {sorted(map(repr, leaked))}"
+
+    def check() -> None:
+        leaked = set(multiprocessing.active_children()) - before
+        assert not leaked, (
+            f"child processes left behind: {sorted(map(repr, leaked))}"
+        )
+
+    yield check
+    check()
+
+
+@pytest.fixture
+def assert_nothing_pinned():
+    """Returns ``check(graph)``: no snapshot pin is outstanding and no
+    sealed version other than the head is kept alive.  A service releases
+    its batch's pin on the scheduler thread *after* resolving the tickets,
+    so call it once the service is closed."""
+
+    def check(graph: DiGraph) -> None:
+        store = graph.snapshots
+        live = store.live_versions()
+        pinned = {v: n for v in live if (n := store.pin_count(v))}
+        assert not pinned, f"snapshot pins left behind: {pinned}"
+        assert live in ([], [graph.version]), (
+            f"sealed versions {live} outlive their batches "
+            f"(head is {graph.version})"
+        )
+
+    return check

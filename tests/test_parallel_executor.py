@@ -209,3 +209,47 @@ def test_worker_crash_breaks_the_pool_and_shutdown_still_reaps(no_child_left):
             pool.submit(_crash_worker).result(timeout=60)
     finally:
         pool.shutdown()
+
+
+def _restrict_breaks_on_the_second_shard(monkeypatch):
+    """Fail ``stream_parallel`` between acquiring its pool and draining
+    it: the first shard is already submitted (its worker spawned) when
+    building the second shard's task raises."""
+    real_restrict = CSRDistanceIndex.restrict
+    calls = []
+
+    def restrict(self, sources, targets):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("restrict broke")
+        return real_restrict(self, sources, targets)
+
+    monkeypatch.setattr(CSRDistanceIndex, "restrict", restrict)
+
+
+def test_failure_while_shipping_shards_joins_the_pool_the_call_opened(
+    monkeypatch, no_child_left
+):
+    graph, queries = _workload(6)
+    engine = BatchQueryEngine(graph, algorithm="basic+", num_workers=2)
+    _restrict_breaks_on_the_second_shard(monkeypatch)
+    with pytest.raises(RuntimeError, match="restrict broke") as caught:
+        list(engine.stream(queries))
+    # Looked at while ``caught`` still references the frame that owned the
+    # pool: the workers were joined, not left to the garbage collector.
+    no_child_left()
+
+
+def test_failure_while_shipping_shards_leaves_the_callers_pool_open(
+    monkeypatch, no_child_left
+):
+    graph, queries = _workload(6)
+    engine = BatchQueryEngine(graph, algorithm="basic+", num_workers=2)
+    with engine.create_pool(max_workers=2) as pool:
+        with monkeypatch.context() as patch:
+            _restrict_breaks_on_the_second_shard(patch)
+            with pytest.raises(RuntimeError, match="restrict broke"):
+                list(engine.stream(queries, pool=pool))
+        assert dict(engine.stream(queries, pool=pool)) == _sequential(
+            graph, "basic+", queries
+        )

@@ -249,7 +249,9 @@ def test_unscorable_query_behind_batch_cut_does_not_kill_scheduler():
         service.close()
 
 
-def test_close_without_drain_during_delay_window_fails_queued_tickets():
+def test_close_without_drain_during_delay_window_fails_queued_tickets(
+    no_child_left, assert_nothing_pinned
+):
     """close(drain=False) while the scheduler sits in the batching delay
     window must fail the queued tickets, not dispatch them anyway."""
     import time as _time
@@ -266,6 +268,7 @@ def test_close_without_drain_during_delay_window_fails_queued_tickets():
         assert ticket.done()
         with pytest.raises(ServiceClosedError):
             ticket.result(timeout=0.0)
+    assert_nothing_pinned(_GRAPH)
 
 
 def test_stream_parallel_rejects_stale_pool():
@@ -294,7 +297,9 @@ def test_stream_parallel_rejects_stale_pool():
 # --------------------------------------------------------------------- #
 # Error propagation and lifecycle
 # --------------------------------------------------------------------- #
-def test_ticket_error_propagation_and_scheduler_survival():
+def test_ticket_error_propagation_and_scheduler_survival(
+    no_child_left, assert_nothing_pinned
+):
     """A query that fails inside its micro-batch resolves its ticket with
     the exception; the scheduler keeps serving later submissions."""
     graph = random_directed_gnm(12, 40, seed=1)
@@ -317,9 +322,57 @@ def test_ticket_error_propagation_and_scheduler_survival():
         stats = service.stats()
         assert stats.failed == 1
         assert stats.completed == len(good)
+    assert_nothing_pinned(graph)
 
 
-def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(monkeypatch):
+def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
+    monkeypatch, no_child_left, assert_nothing_pinned
+):
+    """The window between ``snapshots.pin()`` and the stream: a plan that
+    raises fails its batch's tickets, gives the pin back, and the next
+    batch — on a newer head — is planned and served."""
+    graph = random_directed_gnm(12, 40, seed=1)
+    first, second = generate_random_queries(graph, 2, min_k=2, max_k=3, seed=1)
+    pinned_versions = []
+    with serve(
+        graph, algorithm="batch+", max_batch_size=1, max_delay_s=0.0
+    ) as service:
+        real_plan = service._planner.plan
+
+        def plan_breaks_once(queries, pool_ready=False, snapshot=None):
+            pinned_versions.append(snapshot.version)  # the pin is already taken
+            if len(pinned_versions) == 1:
+                raise KeyError("planner broke")
+            return real_plan(queries, pool_ready=pool_ready, snapshot=snapshot)
+
+        monkeypatch.setattr(service._planner, "plan", plan_breaks_once)
+        bad_ticket = service.submit(first)
+        with pytest.raises(KeyError, match="planner broke"):
+            bad_ticket.result(timeout=TIMEOUT)
+        # A leaked pin would now keep the failed batch's version alive
+        # behind the new head.
+        graph.add_edge(
+            *next(
+                (u, v)
+                for u in graph.vertices()
+                for v in graph.vertices()
+                if u != v and not graph.has_edge(u, v)
+            )
+        )
+        oracle = BatchQueryEngine(graph, algorithm="batch+").run([second])
+        good_ticket = service.submit(second)
+        assert canon(good_ticket.result(timeout=TIMEOUT)) == canon(
+            oracle.paths_at(0)
+        )
+    stats = service.stats()
+    assert (stats.failed, stats.completed) == (1, 1)
+    assert pinned_versions == [graph.version - 1, graph.version]
+    assert_nothing_pinned(graph)
+
+
+def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
+    monkeypatch, no_child_left, assert_nothing_pinned
+):
     """Whatever kills the scheduler thread — here the admission join,
     after the batch was popped — must not strand a caller: the popped
     tickets and the queue fail with the cause chained, the service reads
@@ -354,9 +407,12 @@ def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(monkeypatc
         assert (stats.pending, stats.failed, stats.completed) == (0, 3, 0)
     finally:
         service.close()
+    assert_nothing_pinned(_GRAPH)
 
 
-def test_batch_peers_of_a_poisoned_query_share_its_error():
+def test_batch_peers_of_a_poisoned_query_share_its_error(
+    no_child_left, assert_nothing_pinned
+):
     """With the poisoned query inside a shared micro-batch, unresolved
     batch peers receive the same exception instead of hanging."""
     graph = random_directed_gnm(12, 40, seed=2)
@@ -377,9 +433,12 @@ def test_batch_peers_of_a_poisoned_query_share_its_error():
                 ticket.result(timeout=TIMEOUT)
     finally:
         service.close()
+    assert_nothing_pinned(graph)
 
 
-def test_killed_worker_fails_one_batch_then_the_pool_respawns(no_child_left):
+def test_killed_worker_fails_one_batch_then_the_pool_respawns(
+    no_child_left, assert_nothing_pinned
+):
     """A dead worker breaks its ProcessPoolExecutor for good; the service
     must fail exactly the batch that hit it and serve the next one on a
     fresh pool (it used to keep the broken pool and fail forever)."""
@@ -418,6 +477,7 @@ def test_killed_worker_fails_one_batch_then_the_pool_respawns(no_child_left):
         assert stats.completed == 2 * len(queries)
     finally:
         service.close()
+    assert_nothing_pinned(graph)
 
 
 def test_close_drain_joins_the_worker_pool(no_child_left):
@@ -445,7 +505,9 @@ def test_close_drain_resolves_all_pending_tickets():
         )
 
 
-def test_close_without_drain_fails_queued_tickets():
+def test_close_without_drain_fails_queued_tickets(
+    no_child_left, assert_nothing_pinned
+):
     service = IngestionService(_GRAPH, algorithm="batch+", start=False)
     tickets = service.submit_many(_QUERIES)
     service.close(drain=False)
@@ -453,6 +515,7 @@ def test_close_without_drain_fails_queued_tickets():
         assert ticket.done()
         with pytest.raises(ServiceClosedError):
             ticket.result(timeout=0.0)
+    assert_nothing_pinned(_GRAPH)
 
 
 def test_submit_after_close_raises():

@@ -109,7 +109,9 @@ def test_sequential_stream_surfaces_error_and_keeps_flushed_positions():
 
 
 @pytest.mark.parametrize("ordered", ORDERED)
-def test_parallel_stream_surfaces_worker_error_without_hanging(ordered):
+def test_parallel_stream_surfaces_worker_error_without_hanging(
+    ordered, no_child_left, assert_nothing_pinned
+):
     """A query that raises inside a worker process propagates out of the
     drain loop (the pool is shut down, pending shards cancelled)."""
     graph = random_directed_gnm(12, 40, seed=4)
@@ -118,6 +120,7 @@ def test_parallel_stream_surfaces_worker_error_without_hanging(ordered):
     with pytest.raises(ValueError):
         for _ in engine.stream(queries, ordered=ordered):
             pass
+    assert_nothing_pinned(graph)
 
 
 def test_parallel_run_surfaces_worker_error():
@@ -198,7 +201,7 @@ def test_mutation_during_planning_pins_admitted_version(monkeypatch):
     assert plan.snapshot.version == admitted_version
 
 
-def test_abandoned_stream_shuts_down_cleanly(no_child_left):
+def test_abandoned_stream_shuts_down_cleanly(no_child_left, assert_nothing_pinned):
     """Closing a parallel stream mid-drain must not leak worker processes
     or raise: the generator's cleanup cancels pending shards and joins the
     pool it opened."""
@@ -207,6 +210,7 @@ def test_abandoned_stream_shuts_down_cleanly(no_child_left):
     first = next(stream)
     assert isinstance(first[0], int)
     stream.close()  # GeneratorExit → pool.shutdown(cancel_futures=True)
+    assert_nothing_pinned(_GRAPH)
 
 
 def test_stream_yields_defensive_copies():
