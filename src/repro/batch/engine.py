@@ -263,10 +263,10 @@ class BatchQueryEngine:
         """
         # Yield copies: the fragments reference the per-position lists the
         # engine is still accumulating into its BatchResult, and handing a
-        # caller a live internal list invites exactly the aliasing bug
-        # RA004 exists to catch.  (run()/stream_planned() keep the
-        # zero-copy internal path — the service copies at the ticket
-        # boundary instead.)
+        # caller a live internal list invites an aliasing bug that shipped
+        # once (tests/test_caller_owned_results.py pins the fix).
+        # (run()/stream_planned() keep the zero-copy internal path — the
+        # service copies at the ticket boundary instead.)
         stream = self._stream_core(list(queries), ordered=ordered, pool=pool)
         while True:
             try:

@@ -53,11 +53,13 @@ Lock discipline
 State shared between API callers and the scheduler thread is declared in
 the class-level ``IngestionService._GUARDED_BY_LOCK`` frozenset, and every
 access to a declared attribute must sit inside ``with self._lock:``.  The
-declaration is machine-readable: rule RA001 of ``python -m repro.analysis``
-enforces it in CI, so adding a method that reads a counter without the
-lock fails the build instead of waiting for an unlucky interleaving.  When
-adding shared state, add its name to the set; thread-confined state (like
-the scheduler-owned ``_pool``) stays out.  Lock order, which nothing
+declaration is machine-readable: the autouse ``guarded_by_lock`` fixture in
+``tests/conftest.py`` fails any test in which a declared name is read or
+written, once ``__init__`` has returned, by a thread not holding the lock —
+so a method that reads a counter without the lock fails the suite on its
+first call instead of waiting for an unlucky interleaving.  When adding
+shared state, add its name to the set; thread-confined state (like the
+scheduler-owned ``_pool``) stays out.  Lock order, which nothing
 checks by machine: the service's condition (``self._lock``) or the graph
 store's ``RLock`` first, then a metric's own lock (a gauge set or counter
 bump under either is fine; a metric calls nothing while it holds its
@@ -100,7 +102,8 @@ class ServiceClosedError(RuntimeError):
 
 
 class ServiceOverloadedError(RuntimeError):
-    """``submit(block=False)`` found the pending queue at ``max_pending``."""
+    """``submit``/``submit_many`` with ``block=False`` found no room for
+    its queries under ``max_pending``."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ class QueryTicket:
     """
 
     __slots__ = ("query", "submitted_at", "enqueued_at", "resolved_at",
-                 "_event", "_paths", "_error")
+                 "_event", "_paths", "_error", "_traceback")
 
     def __init__(self, query: HCSTQuery) -> None:
         self.query = query
@@ -232,7 +235,10 @@ class QueryTicket:
                 f"ticket for {self.query} unresolved after {timeout}s"
             )
         if self._error is not None:
-            raise self._error
+            # The batch's tickets share one exception object, and raising
+            # it appends this frame to its traceback: restore the one it
+            # failed with first, so every call shows the same frames.
+            raise self._error.with_traceback(self._traceback)
         assert self._paths is not None
         return list(self._paths)
 
@@ -250,6 +256,7 @@ class QueryTicket:
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
+        self._traceback = error.__traceback__
         self.resolved_at = time.perf_counter()
         self._event.set()
 
@@ -275,8 +282,8 @@ class IngestionService:
     """
 
     # Shared mutable state, touched by API callers and the scheduler
-    # thread alike; RA001 (``python -m repro.analysis``) statically rejects
-    # any access outside ``with self._lock:``.  ``_pool`` is deliberately
+    # thread alike; the tests' ``guarded_by_lock`` fixture fails any access
+    # outside ``with self._lock:``.  ``_pool`` is deliberately
     # absent: it is confined to the scheduler thread (created, used and
     # shut down there only), so guarding it would just add lock traffic.
     _GUARDED_BY_LOCK = frozenset(
@@ -339,7 +346,7 @@ class IngestionService:
         self._drain_on_close = True
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[WorkerPool] = None
-        # Counters (declared in _GUARDED_BY_LOCK; RA001-enforced).
+        # Counters (declared in _GUARDED_BY_LOCK).
         self._admitted = 0
         self._completed = 0
         self._failed = 0
@@ -469,8 +476,33 @@ class IngestionService:
     def submit_many(
         self, queries: Sequence[HCSTQuery], block: bool = True
     ) -> List[QueryTicket]:
-        """Submit ``queries`` in order, returning one ticket each."""
-        return [self.submit(query, block=block) for query in queries]
+        """Submit ``queries`` in order, returning one ticket each.
+
+        ``block=True`` submits them one at a time, each waiting for space
+        like :meth:`submit`.  ``block=False`` is all-or-nothing: when the
+        queue has no room for every query, it raises
+        :class:`ServiceOverloadedError` and admits none of them.
+        """
+        if block:
+            return [self.submit(query, block=block) for query in queries]
+        queries = list(queries)
+        for query in queries:
+            require(
+                isinstance(query, HCSTQuery),
+                f"submit expects an HCSTQuery, got {type(query).__name__}",
+            )
+        # One hold of the (reentrant) lock covers the room check and every
+        # submit below, so no scheduler pop or other submitter interleaves.
+        # A closing service is refused by the first submit, naming why.
+        with self._lock:
+            if not self._closing:
+                require(
+                    len(self._pending) + len(queries) <= self.policy.max_pending,
+                    f"pending queue has no room for {len(queries)} queries "
+                    f"({len(self._pending)} of {self.policy.max_pending} taken)",
+                    ServiceOverloadedError,
+                )
+            return [self.submit(query, block=False) for query in queries]
 
     def stats(self) -> ServiceStats:
         """Consistent point-in-time :class:`ServiceStats` snapshot."""

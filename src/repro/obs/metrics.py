@@ -29,10 +29,11 @@ Instrumented code never branches on "is telemetry on": it holds a registry
 injected at construction time, and the default is :data:`NULL_REGISTRY` —
 a :class:`NullRegistry` whose factory methods return shared no-op
 singletons, so the uninstrumented hot path costs one attribute lookup and
-one empty method call, allocating nothing.  Rule RA006 of
-``python -m repro.analysis`` enforces the injection discipline: repo code
-may only reach a registry through an injected attribute/parameter, never a
-module-level global, which is what makes the no-op default verifiable.
+one empty method call, allocating nothing.  Repo code may only reach a
+registry through an injected attribute/parameter, never a module-level
+global, which is what makes the no-op default verifiable; a test in
+``tests/test_obs.py`` imports every ``repro`` module and fails on a
+module-level registry or tracer outside :mod:`repro.obs`.
 
 Thread-safety: every metric guards its state with its own ``Lock`` —
 increments are never lost, even under free-threaded (GIL-less) builds

@@ -91,8 +91,7 @@ class Tracer:
         The span's parent is the innermost open span on *this thread*; a
         span opened with an empty stack roots a new trace.  Never hold a
         span open across a generator ``yield`` — the stack is thread-local
-        state and the consumer may run other spans between resumptions
-        (RA005's with-block exemption does not make it correct).
+        state and the consumer may run other spans between resumptions.
         """
         stack = self._stack()
         parent: Optional[SpanContext] = stack[-1] if stack else None

@@ -35,7 +35,7 @@ class QueryWorkload:
     ) -> None:
         require(bool(queries), "a workload needs at least one query")
         # The workload reads the sealed snapshot of the version it was
-        # admitted under (copy-on-write, RA002): later graph mutations
+        # admitted under (copy-on-write): later graph mutations
         # never disturb its index or similarity matrix — concurrent
         # batches simply pin different versions.
         self.csr: CSRGraph = csr if csr is not None else graph.csr_snapshot()

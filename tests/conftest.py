@@ -6,6 +6,7 @@ import multiprocessing
 
 import pytest
 
+from repro.batch.service import IngestionService
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     PAPER_EXAMPLE_QUERIES,
@@ -44,6 +45,46 @@ def random_graph() -> DiGraph:
 def hub_graph() -> DiGraph:
     """A small heavy-tailed graph (hubs) used by enumeration tests."""
     return powerlaw_directed(50, 3, seed=5)
+
+
+@pytest.fixture(autouse=True)
+def guarded_by_lock(monkeypatch):
+    """Every test runs with ``IngestionService``'s lock discipline checked:
+    once ``__init__`` has returned, reading or writing a name declared in
+    ``_GUARDED_BY_LOCK`` without holding ``self._lock`` is a violation.
+
+    The access raises ``AssertionError`` in the offending thread, and the
+    test fails at teardown as well — a violation on the scheduler thread
+    would otherwise surface only as a failed ticket, or not at all."""
+    guarded = IngestionService._GUARDED_BY_LOCK
+    getattribute = object.__getattribute__
+    violations = []
+    real_init = IngestionService.__init__
+
+    def check(self, name, action):
+        if name in guarded:
+            fields = getattribute(self, "__dict__")
+            if "_lock_checked" in fields and not fields["_lock"]._is_owned():
+                violations.append(f"{action} {name} without self._lock")
+                raise AssertionError(violations[-1])
+
+    def checked_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        getattribute(self, "__dict__")["_lock_checked"] = True
+
+    def checked_getattribute(self, name):
+        check(self, name, "read")
+        return getattribute(self, name)
+
+    def checked_setattr(self, name, value):
+        check(self, name, "wrote")
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(IngestionService, "__init__", checked_init)
+    monkeypatch.setattr(IngestionService, "__getattribute__", checked_getattribute)
+    monkeypatch.setattr(IngestionService, "__setattr__", checked_setattr)
+    yield
+    assert not violations, f"lock discipline broken: {violations}"
 
 
 @pytest.fixture

@@ -116,7 +116,7 @@ def test_pack_asserts_on_unsorted_adjacency():
     # unread, so the guard sits where they are first walked: at flat().
     graph = DiGraph.from_edges([(0, 1), (0, 2), (1, 2)], num_vertices=4)
     # Corrupts a row on purpose, behind the API.
-    graph._out[0] = graph.out_neighbors(0)[::-1]  # repro: ignore[RA002]
+    graph._out[0] = graph.out_neighbors(0)[::-1]
     csr = CSRGraph(graph)
     assert csr.flat(forward=False)  # the other direction is intact
     with pytest.raises(AssertionError, match="vertex 0 is not strictly sorted"):

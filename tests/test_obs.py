@@ -8,12 +8,15 @@ span parentage/adoption/rendering, and a multi-thread hammer proving the
 counters are exact and histogram counts are conserved under contention.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 import threading
 
 import pytest
 
+import repro
 from repro.obs import (
     DEFAULT_BUCKET_BOUNDS,
     NULL_REGISTRY,
@@ -352,3 +355,29 @@ def test_registry_is_exact_under_thread_contention():
     snap = registry.snapshot()["histograms"]["repro_hammer_seconds"]
     assert sum(snap["counts"]) == total  # every observation landed in a bucket
     assert registry.gauge("repro_hammer_depth").value == total
+
+
+# --------------------------------------------------------------------- #
+# Injection discipline
+# --------------------------------------------------------------------- #
+def test_no_module_outside_obs_holds_a_live_telemetry_handle():
+    """Telemetry is injected, never a module-level global: outside
+    ``repro.obs`` no module holds a registry or tracer at import time
+    except the shared no-op ``NULL_REGISTRY``/``NULL_TRACER``.  A global
+    one would record from every engine and service in the process,
+    whether or not its caller opted in."""
+    handles = (MetricsRegistry, NullRegistry, Tracer, NullTracer)
+    offenders = []
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    for name in names:
+        if name == "repro.obs" or name.startswith("repro.obs."):
+            continue
+        for attribute, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, handles) and not (
+                value is NULL_REGISTRY or value is NULL_TRACER
+            ):
+                offenders.append(f"{name}.{attribute}")
+    assert len(names) > 40  # the walk really saw the package
+    assert not offenders, f"module-level telemetry handles: {offenders}"

@@ -78,7 +78,7 @@ def test_workload_shared_index_built_once():
 
 
 def test_workload_index_survives_graph_mutation():
-    # Multi-version serving (RA002 via SnapshotStore): the workload pins
+    # Multi-version serving (via SnapshotStore): the workload pins
     # the sealed snapshot of the version it was admitted under, so a later
     # mutation never invalidates its index — it keeps answering for the
     # pinned version while fresh workloads see the new head.

@@ -11,6 +11,7 @@ and worker setting; plus ticket-error propagation, backpressure and
 import os
 import signal
 import threading
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -541,6 +542,59 @@ def test_backpressure_nonblocking_submit_raises_when_full():
     service.close(drain=False)
 
 
+def test_nonblocking_submit_many_admits_all_or_nothing():
+    """``submit_many(block=False)`` used to enqueue the queries that fit
+    and then raise, leaving tickets the caller never received in the
+    queue; now a batch that does not fit admits nothing."""
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        policy=AdmissionPolicy(max_pending=2),
+        start=False,  # stopped scheduler: the queue genuinely fills up
+    )
+    try:
+        with pytest.raises(ServiceOverloadedError):
+            service.submit_many(_QUERIES[:3], block=False)
+        assert (service.stats().pending, service.stats().admitted) == (0, 0)
+        tickets = service.submit_many(_QUERIES[:1], block=False)
+        with pytest.raises(ServiceOverloadedError):
+            service.submit_many(_QUERIES[1:3], block=False)
+        assert service.stats().pending == 1
+        tickets += service.submit_many(_QUERIES[1:2], block=False)
+        assert [ticket.query for ticket in tickets] == _QUERIES[:2]
+        assert service.stats().pending == 2
+    finally:
+        service.close(drain=False)
+    with pytest.raises(ServiceClosedError):
+        service.submit_many(_QUERIES[:1], block=False)
+    assert service.stats().failed == 2
+
+
+def test_failed_ticket_traceback_does_not_grow_per_result_call():
+    """Every ticket of a failed batch re-raises one shared exception; each
+    raise used to append two frames to its traceback (3 → 5 → 7 ...)."""
+    poisoned = HCSTQuery(0, _GRAPH.num_vertices + 7, 3)
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        policy=AdmissionPolicy(max_batch_size=3, max_delay_s=0.01),
+        start=False,
+    )
+    tickets = service.submit_many([poisoned] + _QUERIES[:2])
+    service.start()
+    service.close(drain=True)
+
+    def depth(ticket):
+        try:
+            ticket.result(timeout=TIMEOUT)
+        except ValueError as error:
+            return len(traceback.extract_tb(error.__traceback__))
+
+    depths = [depth(ticket) for ticket in tickets for _ in range(50)]
+    assert depths[0] > 2  # the frames of the batch that raised are kept
+    assert depths == [depths[0]] * len(depths)
+
+
 def test_service_stats_snapshot_shape():
     with serve(_GRAPH, algorithm="batch+") as service:
         tickets = service.submit_many(_QUERIES)
@@ -647,16 +701,17 @@ def test_ticket_result_timeout_on_unstarted_service():
 
 
 # --------------------------------------------------------------------- #
-# Lock discipline (_GUARDED_BY_LOCK / RA001) regression tests
+# Lock discipline (_GUARDED_BY_LOCK, checked by conftest's guarded_by_lock)
 # --------------------------------------------------------------------- #
 def test_guarded_declaration_matches_real_instance_state():
     """Every name declared in ``_GUARDED_BY_LOCK`` must exist on a live
     instance — a renamed attribute would otherwise silently fall out of
-    RA001's static race check."""
+    the ``guarded_by_lock`` fixture's check."""
     service = IngestionService(_GRAPH, algorithm="batch+", start=False)
     try:
-        for name in IngestionService._GUARDED_BY_LOCK:
-            assert hasattr(service, name), name
+        with service._lock:
+            for name in IngestionService._GUARDED_BY_LOCK:
+                assert hasattr(service, name), name
         # The scheduler-confined pool is deliberately NOT lock-guarded.
         assert "_pool" not in IngestionService._GUARDED_BY_LOCK
     finally:

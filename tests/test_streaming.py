@@ -217,7 +217,8 @@ def test_stream_yields_defensive_copies():
     """The public ``stream()`` must hand out copies, not the per-position
     lists the engine is still accumulating into its own BatchResult —
     mutating a yielded list must not corrupt later lookups (the PR 1
-    leaky-internals bug class, now also statically checked by RA004)."""
+    leaky-internals bug class; test_caller_owned_results.py covers the
+    rest of the public surface)."""
     engine = BatchQueryEngine(_GRAPH, algorithm="batch+")
     stream = engine.stream(_QUERIES)
     collected = {}
