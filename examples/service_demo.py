@@ -50,7 +50,8 @@ def main() -> None:
         graph,
         algorithm="batch+",
         max_batch_size=4,      # dispatch at 4 waiting queries...
-        max_delay_s=0.01,      # ...or 10ms after the first one arrived
+        max_delay_s=0.01,      # ...once arrivals go quiet, at most 10ms
+                               # after the first one arrived
         join_similarity=0.5,   # merge similar late arrivals into the batch
     ) as service:
         start = time.perf_counter()

@@ -11,8 +11,13 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
    (``ticket.result(timeout=...)``).
 2. A single background scheduler thread groups pending queries into
    micro-batches under an :class:`AdmissionPolicy`: a batch is dispatched
-   when it reaches ``max_batch_size`` or when ``max_delay_s`` has passed
-   since its first query arrived — the classic latency/throughput dial.
+   when it reaches ``max_batch_size``, or when arrivals have gone quiet —
+   the queue has been idle for ``QUIET_FACTOR`` × the mean spacing of the
+   queued arrivals — or, at the latest, ``max_delay_s`` after its first
+   query arrived.  A lone arrival has no spacing to measure, so it waits
+   the whole window for company.  ``submit_many`` enqueues a group that
+   fits under one lock hold, so the scheduler sees all of it or none of
+   it: a client's batch goes out together, without waiting the window.
 3. The **join-pending-cluster fast path**: just before dispatch, queries
    still queued behind the batch are scored by the planner's similarity
    model (:meth:`~repro.batch.planner.QueryPlanner.admission_score`); an
@@ -95,6 +100,10 @@ from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
 from repro.utils.validation import require
 
+#: A forming batch closes once the queue has been idle for this many mean
+#: arrival spacings: the arrivals that were coming have come.
+QUIET_FACTOR = 2.0
+
 
 class ServiceClosedError(RuntimeError):
     """The service no longer accepts queries (``close`` was called, or its
@@ -117,7 +126,11 @@ class AdmissionPolicy:
         (``1`` degenerates to one-query-per-batch serving).
     max_delay_s:
         Dispatch at most this long after a batch's first query arrived,
-        even if the batch is not full — bounds added ticket latency.
+        even if the batch is not full — bounds added ticket latency.  It
+        is only the upper bound: a batch of two or more goes out sooner,
+        once the queue has been idle for ``QUIET_FACTOR`` × the mean
+        spacing of its arrivals; a lone arrival waits it out.  At most
+        ``threading.TIMEOUT_MAX`` seconds.
     max_pending:
         Backpressure bound on queued-but-undispatched queries; ``submit``
         blocks (or raises with ``block=False``) beyond it.
@@ -149,7 +162,12 @@ class AdmissionPolicy:
 
     def __post_init__(self) -> None:
         require(self.max_batch_size >= 1, "max_batch_size must be >= 1")
-        require(self.max_delay_s >= 0.0, "max_delay_s must be >= 0")
+        # Also rejects nan; an infinite window would kill the scheduler in
+        # Condition.wait (OverflowError), so the bound is the wait's own.
+        require(
+            0.0 <= self.max_delay_s <= threading.TIMEOUT_MAX,
+            f"max_delay_s must be within [0, {threading.TIMEOUT_MAX}]",
+        )
         require(self.max_pending >= 1, "max_pending must be >= 1")
         require(
             0.0 <= self.join_similarity <= 1.0,
@@ -212,7 +230,8 @@ class QueryTicket:
         self.submitted_at = time.perf_counter()
         #: Monotonic enqueue stamp — anchors the scheduler's delay window
         #: (a batch dispatches at most ``max_delay_s`` after *this*, not
-        #: after the scheduler got around to collecting).
+        #: after the scheduler got around to collecting) and measures the
+        #: arrival spacing its quiet rule reads.
         self.enqueued_at = time.monotonic()
         self.resolved_at: Optional[float] = None
         self._event = threading.Event()
@@ -363,6 +382,12 @@ class IngestionService:
         self._m_failed = self._metrics.counter("repro_service_failed_total")
         self._m_batches = self._metrics.counter("repro_service_batches_total")
         self._m_joins = self._metrics.counter("repro_service_admission_join_total")
+        self._m_close = {
+            reason: self._metrics.counter(
+                "repro_service_batch_close_total", labels={"reason": reason}
+            )
+            for reason in ("full", "quiet", "window", "closing")
+        }
         self._m_queue_depth = self._metrics.gauge("repro_service_queue_depth")
         self._m_latency = self._metrics.histogram(
             "repro_service_ticket_latency_seconds"
@@ -478,13 +503,14 @@ class IngestionService:
     ) -> List[QueryTicket]:
         """Submit ``queries`` in order, returning one ticket each.
 
+        When the queue has room for every query, they are admitted whole,
+        under one hold of the lock: the scheduler sees the group entirely
+        or not at all, so it goes out as one batch (up to
+        ``max_batch_size``) as soon as it has arrived.  Without room,
         ``block=True`` submits them one at a time, each waiting for space
-        like :meth:`submit`.  ``block=False`` is all-or-nothing: when the
-        queue has no room for every query, it raises
+        like :meth:`submit`, and ``block=False`` raises
         :class:`ServiceOverloadedError` and admits none of them.
         """
-        if block:
-            return [self.submit(query, block=block) for query in queries]
         queries = list(queries)
         for query in queries:
             require(
@@ -495,14 +521,16 @@ class IngestionService:
         # submit below, so no scheduler pop or other submitter interleaves.
         # A closing service is refused by the first submit, naming why.
         with self._lock:
-            if not self._closing:
-                require(
-                    len(self._pending) + len(queries) <= self.policy.max_pending,
-                    f"pending queue has no room for {len(queries)} queries "
-                    f"({len(self._pending)} of {self.policy.max_pending} taken)",
-                    ServiceOverloadedError,
-                )
-            return [self.submit(query, block=False) for query in queries]
+            room = self.policy.max_pending - len(self._pending)
+            if self._closing or len(queries) <= room:
+                return [self.submit(query, block=False) for query in queries]
+            require(
+                block,
+                f"pending queue has no room for {len(queries)} queries "
+                f"({len(self._pending)} of {self.policy.max_pending} taken)",
+                ServiceOverloadedError,
+            )
+        return [self.submit(query) for query in queries]
 
     def stats(self) -> ServiceStats:
         """Consistent point-in-time :class:`ServiceStats` snapshot."""
@@ -572,14 +600,28 @@ class IngestionService:
             # The first waiting query's *arrival* anchors the delay window
             # (if a long dispatch kept the scheduler busy past it, the
             # batch goes out immediately); arrivals keep joining until the
-            # batch is full or the window closes.  A closing service
-            # dispatches immediately (drain fast).
+            # batch is full, they go quiet, or the window closes.  A
+            # closing service dispatches immediately (drain fast).
             deadline = self._pending[0].enqueued_at + policy.max_delay_s
-            while (
-                len(self._pending) < policy.max_batch_size
-                and not self._closing
-            ):
-                remaining = deadline - time.monotonic()
+            while True:
+                if len(self._pending) >= policy.max_batch_size:
+                    reason = "full"
+                    break
+                if self._closing:
+                    reason = "closing"
+                    break
+                due, reason = deadline, "window"
+                if len(self._pending) > 1:
+                    # Every queued ticket belongs to this batch (it is not
+                    # full), so their stamps are its arrivals; a lone one
+                    # has no spacing to measure and waits the window.
+                    first = self._pending[0].enqueued_at
+                    last = self._pending[-1].enqueued_at
+                    spacing = (last - first) / (len(self._pending) - 1)
+                    quiet_at = last + QUIET_FACTOR * spacing
+                    if quiet_at < deadline:
+                        due, reason = quiet_at, "quiet"
+                remaining = due - time.monotonic()
                 if remaining <= 0:
                     break
                 self._lock.wait(remaining)
@@ -587,6 +629,7 @@ class IngestionService:
                 # close(drain=False) landed during the delay window: these
                 # queries were never in flight, so they must fail, not run.
                 return None
+            self._m_close[reason].inc()
             batch = [
                 self._pending.popleft()
                 for _ in range(min(policy.max_batch_size, len(self._pending)))

@@ -10,7 +10,9 @@ and worker setting; plus ticket-error propagation, backpressure and
 
 import os
 import signal
+import sys
 import threading
+import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 
@@ -254,21 +256,117 @@ def test_close_without_drain_during_delay_window_fails_queued_tickets(
     no_child_left, assert_nothing_pinned
 ):
     """close(drain=False) while the scheduler sits in the batching delay
-    window must fail the queued tickets, not dispatch them anyway."""
-    import time as _time
-
+    window must fail the queued tickets, not dispatch them anyway.  A lone
+    arrival is the one that waits the window out: a group goes quiet."""
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
         policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
     )
-    tickets = service.submit_many(_QUERIES)
-    _time.sleep(0.1)  # let the scheduler enter the delay window
+    ticket = service.submit(_QUERIES[0])
+    time.sleep(0.1)  # let the scheduler enter the delay window
     service.close(drain=False)
-    for ticket in tickets:
-        assert ticket.done()
-        with pytest.raises(ServiceClosedError):
-            ticket.result(timeout=0.0)
+    assert ticket.done()
+    with pytest.raises(ServiceClosedError):
+        ticket.result(timeout=0.0)
+    assert_nothing_pinned(_GRAPH)
+
+
+# --------------------------------------------------------------------- #
+# Admission: when a forming batch closes
+# --------------------------------------------------------------------- #
+def test_a_submitted_group_goes_out_without_waiting_the_window():
+    """A ``submit_many`` group smaller than ``max_batch_size`` is one batch
+    that has fully arrived: it dispatches once arrivals go quiet, not
+    ``max_delay_s`` after its first query."""
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
+    )
+    try:
+        tickets = service.submit_many(_QUERIES)
+        for position, ticket in enumerate(tickets):
+            assert canon(ticket.result(timeout=5.0)) == canon(
+                _reference("batch+").paths_at(position)
+            )
+    finally:
+        service.close()
+    stats = service.stats()
+    assert stats.batches_dispatched == 1
+    assert stats.mean_batch_size == len(_QUERIES)
+
+
+def test_staggered_single_submits_still_share_one_batch():
+    """A lone arrival waits for company, and the next one, 20 ms later,
+    sets a spacing the batch waits twice over before it goes quiet."""
+    service = IngestionService(
+        _GRAPH, algorithm="batch+", policy=AdmissionPolicy(max_delay_s=1.0)
+    )
+    try:
+        first = service.submit(_QUERIES[0])
+        time.sleep(0.02)
+        second = service.submit(_QUERIES[1])
+        for position, ticket in enumerate((first, second)):
+            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
+                _reference("batch+").paths_at(position)
+            )
+    finally:
+        service.close()
+    stats = service.stats()
+    assert (stats.batches_dispatched, stats.mean_batch_size) == (1, 2.0)
+
+
+def test_a_thread_switch_never_cuts_a_submitted_group():
+    """``submit_many`` admits a group under one lock hold: even with the
+    interpreter switching threads every microsecond, the scheduler never
+    sees part of a group and closes it as quiet."""
+    rounds = 20
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        num_workers=1,
+        policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
+    )
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            for ticket in service.submit_many(_QUERIES):
+                ticket.result(timeout=TIMEOUT)
+    finally:
+        sys.setswitchinterval(previous)
+        service.close()
+    stats = service.stats()
+    assert stats.batches_dispatched == rounds
+    assert stats.mean_batch_size == len(_QUERIES)
+
+
+@pytest.mark.parametrize("max_delay_s", [float("inf"), float("nan"), 1e300])
+def test_a_window_the_scheduler_cannot_wait_is_rejected(max_delay_s):
+    """``Condition.wait(inf)`` raises ``OverflowError`` on the scheduler
+    thread, which used to kill it and close the service."""
+    with pytest.raises(ValueError, match="max_delay_s"):
+        AdmissionPolicy(max_delay_s=max_delay_s)
+    with pytest.raises(ValueError, match="max_delay_s"):
+        serve(_GRAPH, max_delay_s=max_delay_s)
+
+
+def test_the_longest_window_accepted_is_one_the_scheduler_can_wait(
+    assert_nothing_pinned,
+):
+    service = IngestionService(
+        _GRAPH,
+        algorithm="batch+",
+        policy=AdmissionPolicy(max_delay_s=threading.TIMEOUT_MAX),
+    )
+    ticket = service.submit(_QUERIES[0])  # alone: it waits the window
+    time.sleep(0.05)
+    service.close(drain=True)
+    assert canon(ticket.result(timeout=0.0)) == canon(
+        _reference("batch+").paths_at(0)
+    )
+    assert service.stats().failed == 0
     assert_nothing_pinned(_GRAPH)
 
 
@@ -653,11 +751,9 @@ def test_failed_tickets_excluded_from_latency_mean():
     dragged the reported mean toward zero exactly when the service was
     misbehaving.  Now the mean covers successful resolutions only.
     """
-    import time as _time
-
     service = IngestionService(_GRAPH, algorithm="batch+", start=False)
     service.submit_many(_QUERIES)
-    _time.sleep(0.05)
+    time.sleep(0.05)
     service.close(drain=False)
     stats = service.stats()
     assert stats.failed == len(_QUERIES)
