@@ -18,8 +18,9 @@ Processing pipeline for a batch ``Q``:
    searched and joined once and only a node that is spliced is ever cached.
    Cached results are evicted as soon as their last consumer is done.
 
-``BatchEnum+`` uses the search-order optimiser to pick each query's
-forward/backward budget split before detection.
+``BatchEnum+`` uses the search-order optimiser to pick, once per cluster,
+the forward/backward budget split of each hop constraint before detection,
+priced over the roots the cluster will search.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.enumeration.join import (
 from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import Path
-from repro.enumeration.search_order import choose_budget_split
+from repro.enumeration.search_order import choose_budget_split, mean_degree_of
 from repro.graph.digraph import DiGraph
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 from repro.queries.workload import QueryWorkload
@@ -202,31 +203,27 @@ class BatchEnum:
             sharing.cache_peak_entries = max(sharing.cache_peak_entries, 1)
             return
 
-        forward_budgets: Dict[int, int] = {}
-        backward_budgets: Dict[int, int] = {}
         if self.optimize_search_order:
-            # The "+" variant rebalances each query's forward/backward hop
-            # budgets, but queries with the same hop constraint inside one
-            # cluster vote on a single split: mixing splits would break up
+            # The "+" variant prices one split per hop constraint over the
+            # roots this cluster will search: mixing splits would break up
             # otherwise identical root HC-s path queries and destroy the
             # sharing the cluster was formed for.
-            votes: Dict[int, Dict[int, int]] = {}
-            for position, query in queries_by_position.items():
-                forward, _ = choose_budget_split(query, index)
-                per_k = votes.setdefault(query.k, {})
-                per_k[forward] = per_k.get(forward, 0) + 1
-            chosen = {
-                k: max(counts.items(), key=lambda item: (item[1], item[0]))[0]
-                for k, counts in votes.items()
-            }
-            for position, query in queries_by_position.items():
-                forward = chosen[query.k]
-                forward_budgets[position] = forward
-                backward_budgets[position] = query.k - forward
+            chosen = choose_budget_split(
+                list(queries_by_position.values()), index, mean_degree_of(self.graph)
+            )
         else:
-            for position, query in queries_by_position.items():
-                forward_budgets[position] = query.forward_budget
-                backward_budgets[position] = query.backward_budget
+            chosen = {
+                query.k: query.forward_budget
+                for query in queries_by_position.values()
+            }
+        forward_budgets = {
+            position: chosen[query.k]
+            for position, query in queries_by_position.items()
+        }
+        backward_budgets = {
+            position: query.k - chosen[query.k]
+            for position, query in queries_by_position.items()
+        }
 
         with stage_timer.stage("IdentifySubquery"):
             forward_outcome = detect_common_queries(

@@ -32,14 +32,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.clustering import cluster_queries
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, NumWorkers
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.bfs.single_source import bfs_distances
 from repro.enumeration.kernels import resolve_kernel
-from repro.enumeration.search_order import estimate_side_cost
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.snapshots import PinnedSnapshot
@@ -183,6 +182,25 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
+def estimate_side_cost(level_sizes: Iterable[int]) -> float:
+    """Rough cost of enumerating all prefixes down to the deepest level.
+
+    Models the partial-path count as the running product of average
+    branching per level, which over-penalises explosive frontiers.
+    ``CostModel.seconds_per_cost_unit`` converts this unit to seconds.
+    """
+    sizes = [size for size in level_sizes]
+    if not sizes:
+        return 0.0
+    cost = 0.0
+    partial_paths = 1.0
+    for depth in range(1, len(sizes)):
+        branching = sizes[depth] / max(sizes[depth - 1], 1)
+        partial_paths *= max(branching, 1.0)
+        cost += partial_paths + sizes[depth]
+    return cost
+
+
 def estimate_query_cost(
     query: HCSTQuery,
     index: Optional[CSRDistanceIndex],
@@ -192,12 +210,12 @@ def estimate_query_cost(
 ) -> float:
     """Estimated enumeration cost units of one query.
 
-    With an index available the estimate reuses the search-order
-    optimiser's per-level frontier model (partial-path counts from the BFS
-    level sizes) — the same statistic the "+" variants already trust to
-    order their searches.  Without one (per-query baselines where building
-    a global index just to plan would cost more than it saves) the estimate
-    falls back to an average-branching model capped by the graph size.
+    With an index available the estimate runs a per-level frontier model
+    (partial-path counts from the BFS level sizes, see
+    :func:`estimate_side_cost`) over the balanced split.  Without one
+    (per-query baselines where building a global index just to plan would
+    cost more than it saves) the estimate falls back to an
+    average-branching model capped by the graph size.
 
     ``side_cost_cache`` memoises the per-(endpoint, budget) side costs —
     each is a read of the row's BFS level sizes plus the frontier model,

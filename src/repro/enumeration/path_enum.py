@@ -30,7 +30,7 @@ from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import resolve_kernel, search_paths
 from repro.enumeration.paths import Path
-from repro.enumeration.search_order import choose_budget_split
+from repro.enumeration.search_order import choose_budget_split, mean_degree_of
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
 from repro.utils.validation import require_vertex
@@ -82,12 +82,12 @@ class PathEnum:
             return []
 
         if self.optimize_search_order:
-            forward_budget, backward_budget = choose_budget_split(query, index)
+            forward_budget = choose_budget_split(
+                [query], index, mean_degree_of(self.graph)
+            )[query.k]
         else:
-            forward_budget, backward_budget = (
-                query.forward_budget,
-                query.backward_budget,
-            )
+            forward_budget = query.forward_budget
+        backward_budget = query.k - forward_budget
         policy = PathJoinPolicy(
             forward_budget=forward_budget, backward_budget=backward_budget
         )

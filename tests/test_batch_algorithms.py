@@ -138,7 +138,7 @@ def test_batch_enum_sharing_stats_populated():
 def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch):
     """The degenerate case is structural: when a cluster's detection finds
     nothing to share, every root serves one query and has no provider, and
-    its enumeration is ``PathEnum._search``'s list for the voted budget —
+    its enumeration is ``PathEnum._search``'s list for the chosen budget —
     in the same order — beside the trivial root path and the paths that
     pass *through* the query's other endpoint (which the join discards)."""
     outcomes = []
@@ -150,7 +150,7 @@ def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch)
 
     monkeypatch.setattr(BatchEnum, "_materialize", recording_materialize)
     compared = 0
-    for seed in range(40):
+    for seed in range(80):
         graph = random_directed_gnm(40, 200, seed=seed)
         queries = generate_random_queries(graph, 8, min_k=2, max_k=5, seed=seed)
         enum = BatchEnum(graph, optimize_search_order=True)

@@ -9,7 +9,8 @@ from repro.enumeration.brute_force import (
 from repro.enumeration.dfs_baseline import enumerate_paths_pruned_dfs
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.paths import sort_paths, validate_path
-from repro.enumeration.search_order import choose_budget_split, estimate_side_cost
+from repro.batch.planner import estimate_side_cost
+from repro.enumeration.search_order import choose_budget_split, mean_degree_of
 from repro.bfs.distance_index import build_index_for_queries
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -119,10 +120,9 @@ def test_choose_budget_split_is_valid():
     graph = powerlaw_directed(200, 3, seed=1)
     query = HCSTQuery(0, 10, 5)
     index = build_index_for_queries(graph, [(0, 10, 5)])
-    forward, backward = choose_budget_split(query, index)
-    assert forward + backward == query.k
-    assert forward >= 1
-    assert backward >= 0
+    split = choose_budget_split([query], index, mean_degree_of(graph))
+    assert list(split) == [query.k]
+    assert 1 <= split[query.k] <= query.k
 
 
 def test_estimate_side_cost_monotone_with_levels():
