@@ -8,7 +8,7 @@ each dataset.
 import pytest
 
 from benchmarks.conftest import bench_random_workload
-from repro.batch.engine import BatchQueryEngine
+from repro.experiments.harness import run_algorithm
 
 ALGORITHMS = ("dksp", "onepass", "batch+")
 DATASETS = ("EP", "BK")
@@ -18,7 +18,8 @@ DATASETS = ("EP", "BK")
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_fig12_ksp_comparison(benchmark, dataset, algorithm):
     graph, queries = bench_random_workload(dataset, count=6)
-    engine = BatchQueryEngine(graph, algorithm=algorithm, gamma=0.5)
     benchmark.group = f"fig12-{dataset}"
-    result = benchmark.pedantic(engine.run, args=(list(queries),), rounds=1, iterations=1)
-    benchmark.extra_info["paths"] = result.total_paths()
+    run = benchmark.pedantic(
+        run_algorithm, args=(graph, list(queries), algorithm), rounds=1, iterations=1
+    )
+    benchmark.extra_info["paths"] = run.total_paths

@@ -4,7 +4,7 @@ Replays one query workload under several *arrival rates* (fixed
 inter-arrival gaps) through three serving disciplines:
 
 * ``service``   — :class:`IngestionService` micro-batching: arrivals are
-  admitted into pending micro-batches (similarity fast path enabled) and
+  admitted into pending micro-batches of at most ``max_batch_size`` and
   tickets resolve as shards complete.
 * ``one_per_run`` — the naive front door: every arrival immediately pays a
   full ``engine.run([query])`` of its own (no batching, no sharing).
@@ -46,7 +46,7 @@ ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 #: (vertices, edges, hop constraint) per community — disjoint communities
 #: guarantee multiple clusters, and repeated per-community endpoints give
-#: the admission fast path genuine sharing to find.
+#: ClusterQuery genuine sharing to find inside a micro-batch.
 COMMUNITIES = (
     (40, 140, 4),
     (60, 260, 4),
@@ -94,7 +94,6 @@ def run_service(graph, queries, gap_s: float, oracle) -> dict:
         algorithm=ALGORITHM,
         max_batch_size=8,
         max_delay_s=0.005,
-        join_similarity=0.5,
     ) as service:
         start = time.perf_counter()
         tickets = []
@@ -118,7 +117,6 @@ def run_service(graph, queries, gap_s: float, oracle) -> dict:
         "p95_latency_s": _percentile(latencies, 0.95),
         "batches_dispatched": stats.batches_dispatched,
         "mean_batch_size": stats.mean_batch_size,
-        "joined_fast_path": stats.joined_fast_path,
         "cache_reuse_count": stats.sharing.cache_reuse_count,
     }
 

@@ -23,7 +23,7 @@ def main() -> None:
     print(f"Batch: {len(queries)} HC-s-t path queries\n")
 
     # "batch+" is BatchEnum+ — the paper's best algorithm.  Other choices:
-    # "pathenum", "basic", "basic+", "batch", "dksp", "onepass".
+    # "pathenum", "basic", "basic+", "batch".
     engine = BatchQueryEngine(graph, algorithm="batch+", gamma=0.8)
     result = engine.run(queries)
 

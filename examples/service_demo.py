@@ -5,8 +5,8 @@ Simulates a trickle of arrivals against a multi-community graph through
 
 * each ``submit`` returns immediately with a :class:`QueryTicket`;
 * the background scheduler groups arrivals into micro-batches
-  (``max_batch_size`` / ``max_delay_s``), and the similarity fast path
-  merges a late-arriving look-alike query into the batch it resembles;
+  (``max_batch_size`` / ``max_delay_s``), and ClusterQuery shares work
+  among the look-alike queries inside each batch;
 * tickets resolve as their shard/cluster completes — the demo prints each
   resolution with its submit→result latency, then the service stats.
 
@@ -52,7 +52,6 @@ def main() -> None:
         max_batch_size=4,      # dispatch at 4 waiting queries...
         max_delay_s=0.01,      # ...once arrivals go quiet, at most 10ms
                                # after the first one arrived
-        join_similarity=0.5,   # merge similar late arrivals into the batch
     ) as service:
         start = time.perf_counter()
         tickets = []
@@ -71,8 +70,7 @@ def main() -> None:
     print(f"\nall {len(queries)} tickets resolved in {wall:.3f}s")
     print(
         f"micro-batches: {stats.batches_dispatched} dispatched, "
-        f"mean size {stats.mean_batch_size:.1f}, "
-        f"{stats.joined_fast_path} joined via the similarity fast path"
+        f"mean size {stats.mean_batch_size:.1f}"
     )
     print(
         f"latency: mean {stats.mean_ticket_latency_s * 1000:.2f}ms | "

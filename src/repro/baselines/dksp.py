@@ -14,12 +14,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.baselines.yen import yen_k_shortest_paths
-from repro.batch.results import (
-    BatchResult,
-    FragmentStream,
-    drain,
-    per_query_fragments,
-)
+from repro.batch.results import BatchResult, drain, per_query_fragments
 from repro.enumeration.paths import Path
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
@@ -32,15 +27,10 @@ def enumerate_paths_dksp(graph: DiGraph, s: int, t: int, k: int) -> List[Path]:
 
 def run_dksp_baseline(graph: DiGraph, queries: Sequence[HCSTQuery]) -> BatchResult:
     """Process a batch with the adapted DkSP baseline (independently per query)."""
-    return drain(iter_dksp_baseline(graph, queries))
-
-
-def iter_dksp_baseline(
-    graph: DiGraph, queries: Sequence[HCSTQuery]
-) -> FragmentStream:
-    """Fragment generator: one ``{position: paths}`` yield per query."""
-    return per_query_fragments(
-        queries,
-        lambda query: enumerate_paths_dksp(graph, query.s, query.t, query.k),
-        "DkSP",
+    return drain(
+        per_query_fragments(
+            queries,
+            lambda query: enumerate_paths_dksp(graph, query.s, query.t, query.k),
+            "DkSP",
+        )
     )

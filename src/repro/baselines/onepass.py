@@ -16,12 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Sequence, Tuple
 
-from repro.batch.results import (
-    BatchResult,
-    FragmentStream,
-    drain,
-    per_query_fragments,
-)
+from repro.batch.results import BatchResult, drain, per_query_fragments
 from repro.enumeration.paths import Path
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
@@ -57,15 +52,10 @@ def enumerate_paths_onepass(graph: DiGraph, s: int, t: int, k: int) -> List[Path
 
 def run_onepass_baseline(graph: DiGraph, queries: Sequence[HCSTQuery]) -> BatchResult:
     """Process a batch with the adapted OnePass baseline (independently per query)."""
-    return drain(iter_onepass_baseline(graph, queries))
-
-
-def iter_onepass_baseline(
-    graph: DiGraph, queries: Sequence[HCSTQuery]
-) -> FragmentStream:
-    """Fragment generator: one ``{position: paths}`` yield per query."""
-    return per_query_fragments(
-        queries,
-        lambda query: enumerate_paths_onepass(graph, query.s, query.t, query.k),
-        "OnePass",
+    return drain(
+        per_query_fragments(
+            queries,
+            lambda query: enumerate_paths_onepass(graph, query.s, query.t, query.k),
+            "OnePass",
+        )
     )

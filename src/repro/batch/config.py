@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Union
 
-from repro.baselines.dksp import iter_dksp_baseline
-from repro.baselines.onepass import iter_onepass_baseline
 from repro.batch.basic_enum import BasicEnum, iter_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import FragmentStream
@@ -170,28 +168,15 @@ class AlgorithmSpec:
     indexed:
         Reads the shared distance index; a parallel plan ships each
         shard its endpoints' rows of the parent-built index.
-    kernelized:
-        The hot loop has a vectorized twin in
-        :mod:`repro.enumeration.kernels`; the adapted baselines keep their
-        own search structure and always run the Python substrate.
     optimize_search_order:
         The "+" variants' adaptive forward/backward budget split.
-    cost_factor:
-        Relative multiplier on the per-query structural cost estimate.  It
-        only influences the worker-count decision (ordering matters,
-        absolute accuracy does not): ``dksp`` re-runs a constrained
-        shortest-path search per deviation prefix, ``onepass`` a pruned DFS
-        per query, ``pathenum`` builds a per-query index before
-        enumerating.
     """
 
     display_name: str
     runner: Callable[[CSRGraph, "ExecutionConfig", str], Runner]
     clustered: bool = False
     indexed: bool = False
-    kernelized: bool = False
     optimize_search_order: bool = False
-    cost_factor: float = 1.0
 
 
 def make_enumerator(
@@ -226,37 +211,23 @@ def _pathenum_runner(snapshot, config, kernel) -> Runner:
     return partial(iter_pathenum_baseline, snapshot, kernel=kernel)
 
 
-def _dksp_runner(snapshot, config, kernel) -> Runner:
-    return partial(iter_dksp_baseline, snapshot)
-
-
-def _onepass_runner(snapshot, config, kernel) -> Runner:
-    return partial(iter_onepass_baseline, snapshot)
-
-
 #: Engine algorithm name -> its :class:`AlgorithmSpec` (the paper's
-#: Section V line-up).
+#: Section V line-up, less the Exp-6 k-shortest-path baselines, which are
+#: plain :mod:`repro.baselines` functions).
 ALGORITHM_TABLE: Dict[str, AlgorithmSpec] = {
-    "pathenum": AlgorithmSpec(
-        "PathEnum", _pathenum_runner, kernelized=True, cost_factor=2.0
-    ),
-    "basic": AlgorithmSpec(
-        "BasicEnum", _enumerator_runner, indexed=True, kernelized=True
-    ),
+    "pathenum": AlgorithmSpec("PathEnum", _pathenum_runner),
+    "basic": AlgorithmSpec("BasicEnum", _enumerator_runner, indexed=True),
     "basic+": AlgorithmSpec(
-        "BasicEnum+", _enumerator_runner, indexed=True, kernelized=True,
+        "BasicEnum+", _enumerator_runner, indexed=True,
         optimize_search_order=True,
     ),
     "batch": AlgorithmSpec(
-        "BatchEnum", _enumerator_runner, clustered=True, indexed=True,
-        kernelized=True,
+        "BatchEnum", _enumerator_runner, clustered=True, indexed=True
     ),
     "batch+": AlgorithmSpec(
         "BatchEnum+", _enumerator_runner, clustered=True, indexed=True,
-        kernelized=True, optimize_search_order=True,
+        optimize_search_order=True,
     ),
-    "dksp": AlgorithmSpec("DkSP", _dksp_runner, cost_factor=40.0),
-    "onepass": AlgorithmSpec("OnePass", _onepass_runner, cost_factor=15.0),
 }
 
 #: Canonical algorithm names accepted by the engine.

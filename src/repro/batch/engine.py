@@ -2,7 +2,8 @@
 
 The engine hides the choice of algorithm behind a single ``run`` call and
 is the entry point the examples and the experiment harness use.  Algorithm
-names follow the paper's Section V:
+names follow the paper's Section V; its Exp-6 baselines, DkSP and OnePass,
+are plain functions in :mod:`repro.baselines`, not engine algorithms:
 
 =============  =====================================================
 name           algorithm
@@ -12,8 +13,6 @@ name           algorithm
 ``basic+``     Algorithm 1 with optimised search order (BasicEnum+)
 ``batch``      Algorithm 4 (BatchEnum)
 ``batch+``     Algorithm 4 with optimised search order (BatchEnum+)
-``dksp``       adapted diversified top-k route planning baseline
-``onepass``    adapted k-shortest-paths-with-limited-overlap baseline
 =============  =====================================================
 
 Plan → execute pipeline
@@ -286,7 +285,7 @@ class BatchQueryEngine:
 
         The reusable planning/streaming core behind :meth:`stream`, exposed
         for schedulers that plan a batch themselves (the ingestion
-        service's admission policy consults the planner before dispatch, so
+        service plans each micro-batch against the snapshot it pinned, so
         re-planning inside ``stream`` would double the work): ``plan`` must
         have been built by :meth:`explain`/``QueryPlanner.plan`` for these
         exact ``queries``.  Yields ``(batch_position, paths)`` like

@@ -6,9 +6,8 @@ Design
 that can share computation; sharing never crosses a cluster boundary), so a
 cluster is a clean shard: two clusters touch disjoint sharing graphs,
 disjoint result caches and disjoint output positions.  The per-query
-algorithms (``pathenum``, ``basic``, ``basic+``, ``dksp``, ``onepass``)
-have no cross-query state at all, so their shards are contiguous batch
-slices.
+algorithms (``pathenum``, ``basic``, ``basic+``) have no cross-query state
+at all, so their shards are contiguous batch slices.
 
 The *decisions* — shard assignments, worker count, kernel per shard — are
 made by :class:`~repro.batch.planner.QueryPlanner` and arrive here as an

@@ -37,7 +37,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.batch.clustering import cluster_queries
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, NumWorkers
 from repro.bfs.distance_index import CSRDistanceIndex
-from repro.bfs.single_source import bfs_distances
 from repro.enumeration.kernels import resolve_kernel
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -52,19 +51,9 @@ from repro.obs.feedback import (
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
-from repro.queries.similarity import similarity_from_neighborhoods
 from repro.queries.workload import QueryWorkload
 from repro.utils.timer import StageTimer
 from repro.utils.validation import require
-
-#: Entry cap on the planner's admission-score neighbourhood memo.  A
-#: long-running ingestion service holds one planner forever; without a
-#: bound, diverse traffic accretes one O(|V|) frozenset per (direction,
-#: endpoint, budget) key indefinitely.  Eviction is FIFO (dict order) —
-#: recency-perfect LRU is not worth the bookkeeping for a cache whose
-#: misses cost one k-hop BFS.
-NEIGHBORHOOD_CACHE_LIMIT = 4096
-
 
 def _lpt_makespan(costs: List[float], num_workers: int) -> float:
     """Cost units of the busiest bin under an LPT greedy assignment
@@ -205,7 +194,6 @@ def estimate_query_cost(
     query: HCSTQuery,
     index: Optional[CSRDistanceIndex],
     graph: DiGraph,
-    algorithm: str,
     side_cost_cache: Optional[Dict[Tuple, float]] = None,
 ) -> float:
     """Estimated enumeration cost units of one query.
@@ -213,9 +201,10 @@ def estimate_query_cost(
     With an index available the estimate runs a per-level frontier model
     (partial-path counts from the BFS level sizes, see
     :func:`estimate_side_cost`) over the balanced split.  Without one
-    (per-query baselines where building a global index just to plan would
-    cost more than it saves) the estimate falls back to an
-    average-branching model capped by the graph size.
+    (``pathenum``, where building a global index just to plan would cost
+    more than it saves) the estimate falls back to an average-branching
+    model capped by the graph size, doubled because ``pathenum`` builds a
+    per-query index before enumerating.
 
     ``side_cost_cache`` memoises the per-(endpoint, budget) side costs —
     each is a read of the row's BFS level sizes plus the frontier model,
@@ -240,16 +229,13 @@ def estimate_query_cost(
                 index.backward_level_sizes(query.t, backward_budget)
             )
             cache[backward_key] = backward_cost
-        structural = forward_cost + backward_cost + 1.0
-    else:
-        branching = max(1.0, graph.num_edges / max(1, graph.num_vertices))
-        cap = float(graph.num_edges * max(1, query.k))
-        structural = min(
-            branching ** min(forward_budget, 8)
-            + branching ** min(backward_budget, 8),
-            cap,
-        )
-    return structural * ALGORITHM_TABLE[algorithm].cost_factor
+        return forward_cost + backward_cost + 1.0
+    branching = max(1.0, graph.num_edges / max(1, graph.num_vertices))
+    cap = float(graph.num_edges * max(1, query.k))
+    return 2.0 * min(
+        branching ** min(forward_budget, 8) + branching ** min(backward_budget, 8),
+        cap,
+    )
 
 
 class QueryPlanner:
@@ -283,10 +269,6 @@ class QueryPlanner:
         self._tracer = resolve_tracer(tracer)
         self._m_plans = self._metrics.counter("repro_plans_total")
         self._m_plan_seconds = self._metrics.histogram("repro_plan_seconds")
-        #: (direction, endpoint, budget) → frozenset neighbourhood, used by
-        #: the admission hook; invalidated when the graph version moves.
-        self._neighborhood_cache: Dict[Tuple, frozenset] = {}
-        self._neighborhood_cache_version = self.graph.version
         #: ``(endpoint key, graph version, index)`` of the previous batch's
         #: distance index — the substrate of the cached / delta
         #: strategies in :meth:`_resolve_index`.
@@ -405,7 +387,7 @@ class QueryPlanner:
 
         side_cost_cache: Dict[Tuple, float] = {}
         query_costs = [
-            estimate_query_cost(query, index, csr, config.algorithm, side_cost_cache)
+            estimate_query_cost(query, index, csr, side_cost_cache)
             for query in queries
         ]
 
@@ -419,12 +401,11 @@ class QueryPlanner:
         shards = self._build_shards(query_costs, clusters, resolved)
 
         total_cost = sum(query_costs)
-        if spec.kernelized:
-            for shard in shards:
-                shard.kernel = resolve_kernel(config.kernel)
-                self._metrics.counter(
-                    "repro_plan_kernel_total", labels={"kernel": shard.kernel}
-                ).inc()
+        for shard in shards:
+            shard.kernel = resolve_kernel(config.kernel)
+            self._metrics.counter(
+                "repro_plan_kernel_total", labels={"kernel": shard.kernel}
+            ).inc()
         return ExecutionPlan(
             algorithm=config.algorithm,
             gamma=config.gamma,
@@ -492,73 +473,6 @@ class QueryPlanner:
             (len(added) + len(removed)) * cached_index.num_rows
         )
         return repaired, "delta"
-
-    # ------------------------------------------------------------------ #
-    # Admission hook (continuous ingestion)
-    # ------------------------------------------------------------------ #
-    def admission_score(
-        self, query: HCSTQuery, pending: Sequence[HCSTQuery]
-    ) -> float:
-        """Estimated sharing payoff of merging ``query`` into ``pending``.
-
-        This is the cost hook behind the ingestion service's "join pending
-        cluster" fast path: the maximum pairwise similarity µ (Definition
-        4.5, harmonic mean of the forward/backward hop-constrained
-        neighbourhood overlaps) between the arriving query and any query of
-        the not-yet-dispatched micro-batch.  A high score means the two
-        queries explore the same region of the graph, so admitting the
-        arrival into the in-flight batch lets ``ClusterQuery`` put them in
-        one cluster and share HC-s path enumeration.
-
-        Neighbourhoods are k-hop BFS frontiers computed on demand and
-        memoised per ``(direction, endpoint, budget)`` — continuous traffic
-        repeats endpoints heavily, so steady-state admission decisions cost
-        two dict probes plus |pending| set intersections.  The memo is
-        dropped when the graph version moves.  An empty ``pending`` scores
-        0.0.
-        """
-        if not pending:
-            return 0.0
-        forward = self._neighborhood("f", query.s, query.k)
-        backward = self._neighborhood("b", query.t, query.k)
-        best = 0.0
-        for other in pending:
-            mu = similarity_from_neighborhoods(
-                forward,
-                backward,
-                self._neighborhood("f", other.s, other.k),
-                self._neighborhood("b", other.t, other.k),
-            )
-            if mu > best:
-                best = mu
-                if best >= 1.0:
-                    break
-        return best
-
-    def _neighborhood(
-        self, direction: str, endpoint: int, budget: int
-    ) -> frozenset:
-        """Memoised Γ (``direction="f"``) / Γr (``"b"``) frontier."""
-        if self._neighborhood_cache_version != self.graph.version:
-            self._neighborhood_cache.clear()
-            self._neighborhood_cache_version = self.graph.version
-        key = (direction, endpoint, budget)
-        cached = self._neighborhood_cache.get(key)
-        if cached is None:
-            cached = frozenset(
-                bfs_distances(
-                    self.graph,
-                    endpoint,
-                    max_hops=budget,
-                    forward=direction == "f",
-                )
-            )
-            while len(self._neighborhood_cache) >= NEIGHBORHOOD_CACHE_LIMIT:
-                self._neighborhood_cache.pop(
-                    next(iter(self._neighborhood_cache))
-                )
-            self._neighborhood_cache[key] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -53,10 +53,11 @@ def per_query_fragments(
 ) -> FragmentStream:
     """Fragment generator for algorithms with no cross-query state.
 
-    ``pathenum``, ``dksp`` and ``onepass`` all share this shape: every query
-    is enumerated independently inside one ``Enumeration`` stage and each
-    completed query is immediately flushable, so the whole runner is a loop
-    that records and yields one single-position fragment per query.
+    ``pathenum`` and the :mod:`repro.baselines` runners share this shape:
+    every query is enumerated independently inside one ``Enumeration``
+    stage and each completed query is immediately flushable, so the whole
+    runner is a loop that records and yields one single-position fragment
+    per query.
     """
     stage_timer = StageTimer()
     result = BatchResult(

@@ -18,14 +18,10 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
    the whole window for company.  ``submit_many`` enqueues a group that
    fits under one lock hold, so the scheduler sees all of it or none of
    it: a client's batch goes out together, without waiting the window.
-3. The **join-pending-cluster fast path**: just before dispatch, queries
-   still queued behind the batch are scored by the planner's similarity
-   model (:meth:`~repro.batch.planner.QueryPlanner.admission_score`); an
-   arrival whose hop-constrained neighbourhood overlaps a batch member's
-   (µ ≥ ``join_similarity``) is merged into the not-yet-dispatched batch
-   even past the size/deadline cut, because sharing its enumeration with
-   the cluster it resembles is cheaper than starting a new batch for it.
-4. Each micro-batch flows through the existing plan→execute pipeline
+   ``max_batch_size`` is a hard cap: what queues behind a full batch
+   waits for the next one.  Sharing *inside* a batch is ClusterQuery's
+   job, at plan time.
+3. Each micro-batch flows through the existing plan→execute pipeline
    (:meth:`~repro.batch.engine.BatchQueryEngine.stream_planned`) with
    ``ordered=False``, so a ticket resolves the moment the shard/cluster
    owning its position completes — never at batch rank order.  Parallel
@@ -119,11 +115,16 @@ class ServiceOverloadedError(RuntimeError):
 class AdmissionPolicy:
     """Knobs governing how arrivals are grouped into micro-batches.
 
+    A forming batch closes for one of four reasons, counted under
+    ``repro_service_batch_close_total{reason}``: it is ``full``, arrivals
+    went ``quiet``, its ``window`` ran out, or the service is ``closing``.
+
     Attributes
     ----------
     max_batch_size:
         Dispatch a micro-batch as soon as this many queries are waiting
-        (``1`` degenerates to one-query-per-batch serving).
+        (``1`` degenerates to one-query-per-batch serving).  A hard cap:
+        no batch holds more.
     max_delay_s:
         Dispatch at most this long after a batch's first query arrived,
         even if the batch is not full — bounds added ticket latency.  It
@@ -134,31 +135,11 @@ class AdmissionPolicy:
     max_pending:
         Backpressure bound on queued-but-undispatched queries; ``submit``
         blocks (or raises with ``block=False``) beyond it.
-    join_pending:
-        Enable the join-pending-cluster fast path.
-    join_similarity:
-        Minimum planner similarity µ for an arrival to join the
-        not-yet-dispatched batch past the size/deadline cut.  ``1.0``
-        effectively restricts joining to duplicate-neighbourhood queries;
-        lower values merge more aggressively.
-    join_limit:
-        Cap on fast-path joins per batch (``None`` → ``max_batch_size``),
-        so one popular region cannot grow a batch without bound.
-    join_scan_limit:
-        Cap on queued *candidates examined* per batch by the fast path.
-        Scoring a candidate costs up to two k-hop BFS traversals on a cold
-        memo, so scanning an entire deep queue would stall a batch that is
-        already past its deadline — the scan stops after this many
-        candidates regardless of how few joined.
     """
 
     max_batch_size: int = 32
     max_delay_s: float = 0.02
     max_pending: int = 1024
-    join_pending: bool = True
-    join_similarity: float = 0.6
-    join_limit: Optional[int] = None
-    join_scan_limit: int = 64
 
     def __post_init__(self) -> None:
         require(self.max_batch_size >= 1, "max_batch_size must be >= 1")
@@ -169,21 +150,6 @@ class AdmissionPolicy:
             f"max_delay_s must be within [0, {threading.TIMEOUT_MAX}]",
         )
         require(self.max_pending >= 1, "max_pending must be >= 1")
-        require(
-            0.0 <= self.join_similarity <= 1.0,
-            "join_similarity must be within [0, 1]",
-        )
-        require(
-            self.join_limit is None or self.join_limit >= 0,
-            "join_limit must be None or >= 0",
-        )
-        require(self.join_scan_limit >= 0, "join_scan_limit must be >= 0")
-
-    @property
-    def effective_join_limit(self) -> int:
-        return (
-            self.max_batch_size if self.join_limit is None else self.join_limit
-        )
 
 
 @dataclass(frozen=True)
@@ -201,6 +167,11 @@ class ServiceStats:
     a deadline-expired one near-infinite) and would skew the mean either
     way.  For percentiles, opt into a metrics registry
     (``repro_service_ticket_latency_seconds``).
+
+    ``joined_fast_path`` is always 0: admission no longer merges queued
+    queries into a batch past its cut.  The field stays only because the
+    benchmark harness reads it; it goes when the harness contract next
+    moves (ROADMAP item 9).
     """
 
     admitted: int
@@ -208,10 +179,10 @@ class ServiceStats:
     failed: int
     pending: int
     batches_dispatched: int
-    joined_fast_path: int
     mean_batch_size: float
     mean_ticket_latency_s: float
     sharing: SharingStats
+    joined_fast_path: int = 0
 
 
 class QueryTicket:
@@ -317,7 +288,6 @@ class IngestionService:
             "_failed",
             "_batches_dispatched",
             "_batched_total",
-            "_joined_fast_path",
             "_latency_total_s",
             "_latency_count",
             "_sharing",
@@ -352,8 +322,8 @@ class IngestionService:
             metrics=metrics,
             tracer=tracer,
         )
-        # One planner serves both admission scoring (its neighbourhood memo
-        # pays off under repeated endpoints) and per-batch planning.
+        # One planner for the service's lifetime: each batch's index is the
+        # next batch's cached/delta starting point.
         self._planner = QueryPlanner(
             graph, self._engine.config, metrics=metrics, tracer=tracer
         )
@@ -371,7 +341,6 @@ class IngestionService:
         self._failed = 0
         self._batches_dispatched = 0
         self._batched_total = 0
-        self._joined_fast_path = 0
         self._latency_total_s = 0.0
         self._latency_count = 0
         self._sharing = SharingStats()
@@ -381,7 +350,6 @@ class IngestionService:
         self._m_completed = self._metrics.counter("repro_service_completed_total")
         self._m_failed = self._metrics.counter("repro_service_failed_total")
         self._m_batches = self._metrics.counter("repro_service_batches_total")
-        self._m_joins = self._metrics.counter("repro_service_admission_join_total")
         self._m_close = {
             reason: self._metrics.counter(
                 "repro_service_batch_close_total", labels={"reason": reason}
@@ -543,7 +511,6 @@ class IngestionService:
                 failed=self._failed,
                 pending=len(self._pending),
                 batches_dispatched=self._batches_dispatched,
-                joined_fast_path=self._joined_fast_path,
                 mean_batch_size=(
                     self._batched_total / self._batches_dispatched
                     if self._batches_dispatched
@@ -562,6 +529,7 @@ class IngestionService:
     # ------------------------------------------------------------------ #
     def _scheduler_loop(self) -> None:
         closed = ServiceClosedError("service closed without drain")
+        batch: Optional[List[QueryTicket]] = None
         try:
             while True:
                 batch = self._collect_batch()
@@ -579,10 +547,10 @@ class IngestionService:
                 self._died = error
             raise
         finally:
-            # Runs on normal shutdown AND if the loop dies: queued tickets
-            # must never hang forever and the worker pool must never be
-            # orphaned.
-            self._fail_pending(closed)
+            # Runs on normal shutdown AND if the loop dies: the batch it
+            # popped and the queued tickets must never hang forever, and
+            # the worker pool must never be orphaned.
+            self._fail_pending(closed, popped=batch or ())
             self._shutdown_pool()
 
     def _collect_batch(self) -> Optional[List[QueryTicket]]:
@@ -635,69 +603,8 @@ class IngestionService:
                 for _ in range(min(policy.max_batch_size, len(self._pending)))
             ]
             self._m_queue_depth.set(len(self._pending))
-            candidates = (
-                [
-                    ticket
-                    for ticket, _ in zip(
-                        self._pending, range(policy.join_scan_limit)
-                    )
-                ]
-                if policy.join_pending and not self._closing
-                else []
-            )
             self._lock.notify_all()  # space freed: wake blocked submitters
-        try:
-            joined = self._join_pending_cluster(batch, candidates)
-        except BaseException:
-            # The popped tickets are in neither the queue nor a dispatch:
-            # requeue them, so that the scheduler's exit fails them too.
-            with self._lock:
-                self._pending.extendleft(reversed(batch))
-            raise
-        if joined:
-            with self._lock:
-                for ticket in joined:
-                    self._pending.remove(ticket)
-                self._joined_fast_path += len(joined)
-                self._m_queue_depth.set(len(self._pending))
-                batch.extend(joined)
-                self._lock.notify_all()
-            self._m_joins.inc(len(joined))
-        return batch
-
-    def _join_pending_cluster(
-        self, batch: List[QueryTicket], candidates: List[QueryTicket]
-    ) -> List[QueryTicket]:
-        """The fast path: pick queued queries whose similarity to the
-        not-yet-dispatched batch clears the policy threshold.
-
-        Scoring runs outside the lock (a k-hop BFS per novel endpoint);
-        that is safe because this scheduler thread is the only consumer of
-        the queue — a scored candidate can be admitted by no one else.
-        """
-        policy = self.policy
-        budget = policy.effective_join_limit
-        if not candidates or budget <= 0:
-            return []
-        batch_queries = [ticket.query for ticket in batch]
-        joined: List[QueryTicket] = []
-        for ticket in candidates:
-            if len(joined) >= budget:
-                break
-            try:
-                score = self._planner.admission_score(
-                    ticket.query, batch_queries
-                )
-            except Exception:
-                # An unscorable query (e.g. endpoints outside the graph)
-                # must not kill the scheduler: leave it queued — it will
-                # fail inside its own batch, resolving its ticket with the
-                # real error.
-                continue
-            if score >= policy.join_similarity:
-                joined.append(ticket)
-                batch_queries.append(ticket.query)
-        return joined
+            return batch
 
     def _dispatch(self, batch: List[QueryTicket]) -> None:
         """Run one micro-batch through plan→execute, resolving tickets as
@@ -811,9 +718,14 @@ class IngestionService:
                 # snapshot store drops non-head versions at zero pins.
                 pin.release()
 
-    def _fail_pending(self, error: BaseException) -> None:
+    def _fail_pending(
+        self, error: BaseException, popped: Sequence[QueryTicket] = ()
+    ) -> None:
+        """Fail every queued ticket, and every unresolved one of
+        ``popped`` — a batch the scheduler took off the queue."""
         with self._lock:
-            abandoned = list(self._pending)
+            abandoned = [ticket for ticket in popped if not ticket.done()]
+            abandoned += self._pending
             self._pending.clear()
             self._m_queue_depth.set(0)
             self._lock.notify_all()
@@ -849,8 +761,6 @@ def serve(
     max_batch_size: int = 32,
     max_delay_s: float = 0.02,
     max_pending: int = 1024,
-    join_similarity: float = 0.6,
-    join_pending: bool = True,
     cost_model: Optional[CostModel] = None,
     max_workers: Optional[int] = None,
     metrics=None,
@@ -858,8 +768,7 @@ def serve(
 ) -> IngestionService:
     """Start an :class:`IngestionService` in one call.
 
-    The admission-policy knobs are accepted flat; pass an explicit
-    :class:`AdmissionPolicy` to the class constructor for the full set.
+    The :class:`AdmissionPolicy` knobs are accepted flat.
     ``metrics``/``tracer`` opt the whole pipeline (service, planner,
     engine, executor, snapshot store) into telemetry — see
     :mod:`repro.obs`.
@@ -877,8 +786,6 @@ def serve(
         max_batch_size=max_batch_size,
         max_delay_s=max_delay_s,
         max_pending=max_pending,
-        join_similarity=join_similarity,
-        join_pending=join_pending,
     )
     return IngestionService(
         graph,

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.batch.config import ALGORITHM_TABLE, ALGORITHMS
+from repro.baselines import run_dksp_baseline, run_onepass_baseline
+from repro.batch.config import ALGORITHMS
 from repro.batch.engine import BatchQueryEngine
 from repro.batch.results import BatchResult
 from repro.graph.digraph import DiGraph
@@ -16,23 +18,27 @@ from repro.utils.validation import require
 #: The algorithms compared throughout the paper's figures 7, 8 and 11.
 DEFAULT_ALGORITHMS: Sequence[str] = ("pathenum", "basic", "basic+", "batch", "batch+")
 
+#: Fig. 12's adapted k-shortest-path baselines: plain functions, not engine
+#: algorithms, timed on the same workload under the same names.
+BASELINES: Dict[str, Callable[[DiGraph, Sequence[HCSTQuery]], BatchResult]] = {
+    "dksp": run_dksp_baseline,
+    "onepass": run_onepass_baseline,
+}
+
 
 @dataclass
 class AlgorithmRun:
     """One timed execution of one algorithm on one workload."""
 
     algorithm: str
+    #: The paper's name for the algorithm.
+    display_name: str
     seconds: float
     total_paths: int
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     num_clusters: int = 0
     num_shared_nodes: int = 0
     timed_out: bool = False
-
-    @property
-    def display_name(self) -> str:
-        """The paper's name for the algorithm."""
-        return ALGORITHM_TABLE[self.algorithm].display_name
 
 
 def run_algorithm(
@@ -42,19 +48,24 @@ def run_algorithm(
     gamma: float = 0.5,
     timeout_seconds: Optional[float] = None,
 ) -> AlgorithmRun:
-    """Run ``algorithm`` on the workload and record wall-clock time.
+    """Run ``algorithm`` — an engine algorithm or one of :data:`BASELINES`
+    — on the workload and record wall-clock time.
 
     ``timeout_seconds`` mirrors the paper's 10,000 s "OT" cut-off: it is a
     *reporting* threshold (the run is not interrupted, only flagged) so the
     result counts stay comparable across algorithms.
     """
-    require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
-    engine = BatchQueryEngine(graph, algorithm=algorithm, gamma=gamma)
+    if algorithm in BASELINES:
+        run = partial(BASELINES[algorithm], graph)
+    else:
+        require(algorithm in ALGORITHMS, f"unknown algorithm {algorithm!r}")
+        run = BatchQueryEngine(graph, algorithm=algorithm, gamma=gamma).run
     started = time.perf_counter()
-    result: BatchResult = engine.run(queries)
+    result: BatchResult = run(queries)
     elapsed = time.perf_counter() - started
     return AlgorithmRun(
         algorithm=algorithm,
+        display_name=result.algorithm,
         seconds=elapsed,
         total_paths=result.total_paths(),
         stage_seconds=result.stage_timer.totals,

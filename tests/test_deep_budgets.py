@@ -4,12 +4,13 @@ The enumeration core used to recurse once per hop, so any budget beyond
 Python's recursion limit (1000 by default) crashed with ``RecursionError``.
 The iterative explicit-stack search over CSR adjacency must handle chain
 graphs with hop constraints far beyond that limit on every algorithm the
-engine exposes.
+engine exposes, and so must the Exp-6 baselines.
 """
 
 import pytest
 
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
+from repro.experiments.harness import BASELINES
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
 
@@ -20,11 +21,14 @@ def _chain(num_vertices: int) -> DiGraph:
     return DiGraph.from_edges([(i, i + 1) for i in range(num_vertices - 1)])
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS + tuple(BASELINES))
 def test_deep_chain_does_not_hit_recursion_limit(algorithm):
     graph = _chain(DEEP_K + 1)
     query = HCSTQuery(0, DEEP_K, DEEP_K)
-    result = BatchQueryEngine(graph, algorithm=algorithm).run([query])
+    if algorithm in BASELINES:
+        result = BASELINES[algorithm](graph, [query])
+    else:
+        result = BatchQueryEngine(graph, algorithm=algorithm).run([query])
     assert result.counts() == [1]
     assert result.paths_at(0) == [tuple(range(DEEP_K + 1))]
 

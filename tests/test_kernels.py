@@ -23,7 +23,7 @@ from repro.batch import batch_enum
 from repro.batch.cache import ResultCache
 from repro.batch.config import ExecutionConfig
 from repro.batch.detection import detect_common_queries
-from repro.batch.engine import BatchQueryEngine
+from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.planner import QueryPlanner
 from repro.batch.results import drain
 from repro.bfs.distance_index import build_index
@@ -47,10 +47,6 @@ from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 
 needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 
-ALL_ALGORITHMS = ("pathenum", "basic", "basic+", "batch", "batch+", "dksp", "onepass")
-#: Algorithms whose output is the complete HC-s-t path set (comparable to
-#: brute force; dksp/onepass return baseline-specific subsets).
-COMPLETE_ALGORITHMS = ("pathenum", "basic", "basic+", "batch", "batch+")
 
 SETTINGS = settings(
     max_examples=30,
@@ -369,7 +365,7 @@ def test_every_psi_node_python_search_equals_numpy_twin(data):
 # Differential: all algorithms x worker counts
 # --------------------------------------------------------------------- #
 @needs_numpy
-@pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_all_algorithms_numpy_equals_python_sequential(algorithm):
     graph, queries = _workload(7)
     python_result = BatchQueryEngine(
@@ -380,16 +376,15 @@ def test_all_algorithms_numpy_equals_python_sequential(algorithm):
     ).run(queries)
     assert numpy_result.paths_by_position == python_result.paths_by_position
     assert numpy_result.sharing == python_result.sharing
-    if algorithm in COMPLETE_ALGORITHMS:
-        for position, query in enumerate(queries):
-            assert sort_paths(python_result.paths_at(position)) == sort_paths(
-                enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-            )
+    for position, query in enumerate(queries):
+        assert sort_paths(python_result.paths_at(position)) == sort_paths(
+            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
+        )
 
 
 @needs_numpy
 @pytest.mark.parametrize("num_workers", [2, "auto"])
-@pytest.mark.parametrize("algorithm", COMPLETE_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_kernelized_algorithms_across_worker_counts(algorithm, num_workers):
     graph, queries = _workload(5)
     reference = BatchQueryEngine(

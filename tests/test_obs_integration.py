@@ -195,9 +195,7 @@ def test_service_counts_why_each_batch_closed():
         graph,
         algorithm="batch+",
         num_workers=1,
-        policy=AdmissionPolicy(
-            max_batch_size=3, max_delay_s=0.5, join_pending=False
-        ),
+        policy=AdmissionPolicy(max_batch_size=3, max_delay_s=0.5),
         metrics=registry,
     )
     try:

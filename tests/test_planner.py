@@ -155,7 +155,7 @@ def test_explain_shards_cover_every_position_exactly_once(algorithm):
     # Every engine name has exactly one table row, and the row is all the
     # planner and the engine consult.
     assert list(ALGORITHM_TABLE).count(algorithm) == 1
-    assert len(ALGORITHM_TABLE) == len(ALGORITHMS) == 7
+    assert len(ALGORITHM_TABLE) == len(ALGORITHMS) == 5
     spec = ALGORITHM_TABLE[algorithm]
     expected_kind = "cluster" if spec.clustered else "slice"
     assert {shard.kind for shard in plan.shards} == {expected_kind}
@@ -224,7 +224,7 @@ def test_parallel_plan_accounts_for_shipping_the_index_rows():
     )
     assert "ship" in plan.describe()
     # Unindexed algorithms have nothing to ship.
-    bare = BatchQueryEngine(graph, algorithm="dksp", num_workers=2).explain(queries)
+    bare = BatchQueryEngine(graph, algorithm="pathenum", num_workers=2).explain(queries)
     assert bare.index_payload_bytes == 0 and bare.workload is None
 
 
@@ -268,12 +268,8 @@ def test_estimate_query_cost_positive_with_and_without_index():
     plan = planner.plan(queries)
     index = plan.workload.index
     for query in queries:
-        assert estimate_query_cost(query, index, graph, "batch+") > 0
-        assert estimate_query_cost(query, None, graph, "dksp") > 0
-    # dksp's per-deviation recomputation is modelled as strictly costlier.
-    assert estimate_query_cost(queries[0], None, graph, "dksp") > (
-        estimate_query_cost(queries[0], None, graph, "onepass")
-    )
+        assert estimate_query_cost(query, index, graph) > 0
+        assert estimate_query_cost(query, None, graph) > 0
 
 
 def test_planner_reuses_artifacts_in_sequential_auto_run():

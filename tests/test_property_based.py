@@ -162,7 +162,7 @@ def test_stream_unordered_is_a_permutation_matching_run(data, gamma):
 
 def test_stream_empty_batch_yields_nothing_without_raising():
     graph = DiGraph.from_edges([(0, 1), (1, 2), (0, 2)])
-    for algorithm in ("pathenum", "basic", "batch+", "onepass"):
+    for algorithm in ("pathenum", "basic", "batch+"):
         for ordered in (True, False):
             engine = BatchQueryEngine(graph, algorithm=algorithm)
             assert list(engine.stream([], ordered=ordered)) == []

@@ -28,6 +28,7 @@ from repro.batch.service import (
 )
 from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
+from repro.obs import MetricsRegistry
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
 
@@ -63,7 +64,7 @@ def _reference(algorithm):
 @pytest.mark.parametrize("num_workers", [1, "auto"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_trickled_service_matches_closed_batch(algorithm, num_workers):
-    """One-at-a-time submission across all 7 algorithms × workers."""
+    """One-at-a-time submission across all 5 algorithms × workers."""
     with serve(
         _GRAPH,
         algorithm=algorithm,
@@ -138,9 +139,7 @@ def test_forced_parallel_service_reuses_one_pool_across_micro_batches():
         graph,
         algorithm="batch+",
         num_workers=2,
-        policy=AdmissionPolicy(
-            max_batch_size=4, max_delay_s=0.005, join_pending=False
-        ),
+        policy=AdmissionPolicy(max_batch_size=4, max_delay_s=0.005),
     )
     try:
         first = service.submit_many(queries[:6])
@@ -157,36 +156,6 @@ def test_forced_parallel_service_reuses_one_pool_across_micro_batches():
             )
         assert service._pool is pool_after_first  # reused, not respawned
         assert service.stats().batches_dispatched >= 2
-    finally:
-        service.close()
-
-
-def test_join_pending_fast_path_merges_similar_queries():
-    """Identical queries queued behind a full batch join it via the
-    similarity fast path (µ = 1 for identical neighbourhoods)."""
-    query = _QUERIES[0]
-    service = IngestionService(
-        _GRAPH,
-        algorithm="batch+",
-        policy=AdmissionPolicy(
-            max_batch_size=2, max_delay_s=0.01, join_similarity=0.99
-        ),
-        start=False,
-    )
-    # Queue four identical queries while the scheduler is stopped: the
-    # first two fill the batch, the other two can only ride along through
-    # the join-pending fast path.
-    tickets = service.submit_many([query] * 4)
-    service.start()
-    try:
-        for ticket in tickets:
-            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
-                _reference("batch+").paths_at(0)
-            )
-        stats = service.stats()
-        assert stats.joined_fast_path >= 2
-        assert stats.batches_dispatched == 1
-        assert stats.mean_batch_size == 4.0
     finally:
         service.close()
 
@@ -224,30 +193,6 @@ def test_graph_mutation_between_micro_batches_recycles_stale_pool():
                 oracle.paths_at(position)
             )
         assert service._pool is not stale_pool  # recycled, not reused stale
-    finally:
-        service.close()
-
-
-def test_unscorable_query_behind_batch_cut_does_not_kill_scheduler():
-    """A query with out-of-graph endpoints sitting beyond the batch cut is
-    hit by the admission scorer first; scoring must skip it (it then fails
-    inside its own batch) instead of killing the scheduler thread."""
-    poisoned = HCSTQuery(0, _GRAPH.num_vertices + 7, 3)
-    service = IngestionService(
-        _GRAPH,
-        algorithm="batch+",
-        policy=AdmissionPolicy(
-            max_batch_size=2, max_delay_s=0.01, join_similarity=0.0
-        ),
-        start=False,
-    )
-    tickets = service.submit_many(_QUERIES[:2] + [poisoned] + _QUERIES[2:4])
-    service.start()
-    try:
-        with pytest.raises(ValueError):
-            tickets[2].result(timeout=TIMEOUT)
-        for index in (0, 1, 3, 4):
-            assert tickets[index].result(timeout=TIMEOUT) is not None
     finally:
         service.close()
 
@@ -405,14 +350,14 @@ def test_ticket_error_propagation_and_scheduler_survival(
     good = generate_random_queries(graph, 2, min_k=2, max_k=3, seed=1)
     poisoned = HCSTQuery(0, graph.num_vertices + 7, 3)
     with serve(
-        graph, algorithm="onepass", max_batch_size=1, max_delay_s=0.0
+        graph, algorithm="pathenum", max_batch_size=1, max_delay_s=0.0
     ) as service:
         bad_ticket = service.submit(poisoned)
         with pytest.raises(ValueError):
             bad_ticket.result(timeout=TIMEOUT)
         assert bad_ticket.done()
         # The scheduler survived: later queries are still answered.
-        oracle = BatchQueryEngine(graph, algorithm="onepass").run(good)
+        oracle = BatchQueryEngine(graph, algorithm="pathenum").run(good)
         tickets = service.submit_many(good)
         for position, ticket in enumerate(tickets):
             assert canon(ticket.result(timeout=TIMEOUT)) == canon(
@@ -472,16 +417,16 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
 def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
     monkeypatch, no_child_left, assert_nothing_pinned
 ):
-    """Whatever kills the scheduler thread — here the admission join,
-    after the batch was popped — must not strand a caller: the popped
-    tickets and the queue fail with the cause chained, the service reads
-    closed, and the next ``submit`` is refused naming the cause."""
+    """Whatever kills the scheduler thread — here the dispatch of a batch
+    it popped — must not strand a caller: the popped tickets and the queue
+    fail with the cause chained, the service reads closed, and the next
+    ``submit`` is refused naming the cause."""
     monkeypatch.setattr(threading, "excepthook", lambda args: None)
 
-    def broken_join(self, batch, candidates):
-        raise KeyError("admission join broke")
+    def broken_dispatch(self, batch):
+        raise KeyError("dispatch broke")
 
-    monkeypatch.setattr(IngestionService, "_join_pending_cluster", broken_join)
+    monkeypatch.setattr(IngestionService, "_dispatch", broken_dispatch)
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
@@ -492,14 +437,14 @@ def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
     service.start()
     try:
         for ticket in tickets:
-            with pytest.raises(ServiceClosedError, match="admission join broke") as caught:
+            with pytest.raises(ServiceClosedError, match="dispatch broke") as caught:
                 ticket.result(timeout=TIMEOUT)
             assert isinstance(caught.value.__cause__, KeyError)
         with service._lock:
             thread = service._thread
         thread.join(TIMEOUT)
         assert not thread.is_alive()
-        with pytest.raises(ServiceClosedError, match="admission join broke") as refused:
+        with pytest.raises(ServiceClosedError, match="dispatch broke") as refused:
             service.submit(_QUERIES[0])
         assert isinstance(refused.value.__cause__, KeyError)
         stats = service.stats()
@@ -549,9 +494,7 @@ def test_killed_worker_fails_one_batch_then_the_pool_respawns(
         algorithm="batch+",
         num_workers=2,
         # One micro-batch per round: dispatch when all six have arrived.
-        policy=AdmissionPolicy(
-            max_batch_size=len(queries), max_delay_s=30.0, join_pending=False
-        ),
+        policy=AdmissionPolicy(max_batch_size=len(queries), max_delay_s=30.0),
     )
     try:
         for ticket in service.submit_many(queries):
@@ -708,39 +651,33 @@ def test_service_stats_snapshot_shape():
     assert stats.admitted == len(_QUERIES)
 
 
-def test_join_scan_limit_zero_disables_fast_path():
+def test_max_batch_size_is_a_hard_cap():
+    """Identical queries queued behind a full batch wait for the next one;
+    no batch grows past ``max_batch_size``."""
     query = _QUERIES[0]
+    registry = MetricsRegistry()
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(
-            max_batch_size=2,
-            max_delay_s=0.005,
-            join_similarity=0.0,
-            join_scan_limit=0,
-        ),
+        policy=AdmissionPolicy(max_batch_size=2, max_delay_s=0.005),
         start=False,
+        metrics=registry,
     )
     tickets = service.submit_many([query] * 4)
     service.start()
     try:
         for ticket in tickets:
-            ticket.result(timeout=TIMEOUT)
-        stats = service.stats()
-        assert stats.joined_fast_path == 0
-        assert stats.batches_dispatched == 2  # no joins: two full batches
+            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
+                _reference("batch+").paths_at(0)
+            )
     finally:
         service.close()
-
-
-def test_admission_neighborhood_cache_is_bounded(monkeypatch):
-    from repro.batch import planner as planner_module
-
-    monkeypatch.setattr(planner_module, "NEIGHBORHOOD_CACHE_LIMIT", 4)
-    planner = planner_module.QueryPlanner(_GRAPH)
-    for query in generate_random_queries(_GRAPH, 10, min_k=2, max_k=4, seed=21):
-        planner.admission_score(query, [_QUERIES[0]])
-    assert len(planner._neighborhood_cache) <= 4
+    stats = service.stats()
+    assert (stats.batches_dispatched, stats.mean_batch_size) == (2, 2.0)
+    closed_full = registry.counter(
+        "repro_service_batch_close_total", labels={"reason": "full"}
+    )
+    assert closed_full.value == 2
 
 
 def test_failed_tickets_excluded_from_latency_mean():

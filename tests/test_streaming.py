@@ -97,8 +97,8 @@ def test_sequential_stream_surfaces_error_and_keeps_flushed_positions():
     silently swallowed)."""
     graph = random_directed_gnm(12, 40, seed=3)
     queries = _poisoned_batch(graph, count_valid=2)
-    reference = BatchQueryEngine(graph, algorithm="onepass").run(queries[:2])
-    engine = BatchQueryEngine(graph, algorithm="onepass")
+    reference = BatchQueryEngine(graph, algorithm="pathenum").run(queries[:2])
+    engine = BatchQueryEngine(graph, algorithm="pathenum")
     flushed = {}
     with pytest.raises(ValueError):
         for position, paths in engine.stream(queries, ordered=True):
@@ -151,10 +151,10 @@ def test_mutating_graph_mid_stream_keeps_pinned_results(num_workers):
     graph = random_directed_gnm(16, 50, seed=9)
     queries = generate_random_queries(graph, 5, min_k=2, max_k=3, seed=9)
     oracle = BatchQueryEngine(
-        graph.copy(), algorithm="onepass"
+        graph.copy(), algorithm="pathenum"
     ).run(queries).paths_by_position
     engine = BatchQueryEngine(
-        graph, algorithm="onepass", num_workers=num_workers
+        graph, algorithm="pathenum", num_workers=num_workers
     )
     stream = engine.stream(queries, ordered=True)
     streamed = dict([next(stream)])
@@ -162,7 +162,7 @@ def test_mutating_graph_mid_stream_keeps_pinned_results(num_workers):
     streamed.update(stream)  # completes; mutation cannot reach the pin
     assert streamed == oracle
     # And the next run plans against the new head (post-mutation graph).
-    fresh = BatchQueryEngine(graph.copy(), algorithm="onepass").run(queries)
+    fresh = BatchQueryEngine(graph.copy(), algorithm="pathenum").run(queries)
     assert engine.run(queries).paths_by_position == fresh.paths_by_position
 
 
