@@ -7,11 +7,10 @@ opt-in), replays a burst of queries, and then prints what the
 instrumentation saw:
 
 * the span tree of one dispatched micro-batch — ``batch`` at the root,
-  the planner's ``plan``/``shard`` phases, the executor's ``ship`` and
-  ``merge``, and (for sharded plans) worker-side ``enumerate`` spans
-  recorded in another process and reparented on merge;
-* the cost model recalibrated from the observed predicted-vs-actual
-  counters (:meth:`~repro.batch.config.CostModel.from_observed`);
+  the planner's ``plan`` and its ``shard`` (clustering) phase;
+* how each micro-batch's plan obtained its distance index — built fresh,
+  reused from the previous batch, or delta-repaired — from the
+  ``repro_plan_index_strategy_total{strategy}`` counters;
 * the full registry in Prometheus text exposition format — exactly what
   a ``/metrics`` endpoint would serve.
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 import time
 
 from repro import DiGraph, HCSTQuery, serve
-from repro.batch.config import CostModel
 from repro.graph.generators import random_directed_gnm
 from repro.obs import MetricsRegistry, Tracer
 from repro.queries.generation import generate_random_queries
@@ -71,13 +69,10 @@ def main() -> None:
     print("=== span tree of one micro-batch ===")
     print(tracer.render_tree(tracer.find_trace("batch")))
 
-    print("\n=== cost model recalibrated from observed traffic ===")
-    defaults, observed = CostModel(), CostModel.from_observed(registry)
-    for field in ("seconds_per_cost_unit", "seconds_per_index_entry"):
-        print(
-            f"  {field}: default {getattr(defaults, field):.3e} -> "
-            f"observed {getattr(observed, field):.3e}"
-        )
+    print("\n=== index strategy per micro-batch plan ===")
+    for series, count in sorted(registry.snapshot()["counters"].items()):
+        if series.startswith("repro_plan_index_strategy_total"):
+            print(f"  {series} {count:.0f}")
 
     print(
         f"\n=== Prometheus snapshot "

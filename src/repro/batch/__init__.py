@@ -9,25 +9,24 @@
   shared enumeration with materialised HC-s path queries.
 * :mod:`repro.batch.config` — the execution options, declared and
   validated once as the frozen :class:`ExecutionConfig`, and the one
-  per-algorithm table (display name, sharding, pricing, fragment
-  generator) that engine, planner, executor and service all read.
+  per-algorithm table (display name, sharding, fragment generator) that
+  engine, planner, executor and service all read.
 * :mod:`repro.batch.engine` — the :class:`BatchQueryEngine` facade, with a
   blocking ``run``, a streaming ``stream``/:func:`stream_enumerate`
   front-end that flushes ``(batch_position, paths)`` tuples as shards,
   clusters or queries complete, and an ``explain()`` API returning the
-  execution plan without running it.
-* :mod:`repro.batch.planner` — the plan phase of the plan→execute split:
-  :class:`QueryPlanner` emits an :class:`ExecutionPlan` (shard
-  assignments, cost-model-resolved worker count, index strategy, kernel
-  per shard) that both the in-process and the parallel paths consume — a
-  shard runs on the kernel its plan chose whoever executes it.
-* :mod:`repro.batch.executor` — plan-driven sharded parallel execution:
-  shards are distributed across a :class:`WorkerPool` (the sealed graph
-  pickled once through its initializer, each shard task carrying its own
-  endpoints' rows of the parent-built index), shard futures are drained as
-  they complete, and result fragments are keyed by batch position (plus
-  the shared reorder-buffer flushing core used by both the sequential and
-  the parallel streaming paths).
+  execution plan without running it.  A batch runs in the caller's
+  process unless the caller asks for ``num_workers >= 2``.
+* :mod:`repro.batch.planner` — :class:`QueryPlanner` emits an
+  :class:`ExecutionPlan` (worker count as configured, shard assignments,
+  index strategy, kernel per shard) that the ingestion service and an
+  explicit multi-process run execute.
+* :mod:`repro.batch.executor` — the explicit multi-process fan-out: a
+  process pool opened for the call (the sealed graph pickled once through
+  its initializer, each shard task carrying its own endpoints' rows of the
+  parent-built index), shard futures drained as they complete and result
+  fragments keyed by batch position — plus the reorder-buffer flushing
+  core every streaming route shares.
 * :mod:`repro.batch.service` — continuous ingestion: an
   :class:`IngestionService` (module-level :func:`serve`) admits queries
   into micro-batches under an :class:`AdmissionPolicy` while earlier
@@ -42,15 +41,10 @@ from repro.batch.clustering import cluster_queries
 from repro.batch.detection import detect_common_queries, DetectionOutcome
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
-from repro.batch.config import (
-    ALGORITHMS,
-    CostModel,
-    ExecutionConfig,
-    validate_num_workers,
-)
+from repro.batch.config import ALGORITHMS, ExecutionConfig, validate_num_workers
 from repro.batch.engine import BatchQueryEngine, stream_enumerate
 from repro.batch.planner import ExecutionPlan, QueryPlanner, ShardPlan
-from repro.batch.executor import WorkerPool, flush_fragments, stream_parallel
+from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.service import (
     AdmissionPolicy,
     IngestionService,
@@ -65,7 +59,6 @@ __all__ = [
     "stream_parallel",
     "stream_enumerate",
     "flush_fragments",
-    "WorkerPool",
     "AdmissionPolicy",
     "IngestionService",
     "QueryTicket",
@@ -74,7 +67,6 @@ __all__ = [
     "ServiceStats",
     "serve",
     "validate_num_workers",
-    "CostModel",
     "ExecutionConfig",
     "ExecutionPlan",
     "QueryPlanner",

@@ -1,14 +1,14 @@
 """Execution options and the per-algorithm table, each declared once.
 
 :class:`ExecutionConfig` is the one place the execution options
-(``algorithm``, ``gamma``, ``num_workers``, ``max_workers``, ``kernel``,
-``cost_model``) are declared and validated; the public facades
+(``algorithm``, ``gamma``, ``num_workers``, ``max_workers``, ``kernel``)
+are declared and validated; the public facades
 (:class:`~repro.batch.engine.BatchQueryEngine`,
 :class:`~repro.batch.service.IngestionService`, ``serve``) build one from
 their keywords and the planner, the executor and the worker processes
 receive it untouched.  :data:`ALGORITHM_TABLE` is the one place an
 algorithm name is turned into anything — its display label, how the
-planner shards and prices it, and the fragment generator that runs it.
+planner shards it, and the fragment generator that runs it.
 
 This module sits below ``engine``, ``planner``, ``executor`` and
 ``service``: all four import it, it imports none of them.
@@ -16,7 +16,6 @@ This module sits below ``engine``, ``planner``, ``executor`` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Union
@@ -24,10 +23,8 @@ from typing import Callable, Dict, Optional, Union
 from repro.batch.basic_enum import BasicEnum, iter_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import FragmentStream
-from repro.bfs.distance_index import CSRDistanceIndex
 from repro.enumeration.kernels import validate_kernel
 from repro.graph.csr import CSRGraph
-from repro.obs.feedback import cost_model_fields_from_snapshot
 from repro.utils.validation import require, require_positive
 
 NumWorkers = Union[int, str]
@@ -51,98 +48,6 @@ def validate_num_workers(value: NumWorkers) -> NumWorkers:
     )
     require(value >= 1, f"num_workers must be >= 1, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Calibration constants translating plan statistics into seconds.
-
-    The defaults are fixed constants (pure-Python substrate, fork-server
-    process pool); :meth:`from_observed` recalibrates them from live
-    traffic.
-
-    Attributes
-    ----------
-    spawn_overhead_base:
-        Fixed cost of standing up the process pool at all (pool creation,
-        initializer pickling of the graph).
-    spawn_overhead_per_worker:
-        Additional cost per worker process.
-    seconds_per_cost_unit:
-        Wall seconds per estimated enumeration cost unit
-        (:func:`~repro.batch.planner.estimate_query_cost`).
-    seconds_per_index_entry:
-        Per reachable (vertex, distance) entry cost of running the
-        per-endpoint BFS that builds the index.
-    seconds_per_shipped_byte:
-        Per-byte cost of serializing + piping + deserializing the
-        array-backed index rows into the workers.
-    seconds_per_delta_edge:
-        Per (changed edge × index row) cost of incremental
-        :meth:`~repro.bfs.distance_index.CSRDistanceIndex.apply_delta`
-        repair: fix up the previous batch's index instead of re-running
-        every BFS from scratch.
-    parallel_benefit_margin:
-        ``auto`` only shards when the predicted parallel wall time is below
-        this fraction of the predicted sequential wall time — a hedge
-        against estimation error, biased toward the (always correct)
-        sequential plan.
-    """
-
-    spawn_overhead_base: float = 0.04
-    spawn_overhead_per_worker: float = 0.03
-    seconds_per_cost_unit: float = 5e-6
-    seconds_per_index_entry: float = 4e-7
-    seconds_per_shipped_byte: float = 2e-9
-    seconds_per_delta_edge: float = 2e-5
-    parallel_benefit_margin: float = 0.75
-
-    def delta_repair_seconds(
-        self, num_changed_edges: int, index: CSRDistanceIndex
-    ) -> float:
-        """Estimated cost of repairing ``index`` for a netted edge delta.
-
-        Repair touches each indexed row once per changed edge in the worst
-        case (affected-region detection is per row), hence the
-        ``edges × rows`` product.
-        """
-        return num_changed_edges * index.num_rows * self.seconds_per_delta_edge
-
-    def delta_repair_wins(
-        self, num_changed_edges: int, index: CSRDistanceIndex
-    ) -> bool:
-        """Whether repairing beats rebuilding the index."""
-        rebuild = index.size_in_entries * self.seconds_per_index_entry
-        return self.delta_repair_seconds(num_changed_edges, index) < rebuild
-
-    def spawn_seconds(self, num_workers: int) -> float:
-        """Estimated pool spawn overhead for ``num_workers`` processes."""
-        if num_workers <= 1:
-            return 0.0
-        return (
-            self.spawn_overhead_base
-            + self.spawn_overhead_per_worker * num_workers
-        )
-
-    @classmethod
-    def from_observed(cls, registry, **overrides: float) -> "CostModel":
-        """Recalibrate from live traffic recorded in a metrics registry.
-
-        ``registry`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or
-        any object with a ``snapshot()`` method, or an already-taken
-        snapshot dict).  The instrumented planner/executor record
-        predicted-cost-units vs. actual-enumeration-seconds, index-build
-        entries vs. seconds, delta-repair edge-rows vs. seconds, and
-        shipped bytes vs. deserialize seconds; each pair with signal
-        recalibrates the corresponding rate constant.  Fields without
-        observed signal keep their defaults, and explicit ``overrides``
-        win over both — so recalibration degrades gracefully on sparse
-        traffic instead of zeroing constants.
-        """
-        snapshot = registry.snapshot() if hasattr(registry, "snapshot") else registry
-        fields = cost_model_fields_from_snapshot(snapshot)
-        fields.update(overrides)
-        return cls(**fields)
 
 
 #: What a table row's ``runner`` returns: ``queries -> FragmentStream``
@@ -247,19 +152,17 @@ class ExecutionConfig:
     gamma:
         Clustering threshold γ for the sharing-aware algorithms.
     num_workers:
-        Positive integer, or ``"auto"`` to let the planner's cost model
-        decide per batch.
+        Positive integer: the number of processes a batch runs on.
+        ``"auto"`` is 1 — nothing forecasts whether a fan-out would pay,
+        so a batch runs in the caller's process unless the caller asks
+        for a number (see :attr:`processes`).
     max_workers:
-        Ceiling for ``"auto"`` resolution; ``None`` resolves to
-        ``os.cpu_count()`` here.  Explicit integer ``num_workers``
-        requests are honoured beyond it.
+        Inert: validated when given, read by nothing.  It stays a keyword
+        only because the benchmark harness passes it (ROADMAP item 9).
     kernel:
         ``"auto"`` and ``"python"`` run the pure-Python search on every
         route; ``"numpy"`` forces the vectorized kernel and is refused
         here when numpy is absent.
-    cost_model:
-        The planner's calibration constants; ``None`` resolves to the
-        default :class:`CostModel` here.
     """
 
     algorithm: str = "batch+"
@@ -267,7 +170,6 @@ class ExecutionConfig:
     num_workers: NumWorkers = "auto"
     max_workers: Optional[int] = None
     kernel: str = "auto"
-    cost_model: Optional[CostModel] = None
 
     def __post_init__(self) -> None:
         require(
@@ -277,12 +179,11 @@ class ExecutionConfig:
         require(0.0 <= self.gamma <= 1.0, "gamma must be within [0, 1]")
         validate_num_workers(self.num_workers)
         validate_kernel(self.kernel)
-        if self.max_workers is None:
-            object.__setattr__(self, "max_workers", os.cpu_count() or 1)
-        require_positive(self.max_workers, "max_workers")
-        if self.cost_model is None:
-            object.__setattr__(self, "cost_model", CostModel())
-        require(
-            isinstance(self.cost_model, CostModel),
-            f"cost_model must be a CostModel, got {self.cost_model!r}",
-        )
+        if self.max_workers is not None:
+            require_positive(self.max_workers, "max_workers")
+
+    @property
+    def processes(self) -> int:
+        """How many processes a batch runs on: ``num_workers``, with
+        ``"auto"`` as 1."""
+        return 1 if self.num_workers == "auto" else self.num_workers

@@ -15,40 +15,35 @@ name           algorithm
 ``batch+``     Algorithm 4 with optimised search order (BatchEnum+)
 =============  =====================================================
 
-Plan → execute pipeline
------------------------
-Every non-trivial run goes through two explicit phases:
+One process unless asked by number
+----------------------------------
+``num_workers`` accepts a positive integer or ``"auto"`` (the default),
+and ``"auto"`` means 1: nothing forecasts whether a process fan-out would
+pay, so a batch runs in this process — index, clustering and enumeration
+in one pipeline — unless the caller asks for a number of processes.  An
+explicit ``num_workers >= 2`` goes through two phases:
 
 1. **Plan** — a :class:`~repro.batch.planner.QueryPlanner` runs the cheap
-   global stages once (distance index, clustering), estimates
-   per-shard enumeration costs and resolves the worker count and the
-   kernel per shard.  The resulting
+   global stages once (distance index, clustering) and records the shards
+   and the kernel of each.  The resulting
    :class:`~repro.batch.planner.ExecutionPlan` is a plain inspectable
-   object — :meth:`BatchQueryEngine.explain` returns it without executing
-   anything.
-2. **Execute** — the sequential fragment generators (``num_workers`` 1) or
-   the plan-driven parallel executor (:mod:`repro.batch.executor`) consume
-   the plan's prebuilt artefacts; planning work is never repeated.  A
-   parallel run pickles the sealed graph once per worker and ships each
-   shard the index rows of its own endpoints — workers never run BFS.
+   object — :meth:`BatchQueryEngine.explain` returns it, for any worker
+   setting, without executing anything.
+2. **Execute** — the executor (:mod:`repro.batch.executor`) opens a
+   process pool for the call, pickles the sealed graph once per worker and
+   ships each shard the index rows of its own endpoints — workers never
+   run BFS — then joins the pool.
 
-Whichever side executes a shard — a worker process or this process — runs
-it on the kernel the plan chose for that shard.
-
-``num_workers`` accepts a positive integer or ``"auto"`` (the default):
-``auto`` lets the plan's cost model — fixed default constants that
-``CostModel.from_observed`` recalibrates from live traffic — decide whether
-sharding across processes clears the pool-spawn overhead, falling back to
-the (always safe) sequential path otherwise.  Validation is eager: the
-constructor builds one :class:`~repro.batch.config.ExecutionConfig`, which
-rejects any bad option before a query is seen, and everything downstream
-receives that object untouched.
+Validation is eager: the constructor builds one
+:class:`~repro.batch.config.ExecutionConfig`, which rejects any bad option
+before a query is seen, and everything downstream receives that object
+untouched.
 
 >>> from repro.graph.generators import paper_example_graph
 >>> from repro.queries.query import HCSTQuery
 >>> engine = BatchQueryEngine(paper_example_graph(), algorithm="batch+")
 >>> plan = engine.explain([HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5)])
->>> plan.num_workers  # tiny workload: the cost model stays sequential
+>>> plan.num_workers  # "auto" is one process
 1
 >>> len(plan.shards) >= 1
 True
@@ -83,21 +78,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.batch.config import (
     ALGORITHM_TABLE,
     ALGORITHMS,
-    CostModel,
     ExecutionConfig,
     NumWorkers,
 )
-from repro.batch.executor import WorkerPool, flush_fragments, stream_parallel
+from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.results import BatchResult, FragmentStream, ResultStream, drain
 from repro.enumeration.kernels import resolve_kernel
 from repro.enumeration.paths import Path
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.obs.feedback import (
-    COST_ACTUAL_SECONDS_TOTAL,
-    COST_PREDICTED_UNITS_TOTAL,
-)
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
@@ -126,7 +115,7 @@ class BatchQueryEngine:
     ----------
     graph:
         The data graph.
-    algorithm / gamma / num_workers / cost_model / max_workers / kernel:
+    algorithm / gamma / num_workers / max_workers / kernel:
         The execution options, forwarded verbatim into one
         :class:`~repro.batch.config.ExecutionConfig` (:attr:`config`) —
         see there for their meaning; a bad value raises ``ValueError``
@@ -148,7 +137,6 @@ class BatchQueryEngine:
         algorithm: str = "batch+",
         gamma: float = 0.5,
         num_workers: NumWorkers = "auto",
-        cost_model: Optional[CostModel] = None,
         max_workers: Optional[int] = None,
         kernel: str = "auto",
         metrics=None,
@@ -161,7 +149,6 @@ class BatchQueryEngine:
             num_workers=num_workers,
             max_workers=max_workers,
             kernel=kernel,
-            cost_model=cost_model,
         )
         self.metrics = resolve_registry(metrics)
         self.tracer = resolve_tracer(tracer)
@@ -186,21 +173,17 @@ class BatchQueryEngine:
     def explain(self, queries: Sequence[HCSTQuery]) -> ExecutionPlan:
         """Plan ``queries`` without executing them.
 
-        Returns the :class:`~repro.batch.planner.ExecutionPlan` that
-        ``run``/``stream`` would follow: shard assignments, the resolved
-        worker count, the index strategy and the cost estimates behind
-        each choice.  ``plan.describe()`` renders it
-        human-readably.
+        Returns the :class:`~repro.batch.planner.ExecutionPlan` of the
+        batch: worker count, shard assignments, index strategy and kernel
+        per shard.  ``plan.describe()`` renders it human-readably.
         """
         return self._plan(list(queries))
 
-    def _plan(
-        self, queries: List[HCSTQuery], pool_ready: bool = False
-    ) -> ExecutionPlan:
+    def _plan(self, queries: List[HCSTQuery]) -> ExecutionPlan:
         planner = QueryPlanner(
             self.graph, self.config, metrics=self.metrics, tracer=self.tracer
         )
-        return planner.plan(queries, pool_ready=pool_ready)
+        return planner.plan(queries)
 
     # ------------------------------------------------------------------ #
     # Execution API
@@ -212,9 +195,10 @@ class BatchQueryEngine:
         backs :meth:`stream` is drained to exhaustion and its
         :class:`BatchResult` returned.  An empty batch is answered
         immediately with an empty :class:`BatchResult` — callers draining
-        dynamic queues need no pre-check.  When the plan shards the batch
-        across worker processes (see :mod:`repro.batch.executor`) results
-        are identical to the single-process run, keyed by batch position.
+        dynamic queues need no pre-check.  When an explicit ``num_workers``
+        shards the batch across worker processes (see
+        :mod:`repro.batch.executor`) results are identical to the
+        single-process run, keyed by batch position.
         """
         queries = list(queries)
         with self.tracer.span(
@@ -227,7 +211,6 @@ class BatchQueryEngine:
         self,
         queries: Sequence[HCSTQuery],
         ordered: bool = True,
-        pool: Optional[WorkerPool] = None,
     ) -> Iterator[Tuple[int, List[Path]]]:
         """Yield ``(batch_position, paths)`` as completions land.
 
@@ -248,17 +231,11 @@ class BatchQueryEngine:
         stream/run plans against the new head (multi-version serving, see
         :mod:`repro.graph.snapshots`).
 
-        ``pool`` is an optional persistent
-        :class:`~repro.batch.executor.WorkerPool` (see :meth:`create_pool`)
-        that parallel plans reuse instead of opening one for the call —
-        the ingestion service drives every micro-batch through one pool.
-
-        When the plan resolves to multiple workers and no ``pool`` is
-        given, abandoning the iterator early (``break`` or ``close()``)
-        cancels shards that have not started but blocks until the shards
-        already running in worker processes finish — the pool is joined
-        before the generator's cleanup returns, so no orphaned workers
-        outlive the stream.
+        With an explicit ``num_workers >= 2``, abandoning the iterator early
+        (``break`` or ``close()``) cancels shards that have not started but
+        blocks until the shards already running in worker processes finish
+        — the pool is joined before the generator's cleanup returns, so no
+        orphaned workers outlive the stream.
         """
         # Yield copies: the fragments reference the per-position lists the
         # engine is still accumulating into its BatchResult, and handing a
@@ -266,7 +243,7 @@ class BatchQueryEngine:
         # once (tests/test_caller_owned_results.py pins the fix).
         # (run()/stream_planned() keep the zero-copy internal path — the
         # service copies at the ticket boundary instead.)
-        stream = self._stream_core(list(queries), ordered=ordered, pool=pool)
+        stream = self._stream_core(list(queries), ordered=ordered)
         while True:
             try:
                 position, paths = next(stream)
@@ -279,7 +256,6 @@ class BatchQueryEngine:
         queries: Sequence[HCSTQuery],
         plan: ExecutionPlan,
         ordered: bool = False,
-        pool: Optional[WorkerPool] = None,
     ) -> ResultStream:
         """Execute a prebuilt :class:`ExecutionPlan`, streaming results.
 
@@ -294,26 +270,9 @@ class BatchQueryEngine:
         ``run``-style callers retrieve from ``StopIteration.value``.
         """
         result = yield from self._stream_core(
-            list(queries), ordered=ordered, pool=pool, plan=plan
+            list(queries), ordered=ordered, plan=plan
         )
         return result
-
-    def create_pool(
-        self, max_workers: int, snapshot: Optional[CSRGraph] = None
-    ) -> WorkerPool:
-        """Open a persistent :class:`~repro.batch.executor.WorkerPool` bound
-        to this engine's graph and config, for reuse across many
-        ``stream``/``run`` calls (micro-batch serving).  ``snapshot``
-        optionally pins the sealed CSR the workers are initialised with
-        (defaults to the graph's current head).  The caller owns the pool:
-        pass it via ``stream(..., pool=...)`` and ``shutdown()`` it when
-        done."""
-        pool = WorkerPool(
-            self.graph, self.config, max_workers=max_workers, snapshot=snapshot
-        )
-        self.metrics.counter("repro_executor_pool_spawns_total").inc()
-        self.metrics.gauge("repro_executor_pool_workers").set(max_workers)
-        return pool
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -322,20 +281,20 @@ class BatchQueryEngine:
         self,
         queries: List[HCSTQuery],
         ordered: bool,
-        pool: Optional[WorkerPool] = None,
         plan: Optional[ExecutionPlan] = None,
     ) -> ResultStream:
         """The shared fragment pipeline behind :meth:`run`, :meth:`stream`
-        and :meth:`stream_planned`: plan (unless one was handed in), pick a
-        fragment generator (sequential runner or plan-driven parallel
-        executor) and push it through the flushing core.  Every fragment is
-        computed against the plan's sealed snapshot — concurrent graph
-        mutation is copy-on-write and cannot reach an in-flight stream."""
+        and :meth:`stream_planned`: pick a fragment generator and push it
+        through the flushing core.  One process (``num_workers`` 1 or
+        ``"auto"``) runs the algorithm's fragment generator on the sealed
+        head, planning nothing; an explicit ``num_workers >= 2`` plans and
+        fans out.  Every fragment is computed against one sealed snapshot —
+        concurrent graph mutation is copy-on-write and cannot reach an
+        in-flight stream."""
         spec = ALGORITHM_TABLE[self.algorithm]
         if not queries:
             return BatchResult(queries=[], algorithm=spec.display_name)
-        if plan is None and self.num_workers == 1 and pool is None:
-            # Explicit sequential request: no planning.
+        if plan is None and self.config.processes == 1:
             fragments = spec.runner(
                 self.graph.csr_snapshot(),
                 self.config,
@@ -343,38 +302,26 @@ class BatchQueryEngine:
             )(queries)
         else:
             if plan is None:
-                plan = self._plan(queries, pool_ready=pool is not None)
+                plan = self._plan(queries)
             if plan.num_workers <= 1:
                 fragments = self._planned_fragments(queries, plan)
             else:
                 fragments = stream_parallel(
-                    self.graph,
                     queries,
                     self.config,
                     plan,
-                    pool=pool,
                     metrics=self.metrics,
                     tracer=self.tracer,
                 )
-        result = yield from flush_fragments(fragments, len(queries), ordered)
-        if plan is not None and plan.num_workers <= 1 and plan.shards:
-            # Predicted-vs-actual for sequentially executed plans (the
-            # parallel executor records per shard); together they cover
-            # every executed ExecutionPlan.
-            actual_seconds = result.stage_timer.total("Enumeration")
-            self.metrics.counter(COST_PREDICTED_UNITS_TOTAL).inc(
-                plan.total_estimated_cost
-            )
-            self.metrics.counter(COST_ACTUAL_SECONDS_TOTAL).inc(actual_seconds)
-            self.metrics.histogram("repro_shard_seconds").observe(actual_seconds)
-        return result
+        return (yield from flush_fragments(fragments, len(queries), ordered))
 
     def _planned_fragments(
         self, queries: List[HCSTQuery], plan: ExecutionPlan
     ) -> FragmentStream:
-        """In-process execution of a plan: its prebuilt artefacts (snapshot,
-        workload index, clusters) are reused, and shard ``i`` runs on
-        ``plan.shards[i].kernel`` — exactly what a worker would be told."""
+        """In-process execution of a plan (the ingestion service's route):
+        its prebuilt artefacts (snapshot, workload index, clusters) are
+        reused, and shard ``i`` runs on ``plan.shards[i].kernel`` — exactly
+        what a worker would be told."""
         kernels = [shard.kernel for shard in plan.shards]
         # An in-process slice plan has one shard; a cluster plan overrides
         # the enumerator's own kernel per cluster below.

@@ -1,26 +1,27 @@
-"""Plan-driven sharded parallel batch execution across worker processes.
+"""Sharded execution of one batch across worker processes, on request.
 
-Design
-------
+Nothing reaches this module unless the caller asks for a number of
+processes: ``num_workers`` 1 and ``"auto"`` run in the caller's process,
+and an explicit ``num_workers >= 2`` hands :func:`stream_parallel` the
+:class:`~repro.batch.planner.ExecutionPlan` a
+:class:`~repro.batch.planner.QueryPlanner` built for the batch.
+
 ``BatchEnum`` processes a batch as *clusters* (Algorithm 2 groups queries
 that can share computation; sharing never crosses a cluster boundary), so a
 cluster is a clean shard: two clusters touch disjoint sharing graphs,
 disjoint result caches and disjoint output positions.  The per-query
 algorithms (``pathenum``, ``basic``, ``basic+``) have no cross-query state
-at all, so their shards are contiguous batch slices.
-
-The *decisions* — shard assignments, worker count, kernel per shard — are
-made by :class:`~repro.batch.planner.QueryPlanner` and arrive here as an
-:class:`~repro.batch.planner.ExecutionPlan`.  The executor's job is purely
-mechanical, and there is one way to hand a worker what it needs:
+at all, so their shards are contiguous batch slices.  There is one way to
+hand a worker what it needs:
 
 1. The parent's cheap global stages (workload validation, the similarity
    matrix, ``ClusterQuery``, BuildIndex) already ran during planning; their
    timings live in the plan's stage timer.
-2. The sealed :class:`~repro.graph.csr.CSRGraph` and the
+2. A process pool is opened for the call: the sealed
+   :class:`~repro.graph.csr.CSRGraph` and the
    :class:`~repro.batch.config.ExecutionConfig` are pickled **once** per
-   worker process through the :class:`WorkerPool` initializer; a worker
-   builds its enumerator from the same algorithm table the engine uses.
+   worker process through its initializer; a worker builds its enumerator
+   from the same algorithm table the engine uses.
 3. Every :class:`~repro.batch.planner.ShardPlan` becomes one task carrying
    its positions/queries and — for the indexed algorithms — the
    ``to_bytes()`` blob of the parent-built
@@ -30,9 +31,7 @@ mechanical, and there is one way to hand a worker what it needs:
    whole one and no worker ever runs BFS.
 4. The parent merges fragments **by batch position**, so results,
    ``SharingStats`` and stage timings are deterministic regardless of
-   worker scheduling.  ``num_workers=1`` never reaches this module — the
-   engine runs the sequential fragment generators in-process, each cluster
-   on the kernel its shard was planned with, exactly as a worker would.
+   worker scheduling, and joins the pool before the call returns.
 
 Stage-timing semantics in parallel runs: the parent's ``Enumeration``
 stage is the **wall-clock** time of the whole fan-out (submit → last merge);
@@ -48,7 +47,7 @@ drains the shard futures with :func:`concurrent.futures.as_completed` and
 yields each shard's ``{position: paths}`` fragment the moment it lands, so
 the first finished cluster never waits on the slowest one.
 The engine's ``stream``/``run`` front-end pushes both the parallel and the
-sequential fragment generators through one :func:`flush_fragments` reorder
+in-process fragment generators through one :func:`flush_fragments` reorder
 buffer, with two flush policies:
 
 * ``ordered=True`` — positions are released in batch order; position ``i``
@@ -58,9 +57,9 @@ buffer, with two flush policies:
   time-to-first-result on skewed batches.
 
 A shard that raises inside a worker surfaces its exception from the drain
-loop (pending shards are cancelled, a pool opened for the call is shut
-down); fragments that were already flushed have already reached the
-consumer and are not lost.
+loop (pending shards are cancelled and the pool is shut down); fragments
+that were already flushed have already reached the consumer and are not
+lost.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ from repro.batch.results import (
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.enumeration.paths import Path
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.obs.feedback import (
-    COST_ACTUAL_SECONDS_TOTAL,
-    COST_PREDICTED_UNITS_TOTAL,
-    SHIP_BYTES_TOTAL,
-    SHIP_SECONDS_TOTAL,
-)
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import RemoteSpanRecorder, SpanContext, resolve_tracer
 from repro.queries.query import HCSTQuery
@@ -111,19 +103,10 @@ def _init_worker(graph: CSRGraph, config: ExecutionConfig) -> None:
 
 
 #: A result fragment sent back by a worker: paths keyed by original batch
-#: position, the shard's sharing stats, its stage-time totals, and a
-#: telemetry meta dict — ``{"spans": [...], "deserialize_seconds": float}``.
-#: The spans are worker-side records parented to the submitting batch's span
+#: position, the shard's sharing stats, its stage-time totals, and its
+#: worker-side span records, parented to the submitting batch's span
 #: context; the parent re-homes them via ``Tracer.adopt`` on merge.
-Fragment = Tuple[Dict[int, list], SharingStats, Dict[str, float], dict]
-
-
-def _load_index(blob: bytes) -> Tuple[CSRDistanceIndex, float]:
-    """Deserialize a task's shard-local index; returns it with the seconds
-    spent (the worker-side half of the ship-cost feedback pair)."""
-    start = time.perf_counter()
-    index = CSRDistanceIndex.from_bytes(blob)
-    return index, time.perf_counter() - start
+Fragment = Tuple[Dict[int, list], SharingStats, Dict[str, float], List[dict]]
 
 
 def _run_cluster_task(
@@ -137,7 +120,7 @@ def _run_cluster_task(
     assert graph is not None and config is not None, "worker not initialised"
     enumerator = make_enumerator(graph, config, kernel)
     stage_timer = StageTimer()
-    index, deserialize_seconds = _load_index(index_blob)
+    index = CSRDistanceIndex.from_bytes(index_blob)
     sharing = SharingStats(num_clusters=1)
     scratch = BatchResult(queries=[])
     spans = RemoteSpanRecorder(span_context)
@@ -148,8 +131,7 @@ def _run_cluster_task(
         enumerator._process_cluster(
             queries_by_position, index, stage_timer, scratch, sharing, kernel
         )
-    meta = {"spans": spans.records, "deserialize_seconds": deserialize_seconds}
-    return scratch.paths_by_position, sharing, stage_timer.totals, meta
+    return scratch.paths_by_position, sharing, stage_timer.totals, spans.records
 
 
 def _run_slice_task(
@@ -164,7 +146,6 @@ def _run_slice_task(
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
     run = ALGORITHM_TABLE[config.algorithm].runner(graph, config, kernel)
-    deserialize_seconds = 0.0
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
         "enumerate", tags={"kind": "slice", "positions": len(positions)}
@@ -172,7 +153,7 @@ def _run_slice_task(
         if index_blob is not None:
             # ``basic``/``basic+``: enumerate on the slice's rows of the
             # parent's index instead of re-running BFS.
-            index, deserialize_seconds = _load_index(index_blob)
+            index = CSRDistanceIndex.from_bytes(index_blob)
             workload = QueryWorkload(graph, list(queries), index=index)
             sub_result = drain(run(queries, workload=workload))
         else:
@@ -181,79 +162,12 @@ def _run_slice_task(
         position: sub_result.paths_by_position.get(local, [])
         for local, position in enumerate(positions)
     }
-    meta = {"spans": spans.records, "deserialize_seconds": deserialize_seconds}
     return (
         paths_by_position,
         sub_result.sharing,
         sub_result.stage_timer.totals,
-        meta,
+        spans.records,
     )
-
-
-class WorkerPool:
-    """The worker processes of one graph version and execution config.
-
-    The sealed graph snapshot and the :class:`ExecutionConfig` ship through
-    the process-pool initializer exactly once per worker; everything a
-    batch adds (its queries, each shard's rows of the distance index)
-    travels with the shard tasks.  :func:`stream_parallel` opens one for
-    the duration of a call; a continuous-ingestion service opens one up
-    front (:meth:`BatchQueryEngine.create_pool`) and passes it to every
-    ``stream_parallel``/``engine.stream`` call, paying the spawn — the
-    dominant cost of a small batch — once instead of per micro-batch.
-
-    The pool is not thread-safe for concurrent batches; the intended owner
-    is a single scheduler thread.  ``shutdown()`` (or use as a context
-    manager) joins the workers.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        config: ExecutionConfig,
-        max_workers: int,
-        snapshot: Optional[CSRGraph] = None,
-    ) -> None:
-        require(max_workers >= 1, f"max_workers must be >= 1, got {max_workers}")
-        self.graph = graph
-        self.config = config
-        self.max_workers = max_workers
-        #: The sealed snapshot the workers were initialised with.  Workers
-        #: hold their own pickled copy, so an in-place mutation of ``graph``
-        #: does NOT reach them — executors refuse a pool whose snapshot
-        #: version differs from the plan's (see :func:`stream_parallel`),
-        #: and the ingestion service recycles the pool on version drift.
-        self.snapshot = snapshot if snapshot is not None else graph.csr_snapshot()
-        self.graph_version = self.snapshot.version
-        self._executor = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_worker,
-            initargs=(self.snapshot, config),
-        )
-        self._closed = False
-
-    def submit(self, fn, *args):
-        require(not self._closed, "WorkerPool is shut down", RuntimeError)
-        return self._executor.submit(fn, *args)
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Cancel unstarted tasks and join the worker processes
-        (idempotent)."""
-        self._closed = True
-        self._executor.shutdown(wait=wait, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (
-            f"WorkerPool({self.config.algorithm!r}, max_workers={self.max_workers}, "
-            f"version={self.graph_version}, {state})"
-        )
 
 
 def _shard_tasks(
@@ -284,11 +198,9 @@ def _shard_tasks(
 
 
 def stream_parallel(
-    graph: DiGraph,
     queries: Sequence[HCSTQuery],
     config: ExecutionConfig,
     plan: ExecutionPlan,
-    pool: Optional[WorkerPool] = None,
     metrics=None,
     tracer=None,
 ) -> FragmentStream:
@@ -296,41 +208,20 @@ def stream_parallel(
 
     Execution follows ``plan``, the :class:`~repro.batch.planner.ExecutionPlan`
     a :class:`~repro.batch.planner.QueryPlanner` built for these ``queries``
-    under this ``config``.  Shards are submitted to a :class:`WorkerPool`
-    and drained with ``as_completed``: every shard's ``{position: paths}`` fragment is recorded into the
+    under this ``config``.  A process pool of ``plan.num_workers`` workers,
+    initialised with the plan's sealed snapshot, is opened for the call;
+    shards are submitted to it and drained with ``as_completed``: every
+    shard's ``{position: paths}`` fragment is recorded into the
     :class:`BatchResult` and yielded the moment its future lands.  If a
     shard raises, the exception propagates out of the generator after the
     pending futures are cancelled — the drain loop never hangs on a
-    poisoned shard.
-
-    Without a ``pool`` one is opened for the duration of this call and
-    joined before the generator returns (also when the consumer abandons
-    it), so no worker outlives the stream.  With a caller-owned ``pool``
-    the fan-out reuses its already-spawned workers and on exit only this
-    batch's pending futures are cancelled — the pool stays open for the
-    next micro-batch.  One trade-off of sharing: a process pool cannot kill
-    a *running* task, so shards of a failed or abandoned pooled batch that
-    had already started keep their worker slots until they finish (their
-    results are discarded).
+    poisoned shard.  The pool is joined before the generator returns (also
+    when the consumer abandons it), so no worker outlives the stream.
     """
     require(
         plan.num_workers >= 2,
         "stream_parallel requires a plan resolved to num_workers >= 2",
     )
-    if pool is not None:
-        require(
-            pool.graph is graph and pool.config == config,
-            "WorkerPool was opened for a different configuration "
-            f"({pool!r}); open one pool per engine configuration",
-        )
-        require(
-            pool.graph_version == plan.graph_version,
-            "WorkerPool workers hold a graph snapshot from version "
-            f"{pool.graph_version} but the plan was built against version "
-            f"{plan.graph_version}; the graph mutated after the pool "
-            "spawned — open a fresh pool",
-            exception=RuntimeError,
-        )
     spec = ALGORITHM_TABLE[config.algorithm]
     stage_timer = plan.stage_timer or StageTimer()
     result = BatchResult(
@@ -342,46 +233,39 @@ def stream_parallel(
 
     registry = resolve_registry(metrics)
     span_tracer = resolve_tracer(tracer)
-    m_predicted = registry.counter(COST_PREDICTED_UNITS_TOTAL)
-    m_actual = registry.counter(COST_ACTUAL_SECONDS_TOTAL)
     m_shard_seconds = registry.histogram("repro_shard_seconds")
-    m_ship_bytes = registry.counter(SHIP_BYTES_TOTAL)
-    m_ship_seconds = registry.counter(SHIP_SECONDS_TOTAL)
 
     # The worker-side span context: ``None`` (no tracing) costs nothing in
     # the payload and workers skip recording entirely.
     span_context = span_tracer.current_context()
-    owned_pool: Optional[WorkerPool] = None
+    pool: Optional[ProcessPoolExecutor] = None
     futures: List = []
     try:
-        if pool is None:
-            pool = owned_pool = WorkerPool(
-                graph,
-                config,
-                max_workers=plan.num_workers,
-                snapshot=plan.snapshot,
-            )
+        pool = ProcessPoolExecutor(
+            max_workers=plan.num_workers,
+            initializer=_init_worker,
+            initargs=(plan.snapshot, config),
+        )
         with stage_timer.stage("Enumeration"):
-            shard_by_future: Dict = {}
             ship_start = time.perf_counter()
             ship_tags = {"shards": len(plan.shards), "payload_bytes": 0}
             with span_tracer.span("ship", tags=ship_tags):
                 for (worker_fn, args, blob), shard in zip(
                     _shard_tasks(plan, queries), plan.shards
                 ):
-                    future = pool.submit(
-                        worker_fn, *args, blob, span_context, shard.kernel
+                    futures.append(
+                        pool.submit(worker_fn, *args, blob, span_context, shard.kernel)
                     )
-                    futures.append(future)
-                    shard_by_future[future] = shard
                     ship_tags["payload_bytes"] += len(blob or b"")
-            m_ship_bytes.inc(ship_tags["payload_bytes"])
+            registry.counter("repro_executor_ship_bytes_total").inc(
+                ship_tags["payload_bytes"]
+            )
             registry.counter("repro_executor_shards_total").inc(len(futures))
             registry.histogram("repro_executor_ship_submit_seconds").observe(
                 time.perf_counter() - ship_start
             )
             for future in as_completed(futures):
-                paths_by_position, fragment_sharing, stage_totals, meta = (
+                paths_by_position, fragment_sharing, stage_totals, spans = (
                     future.result()
                 )
                 with span_tracer.span(
@@ -395,32 +279,24 @@ def stream_parallel(
                     for name, seconds in sorted(stage_totals.items()):
                         if name != "Enumeration":  # already inside the stage
                             stage_timer.add(name, seconds)
-                # Predicted-vs-actual per shard: the feedback pair
-                # CostModel.from_observed recalibrates from.
-                shard = shard_by_future[future]
-                actual_seconds = stage_totals.get("Enumeration", 0.0)
-                m_predicted.inc(shard.estimated_cost)
-                m_actual.inc(actual_seconds)
-                m_shard_seconds.observe(actual_seconds)
-                m_ship_seconds.inc(meta["deserialize_seconds"])
-                span_tracer.adopt(meta["spans"])
+                m_shard_seconds.observe(stage_totals.get("Enumeration", 0.0))
+                span_tracer.adopt(spans)
                 yield {
                     position: result.paths_by_position[position]
                     for position in sorted(paths_by_position)
                 }
     finally:
         # On an error (or an abandoned consumer) cancel whatever has not
-        # started; running shards finish or fail on their own.  A pool
-        # opened for this call is joined here, so it leaves no orphaned
-        # worker; a caller's pool stays open for the next micro-batch.
+        # started; running shards finish or fail on their own, and the
+        # pool is joined here, so it leaves no orphaned worker.
         for future in futures:
             future.cancel()
-        if owned_pool is not None:
-            owned_pool.shutdown()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     if not spec.clustered:
         # Per-query algorithms report one "cluster" per query, like their
-        # sequential counterparts do.
+        # in-process counterparts do.
         sharing.num_clusters = len(queries)
     result.sharing = sharing
     return result
@@ -431,7 +307,7 @@ def flush_fragments(
 ) -> ResultStream:
     """The shared flushing core of the streaming front-end.
 
-    Drains a fragment generator (sequential per-cluster/per-query or
+    Drains a fragment generator (in-process per-cluster/per-query or
     parallel per-shard — both speak the same ``{position: paths}``
     protocol) and yields ``(batch_position, paths)`` tuples under one of
     two policies:

@@ -21,22 +21,20 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
    ``max_batch_size`` is a hard cap: what queues behind a full batch
    waits for the next one.  Sharing *inside* a batch is ClusterQuery's
    job, at plan time.
-3. Each micro-batch flows through the existing plan→execute pipeline
+3. Each micro-batch is planned against the version it pinned and runs
+   on the scheduler thread
    (:meth:`~repro.batch.engine.BatchQueryEngine.stream_planned`) with
-   ``ordered=False``, so a ticket resolves the moment the shard/cluster
-   owning its position completes — never at batch rank order.  Parallel
-   plans reuse one persistent :class:`~repro.batch.executor.WorkerPool`
-   across micro-batches instead of spawning a process pool per batch.
+   ``ordered=False``, so a ticket resolves the moment the cluster or query
+   owning its position completes — never at batch rank order.  The
+   service spawns no process: ``num_workers`` and ``max_workers`` are
+   validated like the engine's and otherwise inert.
 
 Error and lifecycle semantics
 -----------------------------
 * A failure inside a micro-batch resolves every still-unresolved ticket of
   that batch with the exception (tickets whose results had already flushed
   keep them); the scheduler itself survives and keeps serving later
-  batches.  The worker pool is recycled with the failed batch — a worker
-  that died (``BrokenProcessPool``) poisons its pool object for good — so
-  exactly that batch's tickets carry the error and the next parallel
-  micro-batch respawns.
+  batches.
 * ``max_pending`` applies backpressure: ``submit`` blocks (or raises
   :class:`ServiceOverloadedError` with ``block=False``) while the queue is
   full.
@@ -45,7 +43,7 @@ Error and lifecycle semantics
   :class:`ServiceClosedError` chaining the cause, and the next ``submit``
   raises one naming it — never a ticket nobody will resolve.
 * ``close(drain=True)`` stops admission, lets the scheduler work off the
-  queue, then joins the thread and the worker pool — no orphaned workers.
+  queue, then joins the thread.
   ``close(drain=False)`` fails queued-but-undispatched tickets with
   :class:`ServiceClosedError`; the batch already in flight still resolves.
 
@@ -59,14 +57,13 @@ declaration is machine-readable: the autouse ``guarded_by_lock`` fixture in
 written, once ``__init__`` has returned, by a thread not holding the lock —
 so a method that reads a counter without the lock fails the suite on its
 first call instead of waiting for an unlucky interleaving.  When adding
-shared state, add its name to the set; thread-confined state (like the
-scheduler-owned ``_pool``) stays out.  Lock order, which nothing
-checks by machine: the service's condition (``self._lock``) or the graph
-store's ``RLock`` first, then a metric's own lock (a gauge set or counter
-bump under either is fine; a metric calls nothing while it holds its
-lock) — never the reverse, and never the service and store locks nested
-in either order: the scheduler pins, plans and releases outside
-``self._lock``.
+shared state, add its name to the set; thread-confined state stays out.
+Lock order, which nothing checks by machine: the service's condition
+(``self._lock``) or the graph store's ``RLock`` first, then a metric's own
+lock (a gauge set or counter bump under either is fine; a metric calls
+nothing while it holds its lock) — never the reverse, and never the
+service and store locks nested in either order: the scheduler pins, plans
+and releases outside ``self._lock``.
 
 >>> from repro.graph.generators import paper_example_graph
 >>> from repro.queries.query import HCSTQuery
@@ -81,12 +78,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, List, Optional, Sequence
 
-from repro.batch.config import CostModel, NumWorkers
+from repro.batch.config import NumWorkers
 from repro.batch.engine import BatchQueryEngine
-from repro.batch.executor import WorkerPool
 from repro.batch.planner import QueryPlanner
 from repro.batch.results import SharingStats
 from repro.enumeration.paths import Path
@@ -263,19 +259,20 @@ class IngestionService:
     """Micro-batch scheduler serving a continuous query stream.
 
     Parameters mirror :class:`BatchQueryEngine` (``graph``, ``algorithm``,
-    ``gamma``, ``num_workers``, ``cost_model``, ``max_workers``, ``kernel``
-    — forwarded to it verbatim, so a bad value raises ``ValueError`` here)
-    plus the :class:`AdmissionPolicy`.  The scheduler thread starts
-    immediately unless ``start=False`` (tests use a stopped service to
-    exercise backpressure deterministically).  Use as a context manager
+    ``gamma``, ``num_workers``, ``max_workers``, ``kernel`` — forwarded to
+    it verbatim, so a bad value raises ``ValueError`` here) plus the
+    :class:`AdmissionPolicy`.  Every micro-batch runs on the scheduler
+    thread whatever ``num_workers`` says: ``num_workers`` and
+    ``max_workers`` are validated and inert.  (They stay because the
+    benchmark harness passes them; ROADMAP item 9 drops them.)  The
+    scheduler thread starts immediately unless ``start=False`` (tests use
+    a stopped service to exercise backpressure deterministically).  Use as a context manager
     for a drain-then-join shutdown.
     """
 
     # Shared mutable state, touched by API callers and the scheduler
     # thread alike; the tests' ``guarded_by_lock`` fixture fails any access
-    # outside ``with self._lock:``.  ``_pool`` is deliberately
-    # absent: it is confined to the scheduler thread (created, used and
-    # shut down there only), so guarding it would just add lock traffic.
+    # outside ``with self._lock:``.
     _GUARDED_BY_LOCK = frozenset(
         {
             "_pending",
@@ -301,7 +298,6 @@ class IngestionService:
         gamma: float = 0.5,
         num_workers: NumWorkers = "auto",
         policy: Optional[AdmissionPolicy] = None,
-        cost_model: Optional[CostModel] = None,
         max_workers: Optional[int] = None,
         kernel: str = "auto",
         start: bool = True,
@@ -316,16 +312,19 @@ class IngestionService:
             algorithm=algorithm,
             gamma=gamma,
             num_workers=num_workers,
-            cost_model=cost_model,
             max_workers=max_workers,
             kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
         # One planner for the service's lifetime: each batch's index is the
-        # next batch's cached/delta starting point.
+        # next batch's cached/delta starting point.  Its plans are one
+        # process whatever was asked, so every batch runs in-process.
         self._planner = QueryPlanner(
-            graph, self._engine.config, metrics=metrics, tracer=tracer
+            graph,
+            replace(self._engine.config, num_workers=1),
+            metrics=metrics,
+            tracer=tracer,
         )
         self._lock = threading.Condition()
         self._pending: Deque[QueryTicket] = deque()
@@ -334,7 +333,6 @@ class IngestionService:
         self._died: Optional[BaseException] = None
         self._drain_on_close = True
         self._thread: Optional[threading.Thread] = None
-        self._pool: Optional[WorkerPool] = None
         # Counters (declared in _GUARDED_BY_LOCK).
         self._admitted = 0
         self._completed = 0
@@ -394,8 +392,7 @@ class IngestionService:
         before the scheduler exits; with ``drain=False`` queued tickets
         fail with :class:`ServiceClosedError` (the micro-batch already in
         flight, if any, resolves normally either way).  Blocks until the
-        scheduler thread and the worker pool are joined (bounded by
-        ``timeout`` on the thread join).
+        scheduler thread is joined (bounded by ``timeout``).
         """
         with self._lock:
             self._closing = True
@@ -407,7 +404,6 @@ class IngestionService:
         else:
             # Never started: no thread will ever serve the queue.
             self._fail_pending(ServiceClosedError("service closed unstarted"))
-            self._shutdown_pool()
 
     def __enter__(self) -> "IngestionService":
         return self.start()
@@ -548,10 +544,8 @@ class IngestionService:
             raise
         finally:
             # Runs on normal shutdown AND if the loop dies: the batch it
-            # popped and the queued tickets must never hang forever, and
-            # the worker pool must never be orphaned.
+            # popped and the queued tickets must never hang forever.
             self._fail_pending(closed, popped=batch or ())
-            self._shutdown_pool()
 
     def _collect_batch(self) -> Optional[List[QueryTicket]]:
         """Block until a micro-batch is due, pop and return it.
@@ -611,9 +605,7 @@ class IngestionService:
         positions flush (``ordered=False``: first completion wins).
 
         Wrapped in the trace's root ``batch`` span: the planner's ``plan``/
-        ``shard`` spans, the executor's ``ship``/``merge`` spans and the
-        worker-side ``enumerate`` spans (reparented on merge) all hang off
-        it, one trace per micro-batch.
+        ``shard`` spans hang off it, one trace per micro-batch.
         """
         with self._tracer.span(
             "batch",
@@ -629,43 +621,12 @@ class IngestionService:
         pin = None
         try:
             # Pin the admitted version exactly once — one atomic seal of
-            # the head — and thread that single snapshot through plan, pool
-            # and execute.  (The old code compared ``self.graph.version``
-            # against the pool and then planned against whatever the graph
-            # had become by then: a mutation landing between the check and
-            # the plan ran the batch against a version it never checked.)
+            # the head — and thread that single snapshot through plan and
+            # execute, so a mutation landing meanwhile never reaches the
+            # batch.
             pin = self.graph.snapshots.pin()
-            if (
-                self._pool is not None
-                and self._pool.graph_version != pin.version
-            ):
-                # The graph mutated since the pool spawned; its workers
-                # hold a pickled copy of the older snapshot, so recycle it
-                # — the respawn below initialises against this batch's pin.
-                self._shutdown_pool()
-            # Plan as if the pool were already up even before the first
-            # spawn: for a long-running service the spawn is a one-time
-            # cost amortized over every later micro-batch, so charging it
-            # to each plan would keep "auto" sequential forever (the pool
-            # only exists once a plan goes parallel — a chicken-and-egg
-            # the one-shot engine path does not have).
-            plan = self._planner.plan(queries, pool_ready=True, snapshot=pin)
-            if plan.num_workers > 1 and self._pool is None:
-                # First parallel plan: open the persistent pool every later
-                # micro-batch will reuse (spawn is paid exactly once).
-                # Sized at the config's max_workers — the ceiling every
-                # "auto" resolution obeys (an explicit larger num_workers
-                # is honoured too) — so a later, larger batch's plan can
-                # never assume more parallelism than the pool has.
-                self._pool = self._engine.create_pool(
-                    max_workers=max(
-                        2, self._engine.config.max_workers, plan.num_workers
-                    ),
-                    snapshot=pin.csr,
-                )
-            stream = self._engine.stream_planned(
-                queries, plan, ordered=False, pool=self._pool
-            )
+            plan = self._planner.plan(queries, snapshot=pin)
+            stream = self._engine.stream_planned(queries, plan, ordered=False)
             while True:
                 try:
                     position, paths = next(stream)
@@ -708,9 +669,7 @@ class IngestionService:
             self._m_failed.inc(failed)
             self._m_batches.inc()
             # The scheduler itself survives a poisoned batch and keeps
-            # serving subsequent micro-batches — on a fresh pool: one whose
-            # worker died fails every later submit with BrokenProcessPool.
-            self._shutdown_pool()
+            # serving subsequent micro-batches.
         finally:
             if pin is not None:
                 # Refcount discipline: the sealed version is released when
@@ -739,11 +698,6 @@ class IngestionService:
         if abandoned:
             self._m_failed.inc(len(abandoned))
 
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
     def __repr__(self) -> str:
         with self._lock:
             state = "closing" if self._closing else "open"
@@ -761,7 +715,6 @@ def serve(
     max_batch_size: int = 32,
     max_delay_s: float = 0.02,
     max_pending: int = 1024,
-    cost_model: Optional[CostModel] = None,
     max_workers: Optional[int] = None,
     metrics=None,
     tracer=None,
@@ -770,8 +723,9 @@ def serve(
 
     The :class:`AdmissionPolicy` knobs are accepted flat.
     ``metrics``/``tracer`` opt the whole pipeline (service, planner,
-    engine, executor, snapshot store) into telemetry — see
-    :mod:`repro.obs`.
+    engine, snapshot store) into telemetry — see :mod:`repro.obs`.
+    ``num_workers``/``max_workers`` are validated and inert: every
+    micro-batch runs on the scheduler thread.
 
     >>> from repro.graph.generators import paper_example_graph
     >>> from repro.queries.query import HCSTQuery
@@ -793,7 +747,6 @@ def serve(
         gamma=gamma,
         num_workers=num_workers,
         policy=policy,
-        cost_model=cost_model,
         max_workers=max_workers,
         start=True,
         metrics=metrics,

@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics registry, span tracing, cost feedback.
+"""Telemetry subsystem: metrics registry and span tracing.
 
 Stdlib-only.  Everything defaults to the no-op :data:`NULL_REGISTRY` /
 :data:`NULL_TRACER` singletons; opt in per engine or service::
@@ -32,7 +32,6 @@ from repro.obs.tracing import (
     Tracer,
     resolve_tracer,
 )
-from repro.obs.feedback import cost_model_fields_from_snapshot
 
 __all__ = [
     "DEFAULT_BUCKET_BOUNDS",
@@ -49,5 +48,4 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "resolve_tracer",
-    "cost_model_fields_from_snapshot",
 ]

@@ -8,10 +8,10 @@ scheduler thread's ``batch`` root automatically adopts the ``plan`` /
 ``ship`` / ``merge`` spans opened beneath it while submit threads trace
 independently.
 
-Worker processes cannot share the stack, so span context crosses the
+Worker processes — there are some only when a caller asks for
+``num_workers >= 2`` — cannot share the stack, so span context crosses the
 process boundary as a picklable ``(trace_id, span_id)`` tuple
-(:meth:`Tracer.current_context`) carried in the ``WorkerPool`` task
-payload.  Inside the worker a :class:`RemoteSpanRecorder` wraps the
+(:meth:`Tracer.current_context`) carried in each shard task's payload.  Inside the worker a :class:`RemoteSpanRecorder` wraps the
 enumeration in spans parented to that context and returns them as plain
 dicts in the result fragment's meta; the submitting process calls
 :meth:`Tracer.adopt` on merge, and ``render_tree()`` shows the worker-side

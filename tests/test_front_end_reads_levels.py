@@ -32,7 +32,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
 from repro.graph.snapshots import SnapshotStore
 from repro.obs import MetricsRegistry
-from repro.obs.feedback import PLAN_INDEX_STRATEGY_TOTAL
 from repro.queries.generation import generate_random_queries
 
 
@@ -130,7 +129,7 @@ def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
             assert served == expected
         assert service.stats().failed == 0
     repaired = registry.counter(
-        PLAN_INDEX_STRATEGY_TOTAL, labels={"strategy": "delta"}
+        "repro_plan_index_strategy_total", labels={"strategy": "delta"}
     )
     assert repaired.value >= 1
 

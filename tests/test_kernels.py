@@ -89,7 +89,6 @@ def test_planner_resolves_kernel_per_shard():
     graph, queries = _workload(3, num_vertices=60, num_edges=300, count=10)
     for requested, resolved in (("auto", "python"), ("numpy", "numpy")):
         plan = QueryPlanner(graph, ExecutionConfig(kernel=requested)).plan(queries)
-        assert max(shard.estimated_cost for shard in plan.shards) >= 512.0
         assert {shard.kernel for shard in plan.shards} == {resolved}
         assert f"{plan.num_shards} {resolved}" in plan.describe()
 
@@ -105,7 +104,7 @@ def _blocks_workload(heavy):
     """Disjoint blocks, so clusters cannot merge: 28 sparse blocks with one
     tiny query each (its target in reach, so its search runs) and, with
     ``heavy``, one dense block whose four similar queries form a single
-    cluster that prices far above all the others."""
+    cluster far heavier than all the others."""
     edges, queries, offset = [], [], 0
     if heavy:
         edges += list(random_directed_gnm(40, 240, seed=3).edges())
@@ -159,8 +158,6 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
         engine = BatchQueryEngine(graph, kernel=kernel, max_workers=1)
         plan = engine.explain(queries)
         assert plan.num_workers == 1 and plan.num_shards >= 28
-        if heavy:
-            assert max(shard.estimated_cost for shard in plan.shards) >= 512.0
         wanted = {
             tuple(shard.positions) for shard in plan.shards if shard.kernel == "numpy"
         }

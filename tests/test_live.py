@@ -105,9 +105,9 @@ def test_apply_delta_validation():
 # Planner strategies: built → cached → delta across a mutation
 # --------------------------------------------------------------------- #
 def test_planner_index_strategies_built_cached_delta():
-    # Large enough that the cost model prefers repair: a single-edge
-    # repair costs ~rows x seconds_per_delta_edge while a rebuild costs
-    # ~rows x V x seconds_per_index_entry, crossing over near V ~ 50.
+    # Large enough that the planner prefers repair: a single-edge repair
+    # costs ~rows x SECONDS_PER_DELTA_EDGE while a rebuild costs
+    # ~rows x V x SECONDS_PER_INDEX_ENTRY, crossing over near V ~ 50.
     graph = random_directed_gnm(120, 480, seed=21)
     queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=21)
     planner = QueryPlanner(graph)
@@ -118,7 +118,7 @@ def test_planner_index_strategies_built_cached_delta():
     graph.add_edge(*_first_missing_edge(graph))
     third = planner.plan(queries)
     assert third.index_strategy == "delta"
-    assert "[delta]" in third.describe()
+    assert "index:   delta" in third.describe()
     # The delta-repaired index is byte-identical to a fresh build on the
     # mutated graph (same endpoints, same hop cap).
     sources = sorted({q.s for q in queries})
@@ -222,31 +222,3 @@ def test_service_zero_errors_under_concurrent_mutation():
         results = [ticket.result(timeout=60.0) for ticket in tickets]
     assert all(isinstance(paths, list) for paths in results)
     assert service.stats().failed == 0
-
-
-def test_service_parallel_pool_recycles_across_mutations():
-    """A parallel service recycles its persistent worker pool when a new
-    micro-batch pins a newer version than the pool was spawned with —
-    still zero failures, still oracle-exact per round."""
-    graph = random_directed_gnm(18, 60, seed=35)
-    rng = random.Random(35)
-    with serve(
-        graph,
-        algorithm="basic",
-        num_workers=2,
-        max_batch_size=4,
-        max_delay_s=0.005,
-    ) as service:
-        for round_no in range(4):
-            frozen = graph.copy()
-            queries = generate_random_queries(
-                frozen, 4, min_k=2, max_k=3, seed=round_no
-            )
-            oracle = BatchQueryEngine(frozen, algorithm="basic").run(queries)
-            tickets = service.submit_many(queries)
-            for position, ticket in enumerate(tickets):
-                assert ticket.result(timeout=60.0) == oracle.paths_at(position)
-            _mutate_randomly(graph, rng, 3)
-        stats = service.stats()
-    assert stats.failed == 0
-    assert stats.completed == 4 * 4

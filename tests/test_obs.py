@@ -26,15 +26,8 @@ from repro.obs import (
     NullTracer,
     RemoteSpanRecorder,
     Tracer,
-    cost_model_fields_from_snapshot,
     resolve_registry,
     resolve_tracer,
-)
-from repro.obs.feedback import (
-    COST_ACTUAL_SECONDS_TOTAL,
-    COST_PREDICTED_UNITS_TOTAL,
-    SHIP_BYTES_TOTAL,
-    SHIP_SECONDS_TOTAL,
 )
 
 
@@ -297,24 +290,6 @@ def test_span_records_survive_exceptions():
             raise RuntimeError("boom")
     assert tracer.current_context() is None  # stack unwound
     assert [r["name"] for r in tracer.spans()] == ["batch"]
-
-
-# --------------------------------------------------------------------- #
-# Cost-model feedback plumbing
-# --------------------------------------------------------------------- #
-def test_cost_model_fields_require_signal_on_both_sides():
-    registry = MetricsRegistry()
-    assert cost_model_fields_from_snapshot(registry.snapshot()) == {}
-    registry.counter(COST_PREDICTED_UNITS_TOTAL).inc(2000.0)
-    assert cost_model_fields_from_snapshot(registry.snapshot()) == {}
-    registry.counter(COST_ACTUAL_SECONDS_TOTAL).inc(0.02)
-    registry.counter(SHIP_BYTES_TOTAL).inc(1_000_000)
-    registry.counter(SHIP_SECONDS_TOTAL).inc(0.004)
-    fields = cost_model_fields_from_snapshot(registry.snapshot())
-    assert fields == {
-        "seconds_per_cost_unit": pytest.approx(1e-5),
-        "seconds_per_shipped_byte": pytest.approx(4e-9),
-    }
 
 
 # --------------------------------------------------------------------- #

@@ -5,9 +5,7 @@ The contracts under test, per the observability PR's acceptance criteria:
 * a traced parallel run produces the span tree ``batch`` → ``plan`` /
   ``ship`` / worker-side ``enumerate`` (recorded in another process and
   reparented onto the batch root on merge) / ``merge``;
-* predicted-vs-actual cost counters are recorded for every executed plan
-  — parallel (per shard) and sequential planned — and
-  ``CostModel.from_observed`` recalibrates from them;
+* every plan records its index strategy;
 * instrumentation changes *nothing* about results: the default
   (null-registry) run and the instrumented run return byte-identical
   paths;
@@ -22,14 +20,9 @@ import os
 import pytest
 
 from repro.batch.engine import BatchQueryEngine
-from repro.batch.config import CostModel
 from repro.batch.service import AdmissionPolicy, IngestionService
 from repro.graph.generators import random_directed_gnm
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.feedback import (
-    COST_ACTUAL_SECONDS_TOTAL,
-    COST_PREDICTED_UNITS_TOTAL,
-)
 from repro.queries.generation import generate_random_queries
 
 TIMEOUT = 60.0
@@ -47,7 +40,7 @@ def _workload(seed=3, queries=12):
 # --------------------------------------------------------------------- #
 # Traced parallel execution
 # --------------------------------------------------------------------- #
-def test_parallel_run_produces_full_span_tree_and_feedback():
+def test_parallel_run_produces_full_span_tree():
     graph, queries = _workload()
     registry, tracer = MetricsRegistry(), Tracer()
     engine = BatchQueryEngine(
@@ -87,11 +80,10 @@ def test_parallel_run_produces_full_span_tree_and_feedback():
         assert record["tags"]["kind"] == "cluster"
     assert len(by_name["enumerate"]) == len(by_name["merge"])
 
-    # One predicted-vs-actual sample per executed shard.
+    # One enumeration-seconds sample per executed shard.
     snap = registry.snapshot()["counters"]
-    assert snap[COST_PREDICTED_UNITS_TOTAL] > 0
-    assert snap[COST_ACTUAL_SECONDS_TOTAL] > 0
     assert snap["repro_executor_shards_total"] >= 2
+    assert snap["repro_executor_ship_bytes_total"] > 0
     assert registry.histogram("repro_shard_seconds").count == int(
         snap["repro_executor_shards_total"]
     )
@@ -103,46 +95,18 @@ def test_parallel_run_produces_full_span_tree_and_feedback():
     assert any(line.startswith("  enumerate") for line in lines)
 
 
-def test_sequential_planned_run_records_feedback():
+def test_every_plan_records_its_index_strategy():
     graph, queries = _workload(seed=4)
     registry = MetricsRegistry()
     engine = BatchQueryEngine(
         graph, algorithm="batch+", num_workers="auto", metrics=registry
     )
-    engine.run(queries)
+    engine.run(queries)  # one process: nothing is planned
+    assert "repro_plans_total" not in registry.snapshot()["counters"]
+    engine.explain(queries)
     snap = registry.snapshot()["counters"]
-    assert snap[COST_PREDICTED_UNITS_TOTAL] > 0
-    assert snap[COST_ACTUAL_SECONDS_TOTAL] > 0
     assert snap["repro_plans_total"] == 1
-    strategies = [
-        key
-        for key in snap
-        if key.startswith("repro_plan_index_strategy_total")
-    ]
-    assert strategies, "every plan must record its index strategy"
-
-
-def test_cost_model_recalibrates_from_observed_traffic():
-    graph, queries = _workload(seed=5)
-    registry = MetricsRegistry()
-    BatchQueryEngine(
-        graph, algorithm="batch+", num_workers="auto", metrics=registry
-    ).run(queries)
-    snap = registry.snapshot()["counters"]
-    model = CostModel.from_observed(registry)
-    expected_rate = snap[COST_ACTUAL_SECONDS_TOTAL] / snap[COST_PREDICTED_UNITS_TOTAL]
-    assert model.seconds_per_cost_unit == pytest.approx(expected_rate)
-    # Pairs without signal keep their defaults; overrides win over both.
-    defaults = CostModel()
-    assert model.spawn_overhead_base == defaults.spawn_overhead_base
-    pinned = CostModel.from_observed(registry, seconds_per_cost_unit=1.0)
-    assert pinned.seconds_per_cost_unit == 1.0
-    # A raw snapshot dict (e.g. loaded from JSON) works the same way.
-    assert (
-        CostModel.from_observed(snap_registry := registry.snapshot())
-        .seconds_per_cost_unit
-        == model.seconds_per_cost_unit
-    ), snap_registry
+    assert snap['repro_plan_index_strategy_total{strategy="built"}'] == 1
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the sharded parallel execution mode (``num_workers > 1``).
+"""Tests for the sharded parallel execution mode (explicit ``num_workers > 1``).
 
 The contract under test: for every algorithm and any ``num_workers``, the
 engine returns *identical* results — same paths, same order, per batch
@@ -6,15 +6,18 @@ position — as the sequential run, and both match the brute-force ground
 truth.  Clusters (for ``batch``/``batch+``) and contiguous query slices
 (for the per-query algorithms) are the shard boundaries, and the merge is
 deterministic by batch position.  There is one way a worker gets its
-inputs — the sealed graph through the pool initializer, the shard's own
-index rows with its task — whether the pool lives for one call or many.
+inputs — the sealed graph through the initializer of the pool opened for
+the call, the shard's own index rows with its task — and the pool is
+joined before the call returns, also when a worker dies.
 """
 
+import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.batch import executor
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
 from repro.batch.executor import _shard_tasks
@@ -26,16 +29,13 @@ from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
 
-PARALLEL_ALGORITHMS = ("basic", "basic+", "batch", "batch+")
-
-
 def _workload(seed):
     graph = random_directed_gnm(30, 110, seed=seed)
     queries = generate_random_queries(graph, 8, min_k=2, max_k=4, seed=seed)
     return graph, queries
 
 
-@pytest.mark.parametrize("algorithm", PARALLEL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ("basic", "basic+", "batch", "batch+"))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parallel_matches_sequential_and_brute_force(algorithm, seed):
     graph, queries = _workload(seed)
@@ -114,40 +114,17 @@ def test_contiguous_slices_cover_all_positions_without_overlap():
 
 
 # --------------------------------------------------------------------- #
-# One transport: every algorithm x every pool lifetime == sequential
+# One transport: every algorithm == sequential, each shard its own rows
 # --------------------------------------------------------------------- #
-def _sequential(graph, algorithm, queries):
-    return BatchQueryEngine(graph, algorithm=algorithm, num_workers=1).run(
-        queries
-    ).paths_by_position
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("lifetime", ["one-shot", "reused", "recycled"])
+@pytest.mark.parametrize("lifetime", ["one-shot"])  # the only pool lifetime
 def test_every_pool_lifetime_matches_sequential(algorithm, lifetime, no_child_left):
     graph, queries = _workload(8)
-    other = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=81)
+    sequential = BatchQueryEngine(graph, algorithm=algorithm, num_workers=1)
     engine = BatchQueryEngine(graph, algorithm=algorithm, num_workers=2)
-    if lifetime == "one-shot":
-        assert engine.run(queries).paths_by_position == _sequential(
-            graph, algorithm, queries
-        )
-        return
-    with engine.create_pool(max_workers=2) as pool:
-        # One persistent pool, two batches with different endpoints: each
-        # task carries its own rows, nothing of the first batch lingers.
-        for batch in (queries, other):
-            assert dict(engine.stream(batch, pool=pool)) == _sequential(
-                graph, algorithm, batch
-            )
-        if lifetime == "recycled":
-            # Version bump while the old pool is still open: its workers
-            # hold the old snapshot, so the batch runs on a fresh pool.
-            graph.add_edge(0, graph.num_vertices - 1)
-            with engine.create_pool(max_workers=2) as fresh:
-                assert dict(engine.stream(queries, pool=fresh)) == _sequential(
-                    graph, algorithm, queries
-                )
+    assert engine.run(queries).paths_by_position == sequential.run(
+        queries
+    ).paths_by_position
 
 
 @pytest.mark.parametrize("algorithm", ["batch+", "basic", "pathenum"])
@@ -174,41 +151,31 @@ def test_each_task_ships_exactly_its_shards_rows(algorithm):
             assert shipped.dense_from(query.s) == index.dense_from(query.s)
             assert shipped.dense_to(query.t) == index.dense_to(query.t)
         shipped_bytes += shipped.nbytes
-    assert shipped_bytes == index.nbytes == plan.index_payload_bytes
+    assert shipped_bytes == index.nbytes
 
 
 # --------------------------------------------------------------------- #
-# Pool lifecycle
+# Pool lifecycle: the pool a call opens is joined on every way out
 # --------------------------------------------------------------------- #
-def test_pool_shutdown_is_idempotent_and_refuses_work(no_child_left):
-    graph, queries = _workload(6)
-    engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=2)
-    pool = engine.create_pool(max_workers=2)
-    try:
-        for _ in range(3):
-            assert dict(engine.stream(queries, pool=pool)) == _sequential(
-                graph, "batch+", queries
-            )
-    finally:
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-    with pytest.raises(RuntimeError, match="shut down"):
-        pool.submit(len, ())
-
-
-def _crash_worker() -> None:  # pragma: no cover - runs in a worker process
+def _crash_worker(*args) -> None:  # pragma: no cover - runs in a worker process
     os._exit(17)
 
 
-def test_worker_crash_breaks_the_pool_and_shutdown_still_reaps(no_child_left):
-    graph, _ = _workload(11)
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched task reaches the workers by forking",
+)
+def test_worker_crash_breaks_the_pool_and_shutdown_still_reaps(
+    monkeypatch, no_child_left
+):
+    """A worker that dies mid-shard breaks the call's pool: ``run`` raises
+    ``BrokenProcessPool`` and the surviving workers are joined."""
+    graph, queries = _workload(11)
+    monkeypatch.setattr(executor, "_run_cluster_task", _crash_worker)
     engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=2)
-    pool = engine.create_pool(max_workers=2)
-    try:
-        with pytest.raises(BrokenProcessPool):
-            pool.submit(_crash_worker).result(timeout=60)
-    finally:
-        pool.shutdown()
+    with pytest.raises(BrokenProcessPool):
+        engine.run(queries)
+    no_child_left()
 
 
 def _restrict_breaks_on_the_second_shard(monkeypatch):
@@ -238,18 +205,3 @@ def test_failure_while_shipping_shards_joins_the_pool_the_call_opened(
     # Looked at while ``caught`` still references the frame that owned the
     # pool: the workers were joined, not left to the garbage collector.
     no_child_left()
-
-
-def test_failure_while_shipping_shards_leaves_the_callers_pool_open(
-    monkeypatch, no_child_left
-):
-    graph, queries = _workload(6)
-    engine = BatchQueryEngine(graph, algorithm="basic+", num_workers=2)
-    with engine.create_pool(max_workers=2) as pool:
-        with monkeypatch.context() as patch:
-            _restrict_breaks_on_the_second_shard(patch)
-            with pytest.raises(RuntimeError, match="restrict broke"):
-                list(engine.stream(queries, pool=pool))
-        assert dict(engine.stream(queries, pool=pool)) == _sequential(
-            graph, "basic+", queries
-        )

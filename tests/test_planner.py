@@ -1,11 +1,11 @@
-"""Tests for the plan/execute split: QueryPlanner, ExecutionPlan, CostModel
-and the one eagerly-validated ``ExecutionConfig`` the options live on.
+"""Tests for the plan/execute split: QueryPlanner, ExecutionPlan and the
+one eagerly-validated ``ExecutionConfig`` the options live on.
 
-The load-bearing contract: whatever the planner decides — worker count,
-shard assignments — the paths delivered per batch position are
-bit-identical to the sequential ``num_workers=1`` run (which itself
-bypasses planning entirely).  The all-algorithms parallel differential
-lives in ``test_parallel_executor.py``.
+The load-bearing contracts: ``"auto"`` is one process and never opens a
+process pool, and whatever a plan records — worker count, shard
+assignments — the paths delivered per batch position are bit-identical
+to the ``num_workers=1`` run (which plans nothing).  The all-algorithms
+parallel differential lives in ``test_parallel_executor.py``.
 """
 
 from __future__ import annotations
@@ -16,30 +16,22 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from repro.batch import executor
 from repro.batch.config import (
     ALGORITHM_TABLE,
     ALGORITHMS,
-    CostModel,
     ExecutionConfig,
     validate_num_workers,
 )
 from repro.batch.engine import BatchQueryEngine, batch_enumerate
-from repro.batch.executor import WorkerPool, stream_parallel
-from repro.batch.planner import ExecutionPlan, QueryPlanner, estimate_query_cost
+from repro.batch.executor import stream_parallel
+from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.service import IngestionService
 from repro.enumeration import kernels
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
-
-#: A cost model that makes parallelism look free (forces sharding).
-EAGER_MODEL = CostModel(
-    spawn_overhead_base=0.0,
-    spawn_overhead_per_worker=0.0,
-    seconds_per_cost_unit=1.0,
-    parallel_benefit_margin=1.0,
-)
 
 
 def _workload(seed, num_queries=8):
@@ -72,7 +64,6 @@ def test_engine_rejects_bad_num_workers_eagerly(bad):
         ("num_workers", "AUTO"),
         ("kernel", "cuda"),
         ("kernel", "numpy"),  # with numpy made unavailable below
-        ("cost_model", {"seconds_per_cost_unit": 1.0}),
     ],
 )
 def test_bad_execution_options_raise_at_construction(
@@ -111,7 +102,7 @@ def test_planner_validates_num_workers_and_max_workers_itself():
     facade — QueryPlanner is public API, and the only way to hand it these
     options is an ``ExecutionConfig``, which cannot hold a bad value."""
     graph, queries = _workload(0)
-    assert QueryPlanner(graph).plan(queries).requested_workers == "auto"
+    assert QueryPlanner(graph).plan(queries).num_workers == 1
     for bad in (0, -3, True, "turbo"):
         with pytest.raises(ValueError):
             QueryPlanner(graph, ExecutionConfig(num_workers=bad))
@@ -120,10 +111,10 @@ def test_planner_validates_num_workers_and_max_workers_itself():
 
 
 def test_execution_options_are_declared_once():
-    """The planner, the pool and the executor take the config object; none
+    """The planner and the executor take the config object; neither
     re-declares one of its fields (or the detection-depth constant)."""
-    fields = {"algorithm", "gamma", "kernel", "cost_model", "max_detection_depth"}
-    for callable_ in (QueryPlanner.__init__, WorkerPool.__init__, stream_parallel):
+    fields = {"algorithm", "gamma", "kernel", "max_detection_depth"}
+    for callable_ in (QueryPlanner.__init__, stream_parallel):
         parameters = inspect.signature(callable_).parameters
         assert "config" in parameters
         assert not fields & set(parameters), callable_
@@ -137,8 +128,8 @@ def test_execution_config_is_frozen_hashable_and_picklable():
     assert hash(config) == hash(ExecutionConfig("basic+", 0.25, 3))
     # It travels to the workers through the pool initializer.
     assert pickle.loads(pickle.dumps(config)) == config
-    # None resolves on construction: readers never see an unset option.
-    assert config.max_workers >= 1 and config.cost_model == CostModel()
+    assert config.processes == 3
+    assert ExecutionConfig(num_workers="auto").processes == 1
 
 
 # --------------------------------------------------------------------- #
@@ -159,8 +150,7 @@ def test_explain_shards_cover_every_position_exactly_once(algorithm):
     spec = ALGORITHM_TABLE[algorithm]
     expected_kind = "cluster" if spec.clustered else "slice"
     assert {shard.kind for shard in plan.shards} == {expected_kind}
-    assert plan.num_workers >= 1
-    assert plan.total_estimated_cost > 0
+    assert plan.num_workers == 1
     assert "ExecutionPlan" in plan.describe()
     result = engine.run(queries)
     assert result.algorithm == spec.display_name
@@ -174,7 +164,7 @@ def test_explain_empty_batch_is_trivial():
     graph, _ = _workload(2)
     plan = BatchQueryEngine(graph).explain([])
     assert plan.num_workers == 1
-    assert plan.shards == [] and plan.index_payload_bytes == 0
+    assert plan.shards == [] and plan.estimated_sequential_seconds == 0.0
 
 
 def test_explain_does_not_execute():
@@ -188,21 +178,34 @@ def test_explain_does_not_execute():
 
 def test_auto_resolves_to_one_on_tiny_workloads():
     graph, queries = _workload(4)
-    plan = BatchQueryEngine(graph, algorithm="batch+").explain(queries)
-    # Spawn overhead dwarfs any pure-Python win on an 8-query toy batch.
-    assert plan.num_workers == 1
+    for algorithm in ALGORITHMS:
+        plan = BatchQueryEngine(graph, algorithm=algorithm).explain(queries)
+        assert plan.num_workers == 1
+        assert plan.estimated_sequential_seconds == 0.0
+        assert "workers: 1" in plan.describe()
 
 
-def test_auto_can_choose_parallel_when_cost_model_favours_it():
-    graph, queries = _workload(5)
-    plan = BatchQueryEngine(
-        graph,
-        algorithm="basic+",
-        cost_model=EAGER_MODEL,
-        max_workers=4,
-    ).explain(queries)
-    assert plan.num_workers > 1
-    assert len(plan.shards) == min(plan.num_workers, len(queries))
+def test_auto_never_opens_a_process_pool(monkeypatch):
+    """A multi-cluster batch on which the deleted cost model chose two
+    workers (``max_workers=2``) runs in this process under ``"auto"``."""
+    graph = random_directed_gnm(3000, 24000, seed=2)
+    queries = generate_random_queries(graph, 16, min_k=7, max_k=7, seed=2)
+    expected = BatchQueryEngine(
+        graph, algorithm="batch+", gamma=1.0, num_workers=1
+    ).run(queries)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+    engine = BatchQueryEngine(graph, algorithm="batch+", gamma=1.0, max_workers=2)
+    assert engine.explain(queries).num_shards >= 2
+    result = engine.run(queries)
+    assert result.paths_by_position == expected.paths_by_position
+    assert result.sharing == expected.sharing
+    # An explicit request still fans out.
+    with pytest.raises(AssertionError, match="process pool"):
+        BatchQueryEngine(graph, algorithm="batch+", num_workers=2).run(queries)
 
 
 def test_fixed_worker_request_is_honoured():
@@ -210,22 +213,12 @@ def test_fixed_worker_request_is_honoured():
     plan = BatchQueryEngine(graph, algorithm="batch+", num_workers=3).explain(
         queries
     )
-    assert plan.requested_workers == 3
     assert plan.num_workers == 3
-
-
-def test_parallel_plan_accounts_for_shipping_the_index_rows():
-    graph, queries = _workload(7)
-    engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=2)
-    plan = engine.explain(queries)
-    assert plan.index_payload_bytes == plan.workload.index.nbytes > 0
-    assert plan.estimated_index_ship_seconds == pytest.approx(
-        plan.index_payload_bytes * CostModel().seconds_per_shipped_byte
+    assert "workers: 3" in plan.describe()
+    per_query = BatchQueryEngine(graph, algorithm="basic", num_workers=3).explain(
+        queries
     )
-    assert "ship" in plan.describe()
-    # Unindexed algorithms have nothing to ship.
-    bare = BatchQueryEngine(graph, algorithm="pathenum", num_workers=2).explain(queries)
-    assert bare.index_payload_bytes == 0 and bare.workload is None
+    assert per_query.num_shards == 3
 
 
 def test_auto_engine_matches_sequential_results():
@@ -240,18 +233,6 @@ def test_auto_engine_matches_sequential_results():
             assert auto.paths_at(position) == sequential.paths_at(position)
 
 
-def test_forced_parallel_auto_still_matches_sequential():
-    graph, queries = _workload(10)
-    sequential = BatchQueryEngine(
-        graph, algorithm="basic+", num_workers=1
-    ).run(queries)
-    forced = BatchQueryEngine(
-        graph, algorithm="basic+", cost_model=EAGER_MODEL, max_workers=3
-    ).run(queries)
-    for position in range(len(queries)):
-        assert forced.paths_at(position) == sequential.paths_at(position)
-
-
 def test_batch_enumerate_accepts_auto():
     graph, queries = _workload(11)
     sequential = batch_enumerate(graph, queries, num_workers=1)
@@ -259,26 +240,12 @@ def test_batch_enumerate_accepts_auto():
     assert auto.counts() == sequential.counts()
 
 
-# --------------------------------------------------------------------- #
-# Cost estimates
-# --------------------------------------------------------------------- #
-def test_estimate_query_cost_positive_with_and_without_index():
-    graph, queries = _workload(12)
-    planner = QueryPlanner(graph, ExecutionConfig(algorithm="batch+"))
-    plan = planner.plan(queries)
-    index = plan.workload.index
-    for query in queries:
-        assert estimate_query_cost(query, index, graph) > 0
-        assert estimate_query_cost(query, None, graph) > 0
-
-
 def test_planner_reuses_artifacts_in_sequential_auto_run():
     graph, queries = _workload(13)
-    engine = BatchQueryEngine(graph, algorithm="batch+")  # auto -> 1 here
+    engine = BatchQueryEngine(graph, algorithm="batch+")  # auto -> 1
     result = engine.run(queries)
-    # BuildIndex ran exactly once (during planning) and was reused; a
-    # duplicated build would show up as a second timing entry of the same
-    # magnitude, so we simply require the stage to be present and the
-    # result complete.
+    # BuildIndex ran exactly once and was reused; a duplicated build would
+    # show up as a second timing entry of the same magnitude, so we simply
+    # require the stage to be present and the result complete.
     assert result.stage_timer.total("BuildIndex") > 0.0
     assert len(result.paths_by_position) == len(queries)

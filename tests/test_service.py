@@ -8,13 +8,11 @@ and worker setting; plus ticket-error propagation, backpressure and
 ``close()`` semantics.
 """
 
-import os
-import signal
+import multiprocessing
 import sys
 import threading
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -131,70 +129,26 @@ def test_duplicate_queries_each_get_their_own_ticket():
     assert canon(answers[0]) == canon(_reference("batch+").paths_at(0))
 
 
-def test_forced_parallel_service_reuses_one_pool_across_micro_batches():
+def test_a_parallel_request_is_served_without_spawning_a_process(
+    no_child_left, assert_nothing_pinned
+):
+    """``num_workers=2`` is inert in the service: every micro-batch runs on
+    the scheduler thread, so no child process exists while the service is
+    open, and the answers are the closed-batch oracle's."""
     graph = random_directed_gnm(30, 110, seed=5)
     queries = generate_random_queries(graph, 12, min_k=2, max_k=4, seed=5)
-    oracle = BatchQueryEngine(graph, algorithm="batch+").run(queries)
-    service = IngestionService(
-        graph,
-        algorithm="batch+",
-        num_workers=2,
-        policy=AdmissionPolicy(max_batch_size=4, max_delay_s=0.005),
-    )
-    try:
-        first = service.submit_many(queries[:6])
-        for position, ticket in enumerate(first):
+    oracle = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(queries)
+    with serve(
+        graph, algorithm="batch+", num_workers=2, max_batch_size=4
+    ) as service:
+        for position, ticket in enumerate(service.submit_many(queries)):
             assert canon(ticket.result(timeout=TIMEOUT)) == canon(
                 oracle.paths_at(position)
             )
-        pool_after_first = service._pool
-        assert pool_after_first is not None  # parallel plan opened the pool
-        second = service.submit_many(queries[6:])
-        for offset, ticket in enumerate(second):
-            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
-                oracle.paths_at(6 + offset)
-            )
-        assert service._pool is pool_after_first  # reused, not respawned
-        assert service.stats().batches_dispatched >= 2
-    finally:
-        service.close()
-
-
-def test_graph_mutation_between_micro_batches_recycles_stale_pool():
-    """Workers hold a pickled graph copy; after an in-place mutation the
-    service must respawn the pool against the new snapshot, not silently
-    keep serving from the stale one."""
-    graph = random_directed_gnm(30, 110, seed=6)
-    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=6)
-    service = IngestionService(
-        graph,
-        algorithm="batch+",
-        num_workers=2,
-        policy=AdmissionPolicy(max_batch_size=6, max_delay_s=0.005),
-    )
-    try:
-        for ticket in service.submit_many(queries):
-            ticket.result(timeout=TIMEOUT)
-        stale_pool = service._pool
-        assert stale_pool is not None
-        # Mutate: add an edge that creates new paths for the queries.
-        for u in graph.vertices():
-            for v in graph.vertices():
-                if u != v and not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    break
-            else:
-                continue
-            break
-        oracle = BatchQueryEngine(graph, algorithm="batch+").run(queries)
-        tickets = service.submit_many(queries)
-        for position, ticket in enumerate(tickets):
-            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
-                oracle.paths_at(position)
-            )
-        assert service._pool is not stale_pool  # recycled, not reused stale
-    finally:
-        service.close()
+        assert multiprocessing.active_children() == []
+        assert service.stats().batches_dispatched >= 3
+    assert service.stats().failed == 0
+    assert_nothing_pinned(graph)
 
 
 def test_close_without_drain_during_delay_window_fails_queued_tickets(
@@ -315,29 +269,6 @@ def test_the_longest_window_accepted_is_one_the_scheduler_can_wait(
     assert_nothing_pinned(_GRAPH)
 
 
-def test_stream_parallel_rejects_stale_pool():
-    """Engine-level pools are caller-owned: a plan built after a graph
-    mutation must refuse a pool spawned before it."""
-    graph = random_directed_gnm(20, 70, seed=8)
-    queries = generate_random_queries(graph, 6, min_k=2, max_k=3, seed=8)
-    engine = BatchQueryEngine(graph, algorithm="basic", num_workers=2)
-    pool = engine.create_pool(max_workers=2)
-    try:
-        assert dict(engine.stream(queries, ordered=True, pool=pool)) == dict(
-            engine.stream(queries, ordered=True)
-        )
-        graph.add_edge(*[
-            (u, v)
-            for u in graph.vertices()
-            for v in graph.vertices()
-            if u != v and not graph.has_edge(u, v)
-        ][0])
-        with pytest.raises(RuntimeError, match="open a fresh pool"):
-            list(engine.stream(queries, ordered=True, pool=pool))
-    finally:
-        pool.shutdown()
-
-
 # --------------------------------------------------------------------- #
 # Error propagation and lifecycle
 # --------------------------------------------------------------------- #
@@ -383,11 +314,11 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
     ) as service:
         real_plan = service._planner.plan
 
-        def plan_breaks_once(queries, pool_ready=False, snapshot=None):
+        def plan_breaks_once(queries, snapshot=None):
             pinned_versions.append(snapshot.version)  # the pin is already taken
             if len(pinned_versions) == 1:
                 raise KeyError("planner broke")
-            return real_plan(queries, pool_ready=pool_ready, snapshot=snapshot)
+            return real_plan(queries, snapshot=snapshot)
 
         monkeypatch.setattr(service._planner, "plan", plan_breaks_once)
         bad_ticket = service.submit(first)
@@ -478,61 +409,6 @@ def test_batch_peers_of_a_poisoned_query_share_its_error(
     finally:
         service.close()
     assert_nothing_pinned(graph)
-
-
-def test_killed_worker_fails_one_batch_then_the_pool_respawns(
-    no_child_left, assert_nothing_pinned
-):
-    """A dead worker breaks its ProcessPoolExecutor for good; the service
-    must fail exactly the batch that hit it and serve the next one on a
-    fresh pool (it used to keep the broken pool and fail forever)."""
-    graph = random_directed_gnm(30, 110, seed=5)
-    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=5)
-    oracle = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(queries)
-    service = IngestionService(
-        graph,
-        algorithm="batch+",
-        num_workers=2,
-        # One micro-batch per round: dispatch when all six have arrived.
-        policy=AdmissionPolicy(max_batch_size=len(queries), max_delay_s=30.0),
-    )
-    try:
-        for ticket in service.submit_many(queries):
-            ticket.result(timeout=TIMEOUT)
-        broken_pool = service._pool
-        assert broken_pool is not None
-        victim = next(iter(broken_pool._executor._processes.values()))
-        os.kill(victim.pid, signal.SIGKILL)
-        # The kill must have landed before the next batch is submitted, or
-        # the surviving worker can finish that batch before the pool breaks.
-        victim.join(TIMEOUT)
-
-        for ticket in service.submit_many(queries):
-            with pytest.raises(BrokenProcessPool):
-                ticket.result(timeout=TIMEOUT)
-
-        for position, ticket in enumerate(service.submit_many(queries)):
-            assert ticket.result(timeout=TIMEOUT) == oracle.paths_at(position)
-        assert service._pool is not broken_pool
-        stats = service.stats()
-        assert stats.failed == len(queries)
-        assert stats.completed == 2 * len(queries)
-    finally:
-        service.close()
-    assert_nothing_pinned(graph)
-
-
-def test_close_drain_joins_the_worker_pool(no_child_left):
-    graph = random_directed_gnm(40, 160, seed=10)
-    queries = generate_random_queries(graph, 8, min_k=2, max_k=4, seed=10)
-    reference = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(
-        queries
-    )
-    service = IngestionService(graph, algorithm="batch+", num_workers=2)
-    tickets = service.submit_many(queries)
-    service.close(drain=True)
-    for position, ticket in enumerate(tickets):
-        assert ticket.result(timeout=TIMEOUT) == reference.paths_at(position)
 
 
 def test_close_drain_resolves_all_pending_tickets():
@@ -745,8 +621,6 @@ def test_guarded_declaration_matches_real_instance_state():
         with service._lock:
             for name in IngestionService._GUARDED_BY_LOCK:
                 assert hasattr(service, name), name
-        # The scheduler-confined pool is deliberately NOT lock-guarded.
-        assert "_pool" not in IngestionService._GUARDED_BY_LOCK
     finally:
         service.close(drain=False)
 

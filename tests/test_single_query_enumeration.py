@@ -9,7 +9,6 @@ from repro.enumeration.brute_force import (
 from repro.enumeration.dfs_baseline import enumerate_paths_pruned_dfs
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.paths import sort_paths, validate_path
-from repro.batch.planner import estimate_side_cost
 from repro.enumeration.search_order import choose_budget_split, mean_degree_of
 from repro.bfs.distance_index import build_index_for_queries
 from repro.graph.digraph import DiGraph
@@ -123,10 +122,3 @@ def test_choose_budget_split_is_valid():
     split = choose_budget_split([query], index, mean_degree_of(graph))
     assert list(split) == [query.k]
     assert 1 <= split[query.k] <= query.k
-
-
-def test_estimate_side_cost_monotone_with_levels():
-    assert estimate_side_cost([]) == 0.0
-    shallow = estimate_side_cost([1, 5])
-    deep = estimate_side_cost([1, 5, 25])
-    assert deep > shallow
