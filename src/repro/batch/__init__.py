@@ -1,16 +1,20 @@
 """Batch HC-s-t path query processing — the paper's core contribution.
 
-* :mod:`repro.batch.basic_enum` — Algorithm 1 (``BasicEnum``/``BasicEnum+``):
-  shared index, independent per-query enumeration.
+* :mod:`repro.batch.batch_enum` — Algorithm 4 (``BatchEnum``/``BatchEnum+``):
+  shared enumeration with materialised HC-s path queries, the one
+  index-sharing enumerator.  With ``cluster=False`` every query is a
+  cluster of one (shared index, independent per-query PathEnum), which is
+  Algorithm 1.
+* :mod:`repro.batch.basic_enum` — ``BasicEnum``/``BasicEnum+``, that
+  ``cluster=False`` configuration as a class, and the per-query PathEnum
+  baseline (``pathenum``).
 * :mod:`repro.batch.clustering` — Algorithm 2 (``ClusterQuery``).
 * :mod:`repro.batch.detection` — Algorithm 3 (``DetectCommonQuery``) and the
   query sharing graph Ψ.
-* :mod:`repro.batch.batch_enum` — Algorithm 4 (``BatchEnum``/``BatchEnum+``):
-  shared enumeration with materialised HC-s path queries.
 * :mod:`repro.batch.config` — the execution options, declared and
   validated once as the frozen :class:`ExecutionConfig`, and the one
-  per-algorithm table (display name, sharding, fragment generator) that
-  engine, planner, executor and service all read.
+  per-algorithm table (display name, clustered, indexed, "+") that engine,
+  planner, executor and service all read.
 * :mod:`repro.batch.engine` — the :class:`BatchQueryEngine` facade, with a
   blocking ``run``, a streaming ``stream``/:func:`stream_enumerate`
   front-end that flushes ``(batch_position, paths)`` tuples as shards,

@@ -1,104 +1,47 @@
-"""Algorithm 1 — ``BasicEnum`` / ``BasicEnum+`` and the PathEnum baseline.
+"""Algorithm 1 — ``BasicEnum`` / ``BasicEnum+`` — and the PathEnum baseline.
 
 ``BasicEnum`` is the straightforward batch baseline: build the distance
 index for all sources and targets at once (a truncated BFS each), then run
 the bidirectional PathEnum enumeration for each query independently on top
-of the shared index.  ``BasicEnum+`` additionally enables PathEnum's
-search-order optimisation (adaptive forward/backward budget split).
+of the shared index.  That is :class:`~repro.batch.batch_enum.BatchEnum`
+with clustering off (every position a cluster of one), so ``BasicEnum`` is
+that configuration and nothing more; ``BasicEnum+`` additionally enables
+PathEnum's search-order optimisation (adaptive forward/backward budget
+split).
 
 ``run_pathenum_baseline`` processes each query completely independently —
 including its own per-query index construction — which is how the paper
-runs the original PathEnum as a competitor.
-
-Both runners are implemented as *fragment generators* (``iter_run`` /
-``iter_pathenum_baseline``) that yield one ``{position: paths}`` fragment
-per completed query, which is what the engine's streaming front-end drains;
-the blocking ``run`` entry points collect the same generator to completion.
+runs the original PathEnum as a competitor.  ``iter_pathenum_baseline`` is
+its fragment generator: one ``{position: paths}`` fragment per completed
+query, which is what the engine's streaming front-end drains.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import (
     BatchResult,
     FragmentStream,
-    SharingStats,
     drain,
     per_query_fragments,
 )
 from repro.enumeration.path_enum import PathEnum
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
-from repro.queries.workload import QueryWorkload
-from repro.utils.timer import StageTimer
 
 
-class BasicEnum:
-    """Batch baseline: shared index, independent per-query enumeration.
+class BasicEnum(BatchEnum):
+    """Algorithm 1: :class:`BatchEnum` with ``cluster=False``."""
 
-    ``kernel`` is forwarded to the underlying :class:`PathEnum` — see
-    :mod:`repro.enumeration.kernels` for the selection semantics.
-    """
+    def __init__(self, graph: DiGraph, optimize_search_order: bool = False,
+                 kernel: str = "python") -> None:
+        super().__init__(graph, optimize_search_order=optimize_search_order,
+                         kernel=kernel, cluster=False)
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        optimize_search_order: bool = False,
-        kernel: str = "python",
-    ) -> None:
-        self.graph = graph
-        self.optimize_search_order = optimize_search_order
-        self.kernel = kernel
-
-    @property
-    def name(self) -> str:
-        return "BasicEnum+" if self.optimize_search_order else "BasicEnum"
-
-    def run(self, queries: Sequence[HCSTQuery]) -> BatchResult:
-        """Process the batch and return a :class:`BatchResult`."""
-        return drain(self.iter_run(queries))
-
-    def iter_run(
-        self,
-        queries: Sequence[HCSTQuery],
-        workload: Optional[QueryWorkload] = None,
-    ) -> FragmentStream:
-        """Fragment generator: one ``{position: paths}`` yield per query.
-
-        The shared artefacts (distance index, CSR snapshot) are
-        still built once for the whole batch before the first fragment is
-        produced; only the per-query enumerations are interleaved with the
-        consumer.  A caller that already owns a covering workload (the
-        query planner, or a worker that received a shipped index) passes it
-        via ``workload`` so the index is not rebuilt.
-        """
-        if workload is None:
-            workload = QueryWorkload(self.graph, queries, stage_timer=StageTimer())
-        stage_timer = workload.stage_timer
-        result = BatchResult(
-            queries=list(queries),
-            stage_timer=stage_timer,
-            sharing=SharingStats(num_clusters=len(queries)),
-            algorithm=self.name,
-        )
-        index = workload.index  # "BuildIndex" stage
-        # Pack the shared CSR snapshot up front so the per-query loop below
-        # (and every other algorithm run on this graph) reads adjacency from
-        # the same flat arrays; attribute the packing to BuildIndex.
-        with stage_timer.stage("BuildIndex"):
-            self.graph.csr_snapshot()
-        enumerator = PathEnum(
-            self.graph,
-            index=index,
-            optimize_search_order=self.optimize_search_order,
-            kernel=self.kernel,
-        )
-        with stage_timer.stage("Enumeration"):
-            for position, query in enumerate(queries):
-                result.record(position, enumerator.enumerate(query))
-                yield {position: result.paths_by_position[position]}
-        return result
+    # trace.py wraps vars(BasicEnum)["iter_run"] by name (ROADMAP item 11).
+    iter_run = BatchEnum.iter_run
 
 
 def run_pathenum_baseline(

@@ -21,6 +21,11 @@ Processing pipeline for a batch ``Q``:
 ``BatchEnum+`` uses the search-order optimiser to pick, once per cluster,
 the forward/backward budget split of each hop constraint before detection,
 priced over the roots the cluster will search.
+
+With ``cluster=False`` step 2 is skipped and every position is a cluster
+of one, which runs PathEnum on the shared index with no detection, Ψ or
+cache around it: that is Algorithm 1 (``BasicEnum``/``BasicEnum+``), the
+engine's ``basic``/``basic+``.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class BatchEnum:
         :mod:`repro.enumeration.kernels` (raises when numpy is absent).
         ``"auto"`` resolves to ``"python"``; a plan's per-cluster choices
         arrive through ``iter_run(kernels=...)``.
+    cluster:
+        Run ClusterQuery (default).  ``False`` makes every position a
+        cluster of one — Algorithm 1, reported as ``BasicEnum``.
     """
 
     def __init__(
@@ -82,12 +90,14 @@ class BatchEnum:
         optimize_search_order: bool = False,
         max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
         kernel: str = "python",
+        cluster: bool = True,
     ) -> None:
         require(0.0 <= gamma <= 1.0, "gamma must be within [0, 1]")
         self.graph = graph
         self.gamma = gamma
         self.optimize_search_order = optimize_search_order
         self.kernel = resolve_kernel(kernel)
+        self.cluster = cluster
         # How deep DetectCommonQuery expands the joint frontier beyond the
         # root vertices; None reproduces Algorithm 3 exactly (full depth),
         # the default of 1 keeps the detection overhead negligible on the
@@ -97,7 +107,8 @@ class BatchEnum:
 
     @property
     def name(self) -> str:
-        return "BatchEnum+" if self.optimize_search_order else "BatchEnum"
+        name = "BatchEnum" if self.cluster else "BasicEnum"
+        return name + "+" if self.optimize_search_order else name
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -139,7 +150,9 @@ class BatchEnum:
             # Pack (or reuse) the shared CSR snapshot the enumeration reads.
             self.graph.csr_snapshot()
 
-        if clusters is None:
+        if clusters is None and not self.cluster:
+            clusters = [[position] for position in range(len(queries))]
+        elif clusters is None:
             with stage_timer.stage("ClusterQuery"):
                 clusters = cluster_queries(workload, self.gamma)
 
@@ -184,9 +197,10 @@ class BatchEnum:
         mode calls this method from worker processes with a per-cluster
         index and merges the per-position results afterwards.
 
-        A cluster of one *is* a single query: it runs the search ``basic``
-        runs (:meth:`PathEnum.enumerate` on the shared index) and its two
-        roots are counted, with no detection, Ψ or cache built around it.
+        A cluster of one *is* a single query — every cluster under
+        ``cluster=False``: it runs :meth:`PathEnum.enumerate` on the shared
+        index and its two roots are counted, with no detection, Ψ or cache
+        built around it.
         """
         if len(queries_by_position) == 1:
             ((position, query),) = queries_by_position.items()

@@ -7,8 +7,9 @@ are declared and validated; the public facades
 :class:`~repro.batch.service.IngestionService`, ``serve``) build one from
 their keywords and the planner, the executor and the worker processes
 receive it untouched.  :data:`ALGORITHM_TABLE` is the one place an
-algorithm name is turned into anything — its display label, how the
-planner shards it, and the fragment generator that runs it.
+algorithm name is turned into anything — its display label and how the
+planner shards it — and :func:`fragment_generator` the one place it is
+turned into the fragment generator that runs it.
 
 This module sits below ``engine``, ``planner``, ``executor`` and
 ``service``: all four import it, it imports none of them.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Union
 
-from repro.batch.basic_enum import BasicEnum, iter_pathenum_baseline
+from repro.batch.basic_enum import iter_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import FragmentStream
 from repro.enumeration.kernels import validate_kernel
@@ -50,12 +51,6 @@ def validate_num_workers(value: NumWorkers) -> NumWorkers:
     return value
 
 
-#: What a table row's ``runner`` returns: ``queries -> FragmentStream``
-#: (the index-sharing enumerators' ``iter_run`` also accepts the planner's
-#: prebuilt ``workload``/``clusters``/``kernels``).
-Runner = Callable[..., FragmentStream]
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One row of :data:`ALGORITHM_TABLE`: everything the pipeline needs
@@ -65,20 +60,18 @@ class AlgorithmSpec:
     ----------
     display_name:
         Label reported in ``BatchResult.algorithm`` (the paper's name).
-    runner:
-        ``(sealed snapshot, config, concrete kernel) -> Runner``.
     clustered:
-        Sharing-aware: a batch is sharded per cluster, otherwise into
-        contiguous batch slices.
+        Runs ClusterQuery: a batch is sharded per cluster, otherwise into
+        contiguous batch slices, and every query is a cluster of one.
     indexed:
-        Reads the shared distance index; a parallel plan ships each
-        shard its endpoints' rows of the parent-built index.
+        Reads the shared distance index (runs :class:`BatchEnum`); a
+        parallel plan ships each shard its endpoints' rows of the
+        parent-built index.  ``pathenum`` alone builds one per query.
     optimize_search_order:
         The "+" variants' adaptive forward/backward budget split.
     """
 
     display_name: str
-    runner: Callable[[CSRGraph, "ExecutionConfig", str], Runner]
     clustered: bool = False
     indexed: bool = False
     optimize_search_order: bool = False
@@ -86,52 +79,47 @@ class AlgorithmSpec:
 
 def make_enumerator(
     snapshot: CSRGraph, config: "ExecutionConfig", kernel: str
-) -> Union[BatchEnum, BasicEnum]:
+) -> BatchEnum:
     """The index-sharing enumerator of ``config.algorithm`` on ``snapshot``.
 
-    The one place ``BatchEnum``/``BasicEnum`` are constructed for the
-    engine (planned or not) and for both worker tasks, so a shard meets the
-    same object whoever runs it.
+    The one place ``BatchEnum`` is constructed for the engine (planned or
+    not) and for both worker tasks, so a shard meets the same object
+    whoever runs it; ``basic``/``basic+`` are its ``cluster=False`` form.
     """
     spec = ALGORITHM_TABLE[config.algorithm]
-    if spec.clustered:
-        return BatchEnum(
-            snapshot,
-            gamma=config.gamma,
-            optimize_search_order=spec.optimize_search_order,
-            kernel=kernel,
-        )
-    return BasicEnum(
+    return BatchEnum(
         snapshot,
+        gamma=config.gamma,
         optimize_search_order=spec.optimize_search_order,
         kernel=kernel,
+        cluster=spec.clustered,
     )
 
 
-def _enumerator_runner(snapshot, config, kernel) -> Runner:
+def fragment_generator(
+    snapshot: CSRGraph, config: "ExecutionConfig", kernel: str
+) -> Callable[..., FragmentStream]:
+    """``queries -> FragmentStream`` for ``config.algorithm`` on
+    ``snapshot``: the per-query PathEnum baseline, or the enumerator's
+    ``iter_run`` (which also accepts the planner's prebuilt
+    ``workload``/``clusters``/``kernels``)."""
+    if not ALGORITHM_TABLE[config.algorithm].indexed:
+        return partial(iter_pathenum_baseline, snapshot, kernel=kernel)
     return make_enumerator(snapshot, config, kernel).iter_run
-
-
-def _pathenum_runner(snapshot, config, kernel) -> Runner:
-    return partial(iter_pathenum_baseline, snapshot, kernel=kernel)
 
 
 #: Engine algorithm name -> its :class:`AlgorithmSpec` (the paper's
 #: Section V line-up, less the Exp-6 k-shortest-path baselines, which are
 #: plain :mod:`repro.baselines` functions).
 ALGORITHM_TABLE: Dict[str, AlgorithmSpec] = {
-    "pathenum": AlgorithmSpec("PathEnum", _pathenum_runner),
-    "basic": AlgorithmSpec("BasicEnum", _enumerator_runner, indexed=True),
+    "pathenum": AlgorithmSpec("PathEnum"),
+    "basic": AlgorithmSpec("BasicEnum", indexed=True),
     "basic+": AlgorithmSpec(
-        "BasicEnum+", _enumerator_runner, indexed=True,
-        optimize_search_order=True,
+        "BasicEnum+", indexed=True, optimize_search_order=True
     ),
-    "batch": AlgorithmSpec(
-        "BatchEnum", _enumerator_runner, clustered=True, indexed=True
-    ),
+    "batch": AlgorithmSpec("BatchEnum", clustered=True, indexed=True),
     "batch+": AlgorithmSpec(
-        "BatchEnum+", _enumerator_runner, clustered=True, indexed=True,
-        optimize_search_order=True,
+        "BatchEnum+", clustered=True, indexed=True, optimize_search_order=True
     ),
 }
 

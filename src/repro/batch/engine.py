@@ -9,11 +9,15 @@ are plain functions in :mod:`repro.baselines`, not engine algorithms:
 name           algorithm
 =============  =====================================================
 ``pathenum``   PathEnum run per query with per-query indexes
-``basic``      Algorithm 1 (BasicEnum)
-``basic+``     Algorithm 1 with optimised search order (BasicEnum+)
+``basic``      Algorithm 1 (BasicEnum): BatchEnum with clustering off
+``basic+``     ``basic`` with optimised search order (BasicEnum+)
 ``batch``      Algorithm 4 (BatchEnum)
 ``batch+``     Algorithm 4 with optimised search order (BatchEnum+)
 =============  =====================================================
+
+The four indexed names are one enumerator,
+:class:`~repro.batch.batch_enum.BatchEnum`, configured by
+:data:`~repro.batch.config.ALGORITHM_TABLE`: ``cluster`` × "+".
 
 One process unless asked by number
 ----------------------------------
@@ -80,6 +84,7 @@ from repro.batch.config import (
     ALGORITHMS,
     ExecutionConfig,
     NumWorkers,
+    fragment_generator,
 )
 from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
@@ -291,11 +296,12 @@ class BatchQueryEngine:
         fans out.  Every fragment is computed against one sealed snapshot —
         concurrent graph mutation is copy-on-write and cannot reach an
         in-flight stream."""
-        spec = ALGORITHM_TABLE[self.algorithm]
         if not queries:
-            return BatchResult(queries=[], algorithm=spec.display_name)
+            return BatchResult(
+                queries=[], algorithm=ALGORITHM_TABLE[self.algorithm].display_name
+            )
         if plan is None and self.config.processes == 1:
-            fragments = spec.runner(
+            fragments = fragment_generator(
                 self.graph.csr_snapshot(),
                 self.config,
                 resolve_kernel(self.config.kernel),
@@ -325,9 +331,7 @@ class BatchQueryEngine:
         kernels = [shard.kernel for shard in plan.shards]
         # An in-process slice plan has one shard; a cluster plan overrides
         # the enumerator's own kernel per cluster below.
-        run = ALGORITHM_TABLE[self.algorithm].runner(
-            plan.snapshot, self.config, kernels[0]
-        )
+        run = fragment_generator(plan.snapshot, self.config, kernels[0])
         if plan.clusters is not None:
             return run(
                 queries,

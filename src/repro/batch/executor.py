@@ -68,7 +68,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, make_enumerator
+from repro.batch.config import (
+    ALGORITHM_TABLE,
+    ExecutionConfig,
+    fragment_generator,
+    make_enumerator,
+)
 from repro.batch.planner import ExecutionPlan
 from repro.batch.results import (
     BatchResult,
@@ -142,10 +147,10 @@ def _run_slice_task(
     kernel: str = "python",
 ) -> Fragment:
     """Process one contiguous query slice inside a worker (per-query
-    algorithms: the table's sequential runner is reused verbatim)."""
+    algorithms: the sequential fragment generator is reused verbatim)."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    run = ALGORITHM_TABLE[config.algorithm].runner(graph, config, kernel)
+    run = fragment_generator(graph, config, kernel)
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
         "enumerate", tags={"kind": "slice", "positions": len(positions)}
@@ -222,12 +227,11 @@ def stream_parallel(
         plan.num_workers >= 2,
         "stream_parallel requires a plan resolved to num_workers >= 2",
     )
-    spec = ALGORITHM_TABLE[config.algorithm]
     stage_timer = plan.stage_timer or StageTimer()
     result = BatchResult(
         queries=list(queries),
         stage_timer=stage_timer,
-        algorithm=spec.display_name,
+        algorithm=ALGORITHM_TABLE[config.algorithm].display_name,
     )
     sharing = SharingStats()
 
@@ -294,10 +298,6 @@ def stream_parallel(
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    if not spec.clustered:
-        # Per-query algorithms report one "cluster" per query, like their
-        # in-process counterparts do.
-        sharing.num_clusters = len(queries)
     result.sharing = sharing
     return result
 

@@ -54,10 +54,10 @@ def per_query_fragments(
     """Fragment generator for algorithms with no cross-query state.
 
     ``pathenum`` and the :mod:`repro.baselines` runners share this shape:
-    every query is enumerated independently inside one ``Enumeration``
-    stage and each completed query is immediately flushable, so the whole
-    runner is a loop that records and yields one single-position fragment
-    per query.
+    every query is enumerated independently and each completed query is
+    immediately flushable, so the whole runner is a loop that records and
+    yields one single-position fragment per query.  ``Enumeration`` times
+    the ``enumerate_one`` calls only, not the consumer between yields.
     """
     stage_timer = StageTimer()
     result = BatchResult(
@@ -66,10 +66,11 @@ def per_query_fragments(
         sharing=SharingStats(num_clusters=len(queries)),
         algorithm=algorithm,
     )
-    with stage_timer.stage("Enumeration"):
-        for position, query in enumerate(queries):
-            result.record(position, enumerate_one(query))
-            yield {position: result.paths_by_position[position]}
+    for position, query in enumerate(queries):
+        with stage_timer.stage("Enumeration"):
+            paths = enumerate_one(query)
+        result.record(position, paths)
+        yield {position: result.paths_by_position[position]}
     return result
 
 
@@ -80,7 +81,8 @@ class SharingStats:
     Attributes
     ----------
     num_clusters:
-        Number of query groups produced by ``ClusterQuery``.
+        Number of query groups: ``ClusterQuery``'s clusters, or one per
+        query where nothing clusters (``pathenum``, ``basic``/``basic+``).
     num_shared_nodes:
         Number of *common* HC-s path query nodes detected (nodes with more
         than one consumer).
@@ -124,6 +126,12 @@ class BatchResult:
     Paths are stored per query *position* in the submitted batch so that
     duplicate queries each receive their own (identical) answer, exactly as
     a query-processing system would return them.
+
+    Order contract: the set of paths at a position is the answer; the
+    order of the paths *within* a position is unspecified (it follows the
+    search and the chosen budget split).  Compare results through
+    :meth:`sorted_paths_at` and ``repr(sharing)``.  The position order of
+    ``stream(ordered=True)`` — ``0, 1, 2, …`` — is part of the contract.
     """
 
     queries: List[HCSTQuery]

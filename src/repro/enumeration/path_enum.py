@@ -17,7 +17,8 @@ SIGMOD'21] as described in Section III of the batch paper:
 
 The class can operate standalone (it builds its own per-query index) or on
 top of a shared :class:`~repro.bfs.distance_index.CSRDistanceIndex`, which is
-how :class:`~repro.batch.basic_enum.BasicEnum` uses it.
+how :class:`~repro.batch.batch_enum.BatchEnum` answers a cluster of one —
+every query of ``basic``/``basic+``, which run it with clustering off.
 """
 
 from __future__ import annotations

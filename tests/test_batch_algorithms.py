@@ -1,8 +1,8 @@
-"""Integration tests for BasicEnum, BatchEnum and the engine facade."""
+"""Integration tests for BatchEnum (clustered or not) and the engine facade."""
 
 import pytest
 
-from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
+from repro.batch.basic_enum import run_pathenum_baseline
 from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.cache import ResultCache
@@ -44,25 +44,8 @@ def test_all_algorithms_reproduce_paper_example(algorithm, paper_graph, paper_qu
 
 
 # --------------------------------------------------------------------- #
-# BasicEnum
+# PathEnum baseline
 # --------------------------------------------------------------------- #
-def test_basic_enum_matches_brute_force(random_graph):
-    queries = generate_random_queries(random_graph, 8, min_k=2, max_k=4, seed=1)
-    result = BasicEnum(random_graph).run(queries)
-    _assert_matches(result, random_graph, queries)
-    assert result.algorithm == "BasicEnum"
-    assert result.stage_seconds("BuildIndex") >= 0.0
-    assert result.stage_seconds("Enumeration") >= 0.0
-
-
-def test_basic_enum_plus_matches_basic(random_graph):
-    queries = generate_random_queries(random_graph, 8, min_k=2, max_k=4, seed=2)
-    plain = BasicEnum(random_graph, optimize_search_order=False).run(queries)
-    plus = BasicEnum(random_graph, optimize_search_order=True).run(queries)
-    for position in range(len(queries)):
-        assert plain.sorted_paths_at(position) == plus.sorted_paths_at(position)
-
-
 def test_pathenum_baseline_matches(random_graph):
     queries = generate_random_queries(random_graph, 5, min_k=2, max_k=4, seed=3)
     result = run_pathenum_baseline(random_graph, queries)
@@ -203,9 +186,9 @@ def _strangers(with_family):
 @pytest.mark.parametrize("with_family", [False, True])
 def test_a_cluster_of_one_runs_the_single_query_search(plus, with_family, monkeypatch):
     """Strangers pay for no sharing machinery: each is answered by the
-    search ``basic`` runs — same lists, same order — with its two roots
-    counted and ``detect_common_queries`` never called; a family in the
-    same batch is still detected on, once per direction."""
+    search ``basic`` runs — same lists, same order, same sharing stats —
+    with its two roots counted and ``detect_common_queries`` never called;
+    a family in the same batch is still detected on, once per direction."""
     detected = []
 
     def counting_detect(graph, queries_by_position, *args, **kwargs):
@@ -217,6 +200,9 @@ def test_a_cluster_of_one_runs_the_single_query_search(plus, with_family, monkey
     batch = BatchQueryEngine(graph, "batch" + plus, num_workers=1).run(queries)
     basic = BatchQueryEngine(graph, "basic" + plus, num_workers=1).run(queries)
     assert batch.paths_by_position == basic.paths_by_position
+    assert batch.algorithm == "BatchEnum" + plus
+    assert basic.algorithm == "BasicEnum" + plus
+    assert set(basic.stage_timer.totals) == {"BuildIndex", "Enumeration"}
     assert sum(batch.counts()) >= 36
     _assert_matches(batch, graph, queries)
     sharing = batch.sharing
@@ -226,7 +212,7 @@ def test_a_cluster_of_one_runs_the_single_query_search(plus, with_family, monkey
         assert sharing.num_hc_s_nodes >= 2 * 36 + 2
     else:
         assert detected == []
-        assert sharing == SharingStats(
+        assert basic.sharing == sharing == SharingStats(
             num_clusters=36,
             num_hc_s_nodes=72,
             num_shared_nodes=0,

@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.batch.batch_enum import BatchEnum
-from repro.batch.basic_enum import BasicEnum
 from repro.batch.clustering import cluster_queries
 from repro.batch.engine import BatchQueryEngine
 from repro.enumeration.brute_force import enumerate_paths_brute_force
@@ -72,26 +71,24 @@ def test_pathenum_equals_brute_force(data):
     assert actual == expected
 
 
-@given(graph_and_queries(), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+@given(
+    graph_and_queries(),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.booleans(),
+    st.booleans(),
+)
 @SETTINGS
-def test_batch_enum_equals_brute_force(data, gamma):
+def test_batch_enum_equals_brute_force(data, gamma, cluster, plus):
+    """``batch``/``batch+`` (``cluster``) and ``basic``/``basic+``."""
     graph, queries = data
-    result = BatchEnum(graph, gamma=gamma).run(queries)
+    result = BatchEnum(
+        graph, gamma=gamma, optimize_search_order=plus, cluster=cluster
+    ).run(queries)
     for position, query in enumerate(queries):
         expected = sort_paths(
             enumerate_paths_brute_force(graph, query.s, query.t, query.k)
         )
         assert result.sorted_paths_at(position) == expected
-
-
-@given(graph_and_queries())
-@SETTINGS
-def test_batch_enum_plus_equals_basic_enum(data):
-    graph, queries = data
-    batch = BatchEnum(graph, gamma=0.5, optimize_search_order=True).run(queries)
-    basic = BasicEnum(graph, optimize_search_order=True).run(queries)
-    for position in range(len(queries)):
-        assert batch.sorted_paths_at(position) == basic.sorted_paths_at(position)
 
 
 @given(graph_and_queries(max_queries=3))

@@ -7,6 +7,8 @@ flush policy, and a shard that raises surfaces its exception from the
 stream instead of hanging the drain loop.
 """
 
+import time
+
 import pytest
 
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, stream_enumerate
@@ -78,6 +80,24 @@ def test_run_is_identical_before_and_after_streaming_refactor_fields():
     assert result.sharing.num_clusters >= 1
     assert result.stage_seconds("Enumeration") >= 0.0
     assert len(result.queries) == len(_QUERIES)
+
+
+@pytest.mark.parametrize("algorithm", ["pathenum", "basic+"])
+def test_a_slow_consumer_is_not_charged_to_enumeration(
+    algorithm, paper_graph, paper_queries
+):
+    """``Enumeration`` times the searches, not the consumer between
+    yields: three positions each read for 50 ms add nothing to it."""
+    nap = 0.05
+    stream = BatchQueryEngine(paper_graph, algorithm).stream(paper_queries[:3])
+    while True:
+        try:
+            next(stream)
+        except StopIteration as stop:
+            result = stop.value
+            break
+        time.sleep(nap)
+    assert result.stage_seconds("Enumeration") < nap
 
 
 # --------------------------------------------------------------------- #
