@@ -15,12 +15,17 @@ a fresh interpreter.
 
 One digest is one (draw, name) pair.  It matches when every position's
 sorted path list and ``repr(BatchResult.sharing)`` are equal: order
-*within* a position is unspecified (README, "Result order").  The last line
-is ``N mismatches over M digests``; each mismatch is printed above it.
-``--allow-sharing NAME`` turns a ``sharing``-only difference of that name
-into an "allowed" line, for a change that means to move those counters.
-Positions whose emitted order differs are listed as "order" lines, never
-as mismatches.  Exit status is 1 on any mismatch.
+*within* a position is unspecified (README, "Result order").  Each digest
+also drains ``stream(ordered=True)``, whose positions must come out
+``0..n-1``, and ``stream(ordered=False)``, where each position must come
+out exactly once; both streams' sorted lists must equal ``run()``'s and
+the other revision's.  The last line is ``N mismatches over M digests``;
+each mismatch is printed above it.  ``--allow-sharing NAME`` turns a
+``sharing``-only difference of that name into an "allowed" line, for a
+change that means to move those counters.  Positions whose emitted order
+differs, and an ``ordered=False`` stream that flushes its positions in
+another order, are listed as "order" lines, never as mismatches.  Exit
+status is 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 ALGORITHMS = ("pathenum", "basic", "basic+", "batch", "batch+")
+#: The stream surfaces digested beside ``run()``, with their ``ordered``.
+STREAMS = {"stream(ordered=True)": True, "stream(ordered=False)": False}
 #: ``benchmarks/perf/run.py``'s default seed, so the draws are its first.
 SEED = 20240
 
@@ -96,6 +103,16 @@ def child(draws_file: str) -> None:
             engine = BatchQueryEngine(graph, algorithm, **draw["options"])
             result = engine.run(queries)
             emitted = [result.paths_at(i) for i in range(len(queries))]
+            streams = {}
+            for surface, ordered in STREAMS.items():
+                order, digests = [], {}
+                for position, paths in engine.stream(queries, ordered=ordered):
+                    order.append(position)
+                    digests[position] = _sha(sort_paths(paths))
+                streams[surface] = {
+                    "order": order,
+                    "sorted": [digests.get(i) for i in range(len(queries))],
+                }
             print(json.dumps({
                 "draw": draw["name"],
                 "algorithm": algorithm,
@@ -103,6 +120,7 @@ def child(draws_file: str) -> None:
                 "emitted": [_sha(paths) for paths in emitted],
                 "sharing": repr(result.sharing),
                 "fields": dataclasses.asdict(result.sharing),
+                "streams": streams,
             }), flush=True)
             del result, emitted
 
@@ -132,12 +150,26 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
+def stream_faults(record: dict) -> List[str]:
+    """How one tree's streams break their contract: positions out of
+    ``ordered``'s order, or sorted lists other than ``run()``'s."""
+    faults = []
+    everyone = list(range(len(record["sorted"])))
+    for surface, stream in record["streams"].items():
+        order = stream["order"]
+        if (order if STREAMS[surface] else sorted(order)) != everyone:
+            faults.append(f"{surface} flushed positions {order[:20]}")
+        elif stream["sorted"] != record["sorted"]:
+            faults.append(f"{surface} sorted paths differ from run()'s")
+    return faults
+
+
 def compare(
     theirs: Dict[tuple, dict], ours: Dict[tuple, dict], allow_sharing: List[str]
 ) -> int:
     """Print every mismatch, allowed difference and order note; return the
     number of mismatches."""
-    mismatches = reordered_digests = 0
+    mismatches = reordered_digests = reflushed_digests = 0
     for key in sorted(set(theirs) | set(ours)):
         label = "/".join(key)
         if key not in theirs or key not in ours:
@@ -163,6 +195,23 @@ def compare(
             else:
                 print(f"MISMATCH {label}: {old['sharing']} -> {new['sharing']}")
                 mismatches += 1
+        faults = [
+            f"{side}: {fault}"
+            for side, record in (("theirs", old), ("ours", new))
+            for fault in stream_faults(record)
+        ]
+        faults += [
+            f"{surface} sorted paths differ from the other revision's"
+            for surface in STREAMS
+            if old["streams"][surface]["sorted"] != new["streams"][surface]["sorted"]
+        ]
+        for fault in faults:
+            print(f"MISMATCH {label}: {fault}")
+        mismatches += len(faults)
+        unordered = "stream(ordered=False)"
+        if old["streams"][unordered]["order"] != new["streams"][unordered]["order"]:
+            print(f"order    {label}: {unordered} flushed positions in another order")
+            reflushed_digests += 1
         reordered = [
             i for i, pair in enumerate(zip(old["emitted"], new["emitted"]))
             if pair[0] != pair[1]
@@ -171,6 +220,7 @@ def compare(
             print(f"order    {label}: {len(reordered)} positions emitted in another order")
         reordered_digests += bool(reordered)
     print(f"emitted order differs in {reordered_digests} digests")
+    print(f"stream(ordered=False) position order differs in {reflushed_digests} digests")
     return mismatches
 
 

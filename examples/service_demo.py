@@ -7,8 +7,9 @@ Simulates a trickle of arrivals against a multi-community graph through
 * the background scheduler groups arrivals into micro-batches
   (``max_batch_size`` / ``max_delay_s``), and ClusterQuery shares work
   among the look-alike queries inside each batch;
-* tickets resolve as their shard/cluster completes — the demo prints each
-  resolution with its submit→result latency, then the service stats.
+* tickets resolve as the forward root answering them is joined — the
+  demo prints each resolution with its submit→result latency, then the
+  service stats.
 
 Run with::
 

@@ -31,7 +31,8 @@ engine's ``basic``/``basic+``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.batch.cache import ResultCache
 from repro.batch.clustering import cluster_queries
@@ -124,13 +125,16 @@ class BatchEnum:
         clusters: Optional[List[List[int]]] = None,
         kernels: Optional[Sequence[str]] = None,
     ) -> FragmentStream:
-        """Fragment generator: one ``{position: paths}`` yield per cluster.
+        """Fragment generator: one ``{position: paths}`` yield per forward
+        root.
 
         The global stages (BuildIndex, ClusterQuery) run before the first
-        fragment; from then on every completed cluster is immediately
-        flushable.  This is the sequential twin of the parallel executor's
-        per-shard completions, so the engine's streaming front-end drains
-        both through one reorder buffer.
+        fragment; from then on the queries of a forward root are flushable
+        the moment its ⊕ join completes them, before the cluster's next
+        root is searched (a cluster of one yields once, its query).  This
+        is the sequential twin of the parallel executor's per-shard
+        completions, so the engine's streaming front-end drains both
+        through one reorder buffer.
 
         ``workload``/``clusters`` let a caller that already built the shared
         artefacts (the query planner) hand them over instead of rebuilding;
@@ -167,13 +171,13 @@ class BatchEnum:
             queries_by_position = {
                 position: workload.queries[position] for position in cluster
             }
-            self._process_cluster(
+            for positions in self._process_cluster(
                 queries_by_position, index, stage_timer, result, sharing, kernel
-            )
-            yield {
-                position: result.paths_by_position[position]
-                for position in sorted(cluster)
-            }
+            ):
+                yield {
+                    position: result.paths_by_position[position]
+                    for position in positions
+                }
         result.sharing = sharing
         return result
 
@@ -188,9 +192,10 @@ class BatchEnum:
         result: BatchResult,
         sharing: SharingStats,
         kernel: str,
-    ) -> None:
+    ) -> Iterator[List[int]]:
         """Process one cluster of queries against ``index`` on ``kernel``
-        (``"python"`` or ``"numpy"``).
+        (``"python"`` or ``"numpy"``), yielding the positions of each
+        forward root once its join has recorded them.
 
         Clusters are independent of one another by construction, which makes
         this the shard boundary of :mod:`repro.batch.executor`: the parallel
@@ -215,6 +220,7 @@ class BatchEnum:
             sharing.num_hc_s_nodes += 2
             # The backward root, held for the join.
             sharing.cache_peak_entries = max(sharing.cache_peak_entries, 1)
+            yield [position]
             return
 
         if self.optimize_search_order:
@@ -265,11 +271,19 @@ class BatchEnum:
         ) + len(backward_outcome.sharing_graph.hc_s_path_nodes())
 
         cache = ResultCache()
-        with stage_timer.stage("Enumeration"):
-            # Ψr first: a forward root is joined while it is searched, and
-            # its probe table is built from the cached backward roots.
-            self._materialize(backward_outcome, cache, kernel)
-            self._materialize(forward_outcome, cache, kernel, backward_outcome, result)
+        # Ψr first: a forward root is joined while it is searched, and its
+        # probe table is built from the cached backward roots.
+        roots = chain(
+            self._materialize(backward_outcome, cache, kernel),
+            self._materialize(forward_outcome, cache, kernel, backward_outcome, result),
+        )
+        while True:
+            # Timed per root, so the consumer between yields is not.
+            with stage_timer.stage("Enumeration"):
+                positions = next(roots, None)
+            if positions is None:
+                break
+            yield positions
         sharing.cache_peak_entries = max(
             sharing.cache_peak_entries, cache.peak_entries
         )
@@ -282,13 +296,14 @@ class BatchEnum:
         kernel: str,
         backward_outcome: Optional[DetectionOutcome] = None,
         result: Optional[BatchResult] = None,
-    ) -> None:
+    ) -> Iterator[List[int]]:
         """Enumerate every HC-s path query node of one sharing graph in
         topological order, reusing cached provider results.  In the forward
         graph (the one given ``backward_outcome`` and ``result``) a root is
-        joined for its queries, which read no cache entry: a node is cached
-        only for the HC-s path queries that splice it, and the search of a
-        root nobody splices is left to the join."""
+        joined for its queries, which read no cache entry, and their
+        positions are yielded once it has released its providers: a node
+        is cached only for the HC-s path queries that splice it, and the
+        search of a root nobody splices is left to the join."""
         psi = outcome.sharing_graph
         for node in psi.topological_order():
             if not isinstance(node, HCsPathQuery):
@@ -310,6 +325,8 @@ class BatchEnum:
             for provider in psi.providers_of(node):
                 if isinstance(provider, HCsPathQuery):
                     cache.release(provider)
+            if positions:
+                yield positions
 
     @staticmethod
     def _join_root(

@@ -55,8 +55,10 @@ True
 Streaming front-end
 -------------------
 ``engine.stream(queries)`` (and the module-level :func:`stream_enumerate`)
-yields ``(batch_position, paths)`` tuples as soon as the owning
-shard/cluster/query completes instead of materialising a full
+yields ``(batch_position, paths)`` tuples as soon as the unit owning
+them completes — in this process the forward root whose ⊕ join answers
+every query it serves (a query, for ``pathenum`` and a cluster of one),
+and with worker processes the shard — instead of materialising a full
 :class:`BatchResult` at the end; ``engine.run(queries)`` is a thin wrapper
 that collects that same stream, so every algorithm in the table above
 streams for free.  Two flush policies:
@@ -70,8 +72,8 @@ streams for free.  Two flush policies:
                     positions attached — prefer this when consumers can
                     handle out-of-order delivery (e.g. a result queue
                     keyed by position): on skewed batches it minimises
-                    time-to-first-result because a fast cluster is never
-                    held hostage by a slow, earlier-positioned one.
+                    time-to-first-result because a fast root or shard is
+                    never held hostage by a slow, earlier-positioned one.
 ==================  ====================================================
 """
 
@@ -219,9 +221,11 @@ class BatchQueryEngine:
     ) -> Iterator[Tuple[int, List[Path]]]:
         """Yield ``(batch_position, paths)`` as completions land.
 
-        Results are flushed as soon as the shard/cluster (or, sequentially,
-        the cluster/query) owning a batch position completes, instead of
-        waiting for the whole batch.  With ``ordered=True`` positions are
+        Results are flushed as soon as the unit owning a batch position
+        completes, instead of waiting for the whole batch: in this process
+        the forward root whose ⊕ join answers it (the query itself for
+        ``pathenum`` and a cluster of one), with worker processes its
+        shard.  With ``ordered=True`` positions are
         released strictly in batch order; with ``ordered=False`` they are
         released on completion, each tuple carrying its position — prefer
         that on skewed batches where time-to-first-result matters more than

@@ -133,9 +133,11 @@ def _run_cluster_task(
         "enumerate",
         tags={"kind": "cluster", "positions": len(queries_by_position)},
     ):
-        enumerator._process_cluster(
+        # The shard ships whole: its per-root yields are drained here.
+        for _ in enumerator._process_cluster(
             queries_by_position, index, stage_timer, scratch, sharing, kernel
-        )
+        ):
+            pass
     return scratch.paths_by_position, sharing, stage_timer.totals, spans.records
 
 

@@ -2,7 +2,7 @@
 
 Every batch runner in this package is written as a *fragment generator*: a
 generator that yields ``{batch position: [paths]}`` dictionaries as units of
-work (clusters, shards or single queries) complete, and whose generator
+work (forward roots, shards or single queries) complete, and whose generator
 return value is the fully populated :class:`BatchResult`.  The blocking
 ``run`` entry points simply :func:`drain` such a generator, while the
 streaming front-end (:meth:`repro.batch.engine.BatchQueryEngine.stream`)

@@ -24,8 +24,9 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
 3. Each micro-batch is planned against the version it pinned and runs
    on the scheduler thread
    (:meth:`~repro.batch.engine.BatchQueryEngine.stream_planned`) with
-   ``ordered=False``, so a ticket resolves the moment the cluster or query
-   owning its position completes — never at batch rank order.  The
+   ``ordered=False``, so a ticket resolves the moment the forward root or
+   query owning its position completes — a root's ⊕ join answers every
+   query it serves — never at batch rank order.  The
    service spawns no process: ``num_workers`` and ``max_workers`` are
    validated like the engine's and otherwise inert.
 

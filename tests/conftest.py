@@ -47,6 +47,15 @@ def hub_graph() -> DiGraph:
     return powerlaw_directed(50, 3, seed=5)
 
 
+@pytest.fixture
+def two_root_cluster():
+    """One dense block queried from 2 sources to 3 targets: a single
+    cluster whose six queries hang off two forward roots, the first
+    three from source 0 and the last three from source 1."""
+    graph = random_directed_gnm(40, 240, seed=3)
+    return graph, [HCSTQuery(s, t, 6) for s in (0, 1) for t in (20, 21, 22)]
+
+
 @pytest.fixture(autouse=True)
 def guarded_by_lock(monkeypatch):
     """Every test runs with ``IngestionService``'s lock discipline checked:

@@ -135,7 +135,7 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
     def watched_cluster(self, queries_by_position, *args):
         in_flight.append(tuple(sorted(queries_by_position)))
         try:
-            return process_cluster(self, queries_by_position, *args)
+            yield from process_cluster(self, queries_by_position, *args)
         finally:
             in_flight.pop()
 

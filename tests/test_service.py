@@ -16,6 +16,7 @@ import traceback
 
 import pytest
 
+from repro.batch import batch_enum
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.service import (
     AdmissionPolicy,
@@ -623,6 +624,36 @@ def test_guarded_declaration_matches_real_instance_state():
                 assert hasattr(service, name), name
     finally:
         service.close(drain=False)
+
+
+def test_a_ticket_resolves_while_its_micro_batch_is_still_running(
+    two_root_cluster, monkeypatch
+):
+    """A ticket resolves when its forward root is joined, not when its
+    micro-batch ends: the second root's join waits until one ticket of
+    the batch reports done, and raises ``TimeoutError`` if none does."""
+    graph, queries = two_root_cluster
+    first_ticket_done = threading.Event()
+    joins = []
+    join = batch_enum.join_path_sets
+
+    def gated(*args):
+        joins.append(args)
+        if len(joins) == 2 and not first_ticket_done.wait(timeout=5.0):
+            raise TimeoutError("no ticket resolved before the second join")
+        return join(*args)
+
+    monkeypatch.setattr(batch_enum, "join_path_sets", gated)
+    with serve(graph, algorithm="batch+") as service:
+        tickets = service.submit_many(queries)
+        deadline = time.monotonic() + TIMEOUT
+        while not any(ticket.done() for ticket in tickets):
+            assert time.monotonic() < deadline, "no ticket resolved"
+            time.sleep(0.001)
+        first_ticket_done.set()
+        for ticket in tickets:
+            ticket.result(timeout=TIMEOUT)
+    assert len(joins) == 2
 
 
 def test_stats_stay_consistent_under_concurrent_submit_and_read():

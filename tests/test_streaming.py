@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.batch import batch_enum
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, stream_enumerate
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
@@ -82,14 +83,25 @@ def test_run_is_identical_before_and_after_streaming_refactor_fields():
     assert len(result.queries) == len(_QUERIES)
 
 
-@pytest.mark.parametrize("algorithm", ["pathenum", "basic+"])
+@pytest.mark.parametrize(
+    "algorithm, two_roots",
+    [
+        pytest.param("pathenum", False, id="pathenum"),
+        pytest.param("basic+", False, id="basic+"),
+        # A yield between the two forward roots of one cluster.
+        pytest.param("batch+", True, id="batch+"),
+    ],
+)
 def test_a_slow_consumer_is_not_charged_to_enumeration(
-    algorithm, paper_graph, paper_queries
+    algorithm, two_roots, paper_graph, paper_queries, two_root_cluster
 ):
     """``Enumeration`` times the searches, not the consumer between
-    yields: three positions each read for 50 ms add nothing to it."""
+    yields: positions each read for 50 ms add nothing to it."""
     nap = 0.05
-    stream = BatchQueryEngine(paper_graph, algorithm).stream(paper_queries[:3])
+    graph, queries = (
+        two_root_cluster if two_roots else (paper_graph, paper_queries[:3])
+    )
+    stream = BatchQueryEngine(graph, algorithm).stream(queries)
     while True:
         try:
             next(stream)
@@ -98,6 +110,37 @@ def test_a_slow_consumer_is_not_charged_to_enumeration(
             break
         time.sleep(nap)
     assert result.stage_seconds("Enumeration") < nap
+
+
+@pytest.mark.parametrize("algorithm", ["batch", "batch+"])
+def test_an_answer_arrives_before_the_next_root_is_searched(
+    algorithm, two_root_cluster, monkeypatch
+):
+    """A forward root's queries are flushed the moment its join completes
+    them: the first root's positions arrive while ``join_path_sets`` has
+    run once, before the cluster's second root is searched."""
+    graph, queries = two_root_cluster
+    engine = BatchQueryEngine(graph, algorithm)
+    assert engine.run(queries).sharing.num_clusters == 1
+    joins = []
+    join = batch_enum.join_path_sets
+
+    def counted(*args):
+        joins.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(batch_enum, "join_path_sets", counted)
+    arrivals = {
+        position: len(joins)
+        for position, _ in engine.stream(queries, ordered=False)
+    }
+    first_source = queries[next(iter(arrivals))].s
+    first_root = {
+        position for position, query in enumerate(queries)
+        if query.s == first_source
+    }
+    assert len(first_root) == 3 and len(joins) == 2
+    assert {p for p, calls in arrivals.items() if calls == 1} == first_root
 
 
 # --------------------------------------------------------------------- #
