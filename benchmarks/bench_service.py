@@ -13,11 +13,15 @@ inter-arrival gaps) through three serving disciplines:
   sharing, worst possible first-query latency under continuous traffic.
 
 Per (arrival rate, discipline) the harness records wall-clock throughput
-and mean/p95 ticket latency (for the closed batch, a query's latency is
-measured from its *arrival* to batch completion — the fair comparison for
-continuous traffic).  The acceptance gate for the full sweep: at moderate
-arrival rates the service beats one-query-per-run throughput while its
-mean ticket latency stays below the closed-batch wall time.
+and mean/p95 ticket latency of the median of ``REPEATS`` runs (for the
+closed batch, a query's latency is measured from its *arrival* to batch
+completion — the fair comparison for continuous traffic).  The
+acceptance gates for the full sweep: at moderate arrival rates the
+service beats one-query-per-run throughput, its mean ticket latency stays
+below the closed-batch wall time, and at every non-zero gap its mean
+ticket latency is at most ``MAX_LATENCY_OVER_ONE_PER_RUN`` ×
+one-query-per-run's — an arrival at an idle service is not held back for
+company.
 
 Every serviced query is verified against the closed-batch oracle's path
 set.  Writes ``BENCH_service.json`` next to the repo root.  Standalone::
@@ -58,6 +62,16 @@ ALGORITHM = "batch+"
 #: Fixed inter-arrival gaps (seconds); 0 is an open-loop burst.
 ARRIVAL_GAPS_S = (0.0, 0.002, 0.01)
 
+#: Runs per (arrival gap, discipline).  A record keeps each discipline's
+#: run with the median mean latency, so one stall of a shared runner, or
+#: one lucky run, does not decide a gate.
+REPEATS = 3
+
+#: Gate: at a non-zero gap, the service's mean ticket latency over
+#: one-query-per-run's.  Each arrival finds the scheduler idle, so it pays
+#: one run of its own plus a thread hand-off.
+MAX_LATENCY_OVER_ONE_PER_RUN = 2.0
+
 
 def build_workload(communities=COMMUNITIES, seed: int = 0) -> Tuple[DiGraph, List[HCSTQuery]]:
     edges: List[Tuple[int, int]] = []
@@ -89,12 +103,7 @@ def _percentile(values: List[float], fraction: float) -> float:
 
 def run_service(graph, queries, gap_s: float, oracle) -> dict:
     """Replay arrivals through the ingestion service and verify tickets."""
-    with serve(
-        graph,
-        algorithm=ALGORITHM,
-        max_batch_size=8,
-        max_delay_s=0.005,
-    ) as service:
+    with serve(graph, algorithm=ALGORITHM, max_batch_size=8) as service:
         start = time.perf_counter()
         tickets = []
         for query in queries:
@@ -174,9 +183,16 @@ def run(quick: bool = False) -> dict:
 
     records = []
     for gap_s in gaps:
-        closed, oracle = run_closed_batch(graph, queries, gap_s)
-        service = run_service(graph, queries, gap_s, oracle)
-        naive = run_one_per_run(graph, queries, gap_s)
+        closed_runs, service_runs, naive_runs = [], [], []
+        for _ in range(REPEATS):
+            closed, oracle = run_closed_batch(graph, queries, gap_s)
+            closed_runs.append(closed)
+            service_runs.append(run_service(graph, queries, gap_s, oracle))
+            naive_runs.append(run_one_per_run(graph, queries, gap_s))
+        closed, service, naive = (
+            sorted(runs, key=lambda run: run["mean_latency_s"])[REPEATS // 2]
+            for runs in (closed_runs, service_runs, naive_runs)
+        )
         record = {
             "arrival_gap_s": gap_s,
             "num_queries": len(queries),
@@ -189,6 +205,9 @@ def run(quick: bool = False) -> dict:
             "service_mean_latency_below_closed_batch_wall": (
                 service["mean_latency_s"] < closed["batch_wall_s"]
             ),
+            "service_latency_over_one_per_run": (
+                service["mean_latency_s"] / naive["mean_latency_s"]
+            ),
         }
         records.append(record)
         print(
@@ -196,7 +215,8 @@ def run(quick: bool = False) -> dict:
             f"(mean lat {service['mean_latency_s'] * 1000:6.2f}ms, "
             f"{record['service']['batches_dispatched']} batches, "
             f"mean size {service['mean_batch_size']:.1f}) | "
-            f"one-per-run {naive['throughput_qps']:7.1f} q/s | "
+            f"one-per-run {naive['throughput_qps']:7.1f} q/s "
+            f"(mean lat {naive['mean_latency_s'] * 1000:6.2f}ms) | "
             f"closed batch wall {closed['batch_wall_s'] * 1000:6.2f}ms"
         )
 
@@ -219,7 +239,7 @@ def main() -> None:
     args = parser.parse_args()
     artifact = run(quick=args.quick)
     # Gate only the full sweep: the quick workload is small enough for a
-    # noisy shared runner to flip either comparison.
+    # noisy shared runner to flip any comparison.
     if not args.quick:
         moderate = [r for r in artifact["records"] if r["arrival_gap_s"] > 0.0]
         assert any(
@@ -229,6 +249,13 @@ def main() -> None:
             r["service_mean_latency_below_closed_batch_wall"]
             for r in artifact["records"]
         ), "mean ticket latency exceeded the closed-batch wall time"
+        assert all(
+            r["service_latency_over_one_per_run"] <= MAX_LATENCY_OVER_ONE_PER_RUN
+            for r in moderate
+        ), (
+            "mean ticket latency exceeded "
+            f"{MAX_LATENCY_OVER_ONE_PER_RUN}x one-query-per-run's at a gap"
+        )
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ def main() -> None:
         graph,
         algorithm="batch+",
         max_batch_size=5,
-        max_delay_s=0.01,
         metrics=registry,
         tracer=tracer,
     ) as service:

@@ -4,9 +4,9 @@ Simulates a trickle of arrivals against a multi-community graph through
 :func:`repro.serve`:
 
 * each ``submit`` returns immediately with a :class:`QueryTicket`;
-* the background scheduler groups arrivals into micro-batches
-  (``max_batch_size`` / ``max_delay_s``), and ClusterQuery shares work
-  among the look-alike queries inside each batch;
+* whenever the background scheduler is free it takes everything that
+  arrived meanwhile as one micro-batch (at most ``max_batch_size``), and
+  ClusterQuery shares work among the look-alike queries inside each batch;
 * tickets resolve as the forward root answering them is joined — the
   demo prints each resolution with its submit→result latency, then the
   service stats.
@@ -50,9 +50,7 @@ def main() -> None:
     with serve(
         graph,
         algorithm="batch+",
-        max_batch_size=4,      # dispatch at 4 waiting queries...
-        max_delay_s=0.01,      # ...once arrivals go quiet, at most 10ms
-                               # after the first one arrived
+        max_batch_size=4,      # at most 4 queries per micro-batch
     ) as service:
         start = time.perf_counter()
         tickets = []

@@ -10,17 +10,15 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
    :class:`QueryTicket`; the caller blocks only when it chooses to
    (``ticket.result(timeout=...)``).
 2. A single background scheduler thread groups pending queries into
-   micro-batches under an :class:`AdmissionPolicy`: a batch is dispatched
-   when it reaches ``max_batch_size``, or when arrivals have gone quiet —
-   the queue has been idle for ``QUIET_FACTOR`` × the mean spacing of the
-   queued arrivals — or, at the latest, ``max_delay_s`` after its first
-   query arrived.  A lone arrival has no spacing to measure, so it waits
-   the whole window for company.  ``submit_many`` enqueues a group that
-   fits under one lock hold, so the scheduler sees all of it or none of
-   it: a client's batch goes out together, without waiting the window.
-   ``max_batch_size`` is a hard cap: what queues behind a full batch
-   waits for the next one.  Sharing *inside* a batch is ClusterQuery's
-   job, at plan time.
+   micro-batches by group commit's rule: whenever it is free, it takes
+   everything pending, up to :class:`AdmissionPolicy`'s
+   ``max_batch_size`` (a hard cap: what queues behind a full batch waits
+   for the next one).  Nothing waits on a timer: a lone arrival at an
+   idle service runs at once, and whatever arrives while a batch runs
+   forms the next one, so batches grow with load by themselves.
+   ``submit_many`` enqueues a group under one lock hold, so the scheduler
+   sees all of it or none of it.  Sharing *inside* a batch is
+   ClusterQuery's job, at plan time.
 3. Each micro-batch is planned against the version it pinned and runs
    on the scheduler thread
    (:meth:`~repro.batch.engine.BatchQueryEngine.stream_planned`) with
@@ -93,11 +91,6 @@ from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
 from repro.utils.validation import require
 
-#: A forming batch closes once the queue has been idle for this many mean
-#: arrival spacings: the arrivals that were coming have come.
-QUIET_FACTOR = 2.0
-
-
 class ServiceClosedError(RuntimeError):
     """The service no longer accepts queries (``close`` was called, or its
     scheduler thread died — then the cause is chained)."""
@@ -110,42 +103,28 @@ class ServiceOverloadedError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Knobs governing how arrivals are grouped into micro-batches.
+    """Knobs bounding how arrivals are grouped into micro-batches.
 
-    A forming batch closes for one of four reasons, counted under
-    ``repro_service_batch_close_total{reason}``: it is ``full``, arrivals
-    went ``quiet``, its ``window`` ran out, or the service is ``closing``.
+    There is no timer: a free scheduler dispatches everything pending, up
+    to ``max_batch_size``, and arrivals during that run form the next
+    batch.
 
     Attributes
     ----------
     max_batch_size:
-        Dispatch a micro-batch as soon as this many queries are waiting
-        (``1`` degenerates to one-query-per-batch serving).  A hard cap:
-        no batch holds more.
-    max_delay_s:
-        Dispatch at most this long after a batch's first query arrived,
-        even if the batch is not full — bounds added ticket latency.  It
-        is only the upper bound: a batch of two or more goes out sooner,
-        once the queue has been idle for ``QUIET_FACTOR`` × the mean
-        spacing of its arrivals; a lone arrival waits it out.  At most
-        ``threading.TIMEOUT_MAX`` seconds.
+        The most queries one micro-batch holds (``1`` degenerates to
+        one-query-per-batch serving).  A hard cap: the rest wait for the
+        next batch.
     max_pending:
         Backpressure bound on queued-but-undispatched queries; ``submit``
         blocks (or raises with ``block=False``) beyond it.
     """
 
     max_batch_size: int = 32
-    max_delay_s: float = 0.02
     max_pending: int = 1024
 
     def __post_init__(self) -> None:
         require(self.max_batch_size >= 1, "max_batch_size must be >= 1")
-        # Also rejects nan; an infinite window would kill the scheduler in
-        # Condition.wait (OverflowError), so the bound is the wait's own.
-        require(
-            0.0 <= self.max_delay_s <= threading.TIMEOUT_MAX,
-            f"max_delay_s must be within [0, {threading.TIMEOUT_MAX}]",
-        )
         require(self.max_pending >= 1, "max_pending must be >= 1")
 
 
@@ -164,6 +143,12 @@ class ServiceStats:
     a deadline-expired one near-infinite) and would skew the mean either
     way.  For percentiles, opt into a metrics registry
     (``repro_service_ticket_latency_seconds``).
+
+    ``completed``, ``failed`` and the latency mean count a ticket before
+    it reads ``done()``, so a snapshot taken after a ticket resolved
+    includes it.  ``batches_dispatched``, ``mean_batch_size`` and
+    ``sharing`` count a micro-batch when its run ends, which may be after
+    its last ticket resolved.
 
     ``joined_fast_path`` is always 0: admission no longer merges queued
     queries into a batch past its cut.  The field stays only because the
@@ -190,17 +175,12 @@ class QueryTicket:
     the exception that killed its micro-batch.
     """
 
-    __slots__ = ("query", "submitted_at", "enqueued_at", "resolved_at",
+    __slots__ = ("query", "submitted_at", "resolved_at",
                  "_event", "_paths", "_error", "_traceback")
 
     def __init__(self, query: HCSTQuery) -> None:
         self.query = query
         self.submitted_at = time.perf_counter()
-        #: Monotonic enqueue stamp — anchors the scheduler's delay window
-        #: (a batch dispatches at most ``max_delay_s`` after *this*, not
-        #: after the scheduler got around to collecting) and measures the
-        #: arrival spacing its quiet rule reads.
-        self.enqueued_at = time.monotonic()
         self.resolved_at: Optional[float] = None
         self._event = threading.Event()
         self._paths: Optional[List[Path]] = None
@@ -236,9 +216,9 @@ class QueryTicket:
             return None
         return self.resolved_at - self.submitted_at
 
-    def _resolve(self, paths: List[Path]) -> None:
+    def _resolve(self, paths: List[Path], resolved_at: float) -> None:
         self._paths = paths
-        self.resolved_at = time.perf_counter()
+        self.resolved_at = resolved_at
         self._event.set()
 
     def _fail(self, error: BaseException) -> None:
@@ -287,7 +267,6 @@ class IngestionService:
             "_batches_dispatched",
             "_batched_total",
             "_latency_total_s",
-            "_latency_count",
             "_sharing",
         }
     )
@@ -341,7 +320,6 @@ class IngestionService:
         self._batches_dispatched = 0
         self._batched_total = 0
         self._latency_total_s = 0.0
-        self._latency_count = 0
         self._sharing = SharingStats()
         # Prefetched metric handles (no-ops unless a registry was passed);
         # thread-safe in their own right, so updated outside self._lock.
@@ -349,12 +327,6 @@ class IngestionService:
         self._m_completed = self._metrics.counter("repro_service_completed_total")
         self._m_failed = self._metrics.counter("repro_service_failed_total")
         self._m_batches = self._metrics.counter("repro_service_batches_total")
-        self._m_close = {
-            reason: self._metrics.counter(
-                "repro_service_batch_close_total", labels={"reason": reason}
-            )
-            for reason in ("full", "quiet", "window", "closing")
-        }
         self._m_queue_depth = self._metrics.gauge("repro_service_queue_depth")
         self._m_latency = self._metrics.histogram(
             "repro_service_ticket_latency_seconds"
@@ -514,8 +486,8 @@ class IngestionService:
                     else 0.0
                 ),
                 mean_ticket_latency_s=(
-                    self._latency_total_s / self._latency_count
-                    if self._latency_count
+                    self._latency_total_s / self._completed
+                    if self._completed
                     else 0.0
                 ),
                 sharing=sharing,
@@ -549,53 +521,20 @@ class IngestionService:
             self._fail_pending(closed, popped=batch or ())
 
     def _collect_batch(self) -> Optional[List[QueryTicket]]:
-        """Block until a micro-batch is due, pop and return it.
+        """Block until a query is pending, then pop and return everything
+        pending, up to ``max_batch_size``.
 
         Returns ``None`` when the scheduler should exit: the service is
         closing and either the queue is empty or draining was declined.
         """
-        policy = self.policy
         with self._lock:
             while not self._pending and not self._closing:
                 self._lock.wait()
             if not self._pending or (self._closing and not self._drain_on_close):
                 return None
-            # The first waiting query's *arrival* anchors the delay window
-            # (if a long dispatch kept the scheduler busy past it, the
-            # batch goes out immediately); arrivals keep joining until the
-            # batch is full, they go quiet, or the window closes.  A
-            # closing service dispatches immediately (drain fast).
-            deadline = self._pending[0].enqueued_at + policy.max_delay_s
-            while True:
-                if len(self._pending) >= policy.max_batch_size:
-                    reason = "full"
-                    break
-                if self._closing:
-                    reason = "closing"
-                    break
-                due, reason = deadline, "window"
-                if len(self._pending) > 1:
-                    # Every queued ticket belongs to this batch (it is not
-                    # full), so their stamps are its arrivals; a lone one
-                    # has no spacing to measure and waits the window.
-                    first = self._pending[0].enqueued_at
-                    last = self._pending[-1].enqueued_at
-                    spacing = (last - first) / (len(self._pending) - 1)
-                    quiet_at = last + QUIET_FACTOR * spacing
-                    if quiet_at < deadline:
-                        due, reason = quiet_at, "quiet"
-                remaining = due - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._lock.wait(remaining)
-            if self._closing and not self._drain_on_close:
-                # close(drain=False) landed during the delay window: these
-                # queries were never in flight, so they must fail, not run.
-                return None
-            self._m_close[reason].inc()
             batch = [
                 self._pending.popleft()
-                for _ in range(min(policy.max_batch_size, len(self._pending)))
+                for _ in range(min(self.policy.max_batch_size, len(self._pending)))
             ]
             self._m_queue_depth.set(len(self._pending))
             self._lock.notify_all()  # space freed: wake blocked submitters
@@ -616,10 +555,8 @@ class IngestionService:
 
     def _dispatch_traced(self, batch: List[QueryTicket]) -> None:
         queries = [ticket.query for ticket in batch]
-        resolved = 0
-        latency_sum = 0.0
-        latency_count = 0
         pin = None
+        sharing = None
         try:
             # Pin the admitted version exactly once — one atomic seal of
             # the head — and thread that single snapshot through plan and
@@ -632,43 +569,26 @@ class IngestionService:
                 try:
                     position, paths = next(stream)
                 except StopIteration as stop:
-                    result = stop.value
+                    sharing = stop.value.sharing
                     break
-                batch[position]._resolve(paths)
-                # Successful resolutions only: failed tickets used to be
-                # folded in as 0.0 latency, dragging the mean toward zero
-                # exactly when the service was misbehaving.
-                latency = batch[position].latency_s
-                if latency is not None:
-                    latency_sum += latency
-                    latency_count += 1
-                    self._m_latency.observe(latency)
-                resolved += 1
-            with self._lock:
-                self._completed += resolved
-                self._batches_dispatched += 1
-                self._batched_total += len(batch)
-                self._latency_total_s += latency_sum
-                self._latency_count += latency_count
-                self._sharing.merge(result.sharing)
-            self._m_completed.inc(resolved)
-            self._m_batches.inc()
+                ticket = batch[position]
+                resolved_at = time.perf_counter()
+                latency = resolved_at - ticket.submitted_at
+                # Counted before the ticket reads done: stats() never lags
+                # a ticket its caller has already seen resolve.
+                with self._lock:
+                    self._completed += 1
+                    self._latency_total_s += latency
+                ticket._resolve(paths, resolved_at)
+                self._m_completed.inc()
+                self._m_latency.observe(latency)
         except BaseException as error:  # noqa: BLE001 - forwarded to tickets
-            failed = 0
-            for ticket in batch:
-                if not ticket.done():
-                    ticket._fail(error)
-                    failed += 1
+            unresolved = [ticket for ticket in batch if not ticket.done()]
             with self._lock:
-                self._completed += resolved
-                self._failed += failed
-                self._batches_dispatched += 1
-                self._batched_total += len(batch)
-                self._latency_total_s += latency_sum
-                self._latency_count += latency_count
-            self._m_completed.inc(resolved)
-            self._m_failed.inc(failed)
-            self._m_batches.inc()
+                self._failed += len(unresolved)
+            for ticket in unresolved:
+                ticket._fail(error)
+            self._m_failed.inc(len(unresolved))
             # The scheduler itself survives a poisoned batch and keeps
             # serving subsequent micro-batches.
         finally:
@@ -677,6 +597,12 @@ class IngestionService:
                 # its last pinned consumer (this batch) finishes; the
                 # snapshot store drops non-head versions at zero pins.
                 pin.release()
+        with self._lock:
+            self._batches_dispatched += 1
+            self._batched_total += len(batch)
+            if sharing is not None:
+                self._sharing.merge(sharing)
+        self._m_batches.inc()
 
     def _fail_pending(
         self, error: BaseException, popped: Sequence[QueryTicket] = ()
@@ -687,15 +613,14 @@ class IngestionService:
             abandoned = [ticket for ticket in popped if not ticket.done()]
             abandoned += self._pending
             self._pending.clear()
-            self._m_queue_depth.set(0)
-            self._lock.notify_all()
-        for ticket in abandoned:
-            ticket._fail(error)
-        with self._lock:
             # Abandoned tickets count as failures but stay out of the
             # latency mean — they were never served, so their queue time
             # says nothing about service latency.
             self._failed += len(abandoned)
+            self._m_queue_depth.set(0)
+            self._lock.notify_all()
+        for ticket in abandoned:
+            ticket._fail(error)
         if abandoned:
             self._m_failed.inc(len(abandoned))
 
@@ -714,7 +639,6 @@ def serve(
     gamma: float = 0.5,
     num_workers: NumWorkers = "auto",
     max_batch_size: int = 32,
-    max_delay_s: float = 0.02,
     max_pending: int = 1024,
     max_workers: Optional[int] = None,
     metrics=None,
@@ -739,7 +663,6 @@ def serve(
     """
     policy = AdmissionPolicy(
         max_batch_size=max_batch_size,
-        max_delay_s=max_delay_s,
         max_pending=max_pending,
     )
     return IngestionService(

@@ -114,11 +114,9 @@ def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
         graph,
         algorithm="batch+",
         num_workers=1,
+        # Each round's submit_many is admitted whole and goes out as one
+        # batch, so the second round has the first's index to delta-repair.
         max_batch_size=len(queries),
-        # A full batch goes out at once; the window only has to outlast a
-        # stall between two submits, which would split the round and leave
-        # the second batch nothing to delta-repair.
-        max_delay_s=2.0,
         metrics=registry,
     ) as service:
         for mutate in (False, True):
@@ -159,7 +157,6 @@ def test_a_served_round_after_a_mutation_copies_only_the_rows_it_wrote(
         algorithm="batch+",
         num_workers=1,
         max_batch_size=len(queries),
-        max_delay_s=2.0,
     ) as service:
         for corner in range(120, 125):
             graph.add_edge(corner, corner + 1)  # far from every endpoint

@@ -183,7 +183,6 @@ def test_service_round_trip_oracle_across_mutations():
         algorithm="batch+",
         num_workers=1,
         max_batch_size=4,
-        max_delay_s=0.005,
     ) as service:
         for round_no in range(12):
             frozen = graph.copy()
@@ -212,7 +211,6 @@ def test_service_zero_errors_under_concurrent_mutation():
         algorithm="batch+",
         num_workers=1,
         max_batch_size=4,
-        max_delay_s=0.001,
     ) as service:
         tickets = []
         for position, query in enumerate(queries):

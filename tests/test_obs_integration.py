@@ -118,7 +118,7 @@ def test_service_exports_counters_gauges_and_latency_histogram():
     service = IngestionService(
         graph,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=4, max_delay_s=0.01),
+        policy=AdmissionPolicy(max_batch_size=4),
         metrics=registry,
         tracer=tracer,
     )
@@ -147,37 +147,6 @@ def test_service_exports_counters_gauges_and_latency_histogram():
     batch_spans = [r for r in tracer.spans() if r["name"] == "batch"]
     assert len(batch_spans) == int(counters["repro_service_batches_total"])
     assert all(record["parent_id"] is None for record in batch_spans)
-
-
-def test_service_counts_why_each_batch_closed():
-    """One batch closes for each reason: a group that fills it, a group
-    that goes quiet, a lone arrival that waits the window, and a lone
-    arrival cut short by ``close``."""
-    graph, queries = _workload(seed=6)
-    registry = MetricsRegistry()
-    service = IngestionService(
-        graph,
-        algorithm="batch+",
-        num_workers=1,
-        policy=AdmissionPolicy(max_batch_size=3, max_delay_s=0.5),
-        metrics=registry,
-    )
-    try:
-        for group in (queries[:3], queries[3:5], queries[5:6]):
-            for ticket in service.submit_many(group):
-                ticket.result(timeout=TIMEOUT)
-        last = service.submit(queries[6])
-    finally:
-        service.close(drain=True)
-    last.result(timeout=0.0)
-    counts = {
-        reason: registry.counter(
-            "repro_service_batch_close_total", labels={"reason": reason}
-        ).value
-        for reason in ("full", "quiet", "window", "closing")
-    }
-    assert counts == {"full": 1, "quiet": 1, "window": 1, "closing": 1}
-    assert service.stats().batches_dispatched == 4
 
 
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ and worker setting; plus ticket-error propagation, backpressure and
 """
 
 import multiprocessing
+import statistics
 import sys
 import threading
 import time
@@ -27,7 +28,6 @@ from repro.batch.service import (
 )
 from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
-from repro.obs import MetricsRegistry
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
 
@@ -69,7 +69,6 @@ def test_trickled_service_matches_closed_batch(algorithm, num_workers):
         algorithm=algorithm,
         num_workers=num_workers,
         max_batch_size=3,
-        max_delay_s=0.005,
     ) as service:
         tickets = [service.submit(query) for query in _QUERIES]
         for position, ticket in enumerate(tickets):
@@ -94,9 +93,7 @@ def test_concurrent_submitters_match_closed_batch(algorithm):
     results = {}
     errors = []
 
-    with serve(
-        graph, algorithm=algorithm, max_batch_size=4, max_delay_s=0.01
-    ) as service:
+    with serve(graph, algorithm=algorithm, max_batch_size=4) as service:
 
         def submitter(positions):
             try:
@@ -152,37 +149,105 @@ def test_a_parallel_request_is_served_without_spawning_a_process(
     assert_nothing_pinned(graph)
 
 
+def _gate_first_plan(service, monkeypatch):
+    """Hold ``service``'s first micro-batch in its plan until ``release``
+    is set; ``entered`` is set once it is held there."""
+    entered, release = threading.Event(), threading.Event()
+    plan = service._planner.plan
+
+    def gated_plan(queries, snapshot=None):
+        if not entered.is_set():
+            entered.set()
+            if not release.wait(timeout=TIMEOUT):
+                raise TimeoutError("the first batch was never released")
+        return plan(queries, snapshot=snapshot)
+
+    monkeypatch.setattr(service._planner, "plan", gated_plan)
+    return entered, release
+
+
 def test_close_without_drain_during_delay_window_fails_queued_tickets(
-    no_child_left, assert_nothing_pinned
+    monkeypatch, no_child_left, assert_nothing_pinned
 ):
-    """close(drain=False) while the scheduler sits in the batching delay
-    window must fail the queued tickets, not dispatch them anyway.  A lone
-    arrival is the one that waits the window out: a group goes quiet."""
-    service = IngestionService(
-        _GRAPH,
-        algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
-    )
-    ticket = service.submit(_QUERIES[0])
-    time.sleep(0.1)  # let the scheduler enter the delay window
+    """close(drain=False) while a ticket is queued behind a running batch
+    must fail the queued ticket, not dispatch it anyway; the batch already
+    in flight resolves."""
+    service = IngestionService(_GRAPH, algorithm="batch+")
+    entered, release = _gate_first_plan(service, monkeypatch)
+    in_flight = service.submit(_QUERIES[0])
+    assert entered.wait(timeout=TIMEOUT)
+    queued = service.submit(_QUERIES[1])
+    # The held batch keeps the scheduler alive, so this join times out
+    # with the service already closing; the second close joins it.
+    service.close(drain=False, timeout=0.05)
+    release.set()
     service.close(drain=False)
-    assert ticket.done()
+    assert canon(in_flight.result(timeout=0.0)) == canon(
+        _reference("batch+").paths_at(0)
+    )
+    assert queued.done()
     with pytest.raises(ServiceClosedError):
-        ticket.result(timeout=0.0)
+        queued.result(timeout=0.0)
+    stats = service.stats()
+    assert (stats.completed, stats.failed) == (1, 1)
     assert_nothing_pinned(_GRAPH)
 
 
 # --------------------------------------------------------------------- #
-# Admission: when a forming batch closes
+# Admission: a free scheduler takes everything pending, up to the cap
 # --------------------------------------------------------------------- #
+def test_a_lone_ticket_is_not_held_for_company():
+    """An idle service dispatches a lone arrival at once, so its latency
+    is one run of its own query, not a wait for arrivals that never come.
+    Medians of five keep one stall of a busy machine from deciding it."""
+    query = _QUERIES[0]
+    engine = BatchQueryEngine(_GRAPH, algorithm="batch+")
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        engine.run([query])
+        runs.append(time.perf_counter() - start)
+    latencies = []
+    with serve(_GRAPH, algorithm="batch+") as service:
+        for _ in range(5):
+            ticket = service.submit(query)
+            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
+                _reference("batch+").paths_at(0)
+            )
+            latencies.append(ticket.latency_s)
+    assert statistics.median(latencies) < max(2 * statistics.median(runs), 0.005)
+
+
+def test_arrivals_during_a_running_batch_form_the_next_batch_together(
+    monkeypatch,
+):
+    """Whatever arrives while a batch runs waits for it, then goes out as
+    one batch: three singles behind a held batch make a batch of three."""
+    service = IngestionService(_GRAPH, algorithm="batch+")
+    entered, release = _gate_first_plan(service, monkeypatch)
+    try:
+        tickets = [service.submit(_QUERIES[0])]
+        assert entered.wait(timeout=TIMEOUT)
+        tickets += [service.submit(query) for query in _QUERIES[1:4]]
+        release.set()
+        for position, ticket in enumerate(tickets):
+            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
+                _reference("batch+").paths_at(position)
+            )
+    finally:
+        release.set()
+        service.close()
+    stats = service.stats()
+    assert (stats.batches_dispatched, stats.mean_batch_size) == (2, 2.0)
+
+
 def test_a_submitted_group_goes_out_without_waiting_the_window():
-    """A ``submit_many`` group smaller than ``max_batch_size`` is one batch
-    that has fully arrived: it dispatches once arrivals go quiet, not
-    ``max_delay_s`` after its first query."""
+    """A ``submit_many`` group smaller than ``max_batch_size`` reaches an
+    idle scheduler whole, and goes out at once as one batch."""
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
+        policy=AdmissionPolicy(max_batch_size=64),
     )
     try:
         tickets = service.submit_many(_QUERIES)
@@ -197,36 +262,16 @@ def test_a_submitted_group_goes_out_without_waiting_the_window():
     assert stats.mean_batch_size == len(_QUERIES)
 
 
-def test_staggered_single_submits_still_share_one_batch():
-    """A lone arrival waits for company, and the next one, 20 ms later,
-    sets a spacing the batch waits twice over before it goes quiet."""
-    service = IngestionService(
-        _GRAPH, algorithm="batch+", policy=AdmissionPolicy(max_delay_s=1.0)
-    )
-    try:
-        first = service.submit(_QUERIES[0])
-        time.sleep(0.02)
-        second = service.submit(_QUERIES[1])
-        for position, ticket in enumerate((first, second)):
-            assert canon(ticket.result(timeout=TIMEOUT)) == canon(
-                _reference("batch+").paths_at(position)
-            )
-    finally:
-        service.close()
-    stats = service.stats()
-    assert (stats.batches_dispatched, stats.mean_batch_size) == (1, 2.0)
-
-
 def test_a_thread_switch_never_cuts_a_submitted_group():
     """``submit_many`` admits a group under one lock hold: even with the
     interpreter switching threads every microsecond, the scheduler never
-    sees part of a group and closes it as quiet."""
+    pops part of a group."""
     rounds = 20
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
         num_workers=1,
-        policy=AdmissionPolicy(max_batch_size=64, max_delay_s=30.0),
+        policy=AdmissionPolicy(max_batch_size=64),
     )
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -242,34 +287,6 @@ def test_a_thread_switch_never_cuts_a_submitted_group():
     assert stats.mean_batch_size == len(_QUERIES)
 
 
-@pytest.mark.parametrize("max_delay_s", [float("inf"), float("nan"), 1e300])
-def test_a_window_the_scheduler_cannot_wait_is_rejected(max_delay_s):
-    """``Condition.wait(inf)`` raises ``OverflowError`` on the scheduler
-    thread, which used to kill it and close the service."""
-    with pytest.raises(ValueError, match="max_delay_s"):
-        AdmissionPolicy(max_delay_s=max_delay_s)
-    with pytest.raises(ValueError, match="max_delay_s"):
-        serve(_GRAPH, max_delay_s=max_delay_s)
-
-
-def test_the_longest_window_accepted_is_one_the_scheduler_can_wait(
-    assert_nothing_pinned,
-):
-    service = IngestionService(
-        _GRAPH,
-        algorithm="batch+",
-        policy=AdmissionPolicy(max_delay_s=threading.TIMEOUT_MAX),
-    )
-    ticket = service.submit(_QUERIES[0])  # alone: it waits the window
-    time.sleep(0.05)
-    service.close(drain=True)
-    assert canon(ticket.result(timeout=0.0)) == canon(
-        _reference("batch+").paths_at(0)
-    )
-    assert service.stats().failed == 0
-    assert_nothing_pinned(_GRAPH)
-
-
 # --------------------------------------------------------------------- #
 # Error propagation and lifecycle
 # --------------------------------------------------------------------- #
@@ -281,9 +298,7 @@ def test_ticket_error_propagation_and_scheduler_survival(
     graph = random_directed_gnm(12, 40, seed=1)
     good = generate_random_queries(graph, 2, min_k=2, max_k=3, seed=1)
     poisoned = HCSTQuery(0, graph.num_vertices + 7, 3)
-    with serve(
-        graph, algorithm="pathenum", max_batch_size=1, max_delay_s=0.0
-    ) as service:
+    with serve(graph, algorithm="pathenum", max_batch_size=1) as service:
         bad_ticket = service.submit(poisoned)
         with pytest.raises(ValueError):
             bad_ticket.result(timeout=TIMEOUT)
@@ -310,9 +325,7 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
     graph = random_directed_gnm(12, 40, seed=1)
     first, second = generate_random_queries(graph, 2, min_k=2, max_k=3, seed=1)
     pinned_versions = []
-    with serve(
-        graph, algorithm="batch+", max_batch_size=1, max_delay_s=0.0
-    ) as service:
+    with serve(graph, algorithm="batch+", max_batch_size=1) as service:
         real_plan = service._planner.plan
 
         def plan_breaks_once(queries, snapshot=None):
@@ -362,7 +375,7 @@ def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=2, max_delay_s=0.01),
+        policy=AdmissionPolicy(max_batch_size=2),
         start=False,
     )
     tickets = service.submit_many(_QUERIES[:3])  # two popped, one queued
@@ -396,7 +409,7 @@ def test_batch_peers_of_a_poisoned_query_share_its_error(
     service = IngestionService(
         graph,
         algorithm="basic",
-        policy=AdmissionPolicy(max_batch_size=4, max_delay_s=0.01),
+        policy=AdmissionPolicy(max_batch_size=4),
         start=False,
     )
     tickets = service.submit_many(
@@ -495,7 +508,7 @@ def test_failed_ticket_traceback_does_not_grow_per_result_call():
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=3, max_delay_s=0.01),
+        policy=AdmissionPolicy(max_batch_size=3),
         start=False,
     )
     tickets = service.submit_many([poisoned] + _QUERIES[:2])
@@ -532,13 +545,11 @@ def test_max_batch_size_is_a_hard_cap():
     """Identical queries queued behind a full batch wait for the next one;
     no batch grows past ``max_batch_size``."""
     query = _QUERIES[0]
-    registry = MetricsRegistry()
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=2, max_delay_s=0.005),
+        policy=AdmissionPolicy(max_batch_size=2),
         start=False,
-        metrics=registry,
     )
     tickets = service.submit_many([query] * 4)
     service.start()
@@ -551,10 +562,6 @@ def test_max_batch_size_is_a_hard_cap():
         service.close()
     stats = service.stats()
     assert (stats.batches_dispatched, stats.mean_batch_size) == (2, 2.0)
-    closed_full = registry.counter(
-        "repro_service_batch_close_total", labels={"reason": "full"}
-    )
-    assert closed_full.value == 2
 
 
 def test_failed_tickets_excluded_from_latency_mean():
@@ -582,7 +589,7 @@ def test_latency_mean_unaffected_by_failed_batch():
     service = IngestionService(
         _GRAPH,
         algorithm="batch+",
-        policy=AdmissionPolicy(max_batch_size=len(_QUERIES), max_delay_s=0.01),
+        policy=AdmissionPolicy(max_batch_size=len(_QUERIES)),
     )
     try:
         good = service.submit_many(_QUERIES)
@@ -656,13 +663,39 @@ def test_a_ticket_resolves_while_its_micro_batch_is_still_running(
     assert len(joins) == 2
 
 
+def test_stats_count_a_ticket_before_it_reads_done(monkeypatch):
+    """A ticket is counted when it resolves, not when its micro-batch
+    ends: with the batch held open after its last answer, ``stats()``
+    already counts every resolved ticket, and not yet the batch."""
+    release = threading.Event()
+    service = IngestionService(_GRAPH, algorithm="batch+")
+    stream_planned = service._engine.stream_planned
+
+    def held_open(*args, **kwargs):
+        result = yield from stream_planned(*args, **kwargs)
+        release.wait(timeout=TIMEOUT)
+        return result
+
+    monkeypatch.setattr(service._engine, "stream_planned", held_open)
+    try:
+        for ticket in service.submit_many(_QUERIES):
+            ticket.result(timeout=TIMEOUT)
+        stats = service.stats()
+        assert (stats.completed, stats.batches_dispatched) == (len(_QUERIES), 0)
+    finally:
+        release.set()
+        service.close()
+    stats = service.stats()
+    assert (stats.completed, stats.batches_dispatched) == (len(_QUERIES), 1)
+
+
 def test_stats_stay_consistent_under_concurrent_submit_and_read():
     """Hammer the lock-guarded counters from several submitter threads
     while a reader polls ``stats()``: every snapshot must satisfy the
     invariants the lock is supposed to protect, and the final tallies
     must balance exactly."""
     submitters, per_thread = 3, 8
-    policy = AdmissionPolicy(max_batch_size=4, max_delay_s=0.001)
+    policy = AdmissionPolicy(max_batch_size=4)
     service = IngestionService(
         _GRAPH, algorithm="batch+", num_workers=1, policy=policy
     )
