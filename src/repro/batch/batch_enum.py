@@ -77,8 +77,7 @@ class BatchEnum:
         :mod:`repro.enumeration.hc_s_search`, the loop ``basic+`` runs;
         ``"numpy"`` runs the byte-identical vectorized kernel of
         :mod:`repro.enumeration.kernels` (raises when numpy is absent).
-        ``"auto"`` resolves to ``"python"``; a plan's per-cluster choices
-        arrive through ``iter_run(kernels=...)``.
+        ``"auto"`` resolves to ``"python"``.
     cluster:
         Run ClusterQuery (default).  ``False`` makes every position a
         cluster of one — Algorithm 1, reported as ``BasicEnum``.
@@ -123,7 +122,6 @@ class BatchEnum:
         queries: Sequence[HCSTQuery],
         workload: Optional[QueryWorkload] = None,
         clusters: Optional[List[List[int]]] = None,
-        kernels: Optional[Sequence[str]] = None,
     ) -> FragmentStream:
         """Fragment generator: one ``{position: paths}`` yield per forward
         root.
@@ -139,9 +137,6 @@ class BatchEnum:
         ``workload``/``clusters`` let a caller that already built the shared
         artefacts (the query planner) hand them over instead of rebuilding;
         the computation is identical either way, only performed once.
-        ``kernels[i]`` is the concrete kernel the plan chose for
-        ``clusters[i]`` — the same one a worker would run that shard on;
-        without it every cluster runs on the enumerator's own kernel.
         """
         if workload is None:
             workload = QueryWorkload(self.graph, queries, stage_timer=StageTimer())
@@ -161,18 +156,12 @@ class BatchEnum:
                 clusters = cluster_queries(workload, self.gamma)
 
         sharing = SharingStats(num_clusters=len(clusters))
-        if kernels is None:
-            kernels = [self.kernel] * len(clusters)
-        require(
-            len(kernels) == len(clusters),
-            f"kernels names {len(kernels)} clusters, the batch has {len(clusters)}",
-        )
-        for cluster, kernel in zip(clusters, kernels):
+        for cluster in clusters:
             queries_by_position = {
                 position: workload.queries[position] for position in cluster
             }
             for positions in self._process_cluster(
-                queries_by_position, index, stage_timer, result, sharing, kernel
+                queries_by_position, index, stage_timer, result, sharing, self.kernel
             ):
                 yield {
                     position: result.paths_by_position[position]

@@ -102,7 +102,7 @@ def fragment_generator(
     """``queries -> FragmentStream`` for ``config.algorithm`` on
     ``snapshot``: the per-query PathEnum baseline, or the enumerator's
     ``iter_run`` (which also accepts the planner's prebuilt
-    ``workload``/``clusters``/``kernels``)."""
+    ``workload``/``clusters``)."""
     if not ALGORITHM_TABLE[config.algorithm].indexed:
         return partial(iter_pathenum_baseline, snapshot, kernel=kernel)
     return make_enumerator(snapshot, config, kernel).iter_run

@@ -330,19 +330,11 @@ class BatchQueryEngine:
     ) -> FragmentStream:
         """In-process execution of a plan (the ingestion service's route):
         its prebuilt artefacts (snapshot, workload index, clusters) are
-        reused, and shard ``i`` runs on ``plan.shards[i].kernel`` — exactly
-        what a worker would be told."""
-        kernels = [shard.kernel for shard in plan.shards]
-        # An in-process slice plan has one shard; a cluster plan overrides
-        # the enumerator's own kernel per cluster below.
-        run = fragment_generator(plan.snapshot, self.config, kernels[0])
+        reused, and every shard runs on the one kernel the plan resolved
+        for all of them — exactly what a worker would be told."""
+        run = fragment_generator(plan.snapshot, self.config, plan.shards[0].kernel)
         if plan.clusters is not None:
-            return run(
-                queries,
-                workload=plan.workload,
-                clusters=plan.clusters,
-                kernels=kernels,
-            )
+            return run(queries, workload=plan.workload, clusters=plan.clusters)
         if plan.workload is not None:
             return run(queries, workload=plan.workload)
         return run(queries)

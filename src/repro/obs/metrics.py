@@ -17,10 +17,9 @@ update from any thread:
 Exports
 -------
 ``registry.snapshot()`` returns a plain JSON-able dict (sorted keys, round
-trips through ``json``), ``MetricsRegistry.from_snapshot``/``merge_snapshot``
-rebuild or aggregate registries from snapshots, and
-``registry.render_prometheus()`` emits the Prometheus text exposition
-format — the contract a future HTTP ``/metrics`` endpoint serves verbatim.
+trips through ``json``), and ``registry.render_prometheus()`` emits the
+Prometheus text exposition format — the contract a future HTTP
+``/metrics`` endpoint serves verbatim.
 The metric-name catalog lives in ``src/repro/obs/README.md``.
 
 The no-op path
@@ -330,42 +329,6 @@ class MetricsRegistry:
             "histograms": dict(sorted(histograms.items())),
         }
 
-    def merge_snapshot(self, snapshot: Mapping[str, dict]) -> None:
-        """Fold another process's :meth:`snapshot` into this registry.
-
-        Counters and gauges add (a fleet's queue depth is the sum of its
-        replicas'); histograms add bucket-wise — legal because bounds are
-        fixed — and keep the elementwise max.
-        """
-        for key, value in snapshot.get("counters", {}).items():
-            name, labels = _parse_series_key(key)
-            self.counter(name, labels).inc(value)
-        for key, value in snapshot.get("gauges", {}).items():
-            name, labels = _parse_series_key(key)
-            self.gauge(name, labels).add(value)
-        for key, payload in snapshot.get("histograms", {}).items():
-            name, labels = _parse_series_key(key)
-            histogram = self.histogram(
-                name, labels, bounds=tuple(payload["bounds"])
-            )
-            counts = payload["counts"]
-            require(
-                len(counts) == len(histogram._counts),
-                f"histogram {key!r} bucket count mismatch on merge",
-            )
-            with histogram._lock:
-                for bucket, count in enumerate(counts):
-                    histogram._counts[bucket] += count
-                histogram._sum += payload["sum"]
-                histogram._count += payload["count"]
-                histogram._max = max(histogram._max, payload["max"])
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, dict]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge_snapshot(snapshot)
-        return registry
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format of the current state."""
         snapshot = self.snapshot()
@@ -506,9 +469,6 @@ class NullRegistry:
 
     def snapshot(self) -> Dict[str, dict]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge_snapshot(self, snapshot) -> None:
-        pass
 
     def render_prometheus(self) -> str:
         return ""

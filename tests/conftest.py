@@ -5,16 +5,25 @@ from __future__ import annotations
 import multiprocessing
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.batch.service import IngestionService
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     PAPER_EXAMPLE_QUERIES,
     paper_example_graph,
-    powerlaw_directed,
     random_directed_gnm,
 )
 from repro.queries.query import HCSTQuery
+
+#: ``--hypothesis-profile=thorough``: fifty times the default examples, for
+#: the CI step that runs ``tests/test_differential.py`` on its own.
+settings.register_profile(
+    "thorough",
+    max_examples=50 * settings.get_profile("default").max_examples,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture
@@ -39,12 +48,6 @@ def diamond_graph() -> DiGraph:
 def random_graph() -> DiGraph:
     """A moderate random graph used by integration-style tests."""
     return random_directed_gnm(60, 240, seed=11)
-
-
-@pytest.fixture
-def hub_graph() -> DiGraph:
-    """A small heavy-tailed graph (hubs) used by enumeration tests."""
-    return powerlaw_directed(50, 3, seed=5)
 
 
 @pytest.fixture

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.baselines.dksp import enumerate_paths_dksp, run_dksp_baseline
-from repro.baselines.onepass import enumerate_paths_onepass, run_onepass_baseline
+from repro.baselines.dksp import enumerate_paths_dksp
+from repro.baselines.onepass import enumerate_paths_onepass
 from repro.baselines.yen import shortest_path_hops, yen_k_shortest_paths
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.paths import sort_paths
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, random_directed_gnm
-from repro.queries.generation import generate_random_queries
+from repro.queries.query import HCSTQuery
+from test_differential import assert_answers, oracle
 
 
 def test_shortest_path_hops_basic(diamond_graph):
@@ -52,16 +52,16 @@ def test_yen_no_path():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dksp_matches_brute_force(seed, k):
     graph = random_directed_gnm(25, 100, seed=seed)
-    expected = sort_paths(enumerate_paths_brute_force(graph, 0, 12, k))
-    assert sort_paths(enumerate_paths_dksp(graph, 0, 12, k)) == expected
+    expected = oracle(graph, [HCSTQuery(0, 12, k)])
+    assert_answers(expected, {0: enumerate_paths_dksp(graph, 0, 12, k)})
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_onepass_matches_brute_force(seed, k):
     graph = random_directed_gnm(25, 100, seed=seed)
-    expected = sort_paths(enumerate_paths_brute_force(graph, 0, 12, k))
-    assert sort_paths(enumerate_paths_onepass(graph, 0, 12, k)) == expected
+    expected = oracle(graph, [HCSTQuery(0, 12, k)])
+    assert_answers(expected, {0: enumerate_paths_onepass(graph, 0, 12, k)})
 
 
 def test_onepass_emits_paths_in_hop_order():
@@ -75,21 +75,6 @@ def test_ksp_baselines_on_paper_example():
     graph = paper_example_graph()
     assert len(enumerate_paths_dksp(graph, 0, 11, 5)) == 3
     assert len(enumerate_paths_onepass(graph, 2, 13, 5)) == 3
-
-
-def test_ksp_batch_runners_produce_batch_results():
-    graph = random_directed_gnm(40, 200, seed=3)
-    queries = generate_random_queries(graph, 4, min_k=2, max_k=3, seed=1)
-    dksp = run_dksp_baseline(graph, queries)
-    onepass = run_onepass_baseline(graph, queries)
-    assert dksp.algorithm == "DkSP"
-    assert onepass.algorithm == "OnePass"
-    for position, query in enumerate(queries):
-        expected = sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
-        assert dksp.sorted_paths_at(position) == expected
-        assert onepass.sorted_paths_at(position) == expected
 
 
 def test_onepass_validation():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.batch.basic_enum import run_pathenum_baseline
 from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.cache import ResultCache
@@ -10,104 +9,18 @@ from repro.batch.detection import detect_common_queries
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
 from repro.batch.results import SharingStats
 from repro.bfs.distance_index import UNREACHABLE, build_index
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.hc_s_search import admissibility
 from repro.enumeration.path_enum import PathEnum
-from repro.enumeration.paths import sort_paths, validate_path
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, random_directed_gnm
-from repro.queries.generation import generate_random_queries, generate_similar_workload
+from repro.queries.generation import generate_random_queries
 from repro.queries.query import Direction, HCSTQuery
-
-
-def _expected(graph, queries):
-    return [
-        sort_paths(enumerate_paths_brute_force(graph, q.s, q.t, q.k)) for q in queries
-    ]
-
-
-def _assert_matches(result, graph, queries):
-    expected = _expected(graph, queries)
-    for position in range(len(queries)):
-        assert result.sorted_paths_at(position) == expected[position]
-
-
-# --------------------------------------------------------------------- #
-# Paper example
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("algorithm", ["pathenum", "basic", "basic+", "batch", "batch+"])
-def test_all_algorithms_reproduce_paper_example(algorithm, paper_graph, paper_queries):
-    engine = BatchQueryEngine(paper_graph, algorithm=algorithm, gamma=0.8)
-    result = engine.run(paper_queries)
-    assert result.counts() == [3, 3, 1, 2, 2]
-    _assert_matches(result, paper_graph, paper_queries)
-
-
-# --------------------------------------------------------------------- #
-# PathEnum baseline
-# --------------------------------------------------------------------- #
-def test_pathenum_baseline_matches(random_graph):
-    queries = generate_random_queries(random_graph, 5, min_k=2, max_k=4, seed=3)
-    result = run_pathenum_baseline(random_graph, queries)
-    _assert_matches(result, random_graph, queries)
+from test_differential import assert_answers, oracle
 
 
 # --------------------------------------------------------------------- #
 # BatchEnum
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.8, 1.0])
-def test_batch_enum_correct_for_all_gammas(random_graph, gamma):
-    queries = generate_random_queries(random_graph, 10, min_k=2, max_k=4, seed=4)
-    result = BatchEnum(random_graph, gamma=gamma).run(queries)
-    _assert_matches(result, random_graph, queries)
-
-
-def test_batch_enum_full_depth_detection_is_correct(random_graph):
-    queries, _ = generate_similar_workload(
-        random_graph, 10, 0.8, min_k=3, max_k=5, seed=5, measure=False
-    )
-    result = BatchEnum(random_graph, gamma=0.5, max_detection_depth=None).run(queries)
-    _assert_matches(result, random_graph, queries)
-
-
-def test_batch_enum_handles_duplicate_queries(random_graph):
-    query = generate_random_queries(random_graph, 1, min_k=3, max_k=3, seed=6)[0]
-    queries = [query] * 5
-    result = BatchEnum(random_graph, gamma=0.5).run(queries)
-    expected = sort_paths(
-        enumerate_paths_brute_force(random_graph, query.s, query.t, query.k)
-    )
-    for position in range(5):
-        assert result.sorted_paths_at(position) == expected
-
-
-def test_batch_enum_on_hub_graph_high_similarity(hub_graph):
-    queries, _ = generate_similar_workload(
-        hub_graph, 12, 0.9, min_k=3, max_k=5, seed=7, measure=False
-    )
-    result = BatchEnum(hub_graph, gamma=0.3, optimize_search_order=True).run(queries)
-    _assert_matches(result, hub_graph, queries)
-    assert result.sharing.num_clusters >= 1
-
-
-def test_batch_enum_results_are_valid_paths(hub_graph):
-    queries = generate_random_queries(hub_graph, 6, min_k=2, max_k=4, seed=8)
-    result = BatchEnum(hub_graph).run(queries)
-    for position, query in enumerate(queries):
-        for path in result.paths_at(position):
-            validate_path(hub_graph, path, s=query.s, t=query.t, k=query.k)
-
-
-def test_batch_enum_no_duplicate_paths(hub_graph):
-    queries, _ = generate_similar_workload(
-        hub_graph, 8, 0.8, min_k=3, max_k=4, seed=9, measure=False
-    )
-    result = BatchEnum(hub_graph, gamma=0.2).run(queries)
-    for position in range(len(queries)):
-        paths = result.paths_at(position)
-        assert len(paths) == len(set(paths))
-
-
 def test_batch_enum_sharing_stats_populated():
     graph = paper_example_graph()
     queries = [HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5), HCSTQuery(5, 12, 5)]
@@ -204,7 +117,7 @@ def test_a_cluster_of_one_runs_the_single_query_search(plus, with_family, monkey
     assert basic.algorithm == "BasicEnum" + plus
     assert set(basic.stage_timer.totals) == {"BuildIndex", "Enumeration"}
     assert sum(batch.counts()) >= 36
-    _assert_matches(batch, graph, queries)
+    assert_answers(oracle(graph, queries), batch)
     sharing = batch.sharing
     if with_family:
         assert detected == [[0, 1, 2], [0, 1, 2]]

@@ -26,13 +26,13 @@ from repro.bfs.distance_index import (
     CSRDistanceIndex,
     build_index,
 )
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
 from repro.graph.snapshots import SnapshotStore
 from repro.obs import MetricsRegistry
 from repro.queries.generation import generate_random_queries
+from test_differential import assert_answers, oracle
 
 
 class UnwalkableRow(array):
@@ -73,13 +73,6 @@ def graph_with_a_far_corner():
     return DiGraph.from_edges(core.edges(), num_vertices=130)
 
 
-def oracle(graph, queries):
-    return [
-        sorted(enumerate_paths_brute_force(graph, q.s, q.t, q.k))
-        for q in queries
-    ]
-
-
 def test_the_guard_trips_on_the_derive_pass_only():
     row = UnwalkableRow(TYPECODE, [0, 1, UNREACHABLE])
     index = CSRDistanceIndex(3, 2, {0: row}, {})
@@ -98,9 +91,7 @@ def test_plan_and_run_never_walk_a_row(unwalkable_rows, algorithm, num_workers):
     plan = engine.explain(queries)
     assert isinstance(plan.workload.index.dense_from(queries[0].s), UnwalkableRow)
     assert plan.workload.index.size_in_entries > 0
-    result = engine.run(queries)
-    expected = oracle(graph, queries)
-    assert [sorted(result.paths_at(i)) for i in range(len(queries))] == expected
+    assert_answers(oracle(graph, queries), engine.run(queries))
 
 
 def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
@@ -123,8 +114,7 @@ def test_a_served_micro_batch_through_the_delta_path_never_walks_a_row(
             if mutate:
                 graph.add_edge(124, 127)  # far from every endpoint
             tickets = service.submit_many(queries)
-            served = [sorted(ticket.result(timeout=30.0)) for ticket in tickets]
-            assert served == expected
+            assert_answers(expected, [t.result(timeout=30.0) for t in tickets])
         assert service.stats().failed == 0
     repaired = registry.counter(
         "repro_plan_index_strategy_total", labels={"strategy": "delta"}
@@ -161,8 +151,7 @@ def test_a_served_round_after_a_mutation_copies_only_the_rows_it_wrote(
         for corner in range(120, 125):
             graph.add_edge(corner, corner + 1)  # far from every endpoint
             tickets = service.submit_many(queries)
-            served = [sorted(ticket.result(timeout=30.0)) for ticket in tickets]
-            assert served == expected
+            assert_answers(expected, [t.result(timeout=30.0) for t in tickets])
         assert service.stats().failed == 0
     assert packs == []  # the default kernel never asks for the flat arrays
     versions = sorted(sealed)

@@ -3,7 +3,8 @@
 The contract: for every algorithm, every worker count and every graph, the
 ``"numpy"`` kernel returns **byte-identical** results to the ``"python"``
 kernel — same paths, same order, per batch position — and both match the
-brute-force ground truth.  The suite also pins the selection policy
+brute-force ground truth (``tests/test_differential.py``'s comparison).
+The suite also pins the selection policy
 (``"auto"`` is pure-Python on every route; the numpy kernel runs only when
 asked for by name) and the no-numpy degradation (``"auto"``/``"python"``
 keep working with the import blocked; ``"numpy"`` fails eagerly at
@@ -25,25 +26,18 @@ from repro.batch.config import ExecutionConfig
 from repro.batch.detection import detect_common_queries
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.planner import QueryPlanner
-from repro.batch.results import drain
 from repro.bfs.distance_index import build_index
 from repro.enumeration import kernels, path_enum
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import (
     NUMPY_AVAILABLE,
     resolve_kernel,
     validate_kernel,
 )
-from repro.enumeration.path_enum import PathEnum
-from repro.enumeration.paths import sort_paths
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (
-    PAPER_EXAMPLE_QUERIES,
-    paper_example_graph,
-    random_directed_gnm,
-)
+from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
+from test_differential import assert_answers, oracle
 
 needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 
@@ -170,76 +164,7 @@ def test_a_shard_runs_on_its_planned_kernel_whoever_executes_it(heavy, monkeypat
 
     sharded = BatchQueryEngine(graph, kernel="auto", num_workers=2).run(queries)
     assert sharded.paths_by_position == in_process.paths_by_position
-    for position, query in enumerate(queries[:6]):
-        assert sort_paths(in_process.paths_at(position)) == sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
-
-
-def test_iter_run_rejects_a_kernel_list_that_does_not_match_the_clusters():
-    """``zip`` would silently drop the clusters past the shorter list."""
-    queries = [HCSTQuery(*triple) for triple in PAPER_EXAMPLE_QUERIES]
-    enum = batch_enum.BatchEnum(paper_example_graph(), gamma=1.0)
-    assert drain(enum.iter_run(queries)).sharing.num_clusters == len(queries)
-    for kernels in (["python"], ["python"] * (len(queries) + 1)):
-        with pytest.raises(ValueError, match="kernels"):
-            next(enum.iter_run(queries, kernels=kernels))
-    full = drain(enum.iter_run(queries, kernels=["python"] * len(queries)))
-    assert all(full.counts())
-
-
-# --------------------------------------------------------------------- #
-# Differential: hypothesis-randomized graphs, sequential
-# --------------------------------------------------------------------- #
-@st.composite
-def graph_and_query(draw):
-    num_vertices = draw(st.integers(min_value=4, max_value=12))
-    possible = [
-        (u, v) for u in range(num_vertices) for v in range(num_vertices) if u != v
-    ]
-    edges = draw(
-        st.lists(
-            st.sampled_from(possible),
-            min_size=num_vertices,
-            max_size=4 * num_vertices,
-        )
-    )
-    graph = DiGraph.from_edges(set(edges), num_vertices=num_vertices)
-    s = draw(st.integers(min_value=0, max_value=num_vertices - 1))
-    t = draw(
-        st.integers(min_value=0, max_value=num_vertices - 1).filter(lambda v: v != s)
-    )
-    k = draw(st.integers(min_value=1, max_value=5))
-    return graph, HCSTQuery(s=s, t=t, k=k)
-
-
-@needs_numpy
-@SETTINGS
-@given(graph_and_query())
-def test_pathenum_numpy_kernel_byte_identical(data):
-    graph, query = data
-    python_paths = PathEnum(graph, kernel="python").enumerate(query)
-    numpy_paths = PathEnum(graph, kernel="numpy").enumerate(query)
-    assert numpy_paths == python_paths  # identical order, not just set
-    assert sort_paths(python_paths) == sort_paths(
-        enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-    )
-
-
-@needs_numpy
-@SETTINGS
-@given(graph_and_query(), st.sampled_from(["batch+", "batch", "basic+"]))
-def test_engine_numpy_kernel_byte_identical(data, algorithm):
-    graph, query = data
-    queries = [query]
-    python_result = BatchQueryEngine(
-        graph, algorithm=algorithm, kernel="python", num_workers=1
-    ).run(queries)
-    numpy_result = BatchQueryEngine(
-        graph, algorithm=algorithm, kernel="numpy", num_workers=1
-    ).run(queries)
-    assert numpy_result.paths_by_position == python_result.paths_by_position
-    assert numpy_result.sharing == python_result.sharing
+    assert_answers(oracle(graph, queries), in_process)
 
 
 # --------------------------------------------------------------------- #
@@ -362,24 +287,6 @@ def test_every_psi_node_python_search_equals_numpy_twin(data):
 # Differential: all algorithms x worker counts
 # --------------------------------------------------------------------- #
 @needs_numpy
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_all_algorithms_numpy_equals_python_sequential(algorithm):
-    graph, queries = _workload(7)
-    python_result = BatchQueryEngine(
-        graph, algorithm=algorithm, kernel="python", num_workers=1
-    ).run(queries)
-    numpy_result = BatchQueryEngine(
-        graph, algorithm=algorithm, kernel="numpy", num_workers=1
-    ).run(queries)
-    assert numpy_result.paths_by_position == python_result.paths_by_position
-    assert numpy_result.sharing == python_result.sharing
-    for position, query in enumerate(queries):
-        assert sort_paths(python_result.paths_at(position)) == sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
-
-
-@needs_numpy
 @pytest.mark.parametrize("num_workers", [2, "auto"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_kernelized_algorithms_across_worker_counts(algorithm, num_workers):
@@ -391,6 +298,7 @@ def test_kernelized_algorithms_across_worker_counts(algorithm, num_workers):
         graph, algorithm=algorithm, kernel="numpy", num_workers=num_workers
     ).run(queries)
     assert result.paths_by_position == reference.paths_by_position
+    assert repr(result.sharing) == repr(reference.sharing)
 
 
 # --------------------------------------------------------------------- #
@@ -409,15 +317,14 @@ def test_fallback_with_numpy_import_blocked():
     A fresh interpreter poisons ``sys.modules["numpy"]`` *before* any
     repro import, so the kernels module sees a failing import — exactly
     the situation on a numpy-less deployment.  ``"auto"`` must degrade to
-    pure Python with correct results; ``"numpy"`` must raise eagerly.
+    pure Python and answer what per-query ``pathenum`` answers; ``"numpy"``
+    must raise eagerly.
     """
     code = """
 import sys
 sys.modules["numpy"] = None  # blocks `import numpy` with ImportError
 from repro.batch.engine import BatchQueryEngine
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import NUMPY_AVAILABLE
-from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 
@@ -426,9 +333,10 @@ graph = random_directed_gnm(30, 110, seed=7)
 queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=7)
 engine = BatchQueryEngine(graph, algorithm="batch+", kernel="auto", num_workers=1)
 result = engine.run(queries)
-for position, query in enumerate(queries):
-    expected = enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-    assert sort_paths(result.paths_at(position)) == sort_paths(expected)
+per_query = BatchQueryEngine(graph, algorithm="pathenum", kernel="python").run(queries)
+assert result.counts() == per_query.counts() and all(result.counts())
+for position in range(len(queries)):
+    assert sorted(result.paths_at(position)) == sorted(per_query.paths_at(position))
 try:
     BatchQueryEngine(graph, algorithm="batch+", kernel="numpy")
 except ValueError:

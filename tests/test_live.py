@@ -171,34 +171,6 @@ def test_stream_under_mutation_matches_pinned_oracle(algorithm, num_workers):
 # --------------------------------------------------------------------- #
 # Ingestion service under mutation: the PR's acceptance scenario
 # --------------------------------------------------------------------- #
-def test_service_round_trip_oracle_across_mutations():
-    """Each round: freeze the graph, compute the closed-batch oracle,
-    serve the same queries through the service, then mutate.  Twelve
-    mutations interleave with twelve micro-batch rounds; every ticket
-    must match its round's oracle and none may fail."""
-    graph = random_directed_gnm(20, 70, seed=31)
-    rng = random.Random(31)
-    with serve(
-        graph,
-        algorithm="batch+",
-        num_workers=1,
-        max_batch_size=4,
-    ) as service:
-        for round_no in range(12):
-            frozen = graph.copy()
-            queries = generate_random_queries(
-                frozen, 3, min_k=2, max_k=3, seed=round_no
-            )
-            oracle = BatchQueryEngine(frozen, algorithm="batch+").run(queries)
-            tickets = service.submit_many(queries)
-            for position, ticket in enumerate(tickets):
-                assert ticket.result(timeout=30.0) == oracle.paths_at(position)
-            _mutate_randomly(graph, rng, 1)
-        stats = service.stats()
-    assert stats.failed == 0
-    assert stats.completed == 12 * 3
-
-
 def test_service_zero_errors_under_concurrent_mutation():
     """Mutations land *while* micro-batches are being planned and
     executed — the admitted-version pin means no ticket ever resolves

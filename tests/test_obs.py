@@ -2,14 +2,16 @@
 
 Covers the registry contract (get-or-create identity, label canonical
 form, kind conflicts), histogram percentile math over the fixed
-log-spaced buckets, snapshot JSON round-tripping and cross-process
-merging, Prometheus text rendering, the null objects' no-op guarantees,
-span parentage/adoption/rendering, and a multi-thread hammer proving the
-counters are exact and histogram counts are conserved under contention.
+log-spaced buckets, snapshot JSON round-tripping, Prometheus text
+rendering, the null objects' no-op guarantees, span
+parentage/adoption/rendering, a multi-thread hammer proving the counters
+are exact and histogram counts are conserved under contention, and the
+metric-name catalog against the series the code creates.
 """
 
 import importlib
 import json
+import pathlib
 import pkgutil
 import re
 import threading
@@ -102,7 +104,7 @@ def test_empty_histogram_reports_zeros():
 
 
 # --------------------------------------------------------------------- #
-# Snapshots: JSON round-trip, rebuild, merge
+# Snapshots: JSON round-trip
 # --------------------------------------------------------------------- #
 def _populated_registry():
     registry = MetricsRegistry()
@@ -118,34 +120,6 @@ def _populated_registry():
 def test_snapshot_round_trips_through_json():
     snap = _populated_registry().snapshot()
     assert json.loads(json.dumps(snap)) == snap
-    rebuilt = MetricsRegistry.from_snapshot(snap)
-    assert rebuilt.snapshot() == snap
-
-
-def test_merge_snapshot_adds_counters_and_buckets():
-    first = _populated_registry()
-    second = _populated_registry()
-    second.counter("repro_events_total", {"kind": "c"}).inc()
-    second.histogram("repro_lat_seconds").observe(5.0)
-
-    first.merge_snapshot(second.snapshot())
-    snap = first.snapshot()
-    assert snap["counters"]['repro_events_total{kind="a"}'] == 6
-    assert snap["counters"]['repro_events_total{kind="c"}'] == 1
-    assert snap["gauges"]["repro_depth"] == 8  # gauges add across replicas
-    merged = snap["histograms"]["repro_lat_seconds"]
-    assert merged["count"] == 7
-    assert merged["max"] == 5.0
-    assert sum(merged["counts"]) == merged["count"]
-
-
-def test_merge_rejects_mismatched_bucket_layout():
-    registry = MetricsRegistry()
-    registry.histogram("repro_lat", bounds=(0.1, 1.0)).observe(0.5)
-    other = MetricsRegistry()
-    other.histogram("repro_lat", bounds=(0.2, 2.0)).observe(0.5)
-    with pytest.raises(ValueError, match="different bounds"):
-        registry.merge_snapshot(other.snapshot())
 
 
 # --------------------------------------------------------------------- #
@@ -186,8 +160,6 @@ def test_null_registry_is_inert():
     assert hist.percentile(0.5) == 0.0
     assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
     assert registry.render_prometheus() == ""
-    registry.merge_snapshot(_populated_registry().snapshot())
-    assert registry.snapshot()["counters"] == {}
 
 
 def test_resolvers_default_to_null_singletons():
@@ -356,3 +328,29 @@ def test_no_module_outside_obs_holds_a_live_telemetry_handle():
                 offenders.append(f"{name}.{attribute}")
     assert len(names) > 40  # the walk really saw the package
     assert not offenders, f"module-level telemetry handles: {offenders}"
+
+
+# --------------------------------------------------------------------- #
+# The metric-name catalog is the set of series the code creates
+# --------------------------------------------------------------------- #
+def test_the_catalog_names_exactly_the_series_the_code_creates():
+    """Every ``repro_*`` series a ``counter``/``gauge``/``histogram`` call
+    under ``src/repro`` creates has a row in ``obs/README.md``'s catalog,
+    and every row names one of them."""
+    package = pathlib.Path(repro.__file__).parent
+    created = {
+        match.group(1)
+        for source in package.rglob("*.py")
+        for match in re.finditer(
+            r"\.(?:counter|gauge|histogram)\(\s*[\"'](repro_\w+)[\"']",
+            source.read_text(),
+        )
+    }
+    catalog = set(
+        re.findall(
+            r"^\| `(repro_\w+)", (package / "obs" / "README.md").read_text(), re.M
+        )
+    )
+    assert len(created) >= 20  # the scan really found the call sites
+    assert sorted(created - catalog) == [], "series missing from the catalog"
+    assert sorted(catalog - created) == [], "catalog rows no code creates"

@@ -23,11 +23,11 @@ from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
 from repro.batch.executor import _shard_tasks
 from repro.batch.planner import QueryPlanner, _contiguous_slices
 from repro.bfs.distance_index import CSRDistanceIndex
-from repro.enumeration.brute_force import enumerate_paths_brute_force
-from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
+from test_differential import assert_answers, oracle
+
 
 def _workload(seed):
     graph = random_directed_gnm(30, 110, seed=seed)
@@ -37,7 +37,10 @@ def _workload(seed):
 
 @pytest.mark.parametrize("algorithm", ("basic", "basic+", "batch", "batch+"))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parallel_matches_sequential_and_brute_force(algorithm, seed):
+def test_parallel_matches_sequential_and_brute_force(algorithm, seed, no_child_left):
+    """The differential suite's worker-count cases, on fixed draws: two
+    processes answer what the oracle answers, with the sequential run's
+    lists in the same order and the same sharing."""
     graph, queries = _workload(seed)
     sequential = BatchQueryEngine(graph, algorithm=algorithm, num_workers=1).run(
         queries
@@ -45,26 +48,9 @@ def test_parallel_matches_sequential_and_brute_force(algorithm, seed):
     parallel = BatchQueryEngine(graph, algorithm=algorithm, num_workers=2).run(
         queries
     )
-    for position, query in enumerate(queries):
-        # Exact equality — same paths in the same order, not just same sets.
-        assert parallel.paths_at(position) == sequential.paths_at(position)
-        expected = sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
-        assert parallel.sorted_paths_at(position) == expected
-
-
-def test_parallel_four_workers_identical_on_batch_plus():
-    graph, queries = _workload(5)
-    sequential = BatchQueryEngine(graph, algorithm="batch+", num_workers=1).run(
-        queries
-    )
-    parallel = BatchQueryEngine(graph, algorithm="batch+", num_workers=4).run(
-        queries
-    )
-    for position in range(len(queries)):
-        assert parallel.paths_at(position) == sequential.paths_at(position)
-    assert parallel.sharing.num_clusters == sequential.sharing.num_clusters
+    assert_answers(oracle(graph, queries), parallel)
+    assert parallel.paths_by_position == sequential.paths_by_position
+    assert repr(parallel.sharing) == repr(sequential.sharing)
 
 
 def test_parallel_sharing_stats_merge_deterministically():

@@ -9,7 +9,6 @@ from repro.batch.cache import ResultCache
 from repro.batch.detection import detect_common_queries
 from repro.bfs.distance_index import build_index
 from repro.enumeration import join
-from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
 from repro.enumeration.kernels import NUMPY_AVAILABLE
@@ -24,6 +23,7 @@ from repro.enumeration.paths import (
 )
 from repro.graph.digraph import DiGraph
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
+from test_differential import assert_answers, oracle
 
 
 def test_path_length_and_simplicity():
@@ -392,9 +392,9 @@ def test_probe_fed_by_the_search_equals_the_nested_loop(data):
             query.t,
             policy,
         )
-        brute = sort_paths(enumerate_paths_brute_force(graph, query.s, query.t, query.k))
-        assert sort_paths(expected) == brute
-        assert sort_paths(python_result.paths_by_position[position]) == brute
+    brute = oracle(graph, queries)
+    assert_answers(brute, one_cluster, "the nested loop")
+    assert_answers(brute, python_result, "the probe")
 
 
 def _layered_graph():
@@ -451,11 +451,9 @@ def test_forward_root_that_is_a_provider_and_one_that_splices_it(monkeypatch):
         policy = PathJoinPolicy(query.forward_budget, query.backward_budget)
         expected = reference_join(forward, backward, query.t, policy)
         assert result.paths_by_position[position] == expected
-        assert sort_paths(expected) == sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
         spliced += sum(path[:2] == (1, 0) for path in expected)
     assert spliced > 0  # full-length paths through the splice were joined
+    assert_answers(oracle(graph, queries), result)
 
 
 def _search_into_probe(adjacency, budget, backward, target):

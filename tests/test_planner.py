@@ -28,10 +28,9 @@ from repro.batch.executor import stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.service import IngestionService
 from repro.enumeration import kernels
-from repro.enumeration.brute_force import enumerate_paths_brute_force
-from repro.enumeration.paths import sort_paths
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
+from test_differential import assert_answers, oracle
 
 
 def _workload(seed, num_queries=8):
@@ -154,10 +153,7 @@ def test_explain_shards_cover_every_position_exactly_once(algorithm):
     assert "ExecutionPlan" in plan.describe()
     result = engine.run(queries)
     assert result.algorithm == spec.display_name
-    for position, query in enumerate(queries):
-        assert result.sorted_paths_at(position) == sort_paths(
-            enumerate_paths_brute_force(graph, query.s, query.t, query.k)
-        )
+    assert_answers(oracle(graph, queries), result)
 
 
 def test_explain_empty_batch_is_trivial():
@@ -219,18 +215,6 @@ def test_fixed_worker_request_is_honoured():
         queries
     )
     assert per_query.num_shards == 3
-
-
-def test_auto_engine_matches_sequential_results():
-    graph, queries = _workload(9)
-    for algorithm in ("batch+", "basic"):
-        sequential = BatchQueryEngine(
-            graph, algorithm=algorithm, num_workers=1
-        ).run(queries)
-        auto = BatchQueryEngine(graph, algorithm=algorithm).run(queries)
-        assert auto.counts() == sequential.counts()
-        for position in range(len(queries)):
-            assert auto.paths_at(position) == sequential.paths_at(position)
 
 
 def test_batch_enumerate_accepts_auto():
