@@ -3,9 +3,9 @@
 A faithful, pure-Python reproduction of "Batch Hop-Constrained s-t Simple
 Path Query Processing in Large Graphs" (ICDE 2024): the BatchEnum /
 BatchEnum+ algorithms, the BasicEnum and PathEnum baselines, the adapted
-k-shortest-path competitors, and the complete experiment harness used to
-regenerate the paper's tables and figures on synthetic stand-ins for its
-datasets.
+k-shortest-path competitors, and one replay that regenerates the paper's
+tables and figures as rows of one table on synthetic stand-ins for its
+datasets (:mod:`repro.experiments.replay`).
 
 Quickstart
 ----------

@@ -17,6 +17,10 @@ from repro.baselines.yen import shortest_path_hops, yen_k_shortest_paths
 from repro.baselines.dksp import enumerate_paths_dksp, run_dksp_baseline
 from repro.baselines.onepass import enumerate_paths_onepass, run_onepass_baseline
 
+#: Fig. 12's baselines by name: plain ``(graph, queries) -> BatchResult``
+#: functions, not engine algorithms, timed on the same workload.
+BASELINES = {"dksp": run_dksp_baseline, "onepass": run_onepass_baseline}
+
 __all__ = [
     "shortest_path_hops",
     "yen_k_shortest_paths",
@@ -24,4 +28,5 @@ __all__ = [
     "run_dksp_baseline",
     "enumerate_paths_onepass",
     "run_onepass_baseline",
+    "BASELINES",
 ]

@@ -9,8 +9,6 @@
   and the one Lemma 3.1 admissibility rule; PathEnum, BatchEnum and
   DetectCommonQuery all read it.
 * :mod:`repro.enumeration.kernels` — its two numpy twins (optional).
-* :mod:`repro.enumeration.dfs_baseline` — a pruning-based DFS in the style
-  of the earlier literature [11], [12], [14].
 """
 
 from repro.enumeration.paths import (
@@ -21,7 +19,6 @@ from repro.enumeration.paths import (
 )
 from repro.enumeration.join import join_path_sets, PathJoinPolicy
 from repro.enumeration.brute_force import enumerate_paths_brute_force
-from repro.enumeration.dfs_baseline import enumerate_paths_pruned_dfs
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.search_order import choose_budget_split
 
@@ -33,7 +30,6 @@ __all__ = [
     "join_path_sets",
     "PathJoinPolicy",
     "enumerate_paths_brute_force",
-    "enumerate_paths_pruned_dfs",
     "PathEnum",
     "enumerate_paths",
     "choose_budget_split",

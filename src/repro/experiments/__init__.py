@@ -1,9 +1,8 @@
-"""Experiment harness reproducing the paper's evaluation (Section V).
+"""The paper's evaluation (Section V) on synthetic stand-in datasets.
 
-Every table and figure has a dedicated module; each module exposes a
-``run_*`` function returning plain data (rows / series) plus a ``main``
-entry point that prints the same rows the paper reports.  The benchmark
-suite under ``benchmarks/`` calls the same functions with reduced scales.
+:mod:`repro.experiments.datasets` builds the twelve Table I stand-ins and
+:mod:`repro.experiments.replay` replays Table I, Fig. 3(c) and Figs. 7-13
+as rows of one table (``python -m repro.experiments.replay``).
 """
 
 from repro.experiments.datasets import (
@@ -13,13 +12,6 @@ from repro.experiments.datasets import (
     load_dataset,
     dataset_table,
 )
-from repro.experiments.harness import (
-    AlgorithmRun,
-    run_algorithm,
-    compare_algorithms,
-    DEFAULT_ALGORITHMS,
-)
-from repro.experiments.reporting import format_table, format_series
 
 __all__ = [
     "DATASETS",
@@ -27,10 +19,4 @@ __all__ = [
     "dataset_names",
     "load_dataset",
     "dataset_table",
-    "AlgorithmRun",
-    "run_algorithm",
-    "compare_algorithms",
-    "DEFAULT_ALGORITHMS",
-    "format_table",
-    "format_series",
 ]

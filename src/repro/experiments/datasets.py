@@ -12,7 +12,8 @@ deterministic synthetic graph that keeps
   like the paper's.
 
 The ``scale`` knob multiplies every vertex count; 1.0 is the default used
-by the benchmark suite and finishes in seconds per dataset.
+by the paper replay (:mod:`repro.experiments.replay`) and finishes in
+seconds per dataset.
 """
 
 from __future__ import annotations
@@ -129,14 +130,3 @@ def dataset_table(scale: float = 1.0, quick: bool = False) -> List[Dict[str, obj
             }
         )
     return rows
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    from repro.experiments.reporting import format_table
-
-    rows = dataset_table()
-    print(format_table(rows, title="Table I — dataset statistics (synthetic stand-ins)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

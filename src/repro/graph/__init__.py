@@ -21,7 +21,7 @@ from repro.graph.generators import (
     small_world_directed,
 )
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.graph.sampling import sample_vertices, sample_edges, vertex_induced_subgraph
+from repro.graph.sampling import sample_vertices, vertex_induced_subgraph
 
 __all__ = [
     "DiGraph",
@@ -38,6 +38,5 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "sample_vertices",
-    "sample_edges",
     "vertex_induced_subgraph",
 ]

@@ -1,10 +1,8 @@
 """Graph sampling used by the scalability experiment (Exp-5 / Fig. 11).
 
-The paper samples 20 %–100 % of the vertices (and, in a variant not shown,
-edges) of the two largest datasets and measures how processing time grows.
-``sample_vertices`` keeps a uniform random vertex subset and relabels the
-induced subgraph densely; ``sample_edges`` keeps a uniform random edge
-subset over the full vertex set.
+The paper samples 20 %–100 % of the vertices of the two largest datasets
+and measures how processing time grows.  ``sample_vertices`` keeps a
+uniform random vertex subset and relabels the induced subgraph densely.
 """
 
 from __future__ import annotations
@@ -39,16 +37,3 @@ def vertex_induced_subgraph(graph: DiGraph, vertices: Sequence[int]) -> DiGraph:
             if v in mapping:
                 edges.append((mapping[u], mapping[v]))
     return DiGraph.from_edges(edges, num_vertices=len(vertices))
-
-
-def sample_edges(graph: DiGraph, fraction: float, seed: int = 0) -> DiGraph:
-    """Return a graph over the same vertex set with a uniform random
-    ``fraction`` of the edges."""
-    require(0.0 < fraction <= 1.0, "fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return graph.copy()
-    rng = random.Random(seed)
-    all_edges = list(graph.edges())
-    keep_count = max(1, int(round(len(all_edges) * fraction)))
-    kept = rng.sample(all_edges, keep_count)
-    return DiGraph.from_edges(kept, num_vertices=graph.num_vertices)

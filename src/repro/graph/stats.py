@@ -20,13 +20,6 @@ class GraphStats:
     average_degree: float
     max_degree: int
 
-    def as_row(self, name: str = "") -> str:
-        """Render a Table-I style row."""
-        return (
-            f"{name:<12s} |V|={self.num_vertices:>8d} |E|={self.num_edges:>9d} "
-            f"davg={self.average_degree:6.1f} dmax={self.max_degree:>6d}"
-        )
-
 
 def compute_stats(graph: DiGraph) -> GraphStats:
     """Compute :class:`GraphStats` for ``graph``."""

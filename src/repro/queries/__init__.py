@@ -4,7 +4,6 @@ from repro.queries.query import HCSTQuery, HCsPathQuery, Direction
 from repro.queries.similarity import (
     query_similarity,
     group_similarity,
-    workload_similarity,
     QuerySimilarityMatrix,
 )
 from repro.queries.generation import (
@@ -20,7 +19,6 @@ __all__ = [
     "Direction",
     "query_similarity",
     "group_similarity",
-    "workload_similarity",
     "QuerySimilarityMatrix",
     "generate_random_queries",
     "generate_similar_workload",

@@ -22,7 +22,7 @@ from repro.bfs.distance_index import build_index_for_queries
 from repro.bfs.single_source import bfs_distances
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
-from repro.queries.similarity import workload_similarity
+from repro.queries.similarity import QuerySimilarityMatrix
 from repro.utils.validation import require, require_positive
 
 
@@ -129,7 +129,7 @@ def generate_similar_workload(
         index = build_index_for_queries(
             graph, [(q.s, q.t, q.k) for q in queries]
         )
-        achieved = workload_similarity(queries, index)
+        achieved = QuerySimilarityMatrix.from_queries(queries, index).average()
     spec = WorkloadSpec(
         size=count,
         min_k=min_k,

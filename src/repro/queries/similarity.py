@@ -96,23 +96,6 @@ def group_similarity(
     return total / (len(group_a) * len(group_b))
 
 
-def workload_similarity(
-    queries: Sequence[HCSTQuery], index: CSRDistanceIndex
-) -> float:
-    """µ_Q — the average pairwise similarity used by Exp-1 to characterise a
-    query set (Section V, Exp-1)."""
-    count = len(queries)
-    if count < 2:
-        return 0.0
-    matrix = QuerySimilarityMatrix.from_queries(queries, index)
-    total = 0.0
-    for i in range(count):
-        for j in range(count):
-            if i != j:
-                total += matrix.get(i, j)
-    return total / (count * (count - 1))
-
-
 @dataclass
 class QuerySimilarityMatrix:
     """Dense pairwise µ matrix over a query batch, indexed by position."""

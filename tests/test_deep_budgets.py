@@ -10,7 +10,7 @@ engine exposes, and so must the Exp-6 baselines.
 import pytest
 
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
-from repro.experiments.harness import BASELINES
+from repro.baselines import BASELINES
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
 

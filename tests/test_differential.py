@@ -38,7 +38,7 @@ from repro.batch.service import serve
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.enumeration.paths import sort_paths
-from repro.experiments.harness import BASELINES
+from repro.baselines import BASELINES
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     PAPER_EXAMPLE_QUERIES,

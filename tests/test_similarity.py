@@ -11,7 +11,6 @@ from repro.queries.similarity import (
     neighborhoods,
     query_similarity,
     similarity_from_neighborhoods,
-    workload_similarity,
 )
 
 
@@ -89,14 +88,6 @@ def test_matrix_matches_pairwise_function():
                 )
 
 
-def test_matrix_average_equals_workload_similarity():
-    graph = random_directed_gnm(40, 240, seed=6)
-    queries = [HCSTQuery(0, 8, 3), HCSTQuery(1, 9, 3), HCSTQuery(2, 10, 4)]
-    index = build_index_for_queries(graph, [(q.s, q.t, q.k) for q in queries])
-    matrix = QuerySimilarityMatrix.from_queries(queries, index)
-    assert matrix.average() == pytest.approx(workload_similarity(queries, index))
-
-
 def test_group_similarity_average():
     pairs = [
         (frozenset({1, 2}), frozenset({3, 4})),
@@ -113,4 +104,4 @@ def test_workload_similarity_single_query_is_zero():
     graph = random_directed_gnm(20, 80, seed=1)
     queries = [HCSTQuery(0, 5, 3)]
     index = build_index_for_queries(graph, [(0, 5, 3)])
-    assert workload_similarity(queries, index) == 0.0
+    assert QuerySimilarityMatrix.from_queries(queries, index).average() == 0.0

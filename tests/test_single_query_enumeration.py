@@ -1,4 +1,4 @@
-"""Tests for the single-query enumerators (brute force, pruned DFS, PathEnum)."""
+"""Tests for the single-query enumerators (brute force, PathEnum)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.enumeration.brute_force import (
     count_paths_brute_force,
     enumerate_paths_brute_force,
 )
-from repro.enumeration.dfs_baseline import enumerate_paths_pruned_dfs
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.paths import sort_paths, validate_path
 from repro.enumeration.search_order import choose_budget_split, mean_degree_of
@@ -72,7 +71,6 @@ def test_all_enumerators_agree_on_random_graphs(seed, k):
     graph = random_directed_gnm(30, 140, seed=seed)
     s, t = 0, 17
     expected = sort_paths(enumerate_paths_brute_force(graph, s, t, k))
-    assert sort_paths(enumerate_paths_pruned_dfs(graph, s, t, k)) == expected
     assert sort_paths(enumerate_paths(graph, s, t, k)) == expected
     assert sort_paths(enumerate_paths(graph, s, t, k, optimize_search_order=True)) == expected
 
