@@ -10,15 +10,19 @@ the paper justifies pruning any vertex ``v`` from an enumeration whenever
 The index is exactly the structure built in lines 1-2 of Algorithm 1 and
 Algorithm 4, here with one truncated BFS per endpoint.
 
-The structure is :class:`CSRDistanceIndex`: one flat ``array('l')`` row
-per indexed endpoint, keyed by CSR vertex id, with a large finite sentinel
-(:data:`UNREACHABLE`) for vertices the BFS never reached, and beside it the
-row's *BFS levels* — the reached vertices grouped by exact distance.  Rows
-support O(1) direct indexing in the enumeration hot loops; the levels
-answer everything else (level sizes, neighbourhoods, µ masks, entry counts)
-at a cost that follows the k-hop neighbourhood, not ``|V|``.  The rows
-serialise to a compact ``bytes`` blob (:meth:`CSRDistanceIndex.to_bytes`)
-so the parallel executor can ship each shard the rows of its own endpoints
+The structure is :class:`CSRDistanceIndex`: one flat dense row per indexed
+endpoint, keyed by CSR vertex id, with a hole value for vertices the BFS
+never reached, and beside it the row's *BFS levels* — the reached vertices
+grouped by exact distance.  :func:`row_width` picks the row layout from the
+batch's ``max_hops``: a ``bytearray`` with :data:`NARROW_UNREACHABLE`
+(0xFF) as its hole whenever every distance fits a byte (``max_hops <=``
+:data:`NARROW_MAX_HOPS`), else an ``array('l')`` with :data:`UNREACHABLE`.
+Rows support O(1) direct indexing in the enumeration hot loops; a µ mask
+is one C-level ``translate`` of a one-byte row; the levels answer
+everything else (level sizes, neighbourhoods, entry counts) at a cost that
+follows the k-hop neighbourhood, not ``|V|``.  The rows serialise to a
+compact ``bytes`` blob (:meth:`CSRDistanceIndex.to_bytes`) so the parallel
+executor can ship each shard the rows of its own endpoints
 (:meth:`CSRDistanceIndex.restrict`) instead of re-running BFS per worker.
 Lookups with a vertex id outside the snapshot's range raise (mirroring the
 CSR packing assert) rather than silently reporting "unreachable".
@@ -30,7 +34,17 @@ import math
 import struct
 from array import array
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.bfs.multi_source import truncated_bfs_levels
 from repro.graph.digraph import DiGraph
@@ -38,20 +52,62 @@ from repro.utils.validation import require, require_positive, require_vertex
 
 INFINITY = math.inf
 
-#: Typecode of the distance rows — the same signed-long typecode the CSR
-#: adjacency arrays use, so one platform-word convention covers the whole
-#: shipped payload.
+#: Typecode of the wide distance rows and of every endpoint id and level —
+#: the same signed-long typecode the CSR adjacency arrays use, so one
+#: platform-word convention covers the whole shipped payload.
 TYPECODE = "l"
 
-#: In-row sentinel for "the BFS never reached this vertex".  A large finite
+#: Hole of a wide row: "the BFS never reached this vertex".  A large finite
 #: int (not -1) so the hot loops can compute ``used + 1 + row[v] > k``
 #: without a branch: any arithmetic involving the sentinel is astronomically
 #: larger than a hop budget.  Fits a 32-bit signed long, the narrowest
 #: platform ``'l'``.
 UNREACHABLE = 2**31 - 1
 
+#: The largest ``max_hops`` whose rows take one byte per vertex.
+NARROW_MAX_HOPS = 254
+
+#: Hole of a narrow (one-byte) row.  A query it serves has ``k <= 254``, so
+#: ``used + 1 + 255 > k`` prunes a hole without a branch here too.
+NARROW_UNREACHABLE = 0xFF
+
+#: A dense distance row: ``bytearray`` when narrow, ``array('l')`` when wide.
+Row = Union[bytearray, array]
+
+_WIDE = array(TYPECODE).itemsize
+
 _HEADER = struct.Struct("<8sqqqqqq")
-_MAGIC = b"CSRDIDX1"
+_MAGIC = b"CSRDIDX2"
+
+#: ``_WITHIN[h]`` translates a narrow row into ASCII bits, ``b"1"`` for a
+#: distance ``<= h`` and ``b"0"`` for a farther vertex or a hole.  ``h``
+#: stops at :data:`NARROW_MAX_HOPS`, so the hole never translates to a 1.
+_WITHIN = tuple(
+    bytes(0x31 if distance <= hops else 0x30 for distance in range(256))
+    for hops in range(NARROW_MAX_HOPS + 1)
+)
+
+
+def row_width(max_hops: int) -> int:
+    """Bytes per vertex of every dense row of an index truncated at
+    ``max_hops``: one up to :data:`NARROW_MAX_HOPS`, a platform ``'l'``
+    beyond it.  The one place the row layout is chosen."""
+    return 1 if max_hops <= NARROW_MAX_HOPS else _WIDE
+
+
+def _hole(row: Row) -> int:
+    """The value ``row`` holds where its BFS never arrived."""
+    return NARROW_UNREACHABLE if isinstance(row, bytearray) else UNREACHABLE
+
+
+def _unpack(width: int, data) -> Row:
+    """A copy of ``data`` as ``width``-byte items: a ``bytearray`` for one
+    byte, an ``array('l')`` for the platform word."""
+    if width == 1:
+        return bytearray(data)
+    row = array(TYPECODE)
+    row.frombytes(data)
+    return row
 
 
 #: The BFS levels of one row: ``levels[d]`` holds, in ascending order, the
@@ -60,15 +116,16 @@ _MAGIC = b"CSRDIDX1"
 Levels = Tuple[array, ...]
 
 
-def _scan_levels(row: array) -> Levels:
+def _scan_levels(row: Row) -> Levels:
     """Derive the levels of a dense row that arrived without them.
 
-    The one pass under ``src/`` that walks a whole row outside the
-    enumeration loops; it runs at most once per row (first use).
+    The one Python-level pass under ``src/`` that walks a whole row outside
+    the enumeration loops; it runs at most once per row (first use).
     """
+    hole = _hole(row)
     buckets: List[array] = []
     for vertex, distance in enumerate(row):
-        if distance != UNREACHABLE:
+        if distance != hole:
             while len(buckets) <= distance:
                 buckets.append(array(TYPECODE))
             buckets[distance].append(vertex)
@@ -83,7 +140,7 @@ def _level_sizes(levels: Levels, hops: int) -> List[int]:
 
 
 def _levels_of(
-    rows: Dict[int, array], levels: Dict[int, Levels], endpoint: int
+    rows: Dict[int, Row], levels: Dict[int, Levels], endpoint: int
 ) -> Levels:
     """The levels of ``rows[endpoint]``, derived on first use when the row
     arrived without them (``from_bytes``, a hand-built index, or a row
@@ -99,16 +156,21 @@ class CSRDistanceIndex:
 
     Each indexed endpoint owns a row in two halves:
 
-    * the *dense distances* — one flat ``array('l')`` of length
-      ``num_vertices`` holding hop distances (:data:`UNREACHABLE` where the
-      truncated BFS never arrived).  Only the enumeration hot loops and the
-      point lookups read it, through :meth:`dense_from`/:meth:`dense_to`
-      and ``dist_from``/``dist_to``, by direct indexing;
+    * the *dense distances* — one flat row of length ``num_vertices``
+      holding hop distances, in the width :func:`row_width` picks from
+      ``max_hops``: a ``bytearray`` with :data:`NARROW_UNREACHABLE` where
+      the truncated BFS never arrived when ``max_hops <=``
+      :data:`NARROW_MAX_HOPS`, else an ``array('l')`` with
+      :data:`UNREACHABLE`.  The enumeration hot loops and the point lookups
+      read it, through :meth:`dense_from`/:meth:`dense_to` and
+      ``dist_from``/``dist_to``, by direct indexing; a µ mask reads a
+      one-byte row whole, in one C-level ``bytearray.translate``;
     * the *BFS levels* — the reached vertices grouped by exact distance
-      (:data:`Levels`).  Everything that asks about the row as a whole —
-      level sizes for the budget split and the plan estimates,
-      neighbourhoods and µ masks for clustering, entry counts for metrics —
-      reads the levels and costs O(reached), never a ``|V|``-long scan.
+      (:data:`Levels`).  Everything else that asks about the row as a
+      whole — level sizes for the budget split and the plan estimates,
+      neighbourhoods for clustering, entry counts for metrics, the µ masks
+      of a wide row — reads the levels and costs O(reached), never a
+      Python-level ``|V|``-long scan.
 
     :func:`build_index` records the levels as each BFS hands them over;
     :meth:`copy` and :meth:`restrict` share them; :meth:`apply_delta` keeps
@@ -130,8 +192,8 @@ class CSRDistanceIndex:
         self,
         num_vertices: int,
         max_hops: int,
-        from_rows: Dict[int, array],
-        to_rows: Dict[int, array],
+        from_rows: Dict[int, Row],
+        to_rows: Dict[int, Row],
     ) -> None:
         self.num_vertices = num_vertices
         self.max_hops = max_hops
@@ -150,8 +212,8 @@ class CSRDistanceIndex:
         clone = CSRDistanceIndex(
             self.num_vertices,
             self.max_hops,
-            {s: array(TYPECODE, row) for s, row in self._from_rows.items()},
-            {t: array(TYPECODE, row) for t, row in self._to_rows.items()},
+            {s: row[:] for s, row in self._from_rows.items()},
+            {t: row[:] for t, row in self._to_rows.items()},
         )
         clone._from_levels = dict(self._from_levels)
         clone._to_levels = dict(self._to_levels)
@@ -262,8 +324,9 @@ class CSRDistanceIndex:
     # ------------------------------------------------------------------ #
     # Dense rows (hot-loop API)
     # ------------------------------------------------------------------ #
-    def dense_from(self, source: int) -> array:
-        """The raw distance row of ``source`` (:data:`UNREACHABLE` holes).
+    def dense_from(self, source: int) -> Row:
+        """The raw distance row of ``source`` (holes: :data:`NARROW_UNREACHABLE`
+        in a one-byte row, :data:`UNREACHABLE` in a wide one).
 
         Callers index it directly — ``row[v]`` — which is the fast path the
         enumeration loops use; they must not mutate it.
@@ -273,8 +336,8 @@ class CSRDistanceIndex:
             raise KeyError(f"source {source} is not indexed")
         return row
 
-    def dense_to(self, target: int) -> array:
-        """The raw distance row of ``target`` (:data:`UNREACHABLE` holes)."""
+    def dense_to(self, target: int) -> Row:
+        """The raw distance row of ``target`` (holes as in :meth:`dense_from`)."""
         row = self._to_rows.get(target)
         if row is None:
             raise KeyError(f"target {target} is not indexed")
@@ -283,14 +346,14 @@ class CSRDistanceIndex:
     # ------------------------------------------------------------------ #
     # Lookups (range-checked)
     # ------------------------------------------------------------------ #
-    def _checked(self, row: array, vertex: int) -> float:
+    def _checked(self, row: Row, vertex: int) -> float:
         if not 0 <= vertex < self.num_vertices:
             raise ValueError(
                 f"vertex id {vertex} is outside the indexed snapshot's "
                 f"range [0, {self.num_vertices})"
             )
         distance = row[vertex]
-        return INFINITY if distance == UNREACHABLE else distance
+        return INFINITY if distance == _hole(row) else distance
 
     def dist_from(self, source: int, vertex: int) -> float:
         """``dist_G(source, vertex)`` or ``inf`` when unreachable."""
@@ -349,20 +412,31 @@ class CSRDistanceIndex:
         """``(bitmask of Γ, |Γ|)`` for ``source`` within ``hops`` hops — bit
         ``v`` is set iff ``v`` is in the neighbourhood (what the pairwise µ
         matrix intersects)."""
-        return self._mask(self.forward_levels(source), hops)
+        return self._mask(self.dense_from(source), self.forward_levels, source, hops)
 
     def backward_mask(self, target: int, hops: int) -> Tuple[int, int]:
         """``(bitmask of Γr, |Γr|)`` for ``target`` within ``hops`` hops."""
-        return self._mask(self.backward_levels(target), hops)
+        return self._mask(self.dense_to(target), self.backward_levels, target, hops)
 
-    def _mask(self, levels: Levels, hops: int) -> Tuple[int, int]:
-        bits = bytearray((self.num_vertices + 7) >> 3)
-        size = 0
-        for level in levels[: hops + 1]:
-            size += len(level)
-            for vertex in level:
-                bits[vertex >> 3] |= 1 << (vertex & 7)
-        return int.from_bytes(bits, "little"), size
+    def _mask(
+        self,
+        row: Row,
+        levels_of: Callable[[int], Levels],
+        endpoint: int,
+        hops: int,
+    ) -> Tuple[int, int]:
+        """A one-byte row becomes its bits in one C-level ``translate``
+        (reversed, so vertex 0 is the lowest bit); a wide row (``k`` beyond
+        :data:`NARROW_MAX_HOPS`) marks its levels instead."""
+        if isinstance(row, bytearray):
+            bits = row.translate(_WITHIN[min(hops, NARROW_MAX_HOPS)])
+        else:
+            bits = bytearray(b"0") * self.num_vertices
+            for level in levels_of(endpoint)[: hops + 1]:
+                for vertex in level:
+                    bits[vertex] = 0x31
+        mask = int(bits[::-1], 2)
+        return mask, mask.bit_count()
 
     @property
     def num_rows(self) -> int:
@@ -381,10 +455,11 @@ class CSRDistanceIndex:
 
     @property
     def nbytes(self) -> int:
-        """Approximate serialized payload size (rows only, no header)."""
-        itemsize = array(TYPECODE).itemsize
-        rows = len(self._from_rows) + len(self._to_rows)
-        return rows * self.num_vertices * itemsize
+        """Serialized size of the dense rows (no header, no endpoint ids):
+        ``num_vertices`` bytes per row when ``max_hops <=``
+        :data:`NARROW_MAX_HOPS`, ``array('l').itemsize`` times that beyond
+        it."""
+        return self.num_rows * self.num_vertices * row_width(self.max_hops)
 
     # ------------------------------------------------------------------ #
     # Serialization (worker shipping)
@@ -392,61 +467,82 @@ class CSRDistanceIndex:
     def to_bytes(self) -> bytes:
         """Serialize to a compact blob for same-host worker shipping.
 
-        Layout: header (magic, itemsize, num_vertices, max_hops, row
-        counts), then the sorted endpoint ids of both directions, then the
-        raw rows in the same order.  Uses the platform's native ``'l'``
-        width — the blob travels between processes on one machine, not
-        across architectures.
+        Layout: header (magic, endpoint-id itemsize, row width,
+        num_vertices, max_hops, row counts), then the sorted endpoint ids of
+        both directions as the platform's native ``'l'``, then the raw rows
+        in the same order, :func:`row_width` bytes per vertex — the blob
+        travels between processes on one machine, not across architectures.
         """
         from_ids = self.sources
         to_ids = self.targets
-        itemsize = array(TYPECODE).itemsize
         parts = [
             _HEADER.pack(
                 _MAGIC,
-                itemsize,
+                _WIDE,
+                row_width(self.max_hops),
                 self.num_vertices,
                 self.max_hops,
                 len(from_ids),
                 len(to_ids),
-                0,  # reserved
             ),
-            array(TYPECODE, from_ids).tobytes(),
-            array(TYPECODE, to_ids).tobytes(),
+            array(TYPECODE, from_ids),
+            array(TYPECODE, to_ids),
         ]
-        for endpoint in from_ids:
-            parts.append(self._from_rows[endpoint].tobytes())
-        for endpoint in to_ids:
-            parts.append(self._to_rows[endpoint].tobytes())
+        parts.extend(self._from_rows[endpoint] for endpoint in from_ids)
+        parts.extend(self._to_rows[endpoint] for endpoint in to_ids)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CSRDistanceIndex":
-        """Reconstruct an index serialized by :meth:`to_bytes`."""
-        magic, itemsize, num_vertices, max_hops, n_from, n_to, _ = (
+        """Reconstruct an index serialized by :meth:`to_bytes`.
+
+        Raises ``ValueError`` for a blob that is not such a payload, was
+        written with another ``'l'`` width, records a row width its
+        ``max_hops`` does not imply, or is longer or shorter than its
+        header says.
+        """
+        require(
+            len(blob) >= _HEADER.size and blob[:len(_MAGIC)] == _MAGIC,
+            "not a CSRDistanceIndex payload",
+        )
+        _, itemsize, width, num_vertices, max_hops, n_from, n_to = (
             _HEADER.unpack_from(blob, 0)
         )
-        require(magic == _MAGIC, "not a CSRDistanceIndex payload")
         require(
-            itemsize == array(TYPECODE).itemsize,
+            itemsize == _WIDE,
             "CSRDistanceIndex payload was serialized with a different "
             f"array itemsize ({itemsize}) than this platform uses",
+        )
+        require(
+            width == row_width(max_hops),
+            f"CSRDistanceIndex payload rows are {width} bytes per vertex, "
+            f"not the {row_width(max_hops)} its max_hops={max_hops} implies",
+        )
+        rows = n_from + n_to
+        expected = _HEADER.size + rows * (itemsize + num_vertices * width)
+        require(
+            len(blob) == expected,
+            f"CSRDistanceIndex payload is {len(blob)} bytes, its header "
+            f"implies {expected}",
         )
         view = memoryview(blob)
         cursor = _HEADER.size
 
-        def read_array(count: int) -> array:
+        def read(count: int, size: int) -> memoryview:
             nonlocal cursor
-            out = array(TYPECODE)
-            nbytes = count * itemsize
-            out.frombytes(view[cursor:cursor + nbytes])
-            cursor += nbytes
-            return out
+            start, cursor = cursor, cursor + count * size
+            return view[start:cursor]
 
-        from_ids = list(read_array(n_from))
-        to_ids = list(read_array(n_to))
-        from_rows = {endpoint: read_array(num_vertices) for endpoint in from_ids}
-        to_rows = {endpoint: read_array(num_vertices) for endpoint in to_ids}
+        from_ids = list(_unpack(_WIDE, read(n_from, _WIDE)))
+        to_ids = list(_unpack(_WIDE, read(n_to, _WIDE)))
+        from_rows = {
+            endpoint: _unpack(width, read(num_vertices, width))
+            for endpoint in from_ids
+        }
+        to_rows = {
+            endpoint: _unpack(width, read(num_vertices, width))
+            for endpoint in to_ids
+        }
         return cls(num_vertices, max_hops, from_rows, to_rows)
 
     def __repr__(self) -> str:
@@ -458,7 +554,7 @@ class CSRDistanceIndex:
 
 
 def _repair_row(
-    row: array,
+    row: Row,
     succ: List[List[int]],
     pred: List[List[int]],
     added: Set[Tuple[int, int]],
@@ -482,7 +578,10 @@ def _repair_row(
     the added edges, which restores exact ``G_new`` distances because any
     improved shortest path must cross an added edge.  ``before`` keeps the
     old distance of every vertex written, so the verdict costs O(written).
+    A hole is the row's own (:func:`_hole`), and a distance written is at
+    most ``max_hops``, so a one-byte row stays one byte.
     """
+    hole = _hole(row)
     before: Dict[int, int] = {}
     # -- Phase 1a: find vertices whose old distance lost all support ----- #
     heap = []
@@ -490,9 +589,9 @@ def _repair_row(
         old_v = row[v]
         old_u = row[u]
         if (
-            old_v != UNREACHABLE
+            old_v != hole
             and old_v != 0
-            and old_u != UNREACHABLE
+            and old_u != hole
             and old_u + 1 == old_v
         ):
             heappush(heap, (old_v, v))
@@ -508,7 +607,7 @@ def _repair_row(
             if (w, x) in added:
                 continue
             old_w = row[w]
-            if old_w != UNREACHABLE and old_w + 1 == d and w not in affected:
+            if old_w != hole and old_w + 1 == d and w not in affected:
                 supported = True
                 break
         if supported:
@@ -523,7 +622,7 @@ def _repair_row(
     if affected:
         for x in affected:
             before[x] = row[x]
-            row[x] = UNREACHABLE
+            row[x] = hole
         heap = []
         for x in affected:
             for w in pred[x]:
@@ -532,11 +631,11 @@ def _repair_row(
                 old_w = row[w]
                 # Affected rows were just reset, so a finite row[w] means
                 # w is unaffected and already holds its exact G_mid value.
-                if old_w != UNREACHABLE and old_w + 1 <= max_hops:
+                if old_w != hole and old_w + 1 <= max_hops:
                     heappush(heap, (old_w + 1, x))
         while heap:
             d, x = heappop(heap)
-            if row[x] != UNREACHABLE:
+            if row[x] != hole:
                 continue
             row[x] = d
             if d + 1 > max_hops:
@@ -544,13 +643,13 @@ def _repair_row(
             for y in succ[x]:
                 if (x, y) in added:
                     continue
-                if y in affected and row[y] == UNREACHABLE:
+                if y in affected and row[y] == hole:
                     heappush(heap, (d + 1, y))
     # -- Phase 2: decrease-only relaxation from the added edges ---------- #
     heap = []
     for u, v in added:
         old_u = row[u]
-        if old_u == UNREACHABLE:
+        if old_u == hole:
             continue
         candidate = old_u + 1
         if candidate <= max_hops and candidate < row[v]:
@@ -583,10 +682,10 @@ def build_index(
     ``sources`` are expanded forward on ``G``; ``targets`` backward on
     ``Gr``.  Distances are truncated at ``max_hops`` — Lemma 3.1 never needs
     larger values because any vertex further away cannot appear on a result
-    path.  Each traversal fills its own dense row (a copy of the all-
-    :data:`UNREACHABLE` template) and leaves the row's :data:`Levels`
-    behind, so building costs what the endpoints reach.  Returns the
-    array-backed :class:`CSRDistanceIndex`.
+    path.  Each traversal fills its own dense row (a copy of the all-hole
+    template, :func:`row_width` bytes per vertex) and leaves the row's
+    :data:`Levels` behind, so building costs what the endpoints reach.
+    Returns the array-backed :class:`CSRDistanceIndex`.
     """
     require_positive(max_hops, "max_hops")
     source_list, target_list = list(sources), list(targets)
@@ -596,7 +695,10 @@ def build_index(
         for endpoint in endpoints:
             require_vertex(endpoint, graph.num_vertices, name)
     index = CSRDistanceIndex(graph.num_vertices, max_hops, {}, {})
-    template = array(TYPECODE, [UNREACHABLE]) * graph.num_vertices
+    if row_width(max_hops) == 1:
+        template = bytearray([NARROW_UNREACHABLE]) * graph.num_vertices
+    else:
+        template = array(TYPECODE, [UNREACHABLE]) * graph.num_vertices
     csr = graph.csr_snapshot()
     for endpoints, forward, rows, all_levels in (
         (source_list, True, index._from_rows, index._from_levels),

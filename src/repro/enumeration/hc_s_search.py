@@ -36,7 +36,11 @@ Providers = Mapping[int, Tuple[int, Callable[[], Sequence[Path]]]]
 
 class _MinNeed(dict):
     """``need[v]`` = the least ``row[v] + slack`` over several pairs, computed
-    on first access and stored — a plain ``dict`` hit from then on."""
+    on first access and stored — a plain ``dict`` hit from then on.
+
+    A hole needs no test of its own: a one-byte row's 0xFF serves ``k <=
+    254``, so with ``slack = B + 1 - k`` it stays above every limit ``r <=
+    B`` (``256 + B - k > B``), and a wide row's hole dwarfs any budget."""
 
     def __init__(self, rows: Sequence[DistanceRow]) -> None:
         super().__init__()
@@ -45,9 +49,9 @@ class _MinNeed(dict):
     def __missing__(self, vertex: int) -> int:
         best = UNREACHABLE
         for row, slack in self._rows:
-            distance = row[vertex]
-            if distance != UNREACHABLE and distance + slack < best:
-                best = distance + slack
+            need = row[vertex] + slack
+            if need < best:
+                best = need
         self[vertex] = best
         return best
 
@@ -58,8 +62,9 @@ def admissibility(distance_rows: Sequence[DistanceRow]) -> Tuple[Sequence[int], 
 
     One pair is its own answer — ``need`` is the index row itself, ``shift``
     its slack.  Several pairs give the lazily memoised minimum and no shift.
-    :data:`UNREACHABLE` dwarfs every hop budget, so a hole prunes whatever
-    the budget in both forms, and so does a node that serves nothing.
+    A hole exceeds every budget its query can spend, so it prunes in both
+    forms, and a node that serves nothing (:data:`UNREACHABLE`) prunes
+    whatever the budget.
     """
     if len(distance_rows) == 1:
         return distance_rows[0]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Mapping, Sequence, Tuple
 
-from repro.bfs.distance_index import UNREACHABLE
+from repro.bfs.distance_index import NARROW_UNREACHABLE, UNREACHABLE
 from repro.enumeration.paths import Path
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
@@ -90,7 +90,12 @@ def _as_int64(buffer) -> "_np.ndarray":
     """View/convert a flat CSR or distance buffer as an int64 ndarray.
 
     ``array('l')`` rows expose the buffer protocol, so this is zero-copy.
+    A one-byte distance row is widened, its hole mapped to ``UNREACHABLE``.
     """
+    if isinstance(buffer, bytearray):
+        wide = _np.frombuffer(buffer, dtype=_np.uint8).astype(_np.int64)
+        wide[wide == NARROW_UNREACHABLE] = UNREACHABLE
+        return wide
     return _np.asarray(buffer, dtype=_np.int64)
 
 

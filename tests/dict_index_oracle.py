@@ -46,9 +46,12 @@ class DictIndexOracle:
         return sum(1 << v for v in members), len(members)
 
     def _dense(self, forward, endpoint):
-        """The row as ``build_index`` lays it out: one signed long per
-        vertex, ``2**31 - 1`` where the BFS never arrived."""
+        """The row as ``build_index`` lays it out: one byte per vertex,
+        ``0xFF`` where the BFS never arrived, for a ``max_hops`` up to 254;
+        one signed long per vertex, ``2**31 - 1`` for a hole, beyond it."""
         row = self._row(forward, endpoint)
+        if self.max_hops <= 254:
+            return bytearray(row.get(v, 0xFF) for v in range(self.num_vertices))
         return array("l", [row.get(v, 2**31 - 1) for v in range(self.num_vertices)])
 
     def _levels(self, forward, endpoint):

@@ -21,15 +21,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from dict_index_oracle import DictIndexOracle
+from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.bfs import distance_index
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
+    NARROW_MAX_HOPS,
+    NARROW_UNREACHABLE,
     TYPECODE,
     UNREACHABLE,
     build_index,
 )
 from repro.graph.digraph import DiGraph
+from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.graph.generators import random_directed_gnm
+from repro.queries.query import HCSTQuery
+from test_differential import assert_answers, oracle
 
 SETTINGS = settings(
     max_examples=40,
@@ -62,9 +68,15 @@ def graph_and_endpoints(draw):
     return graph, sources, targets, max_hops
 
 
+def hole(row):
+    """What a dense row holds where its BFS never arrived: 0xFF in a
+    one-byte row, ``2**31 - 1`` in a wide one."""
+    return NARROW_UNREACHABLE if isinstance(row, bytearray) else UNREACHABLE
+
+
 def sparse(row):
     """``{vertex: distance}`` of a dense row's reached vertices."""
-    return {v: d for v, d in enumerate(row) if d != UNREACHABLE}
+    return {v: d for v, d in enumerate(row) if d != hole(row)}
 
 
 def sparse_levels(levels):
@@ -188,7 +200,7 @@ def scanned_levels(row):
     """Reference: group a dense row's reached vertices by exact distance."""
     by_distance = {}
     for vertex, distance in enumerate(row):
-        if distance != UNREACHABLE:
+        if distance != hole(row):
             by_distance.setdefault(distance, []).append(vertex)
     return tuple(
         array(TYPECODE, by_distance.get(distance, []))
@@ -334,7 +346,11 @@ def test_unreachable_is_infinity():
     assert index.dist_from(0, 2) == 2
     assert index.dist_to(2, 0) == 2
     assert math.isinf(index.dist_from(0, 3))  # 3 is not reachable from 0
-    assert index.dense_from(0)[3] == UNREACHABLE
+    assert index.dense_from(0)[3] == NARROW_UNREACHABLE
+    wide = build_index(graph, sources=[0], targets=[2], max_hops=NARROW_MAX_HOPS + 1)
+    assert wide.dist_from(0, 2) == 2
+    assert math.isinf(wide.dist_from(0, 3))
+    assert wide.dense_from(0)[3] == UNREACHABLE
 
 
 def test_out_of_range_vertex_ids_raise():
@@ -369,7 +385,9 @@ def test_ship_payload_survives_larger_graph():
                 source, vertex
             )
     assert clone.size_in_entries == index.size_in_entries
-    assert index.nbytes == 5 * graph.num_vertices * index.dense_from(0).itemsize
+    # One byte per (endpoint, vertex) at max_hops 4.
+    assert isinstance(index.dense_from(0), bytearray)
+    assert index.nbytes == 5 * graph.num_vertices == 5 * len(index.dense_from(0))
 
 
 def test_restrict_shares_the_rows_of_the_named_endpoints_only():
@@ -379,7 +397,95 @@ def test_restrict_shares_the_rows_of_the_named_endpoints_only():
     assert part.sources == [0, 5] and part.targets == [11]
     assert part.dense_from(5) is index.dense_from(5)  # shared, not copied
     assert (part.num_vertices, part.max_hops) == (index.num_vertices, index.max_hops)
-    assert part.nbytes == 3 * graph.num_vertices * index.dense_from(0).itemsize
+    assert part.nbytes == 3 * graph.num_vertices  # one byte per (endpoint, vertex)
     assert not part.has_source(7)
     with pytest.raises(KeyError):
         index.restrict([1], [10])  # 1 was never indexed
+
+
+@pytest.mark.parametrize("max_hops", [4, NARROW_MAX_HOPS + 1])
+def test_from_bytes_rejects_a_payload_of_the_wrong_length(max_hops):
+    """A cut or padded blob fails at unpacking, not as a short row that
+    raises ``IndexError`` at some later lookup — for both row widths."""
+    graph = random_directed_gnm(50, 200, seed=5)
+    blob = build_index(graph, [0, 1], [2, 3], max_hops).to_bytes()
+    assert CSRDistanceIndex.from_bytes(blob).to_bytes() == blob
+    for bad in (blob[:-96], blob[:-1], blob + b"\x00", blob + bytes(96)):
+        with pytest.raises(ValueError, match="header implies"):
+            CSRDistanceIndex.from_bytes(bad)
+    with pytest.raises(ValueError, match="not a CSRDistanceIndex payload"):
+        CSRDistanceIndex.from_bytes(blob[:20])
+
+
+def chain_with_a_chord(num_vertices=300):
+    """0 -> 1 -> ... -> 299 plus the chord 10 -> 12: two simple paths between
+    any pair that straddles it, one hop apart."""
+    edges = [(v, v + 1) for v in range(num_vertices - 1)] + [(10, 12)]
+    return DiGraph.from_edges(edges, num_vertices=num_vertices)
+
+
+@pytest.mark.parametrize(
+    "deepest, narrow", [(NARROW_MAX_HOPS, True), (NARROW_MAX_HOPS + 1, False)]
+)
+def test_both_row_widths_answer_alike_at_the_boundary(deepest, narrow):
+    """A batch whose largest k is 254 gets one-byte rows, one with 255 wide
+    rows; either way the paths, the lookups, the shipped bytes, the delta
+    repair and the µ masks are what they must be."""
+    graph = chain_with_a_chord()
+    # dist(0, 250) = 249, dist(5, 200) = 194, dist(3, 290) = 286 > 255.
+    queries = [
+        HCSTQuery(0, 250, deepest),
+        HCSTQuery(5, 200, 196),
+        HCSTQuery(3, 290, deepest),
+    ]
+    expected = oracle(graph, queries)
+    assert [len(paths) for paths in expected] == [2, 2, 0]
+    for algorithm in ALGORITHMS:
+        engine = BatchQueryEngine(graph, algorithm)
+        assert_answers(expected, engine.run(queries), algorithm)
+    if NUMPY_AVAILABLE:
+        engine = BatchQueryEngine(graph, "batch+", kernel="numpy")
+        assert_answers(expected, engine.run(queries), "numpy")
+
+    sources, targets = [q.s for q in queries], [q.t for q in queries]
+    index = build_index(graph, sources, targets, deepest)
+    assert isinstance(index.dense_from(0), bytearray) == narrow
+    width = 1 if narrow else array(TYPECODE).itemsize
+    assert index.nbytes == 6 * graph.num_vertices * width
+    legacy = DictIndexOracle(graph, sources, targets, deepest)
+    for vertex in range(graph.num_vertices):
+        for source in sources:
+            assert index.dist_from(source, vertex) == legacy.dist_from(source, vertex)
+        for target in targets:
+            assert index.dist_to(target, vertex) == legacy.dist_to(target, vertex)
+    assert math.isinf(index.dist_from(5, 0)) and math.isinf(index.dist_to(250, 290))
+
+    blob = index.to_bytes()
+    shipped = CSRDistanceIndex.from_bytes(blob)
+    assert shipped.to_bytes() == blob
+    assert type(shipped.dense_to(290)) is type(index.dense_to(290))
+
+    # Beyond max_hops, and beyond what a byte can hold, a mask still holds
+    # exactly the reached vertices: never a hole's bit.
+    for hops in (deepest, deepest + 1, 255, 256, 10**4):
+        for source in sources:
+            reached = legacy.forward_neighborhood(source, deepest)
+            assert index.forward_mask(source, hops) == (
+                sum(1 << v for v in reached),
+                len(reached),
+            )
+        for target in targets:
+            reached = legacy.backward_neighborhood(target, deepest)
+            assert index.backward_mask(target, hops) == (
+                sum(1 << v for v in reached),
+                len(reached),
+            )
+
+    # Lose the chord, gain a shortcut and a back edge that fills holes.
+    graph.remove_edge(10, 12)
+    graph.add_edge(100, 110)
+    graph.add_edge(150, 3)
+    repaired = index.copy().apply_delta(graph, [(100, 110), (150, 3)], [(10, 12)])
+    fresh = build_index(graph, sources, targets, deepest)
+    assert repaired.to_bytes() == fresh.to_bytes()
+    assert index.to_bytes() == blob  # the copy was repaired, not the original

@@ -1,28 +1,27 @@
 """The front end answers from the BFS levels, never by walking a dense row.
 
 Deterministic, not timed: every index the pipeline builds (and every copy
-it delta-repairs) gets dense rows of an ``array`` subclass that still
-supports what the enumeration loops do — ``row[v]``, the buffer protocol —
-but raises on ``__iter__`` and ``count``.  Budget split, µ masks, plan
+it delta-repairs) gets one-byte dense rows of a ``bytearray`` subclass that
+still supports what the enumeration loops do — ``row[v]``, the buffer
+protocol — and the one C-level pass a µ mask makes (``translate``), but
+raises on ``__iter__`` and ``count``.  Budget split, µ masks, plan
 estimates and entry counts must all complete against such rows with the
-oracle's paths.  The one permitted walk is the derive-on-first-use pass,
-and only for a row that arrived without levels (here: the rows a worker
-process unpacks with ``from_bytes``, which are plain arrays again).
+oracle's paths.  The one permitted Python-level walk is the
+derive-on-first-use pass, and only for a row that arrived without levels
+(here: the rows a worker process unpacks with ``from_bytes``, which are
+plain bytearrays again).
 
 The same kind of count holds one layer down, for the graph itself: a served
 round after a mutation gets a snapshot that shares every adjacency row the
 mutation did not write — nothing is packed, nothing is re-listed.
 """
 
-from array import array
-
 import pytest
 
 from repro.batch.engine import BatchQueryEngine
 from repro.batch.service import serve
 from repro.bfs.distance_index import (
-    TYPECODE,
-    UNREACHABLE,
+    NARROW_UNREACHABLE,
     CSRDistanceIndex,
     build_index,
 )
@@ -35,13 +34,14 @@ from repro.queries.generation import generate_random_queries
 from test_differential import assert_answers, oracle
 
 
-class UnwalkableRow(array):
-    """A dense row that can be indexed and shipped but not scanned."""
+class UnwalkableRow(bytearray):
+    """A one-byte dense row that can be indexed, shipped and translated but
+    not scanned."""
 
     def __iter__(self):
         raise AssertionError("a dense distance row was walked")
 
-    def count(self, value):
+    def count(self, *args):
         raise AssertionError("a dense distance row was counted")
 
 
@@ -49,7 +49,8 @@ def unwalkable(index):
     """Swap every dense row of ``index`` for an :class:`UnwalkableRow`."""
     for rows in (index._from_rows, index._to_rows):
         for endpoint, row in rows.items():
-            rows[endpoint] = UnwalkableRow(TYPECODE, row)
+            assert isinstance(row, bytearray), "these batches have k <= 254"
+            rows[endpoint] = UnwalkableRow(row)
     return index
 
 
@@ -74,10 +75,12 @@ def graph_with_a_far_corner():
 
 
 def test_the_guard_trips_on_the_derive_pass_only():
-    row = UnwalkableRow(TYPECODE, [0, 1, UNREACHABLE])
+    row = UnwalkableRow([0, 1, NARROW_UNREACHABLE])
     index = CSRDistanceIndex(3, 2, {0: row}, {})
-    assert index.dist_from(0, 1) == 1 and index.dense_from(0)[2] == UNREACHABLE
+    assert index.dist_from(0, 1) == 1
+    assert index.dense_from(0)[2] == NARROW_UNREACHABLE
     assert index.to_bytes()  # shipping copies the buffer, it does not walk
+    assert index.forward_mask(0, 2) == (0b011, 2)  # one translate, no walk
     with pytest.raises(AssertionError, match="walked"):
         index.forward_level_sizes(0, 2)  # arrived without levels: derives
 

@@ -1,8 +1,16 @@
 """Unit tests for the query similarity measures (Definitions 4.4-4.6)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.bfs.distance_index import build_index_for_queries
+from full_rescan_clustering import cluster_by_full_rescan
+from repro.batch.clustering import cluster_queries
+from repro.bfs.distance_index import (
+    NARROW_MAX_HOPS,
+    build_index,
+    build_index_for_queries,
+)
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.query import HCSTQuery
 from repro.queries.similarity import (
@@ -12,6 +20,8 @@ from repro.queries.similarity import (
     query_similarity,
     similarity_from_neighborhoods,
 )
+from repro.queries.workload import QueryWorkload
+from test_differential import GAMMAS, SETTINGS, workloads
 
 
 def _paper_index(queries):
@@ -105,3 +115,25 @@ def test_workload_similarity_single_query_is_zero():
     queries = [HCSTQuery(0, 5, 3)]
     index = build_index_for_queries(graph, [(0, 5, 3)])
     assert QuerySimilarityMatrix.from_queries(queries, index).average() == 0.0
+
+
+@given(workloads(), st.sampled_from(GAMMAS))
+@SETTINGS
+def test_the_mask_matrix_is_the_neighbourhood_set_matrix(data, gamma):
+    """µ from the index's bitmasks — a one-byte row's ``translate``, a wide
+    row's levels — equals µ from the explicit Γ/Γr sets, and ClusterQuery
+    on it merges what the full-rescan reference merges."""
+    graph, queries = data
+    sources, targets = [q.s for q in queries], [q.t for q in queries]
+    deepest = max(q.k for q in queries)
+    for max_hops in (deepest, NARROW_MAX_HOPS + 1):
+        index = build_index(graph, sources, targets, max_hops)
+        matrix = QuerySimilarityMatrix.from_queries(queries, index)
+        by_sets = QuerySimilarityMatrix.from_neighborhood_sets(
+            [neighborhoods(q, index) for q in queries]
+        )
+        assert matrix.values == by_sets.values
+        workload = QueryWorkload(graph, queries, index=index)
+        assert cluster_queries(workload, gamma) == cluster_by_full_rescan(
+            matrix, gamma
+        )
