@@ -20,13 +20,12 @@ Large batches can be sharded across worker processes; results are merged
 by batch position and are identical to the single-process run::
 
     engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=4)
-    result = engine.run(queries)          # or batch_enumerate(..., num_workers=4)
+    result = engine.run(queries)
 
-Results can also be *streamed*: ``engine.stream(queries)`` (or the
-module-level :func:`stream_enumerate`) yields ``(batch_position, paths)``
-tuples as soon as the owning shard/cluster completes — with
-``ordered=False`` the first finished cluster is delivered immediately
-instead of waiting on the slowest one::
+Results can also be *streamed*: ``engine.stream(queries)`` yields
+``(batch_position, paths)`` tuples as soon as the owning shard/cluster
+completes — with ``ordered=False`` the first finished cluster is
+delivered immediately instead of waiting on the slowest one::
 
     for position, paths in engine.stream(queries, ordered=False):
         handle(position, paths)
@@ -51,12 +50,7 @@ from repro.queries.query import HCSTQuery, HCsPathQuery, Direction
 from repro.queries.workload import QueryWorkload
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.brute_force import enumerate_paths_brute_force
-from repro.batch.engine import (
-    BatchQueryEngine,
-    batch_enumerate,
-    stream_enumerate,
-    ALGORITHMS,
-)
+from repro.batch.engine import BatchQueryEngine, ALGORITHMS
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import BatchResult, SharingStats
@@ -81,8 +75,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_paths_brute_force",
     "BatchQueryEngine",
-    "batch_enumerate",
-    "stream_enumerate",
     "ALGORITHMS",
     "BasicEnum",
     "run_pathenum_baseline",

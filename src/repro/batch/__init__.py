@@ -16,10 +16,10 @@
   per-algorithm table (display name, clustered, indexed, "+") that engine,
   planner, executor and service all read.
 * :mod:`repro.batch.engine` — the :class:`BatchQueryEngine` facade, with a
-  blocking ``run``, a streaming ``stream``/:func:`stream_enumerate`
-  front-end that flushes ``(batch_position, paths)`` tuples as shards,
-  clusters or queries complete, and an ``explain()`` API returning the
-  execution plan without running it.  A batch runs in the caller's
+  blocking ``run``, a streaming ``stream`` front-end that flushes
+  ``(batch_position, paths)`` tuples as shards, clusters or queries
+  complete, and an ``explain()`` API returning the execution plan
+  without running it.  A batch runs in the caller's
   process unless the caller asks for ``num_workers >= 2``.
 * :mod:`repro.batch.planner` — :class:`QueryPlanner` emits an
   :class:`ExecutionPlan` (worker count as configured, shard assignments,
@@ -46,7 +46,7 @@ from repro.batch.detection import detect_common_queries, DetectionOutcome
 from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.config import ALGORITHMS, ExecutionConfig, validate_num_workers
-from repro.batch.engine import BatchQueryEngine, stream_enumerate
+from repro.batch.engine import BatchQueryEngine
 from repro.batch.planner import ExecutionPlan, QueryPlanner, ShardPlan
 from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.service import (
@@ -61,7 +61,6 @@ from repro.batch.service import (
 
 __all__ = [
     "stream_parallel",
-    "stream_enumerate",
     "flush_fragments",
     "AdmissionPolicy",
     "IngestionService",

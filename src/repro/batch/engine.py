@@ -54,14 +54,14 @@ True
 
 Streaming front-end
 -------------------
-``engine.stream(queries)`` (and the module-level :func:`stream_enumerate`)
-yields ``(batch_position, paths)`` tuples as soon as the unit owning
-them completes — in this process the forward root whose ⊕ join answers
-every query it serves (a query, for ``pathenum`` and a cluster of one),
-and with worker processes the shard — instead of materialising a full
-:class:`BatchResult` at the end; ``engine.run(queries)`` is a thin wrapper
-that collects that same stream, so every algorithm in the table above
-streams for free.  Two flush policies:
+``engine.stream(queries)`` yields ``(batch_position, paths)`` tuples as
+soon as the unit owning them completes — in this process the forward
+root whose ⊕ join answers every query it serves (a query, for
+``pathenum`` and a cluster of one), and with worker processes the
+shard — instead of materialising a full :class:`BatchResult` at the
+end; ``engine.run(queries)`` is a thin wrapper that collects that same
+stream, so every algorithm in the table above streams for free.  Two
+flush policies:
 
 ==================  ====================================================
 ``ordered=True``    positions are flushed in batch order (a reorder
@@ -101,8 +101,6 @@ from repro.queries.query import HCSTQuery
 __all__ = [
     "ALGORITHMS",
     "BatchQueryEngine",
-    "batch_enumerate",
-    "stream_enumerate",
 ]
 
 
@@ -261,25 +259,22 @@ class BatchQueryEngine:
             yield position, list(paths)
 
     def stream_planned(
-        self,
-        queries: Sequence[HCSTQuery],
-        plan: ExecutionPlan,
-        ordered: bool = False,
+        self, plan: ExecutionPlan, ordered: bool = False
     ) -> ResultStream:
         """Execute a prebuilt :class:`ExecutionPlan`, streaming results.
 
         The reusable planning/streaming core behind :meth:`stream`, exposed
         for schedulers that plan a batch themselves (the ingestion
         service plans each micro-batch against the snapshot it pinned, so
-        re-planning inside ``stream`` would double the work): ``plan`` must
-        have been built by :meth:`explain`/``QueryPlanner.plan`` for these
-        exact ``queries``.  Yields ``(batch_position, paths)`` like
-        :meth:`stream`; the generator's return value is the finished
+        re-planning inside ``stream`` would double the work).  The batch
+        is the one ``plan`` was built for, ``plan.queries``, so a plan can
+        only answer its own queries.  Yields ``(batch_position, paths)``
+        like :meth:`stream`; the generator's return value is the finished
         :class:`BatchResult` (sharing stats, stage timings), which
         ``run``-style callers retrieve from ``StopIteration.value``.
         """
         result = yield from self._stream_core(
-            list(queries), ordered=ordered, plan=plan
+            plan.queries, ordered=ordered, plan=plan
         )
         return result
 
@@ -338,36 +333,3 @@ class BatchQueryEngine:
         if plan.workload is not None:
             return run(queries, workload=plan.workload)
         return run(queries)
-
-
-def batch_enumerate(
-    graph: DiGraph,
-    queries: Sequence[HCSTQuery],
-    algorithm: str = "batch+",
-    gamma: float = 0.5,
-    num_workers: NumWorkers = "auto",
-) -> BatchResult:
-    """Functional one-shot wrapper around :class:`BatchQueryEngine`."""
-    engine = BatchQueryEngine(
-        graph, algorithm=algorithm, gamma=gamma, num_workers=num_workers
-    )
-    return engine.run(queries)
-
-
-def stream_enumerate(
-    graph: DiGraph,
-    queries: Sequence[HCSTQuery],
-    algorithm: str = "batch+",
-    gamma: float = 0.5,
-    num_workers: NumWorkers = "auto",
-    ordered: bool = True,
-) -> Iterator[Tuple[int, List[Path]]]:
-    """Functional wrapper around :meth:`BatchQueryEngine.stream`.
-
-    Yields ``(batch_position, paths)`` tuples as completions land; see the
-    engine docstring for the ``ordered`` flush policies.
-    """
-    engine = BatchQueryEngine(
-        graph, algorithm=algorithm, gamma=gamma, num_workers=num_workers
-    )
-    return engine.stream(queries, ordered=ordered)

@@ -90,6 +90,8 @@ class ExecutionPlan:
     gamma: float
     num_workers: int
     shards: List[ShardPlan]
+    #: The batch the plan was built for; shard positions index into it.
+    queries: List[HCSTQuery] = field(repr=False)
     #: ``graph.version`` the plan's sealed snapshot (and index) belong to.
     #: Execution resolves this exact snapshot, so a graph that mutates
     #: between planning and execution never changes what the batch reads.
@@ -220,6 +222,7 @@ class QueryPlanner:
                 gamma=config.gamma,
                 num_workers=1,
                 shards=[],
+                queries=queries,
                 graph_version=csr.version,
                 snapshot=csr,
             )
@@ -280,6 +283,7 @@ class QueryPlanner:
             gamma=config.gamma,
             num_workers=config.processes,
             shards=shards,
+            queries=queries,
             graph_version=csr.version,
             index_strategy=index_strategy,
             snapshot=csr,

@@ -564,7 +564,7 @@ class IngestionService:
             # batch.
             pin = self.graph.snapshots.pin()
             plan = self._planner.plan(queries, snapshot=pin)
-            stream = self._engine.stream_planned(queries, plan, ordered=False)
+            stream = self._engine.stream_planned(plan, ordered=False)
             while True:
                 try:
                     position, paths = next(stream)

@@ -1,7 +1,6 @@
 """Breadth-first search substrate and the PathEnum-style distance index."""
 
 from repro.bfs.single_source import bfs_distances, bfs_levels
-from repro.bfs.multi_source import multi_source_bfs
 from repro.bfs.distance_index import (
     CSRDistanceIndex,
     UNREACHABLE,
@@ -11,7 +10,6 @@ from repro.bfs.distance_index import (
 __all__ = [
     "bfs_distances",
     "bfs_levels",
-    "multi_source_bfs",
     "CSRDistanceIndex",
     "UNREACHABLE",
     "build_index",

@@ -40,7 +40,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -716,14 +715,3 @@ def build_index(
                 levels.append(array(TYPECODE, level))
             all_levels[endpoint] = tuple(levels)
     return index
-
-
-def build_index_for_queries(
-    graph: DiGraph, queries: Sequence[Tuple[int, int, int]]
-) -> CSRDistanceIndex:
-    """Convenience wrapper taking raw ``(s, t, k)`` triples."""
-    require(bool(queries), "queries must be non-empty")
-    sources = [s for s, _, _ in queries]
-    targets = [t for _, t, _ in queries]
-    max_hops = max(k for _, _, k in queries)
-    return build_index(graph, sources, targets, max_hops)

@@ -13,16 +13,12 @@ bit-peeling that recovers the sources from a word is pure overhead.
 What this module is instead: :func:`truncated_bfs_levels`, the one BFS
 kernel behind :func:`repro.bfs.distance_index.build_index`, which expands a
 whole frontier with one C-level ``set().union`` over its sealed adjacency
-rows and hands each level over sorted; and :func:`multi_source_bfs`, the
-same kernel looped over the sources into ``{source: {vertex: distance}}``.
+rows and hands each level over sorted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
-
-from repro.graph.digraph import DiGraph
-from repro.utils.validation import require_non_negative, require_vertex
+from typing import Iterator, List, Sequence
 
 
 def truncated_bfs_levels(
@@ -48,32 +44,3 @@ def truncated_bfs_levels(
         reached = set().union(*map(neighbors, frontier))
         reached -= seen
         frontier = sorted(reached)
-
-
-def multi_source_bfs(
-    graph: DiGraph,
-    sources: Sequence[int],
-    max_hops: int | None = None,
-    forward: bool = True,
-) -> Dict[int, Dict[int, int]]:
-    """Hop distances from each source in ``sources``.
-
-    Returns ``{source: {vertex: distance}}`` with the same convention as
-    :func:`repro.bfs.single_source.bfs_distances` (missing = ∞).  Duplicate
-    sources are computed once and share the same result dictionary object.
-    """
-    if max_hops is not None:
-        require_non_negative(max_hops, "max_hops")
-    for source in sources:
-        require_vertex(source, graph.num_vertices, "source")
-    adjacency = graph.csr_snapshot().adjacency_lists(forward)
-    return {
-        source: {
-            vertex: depth
-            for depth, level in enumerate(
-                truncated_bfs_levels(adjacency, source, max_hops)
-            )
-            for vertex in level
-        }
-        for source in dict.fromkeys(sources)
-    }

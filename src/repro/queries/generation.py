@@ -18,11 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bfs.distance_index import build_index_for_queries
 from repro.bfs.single_source import bfs_distances
 from repro.graph.digraph import DiGraph
 from repro.queries.query import HCSTQuery
-from repro.queries.similarity import QuerySimilarityMatrix
+from repro.queries.workload import QueryWorkload
 from repro.utils.validation import require, require_positive
 
 
@@ -126,10 +125,7 @@ def generate_similar_workload(
 
     achieved: Optional[float] = None
     if measure and len(queries) >= 2:
-        index = build_index_for_queries(
-            graph, [(q.s, q.t, q.k) for q in queries]
-        )
-        achieved = QuerySimilarityMatrix.from_queries(queries, index).average()
+        achieved = QueryWorkload(graph, queries).similarity_matrix.average()
     spec = WorkloadSpec(
         size=count,
         min_k=min_k,

@@ -6,7 +6,7 @@ from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.cache import ResultCache
 from repro.batch.detection import detect_common_queries
-from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
+from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.results import SharingStats
 from repro.bfs.distance_index import UNREACHABLE, build_index
 from repro.enumeration.hc_s_search import admissibility
@@ -200,18 +200,13 @@ def test_engine_exposes_all_algorithms(paper_graph, paper_queries):
     assert set(ALGORITHMS) >= {"pathenum", "basic", "basic+", "batch", "batch+"}
 
 
-def test_batch_enumerate_wrapper(paper_graph, paper_queries):
-    result = batch_enumerate(paper_graph, paper_queries, algorithm="batch+", gamma=0.8)
-    assert result.counts() == [3, 3, 1, 2, 2]
-
-
 def test_result_lookup_by_query_object(paper_graph, paper_queries):
-    result = batch_enumerate(paper_graph, paper_queries, algorithm="basic")
+    result = BatchQueryEngine(paper_graph, algorithm="basic").run(paper_queries)
     assert len(result.paths(paper_queries[0])) == 3
     with pytest.raises(KeyError):
         result.paths(HCSTQuery(0, 15, 3))
 
 
 def test_result_summary_mentions_algorithm(paper_graph, paper_queries):
-    result = batch_enumerate(paper_graph, paper_queries, algorithm="batch")
+    result = BatchQueryEngine(paper_graph, algorithm="batch").run(paper_queries)
     assert "BatchEnum" in result.summary()

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.bfs.distance_index import build_index, build_index_for_queries
-from repro.bfs.multi_source import multi_source_bfs
+from repro.bfs.distance_index import build_index
 from repro.bfs.single_source import bfs_distances, bfs_levels
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, random_directed_gnm
@@ -50,30 +49,6 @@ def test_paper_index_distances_to_v14():
     assert 8 not in distances  # dist(v8, v14) = ∞ in Example 3.1
 
 
-def test_multi_source_matches_single_source():
-    graph = random_directed_gnm(80, 320, seed=9)
-    sources = [0, 3, 7, 7, 15]
-    combined = multi_source_bfs(graph, sources, max_hops=4)
-    assert list(combined) == [0, 3, 7, 15]  # the duplicate shares one dict
-    for source in set(sources):
-        assert combined[source] == bfs_distances(graph, source, max_hops=4)
-
-
-def test_multi_source_backward_matches_single_source():
-    graph = random_directed_gnm(60, 240, seed=2)
-    targets = [1, 5, 9]
-    combined = multi_source_bfs(graph, targets, max_hops=3, forward=False)
-    for target in targets:
-        assert combined[target] == bfs_distances(
-            graph, target, max_hops=3, forward=False
-        )
-
-
-def test_multi_source_empty_sources():
-    graph = DiGraph.from_edges([(0, 1)])
-    assert multi_source_bfs(graph, []) == {}
-
-
 def test_build_index_lookup_and_infinity():
     graph = DiGraph.from_edges([(0, 1), (1, 2), (3, 0)])
     index = build_index(graph, sources=[0], targets=[2], max_hops=3)
@@ -86,10 +61,9 @@ def test_build_index_lookup_and_infinity():
         index.dist_from(1, 0)
 
 
-def test_build_index_for_queries_bounds():
+def test_build_index_bounds():
     graph = random_directed_gnm(50, 250, seed=4)
-    triples = [(0, 10, 3), (5, 20, 4)]
-    index = build_index_for_queries(graph, triples)
+    index = build_index(graph, sources=[0, 5], targets=[10, 20], max_hops=4)
     assert index.max_hops == 4
     assert index.has_source(0) and index.has_source(5)
     assert index.has_target(10) and index.has_target(20)

@@ -4,14 +4,13 @@ import pytest
 
 from repro.batch.detection import detect_common_queries
 from repro.batch.sharing_graph import QueryNode
-from repro.bfs.distance_index import build_index_for_queries
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
+from repro.queries.workload import QueryWorkload
 
 
 def _detect(graph, queries_by_position, direction, max_depth=None):
-    triples = [(q.s, q.t, q.k) for q in queries_by_position.values()]
-    index = build_index_for_queries(graph, triples)
+    index = QueryWorkload(graph, list(queries_by_position.values())).index
     if direction is Direction.FORWARD:
         budgets = {pos: q.forward_budget for pos, q in queries_by_position.items()}
     else:

@@ -16,9 +16,12 @@ The draws cover four graph families: G(n, m), power-law, layered DAGs
 and disjoint dense blocks.  A batch is built from few endpoints, so
 forward roots are shared by queries with different targets.  It may hold
 duplicate queries (drawn on purpose), an endpoint nothing reaches, and
-k from 1 to 6.  The fixed cases other test files keep (worker counts,
-fixed seeds) compare through the same :func:`oracle` and
-:func:`assert_answers`.
+k from 1 to 6.  Planted draws ride along as ``@example``s: Fig. 1, a
+spliced forward root (:data:`SPLICED`), and the 25-vertex G(n, m) graphs
+the k-shortest-path baselines were once checked on alone
+(:data:`KSP_GRAPHS`, seeds 0-2, q(0, 12, k) for k 2-4).  The fixed cases
+other test files keep (worker counts, fixed seeds) compare through the
+same :func:`oracle` and :func:`assert_answers`.
 
 ``--hypothesis-profile=thorough`` (registered in ``conftest.py``) runs
 fifty times the examples.
@@ -37,6 +40,7 @@ from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.service import serve
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.enumeration.kernels import NUMPY_AVAILABLE
+from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import sort_paths
 from repro.baselines import BASELINES
 from repro.graph.digraph import DiGraph
@@ -182,6 +186,12 @@ def _spliced():
 
 SPLICED = _spliced()
 
+#: G(25, 100) at seeds 0-2, each asked q(0, 12, k) for k 2-4.
+KSP_GRAPHS = [
+    (random_directed_gnm(25, 100, seed), [HCSTQuery(0, 12, k) for k in (2, 3, 4)])
+    for seed in range(3)
+]
+
 
 def test_the_oracle_counts_fig1_as_the_paper_does():
     assert [len(paths) for paths in oracle(*FIG1)] == [3, 3, 1, 2, 2]
@@ -193,15 +203,21 @@ def test_the_oracle_counts_fig1_as_the_paper_does():
 @given(workloads(), st.sampled_from(GAMMAS))
 @example(SPLICED, 0.0)
 @example(FIG1, 0.8)
+@example(KSP_GRAPHS[0], 0.5)
+@example(KSP_GRAPHS[1], 0.5)
+@example(KSP_GRAPHS[2], 0.5)
 @SETTINGS
 def test_every_configuration_answers_what_the_oracle_answers(data, gamma):
-    """Every engine algorithm, ``BatchEnum`` with full-depth detection
-    beside the default depth, and the DkSP/OnePass baselines."""
+    """Every engine algorithm, PathEnum+ on a private per-query index,
+    ``BatchEnum`` with full-depth detection beside the default depth, and
+    the DkSP/OnePass baselines."""
     graph, queries = data
     expected = oracle(graph, queries)
     for algorithm in ALGORITHMS:
         engine = BatchQueryEngine(graph, algorithm, gamma=gamma, kernel="python")
         assert_answers(expected, engine.run(queries), algorithm)
+    enum = PathEnum(graph, optimize_search_order=True)
+    assert_answers(expected, [enum.enumerate(q) for q in queries], "PathEnum+")
     for plus in (False, True):
         enum = BatchEnum(
             graph, gamma, optimize_search_order=plus, max_detection_depth=None

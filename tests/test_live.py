@@ -128,7 +128,7 @@ def test_planner_index_strategies_built_cached_delta():
     assert third.workload.index.to_bytes() == fresh.to_bytes()
     # And the plan executes to exactly the closed-batch answer.
     engine = BatchQueryEngine(graph, algorithm="batch+")
-    streamed = dict(engine.stream_planned(queries, third, ordered=True))
+    streamed = dict(engine.stream_planned(third, ordered=True))
     oracle = BatchQueryEngine(graph.copy(), algorithm="batch+").run(queries)
     assert streamed == oracle.paths_by_position
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.batch import executor
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
-from repro.batch.engine import ALGORITHMS, BatchQueryEngine, batch_enumerate
+from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.executor import _shard_tasks
 from repro.batch.planner import QueryPlanner, _contiguous_slices
 from repro.bfs.distance_index import CSRDistanceIndex
@@ -67,14 +67,6 @@ def test_parallel_empty_batch_returns_empty_result():
     graph, _ = _workload(0)
     result = BatchQueryEngine(graph, algorithm="batch+", num_workers=2).run([])
     assert result.counts() == []
-
-
-def test_batch_enumerate_accepts_num_workers():
-    graph, queries = _workload(4)
-    sequential = batch_enumerate(graph, queries, algorithm="batch+")
-    parallel = batch_enumerate(graph, queries, algorithm="batch+", num_workers=2)
-    for position in range(len(queries)):
-        assert parallel.paths_at(position) == sequential.paths_at(position)
 
 
 def test_parallel_more_workers_than_queries():

@@ -23,13 +23,14 @@ from repro.batch.config import (
     ExecutionConfig,
     validate_num_workers,
 )
-from repro.batch.engine import BatchQueryEngine, batch_enumerate
+from repro.batch.engine import BatchQueryEngine
 from repro.batch.executor import stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.service import IngestionService
 from repro.enumeration import kernels
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
+from repro.queries.query import HCSTQuery
 from test_differential import assert_answers, oracle
 
 
@@ -172,6 +173,22 @@ def test_explain_does_not_execute():
     assert plan.stage_timer.total("Enumeration") == 0.0
 
 
+def test_a_plan_answers_the_batch_it_was_planned_for(paper_graph):
+    """``stream_planned`` takes the plan alone and runs ``plan.queries``,
+    so one batch's answers can never be labelled with another batch's
+    positions."""
+    engine = BatchQueryEngine(paper_graph, algorithm="batch+")
+    batches = (
+        [HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5)],
+        [HCSTQuery(4, 14, 4), HCSTQuery(0, 11, 5)],
+    )
+    plans = [engine.explain(queries) for queries in batches]
+    for queries, plan in zip(batches, plans):
+        assert plan.queries == queries
+        answers = dict(engine.stream_planned(plan))
+        assert_answers(oracle(paper_graph, queries), answers)
+
+
 def test_auto_resolves_to_one_on_tiny_workloads():
     graph, queries = _workload(4)
     for algorithm in ALGORITHMS:
@@ -215,13 +232,6 @@ def test_fixed_worker_request_is_honoured():
         queries
     )
     assert per_query.num_shards == 3
-
-
-def test_batch_enumerate_accepts_auto():
-    graph, queries = _workload(11)
-    sequential = batch_enumerate(graph, queries, num_workers=1)
-    auto = batch_enumerate(graph, queries)  # default "auto"
-    assert auto.counts() == sequential.counts()
 
 
 def test_planner_reuses_artifacts_in_sequential_auto_run():

@@ -671,8 +671,8 @@ def test_stats_count_a_ticket_before_it_reads_done(monkeypatch):
     service = IngestionService(_GRAPH, algorithm="batch+")
     stream_planned = service._engine.stream_planned
 
-    def held_open(*args, **kwargs):
-        result = yield from stream_planned(*args, **kwargs)
+    def held_open(plan, ordered):
+        result = yield from stream_planned(plan, ordered=ordered)
         release.wait(timeout=TIMEOUT)
         return result
 

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from full_rescan_clustering import cluster_by_full_rescan
 from repro.batch.clustering import cluster_queries
-from repro.bfs.distance_index import (
-    NARROW_MAX_HOPS,
-    build_index,
-    build_index_for_queries,
-)
+from repro.bfs.distance_index import NARROW_MAX_HOPS, build_index
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.query import HCSTQuery
 from repro.queries.similarity import (
@@ -25,14 +21,13 @@ from test_differential import GAMMAS, SETTINGS, workloads
 
 
 def _paper_index(queries):
-    graph = paper_example_graph()
-    return build_index_for_queries(graph, [(q.s, q.t, q.k) for q in queries])
+    return QueryWorkload(paper_example_graph(), queries).index
 
 
 def test_similarity_is_symmetric_and_bounded():
     graph = random_directed_gnm(50, 300, seed=3)
     queries = [HCSTQuery(0, 10, 3), HCSTQuery(1, 11, 4), HCSTQuery(2, 12, 3)]
-    index = build_index_for_queries(graph, [(q.s, q.t, q.k) for q in queries])
+    index = QueryWorkload(graph, queries).index
     for a in queries:
         for b in queries:
             mu_ab = query_similarity(a, b, index)
@@ -87,7 +82,7 @@ def test_paper_example_neighborhoods_match_example_4_1():
 def test_matrix_matches_pairwise_function():
     graph = random_directed_gnm(40, 240, seed=5)
     queries = [HCSTQuery(0, 8, 3), HCSTQuery(1, 9, 3), HCSTQuery(0, 9, 4)]
-    index = build_index_for_queries(graph, [(q.s, q.t, q.k) for q in queries])
+    index = QueryWorkload(graph, queries).index
     matrix = QuerySimilarityMatrix.from_queries(queries, index)
     for i, a in enumerate(queries):
         assert matrix.get(i, i) == 1.0
@@ -113,7 +108,7 @@ def test_group_similarity_average():
 def test_workload_similarity_single_query_is_zero():
     graph = random_directed_gnm(20, 80, seed=1)
     queries = [HCSTQuery(0, 5, 3)]
-    index = build_index_for_queries(graph, [(0, 5, 3)])
+    index = QueryWorkload(graph, queries).index
     assert QuerySimilarityMatrix.from_queries(queries, index).average() == 0.0
 
 

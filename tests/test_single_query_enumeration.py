@@ -9,14 +9,11 @@ from repro.enumeration.brute_force import (
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.paths import sort_paths, validate_path
 from repro.enumeration.search_order import choose_budget_split, mean_degree_of
-from repro.bfs.distance_index import build_index_for_queries
+from repro.bfs.distance_index import build_index
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (
-    paper_example_graph,
-    powerlaw_directed,
-    random_directed_gnm,
-)
+from repro.graph.generators import paper_example_graph, powerlaw_directed
 from repro.queries.query import HCSTQuery
+from repro.queries.workload import QueryWorkload
 
 
 def test_brute_force_on_diamond(diamond_graph):
@@ -65,16 +62,6 @@ def test_paper_example_q3_prunes_to_two_paths():
     assert sort_paths(enumerate_paths(graph, 4, 14, 4)) == expected
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_all_enumerators_agree_on_random_graphs(seed, k):
-    graph = random_directed_gnm(30, 140, seed=seed)
-    s, t = 0, 17
-    expected = sort_paths(enumerate_paths_brute_force(graph, s, t, k))
-    assert sort_paths(enumerate_paths(graph, s, t, k)) == expected
-    assert sort_paths(enumerate_paths(graph, s, t, k, optimize_search_order=True)) == expected
-
-
 def test_pathenum_returns_valid_paths(random_graph):
     query = HCSTQuery(0, 7, 4)
     enumerator = PathEnum(random_graph)
@@ -100,7 +87,7 @@ def test_pathenum_count_matches_enumerate(random_graph):
 
 def test_pathenum_with_shared_index_matches_private_index(random_graph):
     queries = [HCSTQuery(0, 7, 4), HCSTQuery(3, 11, 3)]
-    index = build_index_for_queries(random_graph, [(q.s, q.t, q.k) for q in queries])
+    index = QueryWorkload(random_graph, queries).index
     shared = PathEnum(random_graph, index=index)
     private = PathEnum(random_graph)
     for query in queries:
@@ -110,7 +97,7 @@ def test_pathenum_with_shared_index_matches_private_index(random_graph):
 def test_choose_budget_split_is_valid():
     graph = powerlaw_directed(200, 3, seed=1)
     query = HCSTQuery(0, 10, 5)
-    index = build_index_for_queries(graph, [(0, 10, 5)])
+    index = build_index(graph, [0], [10], 5)
     split = choose_budget_split([query], index, mean_degree_of(graph))
     assert list(split) == [query.k]
     assert 1 <= split[query.k] <= query.k
