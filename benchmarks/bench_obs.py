@@ -68,7 +68,6 @@ def run_mode(graph, queries, live: bool):
     engine = BatchQueryEngine(
         graph,
         algorithm=ALGORITHM,
-        num_workers="auto",
         metrics=registry,
         tracer=tracer,
     )

@@ -6,10 +6,8 @@ PEP 660 editable-install path (which builds a wheel) is unavailable.  This
 (or plain ``python setup.py develop``) fall back to the classic editable
 install.
 
-The core package is deliberately stdlib-only.  numpy is an *optional*
-extra (``pip install -e .[kernels]``) that unlocks the vectorized
-enumeration kernels in :mod:`repro.enumeration.kernels`; without it the
-pure-Python loops remain the (byte-identical) substrate.
+The package is deliberately stdlib-only: it has no dependencies and no
+extras.
 """
 
 from setuptools import find_packages, setup
@@ -18,7 +16,4 @@ setup(
     name="repro-hcst",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={
-        "kernels": ["numpy>=1.24"],
-    },
 )

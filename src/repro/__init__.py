@@ -51,7 +51,7 @@ from repro.queries.workload import QueryWorkload
 from repro.enumeration.path_enum import PathEnum, enumerate_paths
 from repro.enumeration.brute_force import enumerate_paths_brute_force
 from repro.batch.engine import BatchQueryEngine, ALGORITHMS
-from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
+from repro.batch.basic_enum import BasicEnum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import BatchResult, SharingStats
 from repro.batch.service import (
@@ -77,7 +77,6 @@ __all__ = [
     "BatchQueryEngine",
     "ALGORITHMS",
     "BasicEnum",
-    "run_pathenum_baseline",
     "BatchEnum",
     "BatchResult",
     "SharingStats",

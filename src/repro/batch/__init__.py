@@ -23,7 +23,7 @@
   process unless the caller asks for ``num_workers >= 2``.
 * :mod:`repro.batch.planner` — :class:`QueryPlanner` emits an
   :class:`ExecutionPlan` (worker count as configured, shard assignments,
-  index strategy, kernel per shard) that the ingestion service and an
+  index strategy) that the ingestion service and an
   explicit multi-process run execute.
 * :mod:`repro.batch.executor` — the explicit multi-process fan-out: a
   process pool opened for the call (the sealed graph pickled once through
@@ -43,7 +43,7 @@ from repro.batch.cache import ResultCache
 from repro.batch.sharing_graph import QuerySharingGraph, QueryNode
 from repro.batch.clustering import cluster_queries
 from repro.batch.detection import detect_common_queries, DetectionOutcome
-from repro.batch.basic_enum import BasicEnum, run_pathenum_baseline
+from repro.batch.basic_enum import BasicEnum
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.config import ALGORITHMS, ExecutionConfig, validate_num_workers
 from repro.batch.engine import BatchQueryEngine
@@ -84,7 +84,6 @@ __all__ = [
     "detect_common_queries",
     "DetectionOutcome",
     "BasicEnum",
-    "run_pathenum_baseline",
     "BatchEnum",
     "BatchQueryEngine",
     "ALGORITHMS",

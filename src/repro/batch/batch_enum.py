@@ -44,7 +44,6 @@ from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import (
     ForwardSide, JoinProbe, PathJoinPolicy, join_path_sets,
 )
-from repro.enumeration.kernels import enumerate_node_paths, resolve_kernel
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split, mean_degree_of
@@ -72,12 +71,6 @@ class BatchEnum:
         Clustering threshold γ of Algorithm 2 (paper default 0.5).
     optimize_search_order:
         Enable the "+" variant's adaptive budget split.
-    kernel:
-        ``"python"`` (default) runs the explicit-stack search of
-        :mod:`repro.enumeration.hc_s_search`, the loop ``basic+`` runs;
-        ``"numpy"`` runs the byte-identical vectorized kernel of
-        :mod:`repro.enumeration.kernels` (raises when numpy is absent).
-        ``"auto"`` resolves to ``"python"``.
     cluster:
         Run ClusterQuery (default).  ``False`` makes every position a
         cluster of one — Algorithm 1, reported as ``BasicEnum``.
@@ -89,14 +82,12 @@ class BatchEnum:
         gamma: float = 0.5,
         optimize_search_order: bool = False,
         max_detection_depth: Optional[int] = DEFAULT_MAX_DETECTION_DEPTH,
-        kernel: str = "python",
         cluster: bool = True,
     ) -> None:
         require(0.0 <= gamma <= 1.0, "gamma must be within [0, 1]")
         self.graph = graph
         self.gamma = gamma
         self.optimize_search_order = optimize_search_order
-        self.kernel = resolve_kernel(kernel)
         self.cluster = cluster
         # How deep DetectCommonQuery expands the joint frontier beyond the
         # root vertices; None reproduces Algorithm 3 exactly (full depth),
@@ -161,7 +152,7 @@ class BatchEnum:
                 position: workload.queries[position] for position in cluster
             }
             for positions in self._process_cluster(
-                queries_by_position, index, stage_timer, result, sharing, self.kernel
+                queries_by_position, index, stage_timer, result, sharing
             ):
                 yield {
                     position: result.paths_by_position[position]
@@ -180,11 +171,9 @@ class BatchEnum:
         stage_timer: StageTimer,
         result: BatchResult,
         sharing: SharingStats,
-        kernel: str,
     ) -> Iterator[List[int]]:
-        """Process one cluster of queries against ``index`` on ``kernel``
-        (``"python"`` or ``"numpy"``), yielding the positions of each
-        forward root once its join has recorded them.
+        """Process one cluster of queries against ``index``, yielding the
+        positions of each forward root once its join has recorded them.
 
         Clusters are independent of one another by construction, which makes
         this the shard boundary of :mod:`repro.batch.executor`: the parallel
@@ -202,7 +191,6 @@ class BatchEnum:
                 self.graph,
                 index=index,
                 optimize_search_order=self.optimize_search_order,
-                kernel=kernel,
             )
             with stage_timer.stage("Enumeration"):
                 result.record(position, enumerator.enumerate(query))
@@ -263,8 +251,8 @@ class BatchEnum:
         # Ψr first: a forward root is joined while it is searched, and its
         # probe table is built from the cached backward roots.
         roots = chain(
-            self._materialize(backward_outcome, cache, kernel),
-            self._materialize(forward_outcome, cache, kernel, backward_outcome, result),
+            self._materialize(backward_outcome, cache),
+            self._materialize(forward_outcome, cache, backward_outcome, result),
         )
         while True:
             # Timed per root, so the consumer between yields is not.
@@ -282,7 +270,6 @@ class BatchEnum:
         self,
         outcome: DetectionOutcome,
         cache: ResultCache,
-        kernel: str,
         backward_outcome: Optional[DetectionOutcome] = None,
         result: Optional[BatchResult] = None,
     ) -> Iterator[List[int]]:
@@ -304,7 +291,7 @@ class BatchEnum:
                 if result is not None and isinstance(consumer, QueryNode)
             ]
             # The node's paths or, for a root nobody splices, its search.
-            paths = partial(self._enumerate_node, node, outcome, cache, kernel)
+            paths = partial(self._enumerate_node, node, outcome, cache)
             if not positions or len(consumers) > len(positions):
                 paths = paths()
                 cache.put(node, paths, consumers=len(consumers) - len(positions))
@@ -354,17 +341,15 @@ class BatchEnum:
         node: HCsPathQuery,
         outcome: DetectionOutcome,
         cache: ResultCache,
-        kernel: str,
         probe: Optional[JoinProbe] = None,
     ) -> List[Path]:
         """Enumerate all hop-constrained paths of one HC-s path query:
-        assemble the arguments of Algorithm 4's Search once and run it on
-        ``kernel`` — the one explicit-stack search or its numpy twin.
-        Where either would step onto the root of one of the node's cached
-        providers with a budget the provider covers, it splices the
-        provider's paths in instead of re-exploring (Search lines 22-23).
-        With ``probe`` the Python search of a node nobody splices joins
-        its paths as it finds them and returns none.
+        assemble the arguments of Algorithm 4's Search and run the one
+        explicit-stack search.  Where it would step onto the root of one
+        of the node's cached providers with a budget the provider covers,
+        it splices the provider's paths in instead of re-exploring (Search
+        lines 22-23).  With ``probe`` the search of a node nobody splices
+        joins its paths as it finds them and returns none.
         """
         psi = outcome.sharing_graph
         forward = node.direction is Direction.FORWARD
@@ -396,7 +381,8 @@ class BatchEnum:
             else queries_by_position[position].s
             for position in outcome.served_queries.get(node, ())
         }
-        arguments = (
+        return search_hc_s_paths(
+            self.graph.csr_snapshot().adjacency_lists(forward),
             node.vertex,
             node.budget,
             outcome.distance_rows(node),
@@ -404,10 +390,5 @@ class BatchEnum:
             keep_all,
             forward,
             providers,
-        )
-        snapshot = self.graph.csr_snapshot()
-        if kernel == "numpy":
-            return enumerate_node_paths(*snapshot.flat(forward), *arguments)
-        return search_hc_s_paths(
-            snapshot.adjacency_lists(forward), *arguments, probe=probe
+            probe=probe,
         )

@@ -1,8 +1,8 @@
 """Execution options and the per-algorithm table, each declared once.
 
 :class:`ExecutionConfig` is the one place the execution options
-(``algorithm``, ``gamma``, ``num_workers``, ``max_workers``, ``kernel``)
-are declared and validated; the public facades
+(``algorithm``, ``gamma``, ``num_workers``, ``max_workers``) are declared
+and validated; the public facades
 (:class:`~repro.batch.engine.BatchQueryEngine`,
 :class:`~repro.batch.service.IngestionService`, ``serve``) build one from
 their keywords and the planner, the executor and the worker processes
@@ -19,33 +19,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from repro.batch.basic_enum import iter_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import FragmentStream
-from repro.enumeration.kernels import validate_kernel
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import require, require_positive
 
-NumWorkers = Union[int, str]
 
-
-def validate_num_workers(value: NumWorkers) -> NumWorkers:
+def validate_num_workers(value: int) -> int:
     """Validate a ``num_workers`` setting.
 
-    Accepts a positive integer or the string ``"auto"``; anything else
-    (zero, negatives, bools, floats, other strings) raises ``ValueError``.
+    Accepts a positive integer; anything else (zero, negatives, bools,
+    floats, strings) raises ``ValueError``.
     """
-    if isinstance(value, str):
-        require(
-            value == "auto",
-            f"num_workers must be a positive integer or 'auto', got {value!r}",
-        )
-        return value
     require(
         isinstance(value, int) and not isinstance(value, bool),
-        f"num_workers must be a positive integer or 'auto', got {value!r}",
+        f"num_workers must be a positive integer, got {value!r}",
     )
     require(value >= 1, f"num_workers must be >= 1, got {value}")
     return value
@@ -77,9 +68,7 @@ class AlgorithmSpec:
     optimize_search_order: bool = False
 
 
-def make_enumerator(
-    snapshot: CSRGraph, config: "ExecutionConfig", kernel: str
-) -> BatchEnum:
+def make_enumerator(snapshot: CSRGraph, config: "ExecutionConfig") -> BatchEnum:
     """The index-sharing enumerator of ``config.algorithm`` on ``snapshot``.
 
     The one place ``BatchEnum`` is constructed for the engine (planned or
@@ -91,21 +80,20 @@ def make_enumerator(
         snapshot,
         gamma=config.gamma,
         optimize_search_order=spec.optimize_search_order,
-        kernel=kernel,
         cluster=spec.clustered,
     )
 
 
 def fragment_generator(
-    snapshot: CSRGraph, config: "ExecutionConfig", kernel: str
+    snapshot: CSRGraph, config: "ExecutionConfig"
 ) -> Callable[..., FragmentStream]:
     """``queries -> FragmentStream`` for ``config.algorithm`` on
     ``snapshot``: the per-query PathEnum baseline, or the enumerator's
     ``iter_run`` (which also accepts the planner's prebuilt
     ``workload``/``clusters``)."""
     if not ALGORITHM_TABLE[config.algorithm].indexed:
-        return partial(iter_pathenum_baseline, snapshot, kernel=kernel)
-    return make_enumerator(snapshot, config, kernel).iter_run
+        return partial(iter_pathenum_baseline, snapshot)
+    return make_enumerator(snapshot, config).iter_run
 
 
 #: Engine algorithm name -> its :class:`AlgorithmSpec` (the paper's
@@ -140,24 +128,19 @@ class ExecutionConfig:
     gamma:
         Clustering threshold γ for the sharing-aware algorithms.
     num_workers:
-        Positive integer: the number of processes a batch runs on.
-        ``"auto"`` is 1 — nothing forecasts whether a fan-out would pay,
-        so a batch runs in the caller's process unless the caller asks
-        for a number (see :attr:`processes`).
+        Positive integer: the number of processes a batch runs on.  The
+        default, 1, runs it in the caller's process — nothing forecasts
+        whether a fan-out would pay, so only a caller asking for a number
+        gets one.
     max_workers:
         Inert: validated when given, read by nothing.  It stays a keyword
         only because the benchmark harness passes it (ROADMAP item 9).
-    kernel:
-        ``"auto"`` and ``"python"`` run the pure-Python search on every
-        route; ``"numpy"`` forces the vectorized kernel and is refused
-        here when numpy is absent.
     """
 
     algorithm: str = "batch+"
     gamma: float = 0.5
-    num_workers: NumWorkers = "auto"
+    num_workers: int = 1
     max_workers: Optional[int] = None
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         require(
@@ -166,12 +149,5 @@ class ExecutionConfig:
         )
         require(0.0 <= self.gamma <= 1.0, "gamma must be within [0, 1]")
         validate_num_workers(self.num_workers)
-        validate_kernel(self.kernel)
         if self.max_workers is not None:
             require_positive(self.max_workers, "max_workers")
-
-    @property
-    def processes(self) -> int:
-        """How many processes a batch runs on: ``num_workers``, with
-        ``"auto"`` as 1."""
-        return 1 if self.num_workers == "auto" else self.num_workers

@@ -106,7 +106,7 @@ def detect_common_queries(
     ----------
     graph:
         The data graph ``G``, read through its sealed CSR snapshot — the
-        same flat arrays the enumeration hot loops scan (the reverse
+        same rows the enumeration hot loops scan (the reverse
         direction walks in-neighbours, so ``Gr`` is never materialised).
     queries_by_position:
         The cluster's queries keyed by their position in the batch.

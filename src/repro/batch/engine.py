@@ -21,15 +21,15 @@ The four indexed names are one enumerator,
 
 One process unless asked by number
 ----------------------------------
-``num_workers`` accepts a positive integer or ``"auto"`` (the default),
-and ``"auto"`` means 1: nothing forecasts whether a process fan-out would
-pay, so a batch runs in this process — index, clustering and enumeration
-in one pipeline — unless the caller asks for a number of processes.  An
-explicit ``num_workers >= 2`` goes through two phases:
+``num_workers`` accepts a positive integer and defaults to 1: nothing
+forecasts whether a process fan-out would pay, so a batch runs in this
+process — index, clustering and enumeration in one pipeline — unless the
+caller asks for a number of processes.  An explicit ``num_workers >= 2``
+goes through two phases:
 
 1. **Plan** — a :class:`~repro.batch.planner.QueryPlanner` runs the cheap
-   global stages once (distance index, clustering) and records the shards
-   and the kernel of each.  The resulting
+   global stages once (distance index, clustering) and records the
+   shards.  The resulting
    :class:`~repro.batch.planner.ExecutionPlan` is a plain inspectable
    object — :meth:`BatchQueryEngine.explain` returns it, for any worker
    setting, without executing anything.
@@ -47,7 +47,7 @@ untouched.
 >>> from repro.queries.query import HCSTQuery
 >>> engine = BatchQueryEngine(paper_example_graph(), algorithm="batch+")
 >>> plan = engine.explain([HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5)])
->>> plan.num_workers  # "auto" is one process
+>>> plan.num_workers  # one process unless asked for more
 1
 >>> len(plan.shards) >= 1
 True
@@ -85,13 +85,11 @@ from repro.batch.config import (
     ALGORITHM_TABLE,
     ALGORITHMS,
     ExecutionConfig,
-    NumWorkers,
     fragment_generator,
 )
 from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.results import BatchResult, FragmentStream, ResultStream, drain
-from repro.enumeration.kernels import resolve_kernel
 from repro.enumeration.paths import Path
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import resolve_registry
@@ -120,13 +118,11 @@ class BatchQueryEngine:
     ----------
     graph:
         The data graph.
-    algorithm / gamma / num_workers / max_workers / kernel:
+    algorithm / gamma / num_workers / max_workers:
         The execution options, forwarded verbatim into one
         :class:`~repro.batch.config.ExecutionConfig` (:attr:`config`) —
         see there for their meaning; a bad value raises ``ValueError``
-        here.  ``algorithm`` is one of :data:`ALGORITHMS`; every kernel
-        produces byte-identical results (the differential suite pins
-        this).
+        here.  ``algorithm`` is one of :data:`ALGORITHMS`.
     metrics / tracer:
         Telemetry opt-in (see :mod:`repro.obs`): a
         :class:`~repro.obs.metrics.MetricsRegistry` /
@@ -141,9 +137,8 @@ class BatchQueryEngine:
         graph: DiGraph,
         algorithm: str = "batch+",
         gamma: float = 0.5,
-        num_workers: NumWorkers = "auto",
+        num_workers: int = 1,
         max_workers: Optional[int] = None,
-        kernel: str = "auto",
         metrics=None,
         tracer=None,
     ) -> None:
@@ -153,7 +148,6 @@ class BatchQueryEngine:
             gamma=gamma,
             num_workers=num_workers,
             max_workers=max_workers,
-            kernel=kernel,
         )
         self.metrics = resolve_registry(metrics)
         self.tracer = resolve_tracer(tracer)
@@ -169,7 +163,7 @@ class BatchQueryEngine:
         return self.config.algorithm
 
     @property
-    def num_workers(self) -> NumWorkers:
+    def num_workers(self) -> int:
         return self.config.num_workers
 
     # ------------------------------------------------------------------ #
@@ -179,8 +173,8 @@ class BatchQueryEngine:
         """Plan ``queries`` without executing them.
 
         Returns the :class:`~repro.batch.planner.ExecutionPlan` of the
-        batch: worker count, shard assignments, index strategy and kernel
-        per shard.  ``plan.describe()`` renders it human-readably.
+        batch: worker count, shard assignments and index strategy.
+        ``plan.describe()`` renders it human-readably.
         """
         return self._plan(list(queries))
 
@@ -289,8 +283,8 @@ class BatchQueryEngine:
     ) -> ResultStream:
         """The shared fragment pipeline behind :meth:`run`, :meth:`stream`
         and :meth:`stream_planned`: pick a fragment generator and push it
-        through the flushing core.  One process (``num_workers`` 1 or
-        ``"auto"``) runs the algorithm's fragment generator on the sealed
+        through the flushing core.  One process (``num_workers`` 1) runs
+        the algorithm's fragment generator on the sealed
         head, planning nothing; an explicit ``num_workers >= 2`` plans and
         fans out.  Every fragment is computed against one sealed snapshot —
         concurrent graph mutation is copy-on-write and cannot reach an
@@ -299,12 +293,9 @@ class BatchQueryEngine:
             return BatchResult(
                 queries=[], algorithm=ALGORITHM_TABLE[self.algorithm].display_name
             )
-        if plan is None and self.config.processes == 1:
-            fragments = fragment_generator(
-                self.graph.csr_snapshot(),
-                self.config,
-                resolve_kernel(self.config.kernel),
-            )(queries)
+        if plan is None and self.config.num_workers == 1:
+            run = fragment_generator(self.graph.csr_snapshot(), self.config)
+            fragments = run(queries)
         else:
             if plan is None:
                 plan = self._plan(queries)
@@ -312,11 +303,7 @@ class BatchQueryEngine:
                 fragments = self._planned_fragments(queries, plan)
             else:
                 fragments = stream_parallel(
-                    queries,
-                    self.config,
-                    plan,
-                    metrics=self.metrics,
-                    tracer=self.tracer,
+                    plan, self.config, metrics=self.metrics, tracer=self.tracer
                 )
         return (yield from flush_fragments(fragments, len(queries), ordered))
 
@@ -325,9 +312,8 @@ class BatchQueryEngine:
     ) -> FragmentStream:
         """In-process execution of a plan (the ingestion service's route):
         its prebuilt artefacts (snapshot, workload index, clusters) are
-        reused, and every shard runs on the one kernel the plan resolved
-        for all of them — exactly what a worker would be told."""
-        run = fragment_generator(plan.snapshot, self.config, plan.shards[0].kernel)
+        reused."""
+        run = fragment_generator(plan.snapshot, self.config)
         if plan.clusters is not None:
             return run(queries, workload=plan.workload, clusters=plan.clusters)
         if plan.workload is not None:

@@ -1,7 +1,7 @@
 """Sharded execution of one batch across worker processes, on request.
 
 Nothing reaches this module unless the caller asks for a number of
-processes: ``num_workers`` 1 and ``"auto"`` run in the caller's process,
+processes: ``num_workers`` 1, the default, runs in the caller's process,
 and an explicit ``num_workers >= 2`` hands :func:`stream_parallel` the
 :class:`~repro.batch.planner.ExecutionPlan` a
 :class:`~repro.batch.planner.QueryPlanner` built for the batch.
@@ -118,12 +118,11 @@ def _run_cluster_task(
     queries_by_position: Dict[int, HCSTQuery],
     index_blob: bytes,
     span_context: Optional[SpanContext] = None,
-    kernel: str = "python",
 ) -> Fragment:
     """Process one cluster inside a worker (``batch``/``batch+``)."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    enumerator = make_enumerator(graph, config, kernel)
+    enumerator = make_enumerator(graph, config)
     stage_timer = StageTimer()
     index = CSRDistanceIndex.from_bytes(index_blob)
     sharing = SharingStats(num_clusters=1)
@@ -135,7 +134,7 @@ def _run_cluster_task(
     ):
         # The shard ships whole: its per-root yields are drained here.
         for _ in enumerator._process_cluster(
-            queries_by_position, index, stage_timer, scratch, sharing, kernel
+            queries_by_position, index, stage_timer, scratch, sharing
         ):
             pass
     return scratch.paths_by_position, sharing, stage_timer.totals, spans.records
@@ -146,13 +145,12 @@ def _run_slice_task(
     queries: Sequence[HCSTQuery],
     index_blob: Optional[bytes],
     span_context: Optional[SpanContext] = None,
-    kernel: str = "python",
 ) -> Fragment:
     """Process one contiguous query slice inside a worker (per-query
     algorithms: the sequential fragment generator is reused verbatim)."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    run = fragment_generator(graph, config, kernel)
+    run = fragment_generator(graph, config)
     spans = RemoteSpanRecorder(span_context)
     with spans.span(
         "enumerate", tags={"kind": "slice", "positions": len(positions)}
@@ -178,7 +176,7 @@ def _run_slice_task(
 
 
 def _shard_tasks(
-    plan: ExecutionPlan, queries: Sequence[HCSTQuery]
+    plan: ExecutionPlan,
 ) -> Iterator[Tuple[Callable[..., Fragment], tuple, Optional[bytes]]]:
     """One ``(worker function, leading arguments, index blob)`` per plan
     shard, in shard order.
@@ -190,7 +188,7 @@ def _shard_tasks(
     """
     index = plan.workload.index if plan.workload is not None else None
     for shard in plan.shards:
-        shard_queries = [queries[position] for position in shard.positions]
+        shard_queries = [plan.queries[position] for position in shard.positions]
         blob = None
         if index is not None:
             blob = index.restrict(
@@ -205,20 +203,20 @@ def _shard_tasks(
 
 
 def stream_parallel(
-    queries: Sequence[HCSTQuery],
-    config: ExecutionConfig,
     plan: ExecutionPlan,
+    config: ExecutionConfig,
     metrics=None,
     tracer=None,
 ) -> FragmentStream:
     """Fragment generator over shard completions (``num_workers >= 2``).
 
     Execution follows ``plan``, the :class:`~repro.batch.planner.ExecutionPlan`
-    a :class:`~repro.batch.planner.QueryPlanner` built for these ``queries``
-    under this ``config``.  A process pool of ``plan.num_workers`` workers,
-    initialised with the plan's sealed snapshot, is opened for the call;
-    shards are submitted to it and drained with ``as_completed``: every
-    shard's ``{position: paths}`` fragment is recorded into the
+    a :class:`~repro.batch.planner.QueryPlanner` built under this
+    ``config``, and answers the batch it was built for, ``plan.queries``.
+    A process pool of ``plan.num_workers`` workers, initialised with the
+    plan's sealed snapshot, is opened for the call; shards are submitted
+    to it and drained with ``as_completed``: every shard's
+    ``{position: paths}`` fragment is recorded into the
     :class:`BatchResult` and yielded the moment its future lands.  If a
     shard raises, the exception propagates out of the generator after the
     pending futures are cancelled — the drain loop never hangs on a
@@ -231,7 +229,7 @@ def stream_parallel(
     )
     stage_timer = plan.stage_timer or StageTimer()
     result = BatchResult(
-        queries=list(queries),
+        queries=list(plan.queries),
         stage_timer=stage_timer,
         algorithm=ALGORITHM_TABLE[config.algorithm].display_name,
     )
@@ -256,12 +254,8 @@ def stream_parallel(
             ship_start = time.perf_counter()
             ship_tags = {"shards": len(plan.shards), "payload_bytes": 0}
             with span_tracer.span("ship", tags=ship_tags):
-                for (worker_fn, args, blob), shard in zip(
-                    _shard_tasks(plan, queries), plan.shards
-                ):
-                    futures.append(
-                        pool.submit(worker_fn, *args, blob, span_context, shard.kernel)
-                    )
+                for worker_fn, args, blob in _shard_tasks(plan):
+                    futures.append(pool.submit(worker_fn, *args, blob, span_context))
                     ship_tags["payload_bytes"] += len(blob or b"")
             registry.counter("repro_executor_ship_bytes_total").inc(
                 ship_tags["payload_bytes"]

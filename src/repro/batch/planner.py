@@ -5,16 +5,15 @@ A :class:`QueryPlanner` runs the cheap global stages of a batch once
 :class:`ExecutionPlan` recording what will run — nothing in it is a
 forecast:
 
-* **workers** — the config's ``num_workers``, with ``"auto"`` as 1: a
-  batch runs in the caller's process unless the caller asks for a number
-  of processes;
+* **workers** — the config's ``num_workers`` (1 by default: a batch runs
+  in the caller's process unless the caller asks for a number of
+  processes);
 * **shards** — one per cluster for the sharing-aware algorithms
   (``batch``/``batch+``), contiguous batch slices, one per worker, for the
   per-query algorithms;
 * **index strategy** — whether this batch's array-backed
   :class:`~repro.bfs.distance_index.CSRDistanceIndex` is built fresh,
-  reused from the planner's previous batch, or delta-repaired from it;
-* **kernel** — the enumeration kernel of every shard.
+  reused from the planner's previous batch, or delta-repaired from it.
 
 ``BatchQueryEngine.explain(queries)`` returns the plan without executing
 it.  The ingestion service and an explicit multi-process run execute
@@ -27,14 +26,12 @@ options a plan follows arrive as one validated
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.clustering import cluster_queries
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
 from repro.bfs.distance_index import CSRDistanceIndex
-from repro.enumeration.kernels import resolve_kernel
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.snapshots import PinnedSnapshot
@@ -69,8 +66,9 @@ class ShardPlan:
 
     kind: str  # "cluster" | "slice"
     positions: List[int]
-    #: Concrete enumeration kernel the shard runs on ("python" | "numpy").
-    kernel: str = "python"
+    #: Every shard runs the one search.  A constant, not a field: only the
+    #: benchmark harness reads it, until its contract moves (ROADMAP item 9).
+    kernel: ClassVar[str] = "python"
 
     def __post_init__(self) -> None:
         require(self.kind in ("cluster", "slice"), f"unknown shard kind {self.kind!r}")
@@ -121,23 +119,15 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """Human-readable rendering (what ``engine.explain`` prints)."""
-        kernels = Counter(shard.kernel for shard in self.shards)
         lines = [
             f"ExecutionPlan[{self.algorithm}]",
             f"  workers: {self.num_workers}",
             f"  shards:  {self.num_shards} "
             f"({', '.join(sorted({s.kind for s in self.shards})) or 'none'})",
             f"  index:   {self.index_strategy}",
-            "  kernel:  " + (
-                ", ".join(f"{n} {kernel}" for kernel, n in sorted(kernels.items()))
-                or "none"
-            ),
         ]
         for shard in self.shards:
-            lines.append(
-                f"    {shard.kind:<7} positions={shard.positions} "
-                f"kernel={shard.kernel}"
-            )
+            lines.append(f"    {shard.kind:<7} positions={shard.positions}")
         return "\n".join(lines)
 
 
@@ -269,20 +259,15 @@ class QueryPlanner:
             pieces = [
                 ("slice", chunk)
                 for chunk in _contiguous_slices(
-                    list(range(len(queries))), config.processes
+                    list(range(len(queries))), config.num_workers
                 )
             ]
 
-        kernel = resolve_kernel(config.kernel)
-        shards = [ShardPlan(kind, positions, kernel) for kind, positions in pieces]
-        self._metrics.counter(
-            "repro_plan_kernel_total", labels={"kernel": kernel}
-        ).inc(len(shards))
         return ExecutionPlan(
             algorithm=config.algorithm,
             gamma=config.gamma,
-            num_workers=config.processes,
-            shards=shards,
+            num_workers=config.num_workers,
+            shards=[ShardPlan(kind, positions) for kind, positions in pieces],
             queries=queries,
             graph_version=csr.version,
             index_strategy=index_strategy,

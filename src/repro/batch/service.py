@@ -80,7 +80,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, List, Optional, Sequence
 
-from repro.batch.config import NumWorkers
 from repro.batch.engine import BatchQueryEngine
 from repro.batch.planner import QueryPlanner
 from repro.batch.results import SharingStats
@@ -240,8 +239,8 @@ class IngestionService:
     """Micro-batch scheduler serving a continuous query stream.
 
     Parameters mirror :class:`BatchQueryEngine` (``graph``, ``algorithm``,
-    ``gamma``, ``num_workers``, ``max_workers``, ``kernel`` — forwarded to
-    it verbatim, so a bad value raises ``ValueError`` here) plus the
+    ``gamma``, ``num_workers``, ``max_workers`` — forwarded to it
+    verbatim, so a bad value raises ``ValueError`` here) plus the
     :class:`AdmissionPolicy`.  Every micro-batch runs on the scheduler
     thread whatever ``num_workers`` says: ``num_workers`` and
     ``max_workers`` are validated and inert.  (They stay because the
@@ -276,10 +275,9 @@ class IngestionService:
         graph: DiGraph,
         algorithm: str = "batch+",
         gamma: float = 0.5,
-        num_workers: NumWorkers = "auto",
+        num_workers: int = 1,
         policy: Optional[AdmissionPolicy] = None,
         max_workers: Optional[int] = None,
-        kernel: str = "auto",
         start: bool = True,
         metrics=None,
         tracer=None,
@@ -293,7 +291,6 @@ class IngestionService:
             gamma=gamma,
             num_workers=num_workers,
             max_workers=max_workers,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -637,7 +634,7 @@ def serve(
     graph: DiGraph,
     algorithm: str = "batch+",
     gamma: float = 0.5,
-    num_workers: NumWorkers = "auto",
+    num_workers: int = 1,
     max_batch_size: int = 32,
     max_pending: int = 1024,
     max_workers: Optional[int] = None,

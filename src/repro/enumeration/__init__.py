@@ -8,7 +8,6 @@
   search (Algorithm 4's Search: PathEnum's search plus the provider splice)
   and the one Lemma 3.1 admissibility rule; PathEnum, BatchEnum and
   DetectCommonQuery all read it.
-* :mod:`repro.enumeration.kernels` — its two numpy twins (optional).
 """
 
 from repro.enumeration.paths import (

@@ -16,8 +16,8 @@ expansion.  The search is PathEnum's [Sun et al., SIGMOD'21] plus one step,
 the provider splice: with one served query and no provider it executes
 what the single-query baseline executes.  Handed the
 :class:`~repro.enumeration.join.JoinProbe` of a forward root it is also the
-forward side of the ⊕ join and stores no path.  Its numpy twins live in
-:mod:`repro.enumeration.kernels`.
+forward side of the ⊕ join and stores no path.  It is the only search:
+every algorithm and every route runs it.
 """
 
 from __future__ import annotations

@@ -158,11 +158,11 @@ def join_path_sets(
     paths.
 
     A forward search that reads the probe inline vouches for its own paths
-    and returns none; the paths it does return (the numpy twins and a
-    spliced root return them all), like those of a plain iterable, are each
-    offered under the per-path duplicate and simplicity tests.  Forward
-    paths start at the query source on ``G``; all sides share one forward
-    budget.  Every path is a tuple.
+    and returns none; the paths it does return (a spliced root returns
+    them all), like those of a plain iterable, are each offered under the
+    per-path duplicate and simplicity tests.  Forward paths start at the
+    query source on ``G``; all sides share one forward budget.  Every path
+    is a tuple.
     """
     probe = JoinProbe(backward_sides)
     for path in forward(probe) if callable(forward) else forward:

@@ -29,7 +29,6 @@ from typing import List, Optional
 from repro.bfs.distance_index import CSRDistanceIndex, build_index
 from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
-from repro.enumeration.kernels import resolve_kernel, search_paths
 from repro.enumeration.paths import Path
 from repro.enumeration.search_order import choose_budget_split, mean_degree_of
 from repro.graph.digraph import DiGraph
@@ -51,12 +50,6 @@ class PathEnum:
     optimize_search_order:
         Enable the "+" search-order optimisation (adaptive forward/backward
         budget split).
-    kernel:
-        ``"python"`` (default) runs the explicit-stack search of
-        :mod:`repro.enumeration.hc_s_search`; ``"numpy"`` runs the
-        byte-identical vectorized frontier expansion of
-        :mod:`repro.enumeration.kernels` (raises here when numpy is
-        absent).  ``"auto"`` resolves to ``"python"``.
     """
 
     def __init__(
@@ -64,12 +57,10 @@ class PathEnum:
         graph: DiGraph,
         index: Optional[CSRDistanceIndex] = None,
         optimize_search_order: bool = False,
-        kernel: str = "python",
     ) -> None:
         self.graph = graph
         self.index = index
         self.optimize_search_order = optimize_search_order
-        self.kernel = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -127,7 +118,7 @@ class PathEnum:
         probe: Optional[JoinProbe] = None,
     ) -> List[Path]:
         """Collect the partial paths of one direction; with ``probe`` the
-        Python forward search joins them as it finds them and returns none.
+        forward search joins them as it finds them and returns none.
 
         Forward direction: paths from ``s`` on ``G``; a path is collected
         when it either reaches ``t`` (complete result candidate) or has
@@ -147,14 +138,8 @@ class PathEnum:
         else:
             start, other_end = query.t, query.s
             row = index.dense_from(query.s)
-        snapshot = self.graph.csr_snapshot()
-
-        if self.kernel == "numpy":
-            return search_paths(
-                *snapshot.flat(forward), row, start, other_end, query.k, budget, forward
-            )
         return search_hc_s_paths(
-            snapshot.adjacency_lists(forward),
+            self.graph.csr_snapshot().adjacency_lists(forward),
             start,
             budget,
             [(row, budget + 1 - query.k)],

@@ -6,9 +6,8 @@ the graph's own row tuples as they stood at one version — sealing copies
 ``|V|`` pointers, two snapshots of neighbouring versions share every row
 the mutations between them did not touch, and nothing a caller is handed
 can be mutated, so the graph cannot change while an index built from it is
-alive.  The compressed-sparse-row form proper — flat ``(offsets, targets)``
-arrays (``array('l')``; see :data:`TYPECODE`) — is derived from the rows on
-the first :meth:`CSRGraph.flat` call, which only the numpy kernels make.
+alive.  No flat ``(offsets, targets)`` arrays are packed: every search
+reads the rows themselves through :meth:`CSRGraph.adjacency_lists`.
 
 Rows are **sorted ascending**, the deterministic order :class:`DiGraph`
 maintains, so iterative searches over either view enumerate paths in
@@ -17,20 +16,10 @@ identical order.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
-from repro.graph.digraph import DiGraph, Row, strictly_ascending
-from repro.utils.validation import require
-
-#: Array typecode used for both the offset and target arrays.  ``'l'`` is a
-#: C signed long (at least 32 bits, 64 on common platforms), chosen over
-#: ``'i'`` so that very large vertex-id spaces cannot silently overflow.
-TYPECODE = "l"
-
-#: Largest value representable by :data:`TYPECODE` on this platform.
-_TYPECODE_MAX = 2 ** (8 * array(TYPECODE).itemsize - 1) - 1
+from repro.graph.digraph import DiGraph, Row
 
 
 class CSRGraph:
@@ -43,7 +32,7 @@ class CSRGraph:
     search* on ``Gr`` with the same code.
     """
 
-    __slots__ = ("num_vertices", "num_edges", "version", "_fwd", "_bwd", "_flat")
+    __slots__ = ("num_vertices", "num_edges", "version", "_fwd", "_bwd")
 
     def __init__(self, graph: DiGraph) -> None:
         self.num_vertices = graph.num_vertices
@@ -55,30 +44,6 @@ class CSRGraph:
         # its two spines is a frozen view.
         self._fwd: Tuple[Row, ...] = tuple(graph._out)
         self._bwd: Tuple[Row, ...] = tuple(graph._in)
-        # Packed arrays per direction, derived on the first flat() call.
-        self._flat: Dict[bool, Tuple[array, array]] = {}
-
-    @staticmethod
-    def _pack(adjacency: Sequence[Sequence[int]]) -> tuple[array, array]:
-        num_edges = sum(len(neighbors) for neighbors in adjacency)
-        require(
-            len(adjacency) - 1 <= _TYPECODE_MAX and num_edges <= _TYPECODE_MAX,
-            f"graph too large for array typecode {TYPECODE!r} "
-            f"(max representable value {_TYPECODE_MAX})",
-        )
-        offsets = array(TYPECODE, [0] * (len(adjacency) + 1))
-        targets = array(TYPECODE)
-        cursor = 0
-        for v, neighbors in enumerate(adjacency):
-            # DiGraph keeps every row sorted, so re-sorting here is pure
-            # waste; the invariant is checked in debug builds only.
-            assert strictly_ascending(neighbors), (
-                f"adjacency of vertex {v} is not strictly sorted"
-            )
-            targets.extend(neighbors)
-            cursor += len(neighbors)
-            offsets[v + 1] = cursor
-        return offsets, targets
 
     def neighbors(self, v: int, forward: bool = True) -> Row:
         """Out-neighbours of ``v`` in ``G`` (forward) or ``Gr`` (backward).
@@ -104,13 +69,6 @@ class CSRGraph:
 
     def in_degree(self, v: int) -> int:
         return len(self.neighbors(v, forward=False))
-
-    def flat(self, forward: bool = True) -> tuple[array, array]:
-        """The packed ``(offsets, targets)`` arrays of one direction."""
-        packed = self._flat.get(forward)
-        if packed is None:
-            packed = self._flat[forward] = self._pack(self.adjacency_lists(forward))
-        return packed
 
     def adjacency_lists(self, forward: bool = True) -> Tuple[Row, ...]:
         """The rows of one direction, indexed by vertex id.
@@ -146,13 +104,11 @@ class CSRGraph:
         return self
 
     def __getstate__(self) -> tuple:
-        # Rows only: the packed arrays are derived again on demand.
         return self.num_edges, self.version, self._fwd, self._bwd
 
     def __setstate__(self, state: tuple) -> None:
         self.num_edges, self.version, self._fwd, self._bwd = state
         self.num_vertices = len(self._fwd)
-        self._flat = {}
 
     def __repr__(self) -> str:
         return (

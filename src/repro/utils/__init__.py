@@ -1,6 +1,6 @@
 """Shared utilities: timing, deterministic RNG helpers and validation."""
 
-from repro.utils.timer import Timer, StageTimer
+from repro.utils.timer import StageTimer
 from repro.utils.validation import (
     require,
     require_non_negative,
@@ -9,7 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "StageTimer",
     "require",
     "require_non_negative",

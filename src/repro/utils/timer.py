@@ -2,8 +2,8 @@
 
 The paper reports wall-clock time of each algorithm and, for Exp-3, the
 decomposition of BatchEnum+ into BuildIndex / ClusterQuery /
-IdentifySubquery / Enumeration.  ``Timer`` measures one span, ``StageTimer``
-accumulates named spans so a run can be decomposed.
+IdentifySubquery / Enumeration.  ``StageTimer`` accumulates named spans so
+a run can be decomposed.
 """
 
 from __future__ import annotations
@@ -13,49 +13,20 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 
-class Timer:
-    """A simple wall-clock stopwatch.
-
-    Example
-    -------
-    >>> timer = Timer()
-    >>> with timer:
-    ...     _ = sum(range(10))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: float | None = None
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 class StageTimer:
     """Accumulates wall-clock time per named stage.
 
     Used to produce the Fig. 9 style decomposition: each stage name maps to
     the total number of seconds spent inside ``stage(name)`` blocks.
+
+    Example
+    -------
+    >>> timer = StageTimer()
+    >>> with timer.stage("BuildIndex"):
+    ...     _ = sum(range(10))
+    >>> timer.add("BuildIndex", 1.0)
+    >>> timer.total("BuildIndex") >= 1.0, list(timer.totals)
+    (True, ['BuildIndex'])
     """
 
     def __init__(self) -> None:

@@ -1,6 +1,8 @@
 """Integration tests for BatchEnum (clustered or not) and the engine facade."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.batch import batch_enum
 from repro.batch.batch_enum import BatchEnum
@@ -14,7 +16,7 @@ from repro.enumeration.path_enum import PathEnum
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.generation import generate_random_queries
-from repro.queries.query import Direction, HCSTQuery
+from repro.queries.query import Direction, HCSTQuery, HCsPathQuery
 from test_differential import assert_answers, oracle
 
 
@@ -64,9 +66,7 @@ def test_unshared_root_enumerates_what_the_single_query_search_does(monkeypatch)
                     assert outcome.served_queries[root] == {position}
                     assert psi.providers_of(root) == []
                     other_end = query.t if forward else query.s
-                    node_paths = enum._enumerate_node(
-                        root, outcome, ResultCache(), "python"
-                    )
+                    node_paths = enum._enumerate_node(root, outcome, ResultCache())
                     assert [
                         path
                         for path in node_paths
@@ -93,6 +93,127 @@ def _strangers(with_family):
         queries.append(HCSTQuery(offset + block % 14, offset + (block + 5) % 14, 4))
         offset += 14
     return DiGraph.from_edges(edges, num_vertices=offset), queries
+
+
+# --------------------------------------------------------------------- #
+# Every node of a sharing graph against a brute-force filter
+# --------------------------------------------------------------------- #
+@st.composite
+def graph_and_cluster(draw):
+    """A small dense digraph and 2-5 queries drawn from few endpoints, so
+    the cluster's Ψ has shared roots, created providers and splices."""
+    num_vertices = draw(st.integers(min_value=6, max_value=10))
+    possible = [
+        (u, v) for u in range(num_vertices) for v in range(num_vertices) if u != v
+    ]
+    edges = draw(
+        st.lists(
+            st.sampled_from(possible),
+            min_size=2 * num_vertices,
+            max_size=4 * num_vertices,
+        )
+    )
+    graph = DiGraph.from_edges(set(edges), num_vertices=num_vertices)
+    sources = st.integers(min_value=0, max_value=2)
+    targets = st.integers(min_value=num_vertices - 3, max_value=num_vertices - 1)
+    queries = draw(
+        st.lists(
+            st.builds(HCSTQuery, sources, targets, st.integers(2, 5)),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    max_depth = draw(st.sampled_from([None, 1, 2]))
+    return graph, dict(enumerate(queries)), max_depth
+
+
+def _simple_paths_from(adjacency, root, budget):
+    """Every simple path leaving ``root`` with at most ``budget`` hops."""
+    found, pending = [], [(root,)]
+    while pending:
+        path = pending.pop()
+        found.append(path)
+        if len(path) <= budget:
+            pending += [path + (v,) for v in adjacency[path[-1]] if v not in path]
+    return found
+
+
+def _allowed_paths(graph, outcome, node):
+    """Brute-force filter of ``node``'s simple paths by what its served
+    queries can use.  Returns ``(must, may)``: ``may`` passes the record
+    rule; ``must`` also takes only steps some served query can still finish
+    from (Lemma 3.1, scalar form on the index's ``dist_*`` accessors).
+    Without a provider the node returns exactly ``must``; a spliced
+    provider serves a superset of queries, so it may add paths of ``may``.
+    """
+    forward = node.direction is Direction.FORWARD
+    index, psi = outcome.index, outcome.sharing_graph
+    served = [
+        (outcome.queries_by_position[p], outcome.budget_by_position[p])
+        for p in outcome.served_queries[node]
+    ]
+    endpoints = {query.t if forward else query.s for query, _ in served}
+    keep_all = any(isinstance(c, HCsPathQuery) for c in psi.consumers_of(node))
+
+    def useful(vertex, remaining):
+        return any(
+            (index.dist_to(q.t, vertex) if forward else index.dist_from(q.s, vertex))
+            + root_budget + 1 - q.k <= remaining
+            for q, root_budget in served
+        )
+
+    must, may = set(), set()
+    adjacency = graph.csr_snapshot().adjacency_lists(forward)
+    for path in _simple_paths_from(adjacency, node.vertex, node.budget):
+        hops = len(path) - 1
+        if keep_all or not forward or hops == node.budget or path[-1] in endpoints:
+            may.add(path)
+            if all(
+                useful(path[i], node.budget - i + 1) for i in range(1, len(path))
+            ):
+                must.add(path)
+    return must, may
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(graph_and_cluster())
+def test_every_psi_node_search_answers_the_brute_force_filter(data):
+    """Node by node of Ψ and Ψr, the search returns its paths sorted and
+    without repeats, every path the brute-force filter says it must and
+    none it may not — exactly the must-set where no provider is spliced."""
+    graph, cluster, max_depth = data
+    enum = BatchEnum(graph)
+    index = build_index(
+        graph,
+        [q.s for q in cluster.values()],
+        [q.t for q in cluster.values()],
+        max(q.k for q in cluster.values()),
+    )
+    for direction in (Direction.FORWARD, Direction.BACKWARD):
+        forward = direction is Direction.FORWARD
+        budgets = {
+            position: query.forward_budget if forward else query.backward_budget
+            for position, query in cluster.items()
+        }
+        outcome = detect_common_queries(
+            graph, cluster, direction, index, budgets, max_depth=max_depth
+        )
+        psi, cache = outcome.sharing_graph, ResultCache()
+        for node in psi.topological_order():
+            if not isinstance(node, HCsPathQuery):
+                continue
+            paths = enum._enumerate_node(node, outcome, cache)
+            assert paths == sorted(set(paths))
+            must, may = _allowed_paths(graph, outcome, node)
+            assert must <= set(paths) <= may
+            if not any(isinstance(p, HCsPathQuery) for p in psi.providers_of(node)):
+                assert set(paths) == must
+            # Never released: every later node finds its providers cached.
+            cache.put(node, paths, consumers=len(psi.consumers_of(node)))
 
 
 @pytest.mark.parametrize("plus", ["", "+"])

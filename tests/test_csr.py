@@ -50,18 +50,6 @@ def test_adjacency_lists_roundtrip():
     assert csr.adjacency_lists(forward=True) is forward
 
 
-def test_flat_arrays_consistent_with_neighbors():
-    graph = random_directed_gnm(25, 70, seed=4)
-    csr = CSRGraph(graph)
-    for forward in (True, False):
-        offsets, targets = csr.flat(forward)
-        assert len(offsets) == graph.num_vertices + 1
-        assert offsets[-1] == len(targets) == graph.num_edges
-        for v in graph.vertices():
-            run = list(targets[offsets[v]:offsets[v + 1]])
-            assert run == list(csr.neighbors(v, forward))
-
-
 def test_digraph_csr_snapshot_cached_and_invalidated():
     graph = DiGraph.from_edges([(0, 1), (1, 2)])
     first = graph.csr_snapshot()
@@ -93,36 +81,14 @@ def test_csr_carries_sealed_version_and_read_surface():
     assert not csr.has_edge(1, 0)  # sealed: contents frozen
 
 
-def test_csr_pickle_roundtrip_drops_lazy_caches():
-    import pickle
-
-    graph = random_directed_gnm(20, 70, seed=6)
-    csr = graph.csr_snapshot()
-    csr.flat(forward=True)  # populate the lazy cache
-    clone = pickle.loads(pickle.dumps(csr))
-    assert clone.version == csr.version
-    assert clone.num_vertices == csr.num_vertices
-    assert clone.num_edges == csr.num_edges
-    assert clone._flat == {}  # the rows ship, the arrays packed from them do not
-    for forward in (True, False):
-        assert clone.adjacency_lists(forward) == csr.adjacency_lists(forward)
-        assert clone.flat(forward) == csr.flat(forward)  # re-derived on demand
-
-
-def test_pack_asserts_on_unsorted_adjacency():
-    # _pack trusts DiGraph's sorted-row invariant (no O(E log E) re-sort
-    # per snapshot); under __debug__ a violation must trip the guard
-    # instead of silently packing garbage.  Sealing shares the rows
-    # unread, so the guard sits where they are first walked: at flat().
+def test_a_mutator_asserts_on_an_unsorted_row():
+    # Every search trusts DiGraph's sorted-row invariant and sealing shares
+    # the rows unread, so under __debug__ the mutators check the one row
+    # they write: a later seal cannot publish a row that went unsorted
+    # behind the graph's back.
     graph = DiGraph.from_edges([(0, 1), (0, 2), (1, 2)], num_vertices=4)
     # Corrupts a row on purpose, behind the API.
     graph._out[0] = graph.out_neighbors(0)[::-1]
-    csr = CSRGraph(graph)
-    assert csr.flat(forward=False)  # the other direction is intact
-    with pytest.raises(AssertionError, match="vertex 0 is not strictly sorted"):
-        csr.flat(forward=True)
-    # The mutators check the one row they write, so a later seal cannot
-    # publish a row that went unsorted behind the graph's back.
     with pytest.raises(AssertionError, match="not strictly sorted"):
         graph.add_edge(0, 3)
 

@@ -4,13 +4,13 @@ one brute-force oracle.
 Sharing HC-s path queries (Algorithm 4) changes what a batch costs, never
 what it answers.  So every route to an answer must return, per batch
 position, the paths :func:`enumerate_paths_brute_force` returns: each
-engine algorithm at each γ, both kernels, full-depth detection, the
+engine algorithm at each γ, full-depth detection, the
 DkSP/OnePass baselines, ``run``/``counts()``/both ``stream`` policies,
 and a service before and after the graph changes under it.  One
 comparison checks them all, :func:`assert_answers`: every position is
 present and each list equals :func:`oracle`'s once sorted.  Runs that
-must agree on how they shared (the two kernels, a stream and its run)
-also report the same ``repr(result.sharing)``.
+must agree on how they shared (a stream and its run) also report the
+same ``repr(result.sharing)``.
 
 The draws cover four graph families: G(n, m), power-law, layered DAGs
 and disjoint dense blocks.  A batch is built from few endpoints, so
@@ -29,17 +29,17 @@ fifty times the examples.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from functools import lru_cache
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.service import serve
 from repro.enumeration.brute_force import enumerate_paths_brute_force
-from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import sort_paths
 from repro.baselines import BASELINES
@@ -197,6 +197,32 @@ def test_the_oracle_counts_fig1_as_the_paper_does():
     assert [len(paths) for paths in oracle(*FIG1)] == [3, 3, 1, 2, 2]
 
 
+def test_batch_plus_runs_with_the_numpy_import_blocked():
+    """The package needs only the standard library.  A fresh interpreter
+    blocks ``import numpy`` before anything of ``repro`` is imported, and
+    ``batch+`` still answers Fig. 1 as the brute-force enumerator does."""
+    code = """
+import sys
+sys.modules["numpy"] = None  # blocks `import numpy` with ImportError
+import repro
+from repro.enumeration.brute_force import enumerate_paths_brute_force
+from repro.graph.generators import PAPER_EXAMPLE_QUERIES, paper_example_graph
+
+graph = paper_example_graph()
+queries = [repro.HCSTQuery(*q) for q in PAPER_EXAMPLE_QUERIES]
+result = repro.BatchQueryEngine(graph, algorithm="batch+").run(queries)
+for position, q in enumerate(queries):
+    expected = enumerate_paths_brute_force(graph, q.s, q.t, q.k)
+    assert sorted(result.paths_at(position)) == sorted(expected), position
+print("OK")
+"""
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "OK" in completed.stdout
+
+
 # --------------------------------------------------------------------- #
 # Every configuration
 # --------------------------------------------------------------------- #
@@ -214,7 +240,7 @@ def test_every_configuration_answers_what_the_oracle_answers(data, gamma):
     graph, queries = data
     expected = oracle(graph, queries)
     for algorithm in ALGORITHMS:
-        engine = BatchQueryEngine(graph, algorithm, gamma=gamma, kernel="python")
+        engine = BatchQueryEngine(graph, algorithm, gamma=gamma)
         assert_answers(expected, engine.run(queries), algorithm)
     enum = PathEnum(graph, optimize_search_order=True)
     assert_answers(expected, [enum.enumerate(q) for q in queries], "PathEnum+")
@@ -225,24 +251,6 @@ def test_every_configuration_answers_what_the_oracle_answers(data, gamma):
         assert_answers(expected, enum.run(queries), f"{enum.name}, full depth")
     for name, run in BASELINES.items():
         assert_answers(expected, run(graph, queries), name)
-
-
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-@given(workloads(), st.sampled_from(ALGORITHMS), st.sampled_from(GAMMAS))
-@example(SPLICED, "batch", 0.0)
-@SETTINGS
-def test_the_numpy_kernel_answers_what_the_python_kernel_does(
-    data, algorithm, gamma
-):
-    """Byte-identical: the same lists in the same order, the same sharing."""
-    graph, queries = data
-    python, numpy = (
-        BatchQueryEngine(graph, algorithm, gamma=gamma, kernel=kernel).run(queries)
-        for kernel in ("python", "numpy")
-    )
-    assert_answers(oracle(graph, queries), numpy, "numpy")
-    assert numpy.paths_by_position == python.paths_by_position
-    assert repr(numpy.sharing) == repr(python.sharing)
 
 
 # --------------------------------------------------------------------- #

@@ -32,7 +32,6 @@ from repro.bfs.distance_index import (
     build_index,
 )
 from repro.graph.digraph import DiGraph
-from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.graph.generators import random_directed_gnm
 from repro.queries.query import HCSTQuery
 from test_differential import assert_answers, oracle
@@ -443,9 +442,6 @@ def test_both_row_widths_answer_alike_at_the_boundary(deepest, narrow):
     for algorithm in ALGORITHMS:
         engine = BatchQueryEngine(graph, algorithm)
         assert_answers(expected, engine.run(queries), algorithm)
-    if NUMPY_AVAILABLE:
-        engine = BatchQueryEngine(graph, "batch+", kernel="numpy")
-        assert_answers(expected, engine.run(queries), "numpy")
 
     sources, targets = [q.s for q in queries], [q.t for q in queries]
     index = build_index(graph, sources, targets, deepest)

@@ -25,7 +25,6 @@ from repro.bfs.distance_index import (
     CSRDistanceIndex,
     build_index,
 )
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
 from repro.graph.snapshots import SnapshotStore
@@ -131,19 +130,14 @@ def test_a_served_round_after_a_mutation_copies_only_the_rows_it_wrote(
     graph = graph_with_a_far_corner()
     queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=21)
     expected = oracle(graph, queries)
-    packs, sealed = [], {}
-    pack, seal = CSRGraph._pack, SnapshotStore.seal
-
-    def counting_pack(adjacency):
-        packs.append(len(adjacency))
-        return pack(adjacency)
+    sealed = {}
+    seal = SnapshotStore.seal
 
     def recording_seal(store):
         csr = seal(store)
         sealed[csr.version] = csr
         return csr
 
-    monkeypatch.setattr(CSRGraph, "_pack", staticmethod(counting_pack))
     monkeypatch.setattr(SnapshotStore, "seal", recording_seal)
     with serve(
         graph,
@@ -156,7 +150,6 @@ def test_a_served_round_after_a_mutation_copies_only_the_rows_it_wrote(
             tickets = service.submit_many(queries)
             assert_answers(expected, [t.result(timeout=30.0) for t in tickets])
         assert service.stats().failed == 0
-    assert packs == []  # the default kernel never asks for the flat arrays
     versions = sorted(sealed)
     assert len(versions) >= 5
     for older, newer in zip(versions, versions[1:]):

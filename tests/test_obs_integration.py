@@ -98,9 +98,7 @@ def test_parallel_run_produces_full_span_tree():
 def test_every_plan_records_its_index_strategy():
     graph, queries = _workload(seed=4)
     registry = MetricsRegistry()
-    engine = BatchQueryEngine(
-        graph, algorithm="batch+", num_workers="auto", metrics=registry
-    )
+    engine = BatchQueryEngine(graph, algorithm="batch+", metrics=registry)
     engine.run(queries)  # one process: nothing is planned
     assert "repro_plans_total" not in registry.snapshot()["counters"]
     engine.explain(queries)

@@ -113,7 +113,7 @@ def test_each_task_ships_exactly_its_shards_rows(algorithm):
     # gamma=1 keeps dissimilar queries in separate clusters (several shards).
     config = ExecutionConfig(algorithm=algorithm, gamma=1.0, num_workers=2)
     plan = QueryPlanner(graph, config).plan(queries)
-    blobs = [blob for _fn, _args, blob in _shard_tasks(plan, queries)]
+    blobs = [blob for _fn, _args, blob in _shard_tasks(plan)]
     assert len(blobs) == plan.num_shards >= 2
     if not ALGORITHM_TABLE[algorithm].indexed:
         assert blobs == [None] * plan.num_shards

@@ -11,7 +11,6 @@ from repro.bfs.distance_index import build_index
 from repro.enumeration import join
 from repro.enumeration.hc_s_search import search_hc_s_paths
 from repro.enumeration.join import JoinProbe, PathJoinPolicy, join_path_sets
-from repro.enumeration.kernels import NUMPY_AVAILABLE
 from repro.enumeration.path_enum import PathEnum
 from repro.enumeration.paths import (
     concatenate,
@@ -355,7 +354,7 @@ def _plain_roots(enum, graph, cluster):
         psi, cache = outcome.sharing_graph, ResultCache()
         for node in psi.topological_order():
             if isinstance(node, HCsPathQuery):
-                paths = enum._enumerate_node(node, outcome, cache, "python")
+                paths = enum._enumerate_node(node, outcome, cache)
                 cache.put(node, paths, consumers=len(psi.consumers_of(node)))
         for position, root in outcome.root_by_position.items():
             roots.setdefault(position, []).append(cache.peek(root))
@@ -365,15 +364,11 @@ def _plain_roots(enum, graph, cluster):
 @given(small_graph_and_batch())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_probe_fed_by_the_search_equals_the_nested_loop(data):
-    """Per position and in order: the Python search reading the probe
-    inline == the numpy twin offered path by path == the nested loop over
-    the plain search output; all equal brute force as a set."""
+    """Per position and in order: the search reading the probe inline ==
+    the nested loop over the plain search output; all equal brute force as
+    a set."""
     graph, queries, gamma = data
-    python_result = BatchEnum(graph, gamma=gamma, kernel="python").run(queries)
-    if NUMPY_AVAILABLE:
-        numpy_result = BatchEnum(graph, gamma=gamma, kernel="numpy").run(queries)
-        assert numpy_result.paths_by_position == python_result.paths_by_position
-        assert numpy_result.sharing == python_result.sharing
+    probe_result = BatchEnum(graph, gamma=gamma).run(queries)
 
     enum = BatchEnum(graph, gamma=0.0)
     roots = _plain_roots(enum, graph, dict(enumerate(queries)))
@@ -384,7 +379,7 @@ def test_probe_fed_by_the_search_equals_the_nested_loop(data):
         expected = reference_join(forward, backward, query.t, policy)
         assert one_cluster.paths_by_position[position] == expected
         if gamma == 0.0:
-            assert python_result.paths_by_position[position] == expected
+            assert probe_result.paths_by_position[position] == expected
         single = PathEnum(graph)
         assert single.enumerate(query) == reference_join(
             single._search(query, single._index_for(query), True, policy.forward_budget),
@@ -394,7 +389,7 @@ def test_probe_fed_by_the_search_equals_the_nested_loop(data):
         )
     brute = oracle(graph, queries)
     assert_answers(brute, one_cluster, "the nested loop")
-    assert_answers(brute, python_result, "the probe")
+    assert_answers(brute, probe_result, "the probe")
 
 
 def _layered_graph():

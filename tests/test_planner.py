@@ -1,7 +1,7 @@
 """Tests for the plan/execute split: QueryPlanner, ExecutionPlan and the
 one eagerly-validated ``ExecutionConfig`` the options live on.
 
-The load-bearing contracts: ``"auto"`` is one process and never opens a
+The load-bearing contracts: the default is one process and never opens a
 process pool, and whatever a plan records — worker count, shard
 assignments — the paths delivered per batch position are bit-identical
 to the ``num_workers=1`` run (which plans nothing).  The all-algorithms
@@ -27,7 +27,6 @@ from repro.batch.engine import BatchQueryEngine
 from repro.batch.executor import stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
 from repro.batch.service import IngestionService
-from repro.enumeration import kernels
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
@@ -44,14 +43,17 @@ def _workload(seed, num_queries=8):
 # Eager validation: every execution option is checked once, by the
 # ExecutionConfig both public constructors build before any query is seen
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("bad", [0, -1, -7, 2.5, "turbo", "", True, False, None])
+@pytest.mark.parametrize(
+    "bad", [0, -1, -7, 2.5, "turbo", "", "auto", True, False, None]
+)
 def test_engine_rejects_bad_num_workers_eagerly(bad):
     graph, _ = _workload(0)
     with pytest.raises((ValueError, TypeError)):
         BatchQueryEngine(graph, num_workers=bad)
 
 
-@pytest.mark.parametrize("num_workers", [1, "auto"])
+# One worker count, spelled out so each ID keeps naming the process count.
+@pytest.mark.parametrize("num_workers", [1])
 @pytest.mark.parametrize(
     "option, bad",
     [
@@ -62,17 +64,12 @@ def test_engine_rejects_bad_num_workers_eagerly(bad):
         ("gamma", 1.5),
         ("num_workers", 0),
         ("num_workers", "AUTO"),
-        ("kernel", "cuda"),
-        ("kernel", "numpy"),  # with numpy made unavailable below
     ],
 )
-def test_bad_execution_options_raise_at_construction(
-    option, bad, num_workers, monkeypatch
-):
+def test_bad_execution_options_raise_at_construction(option, bad, num_workers):
     """``ValueError`` from ``BatchQueryEngine(...)`` and from
     ``IngestionService(..., start=False)``, ``num_workers=1`` included —
     the route that plans nothing used to check ``max_workers`` never."""
-    monkeypatch.setattr(kernels, "NUMPY_AVAILABLE", False)
     graph, _ = _workload(0)
     options = {"num_workers": num_workers, option: bad}
     with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ def test_bad_execution_options_raise_at_construction(
         IngestionService(graph, start=False, **options)
 
 
-@pytest.mark.parametrize("good", [1, 2, 16, "auto"])
+@pytest.mark.parametrize("good", [1, 2, 16])
 def test_engine_accepts_valid_num_workers(good):
     graph, _ = _workload(0)
     engine = BatchQueryEngine(graph, num_workers=good)
@@ -89,10 +86,9 @@ def test_engine_accepts_valid_num_workers(good):
 
 
 def test_validate_num_workers_is_exported_and_strict():
-    assert validate_num_workers("auto") == "auto"
     assert validate_num_workers(3) == 3
     with pytest.raises(ValueError):
-        validate_num_workers("AUTO")
+        validate_num_workers("auto")
     with pytest.raises(ValueError):
         validate_num_workers(True)
 
@@ -113,12 +109,18 @@ def test_planner_validates_num_workers_and_max_workers_itself():
 def test_execution_options_are_declared_once():
     """The planner and the executor take the config object; neither
     re-declares one of its fields (or the detection-depth constant)."""
-    fields = {"algorithm", "gamma", "kernel", "max_detection_depth"}
+    fields = {"algorithm", "gamma", "max_detection_depth"}
     for callable_ in (QueryPlanner.__init__, stream_parallel):
         parameters = inspect.signature(callable_).parameters
         assert "config" in parameters
         assert not fields & set(parameters), callable_
     assert "num_workers" not in inspect.signature(QueryPlanner.plan).parameters
+    # The plan carries its batch: the fan-out takes no second copy of it.
+    assert list(inspect.signature(stream_parallel).parameters)[:2] == [
+        "plan",
+        "config",
+    ]
+    assert "queries" not in inspect.signature(stream_parallel).parameters
 
 
 def test_execution_config_is_frozen_hashable_and_picklable():
@@ -128,8 +130,7 @@ def test_execution_config_is_frozen_hashable_and_picklable():
     assert hash(config) == hash(ExecutionConfig("basic+", 0.25, 3))
     # It travels to the workers through the pool initializer.
     assert pickle.loads(pickle.dumps(config)) == config
-    assert config.processes == 3
-    assert ExecutionConfig(num_workers="auto").processes == 1
+    assert ExecutionConfig().num_workers == 1
 
 
 # --------------------------------------------------------------------- #
@@ -173,11 +174,15 @@ def test_explain_does_not_execute():
     assert plan.stage_timer.total("Enumeration") == 0.0
 
 
-def test_a_plan_answers_the_batch_it_was_planned_for(paper_graph):
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_a_plan_answers_the_batch_it_was_planned_for(paper_graph, num_workers):
     """``stream_planned`` takes the plan alone and runs ``plan.queries``,
-    so one batch's answers can never be labelled with another batch's
-    positions."""
-    engine = BatchQueryEngine(paper_graph, algorithm="batch+")
+    in this process or fanned out (``stream_parallel`` takes the plan
+    alone too), so one batch's answers can never be labelled with another
+    batch's positions."""
+    engine = BatchQueryEngine(
+        paper_graph, algorithm="batch+", num_workers=num_workers
+    )
     batches = (
         [HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5)],
         [HCSTQuery(4, 14, 4), HCSTQuery(0, 11, 5)],
@@ -189,7 +194,7 @@ def test_a_plan_answers_the_batch_it_was_planned_for(paper_graph):
         assert_answers(oracle(paper_graph, queries), answers)
 
 
-def test_auto_resolves_to_one_on_tiny_workloads():
+def test_the_default_is_one_process_on_tiny_workloads():
     graph, queries = _workload(4)
     for algorithm in ALGORITHMS:
         plan = BatchQueryEngine(graph, algorithm=algorithm).explain(queries)
@@ -198,9 +203,9 @@ def test_auto_resolves_to_one_on_tiny_workloads():
         assert "workers: 1" in plan.describe()
 
 
-def test_auto_never_opens_a_process_pool(monkeypatch):
+def test_the_default_never_opens_a_process_pool(monkeypatch):
     """A multi-cluster batch on which the deleted cost model chose two
-    workers (``max_workers=2``) runs in this process under ``"auto"``."""
+    workers (``max_workers=2``) runs in this process by default."""
     graph = random_directed_gnm(3000, 24000, seed=2)
     queries = generate_random_queries(graph, 16, min_k=7, max_k=7, seed=2)
     expected = BatchQueryEngine(
@@ -236,7 +241,7 @@ def test_fixed_worker_request_is_honoured():
 
 def test_planner_reuses_artifacts_in_sequential_auto_run():
     graph, queries = _workload(13)
-    engine = BatchQueryEngine(graph, algorithm="batch+")  # auto -> 1
+    engine = BatchQueryEngine(graph, algorithm="batch+")  # one process
     result = engine.run(queries)
     # BuildIndex ran exactly once and was reused; a duplicated build would
     # show up as a second timing entry of the same magnitude, so we simply

@@ -21,7 +21,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_directed_gnm
 from repro.graph.snapshots import DEFAULT_MAX_LOG, SnapshotStore
@@ -366,7 +365,6 @@ def _assert_snapshot_is(csr, version, num_vertices, edges):
         reference = _reference_rows(num_vertices, edges, forward)
         assert csr.adjacency_lists(forward) == reference
         assert clone.adjacency_lists(forward) == reference
-        assert csr.flat(forward) == CSRGraph._pack(reference)
         for v in range(num_vertices):
             assert csr.neighbors(v, forward) == reference[v]
             degree = csr.out_degree(v) if forward else csr.in_degree(v)

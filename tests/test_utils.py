@@ -4,37 +4,13 @@ import time
 
 import pytest
 
-from repro.utils.timer import StageTimer, Timer
+from repro.utils.timer import StageTimer
 from repro.utils.validation import (
     require,
     require_non_negative,
     require_positive,
     require_vertex,
 )
-
-
-def test_timer_accumulates():
-    timer = Timer()
-    with timer:
-        time.sleep(0.001)
-    first = timer.elapsed
-    with timer:
-        time.sleep(0.001)
-    assert timer.elapsed > first
-
-
-def test_timer_stop_without_start():
-    timer = Timer()
-    with pytest.raises(RuntimeError):
-        timer.stop()
-
-
-def test_timer_reset():
-    timer = Timer()
-    with timer:
-        pass
-    timer.reset()
-    assert timer.elapsed == 0.0
 
 
 def test_stage_timer_accumulates_per_stage():
