@@ -19,7 +19,10 @@ sorted path list and ``repr(BatchResult.sharing)`` are equal: order
 also drains ``stream(ordered=True)``, whose positions must come out
 ``0..n-1``, and ``stream(ordered=False)``, where each position must come
 out exactly once; both streams' sorted lists must equal ``run()``'s and
-the other revision's.  The last line is ``N mismatches over M digests``;
+the other revision's.  Beside them, one graph digest per draw and per
+``repro.graph.generators`` family (at one fixed small seed) hashes the
+graph's out-rows and in-rows, so a change to the graph layer is checked
+row for row.  The last line is ``N mismatches over M digests``;
 each mismatch is printed above it.  ``--allow-sharing NAME`` turns a
 ``sharing``-only difference of that name into an "allowed" line, for a
 change that means to move those counters.  Positions whose emitted order
@@ -52,6 +55,14 @@ ALGORITHMS = ("pathenum", "basic", "basic+", "batch", "batch+")
 STREAMS = {"stream(ordered=True)": True, "stream(ordered=False)": False}
 #: ``benchmarks/perf/run.py``'s default seed, so the draws are its first.
 SEED = 20240
+#: One small graph of every generator family: (function name, arguments),
+#: each also called with ``seed=SEED``.
+GENERATED = {
+    "random_directed_gnm": (500, 4000),
+    "powerlaw_directed": (600, 5),
+    "small_world_directed": (500, 4),
+    "layered_dag": (6, 40, 3),
+}
 
 
 def draws() -> List[Dict[str, object]]:
@@ -85,19 +96,33 @@ def _sha(value: object) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
+def graph_digest(graph) -> Dict[str, object]:
+    """Vertex and edge counts, and one hash each of the out- and in-rows."""
+    return {
+        "counts": [graph.num_vertices, graph.num_edges],
+        "out": _sha([tuple(graph.out_neighbors(v)) for v in graph.vertices()]),
+        "in": _sha([tuple(graph.in_neighbors(v)) for v in graph.vertices()]),
+    }
+
+
 def child(draws_file: str) -> None:
     """Run every draw under every name on the ``repro`` of ``PYTHONPATH``
     and print one JSON line per digest."""
     import repro
     from repro import BatchQueryEngine, DiGraph, HCSTQuery
     from repro.enumeration.paths import sort_paths
+    from repro.graph import generators
 
     print(json.dumps({"repro": repro.__file__}), flush=True)
+    for family, arguments in GENERATED.items():
+        graph = getattr(generators, family)(*arguments, seed=SEED)
+        print(json.dumps({"graph": family, **graph_digest(graph)}), flush=True)
     for draw in json.loads(Path(draws_file).read_text()):
         graph = DiGraph.from_edges(
             [tuple(edge) for edge in draw["edges"]],
             num_vertices=draw["num_vertices"],
         )
+        print(json.dumps({"graph": draw["name"], **graph_digest(graph)}), flush=True)
         queries = [HCSTQuery(*triple) for triple in draw["queries"]]
         for algorithm in ALGORITHMS:
             engine = BatchQueryEngine(graph, algorithm, **draw["options"])
@@ -126,7 +151,8 @@ def child(draws_file: str) -> None:
 
 
 def run_tree(tree: Path, draws_file: str) -> Dict[tuple, dict]:
-    """Digests of one tree, keyed by (draw, algorithm)."""
+    """Digests of one tree, keyed by (draw, algorithm) for results and by
+    ("graph", draw or family) for graphs."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", draws_file],
@@ -136,7 +162,10 @@ def run_tree(tree: Path, draws_file: str) -> Dict[tuple, dict]:
     if tree.resolve() not in loaded.parents:
         raise RuntimeError(f"{tree} imported repro from {loaded}")
     records = [json.loads(line) for line in out[1:]]
-    return {(r["draw"], r["algorithm"]): r for r in records}
+    return {
+        ("graph", r["graph"]) if "graph" in r else (r["draw"], r["algorithm"]): r
+        for r in records
+    }
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -177,6 +206,12 @@ def compare(
             mismatches += 1
             continue
         old, new = theirs[key], ours[key]
+        if key[0] == "graph":
+            for field in ("counts", "out", "in"):
+                if old[field] != new[field]:
+                    print(f"MISMATCH {label}: {field} {old[field]} -> {new[field]}")
+                    mismatches += 1
+            continue
         positions = [
             i for i, pair in enumerate(zip(old["sorted"], new["sorted"]))
             if pair[0] != pair[1]

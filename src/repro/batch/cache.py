@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.enumeration.paths import Path
-from repro.utils.validation import require
 
 
 class ResultCache:
@@ -38,7 +37,8 @@ class ResultCache:
     def put(self, node: Hashable, paths: Sequence[Path], consumers: int) -> None:
         """Store ``paths`` for ``node`` which will be read by ``consumers``
         later nodes.  A node with zero consumers is not stored at all."""
-        require(node not in self._paths, f"node {node!r} is already cached")
+        if node in self._paths:
+            raise ValueError(f"node {node!r} is already cached")
         if consumers <= 0:
             return
         self._paths[node] = tuple(paths)

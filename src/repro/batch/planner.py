@@ -40,7 +40,6 @@ from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
 from repro.queries.workload import QueryWorkload
 from repro.utils.timer import StageTimer
-from repro.utils.validation import require
 
 #: Guessed costs behind the ``delta``-or-``built`` choice: seconds per
 #: reachable (vertex, distance) entry of a fresh BFS build, and per
@@ -71,7 +70,8 @@ class ShardPlan:
     kernel: ClassVar[str] = "python"
 
     def __post_init__(self) -> None:
-        require(self.kind in ("cluster", "slice"), f"unknown shard kind {self.kind!r}")
+        if self.kind not in ("cluster", "slice"):
+            raise ValueError(f"unknown shard kind {self.kind!r}")
 
 
 @dataclass

@@ -49,10 +49,9 @@ class QuerySharingGraph:
     # Construction
     # ------------------------------------------------------------------ #
     def add_node(self, node: NodeType) -> None:
-        if isinstance(node, HCsPathQuery):
-            require(
-                node.direction is self.direction,
-                f"node {node} has direction {node.direction}, expected {self.direction}",
+        if isinstance(node, HCsPathQuery) and node.direction is not self.direction:
+            raise ValueError(
+                f"node {node} has direction {node.direction}, expected {self.direction}"
             )
         if node not in self._out:
             self._out[node] = []
@@ -69,10 +68,8 @@ class QuerySharingGraph:
         self.add_node(consumer)
         if consumer in self._out[provider]:
             return
-        require(
-            not self.would_create_cycle(provider, consumer),
-            f"edge {provider} -> {consumer} would create a cycle in Ψ",
-        )
+        if self.would_create_cycle(provider, consumer):
+            raise ValueError(f"edge {provider} -> {consumer} would create a cycle in Ψ")
         self._out[provider].append(consumer)
         self._in[consumer].append(provider)
 

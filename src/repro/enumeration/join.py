@@ -45,7 +45,6 @@ from typing import (
 )
 
 from repro.enumeration.paths import Path, is_simple
-from repro.utils.validation import require
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class JoinProbe:
 
     def __init__(self, backward_sides: Sequence[BackwardSide]) -> None:
         budgets = {policy.forward_budget for _, _, policy in backward_sides}
-        require(len(budgets) == 1, f"one forward side, one forward budget: {budgets}")
+        if len(budgets) != 1:
+            raise ValueError(f"one forward side, one forward budget: {budgets}")
         self.forward_budget = budgets.pop()
         self.by_junction: Dict[int, Entries] = {}
         self.by_target: Dict[int, Entries] = {}

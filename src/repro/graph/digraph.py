@@ -13,6 +13,10 @@ insert costs) and leaves every other row — and every sealed
 every enumeration algorithm visit neighbours, and so produce paths, in one
 order whichever view it reads and whatever order edges arrived in.
 
+The rows are the only record of ``E``: membership is a range check and a
+``bisect`` of the out-row, ``num_edges`` a counter, and no per-edge Python
+object is kept beside them; ``copy()`` and ``reverse()`` share them, O(V).
+
 Row entries are *interned*: every occurrence of vertex ``v`` is the one
 ``int`` object ``_ids[v]``.  That is a speed property only (set and dict
 probes in the searches hit the identity short-cut, and the int working set
@@ -22,6 +26,9 @@ is ``|V|`` objects instead of ``2|E|``); nothing may rely on it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
+from itertools import chain, repeat
+from operator import eq
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.graph.snapshots import SnapshotStore
@@ -55,6 +62,17 @@ def _without_entry(row: Row, entry: int) -> Row:
     return row
 
 
+def _filled_rows(
+    num_rows: int, at: Iterable[int], entries: Iterable[int]
+) -> List[List[int]]:
+    """``num_rows`` lists with each ``entries`` item appended to row ``at``:
+    one C-level ``map`` of appends, drained by ``deque(maxlen=0)``, with no
+    Python loop body per edge."""
+    rows: List[List[int]] = [[] for _ in range(num_rows)]
+    deque(map(list.append, map(rows.__getitem__, at), entries), maxlen=0)
+    return rows
+
+
 class DiGraph:
     """An unweighted directed graph ``G = (V, E)``.
 
@@ -69,7 +87,7 @@ class DiGraph:
         self._ids: List[int] = list(range(num_vertices))
         self._out: List[Row] = [()] * num_vertices
         self._in: List[Row] = [()] * num_vertices
-        self._edge_set: set[Edge] = set()
+        self._num_edges = 0
         self._version = 0
         self._snapshots = SnapshotStore(self)
 
@@ -84,34 +102,41 @@ class DiGraph:
 
         If ``num_vertices`` is omitted it is inferred as ``max id + 1``.
         Duplicate edges are silently ignored; self loops raise.
+
+        The rows are built in whole-list C-level passes (``map``, ``set``,
+        ``min``/``max``): each out-row is sorted and de-duplicated once, and
+        the in-rows come out sorted from a walk of the out-rows.  Edges are
+        checked one by one only if a whole-list check fails, so the first
+        offending edge raises with its own message.
         """
         edge_list = list(edges)
+        sources = [u for u, _ in edge_list]
+        targets = [v for _, v in edge_list]
         if num_vertices is None:
-            num_vertices = 0
-            for u, v in edge_list:
-                num_vertices = max(num_vertices, u + 1, v + 1)
+            num_vertices = max(0, max(chain(sources, targets), default=-1) + 1)
         graph = cls(num_vertices)
-        # Bulk path: append everything, then sort each row once.  Going
-        # through add_edge would cost O(degree) per edge — quadratic on
-        # high-degree hubs.
-        ids, edge_set = graph._ids, graph._edge_set
-        out: List[List[int]] = [[] for _ in range(num_vertices)]
-        inn: List[List[int]] = [[] for _ in range(num_vertices)]
-        for u, v in edge_list:
-            if (u, v) in edge_set:
-                continue
-            require_vertex(u, num_vertices, "u")
-            require_vertex(v, num_vertices, "v")
-            require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
-            out[u].append(ids[v])
-            inn[v].append(ids[u])
-            edge_set.add((u, v))
-        graph._out = [tuple(sorted(neighbors)) for neighbors in out]
-        graph._in = [tuple(sorted(neighbors)) for neighbors in inn]
-        with graph._snapshots.lock:
-            graph._version += 1
-            graph._snapshots.note_barrier()
-        return graph
+        if not (
+            set(map(type, sources)) | set(map(type, targets)) <= {int}
+            and min(chain(sources, targets), default=0) >= 0
+            and max(chain(sources, targets), default=0) < num_vertices
+            and not any(map(eq, sources, targets))
+        ):
+            for u, v in zip(sources, targets):
+                require_vertex(u, num_vertices, "u")
+                require_vertex(v, num_vertices, "v")
+                require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
+        ids = graph._ids
+        grouped = _filled_rows(num_vertices, sources, map(ids.__getitem__, targets))
+        del sources, targets, edge_list
+        out = list(map(tuple, map(sorted, map(set, grouped))))
+        del grouped
+        # Walking the out-rows in source order appends every in-row sorted.
+        inn = _filled_rows(
+            num_vertices,
+            chain.from_iterable(out),
+            chain.from_iterable(map(repeat, ids, map(len, out))),
+        )
+        return graph._installed(ids, out, list(map(tuple, inn)), sum(map(len, out)))
 
     def add_vertex(self) -> int:
         """Append a new isolated vertex and return its id.
@@ -142,10 +167,10 @@ class DiGraph:
             require_vertex(u, self.num_vertices, "u")
             require_vertex(v, self.num_vertices, "v")
             require(u != v, f"self loops are not allowed (got edge ({u}, {v}))")
-            require((u, v) not in self._edge_set, f"duplicate edge ({u}, {v})")
+            require(not self.has_edge(u, v), f"duplicate edge ({u}, {v})")
             self._out[u] = _with_entry(self._out[u], self._ids[v])
             self._in[v] = _with_entry(self._in[v], self._ids[u])
-            self._edge_set.add((u, v))
+            self._num_edges += 1
             self._version += 1
             self._snapshots.note_edge("+", u, v)
 
@@ -157,10 +182,10 @@ class DiGraph:
         consumers keep seeing the edge until they move to a newer version.
         """
         with self._snapshots.lock:
-            require((u, v) in self._edge_set, f"no such edge ({u}, {v})")
+            require(self.has_edge(u, v), f"no such edge ({u}, {v})")
             self._out[u] = _without_entry(self._out[u], v)
             self._in[v] = _without_entry(self._in[v], u)
-            self._edge_set.discard((u, v))
+            self._num_edges -= 1
             self._version += 1
             self._snapshots.note_edge("-", u, v)
 
@@ -192,7 +217,7 @@ class DiGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_set)
+        return self._num_edges
 
     def vertices(self) -> range:
         return range(self.num_vertices)
@@ -204,7 +229,13 @@ class DiGraph:
                 yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
+        """Whether ``(u, v)`` is an edge: a range check, then a bisect of
+        ``u``'s out-row (a negative ``u`` never reads the last row)."""
+        if not (isinstance(u, int) and 0 <= u < len(self._out)):
+            return False
+        row = self._out[u]
+        at = bisect_left(row, v)
+        return at < len(row) and row[at] == v
 
     def out_neighbors(self, v: int) -> Sequence[int]:
         """``G.nbr+(v)`` — successors of ``v``."""
@@ -231,22 +262,32 @@ class DiGraph:
         """Return ``Gr``: the graph with every edge direction flipped.
 
         The out/in rows of the reverse graph are exactly this graph's
-        in/out rows, so it *shares* them (and the interned ids): O(V)
-        pointers plus the flipped edge set, no per-edge ``add_edge``.
+        in/out rows, so it *shares* them (and the interned ids): ``O(V)``
+        pointers, nothing per edge.
         """
-        reversed_graph = DiGraph()
         with self._snapshots.lock:
-            reversed_graph._ids = list(self._ids)
-            reversed_graph._out = list(self._in)
-            reversed_graph._in = list(self._out)
-            reversed_graph._edge_set = {(v, u) for (u, v) in self._edge_set}
-        with reversed_graph._snapshots.lock:
-            reversed_graph._version += 1
-            reversed_graph._snapshots.note_barrier()
-        return reversed_graph
+            return DiGraph()._installed(
+                list(self._ids), list(self._in), list(self._out), self._num_edges
+            )
 
     def copy(self) -> "DiGraph":
-        return DiGraph.from_edges(self.edges(), num_vertices=self.num_vertices)
+        """An independent graph with the same edges, sharing the immutable
+        rows (a later mutation of either replaces rows, never edits them)."""
+        with self._snapshots.lock:
+            return DiGraph()._installed(
+                list(self._ids), list(self._out), list(self._in), self._num_edges
+            )
+
+    def _installed(
+        self, ids: List[int], out: List[Row], inn: List[Row], num_edges: int
+    ) -> "DiGraph":
+        """Take whole new rows: one version, and a snapshot barrier."""
+        with self._snapshots.lock:
+            self._ids, self._out, self._in = ids, out, inn
+            self._num_edges = num_edges
+            self._version += 1
+            self._snapshots.note_barrier()
+        return self
 
     def adjacency(self) -> List[List[int]]:
         """Return a deep copy of the out-adjacency lists."""
@@ -273,7 +314,7 @@ class DiGraph:
             return NotImplemented
         return (
             self.num_vertices == other.num_vertices
-            and self._edge_set == other._edge_set
+            and self._out == other._out
         )
 
     def __hash__(self) -> int:  # graphs are mutable; identity hash

@@ -83,7 +83,7 @@ def random_directed_gnm(
         v = rng.randrange(num_vertices)
         if u != v:
             edges.add((u, v))
-    return DiGraph.from_edges(sorted(edges), num_vertices=num_vertices)
+    return DiGraph.from_edges(edges, num_vertices=num_vertices)
 
 
 def powerlaw_directed(
@@ -129,7 +129,7 @@ def powerlaw_directed(
             attachment_pool.extend([new_vertex, target])
             if rng.random() < reciprocal_probability:
                 edges.add((target, new_vertex))
-    return DiGraph.from_edges(sorted(edges), num_vertices=num_vertices)
+    return DiGraph.from_edges(edges, num_vertices=num_vertices)
 
 
 def small_world_directed(
@@ -162,7 +162,7 @@ def small_world_directed(
                 while v == u:
                     v = rng.randrange(num_vertices)
             edges.add((u, v))
-    return DiGraph.from_edges(sorted(edges), num_vertices=num_vertices)
+    return DiGraph.from_edges(edges, num_vertices=num_vertices)
 
 
 def layered_dag(
@@ -193,7 +193,7 @@ def layered_dag(
             fanout = min(edges_per_vertex, layer_width)
             for v in rng.sample(next_layer, fanout):
                 edges.add((u, v))
-    return DiGraph.from_edges(sorted(edges), num_vertices=num_vertices)
+    return DiGraph.from_edges(edges, num_vertices=num_vertices)
 
 
 def random_queries_reachable(

@@ -25,6 +25,8 @@ class Direction(enum.Enum):
     FORWARD = "forward"    # paths on G, starting from a query source
     BACKWARD = "backward"  # paths on Gr, starting from a query target
 
+    __hash__ = object.__hash__  # singletons: an identity hash in C, not Enum's
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Direction.{self.name}"
 

@@ -62,10 +62,8 @@ class QueryWorkload:
                 "prebuilt index max_hops does not cover this workload",
             )
             for query in self.queries:
-                require(
-                    index.has_source(query.s) and index.has_target(query.t),
-                    f"prebuilt index does not cover {query}",
-                )
+                if not (index.has_source(query.s) and index.has_target(query.t)):
+                    raise ValueError(f"prebuilt index does not cover {query}")
         self.graph_version: int = self.csr.version
         self._index: Optional[CSRDistanceIndex] = index
         self._similarity: Optional[QuerySimilarityMatrix] = None

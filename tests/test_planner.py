@@ -239,12 +239,28 @@ def test_fixed_worker_request_is_honoured():
     assert per_query.num_shards == 3
 
 
-def test_planner_reuses_artifacts_in_sequential_auto_run():
+def test_each_run_and_each_planned_stream_builds_the_index_once(monkeypatch):
+    """One ``build_index`` per ``engine.run``, and one per ``explain`` +
+    ``stream_planned``: the plan's index is the one the search reads."""
+    import repro.queries.workload as workload_module
+
+    builds = []
+    real_build_index = workload_module.build_index
+
+    def counting_build_index(*args, **kwargs):
+        builds.append(args)
+        return real_build_index(*args, **kwargs)
+
+    monkeypatch.setattr(workload_module, "build_index", counting_build_index)
     graph, queries = _workload(13)
     engine = BatchQueryEngine(graph, algorithm="batch+")  # one process
     result = engine.run(queries)
-    # BuildIndex ran exactly once and was reused; a duplicated build would
-    # show up as a second timing entry of the same magnitude, so we simply
-    # require the stage to be present and the result complete.
+    assert len(builds) == 1
     assert result.stage_timer.total("BuildIndex") > 0.0
     assert len(result.paths_by_position) == len(queries)
+    engine.run(queries)
+    assert len(builds) == 2
+    plan = engine.explain(queries)
+    answers = dict(engine.stream_planned(plan))
+    assert len(builds) == 3
+    assert len(answers) == len(queries)
