@@ -15,22 +15,47 @@ nevertheless exposes :meth:`would_create_cycle` as a guard because a cyclic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
+from operator import itemgetter
 from typing import Dict, Iterator, List, Set, Union
 
 from repro.queries.query import Direction, HCsPathQuery
 from repro.utils.validation import require
 
 
-@dataclass(frozen=True, order=True)
-class QueryNode:
-    """A node of Ψ representing the HC-s-t path query at batch position
-    ``position`` (one per direction-specific sharing graph)."""
+class _QueryTag(enum.Enum):
+    """The second field of every :class:`QueryNode`."""
 
-    position: int
+    QUERY = "query"
+
+    __hash__ = object.__hash__  # a singleton: an identity hash in C
+
+
+class QueryNode(tuple):
+    """A node of Ψ representing the HC-s-t path query at batch position
+    ``position`` (one per direction-specific sharing graph).
+
+    The tuple ``(position, tag)``: it hashes and compares in C, like the
+    :class:`~repro.queries.query.HCsPathQuery` nodes beside it, and the
+    private tag keeps it unequal to a path, a vertex id or an HC-s path
+    query.  Nodes order by position.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, position: int) -> "QueryNode":
+        return tuple.__new__(cls, (position, _QueryTag.QUERY))
+
+    position = property(itemgetter(0), doc="The query's batch position.")
+
+    def __getnewargs__(self):
+        return (self[0],)
+
+    def __repr__(self) -> str:
+        return f"QueryNode(position={self[0]!r})"
 
     def __str__(self) -> str:
-        return f"Q#{self.position}"
+        return f"Q#{self[0]}"
 
 
 #: Ψ nodes are either HC-s-t query markers or HC-s path queries.

@@ -33,10 +33,12 @@ nothing on either side.
 :func:`choose_budget_split` prices the *roots* a group of queries will
 search, not the queries: per hop constraint, a candidate split costs the
 sum over distinct sources plus the sum over distinct targets, each root
-taking the most expensive of its queries.  ``BatchEnum+`` calls it once per
-cluster (queries of one ``k`` share one split, so identical roots stay
-shared); ``PathEnum`` — ``basic+`` and a cluster of one — calls it with
-its one query.
+taking the most expensive of its queries.  Only distinct queries are
+priced — a query repeated in the batch costs its root nothing more — so a
+burst of repeats pays for the split what its distinct queries pay.
+``BatchEnum+`` calls it once per cluster (queries of one ``k`` share one
+split, so identical roots stay shared); ``PathEnum`` — ``basic+`` and a
+cluster of one — calls it with its one query.
 """
 
 from __future__ import annotations
@@ -131,11 +133,14 @@ def choose_budget_split(
     Each split is priced over the roots the queries of that ``k`` search:
     the sum over distinct sources of their forward costs plus the sum over
     distinct targets of their backward costs, each root taking the maximum
-    over its queries.  Exact ties fall back to the paper's default
-    ``(⌈k/2⌉, ⌊k/2⌋)``.
+    over its queries.  Each distinct query is priced once: its copies cost
+    what it costs, so they cannot raise a root's maximum.  Exact ties fall
+    back to the paper's default ``(⌈k/2⌉, ⌊k/2⌋)``.
     """
     by_k: Dict[int, List[HCSTQuery]] = {}
-    for query in queries:
+    # Keyed by (s, t, k), which hashes in C; a dataclass hash is a Python call.
+    distinct = {(query.s, query.t, query.k): query for query in queries}
+    for query in distinct.values():
         by_k.setdefault(query.k, []).append(query)
     chosen: Dict[int, int] = {}
     for k, group in by_k.items():

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.utils.validation import require
@@ -286,23 +287,29 @@ class SnapshotStore:
         the versions run backwards, the log was trimmed past
         ``from_version``, or a barrier (vertex add, bulk rebuild) sits
         inside the window.
+
+        Costs the window, not the log: every version bump notes exactly
+        one entry and a barrier wipes the log, so the entries run
+        ``floor + 1, floor + 2, …`` and the window's are found by version
+        arithmetic, counted back from the newest entry: a window at the
+        head costs its own entries, however long the log has grown.
         """
         with self._lock:
             if from_version == to_version:
                 return [], []
             if from_version > to_version or from_version < self._log_floor:
                 return None
+            # The newest entry is version floor + len(log); to_version's
+            # sits `behind` entries before it.
+            behind = self._log_floor + len(self._log) - to_version
+            if behind < 0:
+                return None  # to_version is not logged (yet)
+            window = list(
+                islice(reversed(self._log), behind, behind + to_version - from_version)
+            )
             added: set = set()
             removed: set = set()
-            covered = from_version
-            for version, op, u, v in self._log:
-                if version <= from_version or version > to_version:
-                    continue
-                # Every single-edge mutation bumps the version by exactly
-                # one; a gap means a barrier landed inside the window.
-                if version != covered + 1:
-                    return None
-                covered = version
+            for _, op, u, v in reversed(window):
                 edge = (u, v)
                 if op == "+":
                     if edge in removed:
@@ -314,8 +321,6 @@ class SnapshotStore:
                         added.discard(edge)
                     else:
                         removed.add(edge)
-            if covered != to_version:
-                return None
             return sorted(added), sorted(removed)
 
     def __repr__(self) -> str:

@@ -9,12 +9,19 @@ Two query notions from the paper:
   all hop-constrained paths starting from ``v`` with hop budget ``k`` on
   either ``G`` (forward) or ``Gr`` (backward).  These are the units of
   shared computation detected by Algorithm 3.
+
+HCsPathQuery is a ``NamedTuple``: it keys the sharing graph Ψ, the detection
+frontier and the result cache, so it hashes and compares as a plain tuple in
+C rather than through dataclass-generated Python ``__hash__``/``__eq__``
+methods.  ``HCSTQuery`` is the public batch element, hashed a few times per
+batch, and stays a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.utils.validation import require, require_non_negative
 
@@ -89,21 +96,29 @@ class HCSTQuery:
         return f"q(s={self.s}, t={self.t}, k={self.k})"
 
 
-@dataclass(frozen=True, order=True)
-class HCsPathQuery:
-    """A HC-s path query ``q_{v,k}`` on ``G`` (forward) or ``Gr`` (backward).
-
-    The results of the query are all hop-constrained paths starting at
-    ``vertex`` using at most ``budget`` hops in the given direction.
-    """
-
+class _HCsPathQueryFields(NamedTuple):
     vertex: int
     budget: int
     direction: Direction
 
-    def __post_init__(self) -> None:
-        require_non_negative(self.vertex, "vertex")
-        require_non_negative(self.budget, "budget")
+
+class HCsPathQuery(_HCsPathQueryFields):
+    """A HC-s path query ``q_{v,k}`` on ``G`` (forward) or ``Gr`` (backward).
+
+    The results of the query are all hop-constrained paths starting at
+    ``vertex`` using at most ``budget`` hops in the given direction.
+
+    A ``(vertex, budget, direction)`` tuple: equality, hash and ordering
+    are the tuple's.  The direction is never an int, so no path (a tuple of
+    vertex ids) ever equals one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertex: int, budget: int, direction: Direction) -> "HCsPathQuery":
+        require_non_negative(vertex, "vertex")
+        require_non_negative(budget, "budget")
+        return tuple.__new__(cls, (vertex, budget, direction))
 
     def dominates(self, other: "HCsPathQuery", distance: float) -> bool:
         """Definition 4.3: ``self ≺ other`` iff they share a direction and

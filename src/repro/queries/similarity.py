@@ -24,7 +24,7 @@ the other's, and equals 0 when the neighbourhoods are disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.queries.query import HCSTQuery
@@ -109,23 +109,38 @@ class QuerySimilarityMatrix:
         """Build the pairwise µ matrix.
 
         The Γ/Γr sets are encoded as integer bitmasks (one bit per vertex)
-        so the |Q|²/2 intersections run as C-level ``&``/``bit_count``
-        operations; queries sharing an endpoint and hop constraint reuse
-        the same mask.  The index encodes each mask from the row's BFS
-        levels, so the cost follows the neighbourhood sizes.  This keeps
-        the ClusterQuery stage small relative to enumeration, as the paper
-        reports (Exp-3).
+        so the intersections run as C-level ``&``/``bit_count``
+        operations.  A mask is encoded once per endpoint key — ``(s, k)``
+        forward, ``(t, k)`` backward — from the row's BFS levels, so the
+        cost follows the neighbourhood sizes, and µ is evaluated once per
+        pair of *distinct* queries: a query repeated in the batch takes
+        its first occurrence's row and column, and two copies of one query
+        get µ = 1.0, the value Definition 4.5 gives them.  This keeps the
+        ClusterQuery stage small relative to enumeration, as the paper
+        reports (Exp-3), and a burst of repeats as cheap as its distinct
+        queries.
         """
-        count = len(queries)
+        # Keyed by the (s, t, k) tuple, which hashes in C; a dataclass
+        # hash is a Python call.
+        slot_of: Dict[Tuple[int, int, int], int] = {}
+        distinct: List[HCSTQuery] = []
+        slots = []
+        for q in queries:
+            key = (q.s, q.t, q.k)
+            if key not in slot_of:
+                slot_of[key] = len(distinct)
+                distinct.append(q)
+            slots.append(slot_of[key])
         forward_masks = {
-            key: index.forward_mask(*key) for key in {(q.s, q.k) for q in queries}
+            key: index.forward_mask(*key) for key in {(q.s, q.k) for q in distinct}
         }
         backward_masks = {
-            key: index.backward_mask(*key) for key in {(q.t, q.k) for q in queries}
+            key: index.backward_mask(*key) for key in {(q.t, q.k) for q in distinct}
         }
         encoded = [
-            forward_masks[q.s, q.k] + backward_masks[q.t, q.k] for q in queries
+            forward_masks[q.s, q.k] + backward_masks[q.t, q.k] for q in distinct
         ]
+        count = len(distinct)
         values = [[0.0] * count for _ in range(count)]
         for i, row in enumerate(values):
             row[i] = 1.0
@@ -149,6 +164,10 @@ class QuerySimilarityMatrix:
                 row[j] = values[j][i] = 2.0 / (
                     1.0 / forward_ratio + 1.0 / backward_ratio
                 )
+        if count < len(slots):
+            # Every position reads its distinct query's row and column.
+            columns = [[row[slot] for slot in slots] for row in values]
+            values = [list(columns[slot]) for slot in slots]
         return cls(values=values)
 
     def get(self, i: int, j: int) -> float:

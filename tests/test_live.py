@@ -20,7 +20,10 @@ from repro.batch.planner import QueryPlanner
 from repro.batch.service import serve
 from repro.bfs.distance_index import build_index
 from repro.graph.generators import random_directed_gnm
+from repro.graph.snapshots import SnapshotStore
+from repro.obs.metrics import MetricsRegistry
 from repro.queries.generation import generate_random_queries
+from test_differential import assert_answers, oracle
 
 
 def _mutate_randomly(graph, rng, steps):
@@ -192,4 +195,55 @@ def test_service_zero_errors_under_concurrent_mutation():
                 _mutate_randomly(graph, rng, 1)  # 12 interleaved mutations
         results = [ticket.result(timeout=60.0) for ticket in tickets]
     assert all(isinstance(paths, list) for paths in results)
+    assert service.stats().failed == 0
+
+
+def test_a_mutation_storm_past_the_log_makes_the_served_plan_rebuild():
+    """``serve()`` on a graph whose store keeps 4 log entries: one edit
+    between two rounds repairs the index by delta; ten edits overflow the
+    log, the planner's ``delta`` call comes back ``None`` and the next
+    plan builds.  Every ticket answers what brute force answers on the
+    graph it was admitted under (nothing mutates during a round)."""
+    graph = random_directed_gnm(120, 480, seed=21)
+    graph._snapshots = store = SnapshotStore(graph, max_log=4)
+    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=21)
+    asked = []  # (from_version, to_version, delta) of the planner's calls
+    netted = store.delta
+
+    def recorded_delta(from_version, to_version):
+        delta = netted(from_version, to_version)
+        asked.append((from_version, to_version, delta))
+        return delta
+
+    store.delta = recorded_delta
+    registry = MetricsRegistry()
+
+    def strategies():
+        counters = registry.snapshot()["counters"]
+        return {
+            strategy: counters.get(
+                f'repro_plan_index_strategy_total{{strategy="{strategy}"}}', 0
+            )
+            for strategy in ("built", "cached", "delta")
+        }
+
+    rng = random.Random(21)
+    with serve(graph, metrics=registry) as service:
+
+        def round_(route):
+            tickets = service.submit_many(queries)
+            answers = [ticket.result(timeout=60.0) for ticket in tickets]
+            assert_answers(oracle(graph, queries), answers, route)
+
+        round_("first round")
+        assert strategies() == {"built": 1, "cached": 0, "delta": 0}
+        _mutate_randomly(graph, rng, 1)
+        round_("after one edit")
+        assert strategies() == {"built": 1, "cached": 0, "delta": 1}
+        assert asked[-1][2] is not None
+        before_storm = graph.version
+        _mutate_randomly(graph, rng, 10)
+        round_("after the storm")
+        assert strategies() == {"built": 2, "cached": 0, "delta": 1}
+        assert asked[-1] == (before_storm, graph.version, None)
     assert service.stats().failed == 0

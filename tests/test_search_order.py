@@ -121,6 +121,39 @@ def test_roots_are_priced_once_however_many_queries_they_serve():
     assert _split(graph, group + group[:1] * 20) == {7: 5}
 
 
+def test_repeated_queries_are_priced_as_their_distinct_queries():
+    """A batch with every query repeated and shuffled takes the split of
+    its distinct queries, whose exact work (``split_oracle``) the copies
+    do not change either; and where that work clearly favours one split,
+    both take it."""
+    clear = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        graph = _regular_digraph(rng, 100, 4 + seed % 2)
+        k = 6 + seed % 2
+        for shape in (_strangers, _hot_group):
+            if shape is _strangers:
+                distinct = _strangers(rng, graph, k, 3)
+            else:
+                distinct = _hot_group(rng, graph, k)
+            batch = [q for q in distinct for _ in range(rng.randint(1, 4))]
+            rng.shuffle(batch)
+            chosen = _split(graph, batch)
+            assert chosen == _split(graph, distinct), (seed, shape.__name__)
+            exact = exact_split_costs(graph, batch, BACKWARD_PREFIX_WEIGHT)
+            assert exact == exact_split_costs(
+                graph, distinct, BACKWARD_PREFIX_WEIGHT
+            )
+            balanced = (k + 1) // 2
+            best, runner_up = sorted(
+                (balanced - 1, balanced, balanced + 1), key=exact.__getitem__
+            )[:2]
+            if exact[runner_up] >= 1.5 * exact[best]:
+                clear += 1
+                assert chosen[k] == best, (seed, shape.__name__, exact)
+    assert clear >= 6
+
+
 def test_a_cluster_of_one_and_basic_plus_get_the_same_split(monkeypatch):
     """Whichever route ``batch+`` prices a cluster of one through, the split
     it runs is the one ``basic+`` runs for that query."""

@@ -1,9 +1,18 @@
-"""Unit tests for the query sharing graph Ψ and the result cache R."""
+"""Unit tests for the query sharing graph Ψ, its node types and the result
+cache R."""
+
+import pickle
+import sys
+from collections import Counter
 
 import pytest
 
 from repro.batch.cache import ResultCache
+from repro.batch.engine import BatchQueryEngine
+from repro.batch.planner import QueryPlanner
 from repro.batch.sharing_graph import QueryNode, QuerySharingGraph
+from repro.graph.generators import random_directed_gnm
+from repro.queries.generation import generate_similar_workload
 from repro.queries.query import Direction, HCsPathQuery
 
 
@@ -147,3 +156,102 @@ def test_cache_double_put_rejected():
     cache.put(node, [(0,)], consumers=1)
     with pytest.raises(ValueError):
         cache.put(node, [(0,)], consumers=1)
+
+
+# --------------------------------------------------------------------- #
+# Node types: tuples that hash and compare in C
+# --------------------------------------------------------------------- #
+def test_node_equality_and_hash_follow_the_fields():
+    assert _node(3, 2) == _node(3, 2) and hash(_node(3, 2)) == hash(_node(3, 2))
+    assert _node(3, 2) != _node(3, 1) != _node(2, 1)
+    assert _node(3, 2) != _node(3, 2, Direction.BACKWARD)
+    assert QueryNode(4) == QueryNode(4) and hash(QueryNode(4)) == hash(QueryNode(4))
+    assert QueryNode(4) != QueryNode(5)
+    assert len({_node(3, 2), _node(3, 2), QueryNode(1), QueryNode(1)}) == 2
+
+
+def test_node_ordering_repr_and_str():
+    assert _node(1, 5) < _node(2, 0) < _node(2, 1)
+    assert QueryNode(2) < QueryNode(10) and not QueryNode(3) < QueryNode(3)
+    assert sorted([QueryNode(7), QueryNode(0), QueryNode(3)]) == [
+        QueryNode(0), QueryNode(3), QueryNode(7)
+    ]
+    assert repr(_node(3, 2)) == (
+        "HCsPathQuery(vertex=3, budget=2, direction=Direction.FORWARD)"
+    )
+    assert str(_node(3, 2)) == "q[3, 2, G]"
+    assert str(_node(3, 2, Direction.BACKWARD)) == "q[3, 2, Gr]"
+    assert repr(QueryNode(4)) == "QueryNode(position=4)"
+    assert str(QueryNode(4)) == "Q#4"
+    node = _node(3, 2, Direction.BACKWARD)
+    assert (node.vertex, node.budget, node.direction) == (3, 2, Direction.BACKWARD)
+    assert QueryNode(4).position == 4
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_nodes_survive_pickling(protocol):
+    for node in (_node(3, 2), _node(0, 0, Direction.BACKWARD), QueryNode(9)):
+        copy = pickle.loads(pickle.dumps(node, protocol))
+        assert copy == node and hash(copy) == hash(node)
+        assert type(copy) is type(node) and repr(copy) == repr(node)
+
+
+def test_a_negative_vertex_or_budget_still_raises():
+    with pytest.raises(ValueError, match="vertex"):
+        HCsPathQuery(-1, 2, Direction.FORWARD)
+    with pytest.raises(ValueError, match="budget"):
+        HCsPathQuery(1, -2, Direction.FORWARD)
+    with pytest.raises(ValueError, match="int"):
+        HCsPathQuery(1.0, 2, Direction.FORWARD)
+
+
+def test_nodes_paths_and_vertices_never_compare_equal():
+    """A Ψ node is keyed beside paths and vertex ids: no HC-s path query,
+    query node, path tuple or vertex int equals one of another kind."""
+    kinds = [
+        [_node(3, 2), _node(3, 0, Direction.BACKWARD), _node(0, 3)],
+        [QueryNode(3), QueryNode(0), QueryNode(2)],
+        [(3,), (3, 2), (3, 2, 0), (0, 3), ()],
+        [3, 0, 2],
+    ]
+    for a, group_a in enumerate(kinds):
+        for b, group_b in enumerate(kinds):
+            if a != b:
+                for x in group_a:
+                    for y in group_b:
+                        assert x != y and not x == y, (x, y)
+
+
+def test_a_planned_micro_batch_hashes_no_node_in_python():
+    """One 24-query micro-batch shaped like the live_serve benchmark's
+    (Exp-1 groups at µ 0.5, repeats included), planned and executed under
+    ``sys.setprofile``: no Python-level ``__hash__``/``__eq__`` frame runs
+    in the node and query modules — Ψ keys hash and compare in C, and the
+    front end dedupes by tuple.  A count, not a timing."""
+    graph = random_directed_gnm(600, 2400, seed=3)
+    queries, _ = generate_similar_workload(graph, 96, 0.5, 4, 5, seed=3, measure=False)
+    batch = queries[:24]
+    assert len(set(batch)) < len(batch)  # the batch has repeats
+    engine = BatchQueryEngine(graph)
+    planner = QueryPlanner(graph, engine.config)
+    frames = Counter()
+
+    def count(frame, event, _arg):
+        if event == "call":
+            frames[frame.f_globals.get("__name__"), frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        answered = dict(engine.stream_planned(planner.plan(batch)))
+    finally:
+        sys.setprofile(None)
+    # The hook saw the pipeline: Ψ was built and every position answered.
+    assert frames["repro.batch.detection", "detect_common_queries"] > 0
+    assert sorted(answered) == list(range(len(batch)))
+    keyed = {
+        key: calls
+        for key, calls in frames.items()
+        if key[0] in ("repro.queries.query", "repro.batch.sharing_graph")
+        and key[1] in ("__hash__", "__eq__")
+    }
+    assert keyed == {}

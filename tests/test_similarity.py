@@ -1,11 +1,14 @@
 """Unit tests for the query similarity measures (Definitions 4.4-4.6)."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from full_rescan_clustering import cluster_by_full_rescan
-from repro.batch.clustering import cluster_queries
+from per_position_similarity import per_position_values
+from repro.batch.clustering import cluster_by_similarity, cluster_queries
 from repro.bfs.distance_index import NARROW_MAX_HOPS, build_index
 from repro.graph.generators import paper_example_graph, random_directed_gnm
 from repro.queries.query import HCSTQuery
@@ -132,3 +135,34 @@ def test_the_mask_matrix_is_the_neighbourhood_set_matrix(data, gamma):
         assert cluster_queries(workload, gamma) == cluster_by_full_rescan(
             matrix, gamma
         )
+
+
+@given(workloads(), st.sampled_from(GAMMAS), st.integers(0, 2**16))
+@SETTINGS
+def test_repeats_cost_nothing_and_change_nothing(data, gamma, seed):
+    """With every query repeated up to three times and the batch shuffled,
+    the matrix built once per distinct query equals the per-position
+    evaluation float for float, and ClusterQuery returns the lists the
+    per-position matrix gives."""
+    graph, queries = data
+    rng = random.Random(seed)
+    batch = [q for q in queries for _ in range(rng.randint(1, 3))]
+    rng.shuffle(batch)
+    index = QueryWorkload(graph, batch).index
+    matrix = QuerySimilarityMatrix.from_queries(batch, index)
+    reference = per_position_values(batch, index)
+    assert matrix.values == reference
+    # Rows are the caller's: no two positions share one list.
+    assert len({id(row) for row in matrix.values}) == len(batch)
+    assert cluster_queries(QueryWorkload(graph, batch, index=index), gamma) == (
+        cluster_by_similarity(QuerySimilarityMatrix(reference), gamma)
+    )
+
+
+def test_identical_queries_in_one_batch_read_one():
+    queries = [HCSTQuery(0, 11, 5), HCSTQuery(2, 13, 5), HCSTQuery(0, 11, 5)]
+    index = _paper_index(queries)
+    matrix = QuerySimilarityMatrix.from_queries(queries, index)
+    assert matrix.get(0, 2) == matrix.get(2, 0) == 1.0
+    assert matrix.values[0] == matrix.values[2]
+    assert matrix.get(0, 1) == matrix.get(2, 1) == pytest.approx(0.93, abs=0.02)

@@ -9,6 +9,7 @@ adjacency rows while no sealed snapshot ever changes.
 """
 
 import pickle
+import random
 import threading
 import time
 
@@ -203,6 +204,66 @@ def test_delta_none_once_log_trims_past_from_version():
     recent = graph.version
     graph.add_edge(0, 2)
     assert graph.snapshots.delta(recent, graph.version) == ([(0, 2)], [])
+
+
+def _delta_by_full_scan(store, from_version, to_version):
+    """Reference for ``delta``: the whole log scanned and netted, as the
+    store did before it located the window by version arithmetic."""
+    if from_version == to_version:
+        return [], []
+    if from_version > to_version or from_version < store._log_floor:
+        return None
+    added, removed = set(), set()
+    covered = from_version
+    for version, op, u, v in store._log:
+        if version <= from_version or version > to_version:
+            continue
+        if version != covered + 1:
+            return None
+        covered = version
+        edge = (u, v)
+        if op == "+":
+            if edge in removed:
+                removed.discard(edge)
+            else:
+                added.add(edge)
+        else:
+            if edge in added:
+                added.discard(edge)
+            else:
+                removed.add(edge)
+    if covered != to_version:
+        return None
+    return sorted(added), sorted(removed)
+
+
+@pytest.mark.parametrize("max_log", [0, 1, 3, 8, 64])
+def test_delta_reads_the_window_the_full_scan_nets(max_log):
+    """On random logs — single-edge edits, vertex-add barriers, and trims
+    once the log outgrows ``max_log`` — every window from before the floor
+    to past the head, at the head and in the middle, nets what a scan of
+    the whole log nets, ``None`` cases included."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        graph = random_directed_gnm(6, 10, seed=seed)
+        graph._snapshots = store = SnapshotStore(graph, max_log=max_log)
+        first = graph.version
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.05:
+                graph.add_vertex()
+            elif roll < 0.5 and graph.num_edges:
+                graph.remove_edge(*rng.choice(sorted(graph.edges())))
+            else:
+                u, v = rng.sample(range(graph.num_vertices), 2)
+                if not graph.has_edge(u, v):
+                    graph.add_edge(u, v)
+            versions = range(first - 1, graph.version + 2)
+            for a in versions:
+                for b in versions:
+                    assert store.delta(a, b) == _delta_by_full_scan(store, a, b), (
+                        seed, a, b,
+                    )
 
 
 # --------------------------------------------------------------------- #
