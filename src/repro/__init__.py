@@ -16,11 +16,17 @@ Quickstart
 >>> sorted(result.paths_at(0))
 [(0, 1, 2, 3), (0, 2, 3)]
 
-Large batches can be sharded across worker processes; results are merged
-by batch position and are identical to the single-process run::
+A batch runs in this process by default — plan (distance index,
+clustering), then execute — and ``engine.explain(queries)`` returns that
+plan without running it::
 
-    engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=4)
+    engine = BatchQueryEngine(graph, algorithm="batch+")  # num_workers=1
+    print(engine.explain(queries).describe())
     result = engine.run(queries)
+
+An explicit ``num_workers >= 2`` shards the batch across worker
+processes; results are merged by batch position and are identical to the
+single-process run.
 
 Results can also be *streamed*: ``engine.stream(queries)`` yields
 ``(batch_position, paths)`` tuples as soon as the owning shard/cluster

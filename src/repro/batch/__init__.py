@@ -12,9 +12,10 @@
 * :mod:`repro.batch.detection` — Algorithm 3 (``DetectCommonQuery``) and the
   query sharing graph Ψ.
 * :mod:`repro.batch.config` — the execution options, declared and
-  validated once as the frozen :class:`ExecutionConfig`, and the one
+  validated once as the frozen :class:`ExecutionConfig`, the one
   per-algorithm table (display name, clustered, indexed, "+") that engine,
-  planner, executor and service all read.
+  planner, executor and service all read, and ``run_shard``, the one call
+  that executes a plan's queries on its index and clusters.
 * :mod:`repro.batch.engine` — the :class:`BatchQueryEngine` facade, with a
   blocking ``run``, a streaming ``stream`` front-end that flushes
   ``(batch_position, paths)`` tuples as shards, clusters or queries
@@ -23,12 +24,12 @@
   process unless the caller asks for ``num_workers >= 2``.
 * :mod:`repro.batch.planner` — :class:`QueryPlanner` emits an
   :class:`ExecutionPlan` (worker count as configured, shard assignments,
-  index strategy) that the ingestion service and an
-  explicit multi-process run execute.
+  index strategy); every batch — each engine call, each service
+  micro-batch — executes one.
 * :mod:`repro.batch.executor` — the explicit multi-process fan-out: a
-  process pool opened for the call (the sealed graph pickled once through
-  its initializer, each shard task carrying its own endpoints' rows of the
-  parent-built index), shard futures drained as they complete and result
+  process pool opened for the call (the sealed graph and the plan's index
+  handed over once through its initializer, each shard task carrying its
+  positions and queries), shard futures drained as they complete and result
   fragments keyed by batch position — plus the reorder-buffer flushing
   core every streaming route shares.
 * :mod:`repro.batch.service` — continuous ingestion: an

@@ -176,9 +176,10 @@ class BatchEnum:
         positions of each forward root once its join has recorded them.
 
         Clusters are independent of one another by construction, which makes
-        this the shard boundary of :mod:`repro.batch.executor`: the parallel
-        mode calls this method from worker processes with a per-cluster
-        index and merges the per-position results afterwards.
+        a cluster the shard boundary of :mod:`repro.batch.executor`: a
+        worker runs :meth:`iter_run` on its shard's queries with the one
+        cluster they form and the plan's whole index, and the parent merges
+        the per-position results afterwards.
 
         A cluster of one *is* a single query — every cluster under
         ``cluster=False``: it runs :meth:`PathEnum.enumerate` on the shared

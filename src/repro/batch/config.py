@@ -8,8 +8,9 @@ and validated; the public facades
 their keywords and the planner, the executor and the worker processes
 receive it untouched.  :data:`ALGORITHM_TABLE` is the one place an
 algorithm name is turned into anything — its display label and how the
-planner shards it — and :func:`fragment_generator` the one place it is
-turned into the fragment generator that runs it.
+planner shards it — and :func:`run_shard` the one place it is turned
+into the fragment generator that runs it, which is how every plan
+executes: the whole batch in this process, or one shard in a worker.
 
 This module sits below ``engine``, ``planner``, ``executor`` and
 ``service``: all four import it, it imports none of them.
@@ -18,13 +19,14 @@ This module sits below ``engine``, ``planner``, ``executor`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.batch.basic_enum import iter_pathenum_baseline
 from repro.batch.batch_enum import BatchEnum
 from repro.batch.results import FragmentStream
 from repro.graph.csr import CSRGraph
+from repro.queries.query import HCSTQuery
+from repro.queries.workload import QueryWorkload
 from repro.utils.validation import require, require_positive
 
 
@@ -55,9 +57,9 @@ class AlgorithmSpec:
         Runs ClusterQuery: a batch is sharded per cluster, otherwise into
         contiguous batch slices, and every query is a cluster of one.
     indexed:
-        Reads the shared distance index (runs :class:`BatchEnum`); a
-        parallel plan ships each shard its endpoints' rows of the
-        parent-built index.  ``pathenum`` alone builds one per query.
+        Reads the plan's shared distance index (runs :class:`BatchEnum`),
+        in this process or in a worker.  ``pathenum`` alone builds one per
+        query.
     optimize_search_order:
         The "+" variants' adaptive forward/backward budget split.
     """
@@ -68,32 +70,36 @@ class AlgorithmSpec:
     optimize_search_order: bool = False
 
 
-def make_enumerator(snapshot: CSRGraph, config: "ExecutionConfig") -> BatchEnum:
-    """The index-sharing enumerator of ``config.algorithm`` on ``snapshot``.
+def run_shard(
+    snapshot: CSRGraph,
+    config: "ExecutionConfig",
+    queries: Sequence[HCSTQuery],
+    workload: Optional[QueryWorkload] = None,
+    clusters: Optional[List[List[int]]] = None,
+) -> FragmentStream:
+    """Run ``queries`` on ``workload``'s index with ``clusters`` under
+    ``config.algorithm``: the one execution call of a plan, made for the
+    whole batch in this process and for each shard in a worker, so a shard
+    meets the same enumerator whoever runs it — the per-query PathEnum
+    baseline, or :class:`BatchEnum` (``cluster=False`` for
+    ``basic``/``basic+``).
 
-    The one place ``BatchEnum`` is constructed for the engine (planned or
-    not) and for both worker tasks, so a shard meets the same object
-    whoever runs it; ``basic``/``basic+`` are its ``cluster=False`` form.
+    ``workload`` holds ``queries`` and the plan's distance index (``None``
+    for ``pathenum``, which builds one per query); its stage timer records
+    the stages.  ``clusters`` lists positions into ``queries``; ``None``
+    makes every position a cluster of one for ``basic``/``basic+``.
+    Fragments are keyed by position in ``queries``.
     """
     spec = ALGORITHM_TABLE[config.algorithm]
-    return BatchEnum(
+    if not spec.indexed:
+        return iter_pathenum_baseline(snapshot, queries)
+    enumerator = BatchEnum(
         snapshot,
         gamma=config.gamma,
         optimize_search_order=spec.optimize_search_order,
         cluster=spec.clustered,
     )
-
-
-def fragment_generator(
-    snapshot: CSRGraph, config: "ExecutionConfig"
-) -> Callable[..., FragmentStream]:
-    """``queries -> FragmentStream`` for ``config.algorithm`` on
-    ``snapshot``: the per-query PathEnum baseline, or the enumerator's
-    ``iter_run`` (which also accepts the planner's prebuilt
-    ``workload``/``clusters``)."""
-    if not ALGORITHM_TABLE[config.algorithm].indexed:
-        return partial(iter_pathenum_baseline, snapshot)
-    return make_enumerator(snapshot, config).iter_run
+    return enumerator.iter_run(queries, workload=workload, clusters=clusters)
 
 
 #: Engine algorithm name -> its :class:`AlgorithmSpec` (the paper's

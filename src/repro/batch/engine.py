@@ -19,24 +19,25 @@ The four indexed names are one enumerator,
 :class:`~repro.batch.batch_enum.BatchEnum`, configured by
 :data:`~repro.batch.config.ALGORITHM_TABLE`: ``cluster`` × "+".
 
-One process unless asked by number
-----------------------------------
+Every batch is planned, then executed
+-------------------------------------
 ``num_workers`` accepts a positive integer and defaults to 1: nothing
 forecasts whether a process fan-out would pay, so a batch runs in this
-process — index, clustering and enumeration in one pipeline — unless the
-caller asks for a number of processes.  An explicit ``num_workers >= 2``
-goes through two phases:
+process unless the caller asks for a number of processes.  Either way
+every ``run``/``stream`` call goes through two phases:
 
-1. **Plan** — a :class:`~repro.batch.planner.QueryPlanner` runs the cheap
-   global stages once (distance index, clustering) and records the
-   shards.  The resulting
-   :class:`~repro.batch.planner.ExecutionPlan` is a plain inspectable
-   object — :meth:`BatchQueryEngine.explain` returns it, for any worker
-   setting, without executing anything.
-2. **Execute** — the executor (:mod:`repro.batch.executor`) opens a
-   process pool for the call, pickles the sealed graph once per worker and
-   ships each shard the index rows of its own endpoints — workers never
-   run BFS — then joins the pool.
+1. **Plan** — a fresh :class:`~repro.batch.planner.QueryPlanner` runs the
+   cheap global stages once (distance index, clustering) and records the
+   shards.  The resulting :class:`~repro.batch.planner.ExecutionPlan` is a
+   plain inspectable object — :meth:`BatchQueryEngine.explain` returns
+   the plan ``run`` would execute, without executing anything.
+2. **Execute** — :func:`~repro.batch.config.run_shard` runs the plan's
+   queries on its index with its clusters: here for the whole batch, or,
+   with ``num_workers >= 2``, once per shard in a process pool the
+   executor (:mod:`repro.batch.executor`) opens for the call.  The pool's
+   initializer hands every worker the sealed graph and the plan's index —
+   workers never run BFS — and the pool is joined before the call
+   returns.
 
 Validation is eager: the constructor builds one
 :class:`~repro.batch.config.ExecutionConfig`, which rejects any bad option
@@ -85,11 +86,11 @@ from repro.batch.config import (
     ALGORITHM_TABLE,
     ALGORITHMS,
     ExecutionConfig,
-    fragment_generator,
+    run_shard,
 )
 from repro.batch.executor import flush_fragments, stream_parallel
 from repro.batch.planner import ExecutionPlan, QueryPlanner
-from repro.batch.results import BatchResult, FragmentStream, ResultStream, drain
+from repro.batch.results import BatchResult, ResultStream, drain
 from repro.enumeration.paths import Path
 from repro.graph.digraph import DiGraph
 from repro.obs.metrics import resolve_registry
@@ -173,7 +174,8 @@ class BatchQueryEngine:
         """Plan ``queries`` without executing them.
 
         Returns the :class:`~repro.batch.planner.ExecutionPlan` of the
-        batch: worker count, shard assignments and index strategy.
+        batch — worker count, shard assignments and index strategy —
+        built exactly as :meth:`run` builds the plan it executes.
         ``plan.describe()`` renders it human-readably.
         """
         return self._plan(list(queries))
@@ -282,40 +284,23 @@ class BatchQueryEngine:
         plan: Optional[ExecutionPlan] = None,
     ) -> ResultStream:
         """The shared fragment pipeline behind :meth:`run`, :meth:`stream`
-        and :meth:`stream_planned`: pick a fragment generator and push it
-        through the flushing core.  One process (``num_workers`` 1) runs
-        the algorithm's fragment generator on the sealed
-        head, planning nothing; an explicit ``num_workers >= 2`` plans and
-        fans out.  Every fragment is computed against one sealed snapshot —
-        concurrent graph mutation is copy-on-write and cannot reach an
-        in-flight stream."""
+        and :meth:`stream_planned`: plan the batch unless a plan is given,
+        execute it — in this process or fanned out — and push the
+        fragments through the flushing core.  Every fragment is computed
+        against the plan's sealed snapshot — concurrent graph mutation is
+        copy-on-write and cannot reach an in-flight stream."""
         if not queries:
             return BatchResult(
                 queries=[], algorithm=ALGORITHM_TABLE[self.algorithm].display_name
             )
-        if plan is None and self.config.num_workers == 1:
-            run = fragment_generator(self.graph.csr_snapshot(), self.config)
-            fragments = run(queries)
+        if plan is None:
+            plan = self._plan(queries)
+        if plan.num_workers <= 1:
+            fragments = run_shard(
+                plan.snapshot, self.config, plan.queries, plan.workload, plan.clusters
+            )
         else:
-            if plan is None:
-                plan = self._plan(queries)
-            if plan.num_workers <= 1:
-                fragments = self._planned_fragments(queries, plan)
-            else:
-                fragments = stream_parallel(
-                    plan, self.config, metrics=self.metrics, tracer=self.tracer
-                )
+            fragments = stream_parallel(
+                plan, self.config, metrics=self.metrics, tracer=self.tracer
+            )
         return (yield from flush_fragments(fragments, len(queries), ordered))
-
-    def _planned_fragments(
-        self, queries: List[HCSTQuery], plan: ExecutionPlan
-    ) -> FragmentStream:
-        """In-process execution of a plan (the ingestion service's route):
-        its prebuilt artefacts (snapshot, workload index, clusters) are
-        reused."""
-        run = fragment_generator(plan.snapshot, self.config)
-        if plan.clusters is not None:
-            return run(queries, workload=plan.workload, clusters=plan.clusters)
-        if plan.workload is not None:
-            return run(queries, workload=plan.workload)
-        return run(queries)

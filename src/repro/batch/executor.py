@@ -1,10 +1,10 @@
 """Sharded execution of one batch across worker processes, on request.
 
-Nothing reaches this module unless the caller asks for a number of
-processes: ``num_workers`` 1, the default, runs in the caller's process,
-and an explicit ``num_workers >= 2`` hands :func:`stream_parallel` the
-:class:`~repro.batch.planner.ExecutionPlan` a
-:class:`~repro.batch.planner.QueryPlanner` built for the batch.
+Every batch is planned; only an explicit ``num_workers >= 2`` hands
+:func:`stream_parallel` the :class:`~repro.batch.planner.ExecutionPlan` a
+:class:`~repro.batch.planner.QueryPlanner` built for it, while
+``num_workers`` 1, the default, executes the plan in the caller's
+process through the same :func:`~repro.batch.config.run_shard` call.
 
 ``BatchEnum`` processes a batch as *clusters* (Algorithm 2 groups queries
 that can share computation; sharing never crosses a cluster boundary), so a
@@ -18,17 +18,19 @@ hand a worker what it needs:
    matrix, ``ClusterQuery``, BuildIndex) already ran during planning; their
    timings live in the plan's stage timer.
 2. A process pool is opened for the call: the sealed
-   :class:`~repro.graph.csr.CSRGraph` and the
-   :class:`~repro.batch.config.ExecutionConfig` are pickled **once** per
-   worker process through its initializer; a worker builds its enumerator
-   from the same algorithm table the engine uses.
+   :class:`~repro.graph.csr.CSRGraph`, the
+   :class:`~repro.batch.config.ExecutionConfig` and the plan's
+   :class:`~repro.bfs.distance_index.CSRDistanceIndex` (with its BFS
+   levels) reach each worker **once**, through its initializer — inherited
+   under ``fork``, pickled once per worker under ``spawn``/``forkserver``.
+   No worker ever runs BFS.
 3. Every :class:`~repro.batch.planner.ShardPlan` becomes one task carrying
-   its positions/queries and — for the indexed algorithms — the
-   ``to_bytes()`` blob of the parent-built
-   :class:`~repro.bfs.distance_index.CSRDistanceIndex` *restricted to the
-   shard's own endpoints*.  Lemma 3.1 pruning only consults the rows of a
-   query's own endpoints, so the shard-local index prunes exactly like the
-   whole one and no worker ever runs BFS.
+   its positions and queries, which the worker runs through ``run_shard``
+   at positions ``0..n-1`` in ascending batch order — the order the shard
+   had in the batch, so Ψ, the path lists and the sharing statistics are
+   the in-process run's.  Lemma 3.1 pruning only consults the rows of a
+   query's own endpoints, so the whole index prunes a shard exactly as a
+   shard-local one would.
 4. The parent merges fragments **by batch position**, so results,
    ``SharingStats`` and stage timings are deterministic regardless of
    worker scheduling, and joins the pool before the call returns.
@@ -64,16 +66,10 @@ lost.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.batch.config import (
-    ALGORITHM_TABLE,
-    ExecutionConfig,
-    fragment_generator,
-    make_enumerator,
-)
+from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig, run_shard
 from repro.batch.planner import ExecutionPlan
 from repro.batch.results import (
     BatchResult,
@@ -94,17 +90,22 @@ from repro.utils.validation import require
 
 #: Worker-process state installed by :func:`_init_worker`.  The graph is a
 #: sealed :class:`~repro.graph.csr.CSRGraph` snapshot — workers never see
-#: the live, mutable ``DiGraph``.
+#: the live, mutable ``DiGraph`` — and the index is the plan's (``None``
+#: for ``pathenum``).
 _WORKER_GRAPH: Optional[CSRGraph] = None
 _WORKER_CONFIG: Optional[ExecutionConfig] = None
+_WORKER_INDEX: Optional[CSRDistanceIndex] = None
 
 
-def _init_worker(graph: CSRGraph, config: ExecutionConfig) -> None:
-    """Pool initializer: stash the sealed graph snapshot and the execution
-    config once per worker process."""
-    global _WORKER_GRAPH, _WORKER_CONFIG
+def _init_worker(
+    graph: CSRGraph, config: ExecutionConfig, index: Optional[CSRDistanceIndex]
+) -> None:
+    """Pool initializer: stash the sealed graph snapshot, the execution
+    config and the plan's distance index once per worker process."""
+    global _WORKER_GRAPH, _WORKER_CONFIG, _WORKER_INDEX
     _WORKER_GRAPH = graph
     _WORKER_CONFIG = config
+    _WORKER_INDEX = index
 
 
 #: A result fragment sent back by a worker: paths keyed by original batch
@@ -114,92 +115,45 @@ def _init_worker(graph: CSRGraph, config: ExecutionConfig) -> None:
 Fragment = Tuple[Dict[int, list], SharingStats, Dict[str, float], List[dict]]
 
 
-def _run_cluster_task(
-    queries_by_position: Dict[int, HCSTQuery],
-    index_blob: bytes,
+def _run_shard_task(
+    positions: List[int],
+    queries: List[HCSTQuery],
+    kind: str,
     span_context: Optional[SpanContext] = None,
 ) -> Fragment:
-    """Process one cluster inside a worker (``batch``/``batch+``)."""
+    """Run one shard inside a worker: a cluster (``batch``/``batch+``) or
+    a contiguous slice of independent queries, at local positions
+    ``0..n-1``, mapped back to the batch's ``positions`` on return."""
     graph, config = _WORKER_GRAPH, _WORKER_CONFIG
     assert graph is not None and config is not None, "worker not initialised"
-    enumerator = make_enumerator(graph, config)
-    stage_timer = StageTimer()
-    index = CSRDistanceIndex.from_bytes(index_blob)
-    sharing = SharingStats(num_clusters=1)
-    scratch = BatchResult(queries=[])
+    workload = None
+    if _WORKER_INDEX is not None:
+        workload = QueryWorkload(graph, queries, index=_WORKER_INDEX, csr=graph)
+    clusters = [list(range(len(queries)))] if kind == "cluster" else None
     spans = RemoteSpanRecorder(span_context)
-    with spans.span(
-        "enumerate",
-        tags={"kind": "cluster", "positions": len(queries_by_position)},
-    ):
-        # The shard ships whole: its per-root yields are drained here.
-        for _ in enumerator._process_cluster(
-            queries_by_position, index, stage_timer, scratch, sharing
-        ):
-            pass
-    return scratch.paths_by_position, sharing, stage_timer.totals, spans.records
-
-
-def _run_slice_task(
-    positions: Sequence[int],
-    queries: Sequence[HCSTQuery],
-    index_blob: Optional[bytes],
-    span_context: Optional[SpanContext] = None,
-) -> Fragment:
-    """Process one contiguous query slice inside a worker (per-query
-    algorithms: the sequential fragment generator is reused verbatim)."""
-    graph, config = _WORKER_GRAPH, _WORKER_CONFIG
-    assert graph is not None and config is not None, "worker not initialised"
-    run = fragment_generator(graph, config)
-    spans = RemoteSpanRecorder(span_context)
-    with spans.span(
-        "enumerate", tags={"kind": "slice", "positions": len(positions)}
-    ):
-        if index_blob is not None:
-            # ``basic``/``basic+``: enumerate on the slice's rows of the
-            # parent's index instead of re-running BFS.
-            index = CSRDistanceIndex.from_bytes(index_blob)
-            workload = QueryWorkload(graph, list(queries), index=index)
-            sub_result = drain(run(queries, workload=workload))
-        else:
-            sub_result = drain(run(queries))
+    tags = {"kind": kind, "positions": len(positions)}
+    with spans.span("enumerate", tags=tags):
+        result = drain(run_shard(graph, config, queries, workload, clusters))
     paths_by_position = {
-        position: sub_result.paths_by_position.get(local, [])
+        position: result.paths_by_position[local]
         for local, position in enumerate(positions)
     }
     return (
         paths_by_position,
-        sub_result.sharing,
-        sub_result.stage_timer.totals,
+        result.sharing,
+        result.stage_timer.totals,
         spans.records,
     )
 
 
 def _shard_tasks(
     plan: ExecutionPlan,
-) -> Iterator[Tuple[Callable[..., Fragment], tuple, Optional[bytes]]]:
-    """One ``(worker function, leading arguments, index blob)`` per plan
-    shard, in shard order.
-
-    The blob is the plan's distance index restricted to the shard's own
-    sources/targets, or ``None`` for the algorithms that read no shared
-    index.  Lazy, so a shard is submitted (and can start) while the next
-    one's rows are still being serialized.
-    """
-    index = plan.workload.index if plan.workload is not None else None
+) -> Iterator[Tuple[List[int], List[HCSTQuery], str]]:
+    """The arguments of one :func:`_run_shard_task` per plan shard, in
+    shard order: its positions, its queries and its kind."""
     for shard in plan.shards:
-        shard_queries = [plan.queries[position] for position in shard.positions]
-        blob = None
-        if index is not None:
-            blob = index.restrict(
-                {query.s for query in shard_queries},
-                {query.t for query in shard_queries},
-            ).to_bytes()
-        if shard.kind == "cluster":
-            by_position = dict(zip(shard.positions, shard_queries))
-            yield _run_cluster_task, (by_position,), blob
-        else:
-            yield _run_slice_task, (shard.positions, shard_queries), blob
+        queries = [plan.queries[position] for position in shard.positions]
+        yield shard.positions, queries, shard.kind
 
 
 def stream_parallel(
@@ -214,8 +168,8 @@ def stream_parallel(
     a :class:`~repro.batch.planner.QueryPlanner` built under this
     ``config``, and answers the batch it was built for, ``plan.queries``.
     A process pool of ``plan.num_workers`` workers, initialised with the
-    plan's sealed snapshot, is opened for the call; shards are submitted
-    to it and drained with ``as_completed``: every shard's
+    plan's sealed snapshot and index, is opened for the call; shards are
+    submitted to it and drained with ``as_completed``: every shard's
     ``{position: paths}`` fragment is recorded into the
     :class:`BatchResult` and yielded the moment its future lands.  If a
     shard raises, the exception propagates out of the generator after the
@@ -242,28 +196,20 @@ def stream_parallel(
     # The worker-side span context: ``None`` (no tracing) costs nothing in
     # the payload and workers skip recording entirely.
     span_context = span_tracer.current_context()
+    index = plan.workload.index if plan.workload is not None else None
     pool: Optional[ProcessPoolExecutor] = None
     futures: List = []
     try:
         pool = ProcessPoolExecutor(
             max_workers=plan.num_workers,
             initializer=_init_worker,
-            initargs=(plan.snapshot, config),
+            initargs=(plan.snapshot, config, index),
         )
         with stage_timer.stage("Enumeration"):
-            ship_start = time.perf_counter()
-            ship_tags = {"shards": len(plan.shards), "payload_bytes": 0}
-            with span_tracer.span("ship", tags=ship_tags):
-                for worker_fn, args, blob in _shard_tasks(plan):
-                    futures.append(pool.submit(worker_fn, *args, blob, span_context))
-                    ship_tags["payload_bytes"] += len(blob or b"")
-            registry.counter("repro_executor_ship_bytes_total").inc(
-                ship_tags["payload_bytes"]
-            )
+            with span_tracer.span("ship", tags={"shards": len(plan.shards)}):
+                for args in _shard_tasks(plan):
+                    futures.append(pool.submit(_run_shard_task, *args, span_context))
             registry.counter("repro_executor_shards_total").inc(len(futures))
-            registry.histogram("repro_executor_ship_submit_seconds").observe(
-                time.perf_counter() - ship_start
-            )
             for future in as_completed(futures):
                 paths_by_position, fragment_sharing, stage_totals, spans = (
                     future.result()

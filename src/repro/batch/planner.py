@@ -16,11 +16,11 @@ forecast:
   reused from the planner's previous batch, or delta-repaired from it.
 
 ``BatchQueryEngine.explain(queries)`` returns the plan without executing
-it.  The ingestion service and an explicit multi-process run execute
-plans, handing the prebuilt artefacts (workload with its index, clusters)
-to whichever path runs them, so planning work is never repeated.  The
-options a plan follows arrive as one validated
-:class:`~repro.batch.config.ExecutionConfig`.
+it; every ``run``/``stream`` call and every served micro-batch executes
+one, handing its prebuilt artefacts (index, clusters) to
+:func:`~repro.batch.config.run_shard` in this process or in the workers,
+so planning work is never repeated.  The options a plan follows arrive as
+one validated :class:`~repro.batch.config.ExecutionConfig`.
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ batch's ``max_hops``: a ``bytearray`` with :data:`NARROW_UNREACHABLE`
 Rows support O(1) direct indexing in the enumeration hot loops; a µ mask
 is one C-level ``translate`` of a one-byte row; the levels answer
 everything else (level sizes, neighbourhoods, entry counts) at a cost that
-follows the k-hop neighbourhood, not ``|V|``.  The rows serialise to a
-compact ``bytes`` blob (:meth:`CSRDistanceIndex.to_bytes`) so the parallel
-executor can ship each shard the rows of its own endpoints
-(:meth:`CSRDistanceIndex.restrict`) instead of re-running BFS per worker.
+follows the k-hop neighbourhood, not ``|V|``.  The parallel executor hands
+its workers the whole index, levels included, through the pool
+initializer (inherited under ``fork``, pickled once per worker otherwise),
+so no worker re-runs BFS or re-derives a level.  The rows serialise to a
+compact ``bytes`` blob (:meth:`CSRDistanceIndex.to_bytes`), the
+byte-identity check of a delta repair against a fresh build.
 Lookups with a vertex id outside the snapshot's range raise (mirroring the
 CSR packing assert) rather than silently reporting "unreachable".
 """
@@ -53,7 +55,7 @@ INFINITY = math.inf
 
 #: Typecode of the wide distance rows and of every endpoint id and level —
 #: the same signed-long typecode the CSR adjacency arrays use, so one
-#: platform-word convention covers the whole shipped payload.
+#: platform-word convention covers the whole serialized blob.
 TYPECODE = "l"
 
 #: Hole of a wide row: "the BFS never reached this vertex".  A large finite
@@ -99,16 +101,6 @@ def _hole(row: Row) -> int:
     return NARROW_UNREACHABLE if isinstance(row, bytearray) else UNREACHABLE
 
 
-def _unpack(width: int, data) -> Row:
-    """A copy of ``data`` as ``width``-byte items: a ``bytearray`` for one
-    byte, an ``array('l')`` for the platform word."""
-    if width == 1:
-        return bytearray(data)
-    row = array(TYPECODE)
-    row.frombytes(data)
-    return row
-
-
 #: The BFS levels of one row: ``levels[d]`` holds, in ascending order, the
 #: vertices at exact distance ``d``; the tuple ends at the deepest level the
 #: BFS filled.  Levels are shared between indexes and never mutated.
@@ -142,7 +134,7 @@ def _levels_of(
     rows: Dict[int, Row], levels: Dict[int, Levels], endpoint: int
 ) -> Levels:
     """The levels of ``rows[endpoint]``, derived on first use when the row
-    arrived without them (``from_bytes``, a hand-built index, or a row
+    has none (a hand-built index, or a row
     :meth:`CSRDistanceIndex.apply_delta` changed)."""
     found = levels.get(endpoint)
     if found is None:
@@ -172,10 +164,10 @@ class CSRDistanceIndex:
       Python-level ``|V|``-long scan.
 
     :func:`build_index` records the levels as each BFS hands them over;
-    :meth:`copy` and :meth:`restrict` share them; :meth:`apply_delta` keeps
-    them for every row it left unchanged.  A row that arrives without
-    levels (``from_bytes`` in a worker, a hand-built index, a row a delta
-    changed) derives them once, on first use, with one pass over the row.
+    :meth:`copy` shares them and a pickle carries them; :meth:`apply_delta`
+    keeps them for every row it left unchanged.  A row without levels (a
+    hand-built index, a row a delta changed) derives them once, on first
+    use, with one pass over the row.
     """
 
     __slots__ = (
@@ -218,32 +210,6 @@ class CSRDistanceIndex:
         clone._to_levels = dict(self._to_levels)
         return clone
 
-    def restrict(
-        self, sources: Iterable[int], targets: Iterable[int]
-    ) -> "CSRDistanceIndex":
-        """The sub-index holding only the rows of ``sources``/``targets``.
-
-        The row arrays and their levels are shared with ``self``, not
-        copied.  Lemma 3.1 pruning reads only the rows of a query's own
-        endpoints, so a shard enumerating against the restriction to its
-        endpoints prunes exactly as it would against the whole index —
-        this is what the parallel executor serializes per shard task.
-        Raises ``KeyError`` for an endpoint that is not indexed.
-        """
-        part = CSRDistanceIndex(
-            self.num_vertices,
-            self.max_hops,
-            {source: self._from_rows[source] for source in sources},
-            {target: self._to_rows[target] for target in targets},
-        )
-        part._from_levels = {
-            s: self._from_levels[s] for s in part._from_rows if s in self._from_levels
-        }
-        part._to_levels = {
-            t: self._to_levels[t] for t in part._to_rows if t in self._to_levels
-        }
-        return part
-
     # ------------------------------------------------------------------ #
     # Incremental repair
     # ------------------------------------------------------------------ #
@@ -268,9 +234,8 @@ class CSRDistanceIndex:
         region whose distances actually changed, not with ``|V| + |E|``.
         A row the repair left unchanged keeps its levels; a changed row
         drops them and derives the new ones on first use.  Rows are
-        repaired in place, so repair a :meth:`copy` when a
-        :meth:`restrict`-ion still shares them — it would read the new
-        distances under its old levels.
+        repaired in place, so repair a :meth:`copy` when the original must
+        stay frozen.
 
         Returns ``self`` for chaining.  Vertex-count changes cannot be
         expressed as an edge delta; rebuild instead.
@@ -461,16 +426,17 @@ class CSRDistanceIndex:
         return self.num_rows * self.num_vertices * row_width(self.max_hops)
 
     # ------------------------------------------------------------------ #
-    # Serialization (worker shipping)
+    # Serialization
     # ------------------------------------------------------------------ #
     def to_bytes(self) -> bytes:
-        """Serialize to a compact blob for same-host worker shipping.
+        """Serialize the dense rows to a compact, deterministic blob — two
+        indexes with equal rows have equal blobs, which is how a delta
+        repair is checked against a fresh build.
 
         Layout: header (magic, endpoint-id itemsize, row width,
         num_vertices, max_hops, row counts), then the sorted endpoint ids of
         both directions as the platform's native ``'l'``, then the raw rows
-        in the same order, :func:`row_width` bytes per vertex — the blob
-        travels between processes on one machine, not across architectures.
+        in the same order, :func:`row_width` bytes per vertex.
         """
         from_ids = self.sources
         to_ids = self.targets
@@ -490,59 +456,6 @@ class CSRDistanceIndex:
         parts.extend(self._from_rows[endpoint] for endpoint in from_ids)
         parts.extend(self._to_rows[endpoint] for endpoint in to_ids)
         return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CSRDistanceIndex":
-        """Reconstruct an index serialized by :meth:`to_bytes`.
-
-        Raises ``ValueError`` for a blob that is not such a payload, was
-        written with another ``'l'`` width, records a row width its
-        ``max_hops`` does not imply, or is longer or shorter than its
-        header says.
-        """
-        require(
-            len(blob) >= _HEADER.size and blob[:len(_MAGIC)] == _MAGIC,
-            "not a CSRDistanceIndex payload",
-        )
-        _, itemsize, width, num_vertices, max_hops, n_from, n_to = (
-            _HEADER.unpack_from(blob, 0)
-        )
-        require(
-            itemsize == _WIDE,
-            "CSRDistanceIndex payload was serialized with a different "
-            f"array itemsize ({itemsize}) than this platform uses",
-        )
-        require(
-            width == row_width(max_hops),
-            f"CSRDistanceIndex payload rows are {width} bytes per vertex, "
-            f"not the {row_width(max_hops)} its max_hops={max_hops} implies",
-        )
-        rows = n_from + n_to
-        expected = _HEADER.size + rows * (itemsize + num_vertices * width)
-        require(
-            len(blob) == expected,
-            f"CSRDistanceIndex payload is {len(blob)} bytes, its header "
-            f"implies {expected}",
-        )
-        view = memoryview(blob)
-        cursor = _HEADER.size
-
-        def read(count: int, size: int) -> memoryview:
-            nonlocal cursor
-            start, cursor = cursor, cursor + count * size
-            return view[start:cursor]
-
-        from_ids = list(_unpack(_WIDE, read(n_from, _WIDE)))
-        to_ids = list(_unpack(_WIDE, read(n_to, _WIDE)))
-        from_rows = {
-            endpoint: _unpack(width, read(num_vertices, width))
-            for endpoint in from_ids
-        }
-        to_rows = {
-            endpoint: _unpack(width, read(num_vertices, width))
-            for endpoint in to_ids
-        }
-        return cls(num_vertices, max_hops, from_rows, to_rows)
 
     def __repr__(self) -> str:
         return (

@@ -3,17 +3,18 @@
 The reference is one sparse ``bfs_distances`` dict per endpoint read through
 ``DictIndexOracle`` (``tests/dict_index_oracle.py``); this suite pins the
 index to it on random graphs and workloads — lookups, neighbourhoods,
-level sizes, masks, entry counts — plus the serialization round-trip the
-parallel executor relies on when shipping a parent-built index to workers,
-the range checking that distinguishes "unreachable" from "not a vertex of this
-snapshot", and the BFS levels every whole-row reader answers from: however
-an index came to be (built, copied, restricted, shipped, delta-repaired)
+level sizes, masks, entry counts — plus the pickle round-trip that carries
+a parent-built index, levels included, to workers the parallel executor
+spawns, the range checking that distinguishes "unreachable" from "not a
+vertex of this snapshot", and the BFS levels every whole-row reader answers
+from: however an index came to be (built, copied, pickled, delta-repaired)
 the levels of each row equal a brute scan of its dense distances.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 from array import array
 
 import hypothesis.strategies as st
@@ -100,7 +101,7 @@ def test_csr_index_equivalent_to_dict_index(case):
     graph, sources, targets, max_hops = case
     csr = build_index(graph, sources, targets, max_hops)
     legacy = DictIndexOracle(graph, sources, targets, max_hops)
-    # What build_index writes as it traverses — the rows, hence the shipped
+    # What build_index writes as it traverses — the rows, hence the serialized
     # bytes, and the levels — is what a deque BFS per endpoint finds.
     from_oracle = CSRDistanceIndex(
         graph.num_vertices,
@@ -178,10 +179,12 @@ def test_a_bad_endpoint_is_reported_under_its_own_name(
 
 @given(case=graph_and_endpoints())
 @SETTINGS
-def test_to_bytes_round_trip(case):
+def test_pickle_round_trip(case):
+    """What a spawned worker receives through the pool initializer: the
+    rows, their BFS levels and so the blob all survive a pickle."""
     graph, sources, targets, max_hops = case
     index = build_index(graph, sources, targets, max_hops)
-    clone = CSRDistanceIndex.from_bytes(index.to_bytes())
+    clone = pickle.loads(pickle.dumps(index))
 
     assert clone.num_vertices == index.num_vertices
     assert clone.max_hops == index.max_hops
@@ -189,8 +192,13 @@ def test_to_bytes_round_trip(case):
     assert clone.targets == index.targets
     for source in index.sources:
         assert clone.dense_from(source) == index.dense_from(source)
+        # Carried along, not derived again on first use.
+        assert source in clone._from_levels
+        assert clone.forward_levels(source) == index.forward_levels(source)
     for target in index.targets:
         assert clone.dense_to(target) == index.dense_to(target)
+        assert target in clone._to_levels
+        assert clone.backward_levels(target) == index.backward_levels(target)
     # Serialization is deterministic.
     assert clone.to_bytes() == index.to_bytes()
 
@@ -264,15 +272,8 @@ def test_levels_equal_a_row_scan_however_the_index_came_to_be(case):
         index, DictIndexOracle(graph, sources, targets, max_hops)
     )
 
-    part = index.restrict(sources[:1], targets[:1])
-    assert_levels_equal_a_scan_of_every_row(part)
-    # restrict() shares the levels along with the rows.
-    assert part.forward_levels(sources[0]) is index.forward_levels(sources[0])
-    assert part.backward_levels(targets[0]) is index.backward_levels(targets[0])
-
-    # A shipped index arrives without levels and derives them on first use.
-    shipped = CSRDistanceIndex.from_bytes(index.to_bytes())
-    assert_levels_equal_a_scan_of_every_row(shipped)
+    # A pickled index (what a spawned worker reads) carries its levels.
+    assert_levels_equal_a_scan_of_every_row(pickle.loads(pickle.dumps(index)))
 
     before = set(graph.edges())
     for add, (u, v) in script:
@@ -334,11 +335,6 @@ def test_whole_row_readers_raise_for_an_endpoint_that_is_not_indexed():
     assert index.backward_level_sizes(3, 4) == [1, 1, 1, 0, 0]
 
 
-def test_from_bytes_rejects_garbage():
-    with pytest.raises(ValueError):
-        CSRDistanceIndex.from_bytes(b"not an index payload" + b"\x00" * 64)
-
-
 def test_unreachable_is_infinity():
     graph = DiGraph.from_edges([(0, 1), (1, 2), (3, 0)])
     index = build_index(graph, sources=[0], targets=[2], max_hops=3)
@@ -375,9 +371,10 @@ def test_out_of_range_vertex_ids_raise():
 
 
 def test_ship_payload_survives_larger_graph():
+    """The pickle a spawned worker unpacks answers every lookup alike."""
     graph = random_directed_gnm(120, 600, seed=3)
     index = build_index(graph, sources=[0, 5, 7], targets=[10, 11], max_hops=4)
-    clone = CSRDistanceIndex.from_bytes(index.to_bytes())
+    clone = pickle.loads(pickle.dumps(index))
     for source in (0, 5, 7):
         for vertex in range(graph.num_vertices):
             assert clone.dist_from(source, vertex) == index.dist_from(
@@ -387,33 +384,6 @@ def test_ship_payload_survives_larger_graph():
     # One byte per (endpoint, vertex) at max_hops 4.
     assert isinstance(index.dense_from(0), bytearray)
     assert index.nbytes == 5 * graph.num_vertices == 5 * len(index.dense_from(0))
-
-
-def test_restrict_shares_the_rows_of_the_named_endpoints_only():
-    graph = random_directed_gnm(60, 240, seed=4)
-    index = build_index(graph, sources=[0, 5, 7], targets=[10, 11], max_hops=4)
-    part = index.restrict([5, 5, 0], [11])
-    assert part.sources == [0, 5] and part.targets == [11]
-    assert part.dense_from(5) is index.dense_from(5)  # shared, not copied
-    assert (part.num_vertices, part.max_hops) == (index.num_vertices, index.max_hops)
-    assert part.nbytes == 3 * graph.num_vertices  # one byte per (endpoint, vertex)
-    assert not part.has_source(7)
-    with pytest.raises(KeyError):
-        index.restrict([1], [10])  # 1 was never indexed
-
-
-@pytest.mark.parametrize("max_hops", [4, NARROW_MAX_HOPS + 1])
-def test_from_bytes_rejects_a_payload_of_the_wrong_length(max_hops):
-    """A cut or padded blob fails at unpacking, not as a short row that
-    raises ``IndexError`` at some later lookup — for both row widths."""
-    graph = random_directed_gnm(50, 200, seed=5)
-    blob = build_index(graph, [0, 1], [2, 3], max_hops).to_bytes()
-    assert CSRDistanceIndex.from_bytes(blob).to_bytes() == blob
-    for bad in (blob[:-96], blob[:-1], blob + b"\x00", blob + bytes(96)):
-        with pytest.raises(ValueError, match="header implies"):
-            CSRDistanceIndex.from_bytes(bad)
-    with pytest.raises(ValueError, match="not a CSRDistanceIndex payload"):
-        CSRDistanceIndex.from_bytes(blob[:20])
 
 
 def chain_with_a_chord(num_vertices=300):
@@ -428,7 +398,7 @@ def chain_with_a_chord(num_vertices=300):
 )
 def test_both_row_widths_answer_alike_at_the_boundary(deepest, narrow):
     """A batch whose largest k is 254 gets one-byte rows, one with 255 wide
-    rows; either way the paths, the lookups, the shipped bytes, the delta
+    rows; either way the paths, the lookups, the pickled bytes, the delta
     repair and the µ masks are what they must be."""
     graph = chain_with_a_chord()
     # dist(0, 250) = 249, dist(5, 200) = 194, dist(3, 290) = 286 > 255.
@@ -457,9 +427,9 @@ def test_both_row_widths_answer_alike_at_the_boundary(deepest, narrow):
     assert math.isinf(index.dist_from(5, 0)) and math.isinf(index.dist_to(250, 290))
 
     blob = index.to_bytes()
-    shipped = CSRDistanceIndex.from_bytes(blob)
-    assert shipped.to_bytes() == blob
-    assert type(shipped.dense_to(290)) is type(index.dense_to(290))
+    pickled = pickle.loads(pickle.dumps(index))
+    assert pickled.to_bytes() == blob
+    assert type(pickled.dense_to(290)) is type(index.dense_to(290))
 
     # Beyond max_hops, and beyond what a byte can hold, a mask still holds
     # exactly the reached vertices: never a hole's bit.

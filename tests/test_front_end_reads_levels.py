@@ -6,10 +6,10 @@ still supports what the enumeration loops do — ``row[v]``, the buffer
 protocol — and the one C-level pass a µ mask makes (``translate``), but
 raises on ``__iter__`` and ``count``.  Budget split, µ masks, plan
 estimates and entry counts must all complete against such rows with the
-oracle's paths.  The one permitted Python-level walk is the
-derive-on-first-use pass, and only for a row that arrived without levels
-(here: the rows a worker process unpacks with ``from_bytes``, which are
-plain bytearrays again).
+oracle's paths — also in worker processes, which read the rows and levels
+the parent built.  The one permitted Python-level walk is the
+derive-on-first-use pass, and only for a row that has no levels (here: a
+hand-built index's).
 
 The same kind of count holds one layer down, for the graph itself: a served
 round after a mutation gets a snapshot that shares every adjacency row the
@@ -34,8 +34,8 @@ from test_differential import assert_answers, oracle
 
 
 class UnwalkableRow(bytearray):
-    """A one-byte dense row that can be indexed, shipped and translated but
-    not scanned."""
+    """A one-byte dense row that can be indexed, serialized and translated
+    but not scanned."""
 
     def __iter__(self):
         raise AssertionError("a dense distance row was walked")
@@ -75,10 +75,10 @@ def graph_with_a_far_corner():
 
 def test_the_guard_trips_on_the_derive_pass_only():
     row = UnwalkableRow([0, 1, NARROW_UNREACHABLE])
-    index = CSRDistanceIndex(3, 2, {0: row}, {})
+    index = CSRDistanceIndex(3, 2, {0: row}, {})  # hand-built: no levels
     assert index.dist_from(0, 1) == 1
     assert index.dense_from(0)[2] == NARROW_UNREACHABLE
-    assert index.to_bytes()  # shipping copies the buffer, it does not walk
+    assert index.to_bytes()  # serializing copies the buffer, it does not walk
     assert index.forward_mask(0, 2) == (0b011, 2)  # one translate, no walk
     with pytest.raises(AssertionError, match="walked"):
         index.forward_level_sizes(0, 2)  # arrived without levels: derives

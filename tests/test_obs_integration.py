@@ -83,7 +83,6 @@ def test_parallel_run_produces_full_span_tree():
     # One enumeration-seconds sample per executed shard.
     snap = registry.snapshot()["counters"]
     assert snap["repro_executor_shards_total"] >= 2
-    assert snap["repro_executor_ship_bytes_total"] > 0
     assert registry.histogram("repro_shard_seconds").count == int(
         snap["repro_executor_shards_total"]
     )
@@ -99,12 +98,14 @@ def test_every_plan_records_its_index_strategy():
     graph, queries = _workload(seed=4)
     registry = MetricsRegistry()
     engine = BatchQueryEngine(graph, algorithm="batch+", metrics=registry)
-    engine.run(queries)  # one process: nothing is planned
-    assert "repro_plans_total" not in registry.snapshot()["counters"]
-    engine.explain(queries)
+    engine.run(queries)  # one process, still one plan
     snap = registry.snapshot()["counters"]
     assert snap["repro_plans_total"] == 1
     assert snap['repro_plan_index_strategy_total{strategy="built"}'] == 1
+    engine.explain(queries)  # a fresh planner per call: built again
+    snap = registry.snapshot()["counters"]
+    assert snap["repro_plans_total"] == 2
+    assert snap['repro_plan_index_strategy_total{strategy="built"}'] == 2
 
 
 # --------------------------------------------------------------------- #

@@ -6,23 +6,29 @@ position — as the sequential run, and both match the brute-force ground
 truth.  Clusters (for ``batch``/``batch+``) and contiguous query slices
 (for the per-query algorithms) are the shard boundaries, and the merge is
 deterministic by batch position.  There is one way a worker gets its
-inputs — the sealed graph through the initializer of the pool opened for
-the call, the shard's own index rows with its task — and the pool is
-joined before the call returns, also when a worker dies.
+inputs — the sealed graph and the plan's index (BFS levels included)
+through the initializer of the pool opened for the call, the shard's
+positions and queries with its task — and the pool is joined before the
+call returns, also when a worker dies.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.batch import executor
-from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
+from repro.batch.config import ExecutionConfig
 from repro.batch.engine import ALGORITHMS, BatchQueryEngine
 from repro.batch.executor import _shard_tasks
 from repro.batch.planner import QueryPlanner, _contiguous_slices
-from repro.bfs.distance_index import CSRDistanceIndex
+from repro.bfs import distance_index
 from repro.graph.generators import random_directed_gnm
 from repro.queries.generation import generate_random_queries
 from repro.queries.query import HCSTQuery
@@ -92,7 +98,7 @@ def test_contiguous_slices_cover_all_positions_without_overlap():
 
 
 # --------------------------------------------------------------------- #
-# One transport: every algorithm == sequential, each shard its own rows
+# One transport: every algorithm == sequential, the index rides the pool
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("lifetime", ["one-shot"])  # the only pool lifetime
@@ -106,30 +112,84 @@ def test_every_pool_lifetime_matches_sequential(algorithm, lifetime, no_child_le
 
 
 @pytest.mark.parametrize("algorithm", ["batch+", "basic", "pathenum"])
-def test_each_task_ships_exactly_its_shards_rows(algorithm):
+def test_each_task_carries_exactly_its_shards_positions(algorithm):
+    """A task is its shard's positions, their queries and the shard kind —
+    no index bytes: the index reaches the workers once, through the pool
+    initializer."""
     graph = random_directed_gnm(40, 160, seed=12)
-    # Pairwise distinct endpoints, so no two shards share a row.
     queries = [HCSTQuery(s, 20 + s, 3) for s in range(8)]
     # gamma=1 keeps dissimilar queries in separate clusters (several shards).
     config = ExecutionConfig(algorithm=algorithm, gamma=1.0, num_workers=2)
     plan = QueryPlanner(graph, config).plan(queries)
-    blobs = [blob for _fn, _args, blob in _shard_tasks(plan)]
-    assert len(blobs) == plan.num_shards >= 2
-    if not ALGORITHM_TABLE[algorithm].indexed:
-        assert blobs == [None] * plan.num_shards
-        return
-    index = plan.workload.index
-    shipped_bytes = 0
-    for blob, shard in zip(blobs, plan.shards):
-        shipped = CSRDistanceIndex.from_bytes(blob)
-        shard_queries = [queries[position] for position in shard.positions]
-        assert shipped.sources == sorted({query.s for query in shard_queries})
-        assert shipped.targets == sorted({query.t for query in shard_queries})
-        for query in shard_queries:
-            assert shipped.dense_from(query.s) == index.dense_from(query.s)
-            assert shipped.dense_to(query.t) == index.dense_to(query.t)
-        shipped_bytes += shipped.nbytes
-    assert shipped_bytes == index.nbytes
+    tasks = list(_shard_tasks(plan))
+    assert len(tasks) == plan.num_shards >= 2
+    for (positions, shard_queries, kind), shard in zip(tasks, plan.shards):
+        assert positions == shard.positions == sorted(positions)
+        assert shard_queries == [queries[position] for position in positions]
+        assert kind == shard.kind
+    assert sorted(p for positions, _, _ in tasks for p in positions) == list(
+        range(len(queries))
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched level scan reaches the workers by forking",
+)
+def test_workers_read_the_parents_levels(monkeypatch, no_child_left):
+    """The "+" budget split reads BFS level sizes; a worker answers it from
+    the levels the parent's build recorded and never re-derives one with
+    the |V|-long row scan."""
+
+    def no_scan(row):
+        raise AssertionError("a worker re-derived the levels of a row")
+
+    monkeypatch.setattr(distance_index, "_scan_levels", no_scan)
+    for seed in (0, 1, 2):
+        graph, queries = _workload(seed)
+        parallel = BatchQueryEngine(graph, algorithm="batch+", num_workers=2).run(
+            queries
+        )
+        assert_answers(oracle(graph, queries), parallel)
+
+
+SPAWNED_FAN_OUT = textwrap.dedent(
+    """
+    import multiprocessing
+    from repro.batch.engine import BatchQueryEngine
+    from repro.graph.generators import random_directed_gnm
+    from repro.queries.generation import generate_random_queries
+
+    multiprocessing.set_start_method("spawn")
+    graph = random_directed_gnm(30, 110, seed=8)
+    queries = generate_random_queries(graph, 8, min_k=2, max_k=4, seed=8)
+    for algorithm in ("batch+", "basic", "pathenum"):
+        one, two = (
+            BatchQueryEngine(graph, algorithm, num_workers=n).run(queries)
+            for n in (1, 2)
+        )
+        assert two.paths_by_position == one.paths_by_position, algorithm
+        assert repr(two.sharing) == repr(one.sharing), algorithm
+        assert not multiprocessing.active_children(), algorithm
+    print("spawned fan-out ok")
+    """
+)
+
+
+def test_the_fan_out_under_spawn_matches_one_process():
+    """Under ``spawn`` everything in the pool initializer — snapshot,
+    config, the plan's index with its levels — is pickled once per worker;
+    the answers and the sharing statistics are the one-process run's."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    completed = subprocess.run(
+        [sys.executable, "-c", SPAWNED_FAN_OUT],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    assert "spawned fan-out ok" in completed.stdout
 
 
 # --------------------------------------------------------------------- #
@@ -149,27 +209,26 @@ def test_worker_crash_breaks_the_pool_and_shutdown_still_reaps(
     """A worker that dies mid-shard breaks the call's pool: ``run`` raises
     ``BrokenProcessPool`` and the surviving workers are joined."""
     graph, queries = _workload(11)
-    monkeypatch.setattr(executor, "_run_cluster_task", _crash_worker)
+    monkeypatch.setattr(executor, "_run_shard_task", _crash_worker)
     engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=2)
     with pytest.raises(BrokenProcessPool):
         engine.run(queries)
     no_child_left()
 
 
-def _restrict_breaks_on_the_second_shard(monkeypatch):
+def _submission_breaks_on_the_second_shard(monkeypatch):
     """Fail ``stream_parallel`` between acquiring its pool and draining
     it: the first shard is already submitted (its worker spawned) when
-    building the second shard's task raises."""
-    real_restrict = CSRDistanceIndex.restrict
-    calls = []
+    the submit loop's second shard raises."""
+    real_tasks = executor._shard_tasks
 
-    def restrict(self, sources, targets):
-        calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("restrict broke")
-        return real_restrict(self, sources, targets)
+    def shard_tasks(plan):
+        for count, task in enumerate(real_tasks(plan), start=1):
+            if count == 2:
+                raise RuntimeError("submission broke")
+            yield task
 
-    monkeypatch.setattr(CSRDistanceIndex, "restrict", restrict)
+    monkeypatch.setattr(executor, "_shard_tasks", shard_tasks)
 
 
 def test_failure_while_shipping_shards_joins_the_pool_the_call_opened(
@@ -177,8 +236,8 @@ def test_failure_while_shipping_shards_joins_the_pool_the_call_opened(
 ):
     graph, queries = _workload(6)
     engine = BatchQueryEngine(graph, algorithm="basic+", num_workers=2)
-    _restrict_breaks_on_the_second_shard(monkeypatch)
-    with pytest.raises(RuntimeError, match="restrict broke") as caught:
+    _submission_breaks_on_the_second_shard(monkeypatch)
+    with pytest.raises(RuntimeError, match="submission broke") as caught:
         list(engine.stream(queries))
     # Looked at while ``caught`` still references the frame that owned the
     # pool: the workers were joined, not left to the garbage collector.

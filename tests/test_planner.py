@@ -1,11 +1,12 @@
 """Tests for the plan/execute split: QueryPlanner, ExecutionPlan and the
 one eagerly-validated ``ExecutionConfig`` the options live on.
 
-The load-bearing contracts: the default is one process and never opens a
-process pool, and whatever a plan records — worker count, shard
-assignments — the paths delivered per batch position are bit-identical
-to the ``num_workers=1`` run (which plans nothing).  The all-algorithms
-parallel differential lives in ``test_parallel_executor.py``.
+The load-bearing contracts: every batch is planned once and runs its
+plan, the default is one process and never opens a process pool, and
+whatever a plan records — worker count, shard assignments — the paths
+delivered per batch position are bit-identical to the ``num_workers=1``
+run.  The all-algorithms parallel differential lives in
+``test_parallel_executor.py``.
 """
 
 from __future__ import annotations
@@ -224,6 +225,38 @@ def test_the_default_never_opens_a_process_pool(monkeypatch):
     # An explicit request still fans out.
     with pytest.raises(AssertionError, match="process pool"):
         BatchQueryEngine(graph, algorithm="batch+", num_workers=2).run(queries)
+
+
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_run_and_stream_each_plan_once(monkeypatch, num_workers):
+    """``run`` and ``stream`` execute the plan a single ``plan()`` call
+    built, in this process and fanned out alike."""
+    calls = []
+    real_plan = QueryPlanner.plan
+
+    def counting_plan(self, *args, **kwargs):
+        calls.append(args)
+        return real_plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryPlanner, "plan", counting_plan)
+    graph, queries = _workload(5)
+    engine = BatchQueryEngine(graph, algorithm="batch+", num_workers=num_workers)
+    engine.run(queries)
+    assert len(calls) == 1
+    list(engine.stream(queries))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("num_workers", [1, 2])
+@pytest.mark.parametrize("algorithm", ["batch", "batch+"])
+def test_explain_describes_what_run_executes(algorithm, num_workers):
+    """One shard per cluster, whichever process runs it."""
+    for seed in (0, 7):
+        graph, queries = _workload(seed)
+        engine = BatchQueryEngine(graph, algorithm, num_workers=num_workers)
+        assert engine.explain(queries).num_shards == (
+            engine.run(queries).sharing.num_clusters
+        )
 
 
 def test_fixed_worker_request_is_honoured():
