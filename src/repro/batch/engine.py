@@ -130,7 +130,7 @@ class BatchQueryEngine:
         :class:`~repro.obs.tracing.Tracer` to record into.  Defaults to
         the allocation-free no-op singletons, keeping the uninstrumented
         path byte-identical.  Passing a registry also instruments the
-        graph's :class:`~repro.graph.snapshots.SnapshotStore` gauges.
+        graph's :class:`~repro.graph.snapshots.SnapshotStore` gauge.
     """
 
     def __init__(
@@ -231,7 +231,8 @@ class BatchQueryEngine:
         the graph had when the stream started: mutating the graph while
         the stream is in flight is **allowed** and never disturbs it — all
         positions are answered against that one snapshot, and the next
-        stream/run plans against the new head (multi-version serving, see
+        stream/run plans against the new head.  The stream is the old
+        version's holder: closing or draining it frees that snapshot (see
         :mod:`repro.graph.snapshots`).
 
         With an explicit ``num_workers >= 2``, abandoning the iterator early
@@ -261,7 +262,7 @@ class BatchQueryEngine:
 
         The reusable planning/streaming core behind :meth:`stream`, exposed
         for schedulers that plan a batch themselves (the ingestion
-        service plans each micro-batch against the snapshot it pinned, so
+        service plans each micro-batch against the snapshot it sealed, so
         re-planning inside ``stream`` would double the work).  The batch
         is the one ``plan`` was built for, ``plan.queries``, so a plan can
         only answer its own queries.  Yields ``(batch_position, paths)``

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from repro.batch.clustering import cluster_queries
 from repro.batch.config import ALGORITHM_TABLE, ExecutionConfig
 from repro.bfs.distance_index import CSRDistanceIndex
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.snapshots import PinnedSnapshot
 from repro.obs.metrics import resolve_registry
 from repro.obs.tracing import resolve_tracer
 from repro.queries.query import HCSTQuery
@@ -90,10 +89,6 @@ class ExecutionPlan:
     shards: List[ShardPlan]
     #: The batch the plan was built for; shard positions index into it.
     queries: List[HCSTQuery] = field(repr=False)
-    #: ``graph.version`` the plan's sealed snapshot (and index) belong to.
-    #: Execution resolves this exact snapshot, so a graph that mutates
-    #: between planning and execution never changes what the batch reads.
-    graph_version: int = -1
     #: How the plan obtained its distance index: freshly ``"built"``,
     #: reused ``"cached"`` from the planner's previous batch (same
     #: endpoints, same version), ``"delta"``-repaired from the cached one
@@ -103,7 +98,10 @@ class ExecutionPlan:
     #: Always 0.0: nothing is forecast.  Kept only because the benchmark
     #: harness reads it, until its contract moves (ROADMAP item 9).
     estimated_sequential_seconds: float = 0.0
-    #: The sealed CSR snapshot every execution artefact was derived from.
+    #: The sealed CSR snapshot every execution artefact was derived from;
+    #: its ``version`` is the graph version the batch reads.  Execution
+    #: reads this object, so a graph that mutates between planning and
+    #: execution never changes what the batch reads.
     snapshot: Optional[CSRGraph] = field(default=None, repr=False)
     workload: Optional[QueryWorkload] = field(default=None, repr=False)
     clusters: Optional[List[List[int]]] = field(default=None, repr=False)
@@ -172,18 +170,17 @@ class QueryPlanner:
     def plan(
         self,
         queries: Sequence[HCSTQuery],
-        snapshot: Optional[Union[CSRGraph, PinnedSnapshot]] = None,
+        snapshot: Optional[CSRGraph] = None,
     ) -> ExecutionPlan:
         """Emit the execution plan for ``queries``.
 
-        ``snapshot`` pins the sealed CSR (or a
-        :class:`~repro.graph.snapshots.PinnedSnapshot` holding one) the
-        whole plan→execute pipeline reads — the version the batch was
-        *admitted* under.  When omitted, the plan seals the graph's current
-        head.  Every artefact (index, clusters) is derived from that one
-        immutable packing, so graph mutations during or after planning
-        never leak into the batch.  An empty batch plans to a trivial
-        no-op.
+        ``snapshot`` is the sealed CSR the whole plan→execute pipeline
+        reads — the version the batch was *admitted* under.  When omitted,
+        the plan seals the graph's current head.  Every artefact (index,
+        clusters) is derived from that one immutable object, and the plan
+        holds it, so graph mutations during or after planning never leak
+        into the batch, and the version lives exactly as long as the plan
+        or a stream over it.  An empty batch plans to a trivial no-op.
         """
         self._m_plans.inc()
         start = time.perf_counter()
@@ -198,13 +195,11 @@ class QueryPlanner:
     def _plan_impl(
         self,
         queries: Sequence[HCSTQuery],
-        snapshot: Optional[Union[CSRGraph, PinnedSnapshot]],
+        snapshot: Optional[CSRGraph],
     ) -> ExecutionPlan:
         config = self.config
         spec = ALGORITHM_TABLE[config.algorithm]
         queries = list(queries)
-        if isinstance(snapshot, PinnedSnapshot):
-            snapshot = snapshot.csr
         csr = snapshot if snapshot is not None else self.graph.csr_snapshot()
         if not queries:
             return ExecutionPlan(
@@ -213,7 +208,6 @@ class QueryPlanner:
                 num_workers=1,
                 shards=[],
                 queries=queries,
-                graph_version=csr.version,
                 snapshot=csr,
             )
 
@@ -269,7 +263,6 @@ class QueryPlanner:
             num_workers=config.num_workers,
             shards=[ShardPlan(kind, positions) for kind, positions in pieces],
             queries=queries,
-            graph_version=csr.version,
             index_strategy=index_strategy,
             snapshot=csr,
             workload=workload,

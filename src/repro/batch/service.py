@@ -19,8 +19,9 @@ by itself.  :class:`IngestionService` bridges the two with micro-batching:
    ``submit_many`` enqueues a group under one lock hold, so the scheduler
    sees all of it or none of it.  Sharing *inside* a batch is
    ClusterQuery's job, at plan time.
-3. Each micro-batch is planned against the version it pinned and runs
-   on the scheduler thread
+3. Each micro-batch seals the graph's head once
+   (:meth:`~repro.graph.digraph.DiGraph.csr_snapshot`), is planned against
+   that snapshot and runs on the scheduler thread
    (:meth:`~repro.batch.engine.BatchQueryEngine.stream_planned`) with
    ``ordered=False``, so a ticket resolves the moment the forward root or
    query owning its position completes — a root's ⊕ join answers every
@@ -61,8 +62,8 @@ Lock order, which nothing checks by machine: the service's condition
 (``self._lock``) or the graph store's ``RLock`` first, then a metric's own
 lock (a gauge set or counter bump under either is fine; a metric calls
 nothing while it holds its lock) — never the reverse, and never the
-service and store locks nested in either order: the scheduler pins, plans
-and releases outside ``self._lock``.
+service and store locks nested in either order: the scheduler seals and
+plans outside ``self._lock``.
 
 >>> from repro.graph.generators import paper_example_graph
 >>> from repro.queries.query import HCSTQuery
@@ -552,15 +553,13 @@ class IngestionService:
 
     def _dispatch_traced(self, batch: List[QueryTicket]) -> None:
         queries = [ticket.query for ticket in batch]
-        pin = None
         sharing = None
         try:
-            # Pin the admitted version exactly once — one atomic seal of
-            # the head — and thread that single snapshot through plan and
-            # execute, so a mutation landing meanwhile never reaches the
-            # batch.
-            pin = self.graph.snapshots.pin()
-            plan = self._planner.plan(queries, snapshot=pin)
+            # Seal the head once and thread that one snapshot through plan
+            # and execute, so a mutation landing meanwhile never reaches
+            # the batch.  The plan and the stream are the snapshot's only
+            # holders: it is freed with them.
+            plan = self._planner.plan(queries, snapshot=self.graph.csr_snapshot())
             stream = self._engine.stream_planned(plan, ordered=False)
             while True:
                 try:
@@ -588,12 +587,6 @@ class IngestionService:
             self._m_failed.inc(len(unresolved))
             # The scheduler itself survives a poisoned batch and keeps
             # serving subsequent micro-batches.
-        finally:
-            if pin is not None:
-                # Refcount discipline: the sealed version is released when
-                # its last pinned consumer (this batch) finishes; the
-                # snapshot store drops non-head versions at zero pins.
-                pin.release()
         with self._lock:
             self._batches_dispatched += 1
             self._batched_total += len(batch)

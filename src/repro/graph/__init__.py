@@ -5,13 +5,13 @@ integer vertex ids in ``[0, n)``.  :class:`~repro.graph.digraph.DiGraph` is
 the primary container; :class:`~repro.graph.csr.CSRGraph` is an immutable
 snapshot used by the hot enumeration loops.  The graph is live: its
 :class:`~repro.graph.snapshots.SnapshotStore` (``graph.snapshots``) seals
-refcounted snapshots per version, sharing every adjacency row a mutation
-did not replace, so mutation never disturbs in-flight consumers.
+the head version, sharing every adjacency row a mutation did not replace,
+so mutation never disturbs a consumer holding an older snapshot.
 """
 
 from repro.graph.digraph import DiGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.snapshots import PinnedSnapshot, SnapshotStore
+from repro.graph.snapshots import SnapshotStore
 from repro.graph.stats import GraphStats, compute_stats
 from repro.graph.generators import (
     paper_example_graph,
@@ -27,7 +27,6 @@ __all__ = [
     "DiGraph",
     "CSRGraph",
     "SnapshotStore",
-    "PinnedSnapshot",
     "GraphStats",
     "compute_stats",
     "paper_example_graph",

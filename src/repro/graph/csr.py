@@ -32,7 +32,7 @@ class CSRGraph:
     search* on ``Gr`` with the same code.
     """
 
-    __slots__ = ("num_vertices", "num_edges", "version", "_fwd", "_bwd")
+    __slots__ = ("num_vertices", "num_edges", "version", "_fwd", "_bwd", "__weakref__")
 
     def __init__(self, graph: DiGraph) -> None:
         self.num_vertices = graph.num_vertices
@@ -87,8 +87,8 @@ class CSRGraph:
     # detection) only ever *reads* the graph it is handed: neighbour lists,
     # vertex/edge counts, ``vertices()``, ``has_edge`` and ``csr_snapshot``.
     # Implementing that surface here lets a sealed snapshot stand in for the
-    # live ``DiGraph`` everywhere downstream — which is exactly how
-    # multi-version serving keeps in-flight batches on their pinned version.
+    # live ``DiGraph`` everywhere downstream — which is exactly how an
+    # in-flight batch stays on the version it was admitted under.
     # ------------------------------------------------------------------ #
     def vertices(self) -> range:
         return range(self.num_vertices)

@@ -142,8 +142,8 @@ class DiGraph:
         """Append a new isolated vertex and return its id.
 
         A vertex-count change is a snapshot **barrier**: sealed snapshots of
-        earlier versions stay readable for their pinned consumers, but no
-        edge delta spans it (indexes must be rebuilt, not repaired).
+        earlier versions stay readable for whoever holds them, but no edge
+        delta spans it (indexes must be rebuilt, not repaired).
         """
         with self._snapshots.lock:
             self._ids.append(len(self._ids))
@@ -198,16 +198,17 @@ class DiGraph:
 
         Incremented by every structural change (``add_edge``,
         ``remove_edge``, ``add_vertex``, bulk construction).  Long-running
-        consumers — the streaming engine and the ingestion service — pin
-        the version they were admitted under via :attr:`snapshots` and keep
-        serving the sealed CSR of *that* version while newer batches plan
-        against the head; mutation never invalidates an in-flight stream.
+        consumers — the streaming engine and the ingestion service — hold
+        the sealed CSR (:meth:`csr_snapshot`) of the version they were
+        admitted under and keep reading *that* while newer batches seal
+        and plan against the head; mutation never invalidates an
+        in-flight stream.
         """
         return self._version
 
     @property
     def snapshots(self) -> SnapshotStore:
-        """The graph's multi-version snapshot store (see
+        """The graph's head seal and mutation log (see
         :mod:`repro.graph.snapshots`)."""
         return self._snapshots
 
@@ -299,10 +300,12 @@ class DiGraph:
 
         Copy-on-write: repeated calls between mutations return the *same*
         immutable object, and a mutation never touches an already-sealed
-        snapshot — the next call simply seals a fresh one while pinned
-        consumers keep reading theirs.  This is what lets a whole batch —
-        and every worker processing shards of it — read adjacency from one
-        immutable structure while the live graph keeps moving.
+        snapshot — the next call simply seals a fresh one while older
+        holders keep reading theirs.  The returned object is the whole
+        handle: whoever holds it keeps that version alive, and nothing
+        else does.  This is what lets a whole batch — and every worker
+        processing shards of it — read adjacency from one immutable
+        structure while the live graph keeps moving.
         """
         return self._snapshots.seal()
 

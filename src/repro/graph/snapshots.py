@@ -1,29 +1,19 @@
-"""Multi-version row-sharing CSR snapshots for a live :class:`DiGraph`.
+"""Row-sharing CSR snapshots and the mutation log of a live :class:`DiGraph`.
 
 The batch algorithms assume a frozen graph, but continuous serving runs
 against a mutating one: edges arrive (and are retracted) while micro-batches
-are still streaming.  Before this module existed the engine pinned
-``graph.version`` at plan time and raised ``RuntimeError`` at the first
-flush after a mutation — correct, but it turned every legitimate
-``add_edge`` into a service-visible failure.
+are still streaming.  A batch is isolated from those mutations by the one
+object it reads, an immutable sealed :class:`~repro.graph.csr.CSRGraph`:
 
-:class:`SnapshotStore` replaces the pin-and-raise discipline with
-multi-version concurrency control:
-
-* ``seal()`` freezes the graph's **head** revision into an immutable
-  :class:`~repro.graph.csr.CSRGraph` once per version.  The graph replaces
-  the adjacency rows a mutation touches instead of editing them, so a seal
-  is a copy of the two ``|V|``-long row spines — no row is copied, packed
-  or re-listed — and consecutive versions share every untouched row: a
-  pinned old version costs its spine plus the rows replaced since.  Every
-  sealed CSR carries the ``version`` it was sealed at.
-* ``pin()`` seals the head and returns a refcounted
-  :class:`PinnedSnapshot` handle.  An in-flight micro-batch pins the
-  version it was admitted under and keeps reading that CSR for its whole
-  plan → execute pipeline, while newer batches pin (and plan against) newer
-  heads.  ``release()`` drops the refcount; a sealed version is forgotten
-  when its last pinned consumer finishes (the head survives unpinned — it
-  is the ``csr_snapshot()`` cache).
+* ``seal()`` freezes the graph's **head** revision into a ``CSRGraph``
+  once per version and keeps it in one slot until the next mutation drops
+  it.  The graph replaces the adjacency rows a mutation touches instead of
+  editing them, so a seal is a copy of the two ``|V|``-long row spines —
+  no row is copied, packed or re-listed — and consecutive versions share
+  every untouched row: an old version costs its spine plus the rows
+  replaced since.  Every sealed CSR carries the ``version`` it was sealed
+  at.  The store keeps no old version: a stream, plan or worker that holds
+  a sealed CSR keeps it alive, and it is freed with the last reference.
 * A bounded **mutation log** records every ``add_edge``/``remove_edge``
   between versions.  ``delta(a, b)`` nets the log into
   ``(edges_added, edges_removed)`` so a consumer holding an artefact built
@@ -34,8 +24,8 @@ multi-version concurrency control:
 
 Thread-safety: the store's reentrant ``lock`` is shared with the owning
 ``DiGraph`` — mutators hold it across the structural change *and* the
-version bump, and ``seal``/``pin`` take it while copying the spines, so a
-pin is atomic with respect to concurrent mutation (no torn snapshots, no
+version bump, and ``seal`` takes it while copying the spines, so a seal is
+atomic with respect to concurrent mutation (no torn snapshots, no
 check-then-act races on the version counter).
 """
 
@@ -44,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.utils.validation import require
 
@@ -63,45 +53,8 @@ _LogEntry = Tuple[int, str, int, int]
 DEFAULT_MAX_LOG = 4096
 
 
-class PinnedSnapshot:
-    """Refcounted handle on one sealed ``(version, CSRGraph)`` pair.
-
-    Obtained from :meth:`SnapshotStore.pin`; usable as a context manager.
-    ``release()`` is idempotent — the handle counts at most once against
-    the sealed version's refcount.
-    """
-
-    __slots__ = ("csr", "_store", "_released")
-
-    def __init__(self, store: "SnapshotStore", csr: "CSRGraph") -> None:
-        self.csr = csr
-        self._store = store
-        self._released = False
-
-    @property
-    def version(self) -> int:
-        """The graph version this snapshot was sealed at."""
-        return self.csr.version
-
-    def release(self) -> None:
-        """Drop this consumer's refcount (idempotent)."""
-        if not self._released:
-            self._released = True
-            self._store.release(self.csr.version)
-
-    def __enter__(self) -> "PinnedSnapshot":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def __repr__(self) -> str:
-        state = "released" if self._released else "pinned"
-        return f"PinnedSnapshot(version={self.version}, {state})"
-
-
 class SnapshotStore:
-    """Copy-on-write store of sealed CSR snapshots for one ``DiGraph``.
+    """The head seal and the mutation log of one ``DiGraph``.
 
     Owned by the graph (``graph.snapshots``); see the module docstring for
     the serving model.  All public methods are safe to call from any
@@ -111,48 +64,30 @@ class SnapshotStore:
     def __init__(self, graph: "DiGraph", max_log: int = DEFAULT_MAX_LOG) -> None:
         require(max_log >= 0, f"max_log must be >= 0, got {max_log}")
         self._graph = graph
-        # Reentrant: mutators hold it across bump+note, seal() re-enters.
+        # Reentrant: mutators hold it across bump+note, note_* re-enters.
         self._lock = threading.RLock()
-        self._sealed: Dict[int, "CSRGraph"] = {}
-        self._pins: Dict[int, int] = {}
+        # The head version's seal, until the next mutation drops it.
+        self._head: Optional["CSRGraph"] = None
         self._log: Deque[_LogEntry] = deque()
         # Deltas are computable only for from-versions >= this floor (log
         # entries before it were trimmed or wiped by a barrier).
         self._log_floor = graph.version
         self._max_log = max_log
-        # Telemetry is off until instrument() is called; the flag keeps
+        # Telemetry is off until instrument() is called; the ``None`` keeps
         # the uninstrumented mutation path free of even no-op gauge calls.
-        self._instrumented = False
-        self._gauge_live = None
-        self._gauge_pins = None
         self._gauge_log = None
 
     def instrument(self, metrics) -> None:
-        """Attach gauges from a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Idempotent; passing ``None`` detaches.  The gauges track live
-        sealed versions, the summed pin refcount and the mutation-log
-        length, refreshed on every store transition.
+        """Attach the mutation-log gauge from a
+        :class:`~repro.obs.metrics.MetricsRegistry` (idempotent).  The
+        gauge tracks the log length, refreshed on every mutation.
         """
         with self._lock:
-            if metrics is None:
-                self._instrumented = False
-                self._gauge_live = self._gauge_pins = self._gauge_log = None
-                return
-            self._gauge_live = metrics.gauge("repro_snapshot_live_versions")
-            self._gauge_pins = metrics.gauge("repro_snapshot_pinned_refcount_total")
             self._gauge_log = metrics.gauge("repro_snapshot_mutation_log_entries")
-            self._instrumented = True
-            self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        """Push current store state into the gauges (caller holds lock)."""
-        self._gauge_live.set(len(self._sealed))
-        self._gauge_pins.set(sum(self._pins.values()))
-        self._gauge_log.set(len(self._log))
+            self._gauge_log.set(len(self._log))
 
     # ------------------------------------------------------------------ #
-    # Sealing and pinning
+    # Sealing
     # ------------------------------------------------------------------ #
     @property
     def lock(self) -> threading.RLock:
@@ -164,72 +99,9 @@ class SnapshotStore:
         from repro.graph.csr import CSRGraph
 
         with self._lock:
-            head = self._graph.version
-            csr = self._sealed.get(head)
-            if csr is None:
-                csr = CSRGraph(self._graph)
-                self._sealed[head] = csr
-                if self._instrumented:
-                    self._refresh_gauges()
-            return csr
-
-    def pin(self) -> PinnedSnapshot:
-        """Seal the head version and return a refcounted handle on it.
-
-        The returned snapshot stays resolvable through :meth:`resolve`
-        until its last pin is released, no matter how often the graph
-        mutates in the meantime.
-        """
-        with self._lock:
-            csr = self.seal()
-            self._pins[csr.version] = self._pins.get(csr.version, 0) + 1
-            if self._instrumented:
-                self._refresh_gauges()
-            return PinnedSnapshot(self, csr)
-
-    def release(self, version: int) -> None:
-        """Drop one pin of ``version``; free the CSR at refcount zero.
-
-        The head version's CSR is kept even unpinned — it doubles as the
-        ``csr_snapshot()`` cache.  Releasing an unpinned version is a
-        no-op (:meth:`PinnedSnapshot.release` is already idempotent; this
-        keeps direct misuse harmless too).
-        """
-        with self._lock:
-            count = self._pins.get(version)
-            if count is None:
-                return
-            if count > 1:
-                self._pins[version] = count - 1
-            else:
-                del self._pins[version]
-                if version != self._graph.version:
-                    self._sealed.pop(version, None)
-            if self._instrumented:
-                self._refresh_gauges()
-
-    def resolve(self, version: int) -> "CSRGraph":
-        """The sealed CSR of ``version``; raises ``KeyError`` if it is not
-        live (never sealed, or already released by its last consumer)."""
-        with self._lock:
-            csr = self._sealed.get(version)
-            if csr is None:
-                raise KeyError(
-                    f"version {version} is not live (sealed: "
-                    f"{self.live_versions()}); only pinned versions and the "
-                    "head survive mutation"
-                )
-            return csr
-
-    def live_versions(self) -> List[int]:
-        """Sorted versions with a sealed CSR currently in the store."""
-        with self._lock:
-            return sorted(self._sealed)
-
-    def pin_count(self, version: int) -> int:
-        """Number of outstanding pins on ``version``."""
-        with self._lock:
-            return self._pins.get(version, 0)
+            if self._head is None:
+                self._head = CSRGraph(self._graph)
+            return self._head
 
     # ------------------------------------------------------------------ #
     # Mutation notifications (called by DiGraph, under ``lock``)
@@ -239,39 +111,24 @@ class SnapshotStore:
         the graph's current version."""
         require(op in ("+", "-"), f"unknown mutation op {op!r}")
         with self._lock:
-            self._forget_unpinned()
+            self._head = None
             self._log.append((self._graph.version, op, u, v))
             while len(self._log) > self._max_log:
                 trimmed_version, _, _, _ = self._log.popleft()
                 # Deltas starting before the trimmed entry are incomplete.
                 self._log_floor = max(self._log_floor, trimmed_version)
-            if self._instrumented:
-                self._refresh_gauges()
+            if self._gauge_log is not None:
+                self._gauge_log.set(len(self._log))
 
     def note_barrier(self) -> None:
         """Record a structural change deltas cannot express (vertex count
         change, bulk rebuild): wipe the log and advance the floor."""
         with self._lock:
-            self._forget_unpinned()
+            self._head = None
             self._log.clear()
             self._log_floor = self._graph.version
-            if self._instrumented:
-                self._refresh_gauges()
-
-    def _forget_unpinned(self) -> None:
-        """Drop sealed CSRs that are neither pinned nor the head.
-
-        Called with the version counter already bumped, so every entry in
-        ``_sealed`` is now stale; only pinned consumers keep theirs alive.
-        """
-        head = self._graph.version
-        stale = [
-            version
-            for version in self._sealed
-            if version != head and not self._pins.get(version)
-        ]
-        for version in stale:
-            del self._sealed[version]
+            if self._gauge_log is not None:
+                self._gauge_log.set(0)
 
     # ------------------------------------------------------------------ #
     # Deltas
@@ -327,7 +184,5 @@ class SnapshotStore:
         with self._lock:
             return (
                 f"SnapshotStore(head={self._graph.version}, "
-                f"sealed={self.live_versions()}, "
-                f"pins={dict(sorted(self._pins.items()))}, "
-                f"log={len(self._log)})"
+                f"sealed={self._head is not None}, log={len(self._log)})"
             )

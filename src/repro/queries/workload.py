@@ -34,10 +34,10 @@ class QueryWorkload:
         csr: Optional[CSRGraph] = None,
     ) -> None:
         require(bool(queries), "a workload needs at least one query")
-        # The workload reads the sealed snapshot of the version it was
-        # admitted under (copy-on-write): later graph mutations
-        # never disturb its index or similarity matrix — concurrent
-        # batches simply pin different versions.
+        # The workload holds the sealed snapshot of the version it was
+        # admitted under (copy-on-write): later graph mutations never
+        # disturb its index or similarity matrix — concurrent batches
+        # simply hold different snapshots.
         self.csr: CSRGraph = csr if csr is not None else graph.csr_snapshot()
         for query in queries:
             require_vertex(query.s, self.csr.num_vertices, "query source")
@@ -64,7 +64,6 @@ class QueryWorkload:
             for query in self.queries:
                 if not (index.has_source(query.s) and index.has_target(query.t)):
                     raise ValueError(f"prebuilt index does not cover {query}")
-        self.graph_version: int = self.csr.version
         self._index: Optional[CSRDistanceIndex] = index
         self._similarity: Optional[QuerySimilarityMatrix] = None
 
@@ -76,7 +75,7 @@ class QueryWorkload:
         """The batch distance index, built on first access ("BuildIndex").
 
         Built against — and valid for — the workload's sealed snapshot
-        (:attr:`csr`, version :attr:`graph_version`).  Mutating the live
+        (:attr:`csr`, version ``csr.version``).  Mutating the live
         graph afterwards does not invalidate it; a later batch builds its
         own workload against the new head.
         """

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +16,7 @@ from repro.graph.generators import (
     paper_example_graph,
     random_directed_gnm,
 )
+from repro.graph.snapshots import SnapshotStore
 from repro.queries.query import HCSTQuery
 
 #: ``--hypothesis-profile=thorough``: fifty times the default examples, for
@@ -119,19 +122,33 @@ def no_child_left():
 
 
 @pytest.fixture
-def assert_nothing_pinned():
-    """Returns ``check(graph)``: no snapshot pin is outstanding and no
-    sealed version other than the head is kept alive.  A service releases
-    its batch's pin on the scheduler thread *after* resolving the tickets,
-    so call it once the service is closed."""
+def no_stale_snapshot(monkeypatch):
+    """Returns ``check(graph)``: no snapshot of ``graph`` sealed during the
+    test and older than its head is still reachable.  A sealed ``CSRGraph``
+    lives exactly as long as something holds it, so call it once every
+    stream and service the test opened is closed: what is left is a leak.
+
+    Every seal is recorded by weak reference; the check collects garbage
+    first, so only a real strong reference keeps a version alive."""
+    sealed = weakref.WeakKeyDictionary()  # CSRGraph -> its store
+    real_seal = SnapshotStore.seal
+
+    def recording_seal(store):
+        csr = real_seal(store)
+        sealed[csr] = store
+        return csr
+
+    monkeypatch.setattr(SnapshotStore, "seal", recording_seal)
 
     def check(graph: DiGraph) -> None:
-        store = graph.snapshots
-        live = store.live_versions()
-        pinned = {v: n for v in live if (n := store.pin_count(v))}
-        assert not pinned, f"snapshot pins left behind: {pinned}"
-        assert live in ([], [graph.version]), (
-            f"sealed versions {live} outlive their batches "
+        gc.collect()
+        stale = sorted(
+            csr.version
+            for csr, store in list(sealed.items())
+            if store is graph.snapshots and csr.version != graph.version
+        )
+        assert not stale, (
+            f"sealed versions {stale} outlive their batches "
             f"(head is {graph.version})"
         )
 

@@ -149,26 +149,12 @@ def test_service_exports_counters_gauges_and_latency_histogram():
 
 
 # --------------------------------------------------------------------- #
-# Snapshot-store gauges
+# Snapshot-store gauge
 # --------------------------------------------------------------------- #
-def test_snapshot_store_gauges_track_pins_and_versions():
+def test_snapshot_store_gauge_tracks_the_mutation_log():
     graph, queries = _workload(seed=7)
     registry = MetricsRegistry()
     BatchQueryEngine(graph, algorithm="batch+", metrics=registry)
-
-    graph.csr_snapshot()  # seals the current version into the store
-    live = registry.gauge("repro_snapshot_live_versions")
-    pins = registry.gauge("repro_snapshot_pinned_refcount_total")
-    assert live.value >= 1
-    assert pins.value == 0
-
-    lease = graph.snapshots.pin()
-    assert pins.value == 1
-    second = graph.snapshots.pin()
-    assert pins.value == 2
-    second.release()
-    lease.release()
-    assert pins.value == 0
 
     before = registry.gauge("repro_snapshot_mutation_log_entries").value
     u, v = next(

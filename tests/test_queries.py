@@ -78,21 +78,20 @@ def test_workload_shared_index_built_once():
 
 
 def test_workload_index_survives_graph_mutation():
-    # Multi-version serving (via SnapshotStore): the workload pins
-    # the sealed snapshot of the version it was admitted under, so a later
-    # mutation never invalidates its index — it keeps answering for the
-    # pinned version while fresh workloads see the new head.
+    # The workload holds the sealed snapshot of the version it was
+    # admitted under, so a later mutation never invalidates its index — it
+    # keeps answering for that version while fresh workloads see the head.
     graph = random_directed_gnm(40, 160, seed=3)
     workload = QueryWorkload(graph, [HCSTQuery(0, 5, 3)])
     pinned = workload.index
     assert workload.index is pinned  # built and cached
     graph.add_edge(0, 39)
     assert workload.index is pinned  # mutation did not disturb the pin
-    assert workload.graph_version == graph.version - 1
+    assert workload.csr.version == graph.version - 1
     # A workload built after the mutation pins the new version and sees
     # the new edge: 0 -> 39 makes 39 reachable from source 0 in one hop.
     fresh = QueryWorkload(graph, [HCSTQuery(0, 5, 3)])
-    assert fresh.graph_version == graph.version
+    assert fresh.csr.version == graph.version
     assert fresh.index.dist_from(0, 39) == 1
 
 
@@ -104,7 +103,7 @@ def test_workload_snapshot_pinned_before_first_build():
     admitted_version = graph.version
     assert not graph.has_edge(1, 38)
     graph.add_edge(1, 38)
-    assert workload.graph_version == admitted_version
+    assert workload.csr.version == admitted_version
     assert not workload.csr.has_edge(1, 38)
     assert workload.index.has_source(0)
 

@@ -129,7 +129,7 @@ def test_duplicate_queries_each_get_their_own_ticket():
 
 
 def test_a_parallel_request_is_served_without_spawning_a_process(
-    no_child_left, assert_nothing_pinned
+    no_child_left, no_stale_snapshot
 ):
     """``num_workers=2`` is inert in the service: every micro-batch runs on
     the scheduler thread, so no child process exists while the service is
@@ -147,7 +147,7 @@ def test_a_parallel_request_is_served_without_spawning_a_process(
         assert multiprocessing.active_children() == []
         assert service.stats().batches_dispatched >= 3
     assert service.stats().failed == 0
-    assert_nothing_pinned(graph)
+    no_stale_snapshot(graph)
 
 
 def _gate_first_plan(service, monkeypatch):
@@ -168,7 +168,7 @@ def _gate_first_plan(service, monkeypatch):
 
 
 def test_close_without_drain_during_delay_window_fails_queued_tickets(
-    monkeypatch, no_child_left, assert_nothing_pinned
+    monkeypatch, no_child_left, no_stale_snapshot
 ):
     """close(drain=False) while a ticket is queued behind a running batch
     must fail the queued ticket, not dispatch it anyway; the batch already
@@ -191,7 +191,7 @@ def test_close_without_drain_during_delay_window_fails_queued_tickets(
         queued.result(timeout=0.0)
     stats = service.stats()
     assert (stats.completed, stats.failed) == (1, 1)
-    assert_nothing_pinned(_GRAPH)
+    no_stale_snapshot(_GRAPH)
 
 
 # --------------------------------------------------------------------- #
@@ -292,7 +292,7 @@ def test_a_thread_switch_never_cuts_a_submitted_group():
 # Error propagation and lifecycle
 # --------------------------------------------------------------------- #
 def test_ticket_error_propagation_and_scheduler_survival(
-    no_child_left, assert_nothing_pinned
+    no_child_left, no_stale_snapshot
 ):
     """A query that fails inside its micro-batch resolves its ticket with
     the exception; the scheduler keeps serving later submissions."""
@@ -314,14 +314,14 @@ def test_ticket_error_propagation_and_scheduler_survival(
         stats = service.stats()
         assert stats.failed == 1
         assert stats.completed == len(good)
-    assert_nothing_pinned(graph)
+    no_stale_snapshot(graph)
 
 
 def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
-    monkeypatch, no_child_left, assert_nothing_pinned
+    monkeypatch, no_child_left, no_stale_snapshot
 ):
-    """The window between ``snapshots.pin()`` and the stream: a plan that
-    raises fails its batch's tickets, gives the pin back, and the next
+    """The window between the batch's seal and the stream: a plan that
+    raises fails its batch's tickets, drops its snapshot, and the next
     batch — on a newer head — is planned and served."""
     graph = random_directed_gnm(12, 40, seed=1)
     first, second = generate_random_queries(graph, 2, min_k=2, max_k=3, seed=1)
@@ -330,7 +330,7 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
         real_plan = service._planner.plan
 
         def plan_breaks_once(queries, snapshot=None):
-            pinned_versions.append(snapshot.version)  # the pin is already taken
+            pinned_versions.append(snapshot.version)  # already sealed
             if len(pinned_versions) == 1:
                 raise KeyError("planner broke")
             return real_plan(queries, snapshot=snapshot)
@@ -339,8 +339,8 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
         bad_ticket = service.submit(first)
         with pytest.raises(KeyError, match="planner broke"):
             bad_ticket.result(timeout=TIMEOUT)
-        # A leaked pin would now keep the failed batch's version alive
-        # behind the new head.
+        # A service that kept the failed batch's snapshot would now keep
+        # its version alive behind the new head.
         graph.add_edge(
             *next(
                 (u, v)
@@ -357,11 +357,14 @@ def test_plan_failure_after_the_pin_releases_it_and_the_scheduler_goes_on(
     stats = service.stats()
     assert (stats.failed, stats.completed) == (1, 1)
     assert pinned_versions == [graph.version - 1, graph.version]
-    assert_nothing_pinned(graph)
+    # The failed ticket's error carries the broken plan's frames, and with
+    # them its snapshot: a caller who keeps the error keeps that version.
+    del bad_ticket
+    no_stale_snapshot(graph)
 
 
 def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
-    monkeypatch, no_child_left, assert_nothing_pinned
+    monkeypatch, no_child_left, no_stale_snapshot
 ):
     """Whatever kills the scheduler thread — here the dispatch of a batch
     it popped — must not strand a caller: the popped tickets and the queue
@@ -397,11 +400,11 @@ def test_dead_scheduler_fails_its_tickets_and_refuses_the_next_submit(
         assert (stats.pending, stats.failed, stats.completed) == (0, 3, 0)
     finally:
         service.close()
-    assert_nothing_pinned(_GRAPH)
+    no_stale_snapshot(_GRAPH)
 
 
 def test_batch_peers_of_a_poisoned_query_share_its_error(
-    no_child_left, assert_nothing_pinned
+    no_child_left, no_stale_snapshot
 ):
     """With the poisoned query inside a shared micro-batch, unresolved
     batch peers receive the same exception instead of hanging."""
@@ -423,7 +426,33 @@ def test_batch_peers_of_a_poisoned_query_share_its_error(
                 ticket.result(timeout=TIMEOUT)
     finally:
         service.close()
-    assert_nothing_pinned(graph)
+    no_stale_snapshot(graph)
+
+
+def test_served_rounds_leave_no_version_older_than_the_head(
+    no_child_left, no_stale_snapshot
+):
+    """Five rounds, each answered and then followed by an edge edit: the
+    plan and stream of a micro-batch are its snapshot's only holders, so
+    once the service is closed no round's version outlives the head."""
+    graph = random_directed_gnm(30, 110, seed=6)
+    queries = generate_random_queries(graph, 6, min_k=2, max_k=4, seed=6)
+    missing = (
+        (u, v)
+        for u in graph.vertices()
+        for v in graph.vertices()
+        if u != v and not graph.has_edge(u, v)
+    )
+    with serve(graph, algorithm="batch+") as service:
+        for _ in range(5):
+            oracle = BatchQueryEngine(graph, algorithm="batch+").run(queries)
+            for position, ticket in enumerate(service.submit_many(queries)):
+                assert canon(ticket.result(timeout=TIMEOUT)) == canon(
+                    oracle.paths_at(position)
+                )
+            graph.add_edge(*next(missing))
+    assert service.stats().completed == 5 * len(queries)
+    no_stale_snapshot(graph)
 
 
 def test_close_drain_resolves_all_pending_tickets():
@@ -439,7 +468,7 @@ def test_close_drain_resolves_all_pending_tickets():
 
 
 def test_close_without_drain_fails_queued_tickets(
-    no_child_left, assert_nothing_pinned
+    no_child_left, no_stale_snapshot
 ):
     service = IngestionService(_GRAPH, algorithm="batch+", start=False)
     tickets = service.submit_many(_QUERIES)
@@ -448,7 +477,7 @@ def test_close_without_drain_fails_queued_tickets(
         assert ticket.done()
         with pytest.raises(ServiceClosedError):
             ticket.result(timeout=0.0)
-    assert_nothing_pinned(_GRAPH)
+    no_stale_snapshot(_GRAPH)
 
 
 def test_submit_after_close_raises():

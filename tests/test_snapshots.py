@@ -1,6 +1,7 @@
-"""Unit tests for the multi-version :class:`SnapshotStore` (PR 7).
+"""Unit tests for the :class:`SnapshotStore` and the sealed snapshots.
 
-Covers the copy-on-write seal/pin/release lifecycle, the bounded mutation
+Covers the copy-on-write seal lifecycle (a sealed ``CSRGraph`` lives as
+long as something holds it, and no longer), the bounded mutation
 log behind ``delta()`` (netting, barriers, trim floor), the new
 ``DiGraph.remove_edge`` mutator, the bulk ``reverse()`` path and
 pickling (the store holds an RLock, so it must be rebuilt on unpickle);
@@ -8,10 +9,12 @@ and, as one rule-based state machine, that versions share their untouched
 adjacency rows while no sealed snapshot ever changes.
 """
 
+import gc
 import pickle
 import random
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -28,7 +31,7 @@ from repro.graph.snapshots import DEFAULT_MAX_LOG, SnapshotStore
 
 
 # --------------------------------------------------------------------- #
-# Seal / pin / release lifecycle
+# Seal lifecycle: a snapshot lives as long as its holders
 # --------------------------------------------------------------------- #
 def test_seal_caches_per_head_version_and_forgets_unpinned():
     graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
@@ -40,48 +43,39 @@ def test_seal_caches_per_head_version_and_forgets_unpinned():
     fresh = graph.csr_snapshot()
     assert fresh is not first
     assert fresh.version == graph.version == old_version + 1
-    # The unpinned old head was dropped by the mutation.
-    assert graph.snapshots.live_versions() == [graph.version]
-    with pytest.raises(KeyError, match="not live"):
-        graph.snapshots.resolve(old_version)
+    assert first.version == old_version
+    # The mutation dropped the store's reference to the old head: with its
+    # last holder gone, it is freed.
+    dropped = weakref.ref(first)
+    del first
+    gc.collect()
+    assert dropped() is None
+    assert graph.csr_snapshot() is fresh
 
 
-def test_pin_refcounts_keep_old_versions_alive():
+def test_a_held_old_snapshot_stays_frozen_and_a_dropped_one_is_freed():
     graph = DiGraph.from_edges([(0, 1), (1, 2)])
-    store = graph.snapshots
-    pin_a = store.pin()
-    pin_b = store.pin()
-    assert pin_a.csr is pin_b.csr
-    assert store.pin_count(pin_a.version) == 2
-    pinned_version = pin_a.version
+    held_a = graph.csr_snapshot()
+    held_b = graph.csr_snapshot()
+    assert held_a is held_b  # one object per version, however many holders
+    version, edges = held_a.version, frozenset(graph.edges())
 
-    graph.add_edge(0, 2)  # mutation: pinned version must survive
-    assert store.resolve(pinned_version) is pin_a.csr
-    assert sorted(store.live_versions()) == [pinned_version]
+    graph.add_edge(0, 2)  # mutations: the held version must survive them
+    graph.remove_edge(0, 1)
+    graph.add_vertex()
+    _assert_snapshot_is(held_a, version, 3, edges)
 
-    pin_a.release()
-    assert store.pin_count(pinned_version) == 1
-    assert store.resolve(pinned_version) is pin_b.csr
-    pin_a.release()  # idempotent: counts at most once
-    assert store.pin_count(pinned_version) == 1
-
-    pin_b.release()
-    assert store.pin_count(pinned_version) == 0
-    with pytest.raises(KeyError):
-        store.resolve(pinned_version)
+    dropped = weakref.ref(held_a)
+    del held_a
+    gc.collect()
+    assert dropped() is held_b  # the other holder keeps it alive
+    _assert_snapshot_is(held_b, version, 3, edges)
+    del held_b
+    gc.collect()
+    assert dropped() is None
 
 
-def test_released_head_survives_as_snapshot_cache():
-    graph = DiGraph.from_edges([(0, 1)])
-    with graph.snapshots.pin() as pin:
-        head = pin.version
-        assert graph.snapshots.pin_count(head) == 1
-    # Context exit released the pin, but the head CSR stays cached.
-    assert graph.snapshots.pin_count(head) == 0
-    assert graph.snapshots.resolve(head) is graph.csr_snapshot()
-
-
-def test_pin_is_atomic_under_concurrent_mutation():
+def test_csr_snapshot_is_atomic_under_concurrent_mutation():
     graph = random_directed_gnm(30, 120, seed=5)
     stop = threading.Event()
 
@@ -96,18 +90,13 @@ def test_pin_is_atomic_under_concurrent_mutation():
     thread.start()
     try:
         for _ in range(100):
-            with graph.snapshots.pin() as pin:
-                csr = pin.csr
-                # No torn packing: row structure internally consistent.
-                total = sum(
-                    len(csr.out_neighbors(v)) for v in csr.vertices()
-                )
-                assert total == csr.num_edges
-                for v in csr.vertices():
-                    row = csr.out_neighbors(v)
-                    assert all(
-                        row[i] < row[i + 1] for i in range(len(row) - 1)
-                    )
+            csr = graph.csr_snapshot()
+            # No torn packing: row structure internally consistent.
+            total = sum(len(csr.out_neighbors(v)) for v in csr.vertices())
+            assert total == csr.num_edges
+            for v in csr.vertices():
+                row = csr.out_neighbors(v)
+                assert all(row[i] < row[i + 1] for i in range(len(row) - 1))
     finally:
         stop.set()
         thread.join(timeout=5.0)
@@ -362,12 +351,12 @@ def test_digraph_pickle_roundtrip_rebuilds_store():
     assert clone == graph
     assert clone.version == graph.version
     assert clone.snapshots is not graph.snapshots
-    # The rebuilt store works: seal, pin, mutate, delta.
+    # The rebuilt store works: seal, mutate, seal anew, delta.
     start = clone.version
-    with clone.snapshots.pin() as pin:
-        assert pin.version == start
-        clone.add_edge(*_first_missing_edge(clone))
-        assert clone.snapshots.resolve(start) is pin.csr
+    held = clone.csr_snapshot()
+    assert held.version == start
+    clone.add_edge(*_first_missing_edge(clone))
+    assert clone.csr_snapshot() is not held and held.version == start
     delta = clone.snapshots.delta(start, clone.version)
     assert delta is not None and len(delta[0]) == 1
 
@@ -436,10 +425,13 @@ def _assert_snapshot_is(csr, version, num_vertices, edges):
 
 
 class SnapshotSharing(RuleBasedStateMachine):
-    """Mutators, pins, seals and ``reverse()`` against a model edge set.
+    """Mutators, held and dropped snapshots, seals and ``reverse()``
+    against a model edge set.
 
-    * every live pin always equals the reference of the edge set frozen
-      when it was taken (so no later mutation was ever observed in it);
+    * every held snapshot always equals the reference of the edge set
+      frozen when it was taken (so no later mutation was ever observed in
+      it), and a dropped one that is neither the head nor held elsewhere
+      is freed at once;
     * two consecutive seals share, by identity, every row no mutation in
       between wrote, and hold different objects for every row
       ``snapshots.delta()`` reports changed (a row written and written
@@ -453,7 +445,7 @@ class SnapshotSharing(RuleBasedStateMachine):
         super().__init__()
         self.graph = DiGraph(8)
         self.edges = set()
-        self.pins = []  # (PinnedSnapshot, num_vertices, frozen edge set)
+        self.held = []  # (CSRGraph, version, num_vertices, frozen edge set)
         self.last_seal = None
         self.written = set()  # (forward, vertex) rows written since last_seal
 
@@ -486,18 +478,25 @@ class SnapshotSharing(RuleBasedStateMachine):
     def add_vertex(self):
         assert self.graph.add_vertex() == self.graph.num_vertices - 1
 
-    @precondition(lambda self: len(self.pins) < 4)
+    @precondition(lambda self: len(self.held) < 4)
     @rule()
-    def pin(self):
-        pin = self.graph.snapshots.pin()
-        assert pin.version == self.graph.version
-        self.pins.append((pin, self.graph.num_vertices, frozenset(self.edges)))
+    def hold(self):
+        csr = self.graph.csr_snapshot()
+        assert csr.version == self.graph.version
+        self.held.append(
+            (csr, self.graph.version, self.graph.num_vertices, frozenset(self.edges))
+        )
 
-    @precondition(lambda self: self.pins)
+    @precondition(lambda self: self.held)
     @rule(data=st.data())
-    def release(self, data):
-        pin, _, _ = self.pins.pop(data.draw(st.integers(0, len(self.pins) - 1)))
-        pin.release()
+    def drop(self, data):
+        csr = self.held.pop(data.draw(st.integers(0, len(self.held) - 1)))[0]
+        # The store holds the head's seal and nothing older.
+        holders = [other for other, *_ in self.held] + [self.last_seal]
+        kept = csr.version == self.graph.version or any(csr is h for h in holders)
+        dropped = weakref.ref(csr)
+        del csr
+        assert (dropped() is not None) == kept
 
     @rule()
     def csr_snapshot(self):
@@ -556,15 +555,9 @@ class SnapshotSharing(RuleBasedStateMachine):
         assert self.graph.num_edges == len(self.edges)
 
     @invariant()
-    def every_live_pin_is_frozen(self):
-        store = self.graph.snapshots
-        for pin, num_vertices, edges in self.pins:
-            assert store.resolve(pin.version) is pin.csr
-            _assert_snapshot_is(pin.csr, pin.version, num_vertices, edges)
-
-    def teardown(self):
-        for pin, _, _ in self.pins:
-            pin.release()
+    def every_held_snapshot_is_frozen(self):
+        for csr, version, num_vertices, edges in self.held:
+            _assert_snapshot_is(csr, version, num_vertices, edges)
 
 
 TestSnapshotSharing = SnapshotSharing.TestCase
